@@ -31,8 +31,6 @@ from .kernels import riesz_normalization
 from .reaction import ConvectiveReaction, ProblemExponents, SingularReaction
 from .riesz import riesz_gradient
 
-_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 def _stderr_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
@@ -265,7 +263,9 @@ def _cmd_selftest(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, help="cap worker threads")
+    common.add_argument(
+        "--threads", type=int, default=None, help="cap the scipy.fft worker threads"
+    )
     common.add_argument("-v", "--verbose", action="store_true", help="log progress and defaults")
     with_config = argparse.ArgumentParser(add_help=False, parents=[common])
     with_config.add_argument("--config", required=True, help="path to a JSON run config")
@@ -300,8 +300,6 @@ def main(argv=None) -> int:
         if args.threads < 1:
             _stderr_json({"error": "config", "field": "--threads", "reason": "must be positive"})
             return 2
-        for var in _THREAD_ENV:
-            os.environ.setdefault(var, str(args.threads))
         ctx = scipy.fft.set_workers(args.threads)
     else:
         ctx = contextlib.nullcontext()

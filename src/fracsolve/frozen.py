@@ -92,7 +92,7 @@ def frozen_energy(prob: FrozenProblem, u) -> float:
     uv = _interior_state(prob, u)
     tp, tq = prob.tables
     vol = np.longdouble(prob.grid.cell_volume)
-    total = energy_accumulator(tp, uv) + energy_accumulator(tq, uv)
+    total = energy_accumulator(tp, uv, tq)
     total -= vol * np.sum(prob.trunc.F(uv), dtype=np.longdouble)
     total -= vol * np.sum(prob.g_at_xi * uv, dtype=np.longdouble)
     return float(total)
@@ -105,7 +105,7 @@ def frozen_gradient(prob: FrozenProblem, u) -> np.ndarray:
     uv = _interior_state(prob, u)
     tp, tq = prob.tables
     vol = prob.grid.cell_volume
-    grad = operator_gradient(tp, uv) + operator_gradient(tq, uv)
+    grad = operator_gradient(tp, uv, tq)
     grad -= vol * (np.asarray(prob.trunc.f(uv), dtype=float) + prob.g_at_xi)
     return grad
 

@@ -27,7 +27,9 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +87,11 @@ class PairWeightTable:
     params: OperatorParams
     pair: np.ndarray
     tail: np.ndarray
+
+    @cached_property
+    def packed_pair(self) -> np.ndarray:
+        """pair[i, j] over the grid's pairs i < j, built on first evaluation."""
+        return self.pair[self.grid.pair_index]
 
 
 def _offset_table(grid: Grid, params: OperatorParams) -> np.ndarray:
@@ -213,9 +220,15 @@ def _cache_store(path: Path, grid: Grid, params: OperatorParams, pair, tail) -> 
         + np.ascontiguousarray(tail, dtype="<f8").tobytes()
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(payload)
-    tmp.replace(path)
+    # a private temp name per writer, so concurrent stores never interleave
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
@@ -265,28 +278,58 @@ def _signed_power(t: np.ndarray, p: float) -> np.ndarray:
     return np.sign(t) * np.abs(t) ** (p - 1.0)
 
 
-def _form_power(table: PairWeightTable, u) -> np.longdouble:
-    """sum_{i != j} W_ij |u_i - u_j|^p + 2 sum_i T_i |u_i|^p.
+def _same_grid_tables(table: PairWeightTable, extra) -> tuple:
+    tables = (table, *extra)
+    for t in extra:
+        if t.grid is not table.grid:
+            raise ValueError("weight tables were assembled on different grids")
+    return tables
+
+
+def _pair_chunks(tables, uv: np.ndarray):
+    """Walk the pairs i < j (row-major) in blocks of at most _ROW_CHUNK
+    rows, so temporaries stay within _ROW_CHUNK * n.  Yields the block's
+    first row, each row's start within the block, the columns j, u_i - u_j
+    and every table's packed weights."""
+    n = uv.size
+    ii, jj = tables[0].grid.pair_index
+    packed = [t.packed_pair for t in tables]
+    rows = np.arange(n)
+    row_start = rows * (2 * n - 1 - rows) // 2
+    for r0 in range(0, n - 1, _ROW_CHUNK):
+        r1 = min(r0 + _ROW_CHUNK, n - 1)
+        blk = slice(row_start[r0], row_start[r1])
+        yield (
+            r0,
+            row_start[r0:r1] - row_start[r0],
+            jj[blk],
+            uv[ii[blk]] - uv[jj[blk]],
+            [w[blk] for w in packed],
+        )
+
+
+def _energy_sum(tables, uv: np.ndarray) -> np.longdouble:
+    """Sum over tables of (1/p) [sum_{i != j} W_ij |u_i - u_j|^p
+    + 2 sum_i T_i |u_i|^p], from one pass over the pairs i < j.
 
     Accumulated in extended precision: line searches compare energies whose
     genuine per-step decrease can sit below one float64 ulp of the total, so
     the sum is only rounded to double by the caller-facing wrappers.
     """
-    uv = _interior_vector(table, u)
-    p = table.params.p
-    total = np.longdouble(0.0)
-    for a0 in range(0, uv.size, _ROW_CHUNK):
-        du = uv[a0 : a0 + _ROW_CHUNK, None] - uv[None, :]
-        total += np.sum(
-            table.pair[a0 : a0 + _ROW_CHUNK] * np.abs(du) ** p, dtype=np.longdouble
-        )
-    total += 2.0 * np.sum(table.tail * np.abs(uv) ** p, dtype=np.longdouble)
-    return total
+    half = np.longdouble(0.0)
+    for _, _, _, du, weights in _pair_chunks(tables, uv):
+        adu = np.abs(du)
+        terms = sum(w * adu**t.params.p / t.params.p for t, w in zip(tables, weights))
+        half += np.sum(terms, dtype=np.longdouble)
+    au = np.abs(uv)
+    terms = sum(t.tail * au**t.params.p / t.params.p for t in tables)
+    return 2.0 * (half + np.sum(terms, dtype=np.longdouble))
 
 
 def seminorm(table: PairWeightTable, u) -> float:
     """Gagliardo-type seminorm of order (s, p), including the exterior tail."""
-    return float(_form_power(table, u)) ** (1.0 / table.params.p)
+    p = table.params.p
+    return float(p * energy_accumulator(table, u)) ** (1.0 / p)
 
 
 def energy(table: PairWeightTable, u) -> float:
@@ -294,10 +337,11 @@ def energy(table: PairWeightTable, u) -> float:
     return float(energy_accumulator(table, u))
 
 
-def energy_accumulator(table: PairWeightTable, u) -> np.longdouble:
+def energy_accumulator(table: PairWeightTable, u, *extra: PairWeightTable) -> np.longdouble:
     """Dirichlet energy in extended precision, for composing full objectives
-    whose float64 rounding would mask genuine line-search descent."""
-    return _form_power(table, u) / np.longdouble(table.params.p)
+    whose float64 rounding would mask genuine line-search descent.  Extra
+    tables on the same grid add their energies from the same pass."""
+    return _energy_sum(_same_grid_tables(table, extra), _interior_vector(table, u))
 
 
 def apply_form(table: PairWeightTable, u, phi) -> float:
@@ -316,16 +360,21 @@ def apply_form(table: PairWeightTable, u, phi) -> float:
     return math.fsum(parts)
 
 
-def operator_gradient(table: PairWeightTable, u) -> np.ndarray:
+def operator_gradient(table: PairWeightTable, u, *extra: PairWeightTable) -> np.ndarray:
     """Gradient of the energy over interior nodes; pairing it with any test
-    vector reproduces apply_form."""
+    vector reproduces apply_form.  Extra tables on the same grid add their
+    gradients from the same pass."""
+    tables = _same_grid_tables(table, extra)
     uv = _interior_vector(table, u)
-    p = table.params.p
-    grad = np.empty_like(uv)
-    for a0 in range(0, uv.size, _ROW_CHUNK):
-        du = uv[a0 : a0 + _ROW_CHUNK, None] - uv[None, :]
-        grad[a0 : a0 + _ROW_CHUNK] = 2.0 * np.sum(
-            table.pair[a0 : a0 + _ROW_CHUNK] * _signed_power(du, p), axis=1
+    n = uv.size
+    grad = np.zeros(n)
+    for r0, starts, j, du, weights in _pair_chunks(tables, uv):
+        adu = np.abs(du)
+        # antisymmetric flux of the pair: +flux on node i, -flux on node j
+        flux = np.sign(du) * sum(
+            w * adu ** (t.params.p - 1.0) for t, w in zip(tables, weights)
         )
-    grad += 2.0 * table.tail * _signed_power(uv, p)
-    return grad
+        grad[r0 : r0 + starts.size] += np.add.reduceat(flux, starts)
+        grad -= np.bincount(j, flux, minlength=n)
+    grad += sum(t.tail * _signed_power(uv, t.params.p) for t in tables)
+    return 2.0 * grad

@@ -9,6 +9,7 @@ condition at the discrete level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,11 @@ class Grid:
     @property
     def interior_points(self):
         return self.points[self.interior_idx]
+
+    @cached_property
+    def pair_index(self):
+        """Interior-node pairs (i, j) with i < j, row-major, built on first use."""
+        return np.triu_indices(self.n_interior, 1)
 
     def field(self, values=None):
         if values is None:

@@ -160,14 +160,20 @@ def _bessel_cell_quad(params, centers, widths, nodes):
         - 0.5 * params.alpha * math.log(4.0 * math.pi)
     )
     # note: alpha*t/2 = (alpha-dim)*t/2 + dim*t/2 absorbs the sqrt(delta) factors
+    # the factors depend on one coordinate each: evaluate erf once per
+    # distinct axis coordinate and gather per cell
+    factors, where = [], []
+    for a in range(params.dim):
+        coord, inverse = np.unique(centers[:, a], return_inverse=True)
+        hi_edge = (coord + 0.5 * widths[a])[:, None] * inv_sqrt[None, :]
+        lo_edge = (coord - 0.5 * widths[a])[:, None] * inv_sqrt[None, :]
+        factors.append(0.5 * (erf(hi_edge) - erf(lo_edge)) / widths[a])
+        where.append(inverse.reshape(-1))
     out = np.empty(centers.shape[0], dtype=float)
     for lo in range(0, centers.shape[0], 4096):
-        blk = centers[lo : lo + 4096]
-        prod = np.ones((blk.shape[0], t.size))
-        for a in range(params.dim):
-            hi_edge = (blk[:, a] + 0.5 * widths[a])[:, None] * inv_sqrt[None, :]
-            lo_edge = (blk[:, a] - 0.5 * widths[a])[:, None] * inv_sqrt[None, :]
-            prod *= 0.5 * (erf(hi_edge) - erf(lo_edge)) / widths[a]
+        prod = factors[0][where[0][lo : lo + 4096]]
+        for a in range(1, params.dim):
+            prod *= factors[a][where[a][lo : lo + 4096]]
         out[lo : lo + 4096] = prod @ (w * pref)
     return out
 

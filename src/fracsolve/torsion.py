@@ -86,11 +86,11 @@ def solve_torsion(
     def fun(u):
         # compose in extended precision and round once: the line search
         # distinguishes energies that differ below one float64 ulp
-        total = energy_accumulator(tp, u) + energy_accumulator(tq, u)
+        total = energy_accumulator(tp, u, tq)
         return float(total - forcing * np.sum(u, dtype=np.longdouble))
 
     def grad(u):
-        return operator_gradient(tp, u) + operator_gradient(tq, u) - sigma * vol
+        return operator_gradient(tp, u, tq) - sigma * vol
 
     result = minimize_energy(fun, grad, np.zeros(grid.n_interior), options)
     if not result.converged:

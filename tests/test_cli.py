@@ -8,10 +8,12 @@ bit-identical report apart from its timestamp.
 
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fracsolve import cli
 from fracsolve.config import ConfigError, HypothesisError, load_config
@@ -239,6 +241,20 @@ class TestCliOther:
         assert len(summary["tables"]) == 2
         for entry in summary["tables"]:
             assert entry["tail_min"] > 0.0
+
+    def test_threads_caps_fft_workers_only(self, monkeypatch):
+        thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in thread_vars:
+            monkeypatch.delenv(var, raising=False)
+        seen = []
+        monkeypatch.setattr(
+            cli, "_cmd_check", lambda args: seen.append(scipy.fft.get_workers()) or 0
+        )
+        config = str(CONFIG_DIR / "interval_1d.json")
+        code = cli.main(["check-hypotheses", "--threads", "3", "--config", config])
+        assert code == 0
+        assert seen == [3]
+        assert not any(var in os.environ for var in thread_vars)
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -14,17 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from fracsolve import gagliardo
 from fracsolve.gagliardo import (
     MemoryBudgetError,
     OperatorParams,
     PairWeightTable,
+    _cache_path,
+    _cache_store,
     apply_form,
     assemble_weights,
     energy,
+    energy_accumulator,
     operator_gradient,
     seminorm,
 )
-from fracsolve.grids import ScalarField, build_grid, interval, rectangle
+from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +334,85 @@ class TestFormIdentities:
             assert lhs <= rhs + 1e-10
 
 
+def _tied_signed_vector(grid, seed):
+    """Interior vector with both signs, exact zeros and repeated entries, so
+    the pair pass meets u_i == u_j and sign changes."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=grid.n_interior)
+    u[::5] = u[1]
+    u[2::7] = -u[3]
+    u[4::9] = 0.0
+    return u
+
+
+@pytest.fixture(scope="module", params=["interval", "disk"])
+def one_pass_grid(request):
+    if request.param == "interval":
+        return build_grid(interval(0.0, 1.0), 23)
+    return build_grid(disk(0.0, 0.0, 1.0), 13)
+
+
+class TestOnePassEvaluation:
+    """The pair-triangle pass against the dense apply_form oracle, and the
+    two-table call against two single-table calls."""
+
+    def test_two_tables_equal_sum_of_single_calls(self, one_pass_grid):
+        g = one_pass_grid
+        tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
+        tq = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
+        for seed in range(3):
+            u = _tied_signed_vector(g, seed)
+            both = energy_accumulator(tp, u, tq)
+            apart = energy_accumulator(tp, u) + energy_accumulator(tq, u)
+            assert isinstance(both, np.longdouble)
+            assert float(both) == pytest.approx(float(apart), rel=1e-13)
+            grad = operator_gradient(tp, u, tq)
+            want = operator_gradient(tp, u) + operator_gradient(tq, u)
+            np.testing.assert_allclose(
+                grad, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want))
+            )
+
+    @pytest.mark.parametrize("p", [1.5, 2.2, 3.0])
+    def test_gradient_pairing_matches_dense_form(self, one_pass_grid, p):
+        g = one_pass_grid
+        table = assemble_weights(g, OperatorParams(s=0.6, p=p))
+        rng = np.random.default_rng(31)
+        for seed in range(3):
+            u = _tied_signed_vector(g, 40 + seed)
+            grad = operator_gradient(table, u)
+            for _ in range(3):
+                phi = rng.normal(size=g.n_interior)
+                assert float(grad @ phi) == pytest.approx(
+                    apply_form(table, u, phi), rel=1e-12, abs=1e-13
+                )
+            # pairing u with itself is p times the energy
+            assert p * energy(table, u) == pytest.approx(apply_form(table, u, u), rel=1e-12)
+
+    def test_row_blocks_agree_with_one_block(self, one_pass_grid, monkeypatch):
+        # these grids fit in one block of _ROW_CHUNK rows; force several
+        g = one_pass_grid
+        tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
+        tq = assemble_weights(g, OperatorParams(s=0.5, p=1.5))
+        u = _tied_signed_vector(g, 5)
+        whole_e = energy_accumulator(tp, u, tq)
+        whole_g = operator_gradient(tp, u, tq)
+        monkeypatch.setattr(gagliardo, "_ROW_CHUNK", 4)
+        assert float(energy_accumulator(tp, u, tq)) == pytest.approx(float(whole_e), rel=1e-13)
+        np.testing.assert_allclose(
+            operator_gradient(tp, u, tq), whole_g, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole_g))
+        )
+
+    def test_tables_on_different_grids_rejected(self, one_pass_grid):
+        other = build_grid(interval(0.0, 2.0), 11)
+        tp = assemble_weights(one_pass_grid, OperatorParams(s=0.7, p=3.0))
+        tq = assemble_weights(other, OperatorParams(s=0.5, p=2.2))
+        u = np.ones(one_pass_grid.n_interior)
+        with pytest.raises(ValueError):
+            energy_accumulator(tp, u, tq)
+        with pytest.raises(ValueError):
+            operator_gradient(tp, u, tq)
+
+
 class TestHiddenConvexity:
     def test_pointwise_inequality_random_triples(self, grid_1d):
         rng = np.random.default_rng(2024)
@@ -412,6 +495,17 @@ class TestCache:
         t2 = assemble_weights(g, params)
         np.testing.assert_array_equal(t1.pair, t2.pair)
         np.testing.assert_array_equal(t1.tail, t2.tail)
+
+    def test_repeated_store_leaves_one_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
+        g = build_grid(interval(0.0, 1.0), 9)
+        params = OperatorParams(s=0.55, p=2.4)
+        t1 = assemble_weights(g, params)
+        path = _cache_path(g, params)
+        _cache_store(path, g, params, t1.pair, t1.tail)
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+        t2 = assemble_weights(g, params)
+        np.testing.assert_array_equal(t1.pair, t2.pair)
 
     def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))

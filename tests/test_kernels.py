@@ -175,6 +175,34 @@ class TestBesselKernel:
         got = bessel_cell_average(params, np.array([[x0]]), (h,))[0]
         assert got == pytest.approx(want, rel=1e-8)
 
+    def test_cell_quadrature_matches_per_cell_erf(self):
+        # the tensor-grid quadrature shares erf values between cells on the
+        # same axis line; redo single cells with their own erf evaluations
+        from scipy.special import erf, gammaln
+
+        from fracsolve.kernels import _bessel_cell_quad, _bessel_t_rule
+
+        params = BesselParams(dim=2, alpha=1.3)
+        x = np.linspace(-3.0, 3.0, 25)
+        h = x[1] - x[0]
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        centers = np.column_stack([xx.ravel(), yy.ravel()])
+        got = _bessel_cell_quad(params, centers, np.array([h, h]), params.nodes)
+
+        t, w = _bessel_t_rule(params, params.nodes)
+        scale = np.sqrt(math.pi) * np.exp(-0.5 * t)
+        pref = np.exp(
+            -np.exp(t) / (4.0 * math.pi)
+            + 0.5 * params.alpha * t
+            - gammaln(params.alpha / 2.0)
+            - 0.5 * params.alpha * math.log(4.0 * math.pi)
+        )
+        for k in (0, 12 * 25 + 12, 3 * 25 + 20, centers.shape[0] - 1):
+            prod = np.ones(t.size)
+            for c in centers[k]:
+                prod *= 0.5 * (erf((c + h / 2) * scale) - erf((c - h / 2) * scale)) / h
+            assert got[k] == pytest.approx(float(prod @ (w * pref)), rel=1e-13)
+
 
 class TestBesselMass:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.5])
