@@ -303,6 +303,8 @@ def main(argv=None) -> int:
         ctx = scipy.fft.set_workers(args.threads)
     else:
         ctx = contextlib.nullcontext()
+    # a config's cache_dir applies to this command only
+    saved_cache = os.environ.get("FRACSOLVE_CACHE")
     try:
         with ctx:
             return args.func(args)
@@ -320,6 +322,11 @@ def main(argv=None) -> int:
     except Exception as e:  # noqa: BLE001 - runtime failures map to exit 1
         _stderr_json({"error": "runtime", "message": f"{type(e).__name__}: {e}"})
         return 1
+    finally:
+        if saved_cache is None:
+            os.environ.pop("FRACSOLVE_CACHE", None)
+        else:
+            os.environ["FRACSOLVE_CACHE"] = saved_cache
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .reaction import (
     ProblemExponents,
     SingularReaction,
     TruncatedReaction,
+    g_eval,
 )
 from .riesz import ConvolutionPlan, plan_riesz_convolution, riesz_gradient
 from .torsion import SubsolutionCertificate, select_sigma
@@ -129,7 +130,9 @@ def build_instance(
     epsilon: float | None = None,
 ) -> ProblemInstance:
     """Assemble both operator tables, certify a floor, and precompute the
-    convolution plan for the convective gradient order."""
+    convolution plan for the convective gradient order.  The torsion solves
+    of the floor check the tables against grid and exponents; the frozen
+    problems of the solve reuse them unchecked."""
     tables = (
         assemble_weights(grid, OperatorParams(s=exponents.s1, p=exponents.p)),
         assemble_weights(grid, OperatorParams(s=exponents.s2, p=exponents.q)),
@@ -159,17 +162,12 @@ def _as_field(instance: ProblemInstance, v) -> ScalarField:
 
 
 def frozen_at(instance: ProblemInstance, v) -> FrozenProblem:
-    """Frozen problem whose convective field is evaluated at v."""
+    """Frozen problem whose load is the convective term g(x, D^s v); the
+    tables and the truncated forcing are the instance's, checked once when
+    it was built."""
     vf = _as_field(instance, v)
     xi = riesz_gradient(instance.grid, vf, instance.exponents.s, plan=instance.plan)
-    return FrozenProblem(
-        grid=instance.grid,
-        exponents=instance.exponents,
-        trunc=instance.trunc,
-        convective=instance.convective,
-        xi=xi,
-        tables=instance.tables,
-    )
+    return FrozenProblem(instance.tables, instance.trunc, g_eval(instance.convective, xi.interior))
 
 
 def apply_T(instance: ProblemInstance, v) -> FrozenSolveResult:

@@ -1,15 +1,18 @@
-"""Auxiliary problem with the convective term frozen at a fixed field.
+"""The objective shared by the torsion, frozen and probe solves.
 
-Given a precomputed fractional gradient xi of some outer iterate, the
-problem minimizes
+Every solve minimizes
 
     E(u) = energy_{s1,p}(u) + energy_{s2,q}(u)
-           - integral of F~(x, u) - integral of g(x, xi) * u,
+           - vol * sum_i [F(u_i) + load_i * u_i],
 
-where F~ is the antiderivative of the floor-truncated forcing.  The
-truncation shields the singular forcing, so E and its gradient are finite
-for every real state and the minimization runs unconstrained; the lower
-bound u >= floor is certified on the outcome, never enforced.
+a separable forcing F plus a per-node load against the two operator
+forms.  The frozen-convection problem takes F~, the antiderivative of the
+floor-truncated forcing, and the load g(x, xi) for the fractional
+gradient xi of an outer iterate; the torsion problem takes F(t) = sigma t
+and no load.  The truncation shields the singular forcing, so E and its
+gradient are finite for every real state and the minimization runs
+unconstrained; the lower bound u >= floor is certified on the outcome,
+never enforced.
 """
 
 from __future__ import annotations
@@ -20,44 +23,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gagliardo import PairWeightTable, energy_accumulator, operator_gradient
-from .grids import Grid, ScalarField, VectorField
+from .gagliardo import PairWeightTable, _interior_vector, energy_accumulator, operator_gradient
+from .grids import Grid, ScalarField
 from .optimize import MinimizerOptions, minimize_energy
-from .reaction import ConvectiveReaction, ProblemExponents, check_hypotheses, g_eval
-from .torsion import check_operator_tables
+from .reaction import ProblemExponents, uniqueness_certified
+
+
+def check_operator_tables(grid: Grid, exponents: ProblemExponents, tables) -> tuple:
+    """Validate a ((s1,p)-table, (s2,q)-table) pair against grid and exponents."""
+    tp, tq = tables
+    for table, s_want, e_want in ((tp, exponents.s1, exponents.p), (tq, exponents.s2, exponents.q)):
+        if not isinstance(table, PairWeightTable):
+            raise TypeError("tables must be a (s1,p)-table, (s2,q)-table pair")
+        if table.grid is not grid:
+            raise ValueError("weight table was assembled on a different grid")
+        if abs(table.params.s - s_want) > 1e-14 or abs(table.params.p - e_want) > 1e-14:
+            raise ValueError(
+                f"table order ({table.params.s},{table.params.p}) does not match "
+                f"exponents ({s_want},{e_want})"
+            )
+    return tp, tq
 
 
 class FrozenProblem:
-    """Frozen-convection instance: operators, truncated forcing, and the
-    fixed convective field xi (one gradient vector per node).
+    """One instance of the objective: the operator tables (a pair that
+    check_operator_tables accepts), the separable forcing ``trunc`` with
+    ``f`` and its antiderivative ``F`` at interior states (frozen solves
+    also start from its positive ``floor``), and the ``load``, one value
+    per interior node."""
 
-    ``trunc`` needs ``floor`` (positive interior vector), ``f`` and ``F``
-    (truncated forcing and its antiderivative at interior states).
-    """
-
-    def __init__(
-        self,
-        grid: Grid,
-        exponents: ProblemExponents,
-        trunc,
-        convective: ConvectiveReaction,
-        xi: VectorField,
-        tables,
-    ):
-        self.grid = grid
-        self.exponents = exponents
+    def __init__(self, tables, trunc, load):
+        self.tables = tables
         self.trunc = trunc
-        self.convective = convective
-        self.xi = xi
-        self.tables = check_operator_tables(grid, exponents, tables)
-        if xi.grid is not grid:
-            raise ValueError("convective field lives on a different grid")
-        floor = np.asarray(trunc.floor, dtype=float)
-        if floor.shape != (grid.n_interior,) or np.any(floor <= 0.0):
-            raise ValueError("truncation floor must be positive on interior nodes")
-        self.g_at_xi = np.asarray(g_eval(convective, xi.interior), dtype=float)
-        if self.g_at_xi.shape != (grid.n_interior,):
-            raise ValueError("convective coefficient must be one value per node")
+        self.load = np.asarray(load, dtype=float)
+        if self.load.shape != (self.grid.n_interior,):
+            raise ValueError("load must be one value per interior node")
+
+    @property
+    def grid(self) -> Grid:
+        return self.tables[0].grid
 
 
 @dataclass
@@ -71,15 +75,6 @@ class FrozenSolveResult:
     message: str = ""
 
 
-def _interior_state(prob: FrozenProblem, u) -> np.ndarray:
-    if isinstance(u, ScalarField):
-        return prob.grid.pack(u)
-    vec = np.asarray(u, dtype=float)
-    if vec.shape != (prob.grid.n_interior,):
-        raise ValueError(f"expected {prob.grid.n_interior} interior values")
-    return vec
-
-
 def scaled_norm(vec) -> float:
     """||r||_2 / sqrt(n): invariant under duplicating the node set."""
     r = np.asarray(vec, dtype=float)
@@ -87,26 +82,27 @@ def scaled_norm(vec) -> float:
 
 
 def frozen_energy(prob: FrozenProblem, u) -> float:
-    """Truncated objective; composed in extended precision and rounded once
+    """The objective E(u); composed in extended precision and rounded once
     so line searches resolve descent below one float64 ulp of the total."""
-    uv = _interior_state(prob, u)
     tp, tq = prob.tables
+    uv = _interior_vector(tp, u)
     vol = np.longdouble(prob.grid.cell_volume)
     total = energy_accumulator(tp, uv, tq)
     total -= vol * np.sum(prob.trunc.F(uv), dtype=np.longdouble)
-    total -= vol * np.sum(prob.g_at_xi * uv, dtype=np.longdouble)
+    total -= vol * np.sum(prob.load * uv, dtype=np.longdouble)
     return float(total)
 
 
 def frozen_gradient(prob: FrozenProblem, u) -> np.ndarray:
     """Nodal gradient of the objective = weak-form residual vector: pairing
     entry i with the nodal basis reproduces the two operator forms minus
-    the truncated forcing and the frozen convective pairing."""
-    uv = _interior_state(prob, u)
+    the forcing and the load.  The two are subtracted in one step; two
+    separate subtractions round differently and change the iterates."""
     tp, tq = prob.tables
+    uv = _interior_vector(tp, u)
     vol = prob.grid.cell_volume
     grad = operator_gradient(tp, uv, tq)
-    grad -= vol * (np.asarray(prob.trunc.f(uv), dtype=float) + prob.g_at_xi)
+    grad -= vol * (np.asarray(prob.trunc.f(uv), dtype=float) + prob.load)
     return grad
 
 
@@ -131,14 +127,12 @@ def solve_frozen(
     """
     opts = options or default_frozen_options(prob.grid)
     floor = np.asarray(prob.trunc.floor, dtype=float)
-
-    def fun(u):
-        return frozen_energy(prob, u)
-
-    def grad(u):
-        return frozen_gradient(prob, u)
-
-    result = minimize_energy(fun, grad, floor.copy(), opts)
+    result = minimize_energy(
+        lambda u: frozen_energy(prob, u),
+        lambda u: frozen_gradient(prob, u),
+        floor.copy(),
+        opts,
+    )
     raw = result.x
     bound_gap = float(np.min(raw - floor))
     bound_ok = bound_gap >= -opts.tol
@@ -174,8 +168,7 @@ def uniqueness_probe(
     if base is None:
         warnings.warn("probe needs the untruncated forcing family; uniqueness skipped")
         return float("nan")
-    report = check_hypotheses(prob.exponents, base, prob.convective)
-    if not report.uniqueness_ready:
+    if not uniqueness_certified(base, prob.tables[1].params.p):
         warnings.warn(
             "decreasing-ratio condition r < q-1 not certified: uniqueness probe skipped"
         )

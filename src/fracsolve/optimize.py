@@ -2,9 +2,8 @@
 
 Gradient descent with a Barzilai-Borwein trial step and Armijo
 backtracking.  Every accepted step strictly decreases the energy (the
-Armijo condition enforces it; a defensive check guards against
-inconsistent energy/gradient callbacks), and any non-finite energy or
-gradient at an accepted point aborts loudly.
+Armijo condition enforces it), and any non-finite energy or gradient at
+an accepted point aborts loudly.
 """
 
 from __future__ import annotations
@@ -103,8 +102,6 @@ def minimize_energy(
             return MinimizeResult(
                 x, False, it, residual, f, "line search could not decrease the energy"
             )
-        if fn > f + 1e-12 * (1.0 + abs(f)):
-            raise RuntimeError("energy increased along an accepted step")
         prev_x, prev_g = x, g
         x, f = xn, fn
         g = np.asarray(grad_fn(x), dtype=float)

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "gauss_rule",
     "uniform_edges",
     "graded_edges",
     "panel_nodes",
@@ -29,10 +28,6 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
-
-
-def gauss_rule(n):
-    return np.polynomial.legendre.leggauss(n)
 
 
 def uniform_edges(a, b, panels):

@@ -258,6 +258,14 @@ def _ratio_strictly_decreasing(reaction: SingularReaction, q: float) -> bool:
     return bool(np.all(np.diff(ratio) < 0.0))
 
 
+def uniqueness_certified(reaction: SingularReaction, q: float) -> bool:
+    """Decreasing-ratio family condition: r < q-1 and f(t)/t^(q-1) strictly
+    decreasing.  At the boundary r = q-1 the sampled ratio still decreases
+    (the singular head dominates) but the power tail alone is constant, so
+    uniqueness is not certified there."""
+    return reaction.r < q - 1.0 and _ratio_strictly_decreasing(reaction, q)
+
+
 def check_hypotheses(
     exponents: ProblemExponents,
     singular: SingularReaction,
@@ -328,10 +336,7 @@ def check_hypotheses(
         )
     )
 
-    # the clean sufficient condition is r < q-1; at the boundary r = q-1 the
-    # sampled ratio still decreases (the singular head dominates) but the
-    # power tail alone is constant, so uniqueness is not certified there
-    uniqueness_ready = f.r < e.q - 1.0 and _ratio_strictly_decreasing(f, e.q)
+    uniqueness_ready = uniqueness_certified(f, e.q)
     if not uniqueness_ready:
         warnings.append(
             "f(t)/t^(q-1) is not certified strictly decreasing (needs r < q-1): "

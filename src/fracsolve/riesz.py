@@ -6,7 +6,7 @@ kernel gamma * |z|^(alpha - N) (alpha = 1 - s), then take centered finite
 differences of the potential on the lattice.
 
 The convolution is linear (non-circular): the kernel is tabulated as
-cell integrals over every signed lattice offset up to the pad radius, so
+cell integrals over every signed offset between lattice nodes, so
 a single FFT convolution reproduces the exact dense sum over all support
 cells with no wraparound.  The origin cell uses the exact singular cell
 average; other cells use per-cell Gauss quadrature (2D) or closed-form
@@ -35,7 +35,6 @@ class ConvolutionPlan:
 
     grid: Grid
     alpha: float
-    pad_factor: int
     kernel: np.ndarray
 
 
@@ -79,23 +78,17 @@ def _kernel_2d(grid: Grid, alpha: float, radii: tuple[int, int]) -> np.ndarray:
     return quarter[np.ix_(i1, i2)]
 
 
-def plan_riesz_convolution(grid: Grid, alpha: float, pad_factor: int = 2) -> ConvolutionPlan:
-    """Tabulate the order-alpha Riesz kernel for linear convolution on grid.
-
-    pad_factor 2 covers every offset between lattice nodes exactly; larger
-    values add zero-contribution margin."""
+def plan_riesz_convolution(grid: Grid, alpha: float) -> ConvolutionPlan:
+    """Tabulate the order-alpha Riesz kernel for linear convolution on grid,
+    over every offset between lattice nodes."""
     if not 0.0 < alpha < grid.dim:
         raise ValueError(f"Riesz order must lie in (0, {grid.dim}), got {alpha}")
-    if pad_factor < 2:
-        raise ValueError(
-            f"pad_factor {pad_factor} cannot cover all node offsets; need >= 2"
-        )
-    radii = tuple((pad_factor - 1) * (m - 1) for m in grid.shape)
+    radii = tuple(m - 1 for m in grid.shape)
     if grid.dim == 1:
         kernel = _kernel_1d(grid, alpha, radii[0])
     else:
         kernel = _kernel_2d(grid, alpha, radii)
-    return ConvolutionPlan(grid, float(alpha), int(pad_factor), kernel)
+    return ConvolutionPlan(grid, float(alpha), kernel)
 
 
 def riesz_potential(plan: ConvolutionPlan, u: ScalarField) -> np.ndarray:
@@ -107,13 +100,13 @@ def riesz_potential(plan: ConvolutionPlan, u: ScalarField) -> np.ndarray:
 
 
 def riesz_gradient(
-    grid: Grid, u: ScalarField, s: float, pad_factor: int = 2, plan: ConvolutionPlan | None = None
+    grid: Grid, u: ScalarField, s: float, plan: ConvolutionPlan | None = None
 ) -> VectorField:
     """Fractional gradient of order s in (0, 1) of the zero-extended field."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"gradient order s must lie in (0, 1), got {s}")
     if plan is None:
-        plan = plan_riesz_convolution(grid, 1.0 - s, pad_factor)
+        plan = plan_riesz_convolution(grid, 1.0 - s)
     elif abs(plan.alpha - (1.0 - s)) > 1e-14:
         raise ValueError("convolution plan was built for a different order")
     pot = riesz_potential(plan, u)

@@ -1,7 +1,8 @@
 """Constant-forcing solves and the positive floor field they certify.
 
 solve_torsion minimizes  energy_{s1,p}(u) + energy_{s2,q}(u) - sigma *
-integral(u); its small-sigma solutions are strictly positive, vanish with
+integral(u), the objective of frozen.py with constant forcing sigma and
+no load; its small-sigma solutions are strictly positive, vanish with
 sigma, and satisfy the nodal inequality  <operator u, e_i>  <=  f(x_i,
 u(x_i)) * cell_volume  whenever sigma stays below the forcing on the
 range of u.  select_sigma halves sigma until that regime is certified and
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gagliardo import PairWeightTable, energy_accumulator, operator_gradient
+from .frozen import FrozenProblem, check_operator_tables, frozen_energy, frozen_gradient
 from .grids import Grid, ScalarField
-from .optimize import MinimizerOptions, MinimizeResult, minimize_energy
+from .optimize import MinimizerOptions, minimize_energy
 from .reaction import ProblemExponents, SingularReaction, f_eval, liminf_at_zero
 
 _MAX_HALVINGS = 60
@@ -49,20 +50,27 @@ class SubsolutionCertificate:
         }
 
 
-def check_operator_tables(grid: Grid, exponents: ProblemExponents, tables) -> tuple:
-    """Validate a ((s1,p)-table, (s2,q)-table) pair against grid and exponents."""
-    tp, tq = tables
-    for table, s_want, e_want in ((tp, exponents.s1, exponents.p), (tq, exponents.s2, exponents.q)):
-        if not isinstance(table, PairWeightTable):
-            raise TypeError("tables must be a (s1,p)-table, (s2,q)-table pair")
-        if table.grid is not grid:
-            raise ValueError("weight table was assembled on a different grid")
-        if abs(table.params.s - s_want) > 1e-14 or abs(table.params.p - e_want) > 1e-14:
-            raise ValueError(
-                f"table order ({table.params.s},{table.params.p}) does not match "
-                f"exponents ({s_want},{e_want})"
-            )
-    return tp, tq
+@dataclass(frozen=True)
+class ConstantForcing:
+    """The torsion forcing: f = sigma at every node, F(t) = sigma * t."""
+
+    sigma: float
+
+    def f(self, t):
+        return np.full(np.shape(t), self.sigma)
+
+    def F(self, t):
+        return self.sigma * np.asarray(t, dtype=float)
+
+
+def torsion_objective(
+    sigma: float, exponents: ProblemExponents, grid: Grid, tables
+) -> FrozenProblem:
+    """The shared objective with constant forcing sigma and no load."""
+    if sigma <= 0.0:
+        raise ValueError(f"forcing sigma must be positive, got {sigma}")
+    tables = check_operator_tables(grid, exponents, tables)
+    return FrozenProblem(tables, ConstantForcing(sigma), np.zeros(grid.n_interior))
 
 
 def solve_torsion(
@@ -72,27 +80,19 @@ def solve_torsion(
     tables,
     options: MinimizerOptions | None = None,
 ) -> ScalarField:
-    """Minimize the double-operator energy against constant forcing sigma."""
-    if sigma <= 0.0:
-        raise ValueError(f"forcing sigma must be positive, got {sigma}")
-    tp, tq = check_operator_tables(grid, exponents, tables)
-    vol = grid.cell_volume
+    """Minimize the double-operator energy against constant forcing sigma,
+    starting from zero."""
+    prob = torsion_objective(sigma, exponents, grid, tables)
     if options is None:
         # scale the stationarity target with the forcing so tiny sigma can
         # never accept the zero field, and floor it above fp noise
-        options = MinimizerOptions(tol=max(1e-14, 1e-8 * sigma * vol))
-    forcing = np.longdouble(sigma) * np.longdouble(vol)
-
-    def fun(u):
-        # compose in extended precision and round once: the line search
-        # distinguishes energies that differ below one float64 ulp
-        total = energy_accumulator(tp, u, tq)
-        return float(total - forcing * np.sum(u, dtype=np.longdouble))
-
-    def grad(u):
-        return operator_gradient(tp, u, tq) - sigma * vol
-
-    result = minimize_energy(fun, grad, np.zeros(grid.n_interior), options)
+        options = MinimizerOptions(tol=max(1e-14, 1e-8 * sigma * grid.cell_volume))
+    result = minimize_energy(
+        lambda u: frozen_energy(prob, u),
+        lambda u: frozen_gradient(prob, u),
+        np.zeros(grid.n_interior),
+        options,
+    )
     if not result.converged:
         raise RuntimeError(
             f"torsion solve stalled at scaled residual {result.residual:.3e} "

@@ -52,6 +52,7 @@ from fracsolve.reaction import (
     SingularReaction,
     TruncatedReaction,
     f_eval,
+    g_eval,
 )
 from fracsolve.riesz import riesz_gradient
 from fracsolve.torsion import solve_torsion
@@ -257,12 +258,9 @@ def test_criterion_6_frozen_solver(shipped_instances):
     floor3 = grid3.unpack(np.array([0.045, 0.07, 0.045]))
     xi3 = riesz_gradient(grid3, grid3.unpack(np.array([0.1, 0.15, 0.1])), exps.s)
     prob3 = FrozenProblem(
-        grid=grid3,
-        exponents=exps,
-        trunc=TruncatedReaction(reaction, floor3),
-        convective=convective,
-        xi=xi3,
         tables=tabs3,
+        trunc=TruncatedReaction(reaction, floor3),
+        load=g_eval(convective, xi3.interior),
     )
     res3 = solve_frozen(prob3, MinimizerOptions(tol=1e-8))
     assert res3.converged
@@ -278,7 +276,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
             + 2.0 * np.sum(table.tail * np.abs(cand) ** p, axis=1)
         ) / p
     total -= vol * np.sum(prob3.trunc.F(cand.T).T, axis=1)
-    total -= vol * np.sum(prob3.g_at_xi * cand, axis=1)
+    total -= vol * np.sum(prob3.load * cand, axis=1)
     k = int(np.argmin(total))
     assert abs(total[k] - frozen_energy(prob3, cand[k])) <= 1e-12 * max(1.0, abs(total[k]))
     best = cand[k]

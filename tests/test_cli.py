@@ -256,6 +256,30 @@ class TestCliOther:
         assert seen == [3]
         assert not any(var in os.environ for var in thread_vars)
 
+    @pytest.mark.parametrize("outer_cache", [None, "preset"])
+    def test_cache_dir_applies_to_one_command(self, tmp_path, monkeypatch, outer_cache):
+        if outer_cache is None:
+            monkeypatch.delenv("FRACSOLVE_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path / outer_cache))
+        before = os.environ.get("FRACSOLVE_CACHE")
+        base = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        cache = tmp_path / "A"
+        with_cache = dump(tmp_path, dict(base, cache_dir=str(cache)), "with_cache.json")
+        code = cli.main(["kernel-table", "--config", with_cache, "--out", str(tmp_path / "k1")])
+        assert code == 0
+        assert os.environ.get("FRACSOLVE_CACHE") == before
+        written = sorted(cache.glob("*.fwt"))
+        assert len(written) == 2
+        for path in written:
+            path.unlink()
+
+        without = dump(tmp_path, dict(base, cache_dir=None), "without.json")
+        code = cli.main(["kernel-table", "--config", without, "--out", str(tmp_path / "k2")])
+        assert code == 0
+        assert os.environ.get("FRACSOLVE_CACHE") == before
+        assert not list(cache.iterdir())
+
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         assert "ok" in capsys.readouterr().out

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from fracsolve import frozen, torsion
 from fracsolve.driver import (
     OuterOptions,
     apply_T,
@@ -27,7 +28,7 @@ from fracsolve.frozen import FrozenProblem, frozen_gradient, scaled_norm, weak_r
 from fracsolve.gagliardo import seminorm
 from fracsolve.grids import build_grid, disk, interval
 from fracsolve.optimize import MinimizerOptions
-from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction
+from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction, g_eval
 from fracsolve.riesz import riesz_gradient
 
 
@@ -197,12 +198,7 @@ class TestSolveProblem:
         def problem_at(uv):
             xi = riesz_gradient(grid, grid.unpack(uv), inst.exponents.s, plan=inst.plan)
             return FrozenProblem(
-                grid=grid,
-                exponents=inst.exponents,
-                trunc=inst.trunc,
-                convective=inst.convective,
-                xi=xi,
-                tables=inst.tables,
+                tables=inst.tables, trunc=inst.trunc, load=g_eval(inst.convective, xi.interior)
             )
 
         u = inst.trunc.floor.copy()
@@ -247,6 +243,19 @@ class TestSolveProblem:
         frozen_res = report.frozen_residuals[-1]
         full_res = verify_solution(inst, report.raw)
         assert abs(frozen_res - full_res) <= 1e-10
+
+    def test_tables_not_rechecked_per_step(self, instance_1d, monkeypatch):
+        calls = []
+        for module in (frozen, torsion):
+            check = module.check_operator_tables
+            monkeypatch.setattr(
+                module,
+                "check_operator_tables",
+                lambda *args, check=check: calls.append(1) or check(*args),
+            )
+        report = solve_problem(instance_1d, OuterOptions())
+        assert report.converged
+        assert calls == []
 
 
 class TestVerifySolution:

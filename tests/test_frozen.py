@@ -18,6 +18,7 @@ import pytest
 
 from fracsolve.frozen import (
     FrozenProblem,
+    check_operator_tables,
     frozen_energy,
     frozen_gradient,
     scaled_norm,
@@ -25,7 +26,13 @@ from fracsolve.frozen import (
     uniqueness_probe,
     weak_residual,
 )
-from fracsolve.gagliardo import OperatorParams, apply_form, assemble_weights
+from fracsolve.gagliardo import (
+    OperatorParams,
+    apply_form,
+    assemble_weights,
+    energy,
+    operator_gradient,
+)
 from fracsolve.grids import build_grid, disk, interval
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import (
@@ -33,9 +40,10 @@ from fracsolve.reaction import (
     ProblemExponents,
     SingularReaction,
     TruncatedReaction,
+    g_eval,
 )
 from fracsolve.riesz import riesz_gradient
-from fracsolve.torsion import select_sigma, solve_torsion
+from fracsolve.torsion import select_sigma, solve_torsion, torsion_objective
 
 
 EXPONENTS_1D = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
@@ -50,14 +58,7 @@ def build_problem(grid, exponents, reaction, convective, floor_field, v_field):
     )
     xi = riesz_gradient(grid, v_field, exponents.s)
     trunc = TruncatedReaction(reaction, floor_field)
-    return FrozenProblem(
-        grid=grid,
-        exponents=exponents,
-        trunc=trunc,
-        convective=convective,
-        xi=xi,
-        tables=tables,
-    )
+    return FrozenProblem(tables=tables, trunc=trunc, load=g_eval(convective, xi.interior))
 
 
 @pytest.fixture(scope="module")
@@ -70,15 +71,35 @@ def setup_1d():
     cert = select_sigma(REACTION_1D, EXPONENTS_1D, grid, tables)
     xi = riesz_gradient(grid, cert.lower, EXPONENTS_1D.s)
     trunc = TruncatedReaction(REACTION_1D, cert.lower)
-    prob = FrozenProblem(
-        grid=grid,
-        exponents=EXPONENTS_1D,
-        trunc=trunc,
-        convective=CONVECTIVE_1D,
-        xi=xi,
-        tables=tables,
-    )
+    prob = FrozenProblem(tables=tables, trunc=trunc, load=g_eval(CONVECTIVE_1D, xi.interior))
     return grid, cert, prob
+
+
+class TestObjective:
+    def test_tables_checked_against_grid_and_exponents(self, setup_1d):
+        grid, _, prob = setup_1d
+        tp, tq = prob.tables
+        assert check_operator_tables(grid, EXPONENTS_1D, (tp, tq)) == (tp, tq)
+        with pytest.raises(ValueError, match="does not match"):
+            check_operator_tables(grid, EXPONENTS_1D, (tq, tp))
+        other = build_grid(interval(0.0, 1.0), 17)
+        with pytest.raises(ValueError, match="different grid"):
+            check_operator_tables(other, EXPONENTS_1D, (tp, tq))
+        with pytest.raises(TypeError):
+            check_operator_tables(grid, EXPONENTS_1D, (tp, tp.pair))
+
+    def test_torsion_objective_off_power_of_two(self, setup_1d):
+        grid, _, prob = setup_1d
+        tp, tq = prob.tables
+        sigma = 0.3
+        torsion = torsion_objective(sigma, EXPONENTS_1D, grid, prob.tables)
+        vol = grid.cell_volume
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(grid.n_interior)
+        want = energy(tp, u) + energy(tq, u) - sigma * vol * np.sum(u)
+        assert frozen_energy(torsion, u) == pytest.approx(want, rel=1e-13)
+        want_grad = operator_gradient(tp, u, tq) - sigma * vol
+        np.testing.assert_allclose(frozen_gradient(torsion, u), want_grad, rtol=1e-13)
 
 
 class TestFrozenEnergy:
@@ -140,7 +161,7 @@ class TestWeakResidual:
             want[i] = (
                 apply_form(tp, u, e_i)
                 + apply_form(tq, u, e_i)
-                - vol * (fvals[i] + prob.g_at_xi[i])
+                - vol * (fvals[i] + prob.load[i])
             )
         got = frozen_gradient(prob, u)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -235,7 +256,7 @@ class TestSolveFrozen:
                 tail = 2.0 * np.sum(table.tail * np.abs(U) ** p, axis=1)
                 total += (pair + tail) / p
             total -= vol * np.sum(prob.trunc.F(U.T).T, axis=1)
-            total -= vol * np.sum(prob.g_at_xi * U, axis=1)
+            total -= vol * np.sum(prob.load * U, axis=1)
             return total
 
         energies = batch_energy(cand)
@@ -272,12 +293,11 @@ class TestSolveFrozen:
 
         v = grid.unpack(np.full(grid.n_interior, 0.1))
         prob = FrozenProblem(
-            grid=grid,
-            exponents=exps,
-            trunc=ConstantForcing(grid.n_interior),
-            convective=ConvectiveReaction(c3=0.0, zeta=1.2),
-            xi=riesz_gradient(grid, v, exps.s),
             tables=tables,
+            trunc=ConstantForcing(grid.n_interior),
+            load=g_eval(
+                ConvectiveReaction(c3=0.0, zeta=1.2), riesz_gradient(grid, v, exps.s).interior
+            ),
         )
         tol = 1e-6
         result = solve_frozen(prob, MinimizerOptions(tol=tol))
@@ -329,12 +349,9 @@ class TestTwoDimensional:
         )
         cert = select_sigma(reaction, exps, grid, tables)
         prob = FrozenProblem(
-            grid=grid,
-            exponents=exps,
-            trunc=TruncatedReaction(reaction, cert.lower),
-            convective=convective,
-            xi=riesz_gradient(grid, cert.lower, exps.s),
             tables=tables,
+            trunc=TruncatedReaction(reaction, cert.lower),
+            load=g_eval(convective, riesz_gradient(grid, cert.lower, exps.s).interior),
         )
         result = solve_frozen(prob)
         assert result.converged

@@ -43,11 +43,6 @@ class TestKernelTable1D:
             assert plan.kernel[m - 1 + d] == pytest.approx(gamma * want, rel=1e-12)
             assert plan.kernel[m - 1 - d] == plan.kernel[m - 1 + d]
 
-    def test_pad_factor_must_cover_all_offsets(self):
-        grid = build_grid(interval(0.0, 1.0), 9)
-        with pytest.raises(ValueError):
-            plan_riesz_convolution(grid, 0.5, pad_factor=1)
-
 
 class TestKernelTable2D:
     def test_entries_match_dblquad(self):
