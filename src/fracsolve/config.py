@@ -53,6 +53,13 @@ _DOMAIN_FIELDS = {
     "disk": ("cx", "cy", "radius"),
 }
 
+
+def _build_domain(spec: dict):
+    """The domain of a validated ``domain`` section."""
+    build = {"interval": interval, "rectangle": rectangle, "disk": disk}[spec["kind"]]
+    return build(*[spec[k] for k in _DOMAIN_FIELDS[spec["kind"]]])
+
+
 _TOP_KEYS = {
     "domain",
     "resolution",
@@ -85,9 +92,7 @@ class RunConfig:
     defaulted: list = field(default_factory=list)
 
     def build_domain(self):
-        kind = self.domain_spec["kind"]
-        args = [self.domain_spec[k] for k in _DOMAIN_FIELDS[kind]]
-        return {"interval": interval, "rectangle": rectangle, "disk": disk}[kind](*args)
+        return _build_domain(self.domain_spec)
 
     def build_grid(self) -> Grid:
         return build_grid(self.build_domain(), self.resolution)
@@ -115,10 +120,6 @@ class RunConfig:
             "minimizer": {
                 "tol": self.minimizer.tol,
                 "max_iter": self.minimizer.max_iter,
-                "shrink": self.minimizer.shrink,
-                "sufficient_decrease": self.minimizer.sufficient_decrease,
-                "initial_step": self.minimizer.initial_step,
-                "max_backtracks": self.minimizer.max_backtracks,
             },
             "outer": {
                 "theta": self.outer.theta,
@@ -246,23 +247,10 @@ def load_config(path: str, require_hypotheses: bool = True) -> RunConfig:
 
     inner_tol = 1e-6 if dim == 1 else 1e-5
     min_fields = _section(
-        raw,
-        "minimizer",
-        ("tol", "max_iter", "shrink", "sufficient_decrease", "initial_step", "max_backtracks"),
-        {
-            "tol": inner_tol,
-            "max_iter": 5000,
-            "shrink": 0.5,
-            "sufficient_decrease": 1e-4,
-            "initial_step": 1.0,
-            "max_backtracks": 60,
-        },
-        defaulted,
+        raw, "minimizer", ("tol", "max_iter"), {"tol": inner_tol, "max_iter": 5000}, defaulted
     )
-    for key in ("max_iter", "max_backtracks"):
-        min_fields[key] = _integer("minimizer", key, min_fields[key])
-    for key in ("tol", "shrink", "sufficient_decrease", "initial_step"):
-        min_fields[key] = _number("minimizer", key, min_fields[key])
+    min_fields["max_iter"] = _integer("minimizer", "max_iter", min_fields["max_iter"])
+    min_fields["tol"] = _number("minimizer", "tol", min_fields["tol"])
     try:
         minimizer = MinimizerOptions(**min_fields)
     except ValueError as e:
@@ -319,12 +307,7 @@ def load_config(path: str, require_hypotheses: bool = True) -> RunConfig:
         logger.info("default applied: seed = %r", seed)
 
     try:
-        grid = build_grid(
-            {"interval": interval, "rectangle": rectangle, "disk": disk}[kind](
-                *[spec[k] for k in _DOMAIN_FIELDS[kind]]
-            ),
-            resolution,
-        )
+        grid = build_grid(_build_domain(spec), resolution)
     except ValueError as e:
         raise ConfigError("domain", str(e)) from e
     if grid.n_interior > _TABLE_CAP:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gagliardo import PairWeightTable, _interior_vector, energy_accumulator, operator_gradient
+from .gagliardo import PairWeightTable, _interior_vector, energy, operator_gradient
 from .grids import Grid, ScalarField
 from .optimize import MinimizerOptions, minimize_energy
 from .reaction import ProblemExponents, uniqueness_certified
@@ -82,15 +82,15 @@ def scaled_norm(vec) -> float:
 
 
 def frozen_energy(prob: FrozenProblem, u) -> float:
-    """The objective E(u); composed in extended precision and rounded once
-    so line searches resolve descent below one float64 ulp of the total."""
+    """The objective E(u), composed in float64.  Its rounding error is
+    summation noise, which line searches tolerate up to optimize.EPS |E|."""
     tp, tq = prob.tables
     uv = _interior_vector(tp, u)
-    vol = np.longdouble(prob.grid.cell_volume)
-    total = energy_accumulator(tp, uv, tq)
-    total -= vol * np.sum(prob.trunc.F(uv), dtype=np.longdouble)
-    total -= vol * np.sum(prob.load * uv, dtype=np.longdouble)
-    return float(total)
+    vol = prob.grid.cell_volume
+    total = energy(tp, uv, tq)
+    total -= vol * float(np.sum(prob.trunc.F(uv)))
+    total -= vol * float(np.sum(prob.load * uv))
+    return total
 
 
 def frozen_gradient(prob: FrozenProblem, u) -> np.ndarray:

@@ -308,39 +308,32 @@ def _pair_chunks(tables, uv: np.ndarray):
         )
 
 
-def _energy_sum(tables, uv: np.ndarray) -> np.longdouble:
+def _energy_sum(tables, uv: np.ndarray) -> float:
     """Sum over tables of (1/p) [sum_{i != j} W_ij |u_i - u_j|^p
-    + 2 sum_i T_i |u_i|^p], from one pass over the pairs i < j.
+    + 2 sum_i T_i |u_i|^p], from one pass over the pairs i < j, in float64.
 
-    Accumulated in extended precision: line searches compare energies whose
-    genuine per-step decrease can sit below one float64 ulp of the total, so
-    the sum is only rounded to double by the caller-facing wrappers.
+    The sum carries float64 summation noise only; line searches treat
+    energy changes below optimize.EPS relative as noise.
     """
-    half = np.longdouble(0.0)
+    half = 0.0
     for _, _, _, du, weights in _pair_chunks(tables, uv):
         adu = np.abs(du)
         terms = sum(w * adu**t.params.p / t.params.p for t, w in zip(tables, weights))
-        half += np.sum(terms, dtype=np.longdouble)
+        half += float(np.sum(terms))
     au = np.abs(uv)
     terms = sum(t.tail * au**t.params.p / t.params.p for t in tables)
-    return 2.0 * (half + np.sum(terms, dtype=np.longdouble))
+    return 2.0 * (half + float(np.sum(terms)))
 
 
 def seminorm(table: PairWeightTable, u) -> float:
     """Gagliardo-type seminorm of order (s, p), including the exterior tail."""
     p = table.params.p
-    return float(p * energy_accumulator(table, u)) ** (1.0 / p)
+    return (p * energy(table, u)) ** (1.0 / p)
 
 
-def energy(table: PairWeightTable, u) -> float:
-    """Dirichlet energy (1/p) * seminorm^p."""
-    return float(energy_accumulator(table, u))
-
-
-def energy_accumulator(table: PairWeightTable, u, *extra: PairWeightTable) -> np.longdouble:
-    """Dirichlet energy in extended precision, for composing full objectives
-    whose float64 rounding would mask genuine line-search descent.  Extra
-    tables on the same grid add their energies from the same pass."""
+def energy(table: PairWeightTable, u, *extra: PairWeightTable) -> float:
+    """Dirichlet energy (1/p) * seminorm^p, in float64.  Extra tables on the
+    same grid add their energies from the same pass."""
     return _energy_sum(_same_grid_tables(table, extra), _interior_vector(table, u))
 
 

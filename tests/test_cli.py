@@ -70,6 +70,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="domian"):
             load_config(dump(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "knob", ["shrink", "sufficient_decrease", "initial_step", "max_backtracks"]
+    )
+    def test_line_search_constants_not_configurable(self, tmp_path, knob):
+        cfg = load_config(dump(tmp_path, dict(MINIMAL, minimizer={"tol": 1e-7})))
+        assert set(cfg.as_dict()["minimizer"]) == {"tol", "max_iter"}
+        payload = dict(MINIMAL, minimizer={"tol": 1e-7, knob: 0.5})
+        with pytest.raises(ConfigError, match=r"unknown field\(s\)"):
+            load_config(dump(tmp_path, payload))
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

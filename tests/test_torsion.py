@@ -6,6 +6,8 @@ closed-form quadratic for the line-search minimizer, and monotone
 structural properties for everything nonlinear.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,47 @@ class TestMinimizer:
 
         with pytest.raises(RuntimeError):
             minimize_energy(fun, grad, np.zeros(2), MinimizerOptions())
+
+    def test_converges_through_rounding_noise(self):
+        # a quadratic whose energy carries deterministic noise of 1e-12
+        # relative, a hash of the iterate's bits as a stand-in for the
+        # reordering error of a long float64 sum; near the minimizer the true
+        # decrease per step is far below it, so only the slope test resolves it
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(8, 8))
+        A = M @ M.T + 8 * np.eye(8)
+        b = rng.normal(size=8)
+
+        def fun(x):
+            noise = zlib.crc32(x.tobytes()) / 2.0**32
+            return 1.0 + 0.5 * x @ A @ x - b @ x + 1e-12 * noise
+
+        def grad(x):
+            return A @ x - b
+
+        res = minimize_energy(fun, grad, np.zeros(8), MinimizerOptions(tol=1e-10))
+        assert res.converged, res.message
+        np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=0.0, atol=1e-10)
+
+    def test_noise_level_overshoot_rejected(self):
+        # from x = 1 the first trial step of 1.0 lands on the mirror point
+        # x = -1 of f = 1 + x^2: the energy is unchanged, but the slope there
+        # points back, so the step halves to the exact minimizer instead
+        energies = []
+
+        def fun(x):
+            return 1.0 + float(x @ x)
+
+        def grad(x):
+            return 2.0 * x
+
+        res = minimize_energy(
+            fun, grad, np.ones(1), MinimizerOptions(tol=1e-12), on_accept=energies.append
+        )
+        assert res.converged
+        assert res.iterations == 1
+        assert energies == [1.0]
+        assert res.x[0] == 0.0
 
 
 class TestTorsionQuadraticOracle:
