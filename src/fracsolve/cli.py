@@ -138,6 +138,18 @@ def _cmd_gradient(args) -> int:
     return 0
 
 
+def _table_summary(table) -> dict:
+    pair = table.pair
+    return {
+        "s": table.params.s,
+        "p": table.params.p,
+        "pair_frobenius": float(np.linalg.norm(pair)),
+        "pair_max": float(np.max(pair)),
+        "tail_min": float(np.min(table.tail)),
+        "tail_max": float(np.max(table.tail)),
+    }
+
+
 def _cmd_kernel_table(args) -> int:
     cfg = load_config(args.config, require_hypotheses=False)
     _apply_cache(cfg)
@@ -152,17 +164,7 @@ def _cmd_kernel_table(args) -> int:
         "timestamp": _timestamp(),
         "grid": {"domain": cfg.domain_spec, "resolution": cfg.resolution},
         "n_interior": grid.n_interior,
-        "tables": [
-            {
-                "s": t.params.s,
-                "p": t.params.p,
-                "pair_frobenius": float(np.linalg.norm(t.pair)),
-                "pair_max": float(np.max(t.pair)),
-                "tail_min": float(np.min(t.tail)),
-                "tail_max": float(np.max(t.tail)),
-            }
-            for t in tables
-        ],
+        "tables": [_table_summary(t) for t in tables],
     }
     io_utils.write_json(out / "kernel_table.json", payload)
     return 0

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .driver import OuterOptions
-from .gagliardo import OperatorParams
+from .gagliardo import NODE_CAP
 from .grids import Grid, build_grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
 from .reaction import (
@@ -25,8 +25,6 @@ from .reaction import (
 )
 
 logger = logging.getLogger("fracsolve.config")
-
-_TABLE_CAP = OperatorParams.__dataclass_fields__["node_cap"].default
 
 
 class ConfigError(ValueError):
@@ -310,11 +308,10 @@ def load_config(path: str, require_hypotheses: bool = True) -> RunConfig:
         grid = build_grid(_build_domain(spec), resolution)
     except ValueError as e:
         raise ConfigError("domain", str(e)) from e
-    if grid.n_interior > _TABLE_CAP:
+    if grid.n_interior > NODE_CAP:
         raise ConfigError(
             "resolution",
-            f"{grid.n_interior} interior nodes exceed the dense pair-table cap "
-            f"of {_TABLE_CAP}",
+            f"{grid.n_interior} interior nodes exceed the pair-pass cap of {NODE_CAP}",
         )
 
     hypotheses = check_hypotheses(exponents, reaction, convective)

@@ -34,7 +34,7 @@ from .reaction import (
     g_eval,
 )
 from .riesz import ConvolutionPlan, plan_riesz_convolution, riesz_gradient
-from .torsion import SubsolutionCertificate, select_sigma
+from .torsion import SubsolutionCertificate, hopf_ratio, select_sigma
 
 _MIN_THETA = 1.0 / 16.0
 _INCREASE_STREAK = 3
@@ -333,8 +333,7 @@ def solve_problem(
     clipped = np.maximum(raw_vec, floor)
     u_field = grid.unpack(clipped)
     final_residual = verify_solution(instance, u_field)
-    d = grid.pack(grid.distance_field())
-    hopf = float(np.min(clipped / d**instance.certificate.exponent))
+    hopf = hopf_ratio(u_field, grid.distance_field(), instance.certificate.exponent)
 
     return SolveReport(
         u=u_field,

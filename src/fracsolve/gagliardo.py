@@ -9,8 +9,8 @@ the cell pair (C_i, C_j) and T_i integrates the same kernel over
 C_i x (complement of the interior cells), accounting for the zero
 extension of u outside the domain.
 
-Weights depend only on the lattice offset between cells, so they are
-tabulated once per offset and broadcast to the dense pair matrix.  For
+Weights depend only on the lattice offset between cells, so a table holds
+one weight per offset, and W_ij is read off it at |l_i - l_j|.  For
 touching cells (Chebyshev lattice distance <= 1) the raw double integral
 diverges once s p >= 1; those pairs instead use the difference-quotient
 model weight
@@ -46,11 +46,16 @@ from .quadrature import (
 
 _ROW_CHUNK = 512
 _CACHE_ENV = "FRACSOLVE_CACHE"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+
+# Largest interior node count a table is assembled for.  The pair pass of
+# the forms holds the index pairs i < j (n^2 eight-byte words, 134 MB at
+# n = 4096) and n^2 / 2 packed weights per table.
+NODE_CAP = 4096
 
 
 class MemoryBudgetError(RuntimeError):
-    """Dense pair-weight storage would exceed the configured node budget."""
+    """The pair pass would hold more memory than NODE_CAP allows."""
 
 
 @dataclass(frozen=True)
@@ -59,15 +64,12 @@ class OperatorParams:
 
     s: float
     p: float
-    node_cap: int = 4096
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"order s must lie in (0, 1), got {self.s}")
         if self.p <= 1.0:
             raise ValueError(f"exponent p must exceed 1, got {self.p}")
-        if self.node_cap < 1:
-            raise ValueError(f"node_cap must be positive, got {self.node_cap}")
 
     @property
     def sp(self) -> float:
@@ -78,20 +80,43 @@ class OperatorParams:
 class PairWeightTable:
     """Assembled weights for one (grid, s, p) combination.
 
-    ``pair`` is the symmetric n x n interior cell-pair weight matrix with a
-    zero diagonal; ``tail`` holds, per interior node, the kernel mass
-    integrated over the cell times everything outside the interior.
+    ``woff`` holds one weight per nonnegative lattice offset (shape
+    ``grid.shape``, zero at offset 0): interior cells i and j pair with
+    weight ``woff[|l_i - l_j|]``.  ``tail`` holds, per interior node, the
+    kernel mass integrated over the cell times everything outside the
+    interior.  Every pair view is derived from ``woff``.
     """
 
     grid: Grid
     params: OperatorParams
-    pair: np.ndarray
+    woff: np.ndarray
     tail: np.ndarray
+
+    def _weights(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """woff[|l_i - l_j|] for broadcastable interior-node indices i, j."""
+        li = self.grid.lattice[self.grid.interior_idx]
+        return self.woff[tuple(np.abs(li[i, a] - li[j, a]) for a in range(li.shape[1]))]
 
     @cached_property
     def packed_pair(self) -> np.ndarray:
-        """pair[i, j] over the grid's pairs i < j, built on first evaluation."""
-        return self.pair[self.grid.pair_index]
+        """W_ij over the grid's pairs i < j, built on first evaluation."""
+        ii, jj = self.grid.pair_index
+        out = np.empty(ii.size)
+        block = _ROW_CHUNK * self.grid.n_interior
+        for k0 in range(0, ii.size, block):
+            out[k0 : k0 + block] = self._weights(ii[k0 : k0 + block], jj[k0 : k0 + block])
+        return out
+
+    @property
+    def pair(self) -> np.ndarray:
+        """The symmetric n x n matrix W_ij with a zero diagonal, built anew
+        on every access; only oracles and summaries read it."""
+        n = self.grid.n_interior
+        rows = np.arange(n)
+        out = np.empty((n, n))
+        for a0 in range(0, n, _ROW_CHUNK):
+            out[a0 : a0 + _ROW_CHUNK] = self._weights(rows[a0 : a0 + _ROW_CHUNK, None], rows)
+        return out
 
 
 def _offset_table(grid: Grid, params: OperatorParams) -> np.ndarray:
@@ -190,41 +215,45 @@ def _cache_path(grid: Grid, params: OperatorParams) -> Path | None:
     return Path(root) / f"weights-{digest}.fwt"
 
 
-def _cache_load(path: Path, grid: Grid, params: OperatorParams):
+def _cache_load(path: Path, grid: Grid, params: OperatorParams) -> PairWeightTable | None:
+    """The cached table, or None when the file is unreadable, describes
+    another table, or its body fails the checksum in its header."""
     try:
         raw = path.read_bytes()
         head, _, body = raw.partition(b"\n")
         header = json.loads(head.decode())
         if header["descriptor"] != _cache_descriptor(grid, params):
             return None
-        n = grid.n_interior
-        want = (n * n + n) * 8
-        if len(body) != want:
+        m = math.prod(grid.shape)
+        if len(body) != (m + grid.n_interior) * 8:
             return None
-        pair = np.frombuffer(body[: n * n * 8], dtype="<f8").reshape(n, n).copy()
-        tail = np.frombuffer(body[n * n * 8 :], dtype="<f8").copy()
-        return pair, tail
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        if hashlib.sha256(body).hexdigest() != header["sha256"]:
+            return None
+        values = np.frombuffer(body, dtype="<f8")
+        woff = values[:m].reshape(grid.shape).copy()
+        return PairWeightTable(grid, params, woff, values[m:].copy())
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
-def _cache_store(path: Path, grid: Grid, params: OperatorParams, pair, tail) -> None:
+def _cache_store(path: Path, table: PairWeightTable) -> None:
+    body = (
+        np.ascontiguousarray(table.woff, dtype="<f8").tobytes()
+        + np.ascontiguousarray(table.tail, dtype="<f8").tobytes()
+    )
     header = json.dumps(
-        {"descriptor": _cache_descriptor(grid, params), "n": grid.n_interior},
+        {
+            "descriptor": _cache_descriptor(table.grid, table.params),
+            "sha256": hashlib.sha256(body).hexdigest(),
+        },
         sort_keys=True,
     ).encode()
-    payload = (
-        header
-        + b"\n"
-        + np.ascontiguousarray(pair, dtype="<f8").tobytes()
-        + np.ascontiguousarray(tail, dtype="<f8").tobytes()
-    )
     path.parent.mkdir(parents=True, exist_ok=True)
     # a private temp name per writer, so concurrent stores never interleave
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(header + b"\n" + body)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -232,34 +261,26 @@ def _cache_store(path: Path, grid: Grid, params: OperatorParams, pair, tail) -> 
 
 
 def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
-    """Build (or load from the FRACSOLVE_CACHE directory) the dense pair
-    weight matrix and exterior tail vector for the given grid and order."""
+    """Build (or load from the FRACSOLVE_CACHE directory) the offset weight
+    table and exterior tail vector for the given grid and order."""
     n = grid.n_interior
-    if n > params.node_cap:
+    if n > NODE_CAP:
         raise MemoryBudgetError(
-            f"grid has {n} interior nodes but the dense pair table is capped "
-            f"at {params.node_cap}; raise node_cap or coarsen the grid"
+            f"grid has {n} interior nodes but the pair pass is capped at "
+            f"{NODE_CAP}; coarsen the grid"
         )
     path = _cache_path(grid, params)
     if path is not None and path.exists():
         cached = _cache_load(path, grid, params)
         if cached is not None:
-            return PairWeightTable(grid, params, cached[0], cached[1])
+            return cached
 
     woff = _offset_table(grid, params)
-    li = grid.lattice[grid.interior_idx]
-    pair = np.empty((n, n))
-    for a0 in range(0, n, _ROW_CHUNK):
-        blk = np.abs(li[a0 : a0 + _ROW_CHUNK, None, :] - li[None, :, :])
-        if grid.dim == 1:
-            pair[a0 : a0 + _ROW_CHUNK] = woff[blk[..., 0]]
-        else:
-            pair[a0 : a0 + _ROW_CHUNK] = woff[blk[..., 0], blk[..., 1]]
     tail = _inbox_exterior_tail(grid, woff) + _outside_box_tail(grid, params.sp)
-
+    table = PairWeightTable(grid, params, woff, tail)
     if path is not None:
-        _cache_store(path, grid, params, pair, tail)
-    return PairWeightTable(grid, params, pair, tail)
+        _cache_store(path, table)
+    return table
 
 
 def _interior_vector(table: PairWeightTable, u) -> np.ndarray:
@@ -342,13 +363,12 @@ def apply_form(table: PairWeightTable, u, phi) -> float:
     uv = _interior_vector(table, u)
     pv = _interior_vector(table, phi)
     p = table.params.p
+    pair = table.pair
     parts = []
     for a0 in range(0, uv.size, _ROW_CHUNK):
         du = uv[a0 : a0 + _ROW_CHUNK, None] - uv[None, :]
         dphi = pv[a0 : a0 + _ROW_CHUNK, None] - pv[None, :]
-        parts.append(
-            float(np.sum(table.pair[a0 : a0 + _ROW_CHUNK] * _signed_power(du, p) * dphi))
-        )
+        parts.append(float(np.sum(pair[a0 : a0 + _ROW_CHUNK] * _signed_power(du, p) * dphi)))
     parts.append(2.0 * float(np.sum(table.tail * _signed_power(uv, p) * pv)))
     return math.fsum(parts)
 

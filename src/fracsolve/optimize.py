@@ -7,8 +7,8 @@ summation noise (``|E(trial) - E| <= EPS |E|``), when the gradient at the
 trial point passes the approximate-Armijo test of Hager and Zhang
 (CG_DESCENT, SIAM J. Optim. 2005) instead.  So an accepted step either
 lowers the computed energy by the Armijo margin or raises it by at most
-``EPS |E|``.  Any non-finite energy or gradient at an accepted point
-aborts loudly.
+``EPS |E|``.  A trial point equal to the current one is never accepted.
+Any non-finite energy or gradient at an accepted point aborts loudly.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ INITIAL_STEP = 1.0  # first trial step, before any curvature estimate
 MAX_BACKTRACKS = 60
 
 # Relative energy change below which two float64 energies are not compared.
-# The energies are float64 sums of up to n^2/2 pair terms (n <= node_cap =
-# 4096), each with about one ulp of pow error; numpy's pairwise summation
-# keeps the sum's error near log2(n^2) ulp, about 5e-15, of the sum of the
-# absolute terms, which is a small multiple of |E| near a minimizer.  1e-10
-# clears that noise by four orders of magnitude and bounds how far an
-# accepted step may raise the computed energy.
+# The energies are float64 sums of up to n^2/2 pair terms (n <=
+# gagliardo.NODE_CAP = 4096), each with about one ulp of pow error; numpy's
+# pairwise summation keeps the sum's error near log2(n^2) ulp, about 5e-15,
+# of the sum of the absolute terms, which is a small multiple of |E| near a
+# minimizer.  1e-10 clears that noise by four orders of magnitude and bounds
+# how far an accepted step may raise the computed energy.
 EPS = 1e-10
 
 
@@ -101,20 +101,27 @@ def minimize_energy(
 
         gnorm2 = float(g @ g)
         gn = None
+        accepted = False
         for _ in range(MAX_BACKTRACKS):
             xn = x - step * g
+            if np.array_equal(xn, x):
+                # the step rounds away in every entry, as does any shorter one;
+                # accepting it would repeat the same null step until max_iter
+                break
             fn = float(energy_fn(xn))
             if math.isfinite(fn) and fn <= f - SUFFICIENT_DECREASE * step * gnorm2:
+                accepted = True
                 break
             if abs(fn - f) <= EPS * abs(f):
                 # the energies differ by summation noise only: on a quadratic
                 # this slope test is the Armijo test itself
                 gn = np.asarray(grad_fn(xn), dtype=float)
                 if float(gn @ g) >= -(1.0 - 2.0 * SUFFICIENT_DECREASE) * gnorm2:
+                    accepted = True
                     break
                 gn = None
             step *= SHRINK
-        else:
+        if not accepted:
             return MinimizeResult(
                 x, False, it, residual, f, "line search could not decrease the energy"
             )

@@ -257,6 +257,16 @@ class TestSolveProblem:
         assert report.converged
         assert calls == []
 
+    def test_tables_hold_no_dense_pair_matrix(self, instance_1d):
+        # a table stores its offset weights and tail; the n x n matrix is
+        # built only when an oracle asks for it, and kept by nobody
+        solve_problem(instance_1d, OuterOptions())
+        n = instance_1d.grid.n_interior
+        for table in instance_1d.tables:
+            sizes = [v.size for v in vars(table).values() if isinstance(v, np.ndarray)]
+            assert sizes
+            assert n * n not in sizes
+
 
 class TestVerifySolution:
     def test_zero_field_sees_the_forcing(self, instance_1d):

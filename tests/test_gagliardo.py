@@ -457,10 +457,11 @@ class TestStabilityAndBudget:
             vals.append(seminorm(table, u))
         assert abs(vals[1] - vals[0]) / vals[0] < 0.05
 
-    def test_memory_budget_enforced(self):
+    def test_memory_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(gagliardo, "NODE_CAP", 16)
         g = build_grid(interval(0.0, 1.0), 65)
         with pytest.raises(MemoryBudgetError):
-            assemble_weights(g, OperatorParams(s=0.5, p=2.0, node_cap=16))
+            assemble_weights(g, OperatorParams(s=0.5, p=2.0))
 
     def test_exterior_cell_sum_matches_direct(self):
         # the convolution shortcut must agree with brute-force summation
@@ -501,7 +502,7 @@ class TestCache:
         params = OperatorParams(s=0.55, p=2.4)
         t1 = assemble_weights(g, params)
         path = _cache_path(g, params)
-        _cache_store(path, g, params, t1.pair, t1.tail)
+        _cache_store(path, t1)
         assert [f.name for f in tmp_path.iterdir()] == [path.name]
         t2 = assemble_weights(g, params)
         np.testing.assert_array_equal(t1.pair, t2.pair)
@@ -515,3 +516,19 @@ class TestCache:
             f.write_bytes(b"garbage")
         t2 = assemble_weights(g, params)
         np.testing.assert_allclose(t1.pair, t2.pair, rtol=1e-14)
+
+    def test_flipped_body_byte_rebuilt(self, tmp_path, monkeypatch):
+        # same length, same header: only the body checksum can tell
+        monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
+        g = build_grid(interval(0.0, 1.0), 9)
+        params = OperatorParams(s=0.5, p=2.0)
+        t1 = assemble_weights(g, params)
+        path = _cache_path(g, params)
+        raw = bytearray(path.read_bytes())
+        raw[-3] ^= 0x40  # a high mantissa bit of the last tail entry
+        path.write_bytes(bytes(raw))
+        t2 = assemble_weights(g, params)
+        np.testing.assert_array_equal(t1.tail, t2.tail)
+        np.testing.assert_array_equal(t1.woff, t2.woff)
+        t3 = assemble_weights(g, params)
+        np.testing.assert_array_equal(t1.tail, t3.tail)

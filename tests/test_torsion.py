@@ -133,6 +133,29 @@ class TestMinimizer:
         assert res.converged, res.message
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=0.0, atol=1e-10)
 
+    def test_null_step_ends_line_search(self):
+        # noise of 1e-8 relative, above EPS, makes each new iterate a record
+        # low of the noise, so backtracking shrinks until x - step * g == x;
+        # accepting that null step would repeat it until max_iter
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(8, 8))
+        A = M @ M.T + 8 * np.eye(8)
+        b = rng.normal(size=8)
+        calls = []
+
+        def fun(x):
+            calls.append(1)
+            noise = zlib.crc32(x.tobytes()) / 2.0**32
+            return (1.0 + 0.5 * x @ A @ x - b @ x) * (1.0 + 1e-8 * noise)
+
+        def grad(x):
+            return A @ x - b
+
+        res = minimize_energy(fun, grad, np.zeros(8), MinimizerOptions(tol=1e-12))
+        assert not res.converged
+        assert res.message == "line search could not decrease the energy"
+        assert len(calls) <= 1000
+
     def test_noise_level_overshoot_rejected(self):
         # from x = 1 the first trial step of 1.0 lands on the mirror point
         # x = -1 of f = 1 + x^2: the energy is unchanged, but the slope there
