@@ -88,6 +88,7 @@ def _cmd_solve(args) -> int:
         "outer_iterations": report.outer_iterations,
         "step_seminorms": io_utils.float_list(report.step_seminorms),
         "frozen_residuals": io_utils.float_list(report.frozen_residuals),
+        "inner_iterations": list(report.inner_iterations),
         "full_residuals": io_utils.float_list(report.full_residuals),
         "v_norms": io_utils.float_list(report.v_norms),
         "thetas": io_utils.float_list(report.thetas),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,6 +39,10 @@ from .torsion import SubsolutionCertificate, hopf_ratio, select_sigma
 _MIN_THETA = 1.0 / 16.0
 _INCREASE_STREAK = 3
 _BALL_SLACK = 1.0 + 1e-9
+# A warm-started solve stops just inside the inner tolerance, so the last
+# outer step is solved once more, this many times tighter, to leave the
+# final coupled residual a margin below that tolerance.
+_FINAL_TOL_DIVISOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,7 @@ class SolveReport:
     outer_iterations: int
     step_seminorms: list
     frozen_residuals: list
+    inner_iterations: list
     full_residuals: list
     v_norms: list
     thetas: list
@@ -170,9 +175,10 @@ def frozen_at(instance: ProblemInstance, v) -> FrozenProblem:
     return FrozenProblem(instance.tables, instance.trunc, g_eval(instance.convective, xi.interior))
 
 
-def apply_T(instance: ProblemInstance, v) -> FrozenSolveResult:
-    """One fixed-point map evaluation: freeze the gradient at v, solve."""
-    return solve_frozen(frozen_at(instance, v), instance.frozen_options)
+def apply_T(instance: ProblemInstance, v, start=None) -> FrozenSolveResult:
+    """One fixed-point map evaluation: freeze the gradient at v, solve from
+    ``start`` (clipped to the floor; the floor itself when None)."""
+    return solve_frozen(frozen_at(instance, v), instance.frozen_options, start)
 
 
 def relaxed_update(v: np.ndarray, t: np.ndarray, theta: float) -> np.ndarray:
@@ -196,7 +202,9 @@ def fit_growth_bound(
 ) -> GrowthBound:
     """Fit  seminorm(T v)^p <= c_emp (1 + seminorm(v)^exponent)  over random
     fields spanning two decades of size, then solve for the smallest radius
-    rho with  c_emp (1 + rho^exponent) <= rho^p."""
+    rho with  c_emp (1 + rho^exponent) <= rho^p.  The samples come in
+    increasing seminorm, and each solve starts from the answer of the last
+    converged sample."""
     e = instance.exponents
     exponent = instance.convective.zeta * e.p_prime
     if exponent >= e.p:
@@ -209,15 +217,17 @@ def fit_growth_bound(
     grid = instance.grid
     tp = instance.tables[0]
     c_emp = 0.0
+    start = None
     for lam in np.logspace(-1.5, 0.5, count):
         z = rng.standard_normal(grid.n_interior)
         v = lam * z / seminorm(tp, z)
-        result = apply_T(instance, v)
+        result = apply_T(instance, v, start)
         if not result.converged:
             warnings.warn(
                 f"growth-bound sample at seminorm {lam:.3g} did not converge; skipped"
             )
             continue
+        start = result.raw
         tnorm = seminorm(tp, grid.pack(result.raw))
         c_emp = max(c_emp, tnorm**e.p / (1.0 + lam**exponent))
     if c_emp <= 0.0:
@@ -259,7 +269,11 @@ def solve_problem(
 ) -> SolveReport:
     """Relaxed fixed-point iteration  v <- (1-theta) v + theta T(v)  from the
     certified floor, stopping when the (s1,p) seminorm of the update falls
-    below the outer tolerance."""
+    below the outer tolerance.  Each frozen solve starts from the previous
+    step's answer; once the loop converges, the last step's frozen problem
+    is solved again from its answer with the inner tolerance divided by
+    _FINAL_TOL_DIVISOR, and a converged re-solve replaces that step's
+    answer and residuals."""
     opts = options or OuterOptions()
     grid = instance.grid
     tp = instance.tables[0]
@@ -274,6 +288,7 @@ def solve_problem(
     log: list = []
     step_seminorms: list = []
     frozen_residuals: list = []
+    inner_iterations: list = []
     full_residuals: list = []
     thetas: list = []
     v_norms = [seminorm(tp, v)]
@@ -288,10 +303,12 @@ def solve_problem(
     iterations = 0
 
     for k in range(1, opts.max_outer + 1):
-        result = apply_T(instance, v)
+        frozen_v = v
+        result = apply_T(instance, v, None if last_result is None else last_result.raw)
         iterations = k
         last_result = result
         frozen_residuals.append(result.residual)
+        inner_iterations.append(result.iterations)
         full_residuals.append(verify_solution(instance, result.raw))
         if not result.converged:
             message = f"frozen solve failed at outer iteration {k}: {result.message}"
@@ -329,6 +346,17 @@ def solve_problem(
             f"last step seminorm {prev_step:.3e} above tolerance {opts.tol:.3e}"
         )
 
+    if converged:
+        tight = replace(
+            instance.frozen_options, tol=instance.frozen_options.tol / _FINAL_TOL_DIVISOR
+        )
+        final = solve_frozen(frozen_at(instance, frozen_v), tight, last_result.raw)
+        inner_iterations[-1] += final.iterations
+        if final.converged:
+            last_result = final
+            frozen_residuals[-1] = final.residual
+            full_residuals[-1] = verify_solution(instance, final.raw)
+
     raw_vec = grid.pack(last_result.raw) if last_result is not None else v
     clipped = np.maximum(raw_vec, floor)
     u_field = grid.unpack(clipped)
@@ -342,6 +370,7 @@ def solve_problem(
         outer_iterations=iterations,
         step_seminorms=step_seminorms,
         frozen_residuals=frozen_residuals,
+        inner_iterations=inner_iterations,
         full_residuals=full_residuals,
         v_norms=v_norms,
         thetas=thetas,

@@ -117,9 +117,13 @@ def default_frozen_options(grid: Grid) -> MinimizerOptions:
 
 
 def solve_frozen(
-    prob: FrozenProblem, options: MinimizerOptions | None = None
+    prob: FrozenProblem, options: MinimizerOptions | None = None, start=None
 ) -> FrozenSolveResult:
-    """Minimize the frozen objective from the floor.
+    """Minimize the frozen objective from ``start`` (a field or interior
+    vector) clipped to the floor, or from the floor itself when no start is
+    given.  A start near the minimizer, such as the answer to a nearby
+    frozen problem, cuts the descent iterations; the stopping test is the
+    same from every start.
 
     The returned ``raw`` field is the accepted iterate; ``field`` clips it
     to the floor for reporting.  Non-convergence returns the best iterate
@@ -127,10 +131,11 @@ def solve_frozen(
     """
     opts = options or default_frozen_options(prob.grid)
     floor = np.asarray(prob.trunc.floor, dtype=float)
+    x0 = floor if start is None else _interior_vector(prob.tables[0], start)
     result = minimize_energy(
         lambda u: frozen_energy(prob, u),
         lambda u: frozen_gradient(prob, u),
-        floor.copy(),
+        np.maximum(x0, floor),
         opts,
     )
     raw = result.x

@@ -207,11 +207,13 @@ def _cache_descriptor(grid: Grid, params: OperatorParams) -> dict:
 
 
 def _cache_path(grid: Grid, params: OperatorParams) -> Path | None:
+    """The file of this table, named without the format version: a file of
+    another version is a miss whose rebuild overwrites it in place."""
     root = os.environ.get(_CACHE_ENV)
     if not root:
         return None
-    desc = json.dumps(_cache_descriptor(grid, params), sort_keys=True)
-    digest = hashlib.sha256(desc.encode()).hexdigest()[:24]
+    key = {k: v for k, v in _cache_descriptor(grid, params).items() if k != "version"}
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:24]
     return Path(root) / f"weights-{digest}.fwt"
 
 

@@ -150,11 +150,6 @@ class Grid:
             values = np.zeros(self.points.shape[0])
         return ScalarField(self, values)
 
-    def vector_field(self, values=None):
-        if values is None:
-            values = np.zeros((self.points.shape[0], self.dim))
-        return VectorField(self, values)
-
     def pack(self, field):
         """Interior values as a flat solver vector."""
         return field.values[self.interior_idx].copy()

@@ -181,6 +181,17 @@ class TestCliSolve:
         canon = lambda d: json.dumps(d, sort_keys=True)
         assert canon(first) == canon(second)
 
+    def test_report_counts_inner_iterations(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["solve", "--config", str(CONFIG_DIR / "interval_1d.json"), "--out", str(out)]
+        assert cli.main(args) == 0
+        report = json.loads((out / "report.json").read_text())
+        counts = report["inner_iterations"]
+        assert len(counts) == report["outer_iterations"]
+        assert all(isinstance(c, int) and c >= 0 for c in counts)
+        # the first step starts from the floor and cannot already be converged
+        assert counts[0] > 0
+
     def test_runtime_failure_exit_code_and_stderr(self, tmp_path, capsys):
         payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
         payload["outer"]["max_outer"] = 1

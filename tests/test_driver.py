@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsolve import frozen, torsion
+from fracsolve import driver, frozen, torsion
 from fracsolve.driver import (
     OuterOptions,
     apply_T,
@@ -102,6 +102,13 @@ class TestApplyT:
             lhs = seminorm(instance_1d.tables[0], instance_1d.grid.pack(tv.raw)) ** e.p
             rhs = 2.0 * bound.c_emp * (1.0 + lam**bound.exponent)
             assert lhs <= rhs
+
+    def test_warm_growth_fit_matches_cold_fit(self, instance_1d, monkeypatch):
+        warm = fit_growth_bound(instance_1d, count=20, seed=0)
+        cold_T = driver.apply_T
+        monkeypatch.setattr(driver, "apply_T", lambda inst, v, start=None: cold_T(inst, v))
+        cold = fit_growth_bound(instance_1d, count=20, seed=0)
+        assert warm.c_emp == pytest.approx(cold.c_emp, rel=1e-6)
 
     def test_continuity_under_small_perturbations(self, instance_1d_tight):
         inst = instance_1d_tight
@@ -243,6 +250,34 @@ class TestSolveProblem:
         frozen_res = report.frozen_residuals[-1]
         full_res = verify_solution(inst, report.raw)
         assert abs(frozen_res - full_res) <= 1e-10
+
+    def test_warm_outer_steps_need_fewer_iterations(self, instance_1d):
+        report = solve_problem(instance_1d, OuterOptions())
+        assert report.converged
+        assert len(report.inner_iterations) == report.outer_iterations
+        cold = apply_T(instance_1d, report.u)
+        assert cold.converged
+        warm = sum(report.inner_iterations[1:])
+        assert warm < (report.outer_iterations - 1) * cold.iterations
+
+    def test_final_solve_only_after_convergence(self, instance_1d, monkeypatch):
+        calls = []
+        solve = driver.solve_frozen
+        monkeypatch.setattr(
+            driver, "solve_frozen", lambda *args: calls.append(args[1].tol) or solve(*args)
+        )
+        tol = instance_1d.frozen_options.tol
+        report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
+        assert report.converged
+        assert calls == [tol] * report.outer_iterations + [tol / 10.0]
+        assert report.frozen_residuals[-1] < tol / 10.0
+        assert report.final_residual < 0.5 * tol
+        calls.clear()
+        report = solve_problem(
+            instance_1d, OuterOptions(tol=1e-13, max_outer=2, ball_monitor=False)
+        )
+        assert not report.converged
+        assert calls == [tol, tol]
 
     def test_tables_not_rechecked_per_step(self, instance_1d, monkeypatch):
         calls = []

@@ -19,6 +19,7 @@ import pytest
 from fracsolve.frozen import (
     FrozenProblem,
     check_operator_tables,
+    default_frozen_options,
     frozen_energy,
     frozen_gradient,
     scaled_norm,
@@ -228,6 +229,43 @@ class TestSolveFrozen:
         assert not result.converged
         assert result.message
         assert np.all(np.isfinite(prob.grid.pack(result.raw)))
+
+    def test_no_start_is_the_floor_start(self, setup_1d):
+        grid, _, prob = setup_1d
+        result = solve_frozen(prob, start=None)
+        ref = minimize_energy(
+            lambda u: frozen_energy(prob, u),
+            lambda u: frozen_gradient(prob, u),
+            prob.trunc.floor.copy(),
+            default_frozen_options(grid),
+        )
+        assert np.array_equal(grid.pack(result.raw), ref.x)
+        assert result.iterations == ref.iterations
+        assert result.residual == ref.residual
+
+    def test_converged_start_returns_at_once(self, setup_1d):
+        grid, _, prob = setup_1d
+        first = solve_frozen(prob)
+        assert first.converged
+        again = solve_frozen(prob, start=first.raw)
+        assert again.converged
+        assert again.iterations == 0
+        start = np.maximum(grid.pack(first.raw), prob.trunc.floor)
+        assert np.array_equal(grid.pack(again.raw), start)
+
+    def test_start_below_floor_is_clipped(self, setup_1d):
+        grid, _, prob = setup_1d
+        floor = prob.trunc.floor
+        opts = MinimizerOptions(tol=1e-8)
+        cold = solve_frozen(prob, opts)
+        below = solve_frozen(prob, opts, start=floor - 1.0)
+        assert np.array_equal(grid.pack(below.raw), grid.pack(cold.raw))
+        # a start partly below the floor runs from its clipped copy
+        bump = 0.5 * floor * np.cos(np.arange(floor.size))
+        mixed = solve_frozen(prob, opts, start=floor + bump)
+        clipped = solve_frozen(prob, opts, start=np.maximum(floor + bump, floor))
+        assert np.array_equal(grid.pack(mixed.raw), grid.pack(clipped.raw))
+        assert mixed.iterations == clipped.iterations
 
     def test_three_node_brute_force_lattice(self):
         grid = build_grid(interval(0.0, 1.0), 5)

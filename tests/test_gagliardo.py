@@ -6,6 +6,7 @@ same integrands the assembly is documented to use: the raw kernel
 kernel |x_i-x_j|^(-p) |x-y|^(p-(N+sp)) for touching pairs.
 """
 
+import json
 import math
 
 import numpy as np
@@ -506,6 +507,18 @@ class TestCache:
         assert [f.name for f in tmp_path.iterdir()] == [path.name]
         t2 = assemble_weights(g, params)
         np.testing.assert_array_equal(t1.pair, t2.pair)
+
+    def test_new_format_version_overwrites_old_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
+        g = build_grid(interval(0.0, 1.0), 9)
+        params = OperatorParams(s=0.55, p=2.4)
+        assemble_weights(g, params)
+        monkeypatch.setattr(gagliardo, "_CACHE_VERSION", 3)
+        assemble_weights(g, params)
+        files = list(tmp_path.glob("*.fwt"))
+        assert len(files) == 1
+        head = files[0].read_bytes().partition(b"\n")[0]
+        assert json.loads(head)["descriptor"]["version"] == 3
 
     def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
