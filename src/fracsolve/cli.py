@@ -27,9 +27,8 @@ from .driver import apply_T, build_instance, solve_problem
 from .frozen import scaled_norm
 from .gagliardo import OperatorParams, apply_form, assemble_weights, energy, operator_gradient
 from .grids import build_grid, interval
-from .kernels import riesz_normalization
 from .reaction import ConvectiveReaction, ProblemExponents, SingularReaction
-from .riesz import riesz_gradient
+from .riesz import riesz_gradient, riesz_normalization
 
 
 def _stderr_json(payload: dict) -> None:
@@ -270,8 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=None, help="cap the scipy.fft worker threads"
     )
     common.add_argument("-v", "--verbose", action="store_true", help="log progress and defaults")
-    with_config = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_config.add_argument("--config", required=True, help="path to a JSON run config")
+    config_only = argparse.ArgumentParser(add_help=False, parents=[common])
+    config_only.add_argument("--config", required=True, help="path to a JSON run config")
+    with_config = argparse.ArgumentParser(add_help=False, parents=[config_only])
     with_config.add_argument("--out", default=None, help="output directory (default: from config)")
 
     parser = argparse.ArgumentParser(
@@ -288,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fractional gradient of a reference bump").set_defaults(func=_cmd_gradient)
     sub.add_parser("kernel-table", parents=[with_config],
                    help="assemble and summarize the weight tables").set_defaults(func=_cmd_kernel_table)
-    sub.add_parser("check-hypotheses", parents=[with_config],
+    sub.add_parser("check-hypotheses", parents=[config_only],
                    help="validate the solvability window").set_defaults(func=_cmd_check)
     sub.add_parser("selftest", parents=[common],
                    help="run built-in invariant checks").set_defaults(func=_cmd_selftest)

@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .driver import OuterOptions
+from .frozen import default_tol
 from .gagliardo import NODE_CAP
 from .grids import Grid, build_grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
@@ -243,7 +244,7 @@ def load_config(path: str, require_hypotheses: bool = True) -> RunConfig:
     except ValueError as e:
         raise ConfigError("convective", str(e)) from e
 
-    inner_tol = 1e-6 if dim == 1 else 1e-5
+    inner_tol = default_tol(dim)
     min_fields = _section(
         raw, "minimizer", ("tol", "max_iter"), {"tol": inner_tol, "max_iter": 5000}, defaulted
     )

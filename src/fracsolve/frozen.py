@@ -71,7 +71,6 @@ class FrozenSolveResult:
     residual: float
     converged: bool
     iterations: int
-    lower_bound_ok: bool
     message: str = ""
 
 
@@ -111,9 +110,14 @@ def weak_residual(prob: FrozenProblem, u) -> float:
     return scaled_norm(frozen_gradient(prob, u))
 
 
+def default_tol(dim: int) -> float:
+    """Residual target sized to desk-scale grids: 1e-6 in 1D, 1e-5 in 2D.
+    The config defaults of the inner and the outer tolerance."""
+    return 1e-6 if dim == 1 else 1e-5
+
+
 def default_frozen_options(grid: Grid) -> MinimizerOptions:
-    """Residual targets sized to desk-scale grids: 1e-6 in 1D, 1e-5 in 2D."""
-    return MinimizerOptions(tol=1e-6 if grid.dim == 1 else 1e-5)
+    return MinimizerOptions(tol=default_tol(grid.dim))
 
 
 def solve_frozen(
@@ -151,7 +155,6 @@ def solve_frozen(
         residual=result.residual,
         converged=converged,
         iterations=result.iterations,
-        lower_bound_ok=bound_ok,
         message=message,
     )
 

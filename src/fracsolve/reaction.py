@@ -164,8 +164,6 @@ class TruncatedReaction:
         """Accept one state per interior node, or a batch with the node
         axis leading (shape (n, ...))."""
         tv = np.asarray(t, dtype=float)
-        if tv.ndim == 0:
-            tv = np.full(self.floor.size, float(tv))
         if tv.shape[:1] != self.floor.shape:
             raise ValueError(
                 f"expected a leading axis of {self.floor.size} interior values, "

@@ -11,22 +11,49 @@ a single FFT convolution reproduces the exact dense sum over all support
 cells with no wraparound.  The origin cell uses the exact singular cell
 average; other cells use per-cell Gauss quadrature (2D) or closed-form
 antiderivatives (1D).
+
+The module also holds the two kernel facts the table needs: the Riesz
+constant gamma(N, alpha) and the kernel's average over the origin cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.signal import fftconvolve
+from scipy.special import gammaln
 
 from .grids import Grid, ScalarField, VectorField
-from .kernels import RieszParams, riesz_cell_average, riesz_normalization
-from .quadrature import power_segment_integral
+from .quadrature import cell_average_power, power_segment_integral
 
 _GL_X, _GL_W = leggauss(10)
 _CHUNK = 64
+
+
+def riesz_normalization(dim, alpha):
+    """Constant gamma(dim, alpha) of the kernel gamma * |x|^(alpha-dim).
+
+    Evaluated through log-Gamma to stay stable for small alpha.
+    """
+    if not 0.0 < alpha < dim:
+        raise ValueError(f"Riesz order needs 0 < alpha < dim, got alpha={alpha}, dim={dim}")
+    log_val = (
+        gammaln((dim - alpha) / 2.0)
+        - gammaln(alpha / 2.0)
+        - 0.5 * dim * math.log(math.pi)
+        - alpha * math.log(2.0)
+    )
+    return math.exp(log_val)
+
+
+def riesz_cell_average(alpha, widths):
+    """Average of the kernel over the origin-centered cell of the given
+    widths, in dimension len(widths)."""
+    dim = len(widths)
+    return riesz_normalization(dim, alpha) * cell_average_power(alpha - dim, widths)
 
 
 @dataclass
@@ -68,9 +95,7 @@ def _kernel_2d(grid: Grid, alpha: float, radii: tuple[int, int]) -> np.ndarray:
         quarter[a0 : a0 + _CHUNK] = gamma * np.einsum(
             "abij,i,j->ab", vals, 0.5 * h1 * _GL_W, w2
         )
-    quarter[0, 0] = (
-        riesz_cell_average(RieszParams(2, alpha), grid.h) * grid.cell_volume
-    )
+    quarter[0, 0] = riesz_cell_average(alpha, grid.h) * grid.cell_volume
     if h1 == h2 and r1 == r2:
         quarter = 0.5 * (quarter + quarter.T)  # enforce exact octant symmetry
     i1 = np.abs(np.arange(-r1, r1 + 1))
@@ -91,9 +116,16 @@ def plan_riesz_convolution(grid: Grid, alpha: float) -> ConvolutionPlan:
     return ConvolutionPlan(grid, float(alpha), kernel)
 
 
+def _same_lattice(a: Grid, b: Grid) -> bool:
+    """Equal node counts and spacings: a kernel table fits both grids."""
+    return a is b or (
+        a.shape == b.shape and np.allclose(a.h, b.h, rtol=1e-12, atol=0.0)
+    )
+
+
 def riesz_potential(plan: ConvolutionPlan, u: ScalarField) -> np.ndarray:
     """Riesz potential of the zero-extended field, on the full lattice."""
-    if u.grid is not plan.grid and u.grid.shape != plan.grid.shape:
+    if not _same_lattice(u.grid, plan.grid):
         raise ValueError("field grid does not match the convolution plan")
     ugrid = u.values.reshape(plan.grid.shape)
     return fftconvolve(ugrid, plan.kernel, mode="same")
@@ -109,6 +141,8 @@ def riesz_gradient(
         plan = plan_riesz_convolution(grid, 1.0 - s)
     elif abs(plan.alpha - (1.0 - s)) > 1e-14:
         raise ValueError("convolution plan was built for a different order")
+    elif not _same_lattice(plan.grid, grid):
+        raise ValueError("convolution plan was built on a different grid")
     pot = riesz_potential(plan, u)
     if grid.dim == 1:
         g = np.zeros(grid.shape[0])

@@ -1,48 +1,32 @@
-"""Riesz and Bessel convolution kernels.
+"""Bessel and pointwise Riesz kernels, kept as test oracles.
 
-Point evaluation, normalization constants, cell averages for use near the
-singularity, and an L1 semigroup diagnostic for the Bessel family.
+The solver needs only the Riesz constant and the origin-cell average
+(``fracsolve.riesz``).  The Bessel family (subordination quadrature with
+a drift check under node doubling, unit mass, the semigroup identity) and
+the pointwise Riesz kernel serve the tests as independent references.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import erf, gammaln
 
-from .quadrature import cell_average_power, panel_nodes, uniform_edges
-
-__all__ = [
-    "QuadratureError",
-    "RieszParams",
-    "BesselParams",
-    "riesz_normalization",
-    "riesz_kernel",
-    "riesz_cell_average",
-    "bessel_kernel",
-    "bessel_cell_average",
-    "bessel_mass",
-    "semigroup_residual",
-]
+from fracsolve.quadrature import panel_nodes, uniform_edges
+from fracsolve.riesz import riesz_normalization
 
 
 class QuadratureError(RuntimeError):
     """Bessel quadrature drifted under node doubling."""
 
 
-@dataclass(frozen=True)
-class RieszParams:
+class RieszParams(NamedTuple):
     dim: int
     alpha: float  # order, 0 < alpha < dim
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not 0.0 < self.alpha < self.dim:
-            raise ValueError(f"Riesz order needs 0 < alpha < dim, got alpha={self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -61,22 +45,6 @@ class BesselParams:
             raise ValueError(f"Bessel order must be positive, got {self.alpha}")
 
 
-def riesz_normalization(dim, alpha):
-    """Constant gamma(dim, alpha) of the kernel gamma * |x|^(alpha-dim).
-
-    Evaluated through log-Gamma to stay stable for small alpha.
-    """
-    if not 0.0 < alpha < dim:
-        raise ValueError(f"Riesz order needs 0 < alpha < dim, got alpha={alpha}, dim={dim}")
-    log_val = (
-        gammaln((dim - alpha) / 2.0)
-        - gammaln(alpha / 2.0)
-        - 0.5 * dim * math.log(math.pi)
-        - alpha * math.log(2.0)
-    )
-    return math.exp(log_val)
-
-
 def _radii(points, dim):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != dim:
@@ -91,12 +59,6 @@ def riesz_kernel(params, points):
         raise ValueError("Riesz kernel is singular at the origin; use riesz_cell_average")
     gam = riesz_normalization(params.dim, params.alpha)
     return gam * r ** (params.alpha - params.dim)
-
-
-def riesz_cell_average(params, widths):
-    """Average of the kernel over the origin-centered cell of given widths."""
-    gam = riesz_normalization(params.dim, params.alpha)
-    return gam * cell_average_power(params.alpha - params.dim, widths)
 
 
 def _bessel_t_rule(params, nodes):

@@ -39,12 +39,6 @@ from fracsolve.gagliardo import (
     seminorm,
 )
 from fracsolve.grids import ScalarField, build_grid, interval, rectangle
-from fracsolve.kernels import (
-    BesselParams,
-    bessel_mass,
-    riesz_normalization,
-    semigroup_residual,
-)
 from fracsolve.optimize import MinimizerOptions
 from fracsolve.reaction import (
     ConvectiveReaction,
@@ -54,8 +48,9 @@ from fracsolve.reaction import (
     f_eval,
     g_eval,
 )
-from fracsolve.riesz import riesz_gradient
+from fracsolve.riesz import riesz_gradient, riesz_normalization
 from fracsolve.torsion import solve_torsion
+from support.kernels import BesselParams, bessel_mass, semigroup_residual
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ("interval_1d", "interval_1d_pure", "disk_2d")

@@ -227,6 +227,15 @@ class TestCliOther:
         assert err["error"] == "hypothesis"
         assert [f["name"] for f in err["failures"]] == [expected]
 
+    def test_check_hypotheses_rejects_out(self, tmp_path, capsys):
+        # the command writes no files, so an output directory is a usage error
+        config = str(CONFIG_DIR / "interval_1d.json")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-hypotheses", "--config", config, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_torsion_outputs(self, tmp_path):
         out = tmp_path / "t"
         code = cli.main(

@@ -14,11 +14,12 @@ from scipy.integrate import dblquad, quad
 from scipy.special import j1
 
 from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
-from fracsolve.kernels import riesz_normalization
 from fracsolve.riesz import (
     ConvolutionPlan,
     plan_riesz_convolution,
+    riesz_cell_average,
     riesz_gradient,
+    riesz_normalization,
     riesz_potential,
 )
 
@@ -69,9 +70,7 @@ class TestKernelTable2D:
         adj = cell_integral(1, 0)
         assert plan.kernel[m1 - 1 + 1, m2 - 1] == pytest.approx(adj, rel=1e-4)
         # origin cell uses the exact singular average
-        from fracsolve.kernels import RieszParams, riesz_cell_average
-
-        want = riesz_cell_average(RieszParams(2, alpha), grid.h) * grid.cell_volume
+        want = riesz_cell_average(alpha, grid.h) * grid.cell_volume
         assert plan.kernel[m1 - 1, m2 - 1] == pytest.approx(want, rel=1e-10)
 
     def test_symmetry_all_octants(self):
@@ -160,6 +159,35 @@ class TestStructure:
         u = ScalarField(grid, np.ones(grid.points.shape[0]))
         g = riesz_gradient(grid, u, 0.5)
         assert np.all(g.values[~grid.interior_mask] == 0.0)
+
+
+class TestGridMismatch:
+    def test_plan_from_another_grid_rejected(self):
+        # same node count, four times the spacing: the table does not fit
+        grid = build_grid(interval(0.0, 4.0), 33)
+        plan = plan_riesz_convolution(build_grid(interval(0.0, 1.0), 33), 0.5)
+        u = ScalarField(grid, np.exp(-((grid.points[:, 0] - 2.0) ** 2)))
+        with pytest.raises(ValueError, match="different grid"):
+            riesz_gradient(grid, u, 0.5, plan=plan)
+
+    def test_field_from_another_grid_rejected(self):
+        grid = build_grid(interval(0.0, 1.0), 33)
+        other = build_grid(interval(0.0, 4.0), 33)
+        u = ScalarField(other, np.exp(-((other.points[:, 0] - 2.0) ** 2)))
+        with pytest.raises(ValueError, match="does not match"):
+            riesz_gradient(grid, u, 0.5)
+        with pytest.raises(ValueError, match="does not match"):
+            riesz_potential(plan_riesz_convolution(grid, 0.5), u)
+
+    def test_equal_grid_from_another_build_accepted(self):
+        g1 = build_grid(interval(0.0, 1.0), 33)
+        g2 = build_grid(interval(0.0, 1.0), 33)
+        plan = plan_riesz_convolution(g1, 0.5)
+        u = ScalarField(g2, np.sin(np.pi * g2.points[:, 0]))
+        np.testing.assert_array_equal(
+            riesz_gradient(g2, u, 0.5, plan=plan).values,
+            riesz_gradient(g2, u, 0.5).values,
+        )
 
 
 def gaussian_gradient_1d(x, s, sigma):
