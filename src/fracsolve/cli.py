@@ -24,7 +24,6 @@ import scipy.fft
 from . import io_utils
 from .config import ConfigError, HypothesisError, RunConfig, load_config
 from .driver import apply_T, build_instance, solve_problem
-from .frozen import scaled_norm
 from .gagliardo import OperatorParams, apply_form, assemble_weights, energy, operator_gradient
 from .grids import build_grid, interval
 from .reaction import ConvectiveReaction, ProblemExponents, SingularReaction
@@ -264,14 +263,15 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    verbose = argparse.ArgumentParser(add_help=False)
+    verbose.add_argument("-v", "--verbose", action="store_true", help="log progress and defaults")
+    common = argparse.ArgumentParser(add_help=False, parents=[verbose])
     common.add_argument(
         "--threads", type=int, default=None, help="cap the scipy.fft worker threads"
     )
-    common.add_argument("-v", "--verbose", action="store_true", help="log progress and defaults")
-    config_only = argparse.ArgumentParser(add_help=False, parents=[common])
-    config_only.add_argument("--config", required=True, help="path to a JSON run config")
-    with_config = argparse.ArgumentParser(add_help=False, parents=[config_only])
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to a JSON run config")
+    with_config = argparse.ArgumentParser(add_help=False, parents=[common, config])
     with_config.add_argument("--out", default=None, help="output directory (default: from config)")
 
     parser = argparse.ArgumentParser(
@@ -288,8 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fractional gradient of a reference bump").set_defaults(func=_cmd_gradient)
     sub.add_parser("kernel-table", parents=[with_config],
                    help="assemble and summarize the weight tables").set_defaults(func=_cmd_kernel_table)
-    sub.add_parser("check-hypotheses", parents=[config_only],
-                   help="validate the solvability window").set_defaults(func=_cmd_check)
+    # runs no FFT, so it takes no --threads
+    sub.add_parser("check-hypotheses", parents=[verbose, config],
+                   help="validate the solvability window",
+                   ).set_defaults(func=_cmd_check, threads=None)
     sub.add_parser("selftest", parents=[common],
                    help="run built-in invariant checks").set_defaults(func=_cmd_selftest)
     return parser

@@ -8,9 +8,11 @@ reproducible.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .driver import OuterOptions
 from .frozen import default_tol
@@ -46,31 +48,62 @@ class HypothesisError(ValueError):
         super().__init__(f"hypothesis violation: {names}")
 
 
-_DOMAIN_FIELDS = {
-    "interval": ("a", "b"),
-    "rectangle": ("a1", "b1", "a2", "b2"),
-    "disk": ("cx", "cy", "radius"),
+# field kinds, each named as the reason "expected <kind>, got ..." reads
+_KINDS = {
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
 }
+NUMBER, INTEGER, BOOLEAN, STRING, STRING_OR_NULL = _KINDS
+_REQUIRED = object()  # the default of a field the config must give
+
+# domain kind -> (builder, its arguments, which are the section's fields)
+_DOMAINS = {
+    "interval": (interval, ("a", "b")),
+    "rectangle": (rectangle, ("a1", "b1", "a2", "b2")),
+    "disk": (disk, ("cx", "cy", "radius")),
+}
+
+
+def _schema(kind: str, dim: int) -> dict:
+    """Field -> (kind, default) of the whole config for a domain of this
+    kind and dimension; a section maps to the schema of its own fields.
+    The order is the order of the echo."""
+    tol = default_tol(dim)
+    return {
+        "domain": {
+            "kind": (STRING, _REQUIRED),
+            **{key: (NUMBER, _REQUIRED) for key in _DOMAINS[kind][1]},
+        },
+        "resolution": (INTEGER, 17 if dim == 1 else 11),
+        "exponents": {key: (NUMBER, _REQUIRED) for key in ("s", "s1", "s2", "p", "q")},
+        "reaction": {
+            "gamma": (NUMBER, 0.5),
+            "c1": (NUMBER, 0.5),
+            "c2": (NUMBER, 0.5),
+            "r": (NUMBER, 1.1),
+            "family": (STRING, SingularReaction.family),
+        },
+        "convective": {"c3": (NUMBER, 0.0), "zeta": (NUMBER, 1.2)},
+        "minimizer": {"tol": (NUMBER, tol), "max_iter": (INTEGER, MinimizerOptions.max_iter)},
+        "outer": {
+            "theta": (NUMBER, OuterOptions.theta),
+            "tol": (NUMBER, tol),
+            "max_outer": (INTEGER, OuterOptions.max_outer),
+            "ball_monitor": (BOOLEAN, OuterOptions.ball_monitor),
+        },
+        "output_dir": (STRING, "out"),
+        "cache_dir": (STRING_OR_NULL, None),
+        "seed": (INTEGER, 0),
+    }
 
 
 def _build_domain(spec: dict):
     """The domain of a validated ``domain`` section."""
-    build = {"interval": interval, "rectangle": rectangle, "disk": disk}[spec["kind"]]
-    return build(*[spec[k] for k in _DOMAIN_FIELDS[spec["kind"]]])
-
-
-_TOP_KEYS = {
-    "domain",
-    "resolution",
-    "exponents",
-    "reaction",
-    "convective",
-    "minimizer",
-    "outer",
-    "output_dir",
-    "cache_dir",
-    "seed",
-}
+    build, keys = _DOMAINS[spec["kind"]]
+    return build(*[spec[k] for k in keys])
 
 
 @dataclass
@@ -88,7 +121,7 @@ class RunConfig:
     cache_dir: str | None
     seed: int
     hypotheses: HypothesisReport
-    defaulted: list = field(default_factory=list)
+    normalized: dict
 
     def build_domain(self):
         return _build_domain(self.domain_spec)
@@ -98,38 +131,7 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         """Normalized echo of the config, defaults included."""
-        return {
-            "domain": dict(self.domain_spec),
-            "resolution": self.resolution,
-            "exponents": {
-                "s": self.exponents.s,
-                "s1": self.exponents.s1,
-                "s2": self.exponents.s2,
-                "p": self.exponents.p,
-                "q": self.exponents.q,
-            },
-            "reaction": {
-                "gamma": self.reaction.gamma,
-                "c1": self.reaction.c1,
-                "c2": self.reaction.c2,
-                "r": self.reaction.r,
-                "family": self.reaction.family,
-            },
-            "convective": {"c3": self.convective.c3, "zeta": self.convective.zeta},
-            "minimizer": {
-                "tol": self.minimizer.tol,
-                "max_iter": self.minimizer.max_iter,
-            },
-            "outer": {
-                "theta": self.outer.theta,
-                "tol": self.outer.tol,
-                "max_outer": self.outer.max_outer,
-                "ball_monitor": self.outer.ball_monitor,
-            },
-            "output_dir": self.output_dir,
-            "cache_dir": self.cache_dir,
-            "seed": self.seed,
-        }
+        return copy.deepcopy(self.normalized)
 
 
 def _require_mapping(value, name):
@@ -138,36 +140,53 @@ def _require_mapping(value, name):
     return value
 
 
-def _number(section, key, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+def _typed(path: str, kind: str, value):
+    """``value`` checked against ``kind``; a number comes back as a finite
+    float."""
+    if not _KINDS[kind](value):
+        raise ConfigError(path, f"expected {kind}, got {value!r}")
+    if kind != NUMBER:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
-def _integer(section, key, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key}", f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _section(raw, name, allowed, defaults, defaulted):
-    """Extract a sub-object, fill missing fields from defaults, reject
-    unknown keys; record every applied default."""
-    given = _require_mapping(raw.get(name, {}), name)
-    extra = set(given) - set(allowed)
+def _normalized(given: dict, path: str, schema: dict) -> dict:
+    """``given`` checked against ``schema``: unknown fields rejected, each
+    field checked against its kind, and missing ones filled from their
+    defaults and logged.  A section with a required field is required."""
+    extra = sorted(set(given) - set(schema))
     if extra:
-        raise ConfigError(name, f"unknown field(s) {sorted(extra)}")
+        raise ConfigError(path or "config", f"unknown {'field' if path else 'key'}(s) {extra}")
     out = {}
-    for key in allowed:
-        if key in given:
-            out[key] = given[key]
-        elif key in defaults:
-            out[key] = defaults[key]
-            defaulted.append(f"{name}.{key}")
-            logger.info("default applied: %s.%s = %r", name, key, defaults[key])
+    for key, spec in schema.items():
+        name = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            if key not in given and any(d is _REQUIRED for _, d in spec.values()):
+                raise ConfigError(name, "required section is missing")
+            out[key] = _normalized(_require_mapping(given.get(key, {}), name), name, spec)
+        elif key in given:
+            out[key] = _typed(name, spec[0], given[key])
+        elif spec[1] is _REQUIRED:
+            raise ConfigError(name, "required field is missing")
         else:
-            raise ConfigError(f"{name}.{key}", "required field is missing")
+            logger.info("default applied: %s = %r", name, spec[1])
+            out[key] = spec[1]
     return out
+
+
+def _construct(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError reported as a ConfigError
+    on ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(section, str(e)) from e
 
 
 def load_config(path: str, require_hypotheses: bool = True) -> RunConfig:
@@ -185,151 +204,52 @@ def load_config(path: str, require_hypotheses: bool = True) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(str(path), f"invalid JSON: {e}") from e
     raw = _require_mapping(raw, "config")
-    extra = set(raw) - _TOP_KEYS
-    if extra:
-        raise ConfigError("config", f"unknown key(s) {sorted(extra)}")
-    for required in ("domain", "exponents"):
-        if required not in raw:
-            raise ConfigError(required, "required section is missing")
-
-    defaulted: list = []
-
-    domain_raw = _require_mapping(raw["domain"], "domain")
-    kind = domain_raw.get("kind")
-    if kind not in _DOMAIN_FIELDS:
-        raise ConfigError(
-            "domain.kind", f"expected one of {sorted(_DOMAIN_FIELDS)}, got {kind!r}"
-        )
-    extra = set(domain_raw) - {"kind", *_DOMAIN_FIELDS[kind]}
-    if extra:
-        raise ConfigError("domain", f"unknown field(s) {sorted(extra)}")
-    spec = {"kind": kind}
-    for key in _DOMAIN_FIELDS[kind]:
-        if key not in domain_raw:
-            raise ConfigError(f"domain.{key}", "required field is missing")
-        spec[key] = _number("domain", key, domain_raw[key])
+    if "domain" not in raw:
+        raise ConfigError("domain", "required section is missing")
+    kind = _require_mapping(raw["domain"], "domain").get("kind")
+    if not isinstance(kind, str) or kind not in _DOMAINS:
+        raise ConfigError("domain.kind", f"expected one of {sorted(_DOMAINS)}, got {kind!r}")
     dim = 1 if kind == "interval" else 2
+    sections = _normalized(raw, "", _schema(kind, dim))
 
-    exp_fields = _section(
-        raw, "exponents", ("s", "s1", "s2", "p", "q"), {}, defaulted
+    exponents = _construct("exponents", ProblemExponents, dim=dim, **sections["exponents"])
+    reaction = _construct("reaction", SingularReaction, **sections["reaction"])
+    convective = _construct("convective", ConvectiveReaction, **sections["convective"])
+    cfg = RunConfig(
+        domain_spec=sections["domain"],
+        resolution=sections["resolution"],
+        exponents=exponents,
+        reaction=reaction,
+        convective=convective,
+        minimizer=_construct("minimizer", MinimizerOptions, **sections["minimizer"]),
+        outer=_construct("outer", OuterOptions, **sections["outer"]),
+        output_dir=sections["output_dir"],
+        cache_dir=sections["cache_dir"],
+        seed=sections["seed"],
+        hypotheses=check_hypotheses(exponents, reaction, convective),
+        normalized=sections,
     )
-    exp_fields = {k: _number("exponents", k, v) for k, v in exp_fields.items()}
-    try:
-        exponents = ProblemExponents(dim=dim, **exp_fields)
-    except ValueError as e:
-        raise ConfigError("exponents", str(e)) from e
 
-    reac_fields = _section(
-        raw,
-        "reaction",
-        ("gamma", "c1", "c2", "r", "family"),
-        {"gamma": 0.5, "c1": 0.5, "c2": 0.5, "r": 1.1, "family": "singular"},
-        defaulted,
-    )
-    family = reac_fields.pop("family")
-    if not isinstance(family, str):
-        raise ConfigError("reaction.family", f"expected a string, got {family!r}")
-    reac_fields = {k: _number("reaction", k, v) for k, v in reac_fields.items()}
-    try:
-        reaction = SingularReaction(family=family, **reac_fields)
-    except ValueError as e:
-        raise ConfigError("reaction", str(e)) from e
-
-    conv_fields = _section(
-        raw, "convective", ("c3", "zeta"), {"c3": 0.0, "zeta": 1.2}, defaulted
-    )
-    conv_fields = {k: _number("convective", k, v) for k, v in conv_fields.items()}
-    try:
-        convective = ConvectiveReaction(**conv_fields)
-    except ValueError as e:
-        raise ConfigError("convective", str(e)) from e
-
-    inner_tol = default_tol(dim)
-    min_fields = _section(
-        raw, "minimizer", ("tol", "max_iter"), {"tol": inner_tol, "max_iter": 5000}, defaulted
-    )
-    min_fields["max_iter"] = _integer("minimizer", "max_iter", min_fields["max_iter"])
-    min_fields["tol"] = _number("minimizer", "tol", min_fields["tol"])
-    try:
-        minimizer = MinimizerOptions(**min_fields)
-    except ValueError as e:
-        raise ConfigError("minimizer", str(e)) from e
-
-    outer_fields = _section(
-        raw,
-        "outer",
-        ("theta", "tol", "max_outer", "ball_monitor"),
-        {"theta": 0.5, "tol": inner_tol, "max_outer": 40, "ball_monitor": True},
-        defaulted,
-    )
-    outer_fields["max_outer"] = _integer("outer", "max_outer", outer_fields["max_outer"])
-    if not isinstance(outer_fields["ball_monitor"], bool):
+    if cfg.resolution < 3:
+        raise ConfigError("resolution", f"must be at least 3, got {cfg.resolution}")
+    # an interval keeps resolution - 2 of its nodes, a rectangle
+    # (resolution - 2)**2 and a disk about pi/4 of the lattice, so beyond
+    # this bound every kind exceeds the cap, and the lattice is not built
+    if cfg.resolution**dim > 2 * NODE_CAP:
         raise ConfigError(
-            "outer.ball_monitor",
-            f"expected a boolean, got {outer_fields['ball_monitor']!r}",
+            "resolution",
+            f"{cfg.resolution} nodes per axis give more than the pair-pass cap of "
+            f"{NODE_CAP} interior nodes",
         )
-    for key in ("theta", "tol"):
-        outer_fields[key] = _number("outer", key, outer_fields[key])
-    try:
-        outer = OuterOptions(**outer_fields)
-    except ValueError as e:
-        raise ConfigError("outer", str(e)) from e
-
-    if "resolution" in raw:
-        resolution = _integer("config", "resolution", raw["resolution"])
-    else:
-        resolution = 17 if dim == 1 else 11
-        defaulted.append("resolution")
-        logger.info("default applied: resolution = %r", resolution)
-    if resolution < 3:
-        raise ConfigError("resolution", f"must be at least 3, got {resolution}")
-
-    output_dir = raw.get("output_dir", "out")
-    if "output_dir" not in raw:
-        defaulted.append("output_dir")
-        logger.info("default applied: output_dir = %r", output_dir)
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir", f"expected a string, got {output_dir!r}")
-
-    cache_dir = raw.get("cache_dir", None)
-    if "cache_dir" not in raw:
-        defaulted.append("cache_dir")
-        logger.info("default applied: cache_dir = %r", cache_dir)
-    if cache_dir is not None and not isinstance(cache_dir, str):
-        raise ConfigError("cache_dir", f"expected a string or null, got {cache_dir!r}")
-
-    if "seed" in raw:
-        seed = _integer("config", "seed", raw["seed"])
-    else:
-        seed = 0
-        defaulted.append("seed")
-        logger.info("default applied: seed = %r", seed)
-
-    try:
-        grid = build_grid(_build_domain(spec), resolution)
-    except ValueError as e:
-        raise ConfigError("domain", str(e)) from e
+    if cfg.seed < 0:
+        raise ConfigError("seed", f"must be at least 0, got {cfg.seed}")
+    grid = _construct("domain", cfg.build_grid)
     if grid.n_interior > NODE_CAP:
         raise ConfigError(
             "resolution",
             f"{grid.n_interior} interior nodes exceed the pair-pass cap of {NODE_CAP}",
         )
 
-    hypotheses = check_hypotheses(exponents, reaction, convective)
-    if require_hypotheses and not hypotheses.passed:
-        raise HypothesisError(hypotheses.failures)
-
-    return RunConfig(
-        domain_spec=spec,
-        resolution=resolution,
-        exponents=exponents,
-        reaction=reaction,
-        convective=convective,
-        minimizer=minimizer,
-        outer=outer,
-        output_dir=output_dir,
-        cache_dir=cache_dir,
-        seed=seed,
-        hypotheses=hypotheses,
-        defaulted=defaulted,
-    )
+    if require_hypotheses and not cfg.hypotheses.passed:
+        raise HypothesisError(cfg.hypotheses.failures)
+    return cfg

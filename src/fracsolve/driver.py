@@ -39,6 +39,8 @@ from .torsion import SubsolutionCertificate, hopf_ratio, select_sigma
 _MIN_THETA = 1.0 / 16.0
 _INCREASE_STREAK = 3
 _BALL_SLACK = 1.0 + 1e-9
+# random fields the growth-bound fit samples, spread over two decades
+_GROWTH_SAMPLES = 20
 # A warm-started solve stops just inside the inner tolerance, so the last
 # outer step is solved once more, this many times tighter, to leave the
 # final coupled residual a margin below that tolerance.
@@ -132,7 +134,6 @@ def build_instance(
     reaction: SingularReaction,
     convective: ConvectiveReaction,
     frozen_options: MinimizerOptions | None = None,
-    epsilon: float | None = None,
 ) -> ProblemInstance:
     """Assemble both operator tables, certify a floor, and precompute the
     convolution plan for the convective gradient order.  The torsion solves
@@ -142,7 +143,7 @@ def build_instance(
         assemble_weights(grid, OperatorParams(s=exponents.s1, p=exponents.p)),
         assemble_weights(grid, OperatorParams(s=exponents.s2, p=exponents.q)),
     )
-    certificate = select_sigma(reaction, exponents, grid, tables, epsilon=epsilon)
+    certificate = select_sigma(reaction, exponents, grid, tables)
     trunc = TruncatedReaction(reaction, certificate.lower)
     plan = plan_riesz_convolution(grid, 1.0 - exponents.s)
     if frozen_options is None:
@@ -197,9 +198,7 @@ def verify_solution(instance: ProblemInstance, u) -> float:
     return weak_residual(frozen_at(instance, uf), uf)
 
 
-def fit_growth_bound(
-    instance: ProblemInstance, count: int = 20, seed: int = 0
-) -> GrowthBound:
+def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
     """Fit  seminorm(T v)^p <= c_emp (1 + seminorm(v)^exponent)  over random
     fields spanning two decades of size, then solve for the smallest radius
     rho with  c_emp (1 + rho^exponent) <= rho^p.  The samples come in
@@ -218,7 +217,7 @@ def fit_growth_bound(
     tp = instance.tables[0]
     c_emp = 0.0
     start = None
-    for lam in np.logspace(-1.5, 0.5, count):
+    for lam in np.logspace(-1.5, 0.5, _GROWTH_SAMPLES):
         z = rng.standard_normal(grid.n_interior)
         v = lam * z / seminorm(tp, z)
         result = apply_T(instance, v, start)
@@ -280,7 +279,7 @@ def solve_problem(
     floor = instance.trunc.floor
 
     if ball is None and opts.ball_monitor:
-        ball = fit_growth_bound(instance, count=20, seed=seed)
+        ball = fit_growth_bound(instance, seed=seed)
         if not math.isfinite(ball.rho):
             ball = None
 

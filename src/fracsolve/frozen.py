@@ -163,14 +163,14 @@ def uniqueness_probe(
     prob: FrozenProblem,
     options: MinimizerOptions | None = None,
     starts=None,
-    threshold: float = 1e-6,
 ) -> float:
     """Solve from two distinct starts and report the sup-norm discrepancy.
 
     Requires the decreasing-ratio family condition r < q - 1; otherwise the
-    probe is skipped with NaN.  Solves run two orders tighter than the
-    comparison threshold so solver slack cannot masquerade as a uniqueness
-    gap.  Failed solves make the probe inconclusive (NaN + warning).
+    probe is skipped with NaN.  Solves run at scaled residual 1e-8, two
+    orders below the 1e-6 discrepancy a probe is judged by, so solver slack
+    cannot masquerade as a uniqueness gap.  Failed solves make the probe
+    inconclusive (NaN + warning).
     """
     base = getattr(prob.trunc, "base", None)
     if base is None:
@@ -187,7 +187,7 @@ def uniqueness_probe(
         d = prob.grid.pack(prob.grid.distance_field())
         bump = float(np.max(floor)) * d / float(np.max(d))
         starts = (floor.copy(), 10.0 * floor + bump)
-    opts = options or MinimizerOptions(tol=threshold / 100.0)
+    opts = options or MinimizerOptions(tol=1e-8)
 
     solutions = []
     for start in starts:

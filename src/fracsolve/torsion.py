@@ -140,7 +140,6 @@ def select_sigma(
     grid: Grid,
     tables,
     epsilon: float | None = None,
-    options: MinimizerOptions | None = None,
 ) -> SubsolutionCertificate:
     """Halve sigma from epsilon/2 until the torsion solution is a certified
     floor: small sup norm, strictly positive, forcing above sigma at every
@@ -159,7 +158,7 @@ def select_sigma(
 
     sigma = epsilon / 2.0
     for halvings in range(_MAX_HALVINGS + 1):
-        u = solve_torsion(sigma, exponents, grid, tables, options)
+        u = solve_torsion(sigma, exponents, grid, tables)
         vals = grid.pack(u)
         sup = float(np.max(np.abs(vals)))
         positive = bool(np.all(vals > 0.0))

@@ -203,6 +203,27 @@ class TestCliSolve:
         assert err["error"] == "runtime"
         assert (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "command,section,key,value",
+        [
+            ("kernel-table", "exponents", "p", float("nan")),
+            ("solve", "outer", "tol", float("inf")),
+            ("solve", None, "seed", -1),
+        ],
+    )
+    def test_rejected_value_is_config_error(self, tmp_path, capsys, command, section, key, value):
+        # each used to run: NaN tables, a converged report after one step,
+        # or a seed that failed only after assembly, with exit code 1
+        payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        (payload[section] if section else payload)[key] = value
+        out = tmp_path / "run"
+        code = cli.main([command, "--config", dump(tmp_path, payload), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == (f"{section}.{key}" if section else key)
+        assert not out.exists()
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = cli.main(["solve", "--config", str(tmp_path / "nope.json")])
         assert code == 2
@@ -235,6 +256,14 @@ class TestCliOther:
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_check_hypotheses_rejects_threads(self, capsys):
+        # the command runs no FFT, so a thread cap would do nothing
+        config = str(CONFIG_DIR / "interval_1d.json")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-hypotheses", "--config", config, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_torsion_outputs(self, tmp_path):
         out = tmp_path / "t"
@@ -278,10 +307,10 @@ class TestCliOther:
             monkeypatch.delenv(var, raising=False)
         seen = []
         monkeypatch.setattr(
-            cli, "_cmd_check", lambda args: seen.append(scipy.fft.get_workers()) or 0
+            cli, "_cmd_gradient", lambda args: seen.append(scipy.fft.get_workers()) or 0
         )
         config = str(CONFIG_DIR / "interval_1d.json")
-        code = cli.main(["check-hypotheses", "--threads", "3", "--config", config])
+        code = cli.main(["gradient", "--threads", "3", "--config", config])
         assert code == 0
         assert seen == [3]
         assert not any(var in os.environ for var in thread_vars)

@@ -85,7 +85,7 @@ class TestApplyT:
         assert np.max(np.abs(u1 - u2)) <= 2e-8
 
     def test_growth_bound_on_fresh_fields(self, instance_1d):
-        bound = fit_growth_bound(instance_1d, count=20, seed=0)
+        bound = fit_growth_bound(instance_1d, seed=0)
         assert bound.c_emp > 0.0
         e = instance_1d.exponents
         exponent = CONVECTIVE_1D.zeta * e.p_prime
@@ -104,10 +104,10 @@ class TestApplyT:
             assert lhs <= rhs
 
     def test_warm_growth_fit_matches_cold_fit(self, instance_1d, monkeypatch):
-        warm = fit_growth_bound(instance_1d, count=20, seed=0)
+        warm = fit_growth_bound(instance_1d, seed=0)
         cold_T = driver.apply_T
         monkeypatch.setattr(driver, "apply_T", lambda inst, v, start=None: cold_T(inst, v))
-        cold = fit_growth_bound(instance_1d, count=20, seed=0)
+        cold = fit_growth_bound(instance_1d, seed=0)
         assert warm.c_emp == pytest.approx(cold.c_emp, rel=1e-6)
 
     def test_continuity_under_small_perturbations(self, instance_1d_tight):
@@ -171,7 +171,7 @@ class TestSolveProblem:
         assert report.outer_iterations <= 2
 
     def test_ball_monitor_trace_stays_inside(self, instance_1d):
-        bound = fit_growth_bound(instance_1d, count=20, seed=0)
+        bound = fit_growth_bound(instance_1d, seed=0)
         report = solve_problem(instance_1d, OuterOptions(tol=1e-6))
         assert report.ball is not None
         assert all(n <= bound.rho * (1.0 + 1e-9) for n in report.v_norms)
