@@ -120,20 +120,23 @@ class PairWeightTable:
 
 
 def _offset_table(grid: Grid, params: OperatorParams) -> np.ndarray:
-    """Weights indexed by nonnegative lattice offset, shape = grid.shape."""
+    """Weights indexed by nonnegative lattice offset, shape = grid.shape.
+
+    Offsets with Chebyshev length 1 take the model weight; the others split
+    into Cartesian blocks by the first axis whose offset is at least 2."""
     h = np.asarray(grid.h, dtype=float)
     beta = grid.dim + params.sp
-    table = np.zeros(grid.shape)
-    for idx in np.ndindex(*grid.shape):
-        k = np.asarray(idx)
-        if not k.any():
-            continue  # self-pair never contributes to differences
-        delta = k * h
-        if k.max() <= 1:
-            dist = float(np.linalg.norm(delta))
-            table[idx] = dist ** -params.p * pair_integral(params.p - beta, delta, h)
-        else:
-            table[idx] = pair_integral(-beta, delta, h)
+    deltas = [np.arange(m) * h_a for m, h_a in zip(grid.shape, h)]
+    table = np.empty(grid.shape)
+    near = [d[:2] for d in deltas]
+    dist = np.sqrt(sum(d**2 for d in np.meshgrid(*near, indexing="ij")))
+    origin = (0,) * grid.dim
+    dist[origin] = 1.0  # any finite value: the origin is zeroed below
+    table[(slice(0, 2),) * grid.dim] = dist ** -params.p * pair_integral(params.p - beta, near, h)
+    table[origin] = 0.0  # the self-pair never contributes to differences
+    for a in range(grid.dim):
+        block = (slice(0, 2),) * a + (slice(2, None),) + (slice(None),) * (grid.dim - a - 1)
+        table[block] = pair_integral(-beta, [d[b] for d, b in zip(deltas, block)], h)
     return table
 
 
@@ -171,20 +174,23 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
     )
     tail = halves * c1 / sp
 
-    # half-planes double-count the four corner quadrants
+    # Half-planes double-count the four corner quadrants.  The Gauss rule
+    # is symmetric, so the distances from lattice row i to the high face are
+    # those from row m - i to the low face: one table of low-corner cell
+    # integrals over the lattice serves all four corners.
     gx, gw = leggauss(10)
-    n = pts.shape[0]
-    for a0 in range(0, n, _ROW_CHUNK):
-        blk = pts[a0 : a0 + _ROW_CHUNK]
-        g1 = blk[:, 0, None] + 0.5 * w1 * gx[None, :]
-        g2 = blk[:, 1, None] + 0.5 * w2 * gx[None, :]
-        corner_sum = np.zeros(blk.shape[0])
-        for adist in (g1 - lo_box[0], hi_box[0] - g1):
-            for bdist in (g2 - lo_box[1], hi_box[1] - g2):
-                q = quadrant_integral(sp, adist[:, :, None], bdist[:, None, :])
-                corner_sum += gw @ q @ gw
-        tail[a0 : a0 + _ROW_CHUNK] -= 0.25 * w1 * w2 * corner_sum
-    return tail
+    dist1, dist2 = (
+        w * (np.arange(m)[:, None] + 0.5 + 0.5 * gx[None, :]) for m, w in zip(grid.shape, h)
+    )
+    corner = np.empty(grid.shape)
+    step = max(1, _ROW_CHUNK // grid.shape[1])
+    for r0 in range(0, grid.shape[0], step):
+        q = quadrant_integral(sp, dist1[r0 : r0 + step, None, :, None], dist2[None, :, None, :])
+        corner[r0 : r0 + step] = gw @ q @ gw
+    i, j = grid.lattice[grid.interior_idx].T
+    m1, m2 = grid.shape[0] - 1, grid.shape[1] - 1
+    corner_sum = corner[i, j] + corner[i, m2 - j] + corner[m1 - i, j] + corner[m1 - i, m2 - j]
+    return tail - 0.25 * w1 * w2 * corner_sum
 
 
 def _inbox_exterior_tail(grid: Grid, woff: np.ndarray) -> np.ndarray:

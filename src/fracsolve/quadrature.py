@@ -28,6 +28,8 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
+# values per temporary of a batched pair integral (8 MB of float64)
+_BLOCK = 1 << 20
 
 
 def uniform_edges(a, b, panels):
@@ -80,27 +82,53 @@ def tent(t, width):
     return np.maximum(0.0, width - np.abs(t))
 
 
-def pair_integral(exponent, delta, widths):
-    """integral of |z|^exponent * prod_a tent(z_a - delta_a, w_a) dz.
+def _layout_groups(offsets, width):
+    """Axis nodes of each offset, stacked by node count, that is by panel
+    layout (split, graded or uniform).  Each group is (positions in
+    `offsets`, nodes z, weights times the tent factor), one row per offset."""
+    groups = {}
+    for pos, delta in enumerate(offsets):
+        z, w = axis_nodes(delta, width)
+        groups.setdefault(z.size, []).append((pos, z, w * tent(z - delta, width)))
+    out = []
+    for grp in groups.values():
+        pos, z, u = zip(*grp)
+        out.append((np.array(pos), np.stack(z), np.stack(u)))
+    return out
 
-    `delta` is the center-to-center offset of two axis-aligned cells with
-    per-axis widths `widths`; the tent product is the overlap volume in
-    the z = x - y substitution.
+
+def pair_integral(exponent, delta, widths):
+    """integral of |z|^exponent * prod_a tent(z_a - delta_a, w_a) dz over
+    a Cartesian block of offsets.
+
+    `delta` holds, per axis, one center-to-center offset or a vector of
+    them, for two axis-aligned cells with per-axis widths `widths`; the
+    tent product is the overlap volume in the z = x - y substitution.  The
+    result has one axis per vector offset, and is a float when every offset
+    is a scalar.  Offsets that share a panel layout are integrated together,
+    in blocks of at most _BLOCK values per temporary.
     """
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
     widths = np.atleast_1d(np.asarray(widths, dtype=float))
-    dim = delta.size
-    axes = [axis_nodes(delta[a], widths[a]) for a in range(dim)]
-    if dim == 1:
-        z, w = axes[0]
-        vals = np.abs(z) ** exponent * tent(z - delta[0], widths[0])
-        return float(np.sum(w * vals))
-    (z1, w1), (z2, w2) = axes
-    r = np.hypot(z1[:, None], z2[None, :])
-    vals = r**exponent
-    vals *= tent(z1 - delta[0], widths[0])[:, None]
-    vals *= tent(z2 - delta[1], widths[1])[None, :]
-    return float(w1 @ vals @ w2)
+    offsets = [np.asarray(d, dtype=float) for d in delta]
+    if len(offsets) != widths.size or any(d.ndim > 1 for d in offsets):
+        raise ValueError("pair_integral needs one scalar or vector offset per axis")
+    groups = [_layout_groups(d.reshape(-1), w) for d, w in zip(offsets, widths)]
+    out = np.empty(tuple(d.size for d in offsets))
+    if widths.size == 1:
+        for pos, z, u in groups[0]:
+            out[pos] = np.sum(u * np.abs(z) ** exponent, axis=1)
+    else:
+        for pos1, z1, u1 in groups[0]:
+            for pos2, z2, u2 in groups[1]:
+                step = max(1, _BLOCK // z2.size // z1.shape[1])
+                for a0 in range(0, pos1.size, step):
+                    rows = slice(a0, a0 + step)
+                    vals = np.hypot(z1[rows, None, :, None], z2[None, :, None, :])
+                    np.power(vals, exponent, out=vals)
+                    inner = (vals @ u2[:, :, None])[..., 0]
+                    out[np.ix_(pos1[rows], pos2)] = np.einsum("an,abn->ab", u1[rows], inner)
+    shape = sum((d.shape for d in offsets), ())
+    return float(out.reshape(())) if not shape else out.reshape(shape)
 
 
 def cell_average_power(exponent, widths):
@@ -164,9 +192,11 @@ def quadrant_integral(sp, a, b):
     theta_hat = np.arctan2(b, a)
     t = 0.5 * (_GL32_X + 1.0)  # nodes on [0, 1]
     wt = 0.5 * _GL32_W
-    th1 = theta_hat[..., None] * t
-    seg1 = np.sum(wt * np.sin(th1) ** sp, axis=-1) * theta_hat * b ** (-sp)
+    vals = theta_hat[..., None] * t
+    np.power(np.sin(vals, out=vals), sp, out=vals)
+    seg1 = (vals @ wt) * theta_hat * b ** (-sp)
     span = 0.5 * math.pi - theta_hat
-    th2 = theta_hat[..., None] + span[..., None] * t
-    seg2 = np.sum(wt * np.cos(th2) ** sp, axis=-1) * span * a ** (-sp)
+    vals = theta_hat[..., None] + span[..., None] * t
+    np.power(np.cos(vals, out=vals), sp, out=vals)
+    seg2 = (vals @ wt) * span * a ** (-sp)
     return (seg1 + seg2) / sp

@@ -22,6 +22,8 @@ from fracsolve.gagliardo import (
     PairWeightTable,
     _cache_path,
     _cache_store,
+    _offset_table,
+    _outside_box_tail,
     apply_form,
     assemble_weights,
     energy,
@@ -29,6 +31,8 @@ from fracsolve.gagliardo import (
     seminorm,
 )
 from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
+from fracsolve.quadrature import pair_integral
+from support import assembly
 
 
 @pytest.fixture(scope="module")
@@ -207,44 +211,130 @@ class TestWeights2D:
         assert table_2d.pair[a, b] == pytest.approx(want, rel=2e-5)
 
     def test_tail_outside_box_against_polar_oracle(self, grid_2d, table_2d):
-        from fracsolve.gagliardo import _outside_box_tail
-
-        s, p = 0.55, 2.4
-        sp = s * p
-        h1, h2 = grid_2d.h
-        lo = np.array([grid_2d.axes[0][0] - h1 / 2, grid_2d.axes[1][0] - h2 / 2])
-        hi = np.array([grid_2d.axes[0][-1] + h1 / 2, grid_2d.axes[1][-1] + h2 / 2])
-
-        def ray_exit(x, c, s_):
-            # distance from x to the box boundary along direction (c, s_)
-            ts = []
-            for ci, xi, loi, hii in ((c, x[0], lo[0], hi[0]), (s_, x[1], lo[1], hi[1])):
-                if ci > 1e-15:
-                    ts.append((hii - xi) / ci)
-                elif ci < -1e-15:
-                    ts.append((loi - xi) / ci)
-            return min(ts)
-
-        def outside_at(x):
-            val, _ = quad(
-                lambda th: ray_exit(x, math.cos(th), math.sin(th)) ** -sp / sp,
-                0.0,
-                2.0 * math.pi,
-                limit=400,
-            )
-            return val
-
-        node = grid_2d.interior_idx[0]
-        cx, cy = grid_2d.points[node]
-        gx, gw = np.polynomial.legendre.leggauss(6)
-        want = 0.0
-        for u, wu in zip(gx, gw):
-            for v, wv in zip(gx, gw):
-                x = (cx + 0.5 * h1 * u, cy + 0.5 * h2 * v)
-                want += wu * wv * outside_at(x)
-        want *= 0.25 * h1 * h2
+        sp = 0.55 * 2.4
         got = _outside_box_tail(grid_2d, sp)[0]
-        assert got == pytest.approx(want, rel=1e-5)
+        assert got == pytest.approx(_polar_outside_tail(grid_2d, sp, 0), rel=1e-5)
+
+    def test_tail_outside_box_near_high_corner(self):
+        # the last interior node sits next to the high corner, where the
+        # corner table is read at the mirrored index m - i; h1 != h2
+        g = build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 9)
+        sp = 0.55 * 2.4
+        last = g.n_interior - 1
+        assert tuple(g.lattice[g.interior_idx[last]]) == (7, 7)
+        got = _outside_box_tail(g, sp)[last]
+        assert got == pytest.approx(_polar_outside_tail(g, sp, last), rel=1e-5)
+
+
+def _polar_outside_tail(grid, sp, k):
+    """Kernel mass beyond the lattice box from interior node k's cell: the
+    exit distance of each ray, integrated over angle by adaptive quad and
+    over the cell by a 6 x 6 Gauss rule."""
+    h1, h2 = grid.h
+    lo = np.array([grid.axes[0][0] - h1 / 2, grid.axes[1][0] - h2 / 2])
+    hi = np.array([grid.axes[0][-1] + h1 / 2, grid.axes[1][-1] + h2 / 2])
+
+    def ray_exit(x, c, s_):
+        # distance from x to the box boundary along direction (c, s_)
+        ts = []
+        for ci, xi, loi, hii in ((c, x[0], lo[0], hi[0]), (s_, x[1], lo[1], hi[1])):
+            if ci > 1e-15:
+                ts.append((hii - xi) / ci)
+            elif ci < -1e-15:
+                ts.append((loi - xi) / ci)
+        return min(ts)
+
+    def outside_at(x):
+        val, _ = quad(
+            lambda th: ray_exit(x, math.cos(th), math.sin(th)) ** -sp / sp,
+            0.0,
+            2.0 * math.pi,
+            limit=400,
+        )
+        return val
+
+    cx, cy = grid.points[grid.interior_idx[k]]
+    gx, gw = np.polynomial.legendre.leggauss(6)
+    want = 0.0
+    for u, wu in zip(gx, gw):
+        for v, wv in zip(gx, gw):
+            x = (cx + 0.5 * h1 * u, cy + 0.5 * h2 * v)
+            want += wu * wv * outside_at(x)
+    return want * 0.25 * h1 * h2
+
+
+# lattices of the assembly oracles: h1 != h2 on the rectangle
+_ORACLE_GRIDS = {
+    "interval": (interval(0.0, 1.0), 33),
+    "rectangle": (rectangle(0.0, 2.0, 0.0, 1.0), 17),
+    "disk": (disk(0.0, 0.0, 1.0), 25),
+}
+# one order with sp < 1 and one with sp > 1
+_ORACLE_PARAMS = [OperatorParams(s=0.3, p=2.0), OperatorParams(s=0.5, p=2.5)]
+
+
+class TestAssemblyOracles:
+    """The batched assembly against the per-offset and per-node loops of
+    tests/support/assembly.py, which apply the same rules one at a time."""
+
+    @pytest.mark.parametrize("params", _ORACLE_PARAMS, ids=lambda q: f"sp{q.sp:g}")
+    @pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+    def test_offset_table_matches_per_offset_loop(self, kind, params):
+        g = build_grid(*_ORACLE_GRIDS[kind])
+        got = _offset_table(g, params)
+        want = assembly.offset_table(g, params)
+        assert got[(0,) * g.dim] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("params", _ORACLE_PARAMS, ids=lambda q: f"sp{q.sp:g}")
+    @pytest.mark.parametrize("kind", ["rectangle", "disk"])
+    def test_outside_box_tail_matches_per_node_loop(self, kind, params):
+        g = build_grid(*_ORACLE_GRIDS[kind])
+        got = _outside_box_tail(g, params.sp)
+        want = assembly.outside_box_tail(g, params.sp)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestBatchedPairIntegral:
+    """A Cartesian block of pair_integral equals its scalar calls."""
+
+    @pytest.mark.parametrize("exponent", [-1.9, 0.4])
+    def test_1d_block_mixing_all_layouts(self, exponent):
+        h = 0.1
+        # offset 0 is split, 1 graded, the rest uniform panels
+        d = h * np.array([3.0, 0.0, 7.0, 1.0, 2.0])
+        got = pair_integral(exponent, [d], [h])
+        assert got.shape == d.shape
+        for a, da in enumerate(d):
+            want = pair_integral(exponent, [da], [h])
+            assert got[a] == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert got[a] == pytest.approx(assembly.pair_integral(exponent, da, h), rel=1e-13)
+
+    @pytest.mark.parametrize("exponent", [-3.25, 0.2])
+    def test_2d_block_mixing_all_layouts(self, exponent):
+        h = np.array([0.125, 0.0625])
+        d1 = h[0] * np.array([0.0, 1.0, 2.0, 5.0])
+        d2 = h[1] * np.array([4.0, 1.0, 0.0])
+        got = pair_integral(exponent, [d1, d2], h)
+        assert got.shape == (4, 3)
+        for a, da in enumerate(d1):
+            for b, db in enumerate(d2):
+                want = pair_integral(exponent, [da, db], h)
+                assert isinstance(want, float)
+                assert got[a, b] == pytest.approx(want, rel=1e-14, abs=0.0)
+                assert got[a, b] == pytest.approx(
+                    assembly.pair_integral(exponent, [da, db], h), rel=1e-13
+                )
+
+    def test_one_by_one_block_is_the_scalar_call(self):
+        h = [0.2, 0.1]
+        block = pair_integral(-2.9, [[0.6], [0.1]], h)
+        assert block.shape == (1, 1)
+        assert block[0, 0] == pytest.approx(pair_integral(-2.9, [0.6, 0.1], h), rel=1e-14, abs=0.0)
+
+    def test_one_offset_per_axis_required(self):
+        with pytest.raises(ValueError, match="one scalar or vector offset per axis"):
+            pair_integral(-2.5, [0.2], [0.1, 0.1])
 
 
 class TestFormIdentities:
@@ -466,8 +556,6 @@ class TestStabilityAndBudget:
 
     def test_exterior_cell_sum_matches_direct(self):
         # the convolution shortcut must agree with brute-force summation
-        from fracsolve.gagliardo import _offset_table
-
         g = build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 5)
         params = OperatorParams(s=0.6, p=2.2)
         table = assemble_weights(g, params)
@@ -479,8 +567,6 @@ class TestStabilityAndBudget:
         for a in range(li.shape[0]):
             offs = np.abs(li[a] - le)
             ext_direct[a] = woff[offs[:, 0], offs[:, 1]].sum()
-        from fracsolve.gagliardo import _outside_box_tail
-
         outside = _outside_box_tail(g, sp)
         np.testing.assert_allclose(table.tail, ext_direct + outside, rtol=1e-10)
 
