@@ -24,7 +24,7 @@ from .driver import (
     solve_problem,
     verify_solution,
 )
-from .frozen import FrozenProblem, FrozenSolveResult, solve_frozen
+from .frozen import FrozenProblem, solve_frozen
 from .gagliardo import OperatorParams, assemble_weights, seminorm
 from .grids import Grid, ScalarField, VectorField, build_grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
@@ -44,7 +44,6 @@ __all__ = [
     "ConfigError",
     "ConvectiveReaction",
     "FrozenProblem",
-    "FrozenSolveResult",
     "Grid",
     "GrowthBound",
     "HypothesisError",

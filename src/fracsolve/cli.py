@@ -231,8 +231,8 @@ def _selftest_checks():
     results.append(
         ("torsion floor strictly positive", bool(np.all(floor > 0.0)), f"min {np.min(floor):.3e}")
     )
-    res = apply_T(inst, inst.certificate.lower)
-    gap = float(np.min(grid.pack(res.raw) - floor))
+    res = apply_T(inst, floor)
+    gap = float(np.min(res.x - floor))
     results.append(
         ("frozen solve respects the floor", res.converged and gap >= -1e-6,
          f"converged={res.converged}, gap {gap:.3e}")

@@ -9,6 +9,7 @@ yields an invariance radius that every iterate must respect.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -16,16 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .frozen import (
-    FrozenProblem,
-    FrozenSolveResult,
-    default_frozen_options,
-    solve_frozen,
-    weak_residual,
-)
+from .frozen import FrozenProblem, default_frozen_options, solve_frozen, weak_residual
 from .gagliardo import OperatorParams, assemble_weights, seminorm
 from .grids import Grid, ScalarField
-from .optimize import MinimizerOptions
+from .optimize import MinimizeResult, MinimizerOptions
 from .reaction import (
     ConvectiveReaction,
     ProblemExponents,
@@ -36,6 +31,8 @@ from .reaction import (
 from .riesz import ConvolutionPlan, plan_riesz_convolution, riesz_gradient
 from .torsion import SubsolutionCertificate, hopf_ratio, select_sigma
 
+logger = logging.getLogger("fracsolve.driver")
+
 _MIN_THETA = 1.0 / 16.0
 _INCREASE_STREAK = 3
 _BALL_SLACK = 1.0 + 1e-9
@@ -45,6 +42,9 @@ _GROWTH_SAMPLES = 20
 # outer step is solved once more, this many times tighter, to leave the
 # final coupled residual a margin below that tolerance.
 _FINAL_TOL_DIVISOR = 10.0
+_STEP_LOG = (
+    "outer %d: step seminorm %.3e, frozen residual %.3e, %d inner iterations, theta %.6g"
+)
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def build_instance(
         assemble_weights(grid, OperatorParams(s=exponents.s2, p=exponents.q)),
     )
     certificate = select_sigma(reaction, exponents, grid, tables)
-    trunc = TruncatedReaction(reaction, certificate.lower)
+    trunc = TruncatedReaction(reaction, grid.pack(certificate.lower))
     plan = plan_riesz_convolution(grid, 1.0 - exponents.s)
     if frozen_options is None:
         frozen_options = default_frozen_options(grid)
@@ -161,24 +161,19 @@ def build_instance(
     )
 
 
-def _as_field(instance: ProblemInstance, v) -> ScalarField:
-    if isinstance(v, ScalarField):
-        return v
-    return instance.grid.unpack(np.asarray(v, dtype=float))
-
-
-def frozen_at(instance: ProblemInstance, v) -> FrozenProblem:
-    """Frozen problem whose load is the convective term g(x, D^s v); the
-    tables and the truncated forcing are the instance's, checked once when
-    it was built."""
-    vf = _as_field(instance, v)
+def frozen_at(instance: ProblemInstance, v: np.ndarray) -> FrozenProblem:
+    """Frozen problem whose load is the convective term g(x, D^s v) for an
+    interior vector v; the tables and the truncated forcing are the
+    instance's, checked once when it was built."""
+    vf = instance.grid.unpack(v)
     xi = riesz_gradient(instance.grid, vf, instance.exponents.s, plan=instance.plan)
     return FrozenProblem(instance.tables, instance.trunc, g_eval(instance.convective, xi.interior))
 
 
-def apply_T(instance: ProblemInstance, v, start=None) -> FrozenSolveResult:
-    """One fixed-point map evaluation: freeze the gradient at v, solve from
-    ``start`` (clipped to the floor; the floor itself when None)."""
+def apply_T(instance: ProblemInstance, v: np.ndarray, start=None) -> MinimizeResult:
+    """One fixed-point map evaluation: freeze the gradient at the interior
+    vector v, solve from ``start`` (clipped to the floor; the floor itself
+    when None)."""
     return solve_frozen(frozen_at(instance, v), instance.frozen_options, start)
 
 
@@ -191,11 +186,11 @@ def relaxed_update(v: np.ndarray, t: np.ndarray, theta: float) -> np.ndarray:
     return v + theta * (t - v)
 
 
-def verify_solution(instance: ProblemInstance, u) -> float:
-    """Scaled weak residual of the fully coupled problem: the convective
-    field is recomputed from u itself, nothing is frozen."""
-    uf = _as_field(instance, u)
-    return weak_residual(frozen_at(instance, uf), uf)
+def verify_solution(instance: ProblemInstance, u: np.ndarray) -> float:
+    """Scaled weak residual of the fully coupled problem at the interior
+    vector u: the convective field is recomputed from u itself, nothing is
+    frozen."""
+    return weak_residual(frozen_at(instance, u), u)
 
 
 def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
@@ -226,8 +221,8 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
                 f"growth-bound sample at seminorm {lam:.3g} did not converge; skipped"
             )
             continue
-        start = result.raw
-        tnorm = seminorm(tp, grid.pack(result.raw))
+        start = result.x
+        tnorm = seminorm(tp, result.x)
         c_emp = max(c_emp, tnorm**e.p / (1.0 + lam**exponent))
     if c_emp <= 0.0:
         warnings.warn("growth-bound fit produced no usable samples")
@@ -298,29 +293,29 @@ def solve_problem(
     prev_step = math.inf
     converged = False
     message = ""
-    last_result: FrozenSolveResult | None = None
+    last_result: MinimizeResult | None = None
     iterations = 0
 
     for k in range(1, opts.max_outer + 1):
         frozen_v = v
-        result = apply_T(instance, v, None if last_result is None else last_result.raw)
+        result = apply_T(instance, v, None if last_result is None else last_result.x)
         iterations = k
         last_result = result
         frozen_residuals.append(result.residual)
         inner_iterations.append(result.iterations)
-        full_residuals.append(verify_solution(instance, result.raw))
+        full_residuals.append(verify_solution(instance, result.x))
+        thetas.append(theta)
         if not result.converged:
             message = f"frozen solve failed at outer iteration {k}: {result.message}"
             step_seminorms.append(math.nan)
-            thetas.append(theta)
             v_norms.append(v_norms[-1])
+            logger.info(_STEP_LOG, k, math.nan, result.residual, result.iterations, theta)
             break
-        t = grid.pack(result.raw)
-        v_new = relaxed_update(v, t, theta)
+        v_new = relaxed_update(v, result.x, theta)
         step = seminorm(tp, v_new - v)
         step_seminorms.append(step)
-        thetas.append(theta)
         v_norms.append(seminorm(tp, v_new))
+        logger.info(_STEP_LOG, k, step, result.residual, result.iterations, theta)
         _ball_check(v_norms[-1], ball, f"outer iteration {k}")
 
         if step > prev_step:
@@ -349,22 +344,21 @@ def solve_problem(
         tight = replace(
             instance.frozen_options, tol=instance.frozen_options.tol / _FINAL_TOL_DIVISOR
         )
-        final = solve_frozen(frozen_at(instance, frozen_v), tight, last_result.raw)
+        final = solve_frozen(frozen_at(instance, frozen_v), tight, last_result.x)
         inner_iterations[-1] += final.iterations
         if final.converged:
             last_result = final
             frozen_residuals[-1] = final.residual
-            full_residuals[-1] = verify_solution(instance, final.raw)
+            full_residuals[-1] = verify_solution(instance, final.x)
 
-    raw_vec = grid.pack(last_result.raw) if last_result is not None else v
-    clipped = np.maximum(raw_vec, floor)
+    clipped = np.maximum(last_result.x, floor)
     u_field = grid.unpack(clipped)
-    final_residual = verify_solution(instance, u_field)
+    final_residual = verify_solution(instance, clipped)
     hopf = hopf_ratio(u_field, grid.distance_field(), instance.certificate.exponent)
 
     return SolveReport(
         u=u_field,
-        raw=grid.unpack(raw_vec),
+        raw=grid.unpack(last_result.x),
         converged=converged,
         outer_iterations=iterations,
         step_seminorms=step_seminorms,

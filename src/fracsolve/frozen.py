@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .gagliardo import PairWeightTable, _interior_vector, energy, operator_gradient
-from .grids import Grid, ScalarField
-from .optimize import MinimizerOptions, minimize_energy
+from .grids import Grid
+from .optimize import MinimizeResult, MinimizerOptions, minimize_energy
 from .reaction import ProblemExponents, uniqueness_certified
 
 
@@ -62,16 +62,6 @@ class FrozenProblem:
     @property
     def grid(self) -> Grid:
         return self.tables[0].grid
-
-
-@dataclass
-class FrozenSolveResult:
-    field: ScalarField
-    raw: ScalarField
-    residual: float
-    converged: bool
-    iterations: int
-    message: str = ""
 
 
 def scaled_norm(vec) -> float:
@@ -122,19 +112,20 @@ def default_frozen_options(grid: Grid) -> MinimizerOptions:
 
 def solve_frozen(
     prob: FrozenProblem, options: MinimizerOptions | None = None, start=None
-) -> FrozenSolveResult:
-    """Minimize the frozen objective from ``start`` (a field or interior
-    vector) clipped to the floor, or from the floor itself when no start is
-    given.  A start near the minimizer, such as the answer to a nearby
-    frozen problem, cuts the descent iterations; the stopping test is the
-    same from every start.
+) -> MinimizeResult:
+    """Minimize the frozen objective from the interior vector ``start``
+    clipped to the floor, or from the floor itself when no start is given.
+    A start near the minimizer, such as the answer to a nearby frozen
+    problem, cuts the descent iterations; the stopping test is the same
+    from every start.
 
-    The returned ``raw`` field is the accepted iterate; ``field`` clips it
-    to the floor for reporting.  Non-convergence returns the best iterate
-    with the failure flagged rather than raising.
+    The result's ``x`` is the accepted iterate, unclipped.  An iterate
+    more than the tolerance below the floor is reported as not converged.
+    Non-convergence returns the best iterate with the failure flagged
+    rather than raising.
     """
     opts = options or default_frozen_options(prob.grid)
-    floor = np.asarray(prob.trunc.floor, dtype=float)
+    floor = prob.trunc.floor
     x0 = floor if start is None else _interior_vector(prob.tables[0], start)
     result = minimize_energy(
         lambda u: frozen_energy(prob, u),
@@ -142,21 +133,14 @@ def solve_frozen(
         np.maximum(x0, floor),
         opts,
     )
-    raw = result.x
-    bound_gap = float(np.min(raw - floor))
-    bound_ok = bound_gap >= -opts.tol
-    converged = bool(result.converged and bound_ok)
-    message = result.message
-    if result.converged and not bound_ok:
-        message = f"solution dips {abs(bound_gap):.3e} below the floor"
-    return FrozenSolveResult(
-        field=prob.grid.unpack(np.maximum(raw, floor)),
-        raw=prob.grid.unpack(raw),
-        residual=result.residual,
-        converged=converged,
-        iterations=result.iterations,
-        message=message,
-    )
+    bound_gap = float(np.min(result.x - floor))
+    if result.converged and bound_gap < -opts.tol:
+        return replace(
+            result,
+            converged=False,
+            message=f"solution dips {abs(bound_gap):.3e} below the floor",
+        )
+    return result
 
 
 def uniqueness_probe(
@@ -172,17 +156,13 @@ def uniqueness_probe(
     cannot masquerade as a uniqueness gap.  Failed solves make the probe
     inconclusive (NaN + warning).
     """
-    base = getattr(prob.trunc, "base", None)
-    if base is None:
-        warnings.warn("probe needs the untruncated forcing family; uniqueness skipped")
-        return float("nan")
-    if not uniqueness_certified(base, prob.tables[1].params.p):
+    if not uniqueness_certified(prob.trunc.base, prob.tables[1].params.p):
         warnings.warn(
             "decreasing-ratio condition r < q-1 not certified: uniqueness probe skipped"
         )
         return float("nan")
 
-    floor = np.asarray(prob.trunc.floor, dtype=float)
+    floor = prob.trunc.floor
     if starts is None:
         d = prob.grid.pack(prob.grid.distance_field())
         bump = float(np.max(floor)) * d / float(np.max(d))

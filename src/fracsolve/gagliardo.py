@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.signal import fftconvolve
 
-from .grids import Grid, ScalarField
+from .grids import Grid
 from .quadrature import (
     halfplane_profile_constant,
     pair_integral,
@@ -292,8 +292,6 @@ def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
 
 
 def _interior_vector(table: PairWeightTable, u) -> np.ndarray:
-    if isinstance(u, ScalarField):
-        return table.grid.pack(u)
     arr = np.asarray(u, dtype=float).reshape(-1)
     if arr.size != table.grid.n_interior:
         raise ValueError(
@@ -367,7 +365,7 @@ def energy(table: PairWeightTable, u, *extra: PairWeightTable) -> float:
 
 
 def apply_form(table: PairWeightTable, u, phi) -> float:
-    """Weak pairing of the monotone operator at u with a test field phi."""
+    """Weak pairing of the monotone operator at u with a test vector phi."""
     uv = _interior_vector(table, u)
     pv = _interior_vector(table, phi)
     p = table.params.p

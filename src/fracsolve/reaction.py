@@ -2,25 +2,22 @@
 convective bound, the floor truncation with closed-form antiderivative,
 and the hypothesis checker gating the main solve.
 
-The default forcing family is f(x, t) = a(x) (c1 t^-gamma + c2 t^r),
-weakly singular at t = 0; the bounded alternative replaces t^-gamma by
+The default forcing family is f(t) = c1 t^-gamma + c2 t^r, weakly
+singular at t = 0; the bounded alternative replaces t^-gamma by
 (1 + t)^-gamma so the t -> 0+ limit is finite.  The convective bound is
 g(x, xi) = c3 (1 + |xi|^zeta), a function of |xi| alone.
 
-The truncation replaces f(x, t) by f(x, max(floor(x), t)) for a strictly
-positive floor field, removing the singularity from the optimizer's path
-while leaving values above the floor untouched.
+The truncation replaces f(t) by f(max(floor_i, t)) at interior node i
+for a strictly positive floor vector, removing the singularity from the
+optimizer's path while leaving values above the floor untouched.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-
-from .grids import ScalarField
 
 _FAMILIES = ("singular", "bounded")
 _EQ_TOL = 1e-12
@@ -66,17 +63,13 @@ class ProblemExponents:
 @dataclass(frozen=True)
 class SingularReaction:
     """Forcing family c1 t^-gamma + c2 t^r ('singular') or
-    c1 (1+t)^-gamma + c2 t^r ('bounded'), optionally weighted by a
-    positive bounded factor a(x)."""
+    c1 (1+t)^-gamma + c2 t^r ('bounded'), the same at every point."""
 
     gamma: float
     c1: float
     c2: float
     r: float
     family: str = "singular"
-    weight: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         if self.gamma <= 0.0:
@@ -103,29 +96,19 @@ class ConvectiveReaction:
             raise ValueError(f"growth exponent zeta must be positive, got {self.zeta}")
 
 
-def _weight_at(reaction: SingularReaction, x) -> np.ndarray | float:
-    if reaction.weight is None or x is None:
-        return 1.0
-    w = np.asarray(reaction.weight(np.asarray(x, dtype=float)))
-    if np.any(w <= 0.0):
-        raise ValueError("reaction weight must be strictly positive")
-    return w
-
-
 def _base_value(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
     if reaction.family == "singular":
         return reaction.c1 * t**-reaction.gamma + reaction.c2 * t**reaction.r
     return reaction.c1 * (1.0 + t) ** -reaction.gamma + reaction.c2 * t**reaction.r
 
 
-def f_eval(reaction: SingularReaction, x, t):
-    """Forcing value at states t > 0, optionally weighted at points x."""
-    scalar = np.isscalar(t)
+def f_eval(reaction: SingularReaction, t):
+    """Forcing value at states t > 0."""
     tv = np.asarray(t, dtype=float)
     if np.any(tv <= 0.0):
         raise ValueError("forcing is only defined for positive states")
-    out = _weight_at(reaction, x) * _base_value(reaction, tv)
-    return float(out) if scalar and np.isscalar(out) or (scalar and out.ndim == 0) else out
+    out = _base_value(reaction, tv)
+    return float(out) if np.isscalar(t) else out
 
 
 def liminf_at_zero(reaction: SingularReaction) -> float:
@@ -141,24 +124,18 @@ def g_eval(conv: ConvectiveReaction, xi: np.ndarray) -> np.ndarray:
 
 
 class TruncatedReaction:
-    """Forcing frozen below a strictly positive floor field.
+    """Forcing frozen below a strictly positive floor, one value per
+    interior node.  Evaluation acts on interior-node value vectors aligned
+    with the floor."""
 
-    Evaluation acts on interior-node value vectors aligned with the
-    floor's grid packing.
-    """
-
-    def __init__(self, base: SingularReaction, lower: ScalarField):
-        floor = lower.grid.pack(lower)
+    def __init__(self, base: SingularReaction, floor):
+        floor = np.array(floor, dtype=float)
         if np.any(floor <= 0.0):
             raise ValueError("truncation floor must be strictly positive on interior nodes")
         self.base = base
-        self.grid = lower.grid
-        self.lower = lower
         self.floor = floor
-        self._points = lower.grid.interior_points
-        self._weight = np.asarray(_weight_at(base, self._points)) * np.ones(floor.size)
-        self._f_floor = self._weight * _base_value(base, floor)
-        self._A_floor = self._weight * _antiderivative(base, floor)
+        self._f_floor = _base_value(base, floor)
+        self._A_floor = _antiderivative(base, floor)
 
     def _coerce(self, t) -> np.ndarray:
         """Accept one state per interior node, or a batch with the node
@@ -182,7 +159,7 @@ class TruncatedReaction:
 
 
 def _antiderivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
-    """Integral of the unweighted family from 0 to t >= 0."""
+    """Integral of the family from 0 to t >= 0."""
     power = reaction.c2 * t ** (reaction.r + 1.0) / (reaction.r + 1.0)
     if reaction.family == "singular":
         head = reaction.c1 * t ** (1.0 - reaction.gamma) / (1.0 - reaction.gamma)
@@ -194,9 +171,8 @@ def _antiderivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
 def f_truncated(trunc: TruncatedReaction, t) -> np.ndarray:
     """Truncated forcing at interior-node states; finite for every real t."""
     tv = trunc._coerce(t)
-    weight = trunc._per_node(trunc._weight, tv)
     floor = trunc._per_node(trunc.floor, tv)
-    return weight * _base_value(trunc.base, np.maximum(floor, tv))
+    return _base_value(trunc.base, np.maximum(floor, tv))
 
 
 def F_truncated(trunc: TruncatedReaction, tau) -> np.ndarray:
@@ -206,14 +182,11 @@ def F_truncated(trunc: TruncatedReaction, tau) -> np.ndarray:
     segment [0, floor] plus the exact power antiderivative beyond.
     """
     tv = trunc._coerce(tau)
-    weight = trunc._per_node(trunc._weight, tv)
     floor = trunc._per_node(trunc.floor, tv)
     f_floor = trunc._per_node(trunc._f_floor, tv)
     a_floor = trunc._per_node(trunc._A_floor, tv)
     below = f_floor * tv
-    above = f_floor * floor + weight * _antiderivative(
-        trunc.base, np.maximum(floor, tv)
-    ) - a_floor
+    above = f_floor * floor + _antiderivative(trunc.base, np.maximum(floor, tv)) - a_floor
     return np.where(tv <= floor, below, above)
 
 

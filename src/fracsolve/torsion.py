@@ -79,9 +79,9 @@ def solve_torsion(
     grid: Grid,
     tables,
     options: MinimizerOptions | None = None,
-) -> ScalarField:
+) -> np.ndarray:
     """Minimize the double-operator energy against constant forcing sigma,
-    starting from zero."""
+    starting from zero; returns the interior vector."""
     prob = torsion_objective(sigma, exponents, grid, tables)
     if options is None:
         # scale the stationarity target with the forcing so tiny sigma can
@@ -98,7 +98,7 @@ def solve_torsion(
             f"torsion solve stalled at scaled residual {result.residual:.3e} "
             f"after {result.iterations} iterations ({result.message})"
         )
-    return grid.unpack(result.x)
+    return result.x
 
 
 def hopf_exponent(exponents: ProblemExponents) -> float:
@@ -154,21 +154,20 @@ def select_sigma(
             f"epsilon {epsilon} must stay below the small-state forcing level {L}"
         )
     delta = _admissible_delta(reaction, epsilon)
-    pts = grid.interior_points
 
     sigma = epsilon / 2.0
     for halvings in range(_MAX_HALVINGS + 1):
-        u = solve_torsion(sigma, exponents, grid, tables)
-        vals = grid.pack(u)
+        vals = solve_torsion(sigma, exponents, grid, tables)
         sup = float(np.max(np.abs(vals)))
         positive = bool(np.all(vals > 0.0))
         if positive and sup < delta:
-            forcing = f_eval(reaction, pts, vals)
+            forcing = f_eval(reaction, vals)
             if np.all(sigma < forcing):
+                lower = grid.unpack(vals)
                 exponent = hopf_exponent(exponents)
-                eta = hopf_ratio(u, grid.distance_field(), exponent)
+                eta = hopf_ratio(lower, grid.distance_field(), exponent)
                 return SubsolutionCertificate(
-                    lower=u,
+                    lower=lower,
                     sigma=sigma,
                     eta=eta,
                     exponent=exponent,

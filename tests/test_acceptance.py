@@ -158,7 +158,7 @@ def test_criterion_3_hidden_convexity():
                 violation = d3 - ((1 - t) * d1 + t * d2)
                 assert violation.max() <= 1e-12
                 # composed energy inherits convexity on the same triple
-                phi = lambda w: seminorm(table, ScalarField(grid, w ** (1 / q))) ** p
+                phi = lambda w: seminorm(table, grid.pack(ScalarField(grid, w ** (1 / q)))) ** p
                 lhs = phi((1 - t) * u1 + t * u2)
                 rhs = (1 - t) * phi(u1) + t * phi(u2)
                 assert lhs <= rhs + 1e-10 * (1.0 + abs(rhs))
@@ -199,7 +199,7 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
             operator_gradient(inst.tables[0], inst.trunc.floor)
             + operator_gradient(inst.tables[1], inst.trunc.floor)
             - inst.grid.cell_volume
-            * f_eval(inst.reaction, inst.grid.interior_points, inst.trunc.floor)
+            * f_eval(inst.reaction, inst.trunc.floor)
         )
         assert np.max(resid) <= 1e-8
 
@@ -209,7 +209,7 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
         u = solve_torsion(
             inst.certificate.sigma * factor, cfg.exponents, inst.grid, inst.tables
         )
-        sups.append(float(np.max(np.abs(u.values))))
+        sups.append(float(np.max(np.abs(u))))
     assert all(b > a for a, b in zip(sups, sups[1:])), sups
 
     fine = build_instance(
@@ -230,7 +230,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
         assemble_weights(grid2, OperatorParams(s=0.5, p=2.0)),
     )
     sigma = 0.7
-    u_iter = grid2.pack(solve_torsion(sigma, exps2, grid2, tabs2))
+    u_iter = solve_torsion(sigma, exps2, grid2, tabs2)
 
     def linear_matrix(table):
         W = table.pair
@@ -254,7 +254,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
     xi3 = riesz_gradient(grid3, grid3.unpack(np.array([0.1, 0.15, 0.1])), exps.s)
     prob3 = FrozenProblem(
         tables=tabs3,
-        trunc=TruncatedReaction(reaction, floor3),
+        trunc=TruncatedReaction(reaction, grid3.pack(floor3)),
         load=g_eval(convective, xi3.interior),
     )
     res3 = solve_frozen(prob3, MinimizerOptions(tol=1e-8))
@@ -276,20 +276,20 @@ def test_criterion_6_frozen_solver(shipped_instances):
     assert abs(total[k] - frozen_energy(prob3, cand[k])) <= 1e-12 * max(1.0, abs(total[k]))
     best = cand[k]
     assert np.all(best > axis[0]) and np.all(best < axis[-1])
-    assert np.max(np.abs(grid3.pack(res3.raw) - best)) <= spacing + 1e-12
+    assert np.max(np.abs(res3.x - best)) <= spacing + 1e-12
 
     # the frozen solution never dips below the floor on any shipped config
     for name in SHIPPED:
         _, inst = shipped_instances[name]
-        prob = frozen_at(inst, inst.certificate.lower)
+        prob = frozen_at(inst, inst.grid.pack(inst.certificate.lower))
         res = solve_frozen(prob, MinimizerOptions(tol=1e-8, max_iter=20000))
         assert res.converged
-        gap = float(np.min(inst.grid.pack(res.raw) - inst.trunc.floor))
+        gap = float(np.min(res.x - inst.trunc.floor))
         assert gap >= -1e-8, (name, gap)
 
     # two distant starts land on the same frozen solution
     _, inst = shipped_instances["interval_1d"]
-    gap = uniqueness_probe(frozen_at(inst, inst.certificate.lower))
+    gap = uniqueness_probe(frozen_at(inst, inst.grid.pack(inst.certificate.lower)))
     assert math.isfinite(gap) and gap < 1e-6
     _report(6, "frozen solver against dense, lattice, floor, uniqueness", t0)
 

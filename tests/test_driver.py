@@ -9,6 +9,7 @@ Oracles:
     input-independent.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -64,10 +65,10 @@ def random_field(instance, lam, seed):
 
 class TestApplyT:
     def test_floor_maps_above_floor(self, instance_1d):
-        res = apply_T(instance_1d, instance_1d.certificate.lower)
+        res = apply_T(instance_1d, instance_1d.grid.pack(instance_1d.certificate.lower))
         assert res.converged
         floor = instance_1d.trunc.floor
-        assert np.min(instance_1d.grid.pack(res.raw) - floor) >= -1e-6
+        assert np.min(res.x - floor) >= -1e-6
 
     def test_constant_convection_is_constant_map(self):
         grid = build_grid(interval(0.0, 1.0), 17)
@@ -78,10 +79,10 @@ class TestApplyT:
             ConvectiveReaction(c3=0.0, zeta=1.2),
             frozen_options=MinimizerOptions(tol=1e-8),
         )
-        v1 = grid.unpack(random_field(inst, 0.5, seed=1))
-        v2 = grid.unpack(random_field(inst, 2.0, seed=2))
-        u1 = grid.pack(apply_T(inst, v1).raw)
-        u2 = grid.pack(apply_T(inst, v2).raw)
+        v1 = random_field(inst, 0.5, seed=1)
+        v2 = random_field(inst, 2.0, seed=2)
+        u1 = apply_T(inst, v1).x
+        u2 = apply_T(inst, v2).x
         assert np.max(np.abs(u1 - u2)) <= 2e-8
 
     def test_growth_bound_on_fresh_fields(self, instance_1d):
@@ -96,10 +97,10 @@ class TestApplyT:
         # fresh samples stay within a factor-2 envelope of the fit
         for seed in (101, 102, 103, 104, 105):
             lam = 10.0 ** np.random.default_rng(seed).uniform(-1.5, 0.5)
-            v = instance_1d.grid.unpack(random_field(instance_1d, lam, seed))
+            v = random_field(instance_1d, lam, seed)
             tv = apply_T(instance_1d, v)
             assert tv.converged
-            lhs = seminorm(instance_1d.tables[0], instance_1d.grid.pack(tv.raw)) ** e.p
+            lhs = seminorm(instance_1d.tables[0], tv.x) ** e.p
             rhs = 2.0 * bound.c_emp * (1.0 + lam**bound.exponent)
             assert lhs <= rhs
 
@@ -113,13 +114,13 @@ class TestApplyT:
     def test_continuity_under_small_perturbations(self, instance_1d_tight):
         inst = instance_1d_tight
         grid = inst.grid
-        v = inst.certificate.lower
-        base = grid.pack(apply_T(inst, v).raw)
+        v = grid.pack(inst.certificate.lower)
+        base = apply_T(inst, v).x
         z = random_field(inst, 1.0, seed=9)
         gaps = []
         for delta in (1e-2, 1e-3, 1e-4):
-            vd = grid.unpack(grid.pack(v) + delta * z)
-            gaps.append(np.max(np.abs(grid.pack(apply_T(inst, vd).raw) - base)))
+            vd = v + delta * z
+            gaps.append(np.max(np.abs(apply_T(inst, vd).x - base)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 0.1 * gaps[0]
 
@@ -248,14 +249,14 @@ class TestSolveProblem:
         # with the convective pairing constant, freezing at the outer
         # iterate or at the solution itself is the same functional
         frozen_res = report.frozen_residuals[-1]
-        full_res = verify_solution(inst, report.raw)
+        full_res = verify_solution(inst, grid.pack(report.raw))
         assert abs(frozen_res - full_res) <= 1e-10
 
     def test_warm_outer_steps_need_fewer_iterations(self, instance_1d):
         report = solve_problem(instance_1d, OuterOptions())
         assert report.converged
         assert len(report.inner_iterations) == report.outer_iterations
-        cold = apply_T(instance_1d, report.u)
+        cold = apply_T(instance_1d, instance_1d.grid.pack(report.u))
         assert cold.converged
         warm = sum(report.inner_iterations[1:])
         assert warm < (report.outer_iterations - 1) * cold.iterations
@@ -303,10 +304,26 @@ class TestSolveProblem:
             assert n * n not in sizes
 
 
+    def test_logs_one_line_per_outer_step(self, instance_1d, caplog):
+        with caplog.at_level(logging.INFO, logger="fracsolve.driver"):
+            report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
+        assert report.converged
+        lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
+        assert len(lines) == report.outer_iterations
+        for k, line in enumerate(lines, start=1):
+            assert line.startswith(f"outer {k}: ")
+            assert f"step seminorm {report.step_seminorms[k - 1]:.3e}" in line
+            assert f"theta {report.thetas[k - 1]:.6g}" in line
+        # the last step's counts are overwritten by the tighter final solve
+        for k, line in enumerate(lines[:-1], start=1):
+            assert f"frozen residual {report.frozen_residuals[k - 1]:.3e}" in line
+            assert f"{report.inner_iterations[k - 1]} inner iterations" in line
+
+
 class TestVerifySolution:
     def test_zero_field_sees_the_forcing(self, instance_1d):
         grid = instance_1d.grid
-        res = verify_solution(instance_1d, grid.unpack(np.zeros(grid.n_interior)))
+        res = verify_solution(instance_1d, np.zeros(grid.n_interior))
         vol = grid.cell_volume
         forcing = instance_1d.trunc.f(np.zeros(grid.n_interior))
         expected = scaled_norm(vol * (forcing + instance_1d.convective.c3))
@@ -315,7 +332,8 @@ class TestVerifySolution:
     def test_converged_solution_residual(self, instance_1d_tight):
         report = solve_problem(instance_1d_tight, OuterOptions(tol=1e-7))
         assert report.converged
-        assert verify_solution(instance_1d_tight, report.u) < 5.0 * 1e-7
+        u = instance_1d_tight.grid.pack(report.u)
+        assert verify_solution(instance_1d_tight, u) < 5.0 * 1e-7
 
 
 class TestTwoDimensional:

@@ -58,7 +58,7 @@ def build_problem(grid, exponents, reaction, convective, floor_field, v_field):
         assemble_weights(grid, OperatorParams(exponents.s2, exponents.q)),
     )
     xi = riesz_gradient(grid, v_field, exponents.s)
-    trunc = TruncatedReaction(reaction, floor_field)
+    trunc = TruncatedReaction(reaction, grid.pack(floor_field))
     return FrozenProblem(tables=tables, trunc=trunc, load=g_eval(convective, xi.interior))
 
 
@@ -71,7 +71,7 @@ def setup_1d():
     )
     cert = select_sigma(REACTION_1D, EXPONENTS_1D, grid, tables)
     xi = riesz_gradient(grid, cert.lower, EXPONENTS_1D.s)
-    trunc = TruncatedReaction(REACTION_1D, cert.lower)
+    trunc = TruncatedReaction(REACTION_1D, grid.pack(cert.lower))
     prob = FrozenProblem(tables=tables, trunc=trunc, load=g_eval(CONVECTIVE_1D, xi.interior))
     return grid, cert, prob
 
@@ -172,7 +172,7 @@ class TestWeakResidual:
         opts = MinimizerOptions(tol=1e-8)
         result = solve_frozen(prob, opts)
         assert result.converged
-        assert weak_residual(prob, result.raw) < opts.tol
+        assert weak_residual(prob, result.x) < opts.tol
 
     def test_subsolution_components_nonpositive(self, setup_1d):
         grid, cert, prob = setup_1d
@@ -195,11 +195,8 @@ class TestSolveFrozen:
         assert result.converged
         assert result.residual < 1e-6
         floor = prob.trunc.floor
-        raw = grid.pack(result.raw)
+        raw = result.x
         assert np.min(raw - floor) >= -1e-6
-        reported = grid.pack(result.field)
-        assert np.all(reported >= floor)
-        assert np.all(reported > 0.0)
 
     def test_monotone_energy_trace(self, setup_1d):
         grid, _, prob = setup_1d
@@ -228,7 +225,7 @@ class TestSolveFrozen:
         result = solve_frozen(prob, MinimizerOptions(tol=1e-14, max_iter=1))
         assert not result.converged
         assert result.message
-        assert np.all(np.isfinite(prob.grid.pack(result.raw)))
+        assert np.all(np.isfinite(result.x))
 
     def test_no_start_is_the_floor_start(self, setup_1d):
         grid, _, prob = setup_1d
@@ -239,7 +236,7 @@ class TestSolveFrozen:
             prob.trunc.floor.copy(),
             default_frozen_options(grid),
         )
-        assert np.array_equal(grid.pack(result.raw), ref.x)
+        assert np.array_equal(result.x, ref.x)
         assert result.iterations == ref.iterations
         assert result.residual == ref.residual
 
@@ -247,11 +244,11 @@ class TestSolveFrozen:
         grid, _, prob = setup_1d
         first = solve_frozen(prob)
         assert first.converged
-        again = solve_frozen(prob, start=first.raw)
+        again = solve_frozen(prob, start=first.x)
         assert again.converged
         assert again.iterations == 0
-        start = np.maximum(grid.pack(first.raw), prob.trunc.floor)
-        assert np.array_equal(grid.pack(again.raw), start)
+        start = np.maximum(first.x, prob.trunc.floor)
+        assert np.array_equal(again.x, start)
 
     def test_start_below_floor_is_clipped(self, setup_1d):
         grid, _, prob = setup_1d
@@ -259,13 +256,26 @@ class TestSolveFrozen:
         opts = MinimizerOptions(tol=1e-8)
         cold = solve_frozen(prob, opts)
         below = solve_frozen(prob, opts, start=floor - 1.0)
-        assert np.array_equal(grid.pack(below.raw), grid.pack(cold.raw))
+        assert np.array_equal(below.x, cold.x)
         # a start partly below the floor runs from its clipped copy
         bump = 0.5 * floor * np.cos(np.arange(floor.size))
         mixed = solve_frozen(prob, opts, start=floor + bump)
         clipped = solve_frozen(prob, opts, start=np.maximum(floor + bump, floor))
-        assert np.array_equal(grid.pack(mixed.raw), grid.pack(clipped.raw))
+        assert np.array_equal(mixed.x, clipped.x)
         assert mixed.iterations == clipped.iterations
+
+    def test_floor_dip_is_not_converged(self, setup_1d):
+        # three times the certified floor lies above the minimizer of the
+        # truncated problem: the descent converges, the bound check fails
+        grid, _, prob = setup_1d
+        raised = 3.0 * prob.trunc.floor
+        dipped = FrozenProblem(prob.tables, TruncatedReaction(prob.trunc.base, raised), prob.load)
+        tol = default_frozen_options(grid).tol
+        result = solve_frozen(dipped)
+        assert result.residual < tol
+        assert not result.converged
+        assert "below the floor" in result.message
+        assert np.min(result.x - raised) < -tol
 
     def test_three_node_brute_force_lattice(self):
         grid = build_grid(interval(0.0, 1.0), 5)
@@ -306,7 +316,7 @@ class TestSolveFrozen:
             )
         best = cand[int(np.argmin(energies))]
         assert np.all(best > axis[0]) and np.all(best < axis[-1])
-        assert np.max(np.abs(grid.pack(result.raw) - best)) <= spacing + 1e-12
+        assert np.max(np.abs(result.x - best)) <= spacing + 1e-12
 
     def test_constant_forcing_matches_torsion(self):
         grid = build_grid(interval(0.0, 1.0), 17)
@@ -340,7 +350,7 @@ class TestSolveFrozen:
         tol = 1e-6
         result = solve_frozen(prob, MinimizerOptions(tol=tol))
         torsion = solve_torsion(sigma, exps, grid, tables, MinimizerOptions(tol=tol))
-        diff = np.max(np.abs(grid.pack(result.raw) - grid.pack(torsion)))
+        diff = np.max(np.abs(result.x - torsion))
         assert diff <= 2.0 * tol
 
 
@@ -388,12 +398,12 @@ class TestTwoDimensional:
         cert = select_sigma(reaction, exps, grid, tables)
         prob = FrozenProblem(
             tables=tables,
-            trunc=TruncatedReaction(reaction, cert.lower),
+            trunc=TruncatedReaction(reaction, grid.pack(cert.lower)),
             load=g_eval(convective, riesz_gradient(grid, cert.lower, exps.s).interior),
         )
         result = solve_frozen(prob)
         assert result.converged
         assert result.residual < 1e-5
-        raw = grid.pack(result.raw)
+        raw = result.x
         assert np.min(raw - prob.trunc.floor) >= -1e-5
         assert np.all(raw > 0.0)

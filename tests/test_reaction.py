@@ -27,44 +27,35 @@ from fracsolve.reaction import (
 class TestSingularReaction:
     def test_pinned_arithmetic_value(self):
         fam = SingularReaction(gamma=0.5, c1=1.0, c2=1.0, r=1.5)
-        assert f_eval(fam, None, 4.0) == pytest.approx(8.5, rel=1e-14)
+        assert f_eval(fam, 4.0) == pytest.approx(8.5, rel=1e-14)
 
     def test_value_at_one_is_c1_plus_c2(self):
         fam = SingularReaction(gamma=0.3, c1=0.7, c2=2.1, r=1.2)
-        assert f_eval(fam, None, 1.0) == pytest.approx(2.8, rel=1e-14)
+        assert f_eval(fam, 1.0) == pytest.approx(2.8, rel=1e-14)
 
     def test_divergence_rate_near_zero(self):
         fam = SingularReaction(gamma=0.4, c1=2.0, c2=1.0, r=1.5)
         for t in (1e-2, 1e-4, 1e-6):
-            assert f_eval(fam, None, t) >= 2.0 * t**-0.4
+            assert f_eval(fam, t) >= 2.0 * t**-0.4
 
     def test_nonpositive_argument_rejected(self):
         fam = SingularReaction(gamma=0.5, c1=1.0, c2=1.0, r=1.5)
         with pytest.raises(ValueError):
-            f_eval(fam, None, 0.0)
+            f_eval(fam, 0.0)
         with pytest.raises(ValueError):
-            f_eval(fam, None, np.array([0.5, -1.0]))
+            f_eval(fam, np.array([0.5, -1.0]))
 
     def test_vectorized_matches_scalar(self):
         fam = SingularReaction(gamma=0.6, c1=1.3, c2=0.4, r=2.0)
         ts = np.array([0.1, 0.5, 2.0, 7.0])
-        vec = f_eval(fam, None, ts)
+        vec = f_eval(fam, ts)
         for t, v in zip(ts, vec):
-            assert v == pytest.approx(f_eval(fam, None, float(t)), rel=1e-14)
-
-    def test_multiplicative_weight(self):
-        fam = SingularReaction(
-            gamma=0.5, c1=1.0, c2=1.0, r=1.5, weight=lambda x: 1.0 + 0.5 * x[:, 0]
-        )
-        pts = np.array([[0.0], [1.0]])
-        vals = f_eval(fam, pts, np.array([4.0, 4.0]))
-        assert vals[0] == pytest.approx(8.5, rel=1e-14)
-        assert vals[1] == pytest.approx(1.5 * 8.5, rel=1e-14)
+            assert v == pytest.approx(f_eval(fam, float(t)), rel=1e-14)
 
     def test_bounded_family_limit(self):
         fam = SingularReaction(gamma=0.5, c1=1.5, c2=1.0, r=1.5, family="bounded")
         assert liminf_at_zero(fam) == pytest.approx(1.5)
-        assert f_eval(fam, None, 1e-9) == pytest.approx(1.5, rel=1e-6)
+        assert f_eval(fam, 1e-9) == pytest.approx(1.5, rel=1e-6)
         sing = SingularReaction(gamma=0.5, c1=1.5, c2=1.0, r=1.5)
         assert liminf_at_zero(sing) == np.inf
 
@@ -105,7 +96,7 @@ def trunc_setup():
     d = grid.distance_field()
     lower = ScalarField(grid, 0.3 * d.values**0.6 + 0.05 * grid.interior_mask)
     fam = SingularReaction(gamma=0.5, c1=1.0, c2=0.8, r=1.4)
-    return grid, TruncatedReaction(fam, lower)
+    return grid, TruncatedReaction(fam, grid.pack(lower))
 
 
 class TestTruncation:
@@ -119,7 +110,7 @@ class TestTruncation:
     def test_above_floor_matches_f(self, trunc_setup):
         grid, trunc = trunc_setup
         t = np.full(trunc.floor.size, 2.0)
-        want = f_eval(trunc.base, grid.interior_points, t)
+        want = f_eval(trunc.base, t)
         np.testing.assert_allclose(f_truncated(trunc, t), want, rtol=1e-14)
 
     def test_continuity_at_floor(self, trunc_setup):
@@ -165,11 +156,10 @@ class TestTruncation:
         grid, trunc = trunc_setup
         node = 5
         floor_val = trunc.floor[node]
-        x = grid.interior_points[node : node + 1]
         base = trunc.base
 
         def integrand(t):
-            return float(f_eval(base, x, np.array([max(floor_val, t)]))[0])
+            return float(f_eval(base, np.array([max(floor_val, t)]))[0])
 
         for tau in (-1.0, 0.5 * floor_val, 2.0, 5.0):
             if tau > floor_val:
@@ -183,7 +173,7 @@ class TestTruncation:
         grid = build_grid(interval(0.0, 1.0), 9)
         lower = ScalarField(grid, 0.2 * np.ones(grid.points.shape[0]))
         fam = SingularReaction(gamma=0.4, c1=1.2, c2=0.6, r=1.3, family="bounded")
-        trunc = TruncatedReaction(fam, lower)
+        trunc = TruncatedReaction(fam, grid.pack(lower))
 
         def integrand(t):
             tt = max(0.2, t)
@@ -212,7 +202,7 @@ class TestTruncation:
         fam = SingularReaction(gamma=0.5, c1=1.0, c2=1.0, r=1.5)
         bad = ScalarField(grid, np.zeros(grid.points.shape[0]))
         with pytest.raises(ValueError):
-            TruncatedReaction(fam, bad)
+            TruncatedReaction(fam, grid.pack(bad))
 
 
 def _exponents(**kw):

@@ -185,7 +185,7 @@ class TestTorsionQuadraticOracle:
         A = _linear_matrix(tables[0]) + _linear_matrix(tables[1])
         rhs = sigma * grid.cell_volume * np.ones(grid.n_interior)
         want = np.linalg.solve(A, rhs)
-        got = grid.pack(u)
+        got = u
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
 
     def test_gradient_identity_at_solution(self, quad_setup):
@@ -203,8 +203,7 @@ class TestTorsionQuadraticOracle:
 class TestTorsionNonlinear:
     def test_positive_and_symmetric(self, nl_setup):
         exps, grid, tables = nl_setup
-        u = solve_torsion(1.0, exps, grid, tables)
-        vals = grid.pack(u)
+        vals = solve_torsion(1.0, exps, grid, tables)
         assert np.all(vals > 0.0)
         np.testing.assert_allclose(vals, vals[::-1], atol=1e-8)
 
@@ -213,7 +212,7 @@ class TestTorsionNonlinear:
         sups = []
         for sigma in np.logspace(-6, -1, 6):
             u = solve_torsion(sigma, exps, grid, tables)
-            sups.append(np.max(np.abs(grid.pack(u))))
+            sups.append(np.max(np.abs(u)))
         assert np.all(np.diff(sups) > 0.0)
         assert sups[0] < 1e-3  # vanishing limit
 
@@ -221,10 +220,9 @@ class TestTorsionNonlinear:
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
         grid = build_grid(disk(0.0, 0.0, 1.0), 11)
         tables = _tables(grid, exps)
-        u = solve_torsion(1.0, exps, grid, tables)
-        vals = grid.pack(u)
+        vals = solve_torsion(1.0, exps, grid, tables)
         assert np.all(vals > 0.0)
-        full = u.values.reshape(grid.shape)
+        full = grid.unpack(vals).values.reshape(grid.shape)
         np.testing.assert_allclose(full, full[::-1, :], atol=1e-7)
         np.testing.assert_allclose(full, full[:, ::-1], atol=1e-7)
 
@@ -288,18 +286,18 @@ class TestSelectSigma:
         assert cert.eta > 0.0
         assert cert.exponent == exps.s1
         # defining inequality: sigma strictly below the forcing at the floor
-        fvals = f_eval(fam, grid.interior_points, floor)
+        fvals = f_eval(fam, floor)
         assert np.all(cert.sigma < fvals)
 
     def test_subsolution_inequality_nodal(self, nl_setup):
         exps, grid, tables = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
         cert = select_sigma(fam, exps, grid, tables)
-        floor = cert.lower
+        floor = grid.pack(cert.lower)
         resid = (
             operator_gradient(tables[0], floor)
             + operator_gradient(tables[1], floor)
-            - f_eval(fam, grid.interior_points, grid.pack(floor)) * grid.cell_volume
+            - f_eval(fam, floor) * grid.cell_volume
         )
         assert np.all(resid <= 1e-8)
 
