@@ -26,7 +26,7 @@ from .driver import (
 )
 from .frozen import FrozenProblem, solve_frozen
 from .gagliardo import OperatorParams, assemble_weights, seminorm
-from .grids import Grid, ScalarField, VectorField, build_grid, disk, interval, rectangle
+from .grids import Grid, ScalarField, build_grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
 from .reaction import (
     ConvectiveReaction,
@@ -58,7 +58,6 @@ __all__ = [
     "SingularReaction",
     "SolveReport",
     "SubsolutionCertificate",
-    "VectorField",
     "apply_T",
     "assemble_weights",
     "build_grid",

@@ -24,7 +24,7 @@ import scipy.fft
 from . import io_utils
 from .config import ConfigError, HypothesisError, RunConfig, load_config
 from .driver import apply_T, build_instance, solve_problem
-from .gagliardo import OperatorParams, apply_form, assemble_weights, energy, operator_gradient
+from .gagliardo import OperatorParams, assemble_weights, energy, operator_gradient
 from .grids import build_grid, interval
 from .reaction import ConvectiveReaction, ProblemExponents, SingularReaction
 from .riesz import riesz_gradient, riesz_normalization
@@ -124,16 +124,24 @@ def _cmd_torsion(args) -> int:
     return 0
 
 
+def _bump(grid):
+    """The reference bump: distance to the boundary over its maximum, as
+    an interior vector."""
+    d = grid.pack(grid.distance_field())
+    return d / float(np.max(d))
+
+
 def _cmd_gradient(args) -> int:
     cfg = load_config(args.config, require_hypotheses=False)
     _apply_cache(cfg)
     out = _out_dir(args, cfg)
     grid = cfg.build_grid()
-    d = grid.distance_field()
-    bump = grid.field(d.values / float(np.max(d.values)))
-    vf = riesz_gradient(grid, bump, cfg.exponents.s)
-    extra = [(f"dsu_{axis}", vf.values[:, a]) for a, axis in zip(range(grid.dim), "xy")]
-    io_utils.write_field_csv(out / "gradient.csv", bump, extra=extra)
+    bump = _bump(grid)
+    # one column per axis over every lattice node, zero off the interior
+    dsu = np.zeros((grid.points.shape[0], grid.dim))
+    dsu[grid.interior_idx] = riesz_gradient(grid, bump, cfg.exponents.s)
+    extra = [(f"dsu_{axis}", dsu[:, a]) for a, axis in zip(range(grid.dim), "xy")]
+    io_utils.write_field_csv(out / "gradient.csv", grid.unpack(bump), extra=extra)
     return 0
 
 
@@ -203,7 +211,7 @@ def _selftest_checks():
     table = assemble_weights(grid, OperatorParams(s=0.6, p=2.5))
     rng = np.random.default_rng(0)
     u = rng.standard_normal(grid.n_interior)
-    lhs = apply_form(table, u, u)
+    lhs = float(operator_gradient(table, u) @ u)
     rhs = 2.5 * energy(table, u)
     results.append(
         ("pair-form duality", abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), f"{lhs!r} vs {rhs!r}")
@@ -238,10 +246,7 @@ def _selftest_checks():
          f"converged={res.converged}, gap {gap:.3e}")
     )
 
-    d = grid.distance_field()
-    bump = grid.field(d.values / float(np.max(d.values)))
-    vf = riesz_gradient(grid, bump, 0.55)
-    center = vf.values[grid.points.shape[0] // 2, 0]
+    center = riesz_gradient(grid, _bump(grid), 0.55)[grid.n_interior // 2, 0]
     results.append(
         ("fractional gradient odd symmetry", abs(center) < 1e-10, f"center value {center:.3e}")
     )

@@ -42,6 +42,8 @@ _GROWTH_SAMPLES = 20
 # outer step is solved once more, this many times tighter, to leave the
 # final coupled residual a margin below that tolerance.
 _FINAL_TOL_DIVISOR = 10.0
+_SAMPLE_LOG = "growth sample %d: seminorm %.3e, T(v) seminorm %.3e, %d inner iterations"
+_SKIPPED_LOG = "growth sample %d: seminorm %.3e, skipped"
 _STEP_LOG = (
     "outer %d: step seminorm %.3e, frozen residual %.3e, %d inner iterations, theta %.6g"
 )
@@ -165,9 +167,8 @@ def frozen_at(instance: ProblemInstance, v: np.ndarray) -> FrozenProblem:
     """Frozen problem whose load is the convective term g(x, D^s v) for an
     interior vector v; the tables and the truncated forcing are the
     instance's, checked once when it was built."""
-    vf = instance.grid.unpack(v)
-    xi = riesz_gradient(instance.grid, vf, instance.exponents.s, plan=instance.plan)
-    return FrozenProblem(instance.tables, instance.trunc, g_eval(instance.convective, xi.interior))
+    xi = riesz_gradient(instance.grid, v, instance.exponents.s, plan=instance.plan)
+    return FrozenProblem(instance.tables, instance.trunc, g_eval(instance.convective, xi))
 
 
 def apply_T(instance: ProblemInstance, v: np.ndarray, start=None) -> MinimizeResult:
@@ -212,17 +213,19 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
     tp = instance.tables[0]
     c_emp = 0.0
     start = None
-    for lam in np.logspace(-1.5, 0.5, _GROWTH_SAMPLES):
+    for k, lam in enumerate(np.logspace(-1.5, 0.5, _GROWTH_SAMPLES), start=1):
         z = rng.standard_normal(grid.n_interior)
         v = lam * z / seminorm(tp, z)
         result = apply_T(instance, v, start)
         if not result.converged:
+            logger.info(_SKIPPED_LOG, k, lam)
             warnings.warn(
                 f"growth-bound sample at seminorm {lam:.3g} did not converge; skipped"
             )
             continue
         start = result.x
         tnorm = seminorm(tp, result.x)
+        logger.info(_SAMPLE_LOG, k, lam, tnorm, result.iterations)
         c_emp = max(c_emp, tnorm**e.p / (1.0 + lam**exponent))
     if c_emp <= 0.0:
         warnings.warn("growth-bound fit produced no usable samples")
@@ -352,12 +355,12 @@ def solve_problem(
             full_residuals[-1] = verify_solution(instance, final.x)
 
     clipped = np.maximum(last_result.x, floor)
-    u_field = grid.unpack(clipped)
     final_residual = verify_solution(instance, clipped)
-    hopf = hopf_ratio(u_field, grid.distance_field(), instance.certificate.exponent)
+    distance = grid.pack(grid.distance_field())
+    hopf = hopf_ratio(clipped, distance, instance.certificate.exponent)
 
     return SolveReport(
-        u=u_field,
+        u=grid.unpack(clipped),
         raw=grid.unpack(last_result.x),
         converged=converged,
         outer_iterations=iterations,

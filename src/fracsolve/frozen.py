@@ -1,4 +1,4 @@
-"""The objective shared by the torsion, frozen and probe solves.
+"""The objective shared by the torsion and frozen solves.
 
 Every solve minimizes
 
@@ -18,7 +18,6 @@ never enforced.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .gagliardo import PairWeightTable, _interior_vector, energy, operator_gradient
 from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, minimize_energy
-from .reaction import ProblemExponents, uniqueness_certified
+from .reaction import ProblemExponents
 
 
 def check_operator_tables(grid: Grid, exponents: ProblemExponents, tables) -> tuple:
@@ -142,46 +141,3 @@ def solve_frozen(
         )
     return result
 
-
-def uniqueness_probe(
-    prob: FrozenProblem,
-    options: MinimizerOptions | None = None,
-    starts=None,
-) -> float:
-    """Solve from two distinct starts and report the sup-norm discrepancy.
-
-    Requires the decreasing-ratio family condition r < q - 1; otherwise the
-    probe is skipped with NaN.  Solves run at scaled residual 1e-8, two
-    orders below the 1e-6 discrepancy a probe is judged by, so solver slack
-    cannot masquerade as a uniqueness gap.  Failed solves make the probe
-    inconclusive (NaN + warning).
-    """
-    if not uniqueness_certified(prob.trunc.base, prob.tables[1].params.p):
-        warnings.warn(
-            "decreasing-ratio condition r < q-1 not certified: uniqueness probe skipped"
-        )
-        return float("nan")
-
-    floor = prob.trunc.floor
-    if starts is None:
-        d = prob.grid.pack(prob.grid.distance_field())
-        bump = float(np.max(floor)) * d / float(np.max(d))
-        starts = (floor.copy(), 10.0 * floor + bump)
-    opts = options or MinimizerOptions(tol=1e-8)
-
-    solutions = []
-    for start in starts:
-        res = minimize_energy(
-            lambda u: frozen_energy(prob, u),
-            lambda u: frozen_gradient(prob, u),
-            np.asarray(start, dtype=float).copy(),
-            opts,
-        )
-        if not res.converged:
-            warnings.warn(
-                f"frozen solve from a probe start did not converge ({res.message}); "
-                "probe inconclusive"
-            )
-            return float("nan")
-        solutions.append(res.x)
-    return float(np.max(np.abs(solutions[0] - solutions[1])))

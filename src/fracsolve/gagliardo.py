@@ -364,25 +364,11 @@ def energy(table: PairWeightTable, u, *extra: PairWeightTable) -> float:
     return _energy_sum(_same_grid_tables(table, extra), _interior_vector(table, u))
 
 
-def apply_form(table: PairWeightTable, u, phi) -> float:
-    """Weak pairing of the monotone operator at u with a test vector phi."""
-    uv = _interior_vector(table, u)
-    pv = _interior_vector(table, phi)
-    p = table.params.p
-    pair = table.pair
-    parts = []
-    for a0 in range(0, uv.size, _ROW_CHUNK):
-        du = uv[a0 : a0 + _ROW_CHUNK, None] - uv[None, :]
-        dphi = pv[a0 : a0 + _ROW_CHUNK, None] - pv[None, :]
-        parts.append(float(np.sum(pair[a0 : a0 + _ROW_CHUNK] * _signed_power(du, p) * dphi)))
-    parts.append(2.0 * float(np.sum(table.tail * _signed_power(uv, p) * pv)))
-    return math.fsum(parts)
-
-
 def operator_gradient(table: PairWeightTable, u, *extra: PairWeightTable) -> np.ndarray:
-    """Gradient of the energy over interior nodes; pairing it with any test
-    vector reproduces apply_form.  Extra tables on the same grid add their
-    gradients from the same pass."""
+    """Gradient of the energy over interior nodes: entry i is the weak
+    pairing of the monotone operator at u with the nodal basis vector e_i,
+    so pairing it with u gives p * energy.  Extra tables on the same grid
+    add their gradients from the same pass."""
     tables = _same_grid_tables(table, extra)
     uv = _interior_vector(table, u)
     n = uv.size

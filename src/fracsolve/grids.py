@@ -21,9 +21,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "ScalarField",
-    "VectorField",
-    "integrate",
-    "lp_norm",
 ]
 
 
@@ -145,11 +142,6 @@ class Grid:
         """Interior-node pairs (i, j) with i < j, row-major, built on first use."""
         return np.triu_indices(self.n_interior, 1)
 
-    def field(self, values=None):
-        if values is None:
-            values = np.zeros(self.points.shape[0])
-        return ScalarField(self, values)
-
     def pack(self, field):
         """Interior values as a flat solver vector."""
         return field.values[self.interior_idx].copy()
@@ -179,45 +171,3 @@ class ScalarField:
             )
         self.grid = grid
         self.values = np.where(grid.interior_mask, values, 0.0)
-
-    @property
-    def interior(self):
-        return self.values[self.grid.interior_idx]
-
-    def copy(self):
-        return ScalarField(self.grid, self.values)
-
-
-class VectorField:
-    """One dim-vector per node, zero off the interior."""
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.points.shape[0], grid.dim):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid "
-                f"({grid.points.shape[0]}, {grid.dim})"
-            )
-        self.grid = grid
-        self.values = np.where(grid.interior_mask[:, None], values, 0.0)
-
-    @property
-    def interior(self):
-        return self.values[self.grid.interior_idx]
-
-
-def integrate(field):
-    """Cell-volume weighted sum over interior nodes."""
-    g = field.grid
-    return float(g.cell_volume * np.sum(field.values[g.interior_idx]))
-
-
-def lp_norm(field, p):
-    """Discrete L^p norm over the domain; p = inf gives the sup of |u|."""
-    g = field.grid
-    vals = field.values[g.interior_idx]
-    if np.isinf(p):
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    return float((g.cell_volume * np.sum(np.abs(vals) ** p)) ** (1.0 / p))

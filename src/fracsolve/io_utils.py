@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid, ScalarField
+from .grids import ScalarField
 
 _COORDS = {1: ("x",), 2: ("x", "y")}
 
@@ -42,20 +42,6 @@ def write_field_csv(path, field: ScalarField, extra=()) -> None:
         writer.writerow(names)
         for i in range(grid.points.shape[0]):
             writer.writerow([fmt17(col[i]) for col in columns])
-
-
-def read_field_csv(grid: Grid, path) -> ScalarField:
-    """Rebuild a scalar field from a csv produced by write_field_csv."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        value_col = header.index("u")
-        values = [float(row[value_col]) for row in reader]
-    if len(values) != grid.points.shape[0]:
-        raise ValueError(
-            f"csv holds {len(values)} nodes, grid has {grid.points.shape[0]}"
-        )
-    return grid.field(np.asarray(values, dtype=float))
 
 
 def write_rows_csv(path, header, rows) -> None:

@@ -42,13 +42,12 @@ def graded_edges(a, b, levels):
     return np.concatenate(([a], a + (b - a) * frac))
 
 
-def panel_nodes(edges, rule=None):
-    """Composite Gauss nodes/weights over consecutive panels."""
-    gx, gw = rule if rule is not None else (_GL_X, _GL_W)
+def panel_nodes(edges):
+    """Composite 10-point Gauss nodes/weights over consecutive panels."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
+    x = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    w = (half[:, None] * _GL_W[None, :]).ravel()
     return x, w
 
 

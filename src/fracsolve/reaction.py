@@ -152,10 +152,24 @@ class TruncatedReaction:
         return arr.reshape(arr.shape + (1,) * (like.ndim - 1))
 
     def f(self, t) -> np.ndarray:
-        return f_truncated(self, t)
+        """Truncated forcing at interior-node states; finite for every real t."""
+        tv = self._coerce(t)
+        floor = self._per_node(self.floor, tv)
+        return _base_value(self.base, np.maximum(floor, tv))
 
     def F(self, tau) -> np.ndarray:
-        return F_truncated(self, tau)
+        """Antiderivative of the truncated forcing from 0, in closed form.
+
+        Linear with slope f(floor) below the floor; above it, the frozen
+        segment [0, floor] plus the exact power antiderivative beyond.
+        """
+        tv = self._coerce(tau)
+        floor = self._per_node(self.floor, tv)
+        f_floor = self._per_node(self._f_floor, tv)
+        a_floor = self._per_node(self._A_floor, tv)
+        below = f_floor * tv
+        above = f_floor * floor + _antiderivative(self.base, np.maximum(floor, tv)) - a_floor
+        return np.where(tv <= floor, below, above)
 
 
 def _antiderivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
@@ -166,28 +180,6 @@ def _antiderivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
     else:
         head = reaction.c1 * ((1.0 + t) ** (1.0 - reaction.gamma) - 1.0) / (1.0 - reaction.gamma)
     return head + power
-
-
-def f_truncated(trunc: TruncatedReaction, t) -> np.ndarray:
-    """Truncated forcing at interior-node states; finite for every real t."""
-    tv = trunc._coerce(t)
-    floor = trunc._per_node(trunc.floor, tv)
-    return _base_value(trunc.base, np.maximum(floor, tv))
-
-
-def F_truncated(trunc: TruncatedReaction, tau) -> np.ndarray:
-    """Antiderivative of the truncated forcing from 0, in closed form.
-
-    Linear with slope f(floor) below the floor; above it, the frozen
-    segment [0, floor] plus the exact power antiderivative beyond.
-    """
-    tv = trunc._coerce(tau)
-    floor = trunc._per_node(trunc.floor, tv)
-    f_floor = trunc._per_node(trunc._f_floor, tv)
-    a_floor = trunc._per_node(trunc._A_floor, tv)
-    below = f_floor * tv
-    above = f_floor * floor + _antiderivative(trunc.base, np.maximum(floor, tv)) - a_floor
-    return np.where(tv <= floor, below, above)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Riesz-potential convolution and the fractional gradient field.
 
 The fractional gradient of order s is the classical gradient of the Riesz
-potential of order 1 - s:  first convolve the zero-extended field with the
-kernel gamma * |z|^(alpha - N) (alpha = 1 - s), then take centered finite
-differences of the potential on the lattice.
+potential of order 1 - s:  first convolve the zero extension of an
+interior vector with the kernel gamma * |z|^(alpha - N) (alpha = 1 - s),
+then take centered finite differences of the potential on the lattice and
+keep the interior nodes.
 
 The convolution is linear (non-circular): the kernel is tabulated as
 cell integrals over every signed offset between lattice nodes, so
@@ -26,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
-from .grids import Grid, ScalarField, VectorField
+from .grids import Grid
 from .quadrature import cell_average_power, power_segment_integral
 
 _GL_X, _GL_W = leggauss(10)
@@ -123,33 +124,38 @@ def _same_lattice(a: Grid, b: Grid) -> bool:
     )
 
 
-def riesz_potential(plan: ConvolutionPlan, u: ScalarField) -> np.ndarray:
-    """Riesz potential of the zero-extended field, on the full lattice."""
-    if not _same_lattice(u.grid, plan.grid):
-        raise ValueError("field grid does not match the convolution plan")
-    ugrid = u.values.reshape(plan.grid.shape)
-    return fftconvolve(ugrid, plan.kernel, mode="same")
+def riesz_potential(plan: ConvolutionPlan, grid: Grid, v) -> np.ndarray:
+    """Riesz potential of the interior vector v of grid, zero-extended, on
+    the full lattice."""
+    if not _same_lattice(plan.grid, grid):
+        raise ValueError("convolution plan was built on a different grid")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (grid.n_interior,):
+        raise ValueError(f"expected {grid.n_interior} interior values, got shape {v.shape}")
+    values = np.zeros(grid.points.shape[0])
+    values[grid.interior_idx] = v
+    return fftconvolve(values.reshape(grid.shape), plan.kernel, mode="same")
 
 
 def riesz_gradient(
-    grid: Grid, u: ScalarField, s: float, plan: ConvolutionPlan | None = None
-) -> VectorField:
-    """Fractional gradient of order s in (0, 1) of the zero-extended field."""
+    grid: Grid, v, s: float, plan: ConvolutionPlan | None = None
+) -> np.ndarray:
+    """Fractional gradient of order s in (0, 1) of the zero extension of the
+    interior vector v, at the interior nodes: shape (n_interior, dim)."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"gradient order s must lie in (0, 1), got {s}")
     if plan is None:
         plan = plan_riesz_convolution(grid, 1.0 - s)
     elif abs(plan.alpha - (1.0 - s)) > 1e-14:
         raise ValueError("convolution plan was built for a different order")
-    elif not _same_lattice(plan.grid, grid):
-        raise ValueError("convolution plan was built on a different grid")
-    pot = riesz_potential(plan, u)
+    pot = riesz_potential(plan, grid, v)
+    idx = grid.interior_idx
     if grid.dim == 1:
         g = np.zeros(grid.shape[0])
         g[1:-1] = (pot[2:] - pot[:-2]) / (2.0 * grid.h[0])
-        return VectorField(grid, g[:, None])
+        return g[idx, None]
     g1 = np.zeros(grid.shape)
     g2 = np.zeros(grid.shape)
     g1[1:-1, :] = (pot[2:, :] - pot[:-2, :]) / (2.0 * grid.h[0])
     g2[:, 1:-1] = (pot[:, 2:] - pot[:, :-2]) / (2.0 * grid.h[1])
-    return VectorField(grid, np.column_stack([g1.ravel(), g2.ravel()]))
+    return np.column_stack([g1.ravel()[idx], g2.ravel()[idx]])

@@ -11,6 +11,7 @@ records the boundary-distance lower bound eta = min u / d^exponent.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ from .reaction import ProblemExponents, SingularReaction, f_eval, liminf_at_zero
 _MAX_HALVINGS = 60
 _RESONANCE_TOL = 1e-12
 _COLLISION_TOL = 1e-9
+_FLOOR_LOG = "floor halving %d: sigma %.6e, sup norm %.3e, %s"
+
+logger = logging.getLogger("fracsolve.torsion")
 
 
 @dataclass
@@ -116,14 +120,13 @@ def hopf_exponent(exponents: ProblemExponents) -> float:
     return alpha
 
 
-def hopf_ratio(lower: ScalarField, distance: ScalarField, exponent: float) -> float:
-    """Largest eta with  eta * d^exponent <= lower  at interior nodes."""
-    grid = lower.grid
-    u = grid.pack(lower)
+def hopf_ratio(u: np.ndarray, d: np.ndarray, exponent: float) -> float:
+    """Largest eta with  eta * d^exponent <= u, for the interior vectors u
+    and d (the distance to the boundary)."""
+    u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
-        raise ValueError("lower field must be strictly positive on interior nodes")
-    d = grid.pack(distance)
-    return float(np.min(u / d**exponent))
+        raise ValueError("values must be strictly positive at every interior node")
+    return float(np.min(u / np.asarray(d, dtype=float) ** exponent))
 
 
 def _admissible_delta(reaction: SingularReaction, epsilon: float) -> float:
@@ -159,23 +162,24 @@ def select_sigma(
     for halvings in range(_MAX_HALVINGS + 1):
         vals = solve_torsion(sigma, exponents, grid, tables)
         sup = float(np.max(np.abs(vals)))
-        positive = bool(np.all(vals > 0.0))
-        if positive and sup < delta:
-            forcing = f_eval(reaction, vals)
-            if np.all(sigma < forcing):
-                lower = grid.unpack(vals)
-                exponent = hopf_exponent(exponents)
-                eta = hopf_ratio(lower, grid.distance_field(), exponent)
-                return SubsolutionCertificate(
-                    lower=lower,
-                    sigma=sigma,
-                    eta=eta,
-                    exponent=exponent,
-                    epsilon=float(epsilon),
-                    delta=float(delta),
-                    sup_norm=sup,
-                    halvings=halvings,
-                )
+        certified = (
+            bool(np.all(vals > 0.0))
+            and sup < delta
+            and bool(np.all(sigma < f_eval(reaction, vals)))
+        )
+        logger.info(_FLOOR_LOG, halvings, sigma, sup, "certified" if certified else "rejected")
+        if certified:
+            exponent = hopf_exponent(exponents)
+            return SubsolutionCertificate(
+                lower=grid.unpack(vals),
+                sigma=sigma,
+                eta=hopf_ratio(vals, grid.pack(grid.distance_field()), exponent),
+                exponent=exponent,
+                epsilon=float(epsilon),
+                delta=float(delta),
+                sup_norm=sup,
+                halvings=halvings,
+            )
         sigma /= 2.0
     raise RuntimeError(
         f"no admissible sigma found after {_MAX_HALVINGS} halvings "

@@ -28,11 +28,9 @@ from fracsolve.frozen import (
     frozen_gradient,
     scaled_norm,
     solve_frozen,
-    uniqueness_probe,
 )
 from fracsolve.gagliardo import (
     OperatorParams,
-    apply_form,
     assemble_weights,
     energy,
     operator_gradient,
@@ -51,6 +49,7 @@ from fracsolve.reaction import (
 from fracsolve.riesz import riesz_gradient, riesz_normalization
 from fracsolve.torsion import solve_torsion
 from support.kernels import BesselParams, bessel_mass, semigroup_residual
+from support.oracles import apply_form, uniqueness_probe
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ("interval_1d", "interval_1d_pure", "disk_2d")
@@ -169,14 +168,14 @@ def test_criterion_4_riesz_limit():
     t0 = time.perf_counter()
     sigma = 0.6
     grid = build_grid(rectangle(-4.0, 4.0, -4.0, 4.0), 129)
-    pts = grid.points
+    pts = grid.interior_points
     r2 = np.sum(pts**2, axis=1)
-    u = ScalarField(grid, np.exp(-r2 / (2.0 * sigma**2)))
-    grad_true = -(pts / sigma**2) * np.exp(-r2 / (2.0 * sigma**2))[:, None]
+    u = np.exp(-r2 / (2.0 * sigma**2))
+    grad_true = -(pts / sigma**2) * u[:, None]
     inner = np.max(np.abs(pts), axis=1) <= 2.0
     errs = []
     for s in (0.6, 0.8, 0.9, 0.95, 0.99):
-        g = riesz_gradient(grid, u, s).values
+        g = riesz_gradient(grid, u, s)
         errs.append(
             np.linalg.norm((g - grad_true)[inner]) / np.linalg.norm(grad_true[inner])
         )
@@ -250,12 +249,11 @@ def test_criterion_6_frozen_solver(shipped_instances):
         assemble_weights(grid3, OperatorParams(s=exps.s1, p=exps.p)),
         assemble_weights(grid3, OperatorParams(s=exps.s2, p=exps.q)),
     )
-    floor3 = grid3.unpack(np.array([0.045, 0.07, 0.045]))
-    xi3 = riesz_gradient(grid3, grid3.unpack(np.array([0.1, 0.15, 0.1])), exps.s)
+    xi3 = riesz_gradient(grid3, np.array([0.1, 0.15, 0.1]), exps.s)
     prob3 = FrozenProblem(
         tables=tabs3,
-        trunc=TruncatedReaction(reaction, grid3.pack(floor3)),
-        load=g_eval(convective, xi3.interior),
+        trunc=TruncatedReaction(reaction, np.array([0.045, 0.07, 0.045])),
+        load=g_eval(convective, xi3),
     )
     res3 = solve_frozen(prob3, MinimizerOptions(tol=1e-8))
     assert res3.converged

@@ -6,6 +6,7 @@ exactly at 17 significant digits, and identical config + seed gives a
 bit-identical report apart from its timestamp.
 """
 
+import csv
 import json
 import logging
 import os
@@ -18,7 +19,9 @@ import scipy.fft
 from fracsolve import cli
 from fracsolve.config import ConfigError, HypothesisError, load_config
 from fracsolve.grids import build_grid, disk, interval
-from fracsolve.io_utils import read_field_csv, write_field_csv
+from fracsolve.io_utils import write_field_csv
+from fracsolve.riesz import riesz_gradient
+from support.oracles import read_field_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -288,6 +291,28 @@ class TestCliOther:
         assert rows[0].startswith("x,")
         data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
         assert np.all(np.isfinite(data))
+
+    @pytest.mark.parametrize("name", ["interval_1d.json", "disk_2d.json"])
+    def test_gradient_csv_is_the_zero_extended_riesz_gradient(self, tmp_path, name):
+        out = tmp_path / "g"
+        assert cli.main(["gradient", "--config", str(CONFIG_DIR / name), "--out", str(out)]) == 0
+        cfg = load_config(str(CONFIG_DIR / name), require_hypotheses=False)
+        grid = cfg.build_grid()
+        with open(out / "gradient.csv", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            data = np.array([[float(v) for v in row] for row in reader])
+        axes = "xy"[: grid.dim]
+        assert header == [*axes, "u", *(f"dsu_{a}" for a in axes)]
+        dsu = data[:, grid.dim + 1 :]
+        assert np.all(dsu[~grid.interior_mask] == 0.0)
+        # the bump is the distance to the boundary over its maximum
+        d = grid.pack(grid.distance_field())
+        bump = data[grid.interior_idx, grid.dim]
+        assert np.array_equal(bump, d / np.max(d))
+        # 17 significant digits round-trip every double exactly
+        want = riesz_gradient(grid, bump, cfg.exponents.s)
+        assert np.array_equal(dsu[grid.interior_idx], want)
 
     def test_kernel_table_outputs(self, tmp_path):
         out = tmp_path / "k"

@@ -204,10 +204,8 @@ class TestSolveProblem:
         from scipy.optimize import brentq
 
         def problem_at(uv):
-            xi = riesz_gradient(grid, grid.unpack(uv), inst.exponents.s, plan=inst.plan)
-            return FrozenProblem(
-                tables=inst.tables, trunc=inst.trunc, load=g_eval(inst.convective, xi.interior)
-            )
+            xi = riesz_gradient(grid, uv, inst.exponents.s, plan=inst.plan)
+            return FrozenProblem(tables=inst.tables, trunc=inst.trunc, load=g_eval(inst.convective, xi))
 
         u = inst.trunc.floor.copy()
         n = u.size
@@ -318,6 +316,18 @@ class TestSolveProblem:
         for k, line in enumerate(lines[:-1], start=1):
             assert f"frozen residual {report.frozen_residuals[k - 1]:.3e}" in line
             assert f"{report.inner_iterations[k - 1]} inner iterations" in line
+
+    def test_logs_one_line_per_growth_sample(self, instance_1d, caplog):
+        with caplog.at_level(logging.INFO, logger="fracsolve.driver"):
+            report = solve_problem(instance_1d, OuterOptions(ball_monitor=True))
+        assert report.converged and report.ball is not None
+        lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
+        # the fit logs its 20 samples before the first outer step
+        assert len(lines) == 20 + report.outer_iterations
+        for k, line in enumerate(lines[:20], start=1):
+            assert line.startswith(f"growth sample {k}: seminorm ")
+            assert line.endswith(" inner iterations") or line.endswith("skipped")
+        assert lines[20].startswith("outer 1: ")
 
 
 class TestVerifySolution:

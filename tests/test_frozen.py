@@ -24,12 +24,10 @@ from fracsolve.frozen import (
     frozen_gradient,
     scaled_norm,
     solve_frozen,
-    uniqueness_probe,
     weak_residual,
 )
 from fracsolve.gagliardo import (
     OperatorParams,
-    apply_form,
     assemble_weights,
     energy,
     operator_gradient,
@@ -45,6 +43,7 @@ from fracsolve.reaction import (
 )
 from fracsolve.riesz import riesz_gradient
 from fracsolve.torsion import select_sigma, solve_torsion, torsion_objective
+from support.oracles import apply_form, uniqueness_probe
 
 
 EXPONENTS_1D = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
@@ -52,14 +51,14 @@ REACTION_1D = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
 CONVECTIVE_1D = ConvectiveReaction(c3=0.2, zeta=1.2)
 
 
-def build_problem(grid, exponents, reaction, convective, floor_field, v_field):
+def build_problem(grid, exponents, reaction, convective, floor, v):
     tables = (
         assemble_weights(grid, OperatorParams(exponents.s1, exponents.p)),
         assemble_weights(grid, OperatorParams(exponents.s2, exponents.q)),
     )
-    xi = riesz_gradient(grid, v_field, exponents.s)
-    trunc = TruncatedReaction(reaction, grid.pack(floor_field))
-    return FrozenProblem(tables=tables, trunc=trunc, load=g_eval(convective, xi.interior))
+    xi = riesz_gradient(grid, v, exponents.s)
+    trunc = TruncatedReaction(reaction, floor)
+    return FrozenProblem(tables=tables, trunc=trunc, load=g_eval(convective, xi))
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +69,10 @@ def setup_1d():
         assemble_weights(grid, OperatorParams(0.5, 2.2)),
     )
     cert = select_sigma(REACTION_1D, EXPONENTS_1D, grid, tables)
-    xi = riesz_gradient(grid, cert.lower, EXPONENTS_1D.s)
-    trunc = TruncatedReaction(REACTION_1D, grid.pack(cert.lower))
-    prob = FrozenProblem(tables=tables, trunc=trunc, load=g_eval(CONVECTIVE_1D, xi.interior))
+    lower = grid.pack(cert.lower)
+    xi = riesz_gradient(grid, lower, EXPONENTS_1D.s)
+    trunc = TruncatedReaction(REACTION_1D, lower)
+    prob = FrozenProblem(tables=tables, trunc=trunc, load=g_eval(CONVECTIVE_1D, xi))
     return grid, cert, prob
 
 
@@ -279,8 +279,8 @@ class TestSolveFrozen:
 
     def test_three_node_brute_force_lattice(self):
         grid = build_grid(interval(0.0, 1.0), 5)
-        floor = grid.unpack(np.array([0.045, 0.07, 0.045]))
-        v = grid.unpack(np.array([0.1, 0.15, 0.1]))
+        floor = np.array([0.045, 0.07, 0.045])
+        v = np.array([0.1, 0.15, 0.1])
         prob = build_problem(
             grid, EXPONENTS_1D, REACTION_1D, CONVECTIVE_1D, floor, v
         )
@@ -339,12 +339,12 @@ class TestSolveFrozen:
             def F(self, t):
                 return sigma * np.asarray(t, dtype=float)
 
-        v = grid.unpack(np.full(grid.n_interior, 0.1))
+        v = np.full(grid.n_interior, 0.1)
         prob = FrozenProblem(
             tables=tables,
             trunc=ConstantForcing(grid.n_interior),
             load=g_eval(
-                ConvectiveReaction(c3=0.0, zeta=1.2), riesz_gradient(grid, v, exps.s).interior
+                ConvectiveReaction(c3=0.0, zeta=1.2), riesz_gradient(grid, v, exps.s)
             ),
         )
         tol = 1e-6
@@ -371,9 +371,8 @@ class TestUniquenessProbe:
         grid, cert, _ = setup_1d
         # r = 1.3 >= q - 1 = 1.2: the ratio-decrease family condition fails
         reaction = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.3)
-        prob = build_problem(
-            grid, EXPONENTS_1D, reaction, CONVECTIVE_1D, cert.lower, cert.lower
-        )
+        lower = grid.pack(cert.lower)
+        prob = build_problem(grid, EXPONENTS_1D, reaction, CONVECTIVE_1D, lower, lower)
         with pytest.warns(UserWarning, match="uniqueness"):
             gap = uniqueness_probe(prob)
         assert math.isnan(gap)
@@ -396,10 +395,11 @@ class TestTwoDimensional:
             assemble_weights(grid, OperatorParams(0.5, 2.5)),
         )
         cert = select_sigma(reaction, exps, grid, tables)
+        lower = grid.pack(cert.lower)
         prob = FrozenProblem(
             tables=tables,
-            trunc=TruncatedReaction(reaction, grid.pack(cert.lower)),
-            load=g_eval(convective, riesz_gradient(grid, cert.lower, exps.s).interior),
+            trunc=TruncatedReaction(reaction, lower),
+            load=g_eval(convective, riesz_gradient(grid, lower, exps.s)),
         )
         result = solve_frozen(prob)
         assert result.converged

@@ -1,25 +1,13 @@
-"""Grid, field, and quadrature-layer tests.
+"""Grid and field tests, and the package's export lists."""
 
-The d^{-sigma} integral oracle is the closed form
-int_0^1 min(x, 1-x)^{-sigma} dx = 2^sigma / (1 - sigma).
-"""
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
-from fracsolve.grids import (
-    ScalarField,
-    VectorField,
-    build_grid,
-    disk,
-    integrate,
-    interval,
-    lp_norm,
-    rectangle,
-)
+from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
 
 
 class TestDomain:
@@ -91,82 +79,23 @@ class TestScalarField:
         f = ScalarField(g, rng.normal(size=g.points.shape[0]))
         assert np.all(f.values[~g.interior_mask] == 0.0)
 
-    def test_vector_field_exterior_zero(self):
-        g = build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 5)
-        vals = np.ones((g.points.shape[0], 2))
-        vf = VectorField(g, vals)
-        assert np.all(vf.values[~g.interior_mask] == 0.0)
-        assert np.all(vf.values[g.interior_mask] == 1.0)
-
     def test_shape_mismatch_rejected(self):
         g = build_grid(interval(0.0, 1.0), 5)
         with pytest.raises(ValueError):
             ScalarField(g, np.zeros(7))
 
 
-class TestIntegrate:
-    def test_constant_on_interval(self):
-        g = build_grid(interval(0.0, 1.0), 129)
-        one = ScalarField(g, np.ones(g.points.shape[0]))
-        h = g.h[0]
-        assert abs(integrate(one) - 1.0) <= 2 * h
-
-    @given(
-        a=st.floats(min_value=-3, max_value=3, allow_nan=False),
-        b=st.floats(min_value=-3, max_value=3, allow_nan=False),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_linearity(self, a, b):
-        g = build_grid(interval(0.0, 1.0), 17)
-        rng = np.random.default_rng(1)
-        u = ScalarField(g, rng.normal(size=g.points.shape[0]))
-        v = ScalarField(g, rng.normal(size=g.points.shape[0]))
-        lhs = integrate(ScalarField(g, a * u.values + b * v.values))
-        rhs = a * integrate(u) + b * integrate(v)
-        assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-    def test_singular_distance_power(self):
-        sigma = 0.4
-        exact = 2.0**sigma / (1.0 - sigma)
-        check, _ = quad(lambda x: min(x, 1 - x) ** -sigma, 0.0, 1.0, points=[0.5])
-        assert exact == pytest.approx(check, rel=1e-9)
-        vals = []
-        for res in (65, 257, 1025):
-            g = build_grid(interval(0.0, 1.0), res)
-            d = g.distance_field()
-            f = ScalarField(g, np.where(g.interior_mask, d.values, 1.0) ** -sigma)
-            vals.append(integrate(f))
-        errs = [abs(v - exact) for v in vals]
-        assert errs[1] < errs[0] and errs[2] < errs[1]
-        assert errs[2] < 0.02 * exact
-
-
 class TestLpNorm:
-    def test_hat_function_hand_value(self):
-        g = build_grid(interval(0.0, 1.0), 5)
-        hat = ScalarField(g, 1.0 - 2.0 * np.abs(g.points[:, 0] - 0.5))
-        # interior values 0.5, 1.0, 0.5 with cell width 1/4
-        want2 = (0.25 * (0.25 + 1.0 + 0.25)) ** 0.5
-        assert lp_norm(hat, 2.0) == pytest.approx(want2, rel=1e-14)
-        assert lp_norm(hat, np.inf) == pytest.approx(1.0)
-        want3 = (0.25 * (0.125 + 1.0 + 0.125)) ** (1.0 / 3.0)
-        assert lp_norm(hat, 3.0) == pytest.approx(want3, rel=1e-14)
-
-    def test_singular_power_stays_bounded_when_integrable(self):
-        # sigma * p' < 1 keeps the L^{p'} norm of d^{-sigma} bounded under refinement
-        sigma, p_conj = 0.3, 2.5
-        assert sigma * p_conj < 1.0
-        norms = []
-        for res in (33, 65, 129, 257):
-            g = build_grid(interval(0.0, 1.0), res)
-            d = g.distance_field()
-            f = ScalarField(g, np.where(g.interior_mask, d.values, 1.0) ** -sigma)
-            norms.append(lp_norm(f, p_conj))
-        ratios = [b / a for a, b in zip(norms, norms[1:])]
-        assert all(r < 1.5 for r in ratios)
-
     def test_distance_field_zero_on_boundary_nodes(self):
         g = build_grid(interval(0.0, 1.0), 9)
         d = g.distance_field()
         assert d.values[0] == 0.0 and d.values[-1] == 0.0
         assert np.all(d.values[g.interior_mask] > 0.0)
+
+
+class TestExports:
+    @pytest.mark.parametrize("module", ["fracsolve", "fracsolve.grids", "fracsolve.quadrature"])
+    def test_every_exported_name_resolves(self, module):
+        mod = importlib.import_module(module)
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing

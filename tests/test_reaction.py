@@ -15,10 +15,8 @@ from fracsolve.reaction import (
     ProblemExponents,
     SingularReaction,
     TruncatedReaction,
-    F_truncated,
     check_hypotheses,
     f_eval,
-    f_truncated,
     g_eval,
     liminf_at_zero,
 )
@@ -103,21 +101,21 @@ class TestTruncation:
     def test_below_floor_is_frozen(self, trunc_setup):
         grid, trunc = trunc_setup
         floor = trunc.floor
-        at_floor = f_truncated(trunc, floor.copy())
-        below = f_truncated(trunc, np.full(floor.size, -5.0))
+        at_floor = trunc.f(floor.copy())
+        below = trunc.f(np.full(floor.size, -5.0))
         np.testing.assert_allclose(below, at_floor, rtol=1e-14)
 
     def test_above_floor_matches_f(self, trunc_setup):
         grid, trunc = trunc_setup
         t = np.full(trunc.floor.size, 2.0)
         want = f_eval(trunc.base, t)
-        np.testing.assert_allclose(f_truncated(trunc, t), want, rtol=1e-14)
+        np.testing.assert_allclose(trunc.f(t), want, rtol=1e-14)
 
     def test_continuity_at_floor(self, trunc_setup):
         _, trunc = trunc_setup
         eps = 1e-9
-        lo = f_truncated(trunc, trunc.floor - eps)
-        hi = f_truncated(trunc, trunc.floor + eps)
+        lo = trunc.f(trunc.floor - eps)
+        hi = trunc.f(trunc.floor + eps)
         np.testing.assert_allclose(lo, hi, rtol=1e-6)
 
     def test_always_finite_for_any_real(self, trunc_setup):
@@ -125,22 +123,22 @@ class TestTruncation:
         rng = np.random.default_rng(3)
         for _ in range(20):
             t = rng.normal(scale=10.0, size=trunc.floor.size)
-            vals = f_truncated(trunc, t)
+            vals = trunc.f(t)
             assert np.all(np.isfinite(vals))
             assert np.all(vals >= 0.0)
-            F = F_truncated(trunc, t)
+            F = trunc.F(t)
             assert np.all(np.isfinite(F))
 
     def test_antiderivative_zero_at_zero(self, trunc_setup):
         _, trunc = trunc_setup
-        F = F_truncated(trunc, np.zeros(trunc.floor.size))
+        F = trunc.F(np.zeros(trunc.floor.size))
         np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
     def test_antiderivative_linear_below_floor(self, trunc_setup):
         _, trunc = trunc_setup
         tau = np.full(trunc.floor.size, -3.0)
-        F = F_truncated(trunc, tau)
-        slope = f_truncated(trunc, tau)
+        F = trunc.F(tau)
+        slope = trunc.f(tau)
         np.testing.assert_allclose(F, slope * tau, rtol=1e-13)
 
     def test_derivative_matches_f_truncated(self, trunc_setup):
@@ -148,8 +146,8 @@ class TestTruncation:
         rng = np.random.default_rng(7)
         tau = rng.normal(scale=2.0, size=trunc.floor.size)
         eps = 1e-6
-        fd = (F_truncated(trunc, tau + eps) - F_truncated(trunc, tau - eps)) / (2 * eps)
-        want = f_truncated(trunc, tau)
+        fd = (trunc.F(tau + eps) - trunc.F(tau - eps)) / (2 * eps)
+        want = trunc.f(tau)
         np.testing.assert_allclose(fd, want, rtol=1e-5, atol=1e-8)
 
     def test_antiderivative_matches_quad(self, trunc_setup):
@@ -166,7 +164,7 @@ class TestTruncation:
                 want, _ = quad(integrand, 0.0, tau, points=[floor_val])
             else:
                 want, _ = quad(integrand, 0.0, tau)
-            got = F_truncated(trunc, np.full(trunc.floor.size, tau))[node]
+            got = trunc.F(np.full(trunc.floor.size, tau))[node]
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_bounded_family_antiderivative_matches_quad(self):
@@ -181,7 +179,7 @@ class TestTruncation:
 
         for tau in (0.1, 1.7):
             want, _ = quad(integrand, 0.0, tau)
-            got = F_truncated(trunc, np.full(trunc.floor.size, tau))[0]
+            got = trunc.F(np.full(trunc.floor.size, tau))[0]
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_singularity_shield_bound(self, trunc_setup):
@@ -193,7 +191,7 @@ class TestTruncation:
         gamma = trunc.base.gamma
         for _ in range(30):
             t = rng.normal(scale=3.0, size=floor.size)
-            lhs = f_truncated(trunc, t)
+            lhs = trunc.f(t)
             rhs = c1 * floor**-gamma + c2 * np.maximum(floor, t) ** r
             assert np.all(lhs <= rhs * (1 + 1e-12))
 

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import j1
 
-from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
+from fracsolve.grids import build_grid, disk, interval, rectangle
 from fracsolve.riesz import (
     ConvolutionPlan,
     plan_riesz_convolution,
@@ -86,11 +86,11 @@ class TestConvolutionAlignment:
     def test_1d_matches_double_loop(self):
         grid = build_grid(interval(0.0, 1.0), 33)
         rng = np.random.default_rng(4)
-        u = ScalarField(grid, rng.normal(size=grid.points.shape[0]))
+        u = rng.normal(size=grid.n_interior)
         plan = plan_riesz_convolution(grid, 0.5)
-        pot = riesz_potential(plan, u)
+        pot = riesz_potential(plan, grid, u)
         m = grid.shape[0]
-        uv = u.values
+        uv = grid.unpack(u).values
         direct = np.zeros(m)
         for i in range(m):
             for j in range(m):
@@ -100,11 +100,11 @@ class TestConvolutionAlignment:
     def test_2d_matches_double_loop(self):
         grid = build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 9)
         rng = np.random.default_rng(8)
-        u = ScalarField(grid, rng.normal(size=grid.points.shape[0]))
+        u = rng.normal(size=grid.n_interior)
         plan = plan_riesz_convolution(grid, 0.7)
-        pot = riesz_potential(plan, u)
+        pot = riesz_potential(plan, grid, u)
         m1, m2 = grid.shape
-        ug = u.values.reshape(m1, m2)
+        ug = grid.unpack(u).values.reshape(m1, m2)
         direct = np.zeros((m1, m2))
         for i1 in range(m1):
             for i2 in range(m2):
@@ -123,12 +123,12 @@ class TestStructure:
     def test_linearity(self):
         grid = build_grid(interval(-1.0, 1.0), 65)
         rng = np.random.default_rng(11)
-        u = rng.normal(size=grid.points.shape[0])
-        v = rng.normal(size=grid.points.shape[0])
+        u = rng.normal(size=grid.n_interior)
+        v = rng.normal(size=grid.n_interior)
         s = 0.6
-        gu = riesz_gradient(grid, ScalarField(grid, u), s).values
-        gv = riesz_gradient(grid, ScalarField(grid, v), s).values
-        gw = riesz_gradient(grid, ScalarField(grid, 2.0 * u - 3.0 * v), s).values
+        gu = riesz_gradient(grid, u, s)
+        gv = riesz_gradient(grid, v, s)
+        gw = riesz_gradient(grid, 2.0 * u - 3.0 * v, s)
         np.testing.assert_allclose(gw, 2.0 * gu - 3.0 * gv, rtol=1e-11, atol=1e-12)
 
     def test_scaling_identity_exact(self):
@@ -136,29 +136,33 @@ class TestStructure:
         s, lam = 0.55, 2.5
         g1 = build_grid(interval(-2.0, 2.0), 33)
         g2 = build_grid(interval(-2.0 * lam, 2.0 * lam), 33)
-        vals = np.exp(-g1.points[:, 0] ** 2 / 0.98)
-        d1 = riesz_gradient(g1, ScalarField(g1, vals), s).values[:, 0]
-        d2 = riesz_gradient(g2, ScalarField(g2, vals), s).values[:, 0]
-        inner = g1.interior_mask
-        np.testing.assert_allclose(
-            d2[inner], lam**-s * d1[inner], rtol=1e-10, atol=1e-13
-        )
+        vals = np.exp(-g1.interior_points[:, 0] ** 2 / 0.98)
+        d1 = riesz_gradient(g1, vals, s)[:, 0]
+        d2 = riesz_gradient(g2, vals, s)[:, 0]
+        np.testing.assert_allclose(d2, lam**-s * d1, rtol=1e-10, atol=1e-13)
 
     def test_odd_symmetry_for_even_field(self):
         grid = build_grid(interval(-1.0, 1.0), 41)
-        u = ScalarField(grid, np.cos(0.5 * np.pi * grid.points[:, 0]) ** 2)
+        u = np.cos(0.5 * np.pi * grid.interior_points[:, 0]) ** 2
         plan = plan_riesz_convolution(grid, 0.35)
-        pot = riesz_potential(plan, u)
+        pot = riesz_potential(plan, grid, u)
         assert np.all(pot > 0.0)
         np.testing.assert_allclose(pot, pot[::-1], rtol=1e-12)
-        g = riesz_gradient(grid, u, 0.65).values[:, 0]
-        np.testing.assert_allclose(g[1:-1], -g[::-1][1:-1], rtol=1e-8, atol=1e-12)
+        g = riesz_gradient(grid, u, 0.65)[:, 0]
+        np.testing.assert_allclose(g, -g[::-1], rtol=1e-8, atol=1e-12)
 
     def test_gradient_field_masked_outside(self):
+        # one row per interior node: the centered differences of the
+        # potential of the zero extension, read at that node
         grid = build_grid(disk(0.0, 0.0, 1.0), 17)
-        u = ScalarField(grid, np.ones(grid.points.shape[0]))
+        u = np.ones(grid.n_interior)
         g = riesz_gradient(grid, u, 0.5)
-        assert np.all(g.values[~grid.interior_mask] == 0.0)
+        assert g.shape == (grid.n_interior, 2)
+        pot = riesz_potential(plan_riesz_convolution(grid, 0.5), grid, u)
+        l1, l2 = grid.lattice[grid.interior_idx].T
+        h1, h2 = grid.h
+        np.testing.assert_array_equal(g[:, 0], (pot[l1 + 1, l2] - pot[l1 - 1, l2]) / (2.0 * h1))
+        np.testing.assert_array_equal(g[:, 1], (pot[l1, l2 + 1] - pot[l1, l2 - 1]) / (2.0 * h2))
 
 
 class TestGridMismatch:
@@ -166,27 +170,27 @@ class TestGridMismatch:
         # same node count, four times the spacing: the table does not fit
         grid = build_grid(interval(0.0, 4.0), 33)
         plan = plan_riesz_convolution(build_grid(interval(0.0, 1.0), 33), 0.5)
-        u = ScalarField(grid, np.exp(-((grid.points[:, 0] - 2.0) ** 2)))
+        u = np.exp(-((grid.interior_points[:, 0] - 2.0) ** 2))
         with pytest.raises(ValueError, match="different grid"):
             riesz_gradient(grid, u, 0.5, plan=plan)
 
     def test_field_from_another_grid_rejected(self):
+        # a vector of another grid's interior nodes has the wrong length
         grid = build_grid(interval(0.0, 1.0), 33)
-        other = build_grid(interval(0.0, 4.0), 33)
-        u = ScalarField(other, np.exp(-((other.points[:, 0] - 2.0) ** 2)))
-        with pytest.raises(ValueError, match="does not match"):
+        other = build_grid(interval(0.0, 4.0), 35)
+        u = np.exp(-((other.interior_points[:, 0] - 2.0) ** 2))
+        with pytest.raises(ValueError, match="interior values"):
             riesz_gradient(grid, u, 0.5)
-        with pytest.raises(ValueError, match="does not match"):
-            riesz_potential(plan_riesz_convolution(grid, 0.5), u)
+        with pytest.raises(ValueError, match="interior values"):
+            riesz_potential(plan_riesz_convolution(grid, 0.5), grid, u)
 
     def test_equal_grid_from_another_build_accepted(self):
         g1 = build_grid(interval(0.0, 1.0), 33)
         g2 = build_grid(interval(0.0, 1.0), 33)
         plan = plan_riesz_convolution(g1, 0.5)
-        u = ScalarField(g2, np.sin(np.pi * g2.points[:, 0]))
+        u = np.sin(np.pi * g2.interior_points[:, 0])
         np.testing.assert_array_equal(
-            riesz_gradient(g2, u, 0.5, plan=plan).values,
-            riesz_gradient(g2, u, 0.5).values,
+            riesz_gradient(g2, u, 0.5, plan=plan), riesz_gradient(g2, u, 0.5)
         )
 
 
@@ -230,20 +234,19 @@ class TestGaussianOracle:
     def test_1d_pointwise(self):
         s, sigma = 0.55, 0.6
         grid = build_grid(interval(-4.0, 4.0), 257)
-        u = ScalarField(grid, np.exp(-grid.points[:, 0] ** 2 / (2 * sigma**2)))
-        g = riesz_gradient(grid, u, s).values[:, 0]
+        x_in = grid.interior_points[:, 0]
+        g = riesz_gradient(grid, np.exp(-(x_in**2) / (2 * sigma**2)), s)[:, 0]
         for x in (0.25, 0.75, 1.5):
-            idx = int(round((x + 4.0) / grid.h[0]))
-            assert abs(grid.points[idx, 0] - x) < 1e-12
+            idx = int(np.argmin(np.abs(x_in - x)))
+            assert abs(x_in[idx] - x) < 1e-12
             want = gaussian_gradient_1d(x, s, sigma)
             assert g[idx] == pytest.approx(want, rel=2e-2)
 
     def test_1d_near_one_recovers_classical_derivative(self):
         sigma = 0.6
         grid = build_grid(interval(-4.0, 4.0), 257)
-        x = grid.points[:, 0]
-        u = ScalarField(grid, np.exp(-(x**2) / (2 * sigma**2)))
-        g = riesz_gradient(grid, u, 0.99).values[:, 0]
+        x = grid.interior_points[:, 0]
+        g = riesz_gradient(grid, np.exp(-(x**2) / (2 * sigma**2)), 0.99)[:, 0]
         classical = -x / sigma**2 * np.exp(-(x**2) / (2 * sigma**2))
         inner = np.abs(x) <= 2.0
         rel = np.linalg.norm(g[inner] - classical[inner]) / np.linalg.norm(
@@ -254,14 +257,11 @@ class TestGaussianOracle:
     def test_2d_pointwise(self):
         s, sigma = 0.5, 0.5
         grid = build_grid(rectangle(-2.0, 2.0, -2.0, 2.0), 65)
-        r2 = np.sum(grid.points**2, axis=1)
-        u = ScalarField(grid, np.exp(-r2 / (2 * sigma**2)))
-        g = riesz_gradient(grid, u, s).values
-        m = grid.shape[0]
+        pts = grid.interior_points
+        g = riesz_gradient(grid, np.exp(-np.sum(pts**2, axis=1) / (2 * sigma**2)), s)
         # node at (0.5, 0): 8 steps right of center along the x axis
-        center = (m // 2) * m + m // 2
-        idx = center + 8 * m
-        np.testing.assert_allclose(grid.points[idx], [0.5, 0.0], atol=1e-12)
+        idx = int(np.argmin(np.sum((pts - [0.5, 0.0]) ** 2, axis=1)))
+        np.testing.assert_allclose(pts[idx], [0.5, 0.0], atol=1e-12)
         want = gaussian_gradient_2d_radial(0.5, s, sigma)
         assert g[idx, 0] == pytest.approx(want, rel=3e-2)
         assert abs(g[idx, 1]) < 1e-3 * abs(want)

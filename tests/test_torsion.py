@@ -6,13 +6,14 @@ closed-form quadratic for the line-search minimizer, and monotone
 structural properties for everything nonlinear.
 """
 
+import logging
 import zlib
 
 import numpy as np
 import pytest
 
 from fracsolve.gagliardo import OperatorParams, assemble_weights, operator_gradient
-from fracsolve.grids import ScalarField, build_grid, disk, interval
+from fracsolve.grids import build_grid, disk, interval
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import ProblemExponents, SingularReaction, f_eval
 from fracsolve.torsion import (
@@ -235,18 +236,16 @@ class TestTorsionNonlinear:
 class TestHopf:
     def test_exact_power_of_distance(self):
         grid = build_grid(interval(0.0, 1.0), 33)
-        d = grid.distance_field()
+        d = grid.pack(grid.distance_field())
         s1 = 0.6
-        u1 = ScalarField(grid, d.values**s1)
-        assert hopf_ratio(u1, d, s1) == pytest.approx(1.0, rel=1e-12)
-        u2 = ScalarField(grid, 2.0 * d.values**s1)
-        assert hopf_ratio(u2, d, s1) == pytest.approx(2.0, rel=1e-12)
+        assert hopf_ratio(d**s1, d, s1) == pytest.approx(1.0, rel=1e-12)
+        assert hopf_ratio(2.0 * d**s1, d, s1) == pytest.approx(2.0, rel=1e-12)
 
     def test_nonpositive_field_rejected(self):
         grid = build_grid(interval(0.0, 1.0), 9)
-        d = grid.distance_field()
+        d = grid.pack(grid.distance_field())
         with pytest.raises(ValueError):
-            hopf_ratio(ScalarField(grid, np.zeros(grid.points.shape[0])), d, 0.5)
+            hopf_ratio(np.zeros(grid.n_interior), d, 0.5)
 
     def test_exponent_plain_case(self):
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
@@ -322,6 +321,20 @@ class TestSelectSigma:
             etas.append(cert.eta)
         ratio = etas[1] / etas[0]
         assert 0.5 <= ratio <= 2.0
+
+    def test_logs_one_line_per_sigma(self, nl_setup, caplog):
+        exps, grid, tables = nl_setup
+        # a small c1 shrinks delta below the first torsion solutions
+        fam = SingularReaction(gamma=0.5, c1=0.05, c2=0.5, r=1.1)
+        with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
+            cert = select_sigma(fam, exps, grid, tables)
+        lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.torsion"]
+        assert cert.halvings > 0
+        assert len(lines) == cert.halvings + 1
+        for k, line in enumerate(lines):
+            assert line.startswith(f"floor halving {k}: sigma ")
+            assert line.endswith("rejected" if k < cert.halvings else "certified")
+        assert f"sigma {cert.sigma:.6e}, sup norm {cert.sup_norm:.3e}" in lines[-1]
 
     def test_certificate_dict_fields(self, nl_setup):
         exps, grid, tables = nl_setup
