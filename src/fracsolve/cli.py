@@ -27,7 +27,7 @@ from .driver import apply_T, build_instance, solve_problem
 from .gagliardo import OperatorParams, assemble_weights, energy, operator_gradient
 from .grids import build_grid, interval
 from .reaction import ConvectiveReaction, ProblemExponents, SingularReaction
-from .riesz import riesz_gradient, riesz_normalization
+from .riesz import plan_riesz_convolution, riesz_gradient, riesz_normalization
 
 
 def _stderr_json(payload: dict) -> None:
@@ -127,7 +127,7 @@ def _cmd_torsion(args) -> int:
 def _bump(grid):
     """The reference bump: distance to the boundary over its maximum, as
     an interior vector."""
-    d = grid.pack(grid.distance_field())
+    d = grid.interior_distance
     return d / float(np.max(d))
 
 
@@ -139,7 +139,8 @@ def _cmd_gradient(args) -> int:
     bump = _bump(grid)
     # one column per axis over every lattice node, zero off the interior
     dsu = np.zeros((grid.points.shape[0], grid.dim))
-    dsu[grid.interior_idx] = riesz_gradient(grid, bump, cfg.exponents.s)
+    plan = plan_riesz_convolution(grid, 1.0 - cfg.exponents.s)
+    dsu[grid.interior_idx] = riesz_gradient(plan, bump)
     extra = [(f"dsu_{axis}", dsu[:, a]) for a, axis in zip(range(grid.dim), "xy")]
     io_utils.write_field_csv(out / "gradient.csv", grid.unpack(bump), extra=extra)
     return 0
@@ -246,7 +247,7 @@ def _selftest_checks():
          f"converged={res.converged}, gap {gap:.3e}")
     )
 
-    center = riesz_gradient(grid, _bump(grid), 0.55)[grid.n_interior // 2, 0]
+    center = riesz_gradient(inst.plan, _bump(grid))[grid.n_interior // 2, 0]
     results.append(
         ("fractional gradient odd symmetry", abs(center) < 1e-10, f"center value {center:.3e}")
     )

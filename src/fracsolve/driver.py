@@ -167,7 +167,7 @@ def frozen_at(instance: ProblemInstance, v: np.ndarray) -> FrozenProblem:
     """Frozen problem whose load is the convective term g(x, D^s v) for an
     interior vector v; the tables and the truncated forcing are the
     instance's, checked once when it was built."""
-    xi = riesz_gradient(instance.grid, v, instance.exponents.s, plan=instance.plan)
+    xi = riesz_gradient(instance.plan, v)
     return FrozenProblem(instance.tables, instance.trunc, g_eval(instance.convective, xi))
 
 
@@ -356,8 +356,7 @@ def solve_problem(
 
     clipped = np.maximum(last_result.x, floor)
     final_residual = verify_solution(instance, clipped)
-    distance = grid.pack(grid.distance_field())
-    hopf = hopf_ratio(clipped, distance, instance.certificate.exponent)
+    hopf = hopf_ratio(clipped, grid.interior_distance, instance.certificate.exponent)
 
     return SolveReport(
         u=grid.unpack(clipped),

@@ -34,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import fftconvolve
 
 from .grids import Grid
 from .quadrature import (
@@ -92,11 +91,6 @@ class PairWeightTable:
     woff: np.ndarray
     tail: np.ndarray
 
-    def _weights(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """woff[|l_i - l_j|] for broadcastable interior-node indices i, j."""
-        li = self.grid.lattice[self.grid.interior_idx]
-        return self.woff[tuple(np.abs(li[i, a] - li[j, a]) for a in range(li.shape[1]))]
-
     @cached_property
     def packed_pair(self) -> np.ndarray:
         """W_ij over the grid's pairs i < j, built on first evaluation."""
@@ -104,7 +98,9 @@ class PairWeightTable:
         out = np.empty(ii.size)
         block = _ROW_CHUNK * self.grid.n_interior
         for k0 in range(0, ii.size, block):
-            out[k0 : k0 + block] = self._weights(ii[k0 : k0 + block], jj[k0 : k0 + block])
+            out[k0 : k0 + block] = self.grid.at_offsets(
+                self.woff, ii[k0 : k0 + block], jj[k0 : k0 + block]
+            )
         return out
 
     @property
@@ -115,7 +111,9 @@ class PairWeightTable:
         rows = np.arange(n)
         out = np.empty((n, n))
         for a0 in range(0, n, _ROW_CHUNK):
-            out[a0 : a0 + _ROW_CHUNK] = self._weights(rows[a0 : a0 + _ROW_CHUNK, None], rows)
+            out[a0 : a0 + _ROW_CHUNK] = self.grid.at_offsets(
+                self.woff, rows[a0 : a0 + _ROW_CHUNK, None], rows
+            )
         return out
 
 
@@ -138,14 +136,6 @@ def _offset_table(grid: Grid, params: OperatorParams) -> np.ndarray:
         block = (slice(0, 2),) * a + (slice(2, None),) + (slice(None),) * (grid.dim - a - 1)
         table[block] = pair_integral(-beta, [d[b] for d, b in zip(deltas, block)], h)
     return table
-
-
-def _mirrored_kernel(woff: np.ndarray) -> np.ndarray:
-    """Extend the nonnegative-offset table to all signed offsets."""
-    idx = [np.abs(np.arange(-(m - 1), m)) for m in woff.shape]
-    if woff.ndim == 1:
-        return woff[idx[0]]
-    return woff[np.ix_(idx[0], idx[1])]
 
 
 def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
@@ -197,9 +187,7 @@ def _inbox_exterior_tail(grid: Grid, woff: np.ndarray) -> np.ndarray:
     """Sum of offset weights from each interior cell to all non-interior
     cells of the lattice, via one linear convolution."""
     ext = (~grid.interior_mask).astype(float).reshape(grid.shape)
-    kern = _mirrored_kernel(woff)
-    same = fftconvolve(ext, kern, mode="same")
-    return same.reshape(-1)[grid.interior_idx]
+    return grid.convolve(woff, ext).reshape(-1)[grid.interior_idx]
 
 
 def _cache_descriptor(grid: Grid, params: OperatorParams) -> dict:

@@ -4,6 +4,11 @@ Grids are uniform lattices over the domain's bounding box with an
 interior-node mask; a field carries one value per lattice node and is
 identically zero off the interior, which realizes the zero exterior
 condition at the discrete level.
+
+Tables over lattice offsets (the weight tables of the forms and the Riesz
+kernel) are stored over nonnegative offsets, one entry per node of the
+lattice; the grid alone knows how to read them at a pair of nodes and how
+to mirror them to signed offsets for a linear convolution.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 __all__ = [
     "Domain",
@@ -137,6 +143,11 @@ class Grid:
     def interior_points(self):
         return self.points[self.interior_idx]
 
+    @property
+    def interior_distance(self):
+        """Distance to the boundary at the interior nodes."""
+        return self.domain.distance(self.interior_points)
+
     @cached_property
     def pair_index(self):
         """Interior-node pairs (i, j) with i < j, row-major, built on first use."""
@@ -146,14 +157,32 @@ class Grid:
         """Interior values as a flat solver vector."""
         return field.values[self.interior_idx].copy()
 
-    def unpack(self, vec):
-        """Rebuild a field from an interior vector (exterior zero)."""
+    def zero_extend(self, vec):
+        """The interior vector on the whole lattice, shape ``self.shape``,
+        zero off the interior."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.n_interior,):
+            raise ValueError(f"expected {self.n_interior} interior values, got shape {vec.shape}")
         values = np.zeros(self.points.shape[0])
         values[self.interior_idx] = vec
-        return ScalarField(self, values)
+        return values.reshape(self.shape)
 
-    def distance_field(self):
-        return ScalarField(self, self.domain.distance(self.points))
+    def unpack(self, vec):
+        """Rebuild a field from an interior vector (exterior zero)."""
+        return ScalarField(self, self.zero_extend(vec).reshape(-1))
+
+    def at_offsets(self, table, i, j):
+        """``table[|l_i - l_j|]`` for broadcastable interior-node indices i, j,
+        where l is the lattice coordinate and table has shape ``self.shape``."""
+        li = self.lattice[self.interior_idx]
+        return table[tuple(np.abs(li[i, a] - li[j, a]) for a in range(self.dim))]
+
+    def convolve(self, table, values):
+        """Linear convolution of lattice values (shape ``self.shape``) with a
+        table over nonnegative offsets: entry l of the result is the sum over
+        nodes k of ``table[|l - k|] * values[k]``."""
+        signed = table[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in self.shape))]
+        return fftconvolve(values, signed, mode="same")
 
 
 def build_grid(domain, resolution):

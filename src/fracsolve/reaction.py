@@ -138,24 +138,15 @@ class TruncatedReaction:
         self._A_floor = _antiderivative(base, floor)
 
     def _coerce(self, t) -> np.ndarray:
-        """Accept one state per interior node, or a batch with the node
-        axis leading (shape (n, ...))."""
+        """One state per interior node, aligned with the floor."""
         tv = np.asarray(t, dtype=float)
-        if tv.shape[:1] != self.floor.shape:
-            raise ValueError(
-                f"expected a leading axis of {self.floor.size} interior values, "
-                f"got shape {tv.shape}"
-            )
+        if tv.shape != self.floor.shape:
+            raise ValueError(f"expected {self.floor.size} interior values, got shape {tv.shape}")
         return tv
 
-    def _per_node(self, arr: np.ndarray, like: np.ndarray) -> np.ndarray:
-        return arr.reshape(arr.shape + (1,) * (like.ndim - 1))
-
     def f(self, t) -> np.ndarray:
-        """Truncated forcing at interior-node states; finite for every real t."""
-        tv = self._coerce(t)
-        floor = self._per_node(self.floor, tv)
-        return _base_value(self.base, np.maximum(floor, tv))
+        """Truncated forcing at an interior vector; finite for every real t."""
+        return _base_value(self.base, np.maximum(self.floor, self._coerce(t)))
 
     def F(self, tau) -> np.ndarray:
         """Antiderivative of the truncated forcing from 0, in closed form.
@@ -164,11 +155,13 @@ class TruncatedReaction:
         segment [0, floor] plus the exact power antiderivative beyond.
         """
         tv = self._coerce(tau)
-        floor = self._per_node(self.floor, tv)
-        f_floor = self._per_node(self._f_floor, tv)
-        a_floor = self._per_node(self._A_floor, tv)
-        below = f_floor * tv
-        above = f_floor * floor + _antiderivative(self.base, np.maximum(floor, tv)) - a_floor
+        floor = self.floor
+        below = self._f_floor * tv
+        above = (
+            self._f_floor * floor
+            + _antiderivative(self.base, np.maximum(floor, tv))
+            - self._A_floor
+        )
         return np.where(tv <= floor, below, above)
 
 

@@ -173,7 +173,7 @@ def select_sigma(
             return SubsolutionCertificate(
                 lower=grid.unpack(vals),
                 sigma=sigma,
-                eta=hopf_ratio(vals, grid.pack(grid.distance_field()), exponent),
+                eta=hopf_ratio(vals, grid.interior_distance, exponent),
                 exponent=exponent,
                 epsilon=float(epsilon),
                 delta=float(delta),

@@ -61,7 +61,7 @@ def uniqueness_probe(
 
     floor = prob.trunc.floor
     if starts is None:
-        d = prob.grid.pack(prob.grid.distance_field())
+        d = prob.grid.interior_distance
         bump = float(np.max(floor)) * d / float(np.max(d))
         starts = (floor.copy(), 10.0 * floor + bump)
     opts = options or MinimizerOptions(tol=1e-8)

@@ -46,7 +46,7 @@ from fracsolve.reaction import (
     f_eval,
     g_eval,
 )
-from fracsolve.riesz import riesz_gradient, riesz_normalization
+from fracsolve.riesz import plan_riesz_convolution, riesz_gradient, riesz_normalization
 from fracsolve.torsion import solve_torsion
 from support.kernels import BesselParams, bessel_mass, semigroup_residual
 from support.oracles import apply_form, uniqueness_probe
@@ -175,7 +175,7 @@ def test_criterion_4_riesz_limit():
     inner = np.max(np.abs(pts), axis=1) <= 2.0
     errs = []
     for s in (0.6, 0.8, 0.9, 0.95, 0.99):
-        g = riesz_gradient(grid, u, s)
+        g = riesz_gradient(plan_riesz_convolution(grid, 1.0 - s), u)
         errs.append(
             np.linalg.norm((g - grad_true)[inner]) / np.linalg.norm(grad_true[inner])
         )
@@ -249,7 +249,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
         assemble_weights(grid3, OperatorParams(s=exps.s1, p=exps.p)),
         assemble_weights(grid3, OperatorParams(s=exps.s2, p=exps.q)),
     )
-    xi3 = riesz_gradient(grid3, np.array([0.1, 0.15, 0.1]), exps.s)
+    xi3 = riesz_gradient(plan_riesz_convolution(grid3, 1.0 - exps.s), np.array([0.1, 0.15, 0.1]))
     prob3 = FrozenProblem(
         tables=tabs3,
         trunc=TruncatedReaction(reaction, np.array([0.045, 0.07, 0.045])),
@@ -268,7 +268,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
             np.sum(table.pair * np.abs(du) ** p, axis=(1, 2))
             + 2.0 * np.sum(table.tail * np.abs(cand) ** p, axis=1)
         ) / p
-    total -= vol * np.sum(prob3.trunc.F(cand.T).T, axis=1)
+    total -= vol * np.array([np.sum(prob3.trunc.F(c)) for c in cand])
     total -= vol * np.sum(prob3.load * cand, axis=1)
     k = int(np.argmin(total))
     assert abs(total[k] - frozen_energy(prob3, cand[k])) <= 1e-12 * max(1.0, abs(total[k]))
@@ -347,7 +347,7 @@ def test_criterion_7_fixed_point(shipped_instances):
         assert np.all(uv > 0.0), name
         cert = inst.certificate
         assert cert.exponent == cfg.exponents.s1
-        d = inst.grid.pack(inst.grid.distance_field())
+        d = inst.grid.interior_distance
         assert np.all(uv >= cert.eta * d**cert.exponent - 1e-12), name
     _report(7, "fixed point vs coupled oracle, monitor, positivity", t0)
 

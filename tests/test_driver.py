@@ -155,7 +155,7 @@ class TestSolveProblem:
         assert np.all(u > 0.0)
         # Hopf-type lower bound with the certificate's constants
         cert = instance_1d.certificate
-        d = grid.pack(grid.distance_field())
+        d = grid.interior_distance
         assert np.all(u >= cert.eta * d**cert.exponent - 1e-6)
         assert report.final_residual < 5.0 * 1e-6
 
@@ -204,7 +204,7 @@ class TestSolveProblem:
         from scipy.optimize import brentq
 
         def problem_at(uv):
-            xi = riesz_gradient(grid, uv, inst.exponents.s, plan=inst.plan)
+            xi = riesz_gradient(inst.plan, uv)
             return FrozenProblem(tables=inst.tables, trunc=inst.trunc, load=g_eval(inst.convective, xi))
 
         u = inst.trunc.floor.copy()

@@ -41,7 +41,7 @@ from fracsolve.reaction import (
     TruncatedReaction,
     g_eval,
 )
-from fracsolve.riesz import riesz_gradient
+from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
 from fracsolve.torsion import select_sigma, solve_torsion, torsion_objective
 from support.oracles import apply_form, uniqueness_probe
 
@@ -56,7 +56,7 @@ def build_problem(grid, exponents, reaction, convective, floor, v):
         assemble_weights(grid, OperatorParams(exponents.s1, exponents.p)),
         assemble_weights(grid, OperatorParams(exponents.s2, exponents.q)),
     )
-    xi = riesz_gradient(grid, v, exponents.s)
+    xi = riesz_gradient(plan_riesz_convolution(grid, 1.0 - exponents.s), v)
     trunc = TruncatedReaction(reaction, floor)
     return FrozenProblem(tables=tables, trunc=trunc, load=g_eval(convective, xi))
 
@@ -70,7 +70,7 @@ def setup_1d():
     )
     cert = select_sigma(REACTION_1D, EXPONENTS_1D, grid, tables)
     lower = grid.pack(cert.lower)
-    xi = riesz_gradient(grid, lower, EXPONENTS_1D.s)
+    xi = riesz_gradient(plan_riesz_convolution(grid, 1.0 - EXPONENTS_1D.s), lower)
     trunc = TruncatedReaction(REACTION_1D, lower)
     prob = FrozenProblem(tables=tables, trunc=trunc, load=g_eval(CONVECTIVE_1D, xi))
     return grid, cert, prob
@@ -303,7 +303,7 @@ class TestSolveFrozen:
                 pair = np.sum(table.pair * np.abs(du) ** p, axis=(1, 2))
                 tail = 2.0 * np.sum(table.tail * np.abs(U) ** p, axis=1)
                 total += (pair + tail) / p
-            total -= vol * np.sum(prob.trunc.F(U.T).T, axis=1)
+            total -= vol * np.array([np.sum(prob.trunc.F(u)) for u in U])
             total -= vol * np.sum(prob.load * U, axis=1)
             return total
 
@@ -344,7 +344,8 @@ class TestSolveFrozen:
             tables=tables,
             trunc=ConstantForcing(grid.n_interior),
             load=g_eval(
-                ConvectiveReaction(c3=0.0, zeta=1.2), riesz_gradient(grid, v, exps.s)
+                ConvectiveReaction(c3=0.0, zeta=1.2),
+                riesz_gradient(plan_riesz_convolution(grid, 1.0 - exps.s), v),
             ),
         )
         tol = 1e-6
@@ -399,7 +400,9 @@ class TestTwoDimensional:
         prob = FrozenProblem(
             tables=tables,
             trunc=TruncatedReaction(reaction, lower),
-            load=g_eval(convective, riesz_gradient(grid, lower, exps.s)),
+            load=g_eval(
+                convective, riesz_gradient(plan_riesz_convolution(grid, 1.0 - exps.s), lower)
+            ),
         )
         result = solve_frozen(prob)
         assert result.converged

@@ -64,6 +64,26 @@ class TestGrid:
         f = g.unpack(vec)
         np.testing.assert_array_equal(g.pack(f), vec)
 
+    def test_interior_distance_positive(self):
+        for domain in (interval(0.0, 1.0), rectangle(0.0, 2.0, 0.0, 1.0), disk(0.3, -0.2, 0.7)):
+            g = build_grid(domain, 9)
+            d = g.interior_distance
+            assert np.all(d > 0.0)
+            np.testing.assert_array_equal(d, domain.distance(g.interior_points))
+
+    def test_zero_extend_is_lattice_shaped(self):
+        g = build_grid(disk(0.0, 0.0, 1.0), 9)
+        vec = np.random.default_rng(1).normal(size=g.n_interior)
+        ext = g.zero_extend(vec)
+        assert ext.shape == g.shape
+        np.testing.assert_array_equal(ext.reshape(-1)[g.interior_idx], vec)
+        assert np.all(ext.reshape(-1)[~g.interior_mask] == 0.0)
+        for bad in (vec[:-1], vec[:, None]):
+            with pytest.raises(ValueError, match="interior values"):
+                g.zero_extend(bad)
+            with pytest.raises(ValueError, match="interior values"):
+                g.unpack(bad)
+
     def test_rectangle_anisotropic_spacing(self):
         g = build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 5)
         np.testing.assert_allclose(g.h, (0.5, 0.25))
@@ -83,14 +103,6 @@ class TestScalarField:
         g = build_grid(interval(0.0, 1.0), 5)
         with pytest.raises(ValueError):
             ScalarField(g, np.zeros(7))
-
-
-class TestLpNorm:
-    def test_distance_field_zero_on_boundary_nodes(self):
-        g = build_grid(interval(0.0, 1.0), 9)
-        d = g.distance_field()
-        assert d.values[0] == 0.0 and d.values[-1] == 0.0
-        assert np.all(d.values[g.interior_mask] > 0.0)
 
 
 class TestExports:

@@ -91,10 +91,9 @@ class TestConvectiveReaction:
 @pytest.fixture(scope="module")
 def trunc_setup():
     grid = build_grid(interval(0.0, 1.0), 17)
-    d = grid.distance_field()
-    lower = ScalarField(grid, 0.3 * d.values**0.6 + 0.05 * grid.interior_mask)
+    lower = 0.3 * grid.interior_distance**0.6 + 0.05
     fam = SingularReaction(gamma=0.5, c1=1.0, c2=0.8, r=1.4)
-    return grid, TruncatedReaction(fam, grid.pack(lower))
+    return grid, TruncatedReaction(fam, lower)
 
 
 class TestTruncation:
@@ -201,6 +200,16 @@ class TestTruncation:
         bad = ScalarField(grid, np.zeros(grid.points.shape[0]))
         with pytest.raises(ValueError):
             TruncatedReaction(fam, grid.pack(bad))
+
+    def test_only_one_interior_vector_accepted(self, trunc_setup):
+        # a batch of states with the node axis leading is not a state
+        _, trunc = trunc_setup
+        n = trunc.floor.size
+        for bad in (np.ones((n, 2)), np.ones(n + 1), 1.0):
+            with pytest.raises(ValueError, match="interior values"):
+                trunc.f(bad)
+            with pytest.raises(ValueError, match="interior values"):
+                trunc.F(bad)
 
 
 def _exponents(**kw):

@@ -1,9 +1,9 @@
 """Tests for the Riesz-potential fractional gradient.
 
 Oracles: scipy.quad / dblquad for kernel cell integrals, a brute-force
-double-loop convolution for FFT alignment, and Fourier-side integral
-formulas for the fractional gradient of a Gaussian (sine transform in 1D,
-a J1 Hankel integral in 2D).
+double-loop convolution for the offset mirror of ``Grid.convolve``, and
+Fourier-side integral formulas for the fractional gradient of a Gaussian
+(sine transform in 1D, a J1 Hankel integral in 2D).
 """
 
 import math
@@ -15,13 +15,16 @@ from scipy.special import j1
 
 from fracsolve.grids import build_grid, disk, interval, rectangle
 from fracsolve.riesz import (
-    ConvolutionPlan,
     plan_riesz_convolution,
     riesz_cell_average,
     riesz_gradient,
     riesz_normalization,
-    riesz_potential,
 )
+
+
+def fractional_gradient(grid, v, s):
+    """D^s of the interior vector v through a plan of order 1 - s."""
+    return riesz_gradient(plan_riesz_convolution(grid, 1.0 - s), v)
 
 
 class TestKernelTable1D:
@@ -30,19 +33,17 @@ class TestKernelTable1D:
         alpha = 0.45
         plan = plan_riesz_convolution(grid, alpha)
         h = grid.h[0]
-        m = grid.shape[0]
-        assert plan.kernel.shape == (2 * m - 1,)
+        assert plan.kernel.shape == grid.shape
         gamma = riesz_normalization(1, alpha)
         # origin cell: split the endpoint singularity at zero
         half, _ = quad(lambda z: z ** (alpha - 1.0), 0.0, h / 2)
-        assert plan.kernel[m - 1] == pytest.approx(2.0 * gamma * half, rel=1e-12)
+        assert plan.kernel[0] == pytest.approx(2.0 * gamma * half, rel=1e-12)
         for d in (1, 2, 7):
             want, err = quad(
                 lambda z: z ** (alpha - 1.0), d * h - h / 2, d * h + h / 2
             )
             assert err < 1e-12
-            assert plan.kernel[m - 1 + d] == pytest.approx(gamma * want, rel=1e-12)
-            assert plan.kernel[m - 1 - d] == plan.kernel[m - 1 + d]
+            assert plan.kernel[d] == pytest.approx(gamma * want, rel=1e-12)
 
 
 class TestKernelTable2D:
@@ -51,8 +52,7 @@ class TestKernelTable2D:
         alpha = 0.4
         plan = plan_riesz_convolution(grid, alpha)
         h1, h2 = grid.h
-        m1, m2 = grid.shape
-        assert plan.kernel.shape == (2 * m1 - 1, 2 * m2 - 1)
+        assert plan.kernel.shape == grid.shape
         gamma = riesz_normalization(2, alpha)
 
         def cell_integral(d1, d2):
@@ -66,57 +66,55 @@ class TestKernelTable2D:
             return gamma * val
 
         far = cell_integral(3, 2)
-        assert plan.kernel[m1 - 1 + 3, m2 - 1 + 2] == pytest.approx(far, rel=1e-8)
+        assert plan.kernel[3, 2] == pytest.approx(far, rel=1e-8)
         adj = cell_integral(1, 0)
-        assert plan.kernel[m1 - 1 + 1, m2 - 1] == pytest.approx(adj, rel=1e-4)
+        assert plan.kernel[1, 0] == pytest.approx(adj, rel=1e-4)
         # origin cell uses the exact singular average
         want = riesz_cell_average(alpha, grid.h) * grid.cell_volume
-        assert plan.kernel[m1 - 1, m2 - 1] == pytest.approx(want, rel=1e-10)
+        assert plan.kernel[0, 0] == pytest.approx(want, rel=1e-10)
 
     def test_symmetry_all_octants(self):
+        # the quadrant holds the other octants by its mirror; square cells
+        # add the swap of the two axes
         grid = build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 7)
-        plan = plan_riesz_convolution(grid, 0.6)
-        k = plan.kernel
-        np.testing.assert_array_equal(k, k[::-1, :])
-        np.testing.assert_array_equal(k, k[:, ::-1])
-        np.testing.assert_array_equal(k, k.T)  # square cells
+        k = plan_riesz_convolution(grid, 0.6).kernel
+        np.testing.assert_array_equal(k, k.T)
 
 
 class TestConvolutionAlignment:
+    """``Grid.convolve`` against the double sum over lattice nodes of
+    table[|l - k|] * values[k], with a random table that is not symmetric
+    under the swap of the axes, so a transposed or shifted mirror fails."""
+
     def test_1d_matches_double_loop(self):
         grid = build_grid(interval(0.0, 1.0), 33)
         rng = np.random.default_rng(4)
-        u = rng.normal(size=grid.n_interior)
-        plan = plan_riesz_convolution(grid, 0.5)
-        pot = riesz_potential(plan, grid, u)
-        m = grid.shape[0]
-        uv = grid.unpack(u).values
+        (m,) = grid.shape
+        table = rng.random(m)
+        values = rng.normal(size=m)
         direct = np.zeros(m)
         for i in range(m):
             for j in range(m):
-                direct[i] += uv[j] * plan.kernel[m - 1 + i - j]
-        np.testing.assert_allclose(pot.reshape(-1), direct, rtol=1e-12, atol=1e-13)
+                direct[i] += table[abs(i - j)] * values[j]
+        np.testing.assert_allclose(grid.convolve(table, values), direct, rtol=1e-12, atol=1e-13)
 
     def test_2d_matches_double_loop(self):
-        grid = build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 9)
+        grid = build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 9)
+        assert grid.h[0] != grid.h[1]
         rng = np.random.default_rng(8)
-        u = rng.normal(size=grid.n_interior)
-        plan = plan_riesz_convolution(grid, 0.7)
-        pot = riesz_potential(plan, grid, u)
         m1, m2 = grid.shape
-        ug = grid.unpack(u).values.reshape(m1, m2)
+        table = rng.random(grid.shape)
+        assert not np.allclose(table, table.T)
+        values = rng.normal(size=grid.shape)
         direct = np.zeros((m1, m2))
         for i1 in range(m1):
             for i2 in range(m2):
                 acc = 0.0
                 for j1 in range(m1):
                     for j2 in range(m2):
-                        acc += (
-                            ug[j1, j2]
-                            * plan.kernel[m1 - 1 + i1 - j1, m2 - 1 + i2 - j2]
-                        )
+                        acc += table[abs(i1 - j1), abs(i2 - j2)] * values[j1, j2]
                 direct[i1, i2] = acc
-        np.testing.assert_allclose(pot, direct, rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(grid.convolve(table, values), direct, rtol=1e-11, atol=1e-13)
 
 
 class TestStructure:
@@ -125,10 +123,10 @@ class TestStructure:
         rng = np.random.default_rng(11)
         u = rng.normal(size=grid.n_interior)
         v = rng.normal(size=grid.n_interior)
-        s = 0.6
-        gu = riesz_gradient(grid, u, s)
-        gv = riesz_gradient(grid, v, s)
-        gw = riesz_gradient(grid, 2.0 * u - 3.0 * v, s)
+        plan = plan_riesz_convolution(grid, 1.0 - 0.6)
+        gu = riesz_gradient(plan, u)
+        gv = riesz_gradient(plan, v)
+        gw = riesz_gradient(plan, 2.0 * u - 3.0 * v)
         np.testing.assert_allclose(gw, 2.0 * gu - 3.0 * gv, rtol=1e-11, atol=1e-12)
 
     def test_scaling_identity_exact(self):
@@ -137,18 +135,18 @@ class TestStructure:
         g1 = build_grid(interval(-2.0, 2.0), 33)
         g2 = build_grid(interval(-2.0 * lam, 2.0 * lam), 33)
         vals = np.exp(-g1.interior_points[:, 0] ** 2 / 0.98)
-        d1 = riesz_gradient(g1, vals, s)[:, 0]
-        d2 = riesz_gradient(g2, vals, s)[:, 0]
+        d1 = fractional_gradient(g1, vals, s)[:, 0]
+        d2 = fractional_gradient(g2, vals, s)[:, 0]
         np.testing.assert_allclose(d2, lam**-s * d1, rtol=1e-10, atol=1e-13)
 
     def test_odd_symmetry_for_even_field(self):
         grid = build_grid(interval(-1.0, 1.0), 41)
         u = np.cos(0.5 * np.pi * grid.interior_points[:, 0]) ** 2
         plan = plan_riesz_convolution(grid, 0.35)
-        pot = riesz_potential(plan, grid, u)
+        pot = grid.convolve(plan.kernel, grid.zero_extend(u))
         assert np.all(pot > 0.0)
         np.testing.assert_allclose(pot, pot[::-1], rtol=1e-12)
-        g = riesz_gradient(grid, u, 0.65)[:, 0]
+        g = riesz_gradient(plan, u)[:, 0]
         np.testing.assert_allclose(g, -g[::-1], rtol=1e-8, atol=1e-12)
 
     def test_gradient_field_masked_outside(self):
@@ -156,9 +154,10 @@ class TestStructure:
         # potential of the zero extension, read at that node
         grid = build_grid(disk(0.0, 0.0, 1.0), 17)
         u = np.ones(grid.n_interior)
-        g = riesz_gradient(grid, u, 0.5)
+        plan = plan_riesz_convolution(grid, 0.5)
+        g = riesz_gradient(plan, u)
         assert g.shape == (grid.n_interior, 2)
-        pot = riesz_potential(plan_riesz_convolution(grid, 0.5), grid, u)
+        pot = grid.convolve(plan.kernel, grid.zero_extend(u))
         l1, l2 = grid.lattice[grid.interior_idx].T
         h1, h2 = grid.h
         np.testing.assert_array_equal(g[:, 0], (pot[l1 + 1, l2] - pot[l1 - 1, l2]) / (2.0 * h1))
@@ -166,32 +165,15 @@ class TestStructure:
 
 
 class TestGridMismatch:
-    def test_plan_from_another_grid_rejected(self):
-        # same node count, four times the spacing: the table does not fit
-        grid = build_grid(interval(0.0, 4.0), 33)
-        plan = plan_riesz_convolution(build_grid(interval(0.0, 1.0), 33), 0.5)
-        u = np.exp(-((grid.interior_points[:, 0] - 2.0) ** 2))
-        with pytest.raises(ValueError, match="different grid"):
-            riesz_gradient(grid, u, 0.5, plan=plan)
-
     def test_field_from_another_grid_rejected(self):
         # a vector of another grid's interior nodes has the wrong length
         grid = build_grid(interval(0.0, 1.0), 33)
         other = build_grid(interval(0.0, 4.0), 35)
         u = np.exp(-((other.interior_points[:, 0] - 2.0) ** 2))
         with pytest.raises(ValueError, match="interior values"):
-            riesz_gradient(grid, u, 0.5)
+            riesz_gradient(plan_riesz_convolution(grid, 0.5), u)
         with pytest.raises(ValueError, match="interior values"):
-            riesz_potential(plan_riesz_convolution(grid, 0.5), grid, u)
-
-    def test_equal_grid_from_another_build_accepted(self):
-        g1 = build_grid(interval(0.0, 1.0), 33)
-        g2 = build_grid(interval(0.0, 1.0), 33)
-        plan = plan_riesz_convolution(g1, 0.5)
-        u = np.sin(np.pi * g2.interior_points[:, 0])
-        np.testing.assert_array_equal(
-            riesz_gradient(g2, u, 0.5, plan=plan), riesz_gradient(g2, u, 0.5)
-        )
+            grid.zero_extend(u)
 
 
 def gaussian_gradient_1d(x, s, sigma):
@@ -235,7 +217,7 @@ class TestGaussianOracle:
         s, sigma = 0.55, 0.6
         grid = build_grid(interval(-4.0, 4.0), 257)
         x_in = grid.interior_points[:, 0]
-        g = riesz_gradient(grid, np.exp(-(x_in**2) / (2 * sigma**2)), s)[:, 0]
+        g = fractional_gradient(grid, np.exp(-(x_in**2) / (2 * sigma**2)), s)[:, 0]
         for x in (0.25, 0.75, 1.5):
             idx = int(np.argmin(np.abs(x_in - x)))
             assert abs(x_in[idx] - x) < 1e-12
@@ -246,7 +228,7 @@ class TestGaussianOracle:
         sigma = 0.6
         grid = build_grid(interval(-4.0, 4.0), 257)
         x = grid.interior_points[:, 0]
-        g = riesz_gradient(grid, np.exp(-(x**2) / (2 * sigma**2)), 0.99)[:, 0]
+        g = fractional_gradient(grid, np.exp(-(x**2) / (2 * sigma**2)), 0.99)[:, 0]
         classical = -x / sigma**2 * np.exp(-(x**2) / (2 * sigma**2))
         inner = np.abs(x) <= 2.0
         rel = np.linalg.norm(g[inner] - classical[inner]) / np.linalg.norm(
@@ -258,7 +240,7 @@ class TestGaussianOracle:
         s, sigma = 0.5, 0.5
         grid = build_grid(rectangle(-2.0, 2.0, -2.0, 2.0), 65)
         pts = grid.interior_points
-        g = riesz_gradient(grid, np.exp(-np.sum(pts**2, axis=1) / (2 * sigma**2)), s)
+        g = fractional_gradient(grid, np.exp(-np.sum(pts**2, axis=1) / (2 * sigma**2)), s)
         # node at (0.5, 0): 8 steps right of center along the x axis
         idx = int(np.argmin(np.sum((pts - [0.5, 0.0]) ** 2, axis=1)))
         np.testing.assert_allclose(pts[idx], [0.5, 0.0], atol=1e-12)

@@ -236,14 +236,14 @@ class TestTorsionNonlinear:
 class TestHopf:
     def test_exact_power_of_distance(self):
         grid = build_grid(interval(0.0, 1.0), 33)
-        d = grid.pack(grid.distance_field())
+        d = grid.interior_distance
         s1 = 0.6
         assert hopf_ratio(d**s1, d, s1) == pytest.approx(1.0, rel=1e-12)
         assert hopf_ratio(2.0 * d**s1, d, s1) == pytest.approx(2.0, rel=1e-12)
 
     def test_nonpositive_field_rejected(self):
         grid = build_grid(interval(0.0, 1.0), 9)
-        d = grid.pack(grid.distance_field())
+        d = grid.interior_distance
         with pytest.raises(ValueError):
             hopf_ratio(np.zeros(grid.n_interior), d, 0.5)
 
