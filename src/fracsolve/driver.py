@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .frozen import FrozenProblem, default_frozen_options, solve_frozen, weak_residual
 from .gagliardo import OperatorParams, assemble_weights, seminorm
@@ -38,6 +37,8 @@ _INCREASE_STREAK = 3
 _BALL_SLACK = 1.0 + 1e-9
 # random fields the growth-bound fit samples, spread over two decades
 _GROWTH_SAMPLES = 20
+# absolute and relative width of the final bracket of the invariance radius
+_ROOT_TOL = 1e-14
 # A warm-started solve stops just inside the inner tolerance, so the last
 # outer step is solved once more, this many times tighter, to leave the
 # final coupled residual a margin below that tolerance.
@@ -243,8 +244,20 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
         if hi > 1e12:
             warnings.warn("invariance radius exceeds 1e12; monitor disabled")
             return GrowthBound(c_emp=c_emp, rho=math.inf, exponent=exponent)
-    rho = float(brentq(gap, lo, hi, xtol=1e-14, rtol=1e-14))
+    rho = _bisect_root(gap, lo, hi)
     return GrowthBound(c_emp=c_emp, rho=rho, exponent=exponent)
+
+
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Root of f bracketed by f(lo) < 0 < f(hi), by bisection until the
+    bracket is narrower than _ROOT_TOL * (1 + hi)."""
+    while hi - lo > _ROOT_TOL * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _ball_check(norm: float, ball: GrowthBound | None, where: str) -> None:

@@ -167,18 +167,21 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
     # Half-planes double-count the four corner quadrants.  The Gauss rule
     # is symmetric, so the distances from lattice row i to the high face are
     # those from row m - i to the low face: one table of low-corner cell
-    # integrals over the lattice serves all four corners.
+    # integrals over the lattice serves all four corners.  Interior nodes
+    # are off the lattice edge, so rows 0 and m are never read and not
+    # integrated; they stay NaN.
     gx, gw = leggauss(10)
     dist1, dist2 = (
         w * (np.arange(m)[:, None] + 0.5 + 0.5 * gx[None, :]) for m, w in zip(grid.shape, h)
     )
-    corner = np.empty(grid.shape)
-    step = max(1, _ROW_CHUNK // grid.shape[1])
-    for r0 in range(0, grid.shape[0], step):
-        q = quadrant_integral(sp, dist1[r0 : r0 + step, None, :, None], dist2[None, :, None, :])
-        corner[r0 : r0 + step] = gw @ q @ gw
-    i, j = grid.lattice[grid.interior_idx].T
     m1, m2 = grid.shape[0] - 1, grid.shape[1] - 1
+    corner = np.full(grid.shape, np.nan)
+    step = max(1, _ROW_CHUNK // grid.shape[1])
+    for r0 in range(1, m1, step):
+        r1 = min(r0 + step, m1)
+        q = quadrant_integral(sp, dist1[r0:r1, None, :, None], dist2[None, :, None, :])
+        corner[r0:r1] = gw @ q @ gw
+    i, j = grid.lattice[grid.interior_idx].T
     corner_sum = corner[i, j] + corner[i, m2 - j] + corner[m1 - i, j] + corner[m1 - i, m2 - j]
     return tail - 0.25 * w1 * w2 * corner_sum
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 __all__ = [
     "Domain",
@@ -123,13 +123,16 @@ class Grid:
         else:
             xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
             self.points = np.column_stack([xx.ravel(), yy.ravel()])
-        self.interior_mask = domain.contains(self.points)
-        self.interior_idx = np.flatnonzero(self.interior_mask)
         self.cell_volume = float(np.prod(self.h))
         # integer lattice coordinates of every node, for offset arithmetic
         self.lattice = np.stack(
             np.unravel_index(np.arange(self.points.shape[0]), self.shape), axis=1
         )
+        # a node on the lattice edge lies on the bounding box, so never
+        # strictly inside the domain, however rounding places it
+        off_edge = np.all((self.lattice > 0) & (self.lattice < self.resolution - 1), axis=1)
+        self.interior_mask = domain.contains(self.points) & off_edge
+        self.interior_idx = np.flatnonzero(self.interior_mask)
 
     @property
     def dim(self):
@@ -182,7 +185,12 @@ class Grid:
         table over nonnegative offsets: entry l of the result is the sum over
         nodes k of ``table[|l - k|] * values[k]``."""
         signed = table[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in self.shape))]
-        return fftconvolve(values, signed, mode="same")
+        # the full linear convolution has 3m - 2 entries per axis; pad each
+        # axis to a fast real-FFT length and keep the centered m ("same"),
+        # which start at m - 1
+        fshape = [next_fast_len(3 * m - 2, True) for m in self.shape]
+        full = irfftn(rfftn(values, fshape) * rfftn(signed, fshape), fshape)
+        return full[tuple(slice(m - 1, 2 * m - 1) for m in self.shape)]
 
 
 def build_grid(domain, resolution):

@@ -104,6 +104,28 @@ class TestApplyT:
             rhs = 2.0 * bound.c_emp * (1.0 + lam**bound.exponent)
             assert lhs <= rhs
 
+    def test_growth_radius_is_the_root_of_the_gap(self, instance_1d):
+        from scipy.optimize import brentq
+
+        bound = fit_growth_bound(instance_1d, seed=0)
+        p = instance_1d.exponents.p
+
+        def gap(rho):
+            return rho**p - bound.c_emp * (1.0 + rho**bound.exponent)
+
+        ref = brentq(gap, 1e-8, 64.0, xtol=1e-14, rtol=1e-14)
+        assert abs(bound.rho - ref) <= 1e-13 * ref
+        assert gap(bound.rho * (1.0 - 1e-13)) < 0.0 < gap(bound.rho * (1.0 + 1e-13))
+
+    def test_bisection_matches_closed_form_roots(self):
+        for f, root in (
+            (lambda x: x**3 - 2.0, 2.0 ** (1.0 / 3.0)),
+            (lambda x: x - 1e-6, 1e-6),
+            (lambda x: math.log(x) - 20.0, math.exp(20.0)),
+        ):
+            rho = driver._bisect_root(f, 1e-9, 1e12)
+            assert abs(rho - root) <= 1e-14 + 1e-14 * root
+
     def test_warm_growth_fit_matches_cold_fit(self, instance_1d, monkeypatch):
         warm = fit_growth_bound(instance_1d, seed=0)
         cold_T = driver.apply_T

@@ -1,12 +1,20 @@
 """Grid and field tests, and the package's export lists."""
 
 import importlib
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
+import fracsolve
+from fracsolve.gagliardo import OperatorParams, assemble_weights
 from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
 
 
@@ -84,10 +92,55 @@ class TestGrid:
             with pytest.raises(ValueError, match="interior values"):
                 g.unpack(bad)
 
+    def test_lattice_edge_nodes_never_interior(self):
+        # (-0.9, 0) is on the circle, but rounding puts it 5.6e-17 inside
+        dom = disk(-1.0, 0.0, 0.1)
+        g = build_grid(dom, 9)
+        edge = np.flatnonzero(np.all(np.isclose(g.points, [-0.9, 0.0], atol=1e-12), axis=1))
+        assert edge.size == 1 and g.lattice[edge[0], 0] == 8
+        assert dom.contains(g.points[edge])[0]
+        assert not g.interior_mask[edge[0]]
+        li = g.lattice[g.interior_idx]
+        assert np.all((li > 0) & (li < g.resolution - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the (s1, p) and (s2, q) tables of configs/disk_2d.json
+            for params in (OperatorParams(s=0.6, p=3.0), OperatorParams(s=0.5, p=2.5)):
+                table = assemble_weights(g, params)
+                assert np.all(np.isfinite(table.tail)) and np.all(table.tail > 0.0)
+
+    def test_off_centre_disks_keep_the_lattice_edge_out(self):
+        for cx in np.linspace(-1.0, 1.0, 11):
+            for r in (0.1, 0.3, 0.7, 1.3):
+                for res in (9, 17):
+                    g = build_grid(disk(cx, 0.0, r), res)
+                    li = g.lattice[g.interior_idx]
+                    assert np.all((li > 0) & (li < res - 1)), (cx, r, res)
+
     def test_rectangle_anisotropic_spacing(self):
         g = build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 5)
         np.testing.assert_allclose(g.h, (0.5, 0.25))
         assert g.cell_volume == pytest.approx(0.125)
+
+
+class TestConvolve:
+    """``Grid.convolve`` runs on scipy.fft and must reproduce
+    ``scipy.signal.fftconvolve(values, signed, mode="same")`` bit for bit,
+    with ``signed`` the table mirrored to every signed offset."""
+
+    @pytest.mark.parametrize(
+        "domain, res",
+        [(interval(0.0, 1.0), 129), (disk(0.0, 0.0, 1.0), 25), (rectangle(0.0, 2.0, 0.0, 1.0), 17)],
+    )
+    def test_bit_identical_to_fftconvolve(self, domain, res):
+        g = build_grid(domain, res)
+        rng = np.random.default_rng(res)
+        table = rng.random(g.shape)
+        values = rng.normal(size=g.shape)
+        signed = table[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in g.shape))]
+        out = g.convolve(table, values)
+        assert out.shape == g.shape
+        assert np.array_equal(out, fftconvolve(values, signed, mode="same"))
 
 
 class TestScalarField:
@@ -111,3 +164,24 @@ class TestExports:
         mod = importlib.import_module(module)
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing
+
+    def test_import_leaves_heavy_scipy_out(self):
+        # scipy.signal and scipy.optimize (with the scipy.linalg and
+        # scipy.stats they pull in) cost more to import than a small solve.
+        # Older scipy.special imports scipy.linalg itself, so scipy.linalg
+        # and scipy.stats only count when scipy.fft and scipy.special
+        # leave them out.
+        src = str(Path(fracsolve.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        code = (
+            "import sys, scipy.fft, scipy.special\n"
+            "base = set(sys.modules)\n"
+            "import fracsolve, fracsolve.cli\n"
+            "heavy = ('scipy.signal', 'scipy.optimize', 'scipy.linalg', 'scipy.stats')\n"
+            "print(' '.join(m for m in heavy if m in sys.modules and m not in base))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == ""
