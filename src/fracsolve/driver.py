@@ -19,7 +19,7 @@ import numpy as np
 from .frozen import FrozenProblem, default_frozen_options, solve_frozen, weak_residual
 from .gagliardo import OperatorParams, assemble_weights, seminorm
 from .grids import Grid, ScalarField
-from .optimize import MinimizeResult, MinimizerOptions
+from .optimize import MinimizeResult, MinimizerOptions, bisect_root as _bisect_root
 from .reaction import (
     ConvectiveReaction,
     ProblemExponents,
@@ -37,16 +37,18 @@ _INCREASE_STREAK = 3
 _BALL_SLACK = 1.0 + 1e-9
 # random fields the growth-bound fit samples, spread over two decades
 _GROWTH_SAMPLES = 20
-# absolute and relative width of the final bracket of the invariance radius
-_ROOT_TOL = 1e-14
 # A warm-started solve stops just inside the inner tolerance, so the last
 # outer step is solved once more, this many times tighter, to leave the
 # final coupled residual a margin below that tolerance.
 _FINAL_TOL_DIVISOR = 10.0
-_SAMPLE_LOG = "growth sample %d: seminorm %.3e, T(v) seminorm %.3e, %d inner iterations"
+_SAMPLE_LOG = (
+    "growth sample %d: seminorm %.3e, T(v) seminorm %.3e, %d Newton steps, "
+    "%d inner iterations"
+)
 _SKIPPED_LOG = "growth sample %d: seminorm %.3e, skipped"
 _STEP_LOG = (
-    "outer %d: step seminorm %.3e, frozen residual %.3e, %d inner iterations, theta %.6g"
+    "outer %d: step seminorm %.3e, frozen residual %.3e, %d Newton steps, "
+    "%d inner iterations, theta %.6g"
 )
 
 
@@ -226,7 +228,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
             continue
         start = result.x
         tnorm = seminorm(tp, result.x)
-        logger.info(_SAMPLE_LOG, k, lam, tnorm, result.iterations)
+        logger.info(_SAMPLE_LOG, k, lam, tnorm, result.newton_steps, result.iterations)
         c_emp = max(c_emp, tnorm**e.p / (1.0 + lam**exponent))
     if c_emp <= 0.0:
         warnings.warn("growth-bound fit produced no usable samples")
@@ -246,18 +248,6 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
             return GrowthBound(c_emp=c_emp, rho=math.inf, exponent=exponent)
     rho = _bisect_root(gap, lo, hi)
     return GrowthBound(c_emp=c_emp, rho=rho, exponent=exponent)
-
-
-def _bisect_root(f, lo: float, hi: float) -> float:
-    """Root of f bracketed by f(lo) < 0 < f(hi), by bisection until the
-    bracket is narrower than _ROOT_TOL * (1 + hi)."""
-    while hi - lo > _ROOT_TOL * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _ball_check(norm: float, ball: GrowthBound | None, where: str) -> None:
@@ -325,13 +315,18 @@ def solve_problem(
             message = f"frozen solve failed at outer iteration {k}: {result.message}"
             step_seminorms.append(math.nan)
             v_norms.append(v_norms[-1])
-            logger.info(_STEP_LOG, k, math.nan, result.residual, result.iterations, theta)
+            logger.info(
+                _STEP_LOG, k, math.nan, result.residual, result.newton_steps,
+                result.iterations, theta,
+            )
             break
         v_new = relaxed_update(v, result.x, theta)
         step = seminorm(tp, v_new - v)
         step_seminorms.append(step)
         v_norms.append(seminorm(tp, v_new))
-        logger.info(_STEP_LOG, k, step, result.residual, result.iterations, theta)
+        logger.info(
+            _STEP_LOG, k, step, result.residual, result.newton_steps, result.iterations, theta
+        )
         _ball_check(v_norms[-1], ball, f"outer iteration {k}")
 
         if step > prev_step:

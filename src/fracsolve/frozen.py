@@ -12,7 +12,8 @@ gradient xi of an outer iterate; the torsion problem takes F(t) = sigma t
 and no load.  The truncation shields the singular forcing, so E and its
 gradient are finite for every real state and the minimization runs
 unconstrained; the lower bound u >= floor is certified on the outcome,
-never enforced.
+never enforced.  The solves pass the dense Hessian to the minimizer,
+which takes Newton steps wherever it is positive definite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gagliardo import PairWeightTable, _interior_vector, energy, operator_gradient
+from .gagliardo import (
+    PairWeightTable,
+    _interior_vector,
+    energy,
+    operator_gradient,
+    operator_hessian,
+)
 from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, minimize_energy
 from .reaction import ProblemExponents
@@ -49,7 +56,8 @@ class FrozenProblem:
     check_operator_tables accepts), the separable forcing ``trunc`` with
     ``f`` and its antiderivative ``F`` at interior states (frozen solves
     also start from its positive ``floor``), and the ``load``, one value
-    per interior node."""
+    per interior node.  A forcing that also has the derivative ``df``
+    gives the objective a Hessian, and its solves Newton steps."""
 
     def __init__(self, tables, trunc, load):
         self.tables = tables
@@ -94,6 +102,17 @@ def frozen_gradient(prob: FrozenProblem, u) -> np.ndarray:
     return grad
 
 
+def frozen_hessian(prob: FrozenProblem, u) -> np.ndarray:
+    """Dense Hessian of the objective: the Hessian of the two operator
+    forms minus vol * f'(u) on the diagonal.  The truncated forcing is
+    constant at or below the floor, so there its derivative is 0."""
+    tp, tq = prob.tables
+    uv = _interior_vector(tp, u)
+    hess = operator_hessian(tp, uv, tq)
+    hess[np.diag_indices(uv.size)] -= prob.grid.cell_volume * prob.trunc.df(uv)
+    return hess
+
+
 def weak_residual(prob: FrozenProblem, u) -> float:
     """Scaled norm of the weak-form residual vector over interior nodes."""
     return scaled_norm(frozen_gradient(prob, u))
@@ -131,6 +150,7 @@ def solve_frozen(
         lambda u: frozen_gradient(prob, u),
         np.maximum(x0, floor),
         opts,
+        hess_fn=(lambda u: frozen_hessian(prob, u)) if hasattr(prob.trunc, "df") else None,
     )
     bound_gap = float(np.min(result.x - floor))
     if result.converged and bound_gap < -opts.tol:

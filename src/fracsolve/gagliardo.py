@@ -49,7 +49,9 @@ _CACHE_VERSION = 2
 
 # Largest interior node count a table is assembled for.  The pair pass of
 # the forms holds the index pairs i < j (n^2 eight-byte words, 134 MB at
-# n = 4096) and n^2 / 2 packed weights per table.
+# n = 4096) and n^2 / 2 packed weights per table; a Newton step of the
+# solves adds the dense n x n Hessian (another 134 MB at n = 4096) and its
+# Cholesky factor, of the same size.
 NODE_CAP = 4096
 
 
@@ -374,3 +376,36 @@ def operator_gradient(table: PairWeightTable, u, *extra: PairWeightTable) -> np.
         grad -= np.bincount(j, flux, minlength=n)
     grad += sum(t.tail * _signed_power(uv, t.params.p) for t in tables)
     return 2.0 * grad
+
+
+def operator_hessian(table: PairWeightTable, u, *extra: PairWeightTable) -> np.ndarray:
+    """Hessian of the energy over interior nodes, a dense symmetric n x n
+    matrix: the weighted graph Laplacian with weight 2 (p-1) W_ij |u_i -
+    u_j|^(p-2) per pair plus the tail diagonal 2 (p-1) T_i |u_i|^(p-2),
+    summed over the tables.  It vanishes at u = 0 when every p > 2, and is
+    infinite where a difference or a value is 0 and some p < 2.  Extra
+    tables on the same grid add their Hessians from the same pass."""
+    tables = _same_grid_tables(table, extra)
+    uv = _interior_vector(table, u)
+    n = uv.size
+    hess = np.zeros((n, n))
+    cols = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r0, starts, _, du, weights in _pair_chunks(tables, uv):
+            adu = np.abs(du)
+            off = -2.0 * sum(
+                (t.params.p - 1.0) * w * adu ** (t.params.p - 2.0)
+                for t, w in zip(tables, weights)
+            )
+            # the block's pairs i < j in row-major order, written through
+            # boolean masks, which store in order rather than by index
+            rows = slice(r0, r0 + starts.size)
+            upper = cols > cols[rows, None]
+            hess[rows][upper] = off
+            hess.T[rows][upper] = off
+        # a Laplacian row sums to zero
+        diag = -np.sum(hess, axis=1)
+        au = np.abs(uv)
+        diag += 2.0 * sum((t.params.p - 1.0) * t.tail * au ** (t.params.p - 2.0) for t in tables)
+    hess[np.diag_indices(n)] = diag
+    return hess

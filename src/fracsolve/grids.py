@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+# Relative margin inside a disk's radius: a lattice node that lies on the
+# circle (such as (8/17, 15/17) on the unit circle at resolution 35, or
+# a node on the bounding box of an off-centre disk) can round to a few
+# ulp inside it, and must stay out of the interior all the same.
+_DISK_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class Domain:
     kind: str
@@ -66,7 +73,8 @@ class Domain:
         return np.maximum(d, 0.0)
 
     def contains(self, points):
-        """Strict interior membership."""
+        """Strict interior membership; a disk also leaves out the nodes
+        within _DISK_RTOL of its radius from the circle."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "interval":
             a, b = self.params
@@ -77,7 +85,7 @@ class Domain:
                 (pts[:, 0] > a1) & (pts[:, 0] < b1) & (pts[:, 1] > a2) & (pts[:, 1] < b2)
             )
         cx, cy, r = self.params
-        return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) < r
+        return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) < r * (1.0 - _DISK_RTOL)
 
     def describe(self):
         if self.kind == "interval":
@@ -128,10 +136,7 @@ class Grid:
         self.lattice = np.stack(
             np.unravel_index(np.arange(self.points.shape[0]), self.shape), axis=1
         )
-        # a node on the lattice edge lies on the bounding box, so never
-        # strictly inside the domain, however rounding places it
-        off_edge = np.all((self.lattice > 0) & (self.lattice < self.resolution - 1), axis=1)
-        self.interior_mask = domain.contains(self.points) & off_edge
+        self.interior_mask = domain.contains(self.points)
         self.interior_idx = np.flatnonzero(self.interior_mask)
 
     @property

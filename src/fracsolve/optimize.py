@@ -1,14 +1,22 @@
 """Line-search descent for the coercive discrete energies.
 
-Gradient descent with a Barzilai-Borwein trial step and Armijo
-backtracking, all in float64.  A trial step is accepted when it passes
-the Armijo test or, when the energy change is at the level of float64
-summation noise (``|E(trial) - E| <= EPS |E|``), when the gradient at the
-trial point passes the approximate-Armijo test of Hager and Zhang
-(CG_DESCENT, SIAM J. Optim. 2005) instead.  So an accepted step either
-lowers the computed energy by the Armijo margin or raises it by at most
-``EPS |E|``.  A trial point equal to the current one is never accepted.
-Any non-finite energy or gradient at an accepted point aborts loudly.
+Each iteration tries, when the caller supplies a Hessian, the Newton
+direction ``d = -H^-1 g`` at trial step 1, with ``H`` factored by a dense
+Cholesky decomposition.  Where the Hessian is not finite, the
+factorization fails (``H`` is not positive definite, as where the forms
+are flat) or the direction is not one of descent, the iteration takes
+the gradient direction with the Barzilai-Borwein (BB) trial step instead
+(Barzilai and Borwein 1988; Raydan 1997); without a Hessian every step is
+a BB step.  Both kinds go through the same backtracking, in float64, with
+``g.d`` as the slope.  A trial step is accepted when it passes the Armijo
+test or, when the energy change is at the level of float64 summation
+noise (``|E(trial) - E| <= EPS |E|``), when the gradient at the trial
+point passes the approximate-Armijo test of Hager and Zhang (CG_DESCENT,
+SIAM J. Optim. 2005) instead.  So an accepted step either lowers the
+computed energy by the Armijo margin or raises it by at most ``EPS |E|``.
+A trial point equal to the current one is never accepted.  Any
+non-finite energy or gradient at an accepted point aborts loudly.  The
+stopping test is the same for both kinds: scaled gradient norm < tol.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ SHRINK = 0.5  # backtracking factor on the trial step
 SUFFICIENT_DECREASE = 1e-4  # Armijo constant c
 INITIAL_STEP = 1.0  # first trial step, before any curvature estimate
 MAX_BACKTRACKS = 60
+
+# Width of the final bracket of bisect_root, absolute and relative.
+ROOT_TOL = 1e-14
 
 # Relative energy change below which two float64 energies are not compared.
 # The energies are float64 sums of up to n^2/2 pair terms (n <=
@@ -57,11 +68,52 @@ class MinimizeResult:
     residual: float
     energy: float
     message: str = ""
+    # accepted Newton steps among the iterations; the rest were BB steps
+    newton_steps: int = 0
 
 
 def _require_finite(value, what: str):
     if not np.all(np.isfinite(value)):
         raise RuntimeError(f"non-finite {what} entered the optimizer")
+
+
+# rows per diagonal block of the triangular solves
+_SOLVE_BLOCK = 32
+
+
+def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with  L L^T x = b  for the lower Cholesky factor L, by forward and
+    back substitution over diagonal blocks: O(n^2) work in n / _SOLVE_BLOCK
+    small dense solves, where one dense solve of L would cost O(n^3)."""
+    n = b.size
+    y = np.empty(n)
+    for k0 in range(0, n, _SOLVE_BLOCK):
+        k1 = min(k0 + _SOLVE_BLOCK, n)
+        rhs = b[k0:k1] - chol[k0:k1, :k0] @ y[:k0]
+        y[k0:k1] = np.linalg.solve(chol[k0:k1, k0:k1], rhs)
+    x = np.empty(n)
+    for k1 in range(n, 0, -_SOLVE_BLOCK):
+        k0 = max(k1 - _SOLVE_BLOCK, 0)
+        rhs = y[k0:k1] - chol[k1:, k0:k1].T @ x[k1:]
+        x[k0:k1] = np.linalg.solve(chol[k0:k1, k0:k1].T, rhs)
+    return x
+
+
+def _newton_direction(hess_fn, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """-H^-1 g for the Hessian H at x when H is finite and positive definite
+    and the result is a finite descent direction; None otherwise."""
+    hess = np.asarray(hess_fn(x), dtype=float)
+    if not np.all(np.isfinite(hess)):
+        return None
+    try:
+        chol = np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return None
+    del hess  # the factor alone is needed from here; at n = 4096 each is 134 MB
+    d = _cholesky_solve(chol, -g)
+    if not np.all(np.isfinite(d)) or not float(g @ d) < 0.0:
+        return None
+    return d
 
 
 def minimize_energy(
@@ -70,7 +122,10 @@ def minimize_energy(
     x0: np.ndarray,
     options: MinimizerOptions | None = None,
     on_accept: Callable[[float], None] | None = None,
+    hess_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MinimizeResult:
+    """Minimize from x0; ``hess_fn`` (optional) returns the dense symmetric
+    Hessian at a point, for Newton steps."""
     opts = options or MinimizerOptions()
     x = np.array(x0, dtype=float)
     scale = math.sqrt(max(x.size, 1))
@@ -81,11 +136,12 @@ def minimize_energy(
     prev_x: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     trial = INITIAL_STEP
+    newton_steps = 0
 
     for it in range(1, opts.max_iter + 1):
         residual = float(np.linalg.norm(g)) / scale
         if residual < opts.tol:
-            return MinimizeResult(x, True, it - 1, residual, f)
+            return MinimizeResult(x, True, it - 1, residual, f, newton_steps=newton_steps)
 
         if prev_g is not None:
             dx = x - prev_x
@@ -97,34 +153,49 @@ def minimize_energy(
                 # previous iteration when the difference pair degenerates, so a
                 # vanishing accepted step cannot reset the scale to 1.0
                 trial = min(max(numer / denom, 1e-14), 1e14)
-        step = trial
 
-        gnorm2 = float(g @ g)
+        d = None if hess_fn is None else _newton_direction(hess_fn, x, g)
+        newton = d is not None
+        if newton:
+            step = 1.0
+            slope = float(g @ d)
+        else:
+            d = -g
+            step = trial
+            slope = -float(g @ g)
+
         gn = None
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            xn = x - step * g
+            xn = x + step * d
             if np.array_equal(xn, x):
                 # the step rounds away in every entry, as does any shorter one;
                 # accepting it would repeat the same null step until max_iter
                 break
             fn = float(energy_fn(xn))
-            if math.isfinite(fn) and fn <= f - SUFFICIENT_DECREASE * step * gnorm2:
+            if math.isfinite(fn) and fn <= f + SUFFICIENT_DECREASE * step * slope:
                 accepted = True
                 break
             if abs(fn - f) <= EPS * abs(f):
                 # the energies differ by summation noise only: on a quadratic
                 # this slope test is the Armijo test itself
                 gn = np.asarray(grad_fn(xn), dtype=float)
-                if float(gn @ g) >= -(1.0 - 2.0 * SUFFICIENT_DECREASE) * gnorm2:
+                if float(gn @ d) <= -(1.0 - 2.0 * SUFFICIENT_DECREASE) * slope:
                     accepted = True
                     break
                 gn = None
             step *= SHRINK
         if not accepted:
             return MinimizeResult(
-                x, False, it, residual, f, "line search could not decrease the energy"
+                x,
+                False,
+                it,
+                residual,
+                f,
+                "line search could not decrease the energy",
+                newton_steps,
             )
+        newton_steps += newton
         prev_x, prev_g = x, g
         x, f = xn, fn
         g = gn if gn is not None else np.asarray(grad_fn(x), dtype=float)
@@ -134,5 +205,23 @@ def minimize_energy(
 
     residual = float(np.linalg.norm(g)) / scale
     return MinimizeResult(
-        x, residual < opts.tol, opts.max_iter, residual, f, "iteration budget exhausted"
+        x,
+        residual < opts.tol,
+        opts.max_iter,
+        residual,
+        f,
+        "iteration budget exhausted",
+        newton_steps,
     )
+
+
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f bracketed by f(lo) < 0 <= f(hi), by bisection until the
+    bracket is narrower than ROOT_TOL * (1 + hi)."""
+    while hi - lo > ROOT_TOL * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -102,6 +102,13 @@ def _base_value(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
     return reaction.c1 * (1.0 + t) ** -reaction.gamma + reaction.c2 * t**reaction.r
 
 
+def _base_derivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
+    power = reaction.c2 * reaction.r * t ** (reaction.r - 1.0)
+    if reaction.family == "singular":
+        return power - reaction.gamma * reaction.c1 * t ** (-reaction.gamma - 1.0)
+    return power - reaction.gamma * reaction.c1 * (1.0 + t) ** (-reaction.gamma - 1.0)
+
+
 def f_eval(reaction: SingularReaction, t):
     """Forcing value at states t > 0."""
     tv = np.asarray(t, dtype=float)
@@ -147,6 +154,12 @@ class TruncatedReaction:
     def f(self, t) -> np.ndarray:
         """Truncated forcing at an interior vector; finite for every real t."""
         return _base_value(self.base, np.maximum(self.floor, self._coerce(t)))
+
+    def df(self, t) -> np.ndarray:
+        """Derivative of the truncated forcing: 0 at or below the floor."""
+        tv = self._coerce(t)
+        above = _base_derivative(self.base, np.maximum(self.floor, tv))
+        return np.where(tv > self.floor, above, 0.0)
 
     def F(self, tau) -> np.ndarray:
         """Antiderivative of the truncated forcing from 0, in closed form.

@@ -16,17 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frozen import FrozenProblem, check_operator_tables, frozen_energy, frozen_gradient
+from .frozen import (
+    FrozenProblem,
+    check_operator_tables,
+    frozen_energy,
+    frozen_gradient,
+    frozen_hessian,
+)
+from .gagliardo import energy
 from .grids import Grid, ScalarField
-from .optimize import MinimizerOptions, minimize_energy
+from .optimize import MinimizerOptions, bisect_root, minimize_energy
 from .reaction import ProblemExponents, SingularReaction, f_eval, liminf_at_zero
 
 _MAX_HALVINGS = 60
 _RESONANCE_TOL = 1e-12
 _COLLISION_TOL = 1e-9
 _FLOOR_LOG = "floor halving %d: sigma %.6e, sup norm %.3e, %s"
+_SOLVE_LOG = "torsion solve: sigma %.6e, %d Newton steps, %d inner iterations"
 
 logger = logging.getLogger("fracsolve.torsion")
+# one line per torsion solve, ahead of the floor line that judges it
+logger_solve = logging.getLogger("fracsolve.torsion.solve")
 
 
 @dataclass
@@ -63,6 +73,9 @@ class ConstantForcing:
     def f(self, t):
         return np.full(np.shape(t), self.sigma)
 
+    def df(self, t):
+        return np.zeros(np.shape(t))
+
     def F(self, t):
         return self.sigma * np.asarray(t, dtype=float)
 
@@ -85,7 +98,8 @@ def solve_torsion(
     options: MinimizerOptions | None = None,
 ) -> np.ndarray:
     """Minimize the double-operator energy against constant forcing sigma,
-    starting from zero; returns the interior vector."""
+    starting from the best constant field (the Hessian vanishes at zero);
+    returns the interior vector."""
     prob = torsion_objective(sigma, exponents, grid, tables)
     if options is None:
         # scale the stationarity target with the forcing so tiny sigma can
@@ -94,15 +108,34 @@ def solve_torsion(
     result = minimize_energy(
         lambda u: frozen_energy(prob, u),
         lambda u: frozen_gradient(prob, u),
-        np.zeros(grid.n_interior),
+        _constant_start(prob),
         options,
+        hess_fn=lambda u: frozen_hessian(prob, u),
     )
+    logger_solve.info(_SOLVE_LOG, sigma, result.newton_steps, result.iterations)
     if not result.converged:
         raise RuntimeError(
             f"torsion solve stalled at scaled residual {result.residual:.3e} "
             f"after {result.iterations} iterations ({result.message})"
         )
     return result.x
+
+
+def _constant_start(prob: FrozenProblem) -> np.ndarray:
+    """t * 1 for the t > 0 that minimizes the objective along the constant
+    interior vectors.  The forms are homogeneous, so the objective there is
+    a t^p + b t^q - c t with a, b the form energies of 1, and t is the root
+    of its increasing derivative."""
+    ones = np.ones(prob.grid.n_interior)
+    (a, p), (b, q) = ((energy(t, ones), t.params.p) for t in prob.tables)
+    c = prob.trunc.sigma * prob.grid.cell_volume * ones.size
+
+    def slope(t):
+        return p * a * t ** (p - 1.0) + q * b * t ** (q - 1.0) - c
+
+    # each term alone reaches c at its own t, so the larger t has slope >= 0
+    hi = max((c / (p * a)) ** (1.0 / (p - 1.0)), (c / (q * b)) ** (1.0 / (q - 1.0)))
+    return bisect_root(slope, 0.0, hi) * ones
 
 
 def hopf_exponent(exponents: ProblemExponents) -> float:

@@ -7,7 +7,12 @@ Oracles:
   * a 3-interior-node instance is minimized exhaustively over a 41^3
     value lattice and must agree with the solver within lattice spacing;
   * with the convective pairing off and constant forcing the solve must
-    coincide with the torsion solution of the same forcing.
+    coincide with the torsion solution of the same forcing;
+  * central differences of the gradient pin the Hessian, and each form's
+    Hessian H satisfies Euler's identity H(u) u = (p - 1) grad E(u) of a
+    p-homogeneous energy;
+  * a Hessian that never factors (indefinite, or zero as at u = 0) must
+    leave the minimizer's iterates bit for bit those of no Hessian.
 """
 
 import math
@@ -22,6 +27,7 @@ from fracsolve.frozen import (
     default_frozen_options,
     frozen_energy,
     frozen_gradient,
+    frozen_hessian,
     scaled_norm,
     solve_frozen,
     weak_residual,
@@ -31,9 +37,10 @@ from fracsolve.gagliardo import (
     assemble_weights,
     energy,
     operator_gradient,
+    operator_hessian,
 )
 from fracsolve.grids import build_grid, disk, interval
-from fracsolve.optimize import MinimizerOptions, minimize_energy
+from fracsolve.optimize import MinimizerOptions, _cholesky_solve, minimize_energy
 from fracsolve.reaction import (
     ConvectiveReaction,
     ProblemExponents,
@@ -42,7 +49,7 @@ from fracsolve.reaction import (
     g_eval,
 )
 from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
-from fracsolve.torsion import select_sigma, solve_torsion, torsion_objective
+from fracsolve.torsion import _constant_start, select_sigma, solve_torsion, torsion_objective
 from support.oracles import apply_form, uniqueness_probe
 
 
@@ -235,6 +242,7 @@ class TestSolveFrozen:
             lambda u: frozen_gradient(prob, u),
             prob.trunc.floor.copy(),
             default_frozen_options(grid),
+            hess_fn=lambda u: frozen_hessian(prob, u),
         )
         assert np.array_equal(result.x, ref.x)
         assert result.iterations == ref.iterations
@@ -410,3 +418,145 @@ class TestTwoDimensional:
         raw = result.x
         assert np.min(raw - prob.trunc.floor) >= -1e-5
         assert np.all(raw > 0.0)
+
+
+EXPONENTS_2D = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
+REACTION_2D = SingularReaction(gamma=0.4, c1=0.5, c2=0.5, r=1.3)
+CONVECTIVE_2D = ConvectiveReaction(c3=0.1, zeta=1.4)
+
+
+@pytest.fixture(scope="module", params=["interval_1d", "disk_2d"])
+def hessian_setup(request):
+    """The frozen problem of the shipped config's parameters at a small
+    resolution (interval res 17, disk res 11), with a random state well
+    above its floor, and the torsion objective on the same tables."""
+    if request.param == "interval_1d":
+        grid = build_grid(interval(0.0, 1.0), 17)
+        exps, reaction, convective = EXPONENTS_1D, REACTION_1D, CONVECTIVE_1D
+    else:
+        grid = build_grid(disk(0.0, 0.0, 1.0), 11)
+        exps, reaction, convective = EXPONENTS_2D, REACTION_2D, CONVECTIVE_2D
+    tables = (
+        assemble_weights(grid, OperatorParams(exps.s1, exps.p)),
+        assemble_weights(grid, OperatorParams(exps.s2, exps.q)),
+    )
+    lower = grid.pack(select_sigma(reaction, exps, grid, tables).lower)
+    prob = build_problem(grid, exps, reaction, convective, lower, lower)
+    rng = np.random.default_rng(3)
+    u = lower + 0.2 + 0.05 * rng.random(grid.n_interior)
+    torsion = torsion_objective(0.3, exps, grid, tables)
+    return prob, torsion, u, rng.standard_normal(grid.n_interior)
+
+
+def _gradient_differences(prob, u, eps=1e-6):
+    n = u.size
+    fd = np.empty((n, n))
+    for k in range(n):
+        step = np.zeros(n)
+        step[k] = eps
+        fd[:, k] = (frozen_gradient(prob, u + step) - frozen_gradient(prob, u - step)) / (2 * eps)
+    return fd
+
+
+class TestHessian:
+    def test_matches_central_differences_of_the_gradient(self, hessian_setup):
+        prob, torsion, u, w = hessian_setup
+        # the frozen state is strictly above the floor, where the truncated
+        # forcing is smooth; the torsion forcing is linear everywhere
+        assert np.all(u > prob.trunc.floor + 0.1)
+        for objective, state in ((prob, u), (torsion, w)):
+            hess = frozen_hessian(objective, state)
+            fd = _gradient_differences(objective, state)
+            np.testing.assert_allclose(hess, fd, rtol=0, atol=1e-6 * np.max(np.abs(hess)))
+
+    def test_symmetric(self, hessian_setup):
+        prob, torsion, u, w = hessian_setup
+        for objective, state in ((prob, u), (torsion, w)):
+            hess = frozen_hessian(objective, state)
+            assert np.array_equal(hess, hess.T)
+
+    def test_forcing_enters_the_diagonal(self, hessian_setup):
+        prob, _, u, _ = hessian_setup
+        tp, tq = prob.tables
+        off = frozen_hessian(prob, u) - operator_hessian(tp, u, tq)
+        want = -prob.grid.cell_volume * prob.trunc.df(u)
+        np.testing.assert_allclose(np.diag(off), want, rtol=1e-12, atol=1e-15)
+        assert np.all(off[~np.eye(u.size, dtype=bool)] == 0.0)
+
+    def test_euler_identity_per_table(self, hessian_setup):
+        prob, _, u, w = hessian_setup
+        for table in prob.tables:
+            p = table.params.p
+            for state in (u, w):
+                lhs = operator_hessian(table, state) @ state
+                rhs = (p - 1.0) * operator_gradient(table, state)
+                np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.max(np.abs(rhs)))
+
+    def test_vanishes_at_zero(self, hessian_setup):
+        _, torsion, _, _ = hessian_setup
+        n = torsion.grid.n_interior
+        assert np.all(frozen_hessian(torsion, np.zeros(n)) == 0.0)
+
+
+class TestNewtonSteps:
+    @pytest.mark.parametrize("kind", ["indefinite", "zero"])
+    def test_fallback_is_the_bb_step(self, setup_1d, kind):
+        grid, _, prob = setup_1d
+        n = grid.n_interior
+        if kind == "indefinite":
+            rng = np.random.default_rng(11)
+            eigs = np.linspace(-1.0, 1.0, n)
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            bad = (q * eigs) @ q.T
+        else:
+            bad = np.zeros((n, n))
+        runs = []
+        for hess_fn in (None, lambda u: bad):
+            trace = []
+            res = minimize_energy(
+                lambda u: frozen_energy(prob, u),
+                lambda u: frozen_gradient(prob, u),
+                prob.trunc.floor.copy(),
+                default_frozen_options(grid),
+                on_accept=trace.append,
+                hess_fn=hess_fn,
+            )
+            runs.append((res, trace))
+        (plain, plain_trace), (fallback, fallback_trace) = runs
+        assert plain.converged and fallback.newton_steps == plain.newton_steps == 0
+        assert np.array_equal(fallback.x, plain.x)
+        assert fallback.iterations == plain.iterations
+        assert fallback_trace == plain_trace
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
+    def test_cholesky_solve_matches_a_dense_solve(self, n):
+        # sizes on both sides of the substitution's block of 32 rows
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        spd = m @ m.T + n * np.eye(n)
+        b = rng.standard_normal(n)
+        x = _cholesky_solve(np.linalg.cholesky(spd), b)
+        np.testing.assert_allclose(x, np.linalg.solve(spd, b), rtol=1e-12, atol=1e-14)
+
+    def test_frozen_solve_takes_newton_steps(self, setup_1d):
+        grid, _, prob = setup_1d
+        result = solve_frozen(prob)
+        plain = minimize_energy(
+            lambda u: frozen_energy(prob, u),
+            lambda u: frozen_gradient(prob, u),
+            prob.trunc.floor.copy(),
+            default_frozen_options(grid),
+        )
+        assert result.converged and plain.converged
+        assert 0 < result.newton_steps <= result.iterations < plain.iterations
+        # both meet the same stopping test, so they agree to within it
+        assert np.max(np.abs(result.x - plain.x)) < 1e-4
+
+    def test_torsion_starts_from_the_best_constant(self, hessian_setup):
+        _, torsion, _, _ = hessian_setup
+        start = _constant_start(torsion)
+        assert np.all(start == start[0]) and start[0] > 0.0
+        e0 = frozen_energy(torsion, start)
+        for t in (0.99, 1.01):
+            assert frozen_energy(torsion, t * start) > e0
+        assert frozen_energy(torsion, np.zeros(start.size)) > e0

@@ -1,5 +1,6 @@
 """Grid and field tests, and the package's export lists."""
 
+import hashlib
 import importlib
 import os
 import subprocess
@@ -93,12 +94,13 @@ class TestGrid:
                 g.unpack(bad)
 
     def test_lattice_edge_nodes_never_interior(self):
-        # (-0.9, 0) is on the circle, but rounding puts it 5.6e-17 inside
+        # (-0.9, 0) is on the circle, but rounding puts it 5.6e-17 inside;
+        # the disk's relative margin keeps it out all the same
         dom = disk(-1.0, 0.0, 0.1)
         g = build_grid(dom, 9)
         edge = np.flatnonzero(np.all(np.isclose(g.points, [-0.9, 0.0], atol=1e-12), axis=1))
         assert edge.size == 1 and g.lattice[edge[0], 0] == 8
-        assert dom.contains(g.points[edge])[0]
+        assert not dom.contains(g.points[edge])[0]
         assert not g.interior_mask[edge[0]]
         li = g.lattice[g.interior_idx]
         assert np.all((li > 0) & (li < g.resolution - 1))
@@ -116,6 +118,35 @@ class TestGrid:
                     g = build_grid(disk(cx, 0.0, r), res)
                     li = g.lattice[g.interior_idx]
                     assert np.all((li > 0) & (li < res - 1)), (cx, r, res)
+
+    def test_on_circle_nodes_stay_out(self):
+        # (8/17, 15/17) is on the unit circle and a node of the res-35 lattice
+        g = build_grid(disk(0.0, 0.0, 1.0), 35)
+        node = np.flatnonzero(np.all(np.isclose(g.points, [8 / 17, 15 / 17], atol=1e-12), axis=1))
+        assert node.size == 1 and not g.interior_mask[node[0]]
+        # every centred disk at these odd resolutions has such nodes
+        for r in (0.5, 1.0, 2.0, 5.0):
+            for res in (35, 69, 79, 103, 111):
+                g = build_grid(disk(0.0, 0.0, r), res)
+                assert np.min(g.interior_distance) > 1e-12 * r, (r, res)
+
+    @pytest.mark.parametrize(
+        "domain, res, n, digest",
+        [
+            (interval(0.0, 1.0), 17, 15, "24dff1b014223b1a"),
+            (interval(0.0, 1.0), 129, 127, "c6b75444b19c92d5"),
+            (disk(0.0, 0.0, 1.0), 11, 69, "66d14f338faaaf23"),
+            (disk(0.0, 0.0, 1.0), 25, 437, "2ca095e28a6186c7"),
+            (disk(0.0, 0.0, 1.0), 41, 1245, "cff9cc41d53d9084"),
+            (disk(0.0, 0.0, 1.0), 61, 2809, "7335bbf11c6691a0"),
+        ],
+    )
+    def test_shipped_interior_masks_unchanged(self, domain, res, n, digest):
+        # the domains of configs/interval_1d.json and configs/disk_2d.json,
+        # against masks recorded before the disk's boundary margin
+        g = build_grid(domain, res)
+        assert g.n_interior == n
+        assert hashlib.sha256(g.interior_mask.tobytes()).hexdigest()[:16] == digest
 
     def test_rectangle_anisotropic_spacing(self):
         g = build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 5)
