@@ -273,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verbose.add_argument("-v", "--verbose", action="store_true", help="log progress and defaults")
     common = argparse.ArgumentParser(add_help=False, parents=[verbose])
     common.add_argument(
-        "--threads", type=int, default=None, help="cap the scipy.fft worker threads"
+        "--threads", type=int, default=None, help="set the scipy.fft worker count (default 1)"
     )
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", required=True, help="path to a JSON run config")

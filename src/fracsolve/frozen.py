@@ -18,7 +18,6 @@ which takes Newton steps wherever it is positive definite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +30,7 @@ from .gagliardo import (
     operator_hessian,
 )
 from .grids import Grid
-from .optimize import MinimizeResult, MinimizerOptions, minimize_energy
+from .optimize import MinimizeResult, MinimizerOptions, minimize_energy, scaled_norm
 from .reaction import ProblemExponents
 
 
@@ -54,10 +53,9 @@ def check_operator_tables(grid: Grid, exponents: ProblemExponents, tables) -> tu
 class FrozenProblem:
     """One instance of the objective: the operator tables (a pair that
     check_operator_tables accepts), the separable forcing ``trunc`` with
-    ``f`` and its antiderivative ``F`` at interior states (frozen solves
-    also start from its positive ``floor``), and the ``load``, one value
-    per interior node.  A forcing that also has the derivative ``df``
-    gives the objective a Hessian, and its solves Newton steps."""
+    ``f``, its antiderivative ``F`` and its derivative ``df`` at interior
+    states (frozen solves also start from its positive ``floor``), and the
+    ``load``, one value per interior node."""
 
     def __init__(self, tables, trunc, load):
         self.tables = tables
@@ -69,12 +67,6 @@ class FrozenProblem:
     @property
     def grid(self) -> Grid:
         return self.tables[0].grid
-
-
-def scaled_norm(vec) -> float:
-    """||r||_2 / sqrt(n): invariant under duplicating the node set."""
-    r = np.asarray(vec, dtype=float)
-    return float(np.linalg.norm(r)) / math.sqrt(max(r.size, 1))
 
 
 def frozen_energy(prob: FrozenProblem, u) -> float:
@@ -150,7 +142,7 @@ def solve_frozen(
         lambda u: frozen_gradient(prob, u),
         np.maximum(x0, floor),
         opts,
-        hess_fn=(lambda u: frozen_hessian(prob, u)) if hasattr(prob.trunc, "df") else None,
+        hess_fn=lambda u: frozen_hessian(prob, u),
     )
     bound_gap = float(np.min(result.x - floor))
     if result.converged and bound_gap < -opts.tol:

@@ -147,24 +147,18 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
     lo_box = np.array([ax[0] for ax in grid.axes]) - h / 2.0
     hi_box = np.array([ax[-1] for ax in grid.axes]) + h / 2.0
     pts = grid.interior_points
+    # the half-space beyond each face: the cell's integral of the distance
+    # power across the face, times the cell's width along it (1.0 in 1D)
+    halves = 0.0
+    for a in range(grid.dim):
+        lo, hi = pts[:, a] - h[a] / 2.0, pts[:, a] + h[a] / 2.0
+        across = float(np.prod(np.delete(h, a)))
+        halves += across * power_segment_integral(-sp, lo - lo_box[a], hi - lo_box[a])
+        halves += across * power_segment_integral(-sp, hi_box[a] - hi, hi_box[a] - lo)
     if grid.dim == 1:
-        lo = pts[:, 0] - h[0] / 2.0
-        hi = pts[:, 0] + h[0] / 2.0
-        left = power_segment_integral(-sp, lo - lo_box[0], hi - lo_box[0])
-        right = power_segment_integral(-sp, hi_box[0] - hi, hi_box[0] - lo)
-        return (left + right) / sp
-
+        return halves / sp
+    tail = halves * halfplane_profile_constant(sp) / sp
     w1, w2 = h
-    c1 = halfplane_profile_constant(sp)
-    x1lo, x1hi = pts[:, 0] - w1 / 2.0, pts[:, 0] + w1 / 2.0
-    x2lo, x2hi = pts[:, 1] - w2 / 2.0, pts[:, 1] + w2 / 2.0
-    halves = (
-        w2 * power_segment_integral(-sp, x1lo - lo_box[0], x1hi - lo_box[0])
-        + w2 * power_segment_integral(-sp, hi_box[0] - x1hi, hi_box[0] - x1lo)
-        + w1 * power_segment_integral(-sp, x2lo - lo_box[1], x2hi - lo_box[1])
-        + w1 * power_segment_integral(-sp, hi_box[1] - x2hi, hi_box[1] - x2lo)
-    )
-    tail = halves * c1 / sp
 
     # Half-planes double-count the four corner quadrants.  The Gauss rule
     # is symmetric, so the distances from lattice row i to the high face are

@@ -1,9 +1,10 @@
 """Domains, Cartesian grids, and nodal fields.
 
-Grids are uniform lattices over the domain's bounding box with an
-interior-node mask; a field carries one value per lattice node and is
-identically zero off the interior, which realizes the zero exterior
-condition at the discrete level.
+A domain is an axis-aligned box (an interval or a rectangle, one code
+path for both) or a disk.  Grids are uniform lattices over the domain's
+bounding box with an interior-node mask; a field carries one value per
+lattice node and is identically zero off the interior, which realizes the
+zero exterior condition at the discrete level.
 
 Tables over lattice offsets (the weight tables of the forms and the Riesz
 kernel) are stored over nonnegative offsets, one entry per node of the
@@ -39,61 +40,49 @@ _DISK_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class Domain:
+    """An axis-aligned box, whose params are the low and the high bound of
+    each axis in turn (kind ``interval`` in 1D, ``rectangle`` in 2D), or a
+    ``disk`` with params (cx, cy, radius)."""
+
     kind: str
     params: tuple
 
     @property
     def dim(self):
-        return 1 if self.kind == "interval" else 2
+        return 2 if self.kind == "disk" else len(self.params) // 2
 
     def bounding_box(self):
-        if self.kind == "interval":
-            a, b = self.params
-            return np.array([a]), np.array([b])
-        if self.kind == "rectangle":
-            a1, b1, a2, b2 = self.params
-            return np.array([a1, a2]), np.array([b1, b2])
-        cx, cy, r = self.params
-        return np.array([cx - r, cy - r]), np.array([cx + r, cy + r])
+        if self.kind == "disk":
+            cx, cy, r = self.params
+            return np.array([cx - r, cy - r]), np.array([cx + r, cy + r])
+        return np.array(self.params[0::2]), np.array(self.params[1::2])
 
     def distance(self, points):
         """Distance to the boundary, clipped to 0 outside the closure."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "interval":
-            a, b = self.params
-            d = np.minimum(pts[:, 0] - a, b - pts[:, 0])
-        elif self.kind == "rectangle":
-            a1, b1, a2, b2 = self.params
-            d = np.minimum.reduce(
-                [pts[:, 0] - a1, b1 - pts[:, 0], pts[:, 1] - a2, b2 - pts[:, 1]]
-            )
-        else:
+        if self.kind == "disk":
             cx, cy, r = self.params
             d = r - np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
+        else:
+            lo, hi = self.bounding_box()
+            d = np.minimum(pts - lo, hi - pts).min(axis=1)
         return np.maximum(d, 0.0)
 
     def contains(self, points):
         """Strict interior membership; a disk also leaves out the nodes
         within _DISK_RTOL of its radius from the circle."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "interval":
-            a, b = self.params
-            return (pts[:, 0] > a) & (pts[:, 0] < b)
-        if self.kind == "rectangle":
-            a1, b1, a2, b2 = self.params
-            return (
-                (pts[:, 0] > a1) & (pts[:, 0] < b1) & (pts[:, 1] > a2) & (pts[:, 1] < b2)
-            )
-        cx, cy, r = self.params
-        return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) < r * (1.0 - _DISK_RTOL)
+        if self.kind == "disk":
+            cx, cy, r = self.params
+            return np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) < r * (1.0 - _DISK_RTOL)
+        lo, hi = self.bounding_box()
+        return np.all((pts > lo) & (pts < hi), axis=1)
 
     def describe(self):
-        if self.kind == "interval":
-            return {"type": "interval", "bounds": list(self.params)}
-        if self.kind == "rectangle":
-            return {"type": "rectangle", "bounds": list(self.params)}
-        cx, cy, r = self.params
-        return {"type": "disk", "center": [cx, cy], "radius": r}
+        if self.kind == "disk":
+            cx, cy, r = self.params
+            return {"type": "disk", "center": [cx, cy], "radius": r}
+        return {"type": self.kind, "bounds": list(self.params)}
 
 
 def interval(a, b):
@@ -126,11 +115,9 @@ class Grid:
         self.axes = tuple(np.linspace(lo[a], hi[a], resolution) for a in range(domain.dim))
         self.shape = tuple(len(ax) for ax in self.axes)
         self.h = tuple(float(ax[1] - ax[0]) for ax in self.axes)
-        if domain.dim == 1:
-            self.points = self.axes[0][:, None]
-        else:
-            xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-            self.points = np.column_stack([xx.ravel(), yy.ravel()])
+        self.points = np.column_stack(
+            [x.ravel() for x in np.meshgrid(*self.axes, indexing="ij")]
+        )
         self.cell_volume = float(np.prod(self.h))
         # integer lattice coordinates of every node, for offset arithmetic
         self.lattice = np.stack(

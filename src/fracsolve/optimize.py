@@ -72,6 +72,12 @@ class MinimizeResult:
     newton_steps: int = 0
 
 
+def scaled_norm(vec) -> float:
+    """||r||_2 / sqrt(n): invariant under duplicating the node set."""
+    r = np.asarray(vec, dtype=float)
+    return float(np.linalg.norm(r)) / math.sqrt(max(r.size, 1))
+
+
 def _require_finite(value, what: str):
     if not np.all(np.isfinite(value)):
         raise RuntimeError(f"non-finite {what} entered the optimizer")
@@ -128,7 +134,6 @@ def minimize_energy(
     Hessian at a point, for Newton steps."""
     opts = options or MinimizerOptions()
     x = np.array(x0, dtype=float)
-    scale = math.sqrt(max(x.size, 1))
     f = float(energy_fn(x))
     _require_finite(f, "energy")
     g = np.asarray(grad_fn(x), dtype=float)
@@ -139,7 +144,7 @@ def minimize_energy(
     newton_steps = 0
 
     for it in range(1, opts.max_iter + 1):
-        residual = float(np.linalg.norm(g)) / scale
+        residual = scaled_norm(g)
         if residual < opts.tol:
             return MinimizeResult(x, True, it - 1, residual, f, newton_steps=newton_steps)
 
@@ -156,13 +161,10 @@ def minimize_energy(
 
         d = None if hess_fn is None else _newton_direction(hess_fn, x, g)
         newton = d is not None
-        if newton:
-            step = 1.0
-            slope = float(g @ d)
-        else:
+        if not newton:
             d = -g
-            step = trial
-            slope = -float(g @ g)
+        step = 1.0 if newton else trial
+        slope = float(g @ d)
 
         gn = None
         accepted = False
@@ -203,7 +205,7 @@ def minimize_energy(
         if on_accept is not None:
             on_accept(f)
 
-    residual = float(np.linalg.norm(g)) / scale
+    residual = scaled_norm(g)
     return MinimizeResult(
         x,
         residual < opts.tol,

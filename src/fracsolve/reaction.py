@@ -2,10 +2,11 @@
 convective bound, the floor truncation with closed-form antiderivative,
 and the hypothesis checker gating the main solve.
 
-The default forcing family is f(t) = c1 t^-gamma + c2 t^r, weakly
-singular at t = 0; the bounded alternative replaces t^-gamma by
-(1 + t)^-gamma so the t -> 0+ limit is finite.  The convective bound is
-g(x, xi) = c3 (1 + |xi|^zeta), a function of |xi| alone.
+Both forcing families are f(t) = c1 (shift + t)^-gamma + c2 t^r and
+share every formula.  The default family, 'singular', has shift 0 and is
+weakly singular at t = 0; the 'bounded' one has shift 1, so the t -> 0+
+limit is finite.  The convective bound is g(x, xi) = c3 (1 + |xi|^zeta),
+a function of |xi| alone.
 
 The truncation replaces f(t) by f(max(floor_i, t)) at interior node i
 for a strictly positive floor vector, removing the singularity from the
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_FAMILIES = ("singular", "bounded")
+# forcing family -> shift of its head c1 (shift + t)^-gamma
+_SHIFT = {"singular": 0.0, "bounded": 1.0}
 _EQ_TOL = 1e-12
 
 
@@ -62,8 +64,8 @@ class ProblemExponents:
 
 @dataclass(frozen=True)
 class SingularReaction:
-    """Forcing family c1 t^-gamma + c2 t^r ('singular') or
-    c1 (1+t)^-gamma + c2 t^r ('bounded'), the same at every point."""
+    """Forcing c1 (shift + t)^-gamma + c2 t^r, the same at every point;
+    the family sets the shift: 0 for 'singular', 1 for 'bounded'."""
 
     gamma: float
     c1: float
@@ -78,8 +80,13 @@ class SingularReaction:
             raise ValueError(f"coefficients must be nonnegative, got c1={self.c1}, c2={self.c2}")
         if self.r <= 0.0:
             raise ValueError(f"growth exponent r must be positive, got {self.r}")
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        if self.family not in _SHIFT:
+            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(_SHIFT)}")
+
+    @property
+    def shift(self) -> float:
+        """The shift of the head c1 (shift + t)^-gamma."""
+        return _SHIFT[self.family]
 
 
 @dataclass(frozen=True)
@@ -97,16 +104,13 @@ class ConvectiveReaction:
 
 
 def _base_value(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
-    if reaction.family == "singular":
-        return reaction.c1 * t**-reaction.gamma + reaction.c2 * t**reaction.r
-    return reaction.c1 * (1.0 + t) ** -reaction.gamma + reaction.c2 * t**reaction.r
+    head = reaction.c1 * (reaction.shift + t) ** -reaction.gamma
+    return head + reaction.c2 * t**reaction.r
 
 
 def _base_derivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
     power = reaction.c2 * reaction.r * t ** (reaction.r - 1.0)
-    if reaction.family == "singular":
-        return power - reaction.gamma * reaction.c1 * t ** (-reaction.gamma - 1.0)
-    return power - reaction.gamma * reaction.c1 * (1.0 + t) ** (-reaction.gamma - 1.0)
+    return power - reaction.gamma * reaction.c1 * (reaction.shift + t) ** (-reaction.gamma - 1.0)
 
 
 def f_eval(reaction: SingularReaction, t):
@@ -120,7 +124,7 @@ def f_eval(reaction: SingularReaction, t):
 
 def liminf_at_zero(reaction: SingularReaction) -> float:
     """Limit inferior of the forcing as t -> 0+."""
-    return math.inf if reaction.family == "singular" else reaction.c1
+    return reaction.c1 if reaction.shift else math.inf
 
 
 def g_eval(conv: ConvectiveReaction, xi: np.ndarray) -> np.ndarray:
@@ -179,12 +183,12 @@ class TruncatedReaction:
 
 
 def _antiderivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
-    """Integral of the family from 0 to t >= 0."""
+    """Integral of the family from 0 to t >= 0.  The head's value at 0 is
+    shift^(1-gamma) = shift for either shift, written so because
+    0.0 ** (1-gamma) raises for gamma > 1."""
+    shift, gamma = reaction.shift, reaction.gamma
     power = reaction.c2 * t ** (reaction.r + 1.0) / (reaction.r + 1.0)
-    if reaction.family == "singular":
-        head = reaction.c1 * t ** (1.0 - reaction.gamma) / (1.0 - reaction.gamma)
-    else:
-        head = reaction.c1 * ((1.0 + t) ** (1.0 - reaction.gamma) - 1.0) / (1.0 - reaction.gamma)
+    head = reaction.c1 * ((shift + t) ** (1.0 - gamma) - shift) / (1.0 - gamma)
     return head + power
 
 

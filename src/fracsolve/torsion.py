@@ -165,9 +165,7 @@ def hopf_ratio(u: np.ndarray, d: np.ndarray, exponent: float) -> float:
 def _admissible_delta(reaction: SingularReaction, epsilon: float) -> float:
     """Largest state below which the forcing certainly exceeds epsilon,
     capped at 1."""
-    if reaction.family == "singular":
-        return min(1.0, (reaction.c1 / epsilon) ** (1.0 / reaction.gamma))
-    return min(1.0, (reaction.c1 / epsilon) ** (1.0 / reaction.gamma) - 1.0)
+    return min(1.0, (reaction.c1 / epsilon) ** (1.0 / reaction.gamma) - reaction.shift)
 
 
 def select_sigma(

@@ -28,7 +28,7 @@ from fracsolve.driver import (
 from fracsolve.frozen import FrozenProblem, frozen_gradient, scaled_norm, weak_residual
 from fracsolve.gagliardo import seminorm
 from fracsolve.grids import build_grid, disk, interval
-from fracsolve.optimize import MinimizerOptions
+from fracsolve.optimize import MinimizeResult, MinimizerOptions
 from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction, g_eval
 from fracsolve.riesz import riesz_gradient
 
@@ -212,6 +212,27 @@ class TestSolveProblem:
         )
         assert not report.converged
         assert report.message
+
+    def test_growing_steps_damp_the_relaxation(self, instance_1d, monkeypatch):
+        # a map whose answers grow tenfold per call: every step seminorm
+        # grows, so theta halves after each third growing step, down to 1/16
+        floor = instance_1d.trunc.floor
+        calls = []
+
+        def growing_T(inst, v, start=None):
+            calls.append(None)
+            return MinimizeResult(floor * 10.0 ** len(calls), True, 1, 0.0, 0.0)
+
+        monkeypatch.setattr(driver, "apply_T", growing_T)
+        report = solve_problem(
+            instance_1d, OuterOptions(theta=0.5, tol=1e-6, max_outer=13, ball_monitor=False)
+        )
+        assert not report.converged and report.outer_iterations == 13
+        assert all(b > a for a, b in zip(report.step_seminorms, report.step_seminorms[1:]))
+        assert report.thetas == [0.5] * 4 + [0.25] * 3 + [0.125] * 3 + [1.0 / 16.0] * 3
+        damped = [line for line in report.log if "relaxation damped" in line]
+        assert [line.split("theta = ")[1] for line in damped] == ["0.25", "0.125", "0.0625"]
+        assert damped[0].startswith("outer 4:")
 
     def test_matches_coupled_brute_force(self, instance_1d_tight):
         inst = instance_1d_tight

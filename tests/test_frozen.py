@@ -344,6 +344,9 @@ class TestSolveFrozen:
             def f(self, t):
                 return np.full(np.asarray(t, dtype=float).shape, sigma)
 
+            def df(self, t):
+                return np.zeros(np.asarray(t, dtype=float).shape)
+
             def F(self, t):
                 return sigma * np.asarray(t, dtype=float)
 

@@ -8,6 +8,7 @@ kernel |x_i-x_j|^(-p) |x-y|^(p-(N+sp)) for touching pairs.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from fracsolve import gagliardo
+from fracsolve.config import load_config
 from fracsolve.gagliardo import (
     MemoryBudgetError,
     OperatorParams,
@@ -570,6 +572,30 @@ class TestStabilityAndBudget:
 
 
 class TestCache:
+    @pytest.mark.parametrize(
+        "config, names",
+        [
+            (
+                "interval_1d",
+                ("weights-68ef8276a4fbbafb27fb9992.fwt", "weights-3de299358b56cad5da2ea756.fwt"),
+            ),
+            (
+                "disk_2d",
+                ("weights-3d365883c905c05f67115d0e.fwt", "weights-5c7ca5798665fdcc567fc9e4.fwt"),
+            ),
+        ],
+    )
+    def test_shipped_config_file_names_unchanged(self, tmp_path, monkeypatch, config, names):
+        # the names hash the table's descriptor: a change to it would
+        # orphan every cache file already written
+        monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
+        cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"))
+        g, e = cfg.build_grid(), cfg.exponents
+        got = tuple(
+            _cache_path(g, OperatorParams(s, p)).name for s, p in ((e.s1, e.p), (e.s2, e.q))
+        )
+        assert got == names
+
     def test_roundtrip_bitwise(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
         g = build_grid(interval(0.0, 1.0), 17)

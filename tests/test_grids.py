@@ -35,6 +35,19 @@ class TestDomain:
         pts = np.array([[1.0, -1.0], [2.0, -1.0], [4.0, -1.0]])
         np.testing.assert_allclose(dom.distance(pts), [2.0, 1.0, 0.0])
 
+    def test_describe(self):
+        # the weight-cache key: its form must not change
+        assert interval(0.0, 1.0).describe() == {"type": "interval", "bounds": [0.0, 1.0]}
+        assert rectangle(0.0, 2.0, -1.0, 1.0).describe() == {
+            "type": "rectangle",
+            "bounds": [0.0, 2.0, -1.0, 1.0],
+        }
+        assert disk(1.0, -1.0, 2.0).describe() == {
+            "type": "disk",
+            "center": [1.0, -1.0],
+            "radius": 2.0,
+        }
+
     def test_contains_is_strict(self):
         dom = interval(0.0, 1.0)
         assert not dom.contains(np.array([[0.0]]))[0]

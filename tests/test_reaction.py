@@ -149,6 +149,19 @@ class TestTruncation:
         want = trunc.f(tau)
         np.testing.assert_allclose(fd, want, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("family", ["singular", "bounded"])
+    def test_derivative_of_f_is_central_difference(self, trunc_setup, family):
+        floor = trunc_setup[1].floor
+        fam = SingularReaction(gamma=0.5, c1=1.0, c2=0.8, r=1.4, family=family)
+        trunc = TruncatedReaction(fam, floor)
+        above = floor + np.linspace(0.01, 2.0, floor.size)
+        eps = 1e-6
+        fd = (trunc.f(above + eps) - trunc.f(above - eps)) / (2 * eps)
+        np.testing.assert_allclose(trunc.df(above), fd, rtol=1e-6, atol=1e-8)
+        # the truncated forcing is constant at or below the floor
+        assert np.all(trunc.df(floor) == 0.0)
+        assert np.all(trunc.df(floor - 1.0) == 0.0)
+
     def test_antiderivative_matches_quad(self, trunc_setup):
         grid, trunc = trunc_setup
         node = 5

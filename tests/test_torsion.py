@@ -18,6 +18,7 @@ from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import ProblemExponents, SingularReaction, f_eval
 from fracsolve.torsion import (
     SubsolutionCertificate,
+    _admissible_delta,
     hopf_exponent,
     hopf_ratio,
     select_sigma,
@@ -299,6 +300,21 @@ class TestSelectSigma:
             - f_eval(fam, floor) * grid.cell_volume
         )
         assert np.all(resid <= 1e-8)
+
+    @pytest.mark.parametrize(
+        "family, c1, epsilon, want",
+        [
+            ("singular", 0.6, 1.0, 0.6**2),
+            ("singular", 0.8, 0.4, 1.0),
+            ("bounded", 0.6, 0.5, 1.2**2 - 1.0),
+            ("bounded", 0.8, 0.4, 1.0),
+        ],
+    )
+    def test_admissible_delta(self, family, c1, epsilon, want):
+        # the largest state where the forcing head c1 (shift + t)^-gamma
+        # still exceeds epsilon, capped at 1
+        fam = SingularReaction(gamma=0.5, c1=c1, c2=0.5, r=1.1, family=family)
+        assert _admissible_delta(fam, epsilon) == pytest.approx(want, rel=1e-14)
 
     def test_bounded_family_epsilon_gate(self, nl_setup):
         exps, grid, tables = nl_setup
