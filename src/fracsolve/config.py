@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .driver import OuterOptions
 from .frozen import default_tol
 from .gagliardo import NODE_CAP
-from .grids import Grid, build_grid, disk, interval, rectangle
+from .grids import Domain, Grid, build_grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
 from .reaction import (
     ConvectiveReaction,
@@ -209,7 +209,9 @@ def load_config(path: str, require_hypotheses: bool = True) -> RunConfig:
     kind = _require_mapping(raw["domain"], "domain").get("kind")
     if not isinstance(kind, str) or kind not in _DOMAINS:
         raise ConfigError("domain.kind", f"expected one of {sorted(_DOMAINS)}, got {kind!r}")
-    dim = 1 if kind == "interval" else 2
+    # the rule for each kind lives in grids.Domain; a box reads only the
+    # number of its params, so the field names stand in for the bounds
+    dim = Domain(kind, _DOMAINS[kind][1]).dim
     sections = _normalized(raw, "", _schema(kind, dim))
 
     exponents = _construct("exponents", ProblemExponents, dim=dim, **sections["exponents"])

@@ -34,6 +34,10 @@ logger = logging.getLogger("fracsolve.driver")
 
 _MIN_THETA = 1.0 / 16.0
 _INCREASE_STREAK = 3
+# An outer step whose frozen answer moved at most this fraction of the
+# distance its frozen iterate moved has seen T contract, and takes the
+# Picard step theta = 1 in place of the configured relaxation.
+_PICARD_CONTRACTION = 0.5
 _BALL_SLACK = 1.0 + 1e-9
 # random fields the growth-bound fit samples, spread over two decades
 _GROWTH_SAMPLES = 20
@@ -54,8 +58,9 @@ _STEP_LOG = (
 
 @dataclass(frozen=True)
 class OuterOptions:
-    """Relaxation weight, stopping tolerance on the (s1,p) step seminorm,
-    iteration budget, and the growth-bound monitor switch."""
+    """Relaxation weight of the outer steps where T has not been seen to
+    contract (the others take theta = 1), stopping tolerance on the (s1,p)
+    step seminorm, iteration budget, and the growth-bound monitor switch."""
 
     theta: float = 0.5
     tol: float = 1e-6
@@ -202,7 +207,8 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
     fields spanning two decades of size, then solve for the smallest radius
     rho with  c_emp (1 + rho^exponent) <= rho^p.  The samples come in
     increasing seminorm, and each solve starts from the answer of the last
-    converged sample."""
+    converged sample; a solve that returns that start unchanged reuses its
+    T(v) seminorm."""
     e = instance.exponents
     exponent = instance.convective.zeta * e.p_prime
     if exponent >= e.p:
@@ -226,8 +232,11 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
                 f"growth-bound sample at seminorm {lam:.3g} did not converge; skipped"
             )
             continue
+        # a solve that returned its start unchanged has the last sample's
+        # T(v) seminorm; its larger lam cannot raise c_emp
+        if start is None or result.iterations or not np.array_equal(result.x, start):
+            tnorm = seminorm(tp, result.x)
         start = result.x
-        tnorm = seminorm(tp, result.x)
         logger.info(_SAMPLE_LOG, k, lam, tnorm, result.newton_steps, result.iterations)
         c_emp = max(c_emp, tnorm**e.p / (1.0 + lam**exponent))
     if c_emp <= 0.0:
@@ -269,11 +278,16 @@ def solve_problem(
 ) -> SolveReport:
     """Relaxed fixed-point iteration  v <- (1-theta) v + theta T(v)  from the
     certified floor, stopping when the (s1,p) seminorm of the update falls
-    below the outer tolerance.  Each frozen solve starts from the previous
-    step's answer; once the loop converges, the last step's frozen problem
-    is solved again from its answer with the inner tolerance divided by
-    _FINAL_TOL_DIVISOR, and a converged re-solve replaces that step's
-    answer and residuals."""
+    below the outer tolerance.  A step after the first whose frozen answer
+    moved at most _PICARD_CONTRACTION times as far as its frozen iterate,
+    |T(v_k) - T(v_k-1)| <= 0.5 |v_k - v_k-1|  in the Euclidean norm, takes
+    theta = 1; the others take the configured theta, halved after
+    _INCREASE_STREAK growing steps in a row down to _MIN_THETA.  The
+    report's ``thetas`` holds the weight each step used.  Each frozen solve
+    starts from the previous step's answer; once the loop converges, the
+    last step's frozen problem is solved again from its answer with the
+    inner tolerance divided by _FINAL_TOL_DIVISOR, and a converged re-solve
+    replaces that step's answer and residuals."""
     opts = options or OuterOptions()
     grid = instance.grid
     tp = instance.tables[0]
@@ -300,32 +314,40 @@ def solve_problem(
     converged = False
     message = ""
     last_result: MinimizeResult | None = None
+    frozen_v = v
     iterations = 0
 
     for k in range(1, opts.max_outer + 1):
-        frozen_v = v
+        prev_v, frozen_v = frozen_v, v
         result = apply_T(instance, v, None if last_result is None else last_result.x)
         iterations = k
+        # kappa = |T(v_k) - T(v_k-1)| / |v_k - v_k-1|, compared without
+        # dividing so that an empty step (x_k = x_k-1) counts as kappa = 0
+        contracted = last_result is not None and np.linalg.norm(
+            result.x - last_result.x
+        ) <= _PICARD_CONTRACTION * np.linalg.norm(frozen_v - prev_v)
+        step_theta = 1.0 if contracted else theta
         last_result = result
         frozen_residuals.append(result.residual)
         inner_iterations.append(result.iterations)
         full_residuals.append(verify_solution(instance, result.x))
-        thetas.append(theta)
+        thetas.append(step_theta)
         if not result.converged:
             message = f"frozen solve failed at outer iteration {k}: {result.message}"
             step_seminorms.append(math.nan)
             v_norms.append(v_norms[-1])
             logger.info(
                 _STEP_LOG, k, math.nan, result.residual, result.newton_steps,
-                result.iterations, theta,
+                result.iterations, step_theta,
             )
             break
-        v_new = relaxed_update(v, result.x, theta)
+        v_new = relaxed_update(v, result.x, step_theta)
         step = seminorm(tp, v_new - v)
         step_seminorms.append(step)
         v_norms.append(seminorm(tp, v_new))
         logger.info(
-            _STEP_LOG, k, step, result.residual, result.newton_steps, result.iterations, theta
+            _STEP_LOG, k, step, result.residual, result.newton_steps, result.iterations,
+            step_theta,
         )
         _ball_check(v_norms[-1], ball, f"outer iteration {k}")
 

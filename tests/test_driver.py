@@ -11,6 +11,7 @@ Oracles:
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,31 @@ def instance_1d_tight():
         CONVECTIVE_1D,
         frozen_options=MinimizerOptions(tol=1e-8),
     )
+
+
+@pytest.fixture(scope="module")
+def instance_1d_loose():
+    # at inner tol 1e-4 some growth samples already meet the tolerance at
+    # the last sample's answer and return it unchanged
+    grid = build_grid(interval(0.0, 1.0), 17)
+    return build_instance(
+        grid,
+        EXPONENTS_1D,
+        REACTION_1D,
+        CONVECTIVE_1D,
+        frozen_options=MinimizerOptions(tol=1e-4),
+    )
+
+
+def affine_T(instance, kappa, iterations=1):
+    """Stand-in for apply_T: v -> a + kappa (v - a), contracting by exactly
+    kappa toward its fixed point a = 2 * floor."""
+    a = 2.0 * instance.trunc.floor
+
+    def T(inst, v, start=None):
+        return MinimizeResult(a + kappa * (v - a), True, iterations, 0.0, 0.0)
+
+    return T
 
 
 def random_field(instance, lam, seed):
@@ -132,6 +158,28 @@ class TestApplyT:
         monkeypatch.setattr(driver, "apply_T", lambda inst, v, start=None: cold_T(inst, v))
         cold = fit_growth_bound(instance_1d, seed=0)
         assert warm.c_emp == pytest.approx(cold.c_emp, rel=1e-6)
+
+    def test_empty_samples_reuse_the_last_seminorm(self, instance_1d_loose, monkeypatch):
+        calls = []
+        counted = driver.seminorm
+        monkeypatch.setattr(
+            driver, "seminorm", lambda *args: calls.append(None) or counted(*args)
+        )
+        reused = fit_growth_bound(instance_1d_loose, seed=0)
+        # one seminorm scales each of the 20 samples, one more measures T(v)
+        assert len(calls) < 2 * 20
+        # a solve that reports an inner iteration is measured again
+        solve = driver.apply_T
+
+        def busy_T(inst, v, start=None):
+            result = solve(inst, v, start)
+            return replace(result, iterations=result.iterations + 1)
+
+        monkeypatch.setattr(driver, "apply_T", busy_T)
+        calls.clear()
+        recomputed = fit_growth_bound(instance_1d_loose, seed=0)
+        assert len(calls) == 2 * 20
+        assert reused == recomputed
 
     def test_continuity_under_small_perturbations(self, instance_1d_tight):
         inst = instance_1d_tight
@@ -233,6 +281,32 @@ class TestSolveProblem:
         damped = [line for line in report.log if "relaxation damped" in line]
         assert [line.split("theta = ")[1] for line in damped] == ["0.25", "0.125", "0.0625"]
         assert damped[0].startswith("outer 4:")
+
+    def test_contracting_map_takes_picard_steps(self, instance_1d, monkeypatch):
+        monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.1))
+        floor = instance_1d.trunc.floor
+        tol = 1e-2 * seminorm(instance_1d.tables[0], floor)
+        report = solve_problem(instance_1d, OuterOptions(tol=tol, ball_monitor=False))
+        # theta = 0.5 alone would shrink the step by 0.55 a step and need 8
+        assert report.converged and report.outer_iterations <= 4
+        assert report.thetas == [0.5] + [1.0] * (report.outer_iterations - 1)
+
+    def test_weakly_contracting_map_keeps_the_relaxation(self, instance_1d, monkeypatch):
+        monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.9))
+        report = solve_problem(
+            instance_1d, OuterOptions(tol=1e-12, max_outer=10, ball_monitor=False)
+        )
+        assert not report.converged
+        assert report.thetas == [0.5] * 10
+
+    def test_empty_step_ends_the_loop(self, instance_1d, monkeypatch):
+        # a constant map whose solves take no inner iteration: the second
+        # step sees x_2 = x_1, moves to the answer, and the third confirms it
+        monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.0, iterations=0))
+        report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
+        assert report.converged and report.outer_iterations <= 3
+        assert report.thetas == [0.5, 1.0, 1.0]
+        assert report.step_seminorms[-1] == 0.0
 
     def test_matches_coupled_brute_force(self, instance_1d_tight):
         inst = instance_1d_tight
