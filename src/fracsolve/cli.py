@@ -9,7 +9,6 @@ JSON object to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import math
@@ -19,7 +18,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from . import io_utils
 from .config import ConfigError, HypothesisError, RunConfig, load_config
@@ -271,13 +269,9 @@ def _cmd_selftest(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     verbose = argparse.ArgumentParser(add_help=False)
     verbose.add_argument("-v", "--verbose", action="store_true", help="log progress and defaults")
-    common = argparse.ArgumentParser(add_help=False, parents=[verbose])
-    common.add_argument(
-        "--threads", type=int, default=None, help="set the scipy.fft worker count (default 1)"
-    )
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", required=True, help="path to a JSON run config")
-    with_config = argparse.ArgumentParser(add_help=False, parents=[common, config])
+    with_config = argparse.ArgumentParser(add_help=False, parents=[verbose, config])
     with_config.add_argument("--out", default=None, help="output directory (default: from config)")
 
     parser = argparse.ArgumentParser(
@@ -294,11 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fractional gradient of a reference bump").set_defaults(func=_cmd_gradient)
     sub.add_parser("kernel-table", parents=[with_config],
                    help="assemble and summarize the weight tables").set_defaults(func=_cmd_kernel_table)
-    # runs no FFT, so it takes no --threads
     sub.add_parser("check-hypotheses", parents=[verbose, config],
-                   help="validate the solvability window",
-                   ).set_defaults(func=_cmd_check, threads=None)
-    sub.add_parser("selftest", parents=[common],
+                   help="validate the solvability window").set_defaults(func=_cmd_check)
+    sub.add_parser("selftest", parents=[verbose],
                    help="run built-in invariant checks").set_defaults(func=_cmd_selftest)
     return parser
 
@@ -307,18 +299,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO)
-    if args.threads is not None:
-        if args.threads < 1:
-            _stderr_json({"error": "config", "field": "--threads", "reason": "must be positive"})
-            return 2
-        ctx = scipy.fft.set_workers(args.threads)
-    else:
-        ctx = contextlib.nullcontext()
     # a config's cache_dir applies to this command only
     saved_cache = os.environ.get("FRACSOLVE_CACHE")
     try:
-        with ctx:
-            return args.func(args)
+        return args.func(args)
     except ConfigError as e:
         _stderr_json({"error": "config", "field": e.field, "reason": e.reason})
         return 2

@@ -246,16 +246,14 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
     def gap(rho):
         return rho**e.p - c_emp * (1.0 + rho**exponent)
 
-    lo = 1e-8
-    while gap(lo) >= 0.0 and lo > 1e-300:
-        lo *= 1e-2
+    # gap(0) = -c_emp < 0 brackets the root from below
     hi = 1.0
     while gap(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             warnings.warn("invariance radius exceeds 1e12; monitor disabled")
             return GrowthBound(c_emp=c_emp, rho=math.inf, exponent=exponent)
-    rho = _bisect_root(gap, lo, hi)
+    rho = _bisect_root(gap, 0.0, hi)
     return GrowthBound(c_emp=c_emp, rho=rho, exponent=exponent)
 
 

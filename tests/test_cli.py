@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from fracsolve import cli
 from fracsolve.config import ConfigError, HypothesisError, load_config
@@ -260,11 +259,16 @@ class TestCliOther:
         assert "--out" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_check_hypotheses_rejects_threads(self, capsys):
-        # the command runs no FFT, so a thread cap would do nothing
-        config = str(CONFIG_DIR / "interval_1d.json")
+    @pytest.mark.parametrize(
+        "command",
+        ["solve", "torsion", "gradient", "kernel-table", "check-hypotheses", "selftest"],
+    )
+    def test_rejects_threads(self, command, capsys):
+        # a second FFT worker makes no run faster, so no command takes a
+        # thread count
+        args = [] if command == "selftest" else ["--config", str(CONFIG_DIR / "interval_1d.json")]
         with pytest.raises(SystemExit) as exc:
-            cli.main(["check-hypotheses", "--config", config, "--threads", "2"])
+            cli.main([command, *args, "--threads", "2"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
@@ -325,20 +329,6 @@ class TestCliOther:
         assert len(summary["tables"]) == 2
         for entry in summary["tables"]:
             assert entry["tail_min"] > 0.0
-
-    def test_threads_caps_fft_workers_only(self, monkeypatch):
-        thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        for var in thread_vars:
-            monkeypatch.delenv(var, raising=False)
-        seen = []
-        monkeypatch.setattr(
-            cli, "_cmd_gradient", lambda args: seen.append(scipy.fft.get_workers()) or 0
-        )
-        config = str(CONFIG_DIR / "interval_1d.json")
-        code = cli.main(["gradient", "--threads", "3", "--config", config])
-        assert code == 0
-        assert seen == [3]
-        assert not any(var in os.environ for var in thread_vars)
 
     @pytest.mark.parametrize("outer_cache", [None, "preset"])
     def test_cache_dir_applies_to_one_command(self, tmp_path, monkeypatch, outer_cache):

@@ -45,6 +45,21 @@ class TestKernelTable1D:
             assert err < 1e-12
             assert plan.kernel[d] == pytest.approx(gamma * want, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    def test_small_orders_match_quad(self, alpha):
+        # the Gauss rule of a cell loses the most next to the singularity,
+        # at offset 1, and more the smaller alpha is
+        grid = build_grid(interval(-1.0, 1.0), 17)
+        plan = plan_riesz_convolution(grid, alpha)
+        h = grid.h[0]
+        gamma = riesz_normalization(1, alpha)
+        for d in (1, 2, 7):
+            want, err = quad(
+                lambda z: z ** (alpha - 1.0), d * h - h / 2, d * h + h / 2
+            )
+            assert err < 1e-12
+            assert plan.kernel[d] == pytest.approx(gamma * want, rel=1e-11)
+
 
 class TestKernelTable2D:
     def test_entries_match_dblquad(self):
