@@ -66,15 +66,18 @@ def _cmd_solve(args) -> int:
     report = solve_problem(instance, cfg.outer, seed=cfg.seed)
     grid = instance.grid
 
-    io_utils.write_field_csv(out / "solution.csv", report.u)
+    u = grid.pack(report.u)
+    io_utils.write_field_csv(out / "solution.csv", grid, u)
     io_utils.write_rows_csv(
         out / "convergence.csv",
         ["k", "step_seminorm", "frozen_residual", "full_residual", "v_norm"],
-        [
-            [row["k"], row["step_seminorm"], row["frozen_residual"],
-             row["full_residual"], row["v_norm"]]
-            for row in report.history_rows()
-        ],
+        zip(
+            range(1, len(report.step_seminorms) + 1),
+            report.step_seminorms,
+            report.frozen_residuals,
+            report.full_residuals,
+            report.v_norms[1:],
+        ),
     )
     payload = {
         "timestamp": _timestamp(),
@@ -101,7 +104,7 @@ def _cmd_solve(args) -> int:
         "message": report.message,
         "certificate": instance.certificate.as_dict(),
         "hypotheses": cfg.hypotheses.as_dict(),
-        "u": io_utils.float_list(grid.pack(report.u)),
+        "u": io_utils.float_list(u),
         "raw": io_utils.float_list(grid.pack(report.raw)),
     }
     io_utils.write_json(out / "report.json", payload)
@@ -116,7 +119,7 @@ def _cmd_torsion(args) -> int:
     _apply_cache(cfg)
     out = _out_dir(args, cfg)
     instance = _instance_from(cfg)
-    io_utils.write_field_csv(out / "torsion.csv", instance.certificate.lower)
+    io_utils.write_field_csv(out / "torsion.csv", instance.grid, instance.certificate.lower)
     payload = dict(instance.certificate.as_dict(), timestamp=_timestamp())
     io_utils.write_json(out / "certificate.json", payload)
     return 0
@@ -135,12 +138,10 @@ def _cmd_gradient(args) -> int:
     out = _out_dir(args, cfg)
     grid = cfg.build_grid()
     bump = _bump(grid)
-    # one column per axis over every lattice node, zero off the interior
-    dsu = np.zeros((grid.points.shape[0], grid.dim))
     plan = plan_riesz_convolution(grid, 1.0 - cfg.exponents.s)
-    dsu[grid.interior_idx] = riesz_gradient(plan, bump)
+    dsu = riesz_gradient(plan, bump)
     extra = [(f"dsu_{axis}", dsu[:, a]) for a, axis in zip(range(grid.dim), "xy")]
-    io_utils.write_field_csv(out / "gradient.csv", grid.unpack(bump), extra=extra)
+    io_utils.write_field_csv(out / "gradient.csv", grid, bump, extra=extra)
     return 0
 
 

@@ -106,6 +106,7 @@ class ProblemInstance:
 class SolveReport:
     """Outcome of the outer iteration with per-step diagnostics."""
 
+    # u and raw stay fields: the benchmark calls grid.pack(report.u)
     u: ScalarField
     raw: ScalarField
     converged: bool
@@ -121,21 +122,6 @@ class SolveReport:
     ball: GrowthBound | None
     log: list = field(default_factory=list)
     message: str = ""
-
-    def history_rows(self):
-        """One dict per outer iteration, aligned for tabular output."""
-        rows = []
-        for k in range(len(self.step_seminorms)):
-            rows.append(
-                {
-                    "k": k + 1,
-                    "step_seminorm": self.step_seminorms[k],
-                    "frozen_residual": self.frozen_residuals[k],
-                    "full_residual": self.full_residuals[k],
-                    "v_norm": self.v_norms[k + 1],
-                }
-            )
-        return rows
 
 
 def build_instance(
@@ -154,7 +140,7 @@ def build_instance(
         assemble_weights(grid, OperatorParams(s=exponents.s2, p=exponents.q)),
     )
     certificate = select_sigma(reaction, exponents, grid, tables)
-    trunc = TruncatedReaction(reaction, grid.pack(certificate.lower))
+    trunc = TruncatedReaction(reaction, certificate.lower)
     plan = plan_riesz_convolution(grid, 1.0 - exponents.s)
     if frozen_options is None:
         frozen_options = default_frozen_options(grid)

@@ -33,10 +33,11 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grids import Grid
 from .quadrature import (
+    _GL_W,
+    _GL_X,
     halfplane_profile_constant,
     pair_integral,
     power_segment_integral,
@@ -166,9 +167,8 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
     # integrals over the lattice serves all four corners.  Interior nodes
     # are off the lattice edge, so rows 0 and m are never read and not
     # integrated; they stay NaN.
-    gx, gw = leggauss(10)
     dist1, dist2 = (
-        w * (np.arange(m)[:, None] + 0.5 + 0.5 * gx[None, :]) for m, w in zip(grid.shape, h)
+        w * (np.arange(m)[:, None] + 0.5 + 0.5 * _GL_X[None, :]) for m, w in zip(grid.shape, h)
     )
     m1, m2 = grid.shape[0] - 1, grid.shape[1] - 1
     corner = np.full(grid.shape, np.nan)
@@ -176,7 +176,7 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
     for r0 in range(1, m1, step):
         r1 = min(r0 + step, m1)
         q = quadrant_integral(sp, dist1[r0:r1, None, :, None], dist2[None, :, None, :])
-        corner[r0:r1] = gw @ q @ gw
+        corner[r0:r1] = _GL_W @ q @ _GL_W
     i, j = grid.lattice[grid.interior_idx].T
     corner_sum = corner[i, j] + corner[i, m2 - j] + corner[m1 - i, j] + corner[m1 - i, m2 - j]
     return tail - 0.25 * w1 * w2 * corner_sum

@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import ScalarField
-
 _COORDS = {1: ("x",), 2: ("x", "y")}
 
 
@@ -23,20 +21,13 @@ def fmt17(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_field_csv(path, field: ScalarField, extra=()) -> None:
-    """One row per lattice node: coordinates, value, optional extra
-    columns given as (name, per-node array) pairs."""
-    grid = field.grid
+def write_field_csv(path, grid, u, extra=()) -> None:
+    """One row per lattice node: coordinates, the interior vector u, and
+    optional extra columns given as (name, interior vector) pairs; every
+    value column is written zero off the interior."""
     names = list(_COORDS[grid.dim]) + ["u"] + [name for name, _ in extra]
     columns = [grid.points[:, a] for a in range(grid.dim)]
-    columns.append(np.asarray(field.values, dtype=float))
-    for _, values in extra:
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (grid.points.shape[0],):
-            raise ValueError(
-                f"extra column must hold one value per node, got shape {arr.shape}"
-            )
-        columns.append(arr)
+    columns += [grid.zero_extend(vec).reshape(-1) for vec in (u, *(v for _, v in extra))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)

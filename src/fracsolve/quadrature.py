@@ -51,29 +51,25 @@ def panel_nodes(edges):
     return x, w
 
 
-def axis_nodes(delta, width, separated_panels=4, graded_levels=12):
+def axis_nodes(delta, width):
     """Quadrature for one axis of a tent-supported integrand.
 
-    The support is [delta - width, delta + width].  If 0 lies inside, the
-    axis is split there and graded toward it from both sides; if 0 sits at
-    an endpoint, panels grade toward that endpoint; otherwise uniform
-    panels suffice.
+    The power integrand is even, so an offset and its mirror integrate
+    alike: the nodes cover the support [|delta| - width, |delta| + width]
+    of the tent centred at |delta|.  If 0 lies inside, the axis is split
+    there and graded toward it from both sides in 12 geometric levels; if
+    0 sits at the low endpoint, the panels grade toward it; otherwise four
+    uniform panels suffice.
     """
-    lo, hi = delta - width, delta + width
+    lo, hi = abs(delta) - width, abs(delta) + width
     eps = 1e-12 * max(width, abs(delta))
-    if lo > eps or hi < -eps:
-        x, w = panel_nodes(uniform_edges(lo, hi, separated_panels))
-    elif abs(lo) <= eps:
-        x, w = panel_nodes(graded_edges(0.0, hi, graded_levels))
-    elif abs(hi) <= eps:
-        x, w = panel_nodes(graded_edges(0.0, lo, graded_levels))
-        w = -w  # reversed orientation
-    else:
-        xl, wl = panel_nodes(graded_edges(0.0, lo, graded_levels))
-        xr, wr = panel_nodes(graded_edges(0.0, hi, graded_levels))
-        x = np.concatenate([xl, xr])
-        w = np.concatenate([-wl, wr])
-    return x, w
+    if lo > eps:
+        return panel_nodes(uniform_edges(lo, hi, 4))
+    xr, wr = panel_nodes(graded_edges(0.0, hi, 12))
+    if abs(lo) <= eps:
+        return xr, wr
+    xl, wl = panel_nodes(graded_edges(0.0, lo, 12))
+    return np.concatenate([xl, xr]), np.concatenate([-wl, wr])
 
 
 def tent(t, width):

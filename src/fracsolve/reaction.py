@@ -48,6 +48,9 @@ class ProblemExponents:
                 f"orders must satisfy 0 < s2 <= s <= s1 <= 1, got "
                 f"s2={self.s2}, s={self.s}, s1={self.s1}"
             )
+        # the forms and the Riesz plan need orders strictly below 1
+        if self.s1 >= 1.0:
+            raise ValueError(f"order s1 must lie below 1, got s1={self.s1}")
         if self.p <= 1.0 or self.q <= 1.0:
             raise ValueError(f"exponents must exceed 1, got p={self.p}, q={self.q}")
         if self.dim < 1:

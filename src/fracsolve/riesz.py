@@ -24,13 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .grids import Grid
-from .quadrature import cell_average_power
-
-_GL_X, _GL_W = leggauss(10)
+from .quadrature import _GL_W, _GL_X, cell_average_power
 
 
 def riesz_normalization(dim, alpha):

@@ -24,7 +24,7 @@ from .frozen import (
     frozen_hessian,
 )
 from .gagliardo import energy
-from .grids import Grid, ScalarField
+from .grids import Grid
 from .optimize import MinimizerOptions, bisect_root, minimize_energy
 from .reaction import ProblemExponents, SingularReaction, f_eval, liminf_at_zero
 
@@ -41,9 +41,10 @@ logger_solve = logging.getLogger("fracsolve.torsion.solve")
 
 @dataclass
 class SubsolutionCertificate:
-    """Floor field with the constants that witnessed its construction."""
+    """Floor, as the interior vector of the certified torsion solve, with
+    the constants that witnessed its construction."""
 
-    lower: ScalarField
+    lower: np.ndarray
     sigma: float
     eta: float
     exponent: float
@@ -202,7 +203,7 @@ def select_sigma(
         if certified:
             exponent = hopf_exponent(exponents)
             return SubsolutionCertificate(
-                lower=grid.unpack(vals),
+                lower=vals,
                 sigma=sigma,
                 eta=hopf_ratio(vals, grid.interior_distance, exponent),
                 exponent=exponent,

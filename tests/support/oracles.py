@@ -5,7 +5,7 @@ uniqueness probe, and the reader of ``write_field_csv`` files.
 the dense weight matrix, independently of the packed pair pass that
 ``gagliardo.operator_gradient`` walks.  ``uniqueness_probe`` solves one
 frozen problem from two starts.  ``read_field_csv`` reads the field files
-the CLI writes.
+the CLI writes back into interior vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from fracsolve.frozen import FrozenProblem, frozen_energy, frozen_gradient
 from fracsolve.gagliardo import PairWeightTable, _interior_vector, _signed_power
-from fracsolve.grids import Grid, ScalarField
+from fracsolve.grids import Grid
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import uniqueness_certified
 
@@ -84,15 +84,18 @@ def uniqueness_probe(
     return float(np.max(np.abs(solutions[0] - solutions[1])))
 
 
-def read_field_csv(grid: Grid, path) -> ScalarField:
-    """Rebuild a scalar field from a csv produced by write_field_csv."""
+def read_field_csv(grid: Grid, path) -> np.ndarray:
+    """The interior vector of the ``u`` column of a csv produced by
+    write_field_csv; every off-interior row must hold 0."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         value_col = header.index("u")
-        values = [float(row[value_col]) for row in reader]
-    if len(values) != grid.points.shape[0]:
+        values = np.array([float(row[value_col]) for row in reader])
+    if values.shape != (grid.points.shape[0],):
         raise ValueError(
-            f"csv holds {len(values)} nodes, grid has {grid.points.shape[0]}"
+            f"csv holds {values.size} nodes, grid has {grid.points.shape[0]}"
         )
-    return ScalarField(grid, np.asarray(values, dtype=float))
+    if np.any(values[~grid.interior_mask] != 0.0):
+        raise ValueError("csv holds a nonzero value off the interior")
+    return values[grid.interior_idx]

@@ -279,7 +279,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
     # the frozen solution never dips below the floor on any shipped config
     for name in SHIPPED:
         _, inst = shipped_instances[name]
-        prob = frozen_at(inst, inst.grid.pack(inst.certificate.lower))
+        prob = frozen_at(inst, inst.certificate.lower)
         res = solve_frozen(prob, MinimizerOptions(tol=1e-8, max_iter=20000))
         assert res.converged
         gap = float(np.min(res.x - inst.trunc.floor))
@@ -287,7 +287,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
 
     # two distant starts land on the same frozen solution
     _, inst = shipped_instances["interval_1d"]
-    gap = uniqueness_probe(frozen_at(inst, inst.grid.pack(inst.certificate.lower)))
+    gap = uniqueness_probe(frozen_at(inst, inst.certificate.lower))
     assert math.isfinite(gap) and gap < 1e-6
     _report(6, "frozen solver against dense, lattice, floor, uniqueness", t0)
 

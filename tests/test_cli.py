@@ -135,20 +135,42 @@ class TestFieldCsv:
     def test_round_trip_exact_1d(self, tmp_path):
         grid = build_grid(interval(0.0, 1.0), 17)
         rng = np.random.default_rng(3)
-        field = grid.unpack(rng.standard_normal(grid.n_interior) * 1e-3)
+        u = rng.standard_normal(grid.n_interior) * 1e-3
         path = tmp_path / "field.csv"
-        write_field_csv(path, field)
+        write_field_csv(path, grid, u)
         back = read_field_csv(grid, path)
-        assert np.array_equal(back.values, field.values)
+        assert np.array_equal(back, u)
 
     def test_round_trip_exact_2d(self, tmp_path):
         grid = build_grid(disk(0.0, 0.0, 1.0), 9)
         rng = np.random.default_rng(4)
-        field = grid.unpack(np.exp(rng.standard_normal(grid.n_interior) * 7.0))
+        u = np.exp(rng.standard_normal(grid.n_interior) * 7.0)
         path = tmp_path / "field.csv"
-        write_field_csv(path, field)
+        write_field_csv(path, grid, u)
         back = read_field_csv(grid, path)
-        assert np.array_equal(back.values, field.values)
+        assert np.array_equal(back, u)
+
+    def test_extra_columns_zero_off_interior(self, tmp_path):
+        grid = build_grid(disk(0.0, 0.0, 1.0), 9)
+        rng = np.random.default_rng(5)
+        u, w = rng.standard_normal((2, grid.n_interior)) + 2.0
+        path = tmp_path / "field.csv"
+        write_field_csv(path, grid, u, extra=[("w", w)])
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["x", "y", "u", "w"]
+            data = np.array([[float(v) for v in row] for row in reader])
+        assert np.all(data[~grid.interior_mask, 2:] == 0.0)
+        assert np.array_equal(data[grid.interior_idx, 2], u)
+        assert np.array_equal(data[grid.interior_idx, 3], w)
+
+    def test_extra_column_of_wrong_length_rejected(self, tmp_path):
+        grid = build_grid(interval(0.0, 1.0), 17)
+        u = np.ones(grid.n_interior)
+        path = tmp_path / "field.csv"
+        with pytest.raises(ValueError, match="expected 15 interior values"):
+            write_field_csv(path, grid, u, extra=[("w", np.ones(grid.n_interior + 1))])
+        assert not path.exists()
 
 
 class TestCliSolve:
@@ -165,11 +187,28 @@ class TestCliSolve:
         assert report["final_residual"] < 1e-5
         # the csv reproduces the reported interior values exactly
         grid = load_config(str(CONFIG_DIR / "interval_1d.json")).build_grid()
-        field = read_field_csv(grid, out / "solution.csv")
-        assert np.array_equal(grid.pack(field), np.asarray(report["u"]))
+        u = read_field_csv(grid, out / "solution.csv")
+        assert np.array_equal(u, np.asarray(report["u"]))
         rows = (out / "convergence.csv").read_text().strip().splitlines()
         assert rows[0] == "k,step_seminorm,frozen_residual,full_residual,v_norm"
         assert len(rows) == report["outer_iterations"] + 1
+
+    def test_convergence_csv_rows_are_the_report_lists(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(
+            ["solve", "--config", str(CONFIG_DIR / "interval_1d.json"), "--out", str(out)]
+        ) == 0
+        report = json.loads((out / "report.json").read_text())
+        with open(out / "convergence.csv", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            rows = [[float(v) for v in row] for row in reader]
+        k, step, frozen, full, v_norm = (list(col) for col in zip(*rows))
+        assert k == list(range(1, report["outer_iterations"] + 1))
+        assert step == report["step_seminorms"]
+        assert frozen == report["frozen_residuals"]
+        assert full == report["full_residuals"]
+        assert v_norm == report["v_norms"][1:]
 
     def test_solve_deterministic_modulo_timestamp(self, tmp_path):
         out = tmp_path / "run"
@@ -224,6 +263,34 @@ class TestCliSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert err["field"] == (f"{section}.{key}" if section else key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,orders",
+        [
+            ("solve", {"s1": 1.0}),
+            ("torsion", {"s1": 1.0}),
+            ("gradient", {"s1": 1.0}),
+            ("gradient", {"s": 1.0, "s1": 1.0}),
+            ("kernel-table", {"s1": 1.0}),
+            ("check-hypotheses", {"s1": 1.0}),
+        ],
+    )
+    def test_order_one_is_config_error(self, tmp_path, capsys, command, orders):
+        # s1 = 1 used to pass the config gate, and the commands failed at run time
+        payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        payload["exponents"].update(orders)
+        out = tmp_path / "run"
+        args = [command, "--config", dump(tmp_path, payload)]
+        if command != "check-hypotheses":
+            args += ["--out", str(out)]
+        assert cli.main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "config",
+            "field": "exponents",
+            "reason": "order s1 must lie below 1, got s1=1.0",
+        }
         assert not out.exists()
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
@@ -283,7 +350,7 @@ class TestCliOther:
         assert cert["eta"] > 0.0
         grid = load_config(str(CONFIG_DIR / "interval_1d.json")).build_grid()
         floor = read_field_csv(grid, out / "torsion.csv")
-        assert np.all(grid.pack(floor) > 0.0)
+        assert np.all(floor > 0.0)
 
     def test_gradient_outputs(self, tmp_path):
         out = tmp_path / "g"

@@ -90,8 +90,13 @@ def random_field(instance, lam, seed):
 
 
 class TestApplyT:
+    def test_certificate_floor_is_the_truncation_floor(self, instance_1d):
+        lower = instance_1d.certificate.lower
+        assert lower.shape == (instance_1d.grid.n_interior,)
+        assert np.array_equal(lower, instance_1d.trunc.floor)
+
     def test_floor_maps_above_floor(self, instance_1d):
-        res = apply_T(instance_1d, instance_1d.grid.pack(instance_1d.certificate.lower))
+        res = apply_T(instance_1d, instance_1d.certificate.lower)
         assert res.converged
         floor = instance_1d.trunc.floor
         assert np.min(res.x - floor) >= -1e-6
@@ -184,7 +189,7 @@ class TestApplyT:
     def test_continuity_under_small_perturbations(self, instance_1d_tight):
         inst = instance_1d_tight
         grid = inst.grid
-        v = grid.pack(inst.certificate.lower)
+        v = inst.certificate.lower
         base = apply_T(inst, v).x
         z = random_field(inst, 1.0, seed=9)
         gaps = []

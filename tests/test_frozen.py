@@ -76,7 +76,7 @@ def setup_1d():
         assemble_weights(grid, OperatorParams(0.5, 2.2)),
     )
     cert = select_sigma(REACTION_1D, EXPONENTS_1D, grid, tables)
-    lower = grid.pack(cert.lower)
+    lower = cert.lower
     xi = riesz_gradient(plan_riesz_convolution(grid, 1.0 - EXPONENTS_1D.s), lower)
     trunc = TruncatedReaction(REACTION_1D, lower)
     prob = FrozenProblem(tables=tables, trunc=trunc, load=g_eval(CONVECTIVE_1D, xi))
@@ -139,7 +139,7 @@ class TestFrozenEnergy:
 
     def test_coercive_along_rays(self, setup_1d):
         grid, cert, prob = setup_1d
-        profile = grid.pack(cert.lower)
+        profile = cert.lower
         values = [frozen_energy(prob, lam * profile) for lam in (1.0, 10.0, 100.0, 1000.0)]
         assert values[1] < values[2] < values[3]
         assert values[3] > 0.0
@@ -383,7 +383,7 @@ class TestUniquenessProbe:
         grid, cert, _ = setup_1d
         # r = 1.3 >= q - 1 = 1.2: the ratio-decrease family condition fails
         reaction = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.3)
-        lower = grid.pack(cert.lower)
+        lower = cert.lower
         prob = build_problem(grid, EXPONENTS_1D, reaction, CONVECTIVE_1D, lower, lower)
         with pytest.warns(UserWarning, match="uniqueness"):
             gap = uniqueness_probe(prob)
@@ -407,7 +407,7 @@ class TestTwoDimensional:
             assemble_weights(grid, OperatorParams(0.5, 2.5)),
         )
         cert = select_sigma(reaction, exps, grid, tables)
-        lower = grid.pack(cert.lower)
+        lower = cert.lower
         prob = FrozenProblem(
             tables=tables,
             trunc=TruncatedReaction(reaction, lower),
@@ -443,7 +443,7 @@ def hessian_setup(request):
         assemble_weights(grid, OperatorParams(exps.s1, exps.p)),
         assemble_weights(grid, OperatorParams(exps.s2, exps.q)),
     )
-    lower = grid.pack(select_sigma(reaction, exps, grid, tables).lower)
+    lower = select_sigma(reaction, exps, grid, tables).lower
     prob = build_problem(grid, exps, reaction, convective, lower, lower)
     rng = np.random.default_rng(3)
     u = lower + 0.2 + 0.05 * rng.random(grid.n_interior)

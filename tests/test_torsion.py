@@ -281,7 +281,7 @@ class TestSelectSigma:
         assert cert.sigma <= 0.5 + 1e-15
         assert cert.delta == pytest.approx(min(1.0, (0.5 / 1.0) ** 2.0))
         assert cert.sup_norm < cert.delta
-        floor = grid.pack(cert.lower)
+        floor = cert.lower
         assert np.all(floor > 0.0)
         assert cert.eta > 0.0
         assert cert.exponent == exps.s1
@@ -293,7 +293,7 @@ class TestSelectSigma:
         exps, grid, tables = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
         cert = select_sigma(fam, exps, grid, tables)
-        floor = grid.pack(cert.lower)
+        floor = cert.lower
         resid = (
             operator_gradient(tables[0], floor)
             + operator_gradient(tables[1], floor)
