@@ -3,7 +3,7 @@ check-hypotheses, selftest.
 
 Exit codes: 0 success, 1 runtime failure (e.g. non-convergence), 2
 config or hypothesis failure.  Every failure writes one machine-readable
-JSON object to stderr.
+JSON object to stderr; a solve that raises also leaves its report.json.
 """
 
 from __future__ import annotations
@@ -62,8 +62,23 @@ def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     _apply_cache(cfg)
     out = _out_dir(args, cfg)
-    instance = _instance_from(cfg)
-    report = solve_problem(instance, cfg.outer, seed=cfg.seed)
+    phase = "build"
+    try:
+        instance = _instance_from(cfg)
+        phase = "solve"
+        report = solve_problem(instance, cfg.outer, seed=cfg.seed)
+    except RuntimeError as e:
+        # the report of a failed run: where it stopped and why
+        payload = {
+            "timestamp": _timestamp(),
+            "config": cfg.as_dict(),
+            "seed": cfg.seed,
+            "converged": False,
+            "phase": phase,
+            "error": {"type": type(e).__name__, "message": str(e)},
+        }
+        io_utils.write_json(out / "report.json", payload)
+        raise
     grid = instance.grid
 
     u = grid.pack(report.u)
@@ -146,12 +161,14 @@ def _cmd_gradient(args) -> int:
 
 
 def _table_summary(table) -> dict:
-    pair = table.pair
+    """Norms of the n x n pair weights, from the offset table and the number
+    of interior pairs at each offset."""
+    counts = table.grid.offset_counts()
     return {
         "s": table.params.s,
         "p": table.params.p,
-        "pair_frobenius": float(np.linalg.norm(pair)),
-        "pair_max": float(np.max(pair)),
+        "pair_frobenius": math.sqrt(float(np.sum(counts * table.woff**2))),
+        "pair_max": float(np.max(table.woff[counts > 0])),
         "tail_min": float(np.min(table.tail)),
         "tail_max": float(np.max(table.tail)),
     }

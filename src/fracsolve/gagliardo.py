@@ -45,8 +45,13 @@ from .quadrature import (
 )
 
 _ROW_CHUNK = 512
+# offset rows per block of a table whose axes swap: a block integrates the
+# columns up to its last row, so a short block wastes little above the
+# diagonal, and a long one shares the set-up of its axis nodes (8 rows was
+# the fastest of 1 to 64 at resolutions 25 and 61)
+_SWAP_ROWS = 8
 _CACHE_ENV = "FRACSOLVE_CACHE"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 # Largest interior node count a table is assembled for.  The pair pass of
 # the forms holds the index pairs i < j (n^2 eight-byte words, 134 MB at
@@ -109,7 +114,7 @@ class PairWeightTable:
     @property
     def pair(self) -> np.ndarray:
         """The symmetric n x n matrix W_ij with a zero diagonal, built anew
-        on every access; only oracles and summaries read it."""
+        on every access; only the tests and the benchmark read it."""
         n = self.grid.n_interior
         rows = np.arange(n)
         out = np.empty((n, n))
@@ -120,11 +125,19 @@ class PairWeightTable:
         return out
 
 
+def _axes_swap(grid: Grid) -> bool:
+    """Whether swapping the two axes maps the lattice onto itself, so that
+    every kernel integral is symmetric in its two axis offsets."""
+    return grid.dim == 2 and grid.h[0] == grid.h[1]
+
+
 def _offset_table(grid: Grid, params: OperatorParams) -> np.ndarray:
     """Weights indexed by nonnegative lattice offset, shape = grid.shape.
 
     Offsets with Chebyshev length 1 take the model weight; the others split
-    into Cartesian blocks by the first axis whose offset is at least 2."""
+    into Cartesian blocks by the first axis whose offset is at least 2.
+    When the axes swap, only the offsets (k, l) with l <= k are integrated,
+    in row blocks, and the table is mirrored."""
     h = np.asarray(grid.h, dtype=float)
     beta = grid.dim + params.sp
     deltas = [np.arange(m) * h_a for m, h_a in zip(grid.shape, h)]
@@ -135,6 +148,14 @@ def _offset_table(grid: Grid, params: OperatorParams) -> np.ndarray:
     dist[origin] = 1.0  # any finite value: the origin is zeroed below
     table[(slice(0, 2),) * grid.dim] = dist ** -params.p * pair_integral(params.p - beta, near, h)
     table[origin] = 0.0  # the self-pair never contributes to differences
+    if _axes_swap(grid):
+        m = grid.shape[0]
+        for r0 in range(2, m, _SWAP_ROWS):
+            r1 = min(r0 + _SWAP_ROWS, m)
+            table[r0:r1, :r1] = pair_integral(-beta, [deltas[0][r0:r1], deltas[1][:r1]], h)
+        upper = np.triu_indices(m, 1)
+        table[upper] = table.T[upper]
+        return table
     for a in range(grid.dim):
         block = (slice(0, 2),) * a + (slice(2, None),) + (slice(None),) * (grid.dim - a - 1)
         table[block] = pair_integral(-beta, [d[b] for d, b in zip(deltas, block)], h)
@@ -163,23 +184,28 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
 
     # Half-planes double-count the four corner quadrants.  The Gauss rule
     # is symmetric, so the distances from lattice row i to the high face are
-    # those from row m - i to the low face: one table of low-corner cell
-    # integrals over the lattice serves all four corners.  Interior nodes
-    # are off the lattice edge, so rows 0 and m are never read and not
-    # integrated; they stay NaN.
+    # those from row m - i to the low face: one set of low-corner cell
+    # integrals serves all four corners, read at (i, j), (i, m - j),
+    # (m - i, j) and (m - i, m - j).  Only the cells some interior node
+    # reads are integrated, each once; when the axes swap, cell (a, b)
+    # equals cell (b, a) and is read as (min, max).
     dist1, dist2 = (
         w * (np.arange(m)[:, None] + 0.5 + 0.5 * _GL_X[None, :]) for m, w in zip(grid.shape, h)
     )
     m1, m2 = grid.shape[0] - 1, grid.shape[1] - 1
-    corner = np.full(grid.shape, np.nan)
-    step = max(1, _ROW_CHUNK // grid.shape[1])
-    for r0 in range(1, m1, step):
-        r1 = min(r0 + step, m1)
-        q = quadrant_integral(sp, dist1[r0:r1, None, :, None], dist2[None, :, None, :])
-        corner[r0:r1] = _GL_W @ q @ _GL_W
     i, j = grid.lattice[grid.interior_idx].T
-    corner_sum = corner[i, j] + corner[i, m2 - j] + corner[m1 - i, j] + corner[m1 - i, m2 - j]
-    return tail - 0.25 * w1 * w2 * corner_sum
+    rows = np.concatenate([i, i, m1 - i, m1 - i])
+    cols = np.concatenate([j, m2 - j, j, m2 - j])
+    if _axes_swap(grid):
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+    cells, read = np.unique(rows * grid.shape[1] + cols, return_inverse=True)
+    a, b = np.divmod(cells, grid.shape[1])
+    corner = np.empty(cells.size)
+    for c0 in range(0, cells.size, _ROW_CHUNK):
+        blk = slice(c0, c0 + _ROW_CHUNK)
+        q = quadrant_integral(sp, dist1[a[blk], :, None], dist2[b[blk], None, :])
+        corner[blk] = _GL_W @ q @ _GL_W
+    return tail - 0.25 * w1 * w2 * corner[read].reshape(4, -1).sum(axis=0)
 
 
 def _inbox_exterior_tail(grid: Grid, woff: np.ndarray) -> np.ndarray:

@@ -172,6 +172,22 @@ class Grid:
         li = self.lattice[self.interior_idx]
         return table[tuple(np.abs(li[i, a] - li[j, a]) for a in range(self.dim))]
 
+    def offset_counts(self):
+        """Ordered interior pairs (i, j) at each nonnegative offset
+        ``|l_i - l_j|``, shape ``self.shape`` (n at offset 0): the
+        autocorrelation of the interior mask, folded over the offset signs."""
+        mask = self.interior_mask.astype(float).reshape(self.shape)
+        signed = [np.arange(1 - m, m) for m in self.shape]
+        # a circular autocorrelation at least 2m - 1 long per axis holds
+        # every signed offset d without wrapping, at index d mod its length
+        fshape = [next_fast_len(2 * m - 1, True) for m in self.shape]
+        spec = rfftn(mask, fshape)
+        auto = irfftn(spec * spec.conj(), fshape)
+        auto = auto[np.ix_(*(d % f for d, f in zip(signed, fshape)))]
+        counts = np.zeros(self.shape)
+        np.add.at(counts, np.ix_(*(np.abs(d) for d in signed)), auto)
+        return np.rint(counts).astype(np.int64)
+
     def convolve(self, table, values):
         """Linear convolution of lattice values (shape ``self.shape``) with a
         table over nonnegative offsets: entry l of the result is the sum over

@@ -1,11 +1,14 @@
 """Per-offset and per-node weight assembly, kept as test oracles.
 
 ``gagliardo`` assembles the offset table from Cartesian blocks of offsets
-and the corner part of the exterior tail from one table of low-corner
-cell integrals.  The loops here compute the same quadrature rules one
-offset and one node at a time: ``offset_table`` integrates each offset
-with its own axis nodes, and ``outside_box_tail`` integrates each node's
-four corners from its own Gauss points.
+(when the axes swap, only the offsets (k, l) with l <= k, then mirrored),
+and the corner part of the exterior tail from the low-corner cell
+integrals that some interior node reads, each integrated once (cells
+(a, b) and (b, a) as one when the axes swap).  The loops here compute the
+same quadrature rules one offset and one node at a time, with no
+symmetry: ``offset_table`` integrates each offset with its own axis
+nodes, and ``outside_box_tail`` integrates each node's four corners from
+its own Gauss points.
 """
 
 from __future__ import annotations

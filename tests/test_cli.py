@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracsolve import cli
+from fracsolve import cli, driver, gagliardo
 from fracsolve.config import ConfigError, HypothesisError, load_config
+from fracsolve.gagliardo import OperatorParams, assemble_weights
 from fracsolve.grids import build_grid, disk, interval
 from fracsolve.io_utils import write_field_csv
 from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
@@ -244,6 +245,36 @@ class TestCliSolve:
         assert err["error"] == "runtime"
         assert (out / "report.json").exists()
 
+    @pytest.mark.parametrize("phase", ["build", "solve"])
+    def test_failed_solve_writes_report_with_phase_and_error(
+        self, tmp_path, capsys, monkeypatch, phase
+    ):
+        # build: the pair pass is over budget; solve: the ball monitor trips
+        # at the starting iterate, since the fitted radius is tiny
+        if phase == "build":
+            monkeypatch.setattr(gagliardo, "NODE_CAP", 1)
+        else:
+            tiny = driver.GrowthBound(c_emp=1e-12, rho=1e-9, exponent=1.0)
+            monkeypatch.setattr(driver, "fit_growth_bound", lambda instance, seed=0: tiny)
+        out = tmp_path / "run"
+        path = str(CONFIG_DIR / "interval_1d.json")
+        code = cli.main(["solve", "--config", path, "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert sorted(err) == ["error", "message"] and err["error"] == "runtime"
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report) == sorted(
+            ["timestamp", "config", "seed", "converged", "phase", "error"]
+        )
+        assert report["converged"] is False and report["phase"] == phase
+        assert report["config"] == load_config(path).as_dict()
+        kind = "MemoryBudgetError" if phase == "build" else "RuntimeError"
+        assert report["error"]["type"] == kind
+        assert err["message"] == f"{kind}: {report['error']['message']}"
+        if phase == "solve":
+            assert "ball monitor violation" in report["error"]["message"]
+        assert [f.name for f in out.iterdir()] == ["report.json"]
+
     @pytest.mark.parametrize(
         "command,section,key,value",
         [
@@ -396,6 +427,22 @@ class TestCliOther:
         assert len(summary["tables"]) == 2
         for entry in summary["tables"]:
             assert entry["tail_min"] > 0.0
+
+    def test_kernel_table_summary_matches_dense_pair(self, tmp_path):
+        payload = json.loads((CONFIG_DIR / "disk_2d.json").read_text())
+        payload["resolution"] = 25
+        path = dump(tmp_path, payload)
+        out = tmp_path / "k"
+        assert cli.main(["kernel-table", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "kernel_table.json").read_text())
+        cfg = load_config(path)
+        grid, e = cfg.build_grid(), cfg.exponents
+        assert summary["n_interior"] == grid.n_interior == 437
+        for entry, (s, p) in zip(summary["tables"], ((e.s1, e.p), (e.s2, e.q))):
+            pair = assemble_weights(grid, OperatorParams(s, p)).pair
+            assert (entry["s"], entry["p"]) == (s, p)
+            assert entry["pair_frobenius"] == pytest.approx(np.linalg.norm(pair), rel=1e-12)
+            assert entry["pair_max"] == float(np.max(pair))
 
     @pytest.mark.parametrize("outer_cache", [None, "preset"])
     def test_cache_dir_applies_to_one_command(self, tmp_path, monkeypatch, outer_cache):

@@ -32,7 +32,7 @@ from fracsolve.gagliardo import (
     seminorm,
 )
 from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
-from fracsolve.quadrature import pair_integral
+from fracsolve.quadrature import pair_integral, quadrant_integral
 from support import assembly
 from support.oracles import apply_form
 
@@ -265,11 +265,15 @@ def _polar_outside_tail(grid, sp, k):
     return want * 0.25 * h1 * h2
 
 
-# lattices of the assembly oracles: h1 != h2 on the rectangle
+# lattices of the assembly oracles: h1 != h2 on the rectangle, h1 == h2
+# exactly on the square and the centred disk (their axes swap), and h1, h2
+# one ulp apart on the off-centre disk
 _ORACLE_GRIDS = {
     "interval": (interval(0.0, 1.0), 33),
     "rectangle": (rectangle(0.0, 2.0, 0.0, 1.0), 17),
+    "square": (rectangle(0.0, 1.0, 0.0, 1.0), 17),
     "disk": (disk(0.0, 0.0, 1.0), 25),
+    "offcentre_disk": (disk(0.3, -0.2, 0.7), 21),
 }
 # one order with sp < 1 and one with sp > 1
 _ORACLE_PARAMS = [OperatorParams(s=0.3, p=2.0), OperatorParams(s=0.5, p=2.5)]
@@ -280,7 +284,7 @@ class TestAssemblyOracles:
     tests/support/assembly.py, which apply the same rules one at a time."""
 
     @pytest.mark.parametrize("params", _ORACLE_PARAMS, ids=lambda q: f"sp{q.sp:g}")
-    @pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+    @pytest.mark.parametrize("kind", list(_ORACLE_GRIDS))
     def test_offset_table_matches_per_offset_loop(self, kind, params):
         g = build_grid(*_ORACLE_GRIDS[kind])
         got = _offset_table(g, params)
@@ -289,12 +293,37 @@ class TestAssemblyOracles:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("params", _ORACLE_PARAMS, ids=lambda q: f"sp{q.sp:g}")
-    @pytest.mark.parametrize("kind", ["rectangle", "disk"])
+    @pytest.mark.parametrize("kind", ["rectangle", "square", "disk", "offcentre_disk"])
     def test_outside_box_tail_matches_per_node_loop(self, kind, params):
         g = build_grid(*_ORACLE_GRIDS[kind])
         got = _outside_box_tail(g, params.sp)
         want = assembly.outside_box_tail(g, params.sp)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestAssemblyWork:
+    """Assembly integrates each distinct quantity once."""
+
+    def test_corner_integrates_only_read_cells_once(self, monkeypatch):
+        # the centred disk at res 25 reads 227 distinct corner cells once
+        # (i, j) and (j, i) are merged, of the 23 x 25 rows 1..m-1 the
+        # whole-table layout integrates; each cell takes 10 x 10 points
+        g = build_grid(disk(0.0, 0.0, 1.0), 25)
+        points = []
+
+        def counting(sp, a, b):
+            points.append(np.broadcast(a, b).size)
+            return quadrant_integral(sp, a, b)
+
+        monkeypatch.setattr(gagliardo, "quadrant_integral", counting)
+        _outside_box_tail(g, 1.25)
+        assert sum(points) == 100 * 227
+
+    def test_offset_table_symmetric_when_axes_swap(self):
+        g = build_grid(disk(0.0, 0.0, 1.0), 25)
+        assert g.h[0] == g.h[1]
+        woff = _offset_table(g, OperatorParams(s=0.5, p=2.5))
+        np.testing.assert_array_equal(woff, woff.T)
 
 
 class TestBatchedPairIntegral:
@@ -623,12 +652,13 @@ class TestCache:
         g = build_grid(interval(0.0, 1.0), 9)
         params = OperatorParams(s=0.55, p=2.4)
         assemble_weights(g, params)
-        monkeypatch.setattr(gagliardo, "_CACHE_VERSION", 3)
+        newer = gagliardo._CACHE_VERSION + 1
+        monkeypatch.setattr(gagliardo, "_CACHE_VERSION", newer)
         assemble_weights(g, params)
         files = list(tmp_path.glob("*.fwt"))
         assert len(files) == 1
         head = files[0].read_bytes().partition(b"\n")[0]
-        assert json.loads(head)["descriptor"]["version"] == 3
+        assert json.loads(head)["descriptor"]["version"] == newer
 
     def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))

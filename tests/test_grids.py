@@ -187,6 +187,23 @@ class TestConvolve:
         assert np.array_equal(out, fftconvolve(values, signed, mode="same"))
 
 
+class TestOffsetCounts:
+    @pytest.mark.parametrize(
+        "domain, res",
+        [(interval(0.0, 1.0), 33), (disk(0.3, -0.2, 0.7), 21), (rectangle(0.0, 2.0, 0.0, 1.0), 9)],
+    )
+    def test_counts_every_ordered_pair_at_its_offset(self, domain, res):
+        g = build_grid(domain, res)
+        li = g.lattice[g.interior_idx]
+        offsets = np.abs(li[:, None, :] - li[None, :, :]).reshape(-1, g.dim)
+        want = np.zeros(g.shape, dtype=np.int64)
+        np.add.at(want, tuple(offsets.T), 1)
+        got = g.offset_counts()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got[(0,) * g.dim] == g.n_interior
+
+
 class TestScalarField:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
