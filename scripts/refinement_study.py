@@ -47,7 +47,7 @@ def main() -> int:
             f"residual={report.final_residual:.3e}  "
             f"sigma={inst.certificate.sigma:.4e}  "
             f"eta={inst.certificate.eta:.4f}  "
-            f"max_u={float(np.max(report.u.values)):.5f}"
+            f"max_u={float(np.max(report.u)):.5f}"
         )
 
     coarse_res, coarse_grid, _, coarse_rep = rows[0]
@@ -59,9 +59,7 @@ def main() -> int:
         if not np.all(matched):
             print(f"res={res}: grids do not share the coarse nodes, skipping diff")
             continue
-        diff = np.max(
-            np.abs(report.u.values[idx] - coarse_rep.u.values)
-        )
+        diff = np.max(np.abs(report.u[idx] - coarse_rep.u))
         print(f"max |u_{res} - u_{coarse_res}| at shared nodes: {diff:.4e}")
     return 0
 

@@ -26,7 +26,7 @@ from .driver import (
 )
 from .frozen import FrozenProblem, solve_frozen
 from .gagliardo import OperatorParams, assemble_weights, seminorm
-from .grids import Grid, ScalarField, build_grid, disk, interval, rectangle
+from .grids import Grid, build_grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
 from .reaction import (
     ConvectiveReaction,
@@ -54,7 +54,6 @@ __all__ = [
     "ProblemExponents",
     "ProblemInstance",
     "RunConfig",
-    "ScalarField",
     "SingularReaction",
     "SolveReport",
     "SubsolutionCertificate",

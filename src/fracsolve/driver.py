@@ -18,7 +18,7 @@ import numpy as np
 
 from .frozen import FrozenProblem, default_frozen_options, solve_frozen, weak_residual
 from .gagliardo import OperatorParams, assemble_weights, seminorm
-from .grids import Grid, ScalarField
+from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, bisect_root as _bisect_root
 from .reaction import (
     ConvectiveReaction,
@@ -106,9 +106,10 @@ class ProblemInstance:
 class SolveReport:
     """Outcome of the outer iteration with per-step diagnostics."""
 
-    # u and raw stay fields: the benchmark calls grid.pack(report.u)
-    u: ScalarField
-    raw: ScalarField
+    # u and raw are lattice arrays (grid.shape), zero off the interior:
+    # the benchmark calls grid.pack(report.u)
+    u: np.ndarray
+    raw: np.ndarray
     converged: bool
     outer_iterations: int
     step_seminorms: list
@@ -373,8 +374,8 @@ def solve_problem(
     hopf = hopf_ratio(clipped, grid.interior_distance, instance.certificate.exponent)
 
     return SolveReport(
-        u=grid.unpack(clipped),
-        raw=grid.unpack(last_result.x),
+        u=grid.zero_extend(clipped),
+        raw=grid.zero_extend(last_result.x),
         converged=converged,
         outer_iterations=iterations,
         step_seminorms=step_seminorms,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .gagliardo import (
     PairWeightTable,
-    _interior_vector,
     energy,
     operator_gradient,
     operator_hessian,
@@ -60,9 +59,7 @@ class FrozenProblem:
     def __init__(self, tables, trunc, load):
         self.tables = tables
         self.trunc = trunc
-        self.load = np.asarray(load, dtype=float)
-        if self.load.shape != (self.grid.n_interior,):
-            raise ValueError("load must be one value per interior node")
+        self.load = self.grid.interior_vector(load)
 
     @property
     def grid(self) -> Grid:
@@ -73,7 +70,7 @@ def frozen_energy(prob: FrozenProblem, u) -> float:
     """The objective E(u), composed in float64.  Its rounding error is
     summation noise, which line searches tolerate up to optimize.EPS |E|."""
     tp, tq = prob.tables
-    uv = _interior_vector(tp, u)
+    uv = prob.grid.interior_vector(u)
     vol = prob.grid.cell_volume
     total = energy(tp, uv, tq)
     total -= vol * float(np.sum(prob.trunc.F(uv)))
@@ -87,7 +84,7 @@ def frozen_gradient(prob: FrozenProblem, u) -> np.ndarray:
     the forcing and the load.  The two are subtracted in one step; two
     separate subtractions round differently and change the iterates."""
     tp, tq = prob.tables
-    uv = _interior_vector(tp, u)
+    uv = prob.grid.interior_vector(u)
     vol = prob.grid.cell_volume
     grad = operator_gradient(tp, uv, tq)
     grad -= vol * (np.asarray(prob.trunc.f(uv), dtype=float) + prob.load)
@@ -99,7 +96,7 @@ def frozen_hessian(prob: FrozenProblem, u) -> np.ndarray:
     forms minus vol * f'(u) on the diagonal.  The truncated forcing is
     constant at or below the floor, so there its derivative is 0."""
     tp, tq = prob.tables
-    uv = _interior_vector(tp, u)
+    uv = prob.grid.interior_vector(u)
     hess = operator_hessian(tp, uv, tq)
     hess[np.diag_indices(uv.size)] -= prob.grid.cell_volume * prob.trunc.df(uv)
     return hess
@@ -136,7 +133,7 @@ def solve_frozen(
     """
     opts = options or default_frozen_options(prob.grid)
     floor = prob.trunc.floor
-    x0 = floor if start is None else _interior_vector(prob.tables[0], start)
+    x0 = floor if start is None else prob.grid.interior_vector(start)
     result = minimize_energy(
         lambda u: frozen_energy(prob, u),
         lambda u: frozen_gradient(prob, u),

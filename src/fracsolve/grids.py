@@ -1,10 +1,10 @@
-"""Domains, Cartesian grids, and nodal fields.
+"""Domains and Cartesian grids.
 
 A domain is an axis-aligned box (an interval or a rectangle, one code
 path for both) or a disk.  Grids are uniform lattices over the domain's
-bounding box with an interior-node mask; a field carries one value per
-lattice node and is identically zero off the interior, which realizes the
-zero exterior condition at the discrete level.
+bounding box with an interior-node mask.  A discrete function is one value
+per interior node; its zero extension to the lattice realizes the zero
+exterior condition at the discrete level.
 
 Tables over lattice offsets (the weight tables of the forms and the Riesz
 kernel) are stored over nonnegative offsets, one entry per node of the
@@ -27,7 +27,6 @@ __all__ = [
     "disk",
     "Grid",
     "build_grid",
-    "ScalarField",
 ]
 
 
@@ -131,6 +130,13 @@ class Grid:
         return self.domain.dim
 
     @property
+    def axes_swap(self):
+        """Whether swapping the two axes maps the lattice onto itself, so
+        that a table of a radial kernel over lattice offsets is symmetric
+        in its two axis offsets."""
+        return self.dim == 2 and self.h[0] == self.h[1]
+
+    @property
     def n_interior(self):
         return int(self.interior_idx.size)
 
@@ -144,32 +150,44 @@ class Grid:
         return self.domain.distance(self.interior_points)
 
     @cached_property
+    def interior_lattice(self):
+        """Integer lattice coordinates of the interior nodes, shape (n, dim)."""
+        return self.lattice[self.interior_idx]
+
+    @cached_property
     def pair_index(self):
         """Interior-node pairs (i, j) with i < j, row-major, built on first use."""
         return np.triu_indices(self.n_interior, 1)
 
-    def pack(self, field):
-        """Interior values as a flat solver vector."""
-        return field.values[self.interior_idx].copy()
+    def interior_vector(self, vec):
+        """``vec`` as a float array, checked to hold one value per interior
+        node (shape ``(n_interior,)``)."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.n_interior,):
+            raise ValueError(f"expected {self.n_interior} interior values, got shape {vec.shape}")
+        return vec
+
+    def pack(self, values):
+        """The interior values of a lattice array (shape ``self.shape``, or
+        flat in lattice order) as a flat solver vector."""
+        values = np.asarray(values, dtype=float)
+        if values.shape not in (self.shape, (self.points.shape[0],)):
+            raise ValueError(
+                f"expected one value per lattice node, shape {self.shape}, got shape {values.shape}"
+            )
+        return values.reshape(-1)[self.interior_idx]
 
     def zero_extend(self, vec):
         """The interior vector on the whole lattice, shape ``self.shape``,
         zero off the interior."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_interior,):
-            raise ValueError(f"expected {self.n_interior} interior values, got shape {vec.shape}")
         values = np.zeros(self.points.shape[0])
-        values[self.interior_idx] = vec
+        values[self.interior_idx] = self.interior_vector(vec)
         return values.reshape(self.shape)
-
-    def unpack(self, vec):
-        """Rebuild a field from an interior vector (exterior zero)."""
-        return ScalarField(self, self.zero_extend(vec).reshape(-1))
 
     def at_offsets(self, table, i, j):
         """``table[|l_i - l_j|]`` for broadcastable interior-node indices i, j,
         where l is the lattice coordinate and table has shape ``self.shape``."""
-        li = self.lattice[self.interior_idx]
+        li = self.interior_lattice
         return table[tuple(np.abs(li[i, a] - li[j, a]) for a in range(self.dim))]
 
     def offset_counts(self):
@@ -203,16 +221,3 @@ class Grid:
 
 def build_grid(domain, resolution):
     return Grid(domain, resolution)
-
-
-class ScalarField:
-    """One value per node, exterior extension identically zero."""
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.points.shape[0],):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid ({grid.points.shape[0]},)"
-            )
-        self.grid = grid
-        self.values = np.where(grid.interior_mask, values, 0.0)

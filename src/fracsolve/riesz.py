@@ -80,7 +80,7 @@ def _kernel(grid: Grid, alpha: float) -> np.ndarray:
         f"{cells}{nodes},{','.join(nodes)}->{cells}", vals, *(0.5 * h * _GL_W for h in grid.h)
     )
     kernel[(0,) * dim] = riesz_cell_average(alpha, grid.h) * grid.cell_volume
-    if min(grid.h) == max(grid.h):
+    if grid.axes_swap:
         kernel = 0.5 * (kernel + kernel.T)  # enforce exact octant symmetry
     return kernel
 

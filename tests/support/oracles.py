@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from fracsolve.frozen import FrozenProblem, frozen_energy, frozen_gradient
-from fracsolve.gagliardo import PairWeightTable, _interior_vector, _signed_power
+from fracsolve.gagliardo import PairWeightTable, _signed_power
 from fracsolve.grids import Grid
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import uniqueness_certified
@@ -27,8 +27,8 @@ _ROW_CHUNK = 512
 
 def apply_form(table: PairWeightTable, u, phi) -> float:
     """Weak pairing of the monotone operator at u with a test vector phi."""
-    uv = _interior_vector(table, u)
-    pv = _interior_vector(table, phi)
+    uv = table.grid.interior_vector(u)
+    pv = table.grid.interior_vector(phi)
     p = table.params.p
     pair = table.pair
     parts = []

@@ -36,7 +36,7 @@ from fracsolve.gagliardo import (
     operator_gradient,
     seminorm,
 )
-from fracsolve.grids import ScalarField, build_grid, interval, rectangle
+from fracsolve.grids import build_grid, interval, rectangle
 from fracsolve.optimize import MinimizerOptions
 from fracsolve.reaction import (
     ConvectiveReaction,
@@ -157,7 +157,7 @@ def test_criterion_3_hidden_convexity():
                 violation = d3 - ((1 - t) * d1 + t * d2)
                 assert violation.max() <= 1e-12
                 # composed energy inherits convexity on the same triple
-                phi = lambda w: seminorm(table, grid.pack(ScalarField(grid, w ** (1 / q)))) ** p
+                phi = lambda w: seminorm(table, grid.pack(w ** (1 / q))) ** p
                 lhs = phi((1 - t) * u1 + t * u2)
                 rhs = (1 - t) * phi(u1) + t * phi(u2)
                 assert lhs <= rhs + 1e-10 * (1.0 + abs(rhs))

@@ -96,6 +96,14 @@ class TestObjective:
         with pytest.raises(TypeError):
             check_operator_tables(grid, EXPONENTS_1D, (tp, tp.pair))
 
+    def test_load_and_start_are_interior_vectors(self, setup_1d):
+        grid, _, prob = setup_1d
+        n = grid.n_interior
+        with pytest.raises(ValueError, match=f"expected {n} interior values"):
+            FrozenProblem(tables=prob.tables, trunc=prob.trunc, load=np.zeros(n + 1))
+        with pytest.raises(ValueError, match=f"expected {n} interior values"):
+            solve_frozen(prob, start=np.ones(n - 1))
+
     def test_torsion_objective_off_power_of_two(self, setup_1d):
         grid, _, prob = setup_1d
         tp, tq = prob.tables

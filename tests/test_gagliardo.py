@@ -24,14 +24,16 @@ from fracsolve.gagliardo import (
     PairWeightTable,
     _cache_path,
     _cache_store,
+    _inbox_exterior_tail,
     _offset_table,
     _outside_box_tail,
     assemble_weights,
     energy,
     operator_gradient,
+    operator_hessian,
     seminorm,
 )
-from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
+from fracsolve.grids import build_grid, disk, interval, rectangle
 from fracsolve.quadrature import pair_integral, quadrant_integral
 from support import assembly
 from support.oracles import apply_form
@@ -52,7 +54,7 @@ def _random_field(grid, seed, positive=False):
     vals = rng.normal(size=grid.points.shape[0])
     if positive:
         vals = np.abs(vals) + 0.1
-    return ScalarField(grid, vals)
+    return vals
 
 
 class TestWeights1D:
@@ -380,7 +382,7 @@ class TestFormIdentities:
     @settings(max_examples=30, deadline=None)
     def test_p_homogeneity(self, lam, grid_1d, table_1d):
         u = _random_field(grid_1d, 7)
-        lhs = seminorm(table_1d, grid_1d.pack(ScalarField(grid_1d, lam * u.values)))
+        lhs = seminorm(table_1d, grid_1d.pack(lam * u))
         rhs = lam * seminorm(table_1d, grid_1d.pack(u))
         assert np.isclose(lhs, rhs, rtol=1e-11)
 
@@ -422,8 +424,8 @@ class TestFormIdentities:
             table = assemble_weights(grid_1d, OperatorParams(s=s, p=p))
             rng = np.random.default_rng(5)
             for _ in range(40):
-                u = grid_1d.pack(ScalarField(grid_1d, rng.normal(size=grid_1d.points.shape[0])))
-                w = grid_1d.pack(ScalarField(grid_1d, rng.normal(size=grid_1d.points.shape[0])))
+                u = grid_1d.pack(rng.normal(size=grid_1d.points.shape[0]))
+                w = grid_1d.pack(rng.normal(size=grid_1d.points.shape[0]))
                 diff = u - w
                 gap = apply_form(table, u, diff) - apply_form(table, w, diff)
                 assert gap >= -1e-10
@@ -432,8 +434,8 @@ class TestFormIdentities:
         table = assemble_weights(grid_1d, OperatorParams(s=0.6, p=2.7))
         rng = np.random.default_rng(9)
         for _ in range(40):
-            u = grid_1d.pack(ScalarField(grid_1d, rng.normal(size=grid_1d.points.shape[0])))
-            phi = grid_1d.pack(ScalarField(grid_1d, rng.normal(size=grid_1d.points.shape[0])))
+            u = grid_1d.pack(rng.normal(size=grid_1d.points.shape[0]))
+            phi = grid_1d.pack(rng.normal(size=grid_1d.points.shape[0]))
             lhs = abs(apply_form(table, u, phi))
             rhs = seminorm(table, u) ** (2.7 - 1.0) * seminorm(table, phi)
             assert lhs <= rhs + 1e-8
@@ -445,11 +447,9 @@ class TestFormIdentities:
             u = rng.normal(size=grid_1d.points.shape[0])
             w = rng.normal(size=grid_1d.points.shape[0])
             t = rng.uniform()
-            mid = ScalarField(grid_1d, (1 - t) * u + t * w)
+            mid = (1 - t) * u + t * w
             lhs = energy(table, grid_1d.pack(mid))
-            rhs = (1 - t) * energy(table, grid_1d.pack(ScalarField(grid_1d, u))) + t * energy(
-                table, grid_1d.pack(ScalarField(grid_1d, w))
-            )
+            rhs = (1 - t) * energy(table, grid_1d.pack(u)) + t * energy(table, grid_1d.pack(w))
             assert lhs <= rhs + 1e-10
 
 
@@ -531,6 +531,14 @@ class TestOnePassEvaluation:
         with pytest.raises(ValueError):
             operator_gradient(tp, u, tq)
 
+    def test_only_one_interior_vector_accepted(self, one_pass_grid):
+        table = assemble_weights(one_pass_grid, OperatorParams(s=0.7, p=3.0))
+        n = one_pass_grid.n_interior
+        for bad in (np.ones((n, 1)), np.ones(n - 1), np.ones(one_pass_grid.shape)):
+            for form in (energy, operator_gradient, operator_hessian):
+                with pytest.raises(ValueError, match=f"expected {n} interior values"):
+                    form(table, bad)
+
 
 class TestHiddenConvexity:
     def test_pointwise_inequality_random_triples(self, grid_1d):
@@ -559,7 +567,7 @@ class TestHiddenConvexity:
             t = rng.uniform()
 
             def phi(w):
-                root = ScalarField(grid_1d, np.maximum(w, 0.0) ** (1 / q))
+                root = np.maximum(w, 0.0) ** (1 / q)
                 return seminorm(table, grid_1d.pack(root)) ** p
 
             lhs = phi((1 - t) * u1 + t * u2)
@@ -573,7 +581,7 @@ class TestStabilityAndBudget:
         for res in (33, 65):
             g = build_grid(interval(0.0, 1.0), res)
             table = assemble_weights(g, OperatorParams(s=0.6, p=2.6))
-            u = ScalarField(g, np.sin(np.pi * g.points[:, 0]))
+            u = np.sin(np.pi * g.points[:, 0])
             vals.append(seminorm(table, g.pack(u)))
         assert abs(vals[1] - vals[0]) / vals[0] < 0.05
 
@@ -584,20 +592,22 @@ class TestStabilityAndBudget:
             assemble_weights(g, OperatorParams(s=0.5, p=2.0))
 
     def test_exterior_cell_sum_matches_direct(self):
-        # the convolution shortcut must agree with brute-force summation
-        g = build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 5)
-        params = OperatorParams(s=0.6, p=2.2)
-        table = assemble_weights(g, params)
-        woff = _offset_table(g, params)
-        li = g.lattice[g.interior_idx]
-        le = g.lattice[~g.interior_mask]
-        sp = params.s * params.p
-        ext_direct = np.zeros(li.shape[0])
-        for a in range(li.shape[0]):
-            offs = np.abs(li[a] - le)
-            ext_direct[a] = woff[offs[:, 0], offs[:, 1]].sum()
-        outside = _outside_box_tail(g, sp)
-        np.testing.assert_allclose(table.tail, ext_direct + outside, rtol=1e-10)
+        # the convolution shortcut must agree with brute-force summation; its
+        # FFT error is absolute, about eps times the largest tail
+        for domain, res in ((rectangle(0.0, 1.0, 0.0, 1.0), 5), (disk(0.0, 0.0, 1.0), 25)):
+            g = build_grid(domain, res)
+            params = OperatorParams(s=0.6, p=2.2)
+            table = assemble_weights(g, params)
+            woff = _offset_table(g, params)
+            le = g.lattice[~g.interior_mask]
+            ext_direct = np.array(
+                [math.fsum(woff[tuple(np.abs(li - le).T)]) for li in g.interior_lattice]
+            )
+            inbox = _inbox_exterior_tail(g, woff)
+            bound = 8.0 * np.finfo(float).eps * np.max(table.tail)
+            assert np.max(np.abs(inbox - ext_direct)) <= bound
+            outside = _outside_box_tail(g, params.sp)
+            np.testing.assert_allclose(table.tail, ext_direct + outside, rtol=1e-10)
 
 
 class TestCache:

@@ -1,4 +1,4 @@
-"""Grid and field tests, and the package's export lists."""
+"""Grid tests, and the package's export lists."""
 
 import hashlib
 import importlib
@@ -16,7 +16,7 @@ from scipy.signal import fftconvolve
 
 import fracsolve
 from fracsolve.gagliardo import OperatorParams, assemble_weights
-from fracsolve.grids import ScalarField, build_grid, disk, interval, rectangle
+from fracsolve.grids import build_grid, disk, interval, rectangle
 
 
 class TestDomain:
@@ -79,12 +79,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(interval(0.0, 1.0), 2)
 
-    def test_pack_unpack_roundtrip(self):
-        g = build_grid(interval(0.0, 1.0), 9)
+    def test_pack_inverts_zero_extend(self):
         rng = np.random.default_rng(0)
-        vec = rng.normal(size=g.n_interior)
-        f = g.unpack(vec)
-        np.testing.assert_array_equal(g.pack(f), vec)
+        for g in (build_grid(interval(0.0, 1.0), 9), build_grid(disk(0.0, 0.0, 1.0), 9)):
+            vec = rng.normal(size=g.n_interior)
+            ext = g.zero_extend(vec)
+            np.testing.assert_array_equal(g.pack(ext), vec)
+            np.testing.assert_array_equal(g.pack(ext.reshape(-1)), vec)
+
+    def test_pack_rejects_wrong_size(self):
+        g = build_grid(disk(0.0, 0.0, 1.0), 9)
+        lattice = np.ones(g.shape)
+        for bad in (lattice[:-1], lattice.reshape(-1)[:-1], lattice.reshape(-1, 1), lattice[None]):
+            with pytest.raises(ValueError, match="one value per lattice node"):
+                g.pack(bad)
 
     def test_interior_distance_positive(self):
         for domain in (interval(0.0, 1.0), rectangle(0.0, 2.0, 0.0, 1.0), disk(0.3, -0.2, 0.7)):
@@ -104,7 +112,22 @@ class TestGrid:
             with pytest.raises(ValueError, match="interior values"):
                 g.zero_extend(bad)
             with pytest.raises(ValueError, match="interior values"):
-                g.unpack(bad)
+                g.interior_vector(bad)
+
+    def test_interior_lattice_is_cached(self):
+        g = build_grid(disk(0.0, 0.0, 1.0), 9)
+        li = g.interior_lattice
+        assert li is g.interior_lattice
+        np.testing.assert_array_equal(li, g.lattice[g.interior_idx])
+
+    def test_axes_swap_needs_equal_spacings_in_2d(self):
+        assert build_grid(disk(0.0, 0.0, 1.0), 9).axes_swap
+        assert build_grid(rectangle(0.0, 1.0, 2.0, 3.0), 9).axes_swap
+        assert not build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 9).axes_swap
+        assert not build_grid(interval(0.0, 1.0), 9).axes_swap
+        # the two spacings differ by one ulp
+        g = build_grid(disk(0.3, -0.2, 0.7), 21)
+        assert g.h[0] != g.h[1] and not g.axes_swap
 
     def test_lattice_edge_nodes_never_interior(self):
         # (-0.9, 0) is on the circle, but rounding puts it 5.6e-17 inside;
@@ -202,21 +225,6 @@ class TestOffsetCounts:
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
         assert got[(0,) * g.dim] == g.n_interior
-
-
-class TestScalarField:
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_exterior_always_zero(self, seed):
-        g = build_grid(disk(0.0, 0.0, 1.0), 9)
-        rng = np.random.default_rng(seed)
-        f = ScalarField(g, rng.normal(size=g.points.shape[0]))
-        assert np.all(f.values[~g.interior_mask] == 0.0)
-
-    def test_shape_mismatch_rejected(self):
-        g = build_grid(interval(0.0, 1.0), 5)
-        with pytest.raises(ValueError):
-            ScalarField(g, np.zeros(7))
 
 
 class TestExports:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracsolve.grids import ScalarField, build_grid, interval
+from fracsolve.grids import build_grid, interval
 from fracsolve.reaction import (
     ConvectiveReaction,
     ProblemExponents,
@@ -181,7 +181,7 @@ class TestTruncation:
 
     def test_bounded_family_antiderivative_matches_quad(self):
         grid = build_grid(interval(0.0, 1.0), 9)
-        lower = ScalarField(grid, 0.2 * np.ones(grid.points.shape[0]))
+        lower = 0.2 * np.ones(grid.points.shape[0])
         fam = SingularReaction(gamma=0.4, c1=1.2, c2=0.6, r=1.3, family="bounded")
         trunc = TruncatedReaction(fam, grid.pack(lower))
 
@@ -210,7 +210,7 @@ class TestTruncation:
     def test_nonpositive_floor_rejected(self):
         grid = build_grid(interval(0.0, 1.0), 9)
         fam = SingularReaction(gamma=0.5, c1=1.0, c2=1.0, r=1.5)
-        bad = ScalarField(grid, np.zeros(grid.points.shape[0]))
+        bad = np.zeros(grid.points.shape[0])
         with pytest.raises(ValueError):
             TruncatedReaction(fam, grid.pack(bad))
 

@@ -224,7 +224,7 @@ class TestTorsionNonlinear:
         tables = _tables(grid, exps)
         vals = solve_torsion(1.0, exps, grid, tables)
         assert np.all(vals > 0.0)
-        full = grid.unpack(vals).values.reshape(grid.shape)
+        full = grid.zero_extend(vals)
         np.testing.assert_allclose(full, full[::-1, :], atol=1e-7)
         np.testing.assert_allclose(full, full[:, ::-1], atol=1e-7)
 
