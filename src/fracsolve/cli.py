@@ -9,6 +9,7 @@ JSON object to stderr; a solve that raises also leaves its report.json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -108,13 +109,7 @@ def _cmd_solve(args) -> int:
         "thetas": io_utils.float_list(report.thetas),
         "final_residual": report.final_residual,
         "hopf_ratio": report.hopf_ratio,
-        "ball": None
-        if report.ball is None
-        else {
-            "c_emp": report.ball.c_emp,
-            "rho": report.ball.rho,
-            "exponent": report.ball.exponent,
-        },
+        "ball": None if report.ball is None else dataclasses.asdict(report.ball),
         "log": list(report.log),
         "message": report.message,
         "certificate": instance.certificate.as_dict(),
@@ -198,15 +193,9 @@ def _cmd_check(args) -> int:
     cfg = load_config(args.config, require_hypotheses=False)
     report = cfg.hypotheses
     print(io_utils.canonical_json(report.as_dict()), end="")
-    if report.passed:
-        return 0
-    _stderr_json(
-        {
-            "error": "hypothesis",
-            "failures": [{"name": c.name, "detail": c.detail} for c in report.failures],
-        }
-    )
-    return 2
+    if not report.passed:
+        raise HypothesisError(report.failures)
+    return 0
 
 
 def _selftest_checks():

@@ -78,7 +78,7 @@ class OuterOptions:
 
 @dataclass(frozen=True)
 class GrowthBound:
-    """Empirical constant and invariance radius of the frozen-solve map."""
+    """Empirical constant and finite invariance radius of the frozen-solve map."""
 
     c_emp: float
     rho: float
@@ -189,13 +189,14 @@ def verify_solution(instance: ProblemInstance, u: np.ndarray) -> float:
     return weak_residual(frozen_at(instance, u), u)
 
 
-def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
+def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | None:
     """Fit  seminorm(T v)^p <= c_emp (1 + seminorm(v)^exponent)  over random
     fields spanning two decades of size, then solve for the smallest radius
     rho with  c_emp (1 + rho^exponent) <= rho^p.  The samples come in
     increasing seminorm, and each solve starts from the answer of the last
     converged sample; a solve that returns that start unchanged reuses its
-    T(v) seminorm."""
+    T(v) seminorm.  None, with a warning, where no finite radius is found:
+    the exponent is not below p, no sample converged, or rho passes 1e12."""
     e = instance.exponents
     exponent = instance.convective.zeta * e.p_prime
     if exponent >= e.p:
@@ -203,7 +204,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
             f"growth exponent zeta*p' = {exponent:.6g} is not below p = {e.p}; "
             "no finite invariance radius exists"
         )
-        return GrowthBound(c_emp=math.nan, rho=math.inf, exponent=exponent)
+        return None
     rng = np.random.default_rng(seed)
     grid = instance.grid
     tp = instance.tables[0]
@@ -228,7 +229,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
         c_emp = max(c_emp, tnorm**e.p / (1.0 + lam**exponent))
     if c_emp <= 0.0:
         warnings.warn("growth-bound fit produced no usable samples")
-        return GrowthBound(c_emp=math.nan, rho=math.inf, exponent=exponent)
+        return None
 
     def gap(rho):
         return rho**e.p - c_emp * (1.0 + rho**exponent)
@@ -239,13 +240,13 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound:
         hi *= 2.0
         if hi > 1e12:
             warnings.warn("invariance radius exceeds 1e12; monitor disabled")
-            return GrowthBound(c_emp=c_emp, rho=math.inf, exponent=exponent)
+            return None
     rho = _bisect_root(gap, 0.0, hi)
     return GrowthBound(c_emp=c_emp, rho=rho, exponent=exponent)
 
 
 def _ball_check(norm: float, ball: GrowthBound | None, where: str) -> None:
-    if ball is None or not math.isfinite(ball.rho):
+    if ball is None:
         return
     if norm > ball.rho * _BALL_SLACK:
         raise RuntimeError(
@@ -258,7 +259,6 @@ def _ball_check(norm: float, ball: GrowthBound | None, where: str) -> None:
 def solve_problem(
     instance: ProblemInstance,
     options: OuterOptions | None = None,
-    ball: GrowthBound | None = None,
     seed: int = 0,
 ) -> SolveReport:
     """Relaxed fixed-point iteration  v <- (1-theta) v + theta T(v)  from the
@@ -268,7 +268,9 @@ def solve_problem(
     |T(v_k) - T(v_k-1)| <= 0.5 |v_k - v_k-1|  in the Euclidean norm, takes
     theta = 1; the others take the configured theta, halved after
     _INCREASE_STREAK growing steps in a row down to _MIN_THETA.  The
-    report's ``thetas`` holds the weight each step used.  Each frozen solve
+    report's ``thetas`` holds the weight each step used.  With the ball
+    monitor on, every iterate must stay inside the radius that
+    fit_growth_bound returns, when it returns one.  Each frozen solve
     starts from the previous step's answer; once the loop converges, the
     last step's frozen problem is solved again from its answer with the
     inner tolerance divided by _FINAL_TOL_DIVISOR, and a converged re-solve
@@ -277,11 +279,7 @@ def solve_problem(
     grid = instance.grid
     tp = instance.tables[0]
     floor = instance.trunc.floor
-
-    if ball is None and opts.ball_monitor:
-        ball = fit_growth_bound(instance, seed=seed)
-        if not math.isfinite(ball.rho):
-            ball = None
+    ball = fit_growth_bound(instance, seed=seed) if opts.ball_monitor else None
 
     v = floor.copy()
     log: list = []
@@ -300,12 +298,10 @@ def solve_problem(
     message = ""
     last_result: MinimizeResult | None = None
     frozen_v = v
-    iterations = 0
 
     for k in range(1, opts.max_outer + 1):
         prev_v, frozen_v = frozen_v, v
         result = apply_T(instance, v, None if last_result is None else last_result.x)
-        iterations = k
         # kappa = |T(v_k) - T(v_k-1)| / |v_k - v_k-1|, compared without
         # dividing so that an empty step (x_k = x_k-1) counts as kappa = 0
         contracted = last_result is not None and np.linalg.norm(
@@ -313,28 +309,27 @@ def solve_problem(
         ) <= _PICARD_CONTRACTION * np.linalg.norm(frozen_v - prev_v)
         step_theta = 1.0 if contracted else theta
         last_result = result
+        # a failed frozen solve records a NaN step and the unmoved iterate
+        if result.converged:
+            v_new = relaxed_update(v, result.x, step_theta)
+            step = seminorm(tp, v_new - v)
+            v_norm = seminorm(tp, v_new)
+        else:
+            step, v_norm = math.nan, v_norms[-1]
+        step_seminorms.append(step)
         frozen_residuals.append(result.residual)
         inner_iterations.append(result.iterations)
         full_residuals.append(verify_solution(instance, result.x))
+        v_norms.append(v_norm)
         thetas.append(step_theta)
-        if not result.converged:
-            message = f"frozen solve failed at outer iteration {k}: {result.message}"
-            step_seminorms.append(math.nan)
-            v_norms.append(v_norms[-1])
-            logger.info(
-                _STEP_LOG, k, math.nan, result.residual, result.newton_steps,
-                result.iterations, step_theta,
-            )
-            break
-        v_new = relaxed_update(v, result.x, step_theta)
-        step = seminorm(tp, v_new - v)
-        step_seminorms.append(step)
-        v_norms.append(seminorm(tp, v_new))
         logger.info(
             _STEP_LOG, k, step, result.residual, result.newton_steps, result.iterations,
             step_theta,
         )
-        _ball_check(v_norms[-1], ball, f"outer iteration {k}")
+        if not result.converged:
+            message = f"frozen solve failed at outer iteration {k}: {result.message}"
+            break
+        _ball_check(v_norm, ball, f"outer iteration {k}")
 
         if step > prev_step:
             streak += 1
@@ -377,7 +372,7 @@ def solve_problem(
         u=grid.zero_extend(clipped),
         raw=grid.zero_extend(last_result.x),
         converged=converged,
-        outer_iterations=iterations,
+        outer_iterations=k,
         step_seminorms=step_seminorms,
         frozen_residuals=frozen_residuals,
         inner_iterations=inner_iterations,

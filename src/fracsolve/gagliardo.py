@@ -28,6 +28,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -282,7 +283,8 @@ def _cache_store(path: Path, table: PairWeightTable) -> None:
 
 def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
     """Build (or load from the FRACSOLVE_CACHE directory) the offset weight
-    table and exterior tail vector for the given grid and order."""
+    table and exterior tail vector for the given grid and order.  A table
+    the cache cannot store is returned with a warning."""
     n = grid.n_interior
     if n > NODE_CAP:
         raise MemoryBudgetError(
@@ -299,7 +301,15 @@ def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
     tail = _inbox_exterior_tail(grid, woff) + _outside_box_tail(grid, params.sp)
     table = PairWeightTable(grid, params, woff, tail)
     if path is not None:
-        _cache_store(path, table)
+        # the cache is best-effort; the message names the directory alone,
+        # so a run whose tables all fail to store warns once
+        try:
+            _cache_store(path, table)
+        except OSError as e:
+            warnings.warn(
+                f"weight cache {path.parent} could not be written "
+                f"({e.strerror or type(e).__name__}); the table is used uncached"
+            )
     return table
 
 

@@ -28,11 +28,7 @@ def write_field_csv(path, grid, u, extra=()) -> None:
     names = list(_COORDS[grid.dim]) + ["u"] + [name for name, _ in extra]
     columns = [grid.points[:, a] for a in range(grid.dim)]
     columns += [grid.zero_extend(vec).reshape(-1) for vec in (u, *(v for _, v in extra))]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(grid.points.shape[0]):
-            writer.writerow([fmt17(col[i]) for col in columns])
+    write_rows_csv(path, names, zip(*columns))
 
 
 def write_rows_csv(path, header, rows) -> None:

@@ -10,6 +10,7 @@ import csv
 import json
 import logging
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +468,32 @@ class TestCliOther:
         assert code == 0
         assert os.environ.get("FRACSOLVE_CACHE") == before
         assert not list(cache.iterdir())
+
+    @pytest.mark.parametrize(
+        "command,files",
+        [
+            ("solve", ["convergence.csv", "report.json", "solution.csv"]),
+            ("kernel-table", ["kernel_table.json"]),
+        ],
+    )
+    def test_unwritable_cache_warns_once(self, tmp_path, command, files):
+        # a cache_dir below a regular file cannot be made: the run goes on
+        # with uncached tables and says so once
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        payload["cache_dir"] = str(blocker / "cache")
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            # the interpreter's default: one report per distinct message
+            warnings.simplefilter("default")
+            code = cli.main([command, "--config", dump(tmp_path, payload), "--out", str(out)])
+        assert code == 0
+        assert sorted(f.name for f in out.iterdir()) == files
+        assert [str(w.message) for w in caught] == [
+            f"weight cache {blocker / 'cache'} could not be written (Not a directory); "
+            "the table is used uncached"
+        ]
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -148,6 +148,39 @@ class TestApplyT:
         assert abs(bound.rho - ref) <= 1e-13 * ref
         assert gap(bound.rho * (1.0 - 1e-13)) < 0.0 < gap(bound.rho * (1.0 + 1e-13))
 
+    def test_exponent_outside_window_has_no_radius(self, instance_1d, monkeypatch):
+        # zeta p' >= p exactly when zeta >= p - 1 = 1.5; no sample is solved
+        inst = replace(instance_1d, convective=ConvectiveReaction(c3=0.2, zeta=2.0))
+        monkeypatch.setattr(driver, "apply_T", None)
+        with pytest.warns(UserWarning, match="no finite invariance radius exists"):
+            assert fit_growth_bound(inst, seed=0) is None
+
+    def test_no_converged_sample_has_no_radius(self, instance_1d, monkeypatch):
+        floor = instance_1d.trunc.floor
+        monkeypatch.setattr(
+            driver,
+            "apply_T",
+            lambda inst, v, start=None: MinimizeResult(floor, False, 5, 1.0, 0.0, "stall"),
+        )
+        with pytest.warns(UserWarning) as record:
+            assert fit_growth_bound(instance_1d, seed=0) is None
+        messages = [str(w.message) for w in record]
+        assert len(messages) == 21
+        assert all(m.endswith("did not converge; skipped") for m in messages[:20])
+        assert messages[20] == "growth-bound fit produced no usable samples"
+
+    def test_huge_map_has_no_radius(self, instance_1d, monkeypatch):
+        # c_emp ~ 6e12 puts the root of rho^p = c_emp (1 + rho^(zeta p'))
+        # near c_emp^(1 / (p - zeta p')) = c_emp^2, far past 1e12
+        huge = 1e6 * instance_1d.trunc.floor
+        monkeypatch.setattr(
+            driver,
+            "apply_T",
+            lambda inst, v, start=None: MinimizeResult(huge, True, 1, 0.0, 0.0),
+        )
+        with pytest.warns(UserWarning, match="invariance radius exceeds 1e12"):
+            assert fit_growth_bound(instance_1d, seed=0) is None
+
     def test_bisection_matches_closed_form_roots(self):
         for f, root in (
             (lambda x: x**3 - 2.0, 2.0 ** (1.0 / 3.0)),
@@ -252,12 +285,44 @@ class TestSolveProblem:
         assert report.ball is not None
         assert all(n <= bound.rho * (1.0 + 1e-9) for n in report.v_norms)
 
-    def test_ball_monitor_violation_aborts(self, instance_1d):
-        from fracsolve.driver import GrowthBound
-
-        tiny = GrowthBound(c_emp=1e-12, rho=1e-9, exponent=1.0)
+    def test_ball_monitor_violation_aborts(self, instance_1d, monkeypatch):
+        tiny = driver.GrowthBound(c_emp=1e-12, rho=1e-9, exponent=1.0)
+        monkeypatch.setattr(driver, "fit_growth_bound", lambda instance, seed=0: tiny)
         with pytest.raises(RuntimeError, match="ball"):
-            solve_problem(instance_1d, OuterOptions(tol=1e-6), ball=tiny)
+            solve_problem(instance_1d, OuterOptions(tol=1e-6))
+
+    def test_no_growth_bound_solves_unmonitored(self, instance_1d, monkeypatch):
+        monkeypatch.setattr(driver, "fit_growth_bound", lambda instance, seed=0: None)
+        report = solve_problem(instance_1d, OuterOptions(tol=1e-6))
+        assert report.converged
+        assert report.ball is None
+
+    def test_failed_frozen_solve_ends_with_one_record(self, instance_1d, monkeypatch, caplog):
+        # the second frozen solve fails: its step is recorded like any
+        # other, with a NaN step seminorm and the unmoved iterate's norm
+        solve = driver.apply_T
+        calls = []
+
+        def failing_T(inst, v, start=None):
+            calls.append(None)
+            result = solve(inst, v, start)
+            return result if len(calls) == 1 else replace(result, converged=False, message="stall")
+
+        monkeypatch.setattr(driver, "apply_T", failing_T)
+        with caplog.at_level(logging.INFO, logger="fracsolve.driver"):
+            report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
+        assert not report.converged and report.outer_iterations == 2
+        assert report.message == "frozen solve failed at outer iteration 2: stall"
+        for history in (
+            report.step_seminorms, report.frozen_residuals, report.inner_iterations,
+            report.full_residuals, report.thetas,
+        ):
+            assert len(history) == 2
+        assert math.isfinite(report.step_seminorms[0]) and math.isnan(report.step_seminorms[1])
+        assert len(report.v_norms) == 3 and report.v_norms[2] == report.v_norms[1]
+        lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
+        assert [line.split(":")[0] for line in lines] == ["outer 1", "outer 2"]
+        assert "step seminorm nan" in lines[1]
 
     def test_outer_budget_exhaustion_reports_failure(self, instance_1d):
         report = solve_problem(
