@@ -47,12 +47,12 @@ _GROWTH_SAMPLES = 20
 _FINAL_TOL_DIVISOR = 10.0
 _SAMPLE_LOG = (
     "growth sample %d: seminorm %.3e, T(v) seminorm %.3e, %d Newton steps, "
-    "%d inner iterations"
+    "%d energy evaluations, %d backtracks, %d inner iterations"
 )
 _SKIPPED_LOG = "growth sample %d: seminorm %.3e, skipped"
 _STEP_LOG = (
     "outer %d: step seminorm %.3e, frozen residual %.3e, %d Newton steps, "
-    "%d inner iterations, theta %.6g"
+    "%d energy evaluations, %d backtracks, %d inner iterations, theta %.6g"
 )
 
 
@@ -194,8 +194,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
     fields spanning two decades of size, then solve for the smallest radius
     rho with  c_emp (1 + rho^exponent) <= rho^p.  The samples come in
     increasing seminorm, and each solve starts from the answer of the last
-    converged sample; a solve that returns that start unchanged reuses its
-    T(v) seminorm.  None, with a warning, where no finite radius is found:
+    converged sample.  None, with a warning, where no finite radius is found:
     the exponent is not below p, no sample converged, or rho passes 1e12."""
     e = instance.exponents
     exponent = instance.convective.zeta * e.p_prime
@@ -220,12 +219,12 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
                 f"growth-bound sample at seminorm {lam:.3g} did not converge; skipped"
             )
             continue
-        # a solve that returned its start unchanged has the last sample's
-        # T(v) seminorm; its larger lam cannot raise c_emp
-        if start is None or result.iterations or not np.array_equal(result.x, start):
-            tnorm = seminorm(tp, result.x)
+        tnorm = seminorm(tp, result.x)
         start = result.x
-        logger.info(_SAMPLE_LOG, k, lam, tnorm, result.newton_steps, result.iterations)
+        logger.info(
+            _SAMPLE_LOG, k, lam, tnorm, result.newton_steps, result.energy_evals,
+            result.backtracks, result.iterations,
+        )
         c_emp = max(c_emp, tnorm**e.p / (1.0 + lam**exponent))
     if c_emp <= 0.0:
         warnings.warn("growth-bound fit produced no usable samples")
@@ -323,8 +322,8 @@ def solve_problem(
         v_norms.append(v_norm)
         thetas.append(step_theta)
         logger.info(
-            _STEP_LOG, k, step, result.residual, result.newton_steps, result.iterations,
-            step_theta,
+            _STEP_LOG, k, step, result.residual, result.newton_steps, result.energy_evals,
+            result.backtracks, result.iterations, step_theta,
         )
         if not result.converged:
             message = f"frozen solve failed at outer iteration {k}: {result.message}"

@@ -14,6 +14,15 @@ gradient are finite for every real state and the minimization runs
 unconstrained; the lower bound u >= floor is certified on the outcome,
 never enforced.  The solves pass the dense Hessian to the minimizer,
 which takes Newton steps wherever it is positive definite.
+
+The forms do not depend on the forcing or the load, so the objective is
+the two form energies at u minus O(n) terms, and its gradient the summed
+form gradient minus O(n) terms.  Both read the forms through
+``gagliardo.forms``, whose tables keep the last point it evaluated: the
+gradient of a trial whose energy was just taken, and any frozen problem
+on the same tables at that point (a warm start at the last answer under a
+new load, the verify of an answer), cost O(n) and give the bits of a new
+pass.
 """
 
 from __future__ import annotations
@@ -22,12 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gagliardo import (
-    PairWeightTable,
-    energy,
-    operator_gradient,
-    operator_hessian,
-)
+from .gagliardo import PairWeightTable, forms, operator_gradient, operator_hessian
 from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, minimize_energy, scaled_norm
 from .reaction import ProblemExponents
@@ -68,11 +72,13 @@ class FrozenProblem:
 
 def frozen_energy(prob: FrozenProblem, u) -> float:
     """The objective E(u), composed in float64.  Its rounding error is
-    summation noise, which line searches tolerate up to optimize.EPS |E|."""
+    summation noise, which line searches tolerate up to optimize.EPS |E|.
+    The forms come from one pass that also keeps their gradient at u, so
+    frozen_gradient at the same point costs O(n)."""
     tp, tq = prob.tables
     uv = prob.grid.interior_vector(u)
     vol = prob.grid.cell_volume
-    total = energy(tp, uv, tq)
+    total = sum(forms(tp, uv, tq).energies)
     total -= vol * float(np.sum(prob.trunc.F(uv)))
     total -= vol * float(np.sum(prob.load * uv))
     return total

@@ -19,6 +19,17 @@ model weight
 
 finite for every 0 < s < 1 < p, which treats |u_i - u_j| / |x_i - x_j|
 as a frozen local slope across the shared face.
+
+One pass over the pairs i < j serves every table of a problem: per table
+it raises |u_i - u_j|^(p-1) once, times W_ij the pair's flux, whose dot
+product with |u_i - u_j| is the energy term and whose signed sum over the
+tables is the gradient (``forms``).  The tables keep the last point such a
+pass evaluated (``PairWeightTable.last``), so the energy, seminorm or
+gradient at that point again costs O(n), with the same bits.  A solve
+evaluates each point once: a trial's energy and then its gradient, a warm
+start at the last answer, the verify of an answer and its seminorm.
+Energy passes (``energy``, ``seminorm``) away from that point skip the
+gradient and keep nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +40,8 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -46,6 +58,9 @@ from .quadrature import (
 )
 
 _ROW_CHUNK = 512
+# terms per BLAS dot product of an energy sum, which bounds its rounding
+# error (optimize.EPS)
+_DOT_TERMS = 1 << 16
 # offset rows per block of a table whose axes swap: a block integrates the
 # columns up to its last row, so a short block wastes little above the
 # diagonal, and a long one shares the set-up of its axis nodes (8 rows was
@@ -92,13 +107,16 @@ class PairWeightTable:
     ``grid.shape``, zero at offset 0): interior cells i and j pair with
     weight ``woff[|l_i - l_j|]``.  ``tail`` holds, per interior node, the
     kernel mass integrated over the cell times everything outside the
-    interior.  Every pair view is derived from ``woff``.
+    interior.  Every pair view is derived from ``woff``.  ``last`` is the
+    last point a gradient pass over the table evaluated (see ``forms``):
+    state of the run that assembled the table, O(n) in size.
     """
 
     grid: Grid
     params: OperatorParams
     woff: np.ndarray
     tail: np.ndarray
+    last: FormPoint | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def packed_pair(self) -> np.ndarray:
@@ -313,11 +331,6 @@ def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
     return table
 
 
-def _signed_power(t: np.ndarray, p: float) -> np.ndarray:
-    """|t|^(p-1) sign(t), the derivative of |t|^p / p."""
-    return np.sign(t) * np.abs(t) ** (p - 1.0)
-
-
 def _same_grid_tables(table: PairWeightTable, extra) -> tuple:
     tables = (table, *extra)
     for t in extra:
@@ -330,39 +343,119 @@ def _pair_chunks(tables, uv: np.ndarray):
     """Walk the pairs i < j (row-major) in blocks of at most _ROW_CHUNK
     rows, so temporaries stay within _ROW_CHUNK * n.  Yields the block's
     first row, each row's start within the block, the columns j, u_i - u_j
-    and every table's packed weights."""
+    and every table's packed weights.  Row i holds the n - 1 - i pairs
+    (i, j > i), so u_i is u repeated by row rather than gathered."""
     n = uv.size
-    ii, jj = tables[0].grid.pair_index
+    _, jj = tables[0].grid.pair_index
     packed = [t.packed_pair for t in tables]
     rows = np.arange(n)
+    row_len = n - 1 - rows
     row_start = rows * (2 * n - 1 - rows) // 2
     for r0 in range(0, n - 1, _ROW_CHUNK):
         r1 = min(r0 + _ROW_CHUNK, n - 1)
         blk = slice(row_start[r0], row_start[r1])
+        j = jj[blk]
         yield (
             r0,
             row_start[r0:r1] - row_start[r0],
-            jj[blk],
-            uv[ii[blk]] - uv[jj[blk]],
+            j,
+            np.repeat(uv[r0:r1], row_len[r0:r1]) - np.take(uv, j),
             [w[blk] for w in packed],
         )
 
 
-def _energy_sum(tables, uv: np.ndarray) -> float:
-    """Sum over tables of (1/p) [sum_{i != j} W_ij |u_i - u_j|^p
-    + 2 sum_i T_i |u_i|^p], from one pass over the pairs i < j, in float64.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b as BLAS dot products over slices of at most _DOT_TERMS terms,
+    added in order (see optimize.EPS for the error bound)."""
+    return sum(
+        float(a[k : k + _DOT_TERMS] @ b[k : k + _DOT_TERMS]) for k in range(0, a.size, _DOT_TERMS)
+    )
 
-    The sum carries float64 summation noise only; line searches treat
-    energy changes below optimize.EPS relative as noise.
-    """
-    half = 0.0
-    for _, _, _, du, weights in _pair_chunks(tables, uv):
+
+def _form_pass(tables, uv: np.ndarray, gradient: bool):
+    """Each table's energy (1/p) [sum_{i != j} W_ij |u_i - u_j|^p + 2 sum_i
+    T_i |u_i|^p] and, when ``gradient`` is set, the gradient summed over
+    the tables (else None), from one walk over the pairs i < j.
+
+    Per table, |u_i - u_j|^(p-1) is raised once: times W it is the pair's
+    flux, and the energy term is that flux times |u_i - u_j|.  A table's
+    energy does not depend on the other tables or on ``gradient``, so every
+    pass gives it the same bits."""
+    n = uv.size
+    half = [0.0] * len(tables)
+    grad = np.zeros(n) if gradient else None
+    for r0, starts, j, du, weights in _pair_chunks(tables, uv):
         adu = np.abs(du)
-        terms = sum(w * adu**t.params.p / t.params.p for t, w in zip(tables, weights))
-        half += float(np.sum(terms))
+        flux = None
+        for k, (t, w) in enumerate(zip(tables, weights)):
+            table_flux = adu ** (t.params.p - 1.0)
+            table_flux *= w
+            half[k] += _dot(table_flux, adu)
+            if gradient:
+                if flux is None:
+                    flux = table_flux
+                else:
+                    flux += table_flux
+        if gradient:
+            # antisymmetric flux of the pair: +flux on node i, -flux on node j
+            np.copysign(flux, du, out=flux)
+            grad[r0 : r0 + starts.size] += np.add.reduceat(flux, starts)
+            grad -= np.bincount(j, flux, minlength=n)
     au = np.abs(uv)
-    terms = sum(t.tail * au**t.params.p / t.params.p for t in tables)
-    return 2.0 * (half + float(np.sum(terms)))
+    energies = []
+    tail_flux = 0.0
+    for k, t in enumerate(tables):
+        tpow = t.tail * au ** (t.params.p - 1.0)
+        energies.append(2.0 * (half[k] + _dot(tpow, au)) / t.params.p)
+        if gradient:
+            tail_flux = tail_flux + np.copysign(tpow, uv)
+    if gradient:
+        grad += tail_flux
+        grad *= 2.0
+    return energies, grad
+
+
+@dataclass(frozen=True)
+class FormPoint:
+    """The forms of a tuple of tables at one interior vector ``x``, from one
+    pass: each table's energy and the gradient summed over the tables.
+    Read-only; the tables keep the last one (``PairWeightTable.last``) and
+    are held here by weak references, so a table and its point form no
+    reference cycle and are freed with the run."""
+
+    refs: tuple
+    x: np.ndarray
+    energies: tuple
+    grad: np.ndarray
+
+    def positions(self, tables, uv: np.ndarray) -> list | None:
+        """Where each of ``tables`` sits among this point's tables, when
+        each is there and ``uv`` equals ``x`` exactly; None otherwise."""
+        held = [r() for r in self.refs]
+        pos = [next((k for k, h in enumerate(held) if h is t), None) for t in tables]
+        if None in pos or not np.array_equal(self.x, uv):
+            return None
+        return pos
+
+
+def forms(table: PairWeightTable, u, *extra: PairWeightTable) -> FormPoint:
+    """Each table's energy and the summed gradient at the interior vector u.
+    A point that the last gradient pass over these tables (in this order)
+    evaluated is returned as kept, with the same bits as a new pass; any
+    other point is evaluated by one pass and kept in every table's
+    ``last``, replacing the point before it."""
+    tables = _same_grid_tables(table, extra)
+    uv = table.grid.interior_vector(u)
+    last = table.last
+    if last is not None and last.positions(tables, uv) == list(range(len(last.refs))):
+        return last
+    energies, grad = _form_pass(tables, uv, gradient=True)
+    x = uv.copy()
+    x.flags.writeable = grad.flags.writeable = False
+    point = FormPoint(tuple(weakref.ref(t) for t in tables), x, tuple(energies), grad)
+    for t in tables:
+        t.last = point
+    return point
 
 
 def seminorm(table: PairWeightTable, u) -> float:
@@ -373,29 +466,24 @@ def seminorm(table: PairWeightTable, u) -> float:
 
 def energy(table: PairWeightTable, u, *extra: PairWeightTable) -> float:
     """Dirichlet energy (1/p) * seminorm^p, in float64.  Extra tables on the
-    same grid add their energies from the same pass."""
-    return _energy_sum(_same_grid_tables(table, extra), table.grid.interior_vector(u))
+    same grid add their energies from the same pass.  At the point the last
+    gradient pass over these tables evaluated, the energies are read from
+    it; elsewhere a pass computes them and keeps nothing."""
+    tables = _same_grid_tables(table, extra)
+    uv = table.grid.interior_vector(u)
+    pos = None if table.last is None else table.last.positions(tables, uv)
+    if pos is None:
+        return sum(_form_pass(tables, uv, gradient=False)[0])
+    return sum(table.last.energies[k] for k in pos)
 
 
 def operator_gradient(table: PairWeightTable, u, *extra: PairWeightTable) -> np.ndarray:
     """Gradient of the energy over interior nodes: entry i is the weak
     pairing of the monotone operator at u with the nodal basis vector e_i,
     so pairing it with u gives p * energy.  Extra tables on the same grid
-    add their gradients from the same pass."""
-    tables = _same_grid_tables(table, extra)
-    uv = table.grid.interior_vector(u)
-    n = uv.size
-    grad = np.zeros(n)
-    for r0, starts, j, du, weights in _pair_chunks(tables, uv):
-        adu = np.abs(du)
-        # antisymmetric flux of the pair: +flux on node i, -flux on node j
-        flux = np.sign(du) * sum(
-            w * adu ** (t.params.p - 1.0) for t, w in zip(tables, weights)
-        )
-        grad[r0 : r0 + starts.size] += np.add.reduceat(flux, starts)
-        grad -= np.bincount(j, flux, minlength=n)
-    grad += sum(t.tail * _signed_power(uv, t.params.p) for t in tables)
-    return 2.0 * grad
+    add their gradients from the same pass.  A new array, computed by (or
+    read from) forms."""
+    return forms(table, u, *extra).grad.copy()
 
 
 def operator_hessian(table: PairWeightTable, u, *extra: PairWeightTable) -> np.ndarray:

@@ -36,12 +36,20 @@ MAX_BACKTRACKS = 60
 ROOT_TOL = 1e-14
 
 # Relative energy change below which two float64 energies are not compared.
-# The energies are float64 sums of up to n^2/2 pair terms (n <=
-# gagliardo.NODE_CAP = 4096), each with about one ulp of pow error; numpy's
-# pairwise summation keeps the sum's error near log2(n^2) ulp, about 5e-15,
-# of the sum of the absolute terms, which is a small multiple of |E| near a
-# minimizer.  1e-10 clears that noise by four orders of magnitude and bounds
-# how far an accepted step may raise the computed energy.
+# A form energy sums up to n^2/2 nonnegative pair terms (n <=
+# gagliardo.NODE_CAP = 4096), each with a few ulp of pow and product error.
+# gagliardo._dot adds them as BLAS dot products over slices of at most
+# gagliardo._DOT_TERMS = 2^16 terms, then adds the slice sums in order (at
+# most 137 of them per table at the cap).  In whatever order the BLAS sums
+# a slice, its rounding error is at most 2^16 u of the slice's sum (u =
+# 2^-53), so with the in-order additions and the per-term errors a form
+# energy is within (2^16 + 2^8) u ~ 7.3e-12 of the exact sum of its terms,
+# relative to that sum (the terms are nonnegative).
+# The forms are a small multiple of |E| near a minimizer.  1e-10 clears
+# this worst case by more than an order of magnitude; typical errors, of
+# both signs and split over a kernel's several accumulators, are far
+# smaller.  EPS also bounds how far an accepted step may raise the
+# computed energy.
 EPS = 1e-10
 
 
@@ -70,6 +78,9 @@ class MinimizeResult:
     message: str = ""
     # accepted Newton steps among the iterations; the rest were BB steps
     newton_steps: int = 0
+    # energies evaluated, the start's among them, and trial steps rejected
+    energy_evals: int = 0
+    backtracks: int = 0
 
 
 def scaled_norm(vec) -> float:
@@ -135,6 +146,7 @@ def minimize_energy(
     opts = options or MinimizerOptions()
     x = np.array(x0, dtype=float)
     f = float(energy_fn(x))
+    energy_evals, backtracks = 1, 0
     _require_finite(f, "energy")
     g = np.asarray(grad_fn(x), dtype=float)
     _require_finite(g, "gradient")
@@ -143,10 +155,15 @@ def minimize_energy(
     trial = INITIAL_STEP
     newton_steps = 0
 
+    def result(converged, iterations, residual, message=""):
+        return MinimizeResult(
+            x, converged, iterations, residual, f, message, newton_steps, energy_evals, backtracks
+        )
+
     for it in range(1, opts.max_iter + 1):
         residual = scaled_norm(g)
         if residual < opts.tol:
-            return MinimizeResult(x, True, it - 1, residual, f, newton_steps=newton_steps)
+            return result(True, it - 1, residual)
 
         if prev_g is not None:
             dx = x - prev_x
@@ -175,6 +192,7 @@ def minimize_energy(
                 # accepting it would repeat the same null step until max_iter
                 break
             fn = float(energy_fn(xn))
+            energy_evals += 1
             if math.isfinite(fn) and fn <= f + SUFFICIENT_DECREASE * step * slope:
                 accepted = True
                 break
@@ -187,16 +205,9 @@ def minimize_energy(
                     break
                 gn = None
             step *= SHRINK
+            backtracks += 1
         if not accepted:
-            return MinimizeResult(
-                x,
-                False,
-                it,
-                residual,
-                f,
-                "line search could not decrease the energy",
-                newton_steps,
-            )
+            return result(False, it, residual, "line search could not decrease the energy")
         newton_steps += newton
         prev_x, prev_g = x, g
         x, f = xn, fn
@@ -206,15 +217,7 @@ def minimize_energy(
             on_accept(f)
 
     residual = scaled_norm(g)
-    return MinimizeResult(
-        x,
-        residual < opts.tol,
-        opts.max_iter,
-        residual,
-        f,
-        "iteration budget exhausted",
-        newton_steps,
-    )
+    return result(residual < opts.tol, opts.max_iter, residual, "iteration budget exhausted")
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:

@@ -17,12 +17,17 @@ import warnings
 import numpy as np
 
 from fracsolve.frozen import FrozenProblem, frozen_energy, frozen_gradient
-from fracsolve.gagliardo import PairWeightTable, _signed_power
+from fracsolve.gagliardo import PairWeightTable
 from fracsolve.grids import Grid
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import uniqueness_certified
 
 _ROW_CHUNK = 512
+
+
+def _signed_power(t: np.ndarray, p: float) -> np.ndarray:
+    """|t|^(p-1) sign(t), the derivative of |t|^p / p."""
+    return np.sign(t) * np.abs(t) ** (p - 1.0)
 
 
 def apply_form(table: PairWeightTable, u, phi) -> float:

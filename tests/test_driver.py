@@ -32,6 +32,7 @@ from fracsolve.grids import build_grid, disk, interval
 from fracsolve.optimize import MinimizeResult, MinimizerOptions
 from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction, g_eval
 from fracsolve.riesz import riesz_gradient
+from support.passes import count_form_passes
 
 
 EXPONENTS_1D = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
@@ -197,27 +198,26 @@ class TestApplyT:
         cold = fit_growth_bound(instance_1d, seed=0)
         assert warm.c_emp == pytest.approx(cold.c_emp, rel=1e-6)
 
-    def test_empty_samples_reuse_the_last_seminorm(self, instance_1d_loose, monkeypatch):
-        calls = []
-        counted = driver.seminorm
-        monkeypatch.setattr(
-            driver, "seminorm", lambda *args: calls.append(None) or counted(*args)
-        )
-        reused = fit_growth_bound(instance_1d_loose, seed=0)
-        # one seminorm scales each of the 20 samples, one more measures T(v)
-        assert len(calls) < 2 * 20
-        # a solve that reports an inner iteration is measured again
+    def test_answer_seminorms_read_the_kept_forms(self, instance_1d_loose, monkeypatch):
+        passes = count_form_passes(monkeypatch)
+        kept = fit_growth_bound(instance_1d_loose, seed=0)
+        # one energy pass scales each of the 20 samples; the T(v) seminorm
+        # is read from the forms its solve kept at its answer
+        assert passes.count(False) == 20
+        # measured by a new pass, with nothing kept, the fit is the same
         solve = driver.apply_T
 
-        def busy_T(inst, v, start=None):
+        def forgetful_T(inst, v, start=None):
             result = solve(inst, v, start)
-            return replace(result, iterations=result.iterations + 1)
+            for table in inst.tables:
+                table.last = None
+            return result
 
-        monkeypatch.setattr(driver, "apply_T", busy_T)
-        calls.clear()
-        recomputed = fit_growth_bound(instance_1d_loose, seed=0)
-        assert len(calls) == 2 * 20
-        assert reused == recomputed
+        monkeypatch.setattr(driver, "apply_T", forgetful_T)
+        passes.clear()
+        cold = fit_growth_bound(instance_1d_loose, seed=0)
+        assert passes.count(False) == 2 * 20
+        assert kept == cold
 
     def test_continuity_under_small_perturbations(self, instance_1d_tight):
         inst = instance_1d_tight
@@ -515,6 +515,77 @@ class TestSolveProblem:
             assert line.startswith(f"growth sample {k}: seminorm ")
             assert line.endswith(" inner iterations") or line.endswith("skipped")
         assert lines[20].startswith("outer 1: ")
+
+
+    def test_logs_count_energy_evaluations_and_backtracks(self, instance_1d, monkeypatch, caplog):
+        results = []
+        solve = driver.apply_T
+
+        def recorded_T(inst, v, start=None):
+            results.append(solve(inst, v, start))
+            return results[-1]
+
+        monkeypatch.setattr(driver, "apply_T", recorded_T)
+        with caplog.at_level(logging.INFO, logger="fracsolve.driver"):
+            report = solve_problem(instance_1d, OuterOptions(ball_monitor=True))
+        lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
+        assert len(lines) == len(results) == 20 + report.outer_iterations
+        for line, result in zip(lines, results):
+            assert result.converged
+            assert (
+                f"{result.newton_steps} Newton steps, {result.energy_evals} energy evaluations, "
+                f"{result.backtracks} backtracks, {result.iterations} inner iterations"
+            ) in line
+            # every energy after the start's is a trial, accepted or not
+            assert result.energy_evals == 1 + result.iterations + result.backtracks
+
+
+class TestPassCounts:
+    """A solve evaluates the operator forms at most once per point."""
+
+    @pytest.fixture(scope="class")
+    def disk_instance(self):
+        grid = build_grid(disk(0.0, 0.0, 1.0), 11)
+        exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
+        reaction = SingularReaction(gamma=0.4, c1=0.5, c2=0.5, r=1.3)
+        convective = ConvectiveReaction(c3=0.1, zeta=1.4)
+        return build_instance(grid, exps, reaction, convective)
+
+    def test_returned_start_and_its_verify_cost_no_pass(self, disk_instance, monkeypatch):
+        inst = disk_instance
+        v = inst.trunc.floor * 2.0
+        first = apply_T(inst, v)
+        assert first.converged and first.iterations > 0
+        assert np.all(first.x >= inst.trunc.floor)
+        passes = count_form_passes(monkeypatch)
+        verify_solution(inst, first.x)
+        assert passes == []
+        again = apply_T(inst, v, first.x)
+        assert again.converged and again.iterations == 0
+        assert passes == []
+        verify_solution(inst, again.x)
+        assert seminorm(inst.tables[0], again.x) == seminorm(inst.tables[0], first.x)
+        assert passes == []
+
+    def test_outer_loop_spends_no_pass_on_a_kept_point(self, disk_instance, monkeypatch):
+        passes = count_form_passes(monkeypatch)
+        spent = {"apply_T": [], "verify_solution": []}
+        for name in spent:
+
+            def counted(*args, fn=getattr(driver, name), name=name):
+                before = len(passes)
+                out = fn(*args)
+                spent[name].append((out, len(passes) - before))
+                return out
+
+            monkeypatch.setattr(driver, name, counted)
+        report = solve_problem(disk_instance, OuterOptions(ball_monitor=False))
+        assert report.converged
+        # each verify follows the solve that ended at its point
+        assert [d for _, d in spent["verify_solution"]] == [0] * (report.outer_iterations + 2)
+        # a warm-started solve that returns its start is free
+        returned = [d for r, d in spent["apply_T"] if r.iterations == 0]
+        assert returned and returned == [0] * len(returned)
 
 
 class TestVerifySolution:

@@ -51,6 +51,7 @@ from fracsolve.reaction import (
 from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
 from fracsolve.torsion import _constant_start, select_sigma, solve_torsion, torsion_objective
 from support.oracles import apply_form, uniqueness_probe
+from support.passes import count_form_passes
 
 
 EXPONENTS_1D = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
@@ -201,6 +202,56 @@ class TestWeakResidual:
         r = np.array([0.3, -1.2, 0.05, 2.0])
         doubled = np.concatenate([r, r])
         assert abs(scaled_norm(r) - scaled_norm(doubled)) <= 1e-15 * scaled_norm(r)
+
+
+class TestKeptForms:
+    """The forms do not depend on the load: at a point the tables kept, any
+    frozen problem on them costs O(n) and gives the bits of a new pass."""
+
+    def test_new_load_at_a_kept_point_costs_no_pass(self, setup_1d, monkeypatch):
+        grid, _, prob = setup_1d
+        u = solve_frozen(prob).x
+        other = FrozenProblem(prob.tables, prob.trunc, prob.load + 0.3)
+        passes = count_form_passes(monkeypatch)
+        warm = (frozen_energy(other, u), frozen_gradient(other, u), weak_residual(other, u))
+        assert passes == []
+        for table in prob.tables:
+            table.last = None
+        cold_energy = frozen_energy(other, u)
+        assert passes == [True]
+        assert warm[0] == cold_energy
+        assert np.array_equal(warm[1], frozen_gradient(other, u))
+        assert warm[2] == weak_residual(other, u)
+        assert passes == [True]
+
+    def test_trial_gradient_after_its_energy_costs_no_pass(self, setup_1d, monkeypatch):
+        grid, _, prob = setup_1d
+        u = prob.trunc.floor + 0.01 * np.random.default_rng(8).random(grid.n_interior)
+        passes = count_form_passes(monkeypatch)
+        frozen_energy(prob, u)
+        frozen_gradient(prob, u)
+        assert passes == [True]
+        # a gradient first keeps the energy as well
+        u = u + 0.001
+        frozen_gradient(prob, u)
+        frozen_energy(prob, u)
+        assert passes == [True, True]
+
+    def test_two_instances_of_one_config_keep_their_own_points(self, setup_1d, monkeypatch):
+        grid, cert, prob = setup_1d
+        v = cert.lower
+        a, b = (
+            build_problem(grid, EXPONENTS_1D, REACTION_1D, CONVECTIVE_1D, cert.lower, v)
+            for _ in range(2)
+        )
+        u = cert.lower * 1.5
+        passes = count_form_passes(monkeypatch)
+        ea = frozen_energy(a, u)
+        eb = frozen_energy(b, u)
+        assert passes == [True, True]
+        assert ea == eb
+        assert np.array_equal(frozen_gradient(a, u), frozen_gradient(b, u))
+        assert passes == [True, True]
 
 
 class TestSolveFrozen:
@@ -538,6 +589,20 @@ class TestNewtonSteps:
         assert np.array_equal(fallback.x, plain.x)
         assert fallback.iterations == plain.iterations
         assert fallback_trace == plain_trace
+
+    def test_counts_energies_and_backtracks(self):
+        calls = []
+
+        def energy_fn(x):
+            calls.append(None)
+            return 50.0 * float(x @ x)
+
+        # the first trial step 1 overshoots the minimum of a stiff quadratic
+        result = minimize_energy(
+            energy_fn, lambda x: 100.0 * x, np.ones(3), MinimizerOptions(tol=1e-10)
+        )
+        assert result.converged and result.backtracks > 0
+        assert result.energy_evals == len(calls) == 1 + result.iterations + result.backtracks
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
     def test_cholesky_solve_matches_a_dense_solve(self, n):

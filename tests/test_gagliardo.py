@@ -6,8 +6,10 @@ same integrands the assembly is documented to use: the raw kernel
 kernel |x_i-x_j|^(-p) |x-y|^(p-(N+sp)) for touching pairs.
 """
 
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from fracsolve.gagliardo import (
     _outside_box_tail,
     assemble_weights,
     energy,
+    forms,
     operator_gradient,
     operator_hessian,
     seminorm,
@@ -37,6 +40,7 @@ from fracsolve.grids import build_grid, disk, interval, rectangle
 from fracsolve.quadrature import pair_integral, quadrant_integral
 from support import assembly
 from support.oracles import apply_form
+from support.passes import count_form_passes
 
 
 @pytest.fixture(scope="module")
@@ -516,6 +520,8 @@ class TestOnePassEvaluation:
         whole_e = energy(tp, u, tq)
         whole_g = operator_gradient(tp, u, tq)
         monkeypatch.setattr(gagliardo, "_ROW_CHUNK", 4)
+        # forget the kept point, so the calls below walk the blocks again
+        tp.last = tq.last = None
         assert float(energy(tp, u, tq)) == pytest.approx(float(whole_e), rel=1e-13)
         np.testing.assert_allclose(
             operator_gradient(tp, u, tq), whole_g, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole_g))
@@ -538,6 +544,90 @@ class TestOnePassEvaluation:
             for form in (energy, operator_gradient, operator_hessian):
                 with pytest.raises(ValueError, match=f"expected {n} interior values"):
                     form(table, bad)
+
+
+class TestFusedPass:
+    """One pass gives each table's energy and the summed gradient, and the
+    tables keep the last point it evaluated."""
+
+    @pytest.mark.parametrize("p, q", [(1.5, 1.3), (3.0, 2.5), (1.7, 2.6)])
+    def test_matches_dense_pairing(self, one_pass_grid, p, q):
+        # u has pairs with u_i == u_j, nodes with u_i == 0 and both signs
+        g = one_pass_grid
+        tp = assemble_weights(g, OperatorParams(s=0.6, p=p))
+        tq = assemble_weights(g, OperatorParams(s=0.4, p=q))
+        u = _tied_signed_vector(g, 11)
+        point = forms(tp, u, tq)
+        for table, e in zip((tp, tq), point.energies):
+            assert e == pytest.approx(apply_form(table, u, u) / table.params.p, rel=1e-12)
+        basis = np.eye(g.n_interior)
+        want = np.array([apply_form(tp, u, b) + apply_form(tq, u, b) for b in basis])
+        np.testing.assert_allclose(
+            point.grad, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))
+        )
+
+    def test_kept_point_is_bit_identical_to_a_cold_pass(self, one_pass_grid):
+        g = one_pass_grid
+        tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
+        tq = assemble_weights(g, OperatorParams(s=0.5, p=1.5))
+        u = _tied_signed_vector(g, 2)
+        first = forms(tp, u, tq)
+        kept = forms(tp, u.copy(), tq)
+        assert kept is first
+        cold_e, cold_g = gagliardo._form_pass((tp, tq), u, gradient=True)
+        assert list(kept.energies) == cold_e
+        assert np.array_equal(kept.grad, cold_g)
+        assert np.array_equal(operator_gradient(tp, u, tq), cold_g)
+        # a table's energy has the same bits from a one-table energy pass
+        assert energy(tp, u) == gagliardo._form_pass((tp,), u, gradient=False)[0][0]
+        assert energy(tq, u, tp) == cold_e[1] + cold_e[0]
+        assert energy(tp, u, tq) == sum(cold_e)
+
+    def test_recomputes_at_a_new_point_and_for_other_tables(self, one_pass_grid, monkeypatch):
+        g = one_pass_grid
+        tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
+        tq = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
+        other = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
+        u = _tied_signed_vector(g, 3)
+        passes = count_form_passes(monkeypatch)
+        forms(tp, u, tq)
+        forms(tp, u, tq)
+        energy(tq, u)
+        seminorm(tp, u)
+        assert passes == [True]
+        # the answer is a copy: changing it changes nothing kept
+        grad = operator_gradient(tp, u, tq)
+        grad[:] = 0.0
+        assert passes == [True] and np.any(forms(tp, u, tq).grad != 0.0)
+        # neither is the input kept by reference
+        w = u + 1.0
+        forms(tp, w, tq)
+        w[0] += 1.0
+        forms(tp, w, tq)
+        assert passes == [True] * 3
+        # the same tables in another order, another table, one table alone
+        forms(tq, w, tp)
+        forms(tp, w, other)
+        forms(tp, w)
+        assert passes == [True] * 6
+        energy(tq, u)
+        assert passes == [True] * 6 + [False]
+        forms(tp, np.nextafter(w, np.inf))
+        assert passes == [True] * 6 + [False, True]
+
+    def test_tables_drop_with_their_run(self, one_pass_grid):
+        g = one_pass_grid
+        tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
+        tq = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
+        forms(tp, _tied_signed_vector(g, 4), tq)
+        refs = [weakref.ref(tp), weakref.ref(tq)]
+        gc.disable()
+        try:
+            del tp, tq
+            # freed by reference counting, with no cycle through the kept point
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestHiddenConvexity:

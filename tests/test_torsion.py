@@ -7,6 +7,7 @@ structural properties for everything nonlinear.
 """
 
 import logging
+import re
 import zlib
 
 import numpy as np
@@ -351,6 +352,22 @@ class TestSelectSigma:
             assert line.startswith(f"floor halving {k}: sigma ")
             assert line.endswith("rejected" if k < cert.halvings else "certified")
         assert f"sigma {cert.sigma:.6e}, sup norm {cert.sup_norm:.3e}" in lines[-1]
+
+    def test_logs_the_counts_of_each_solve(self, nl_setup, caplog):
+        exps, grid, tables = nl_setup
+        fam = SingularReaction(gamma=0.5, c1=0.05, c2=0.5, r=1.1)
+        with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
+            cert = select_sigma(fam, exps, grid, tables)
+        lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.torsion.solve"]
+        assert len(lines) == cert.halvings + 1
+        pattern = re.compile(
+            r"torsion solve: sigma \S+, (\d+) Newton steps, (\d+) energy evaluations, "
+            r"(\d+) backtracks, (\d+) inner iterations"
+        )
+        for line in lines:
+            newton, evals, backtracks, iterations = map(int, pattern.fullmatch(line).groups())
+            assert newton <= iterations
+            assert evals == 1 + iterations + backtracks
 
     def test_certificate_dict_fields(self, nl_setup):
         exps, grid, tables = nl_setup
