@@ -25,7 +25,7 @@ from .driver import (
     verify_solution,
 )
 from .frozen import FrozenProblem, solve_frozen
-from .gagliardo import OperatorParams, assemble_weights, seminorm
+from .gagliardo import Operator, OperatorParams, assemble_weights, seminorm
 from .grids import Grid, build_grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
 from .reaction import (
@@ -49,6 +49,7 @@ __all__ = [
     "HypothesisError",
     "HypothesisReport",
     "MinimizerOptions",
+    "Operator",
     "OperatorParams",
     "OuterOptions",
     "ProblemExponents",

@@ -23,7 +23,14 @@ import numpy as np
 from . import io_utils
 from .config import ConfigError, HypothesisError, RunConfig, load_config
 from .driver import apply_T, build_instance, solve_problem
-from .gagliardo import OperatorParams, assemble_weights, energy, operator_gradient
+from .gagliardo import (
+    CACHE_ENV,
+    Operator,
+    OperatorParams,
+    assemble_weights,
+    energy,
+    operator_gradient,
+)
 from .grids import build_grid, interval
 from .reaction import ConvectiveReaction, ProblemExponents, SingularReaction
 from .riesz import plan_riesz_convolution, riesz_gradient, riesz_normalization
@@ -45,7 +52,7 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 def _apply_cache(cfg: RunConfig) -> None:
     if cfg.cache_dir:
-        os.environ["FRACSOLVE_CACHE"] = cfg.cache_dir
+        os.environ[CACHE_ENV] = cfg.cache_dir
 
 
 def _instance_from(cfg: RunConfig):
@@ -214,23 +221,23 @@ def _selftest_checks():
     )
 
     grid = build_grid(interval(0.0, 1.0), 9)
-    table = assemble_weights(grid, OperatorParams(s=0.6, p=2.5))
+    op = Operator(assemble_weights(grid, OperatorParams(s=0.6, p=2.5)))
     rng = np.random.default_rng(0)
     u = rng.standard_normal(grid.n_interior)
-    lhs = float(operator_gradient(table, u) @ u)
-    rhs = 2.5 * energy(table, u)
+    lhs = float(operator_gradient(op, u) @ u)
+    rhs = 2.5 * energy(op, u)
     results.append(
         ("pair-form duality", abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), f"{lhs!r} vs {rhs!r}")
     )
 
-    g = operator_gradient(table, u)
+    g = operator_gradient(op, u)
     eps = 1e-6
     worst = 0.0
     for i in (0, grid.n_interior // 2, grid.n_interior - 1):
         up, um = u.copy(), u.copy()
         up[i] += eps
         um[i] -= eps
-        fd = (energy(table, up) - energy(table, um)) / (2.0 * eps)
+        fd = (energy(op, up) - energy(op, um)) / (2.0 * eps)
         worst = max(worst, abs(fd - g[i]) / max(1.0, abs(fd)))
     results.append(("energy gradient vs finite differences", worst < 1e-5, f"rel {worst:.3e}"))
 
@@ -307,7 +314,7 @@ def main(argv=None) -> int:
     if args.verbose:
         logging.basicConfig(level=logging.INFO)
     # a config's cache_dir applies to this command only
-    saved_cache = os.environ.get("FRACSOLVE_CACHE")
+    saved_cache = os.environ.get(CACHE_ENV)
     try:
         return args.func(args)
     except ConfigError as e:
@@ -326,9 +333,9 @@ def main(argv=None) -> int:
         return 1
     finally:
         if saved_cache is None:
-            os.environ.pop("FRACSOLVE_CACHE", None)
+            os.environ.pop(CACHE_ENV, None)
         else:
-            os.environ["FRACSOLVE_CACHE"] = saved_cache
+            os.environ[CACHE_ENV] = saved_cache
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .frozen import FrozenProblem, default_frozen_options, solve_frozen, weak_residual
-from .gagliardo import OperatorParams, assemble_weights, seminorm
+from .gagliardo import Operator, OperatorParams, assemble_weights, seminorm
 from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, bisect_root as _bisect_root
 from .reaction import (
@@ -87,15 +87,15 @@ class GrowthBound:
 
 @dataclass
 class ProblemInstance:
-    """Everything a solve needs: grid, exponents, reactions, assembled
-    operator tables, floor certificate, and the convolution plan for the
-    fractional gradient."""
+    """Everything a solve needs: grid, exponents, reactions, the operator
+    over the assembled tables (with the run's kept point), floor
+    certificate, and the convolution plan for the fractional gradient."""
 
     grid: Grid
     exponents: ProblemExponents
     reaction: SingularReaction
     convective: ConvectiveReaction
-    tables: tuple
+    operator: Operator
     certificate: SubsolutionCertificate
     trunc: TruncatedReaction
     plan: ConvolutionPlan
@@ -132,15 +132,15 @@ def build_instance(
     convective: ConvectiveReaction,
     frozen_options: MinimizerOptions | None = None,
 ) -> ProblemInstance:
-    """Assemble both operator tables, certify a floor, and precompute the
-    convolution plan for the convective gradient order.  The torsion solves
-    of the floor check the tables against grid and exponents; the frozen
-    problems of the solve reuse them unchecked."""
-    tables = (
+    """Assemble both operator tables into the run's operator, certify a
+    floor, and precompute the convolution plan for the convective gradient
+    order.  The floor checks the operator against the exponents; the frozen
+    problems of the solve share it unchecked."""
+    operator = Operator(
         assemble_weights(grid, OperatorParams(s=exponents.s1, p=exponents.p)),
         assemble_weights(grid, OperatorParams(s=exponents.s2, p=exponents.q)),
     )
-    certificate = select_sigma(reaction, exponents, grid, tables)
+    certificate = select_sigma(reaction, exponents, operator)
     trunc = TruncatedReaction(reaction, certificate.lower)
     plan = plan_riesz_convolution(grid, 1.0 - exponents.s)
     if frozen_options is None:
@@ -150,7 +150,7 @@ def build_instance(
         exponents=exponents,
         reaction=reaction,
         convective=convective,
-        tables=tables,
+        operator=operator,
         certificate=certificate,
         trunc=trunc,
         plan=plan,
@@ -160,10 +160,10 @@ def build_instance(
 
 def frozen_at(instance: ProblemInstance, v: np.ndarray) -> FrozenProblem:
     """Frozen problem whose load is the convective term g(x, D^s v) for an
-    interior vector v; the tables and the truncated forcing are the
+    interior vector v; the operator and the truncated forcing are the
     instance's, checked once when it was built."""
     xi = riesz_gradient(instance.plan, v)
-    return FrozenProblem(instance.tables, instance.trunc, g_eval(instance.convective, xi))
+    return FrozenProblem(instance.operator, instance.trunc, g_eval(instance.convective, xi))
 
 
 def apply_T(instance: ProblemInstance, v: np.ndarray, start=None) -> MinimizeResult:
@@ -206,12 +206,12 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
         return None
     rng = np.random.default_rng(seed)
     grid = instance.grid
-    tp = instance.tables[0]
+    op = instance.operator
     c_emp = 0.0
     start = None
     for k, lam in enumerate(np.logspace(-1.5, 0.5, _GROWTH_SAMPLES), start=1):
         z = rng.standard_normal(grid.n_interior)
-        v = lam * z / seminorm(tp, z)
+        v = lam * z / seminorm(op, z)
         result = apply_T(instance, v, start)
         if not result.converged:
             logger.info(_SKIPPED_LOG, k, lam)
@@ -219,7 +219,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
                 f"growth-bound sample at seminorm {lam:.3g} did not converge; skipped"
             )
             continue
-        tnorm = seminorm(tp, result.x)
+        tnorm = seminorm(op, result.x)
         start = result.x
         logger.info(
             _SAMPLE_LOG, k, lam, tnorm, result.newton_steps, result.energy_evals,
@@ -276,7 +276,7 @@ def solve_problem(
     replaces that step's answer and residuals."""
     opts = options or OuterOptions()
     grid = instance.grid
-    tp = instance.tables[0]
+    op = instance.operator
     floor = instance.trunc.floor
     ball = fit_growth_bound(instance, seed=seed) if opts.ball_monitor else None
 
@@ -287,7 +287,7 @@ def solve_problem(
     inner_iterations: list = []
     full_residuals: list = []
     thetas: list = []
-    v_norms = [seminorm(tp, v)]
+    v_norms = [seminorm(op, v)]
     _ball_check(v_norms[0], ball, "the starting iterate")
 
     theta = opts.theta
@@ -311,8 +311,8 @@ def solve_problem(
         # a failed frozen solve records a NaN step and the unmoved iterate
         if result.converged:
             v_new = relaxed_update(v, result.x, step_theta)
-            step = seminorm(tp, v_new - v)
-            v_norm = seminorm(tp, v_new)
+            step = seminorm(op, v_new - v)
+            v_norm = seminorm(op, v_new)
         else:
             step, v_norm = math.nan, v_norms[-1]
         step_seminorms.append(step)

@@ -18,9 +18,10 @@ which takes Newton steps wherever it is positive definite.
 The forms do not depend on the forcing or the load, so the objective is
 the two form energies at u minus O(n) terms, and its gradient the summed
 form gradient minus O(n) terms.  Both read the forms through
-``gagliardo.forms``, whose tables keep the last point it evaluated: the
-gradient of a trial whose energy was just taken, and any frozen problem
-on the same tables at that point (a warm start at the last answer under a
+``gagliardo.forms``, whose ``Operator`` keeps the last point it
+evaluated.  A run builds one operator and every frozen problem of the run
+shares it, so the gradient of a trial whose energy was just taken, and
+any frozen problem at that point (a warm start at the last answer under a
 new load, the verify of an answer), cost O(n) and give the bits of a new
 pass.
 """
@@ -31,43 +32,41 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gagliardo import PairWeightTable, forms, operator_gradient, operator_hessian
+from .gagliardo import Operator, forms, operator_gradient, operator_hessian
 from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, minimize_energy, scaled_norm
 from .reaction import ProblemExponents
 
 
-def check_operator_tables(grid: Grid, exponents: ProblemExponents, tables) -> tuple:
-    """Validate a ((s1,p)-table, (s2,q)-table) pair against grid and exponents."""
-    tp, tq = tables
-    for table, s_want, e_want in ((tp, exponents.s1, exponents.p), (tq, exponents.s2, exponents.q)):
-        if not isinstance(table, PairWeightTable):
-            raise TypeError("tables must be a (s1,p)-table, (s2,q)-table pair")
-        if table.grid is not grid:
-            raise ValueError("weight table was assembled on a different grid")
+def check_operator_tables(exponents: ProblemExponents, operator: Operator) -> None:
+    """Validate an operator over a ((s1,p)-table, (s2,q)-table) pair
+    against the exponents."""
+    if not isinstance(operator, Operator) or len(operator.tables) != 2:
+        raise TypeError("expected an operator over a (s1,p)-table, (s2,q)-table pair")
+    wants = ((exponents.s1, exponents.p), (exponents.s2, exponents.q))
+    for table, (s_want, e_want) in zip(operator.tables, wants):
         if abs(table.params.s - s_want) > 1e-14 or abs(table.params.p - e_want) > 1e-14:
             raise ValueError(
                 f"table order ({table.params.s},{table.params.p}) does not match "
                 f"exponents ({s_want},{e_want})"
             )
-    return tp, tq
 
 
 class FrozenProblem:
-    """One instance of the objective: the operator tables (a pair that
+    """One instance of the objective: the ``operator`` (one that
     check_operator_tables accepts), the separable forcing ``trunc`` with
     ``f``, its antiderivative ``F`` and its derivative ``df`` at interior
     states (frozen solves also start from its positive ``floor``), and the
     ``load``, one value per interior node."""
 
-    def __init__(self, tables, trunc, load):
-        self.tables = tables
+    def __init__(self, operator: Operator, trunc, load):
+        self.operator = operator
         self.trunc = trunc
         self.load = self.grid.interior_vector(load)
 
     @property
     def grid(self) -> Grid:
-        return self.tables[0].grid
+        return self.operator.grid
 
 
 def frozen_energy(prob: FrozenProblem, u) -> float:
@@ -75,10 +74,9 @@ def frozen_energy(prob: FrozenProblem, u) -> float:
     summation noise, which line searches tolerate up to optimize.EPS |E|.
     The forms come from one pass that also keeps their gradient at u, so
     frozen_gradient at the same point costs O(n)."""
-    tp, tq = prob.tables
     uv = prob.grid.interior_vector(u)
     vol = prob.grid.cell_volume
-    total = sum(forms(tp, uv, tq).energies)
+    total = sum(forms(prob.operator, uv).energies)
     total -= vol * float(np.sum(prob.trunc.F(uv)))
     total -= vol * float(np.sum(prob.load * uv))
     return total
@@ -89,10 +87,9 @@ def frozen_gradient(prob: FrozenProblem, u) -> np.ndarray:
     entry i with the nodal basis reproduces the two operator forms minus
     the forcing and the load.  The two are subtracted in one step; two
     separate subtractions round differently and change the iterates."""
-    tp, tq = prob.tables
     uv = prob.grid.interior_vector(u)
     vol = prob.grid.cell_volume
-    grad = operator_gradient(tp, uv, tq)
+    grad = operator_gradient(prob.operator, uv)
     grad -= vol * (np.asarray(prob.trunc.f(uv), dtype=float) + prob.load)
     return grad
 
@@ -101,9 +98,8 @@ def frozen_hessian(prob: FrozenProblem, u) -> np.ndarray:
     """Dense Hessian of the objective: the Hessian of the two operator
     forms minus vol * f'(u) on the diagonal.  The truncated forcing is
     constant at or below the floor, so there its derivative is 0."""
-    tp, tq = prob.tables
     uv = prob.grid.interior_vector(u)
-    hess = operator_hessian(tp, uv, tq)
+    hess = operator_hessian(prob.operator, uv)
     hess[np.diag_indices(uv.size)] -= prob.grid.cell_volume * prob.trunc.df(uv)
     return hess
 

@@ -20,16 +20,17 @@ model weight
 finite for every 0 < s < 1 < p, which treats |u_i - u_j| / |x_i - x_j|
 as a frozen local slope across the shared face.
 
-One pass over the pairs i < j serves every table of a problem: per table
-it raises |u_i - u_j|^(p-1) once, times W_ij the pair's flux, whose dot
-product with |u_i - u_j| is the energy term and whose signed sum over the
-tables is the gradient (``forms``).  The tables keep the last point such a
-pass evaluated (``PairWeightTable.last``), so the energy, seminorm or
-gradient at that point again costs O(n), with the same bits.  A solve
-evaluates each point once: a trial's energy and then its gradient, a warm
-start at the last answer, the verify of an answer and its seminorm.
-Energy passes (``energy``, ``seminorm``) away from that point skip the
-gradient and keep nothing.
+One pass over the pairs i < j serves every table of an ``Operator``: per
+table it raises |u_i - u_j|^(p-1) once, times W_ij the pair's flux, whose
+dot product with |u_i - u_j| is the energy term and whose signed sum over
+the tables is the gradient (``forms``).  The operator of a run, the
+fractional (p,q)-operator of the paper, holds its tables, their grid and
+the last point such a pass evaluated (``Operator.last``), so the energy,
+seminorm or gradient at that point again costs O(n), with the same bits.
+A solve evaluates each point once: a trial's energy and then its
+gradient, a warm start at the last answer, the verify of an answer and
+its seminorm.  Energy passes (``energy``, ``seminorm``) away from that
+point skip the gradient and keep nothing.  The tables are plain data.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ import math
 import os
 import tempfile
 import warnings
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -66,14 +66,14 @@ _DOT_TERMS = 1 << 16
 # diagonal, and a long one shares the set-up of its axis nodes (8 rows was
 # the fastest of 1 to 64 at resolutions 25 and 61)
 _SWAP_ROWS = 8
-_CACHE_ENV = "FRACSOLVE_CACHE"
+CACHE_ENV = "FRACSOLVE_CACHE"
 _CACHE_VERSION = 3
 
 # Largest interior node count a table is assembled for.  The pair pass of
-# the forms holds the index pairs i < j (n^2 eight-byte words, 134 MB at
-# n = 4096) and n^2 / 2 packed weights per table; a Newton step of the
-# solves adds the dense n x n Hessian (another 134 MB at n = 4096) and its
-# Cholesky factor, of the same size.
+# the forms holds the column j of each pair i < j (n^2 / 2 eight-byte
+# words, 67 MB at n = 4096) and n^2 / 2 packed weights per table; a Newton
+# step of the solves adds the dense n x n Hessian (134 MB at n = 4096) and
+# its Cholesky factor, of the same size.
 NODE_CAP = 4096
 
 
@@ -107,27 +107,22 @@ class PairWeightTable:
     ``grid.shape``, zero at offset 0): interior cells i and j pair with
     weight ``woff[|l_i - l_j|]``.  ``tail`` holds, per interior node, the
     kernel mass integrated over the cell times everything outside the
-    interior.  Every pair view is derived from ``woff``.  ``last`` is the
-    last point a gradient pass over the table evaluated (see ``forms``):
-    state of the run that assembled the table, O(n) in size.
+    interior.  Every pair view is derived from ``woff``.
     """
 
     grid: Grid
     params: OperatorParams
     woff: np.ndarray
     tail: np.ndarray
-    last: FormPoint | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def packed_pair(self) -> np.ndarray:
         """W_ij over the grid's pairs i < j, built on first evaluation."""
-        ii, jj = self.grid.pair_index
-        out = np.empty(ii.size)
-        block = _ROW_CHUNK * self.grid.n_interior
-        for k0 in range(0, ii.size, block):
-            out[k0 : k0 + block] = self.grid.at_offsets(
-                self.woff, ii[k0 : k0 + block], jj[k0 : k0 + block]
-            )
+        jj = self.grid.pair_index
+        out = np.empty(jj.size)
+        rows = np.arange(self.grid.n_interior)
+        for block_rows, blk, _, lens in _row_blocks(rows.size):
+            out[blk] = self.grid.at_offsets(self.woff, np.repeat(rows[block_rows], lens), jj[blk])
         return out
 
     @property
@@ -246,7 +241,7 @@ def _cache_descriptor(grid: Grid, params: OperatorParams) -> dict:
 def _cache_path(grid: Grid, params: OperatorParams) -> Path | None:
     """The file of this table, named without the format version: a file of
     another version is a miss whose rebuild overwrites it in place."""
-    root = os.environ.get(_CACHE_ENV)
+    root = os.environ.get(CACHE_ENV)
     if not root:
         return None
     key = {k: v for k, v in _cache_descriptor(grid, params).items() if k != "version"}
@@ -331,37 +326,29 @@ def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
     return table
 
 
-def _same_grid_tables(table: PairWeightTable, extra) -> tuple:
-    tables = (table, *extra)
-    for t in extra:
-        if t.grid is not table.grid:
-            raise ValueError("weight tables were assembled on different grids")
-    return tables
-
-
-def _pair_chunks(tables, uv: np.ndarray):
-    """Walk the pairs i < j (row-major) in blocks of at most _ROW_CHUNK
-    rows, so temporaries stay within _ROW_CHUNK * n.  Yields the block's
-    first row, each row's start within the block, the columns j, u_i - u_j
-    and every table's packed weights.  Row i holds the n - 1 - i pairs
-    (i, j > i), so u_i is u repeated by row rather than gathered."""
-    n = uv.size
-    _, jj = tables[0].grid.pair_index
-    packed = [t.packed_pair for t in tables]
+def _row_blocks(n: int):
+    """The pairs i < j of n nodes, row-major, in blocks of at most
+    _ROW_CHUNK rows, so temporaries stay within _ROW_CHUNK * n.  Yields the
+    block's rows i, its slice of the pairs, each row's start within the
+    block and each row's length: row i holds the n - 1 - i pairs (i, j > i)."""
     rows = np.arange(n)
-    row_len = n - 1 - rows
     row_start = rows * (2 * n - 1 - rows) // 2
     for r0 in range(0, n - 1, _ROW_CHUNK):
         r1 = min(r0 + _ROW_CHUNK, n - 1)
         blk = slice(row_start[r0], row_start[r1])
+        yield slice(r0, r1), blk, row_start[r0:r1] - row_start[r0], n - 1 - rows[r0:r1]
+
+
+def _pair_chunks(tables, uv: np.ndarray):
+    """Walk the pairs i < j by the blocks of _row_blocks.  Yields the
+    block's rows, each row's start within the block, the columns j,
+    u_i - u_j and every table's packed weights; u_i is u repeated by row
+    rather than gathered."""
+    jj = tables[0].grid.pair_index
+    packed = [t.packed_pair for t in tables]
+    for rows, blk, starts, lens in _row_blocks(uv.size):
         j = jj[blk]
-        yield (
-            r0,
-            row_start[r0:r1] - row_start[r0],
-            j,
-            np.repeat(uv[r0:r1], row_len[r0:r1]) - np.take(uv, j),
-            [w[blk] for w in packed],
-        )
+        yield rows, starts, j, np.repeat(uv[rows], lens) - np.take(uv, j), [w[blk] for w in packed]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -384,7 +371,7 @@ def _form_pass(tables, uv: np.ndarray, gradient: bool):
     n = uv.size
     half = [0.0] * len(tables)
     grad = np.zeros(n) if gradient else None
-    for r0, starts, j, du, weights in _pair_chunks(tables, uv):
+    for rows, starts, j, du, weights in _pair_chunks(tables, uv):
         adu = np.abs(du)
         flux = None
         for k, (t, w) in enumerate(zip(tables, weights)):
@@ -399,7 +386,7 @@ def _form_pass(tables, uv: np.ndarray, gradient: bool):
         if gradient:
             # antisymmetric flux of the pair: +flux on node i, -flux on node j
             np.copysign(flux, du, out=flux)
-            grad[r0 : r0 + starts.size] += np.add.reduceat(flux, starts)
+            grad[rows] += np.add.reduceat(flux, starts)
             grad -= np.bincount(j, flux, minlength=n)
     au = np.abs(uv)
     energies = []
@@ -417,89 +404,95 @@ def _form_pass(tables, uv: np.ndarray, gradient: bool):
 
 @dataclass(frozen=True)
 class FormPoint:
-    """The forms of a tuple of tables at one interior vector ``x``, from one
+    """The forms of an operator at one interior vector ``x``, from one
     pass: each table's energy and the gradient summed over the tables.
-    Read-only; the tables keep the last one (``PairWeightTable.last``) and
-    are held here by weak references, so a table and its point form no
-    reference cycle and are freed with the run."""
+    Read-only."""
 
-    refs: tuple
     x: np.ndarray
     energies: tuple
     grad: np.ndarray
 
-    def positions(self, tables, uv: np.ndarray) -> list | None:
-        """Where each of ``tables`` sits among this point's tables, when
-        each is there and ``uv`` equals ``x`` exactly; None otherwise."""
-        held = [r() for r in self.refs]
-        pos = [next((k for k, h in enumerate(held) if h is t), None) for t in tables]
-        if None in pos or not np.array_equal(self.x, uv):
-            return None
-        return pos
+
+class Operator:
+    """The operator of a run: the sum of the forms of its weight tables,
+    which share one grid, such as the (s1,p) and the (s2,q) table of the
+    fractional (p,q)-Laplacian.  ``last`` is the last point a gradient pass
+    over the tables evaluated (see ``forms``); it refers to no table, so an
+    operator and its tables are freed with the run."""
+
+    def __init__(self, *tables: PairWeightTable):
+        if not tables or not all(isinstance(t, PairWeightTable) for t in tables):
+            raise TypeError("an operator takes one or more weight tables")
+        self.grid = tables[0].grid
+        if any(t.grid is not self.grid for t in tables):
+            raise ValueError("weight tables were assembled on different grids")
+        self.tables = tables
+        self.last: FormPoint | None = None
+
+    def kept(self, uv: np.ndarray) -> FormPoint | None:
+        """The kept point when it is at ``uv`` exactly, else None."""
+        if self.last is not None and np.array_equal(self.last.x, uv):
+            return self.last
+        return None
 
 
-def forms(table: PairWeightTable, u, *extra: PairWeightTable) -> FormPoint:
+def forms(op: Operator, u) -> FormPoint:
     """Each table's energy and the summed gradient at the interior vector u.
-    A point that the last gradient pass over these tables (in this order)
-    evaluated is returned as kept, with the same bits as a new pass; any
-    other point is evaluated by one pass and kept in every table's
-    ``last``, replacing the point before it."""
-    tables = _same_grid_tables(table, extra)
-    uv = table.grid.interior_vector(u)
-    last = table.last
-    if last is not None and last.positions(tables, uv) == list(range(len(last.refs))):
-        return last
-    energies, grad = _form_pass(tables, uv, gradient=True)
-    x = uv.copy()
-    x.flags.writeable = grad.flags.writeable = False
-    point = FormPoint(tuple(weakref.ref(t) for t in tables), x, tuple(energies), grad)
-    for t in tables:
-        t.last = point
+    The operator's kept point is returned when it is at u, with the same
+    bits as a new pass; any other point is evaluated by one pass and kept,
+    replacing the point before it."""
+    uv = op.grid.interior_vector(u)
+    point = op.kept(uv)
+    if point is None:
+        energies, grad = _form_pass(op.tables, uv, gradient=True)
+        x = uv.copy()
+        x.flags.writeable = grad.flags.writeable = False
+        point = op.last = FormPoint(x, tuple(energies), grad)
     return point
 
 
-def seminorm(table: PairWeightTable, u) -> float:
-    """Gagliardo-type seminorm of order (s, p), including the exterior tail."""
-    p = table.params.p
-    return (p * energy(table, u)) ** (1.0 / p)
+def seminorm(op: Operator, u) -> float:
+    """Gagliardo-type seminorm of the operator's first table, of order
+    (s1, p), including the exterior tail.  At the kept point it is read
+    from there; elsewhere a one-table pass computes it and keeps nothing."""
+    uv = op.grid.interior_vector(u)
+    table = op.tables[0]
+    point = op.kept(uv)
+    e = point.energies[0] if point else _form_pass((table,), uv, gradient=False)[0][0]
+    return (table.params.p * e) ** (1.0 / table.params.p)
 
 
-def energy(table: PairWeightTable, u, *extra: PairWeightTable) -> float:
-    """Dirichlet energy (1/p) * seminorm^p, in float64.  Extra tables on the
-    same grid add their energies from the same pass.  At the point the last
-    gradient pass over these tables evaluated, the energies are read from
-    it; elsewhere a pass computes them and keeps nothing."""
-    tables = _same_grid_tables(table, extra)
-    uv = table.grid.interior_vector(u)
-    pos = None if table.last is None else table.last.positions(tables, uv)
-    if pos is None:
-        return sum(_form_pass(tables, uv, gradient=False)[0])
-    return sum(table.last.energies[k] for k in pos)
+def energy(op: Operator, u) -> float:
+    """Dirichlet energy (1/p) * seminorm^p summed over the operator's
+    tables, in float64.  At the kept point the energies are read from it;
+    elsewhere a pass computes them and keeps nothing."""
+    uv = op.grid.interior_vector(u)
+    point = op.kept(uv)
+    return sum(point.energies if point else _form_pass(op.tables, uv, gradient=False)[0])
 
 
-def operator_gradient(table: PairWeightTable, u, *extra: PairWeightTable) -> np.ndarray:
+def operator_gradient(op: Operator, u) -> np.ndarray:
     """Gradient of the energy over interior nodes: entry i is the weak
     pairing of the monotone operator at u with the nodal basis vector e_i,
-    so pairing it with u gives p * energy.  Extra tables on the same grid
-    add their gradients from the same pass.  A new array, computed by (or
-    read from) forms."""
-    return forms(table, u, *extra).grad.copy()
+    so pairing it with u gives p * energy for a one-table operator.  The
+    tables' gradients are summed.  A new array, computed by (or read from)
+    forms."""
+    return forms(op, u).grad.copy()
 
 
-def operator_hessian(table: PairWeightTable, u, *extra: PairWeightTable) -> np.ndarray:
+def operator_hessian(op: Operator, u) -> np.ndarray:
     """Hessian of the energy over interior nodes, a dense symmetric n x n
     matrix: the weighted graph Laplacian with weight 2 (p-1) W_ij |u_i -
     u_j|^(p-2) per pair plus the tail diagonal 2 (p-1) T_i |u_i|^(p-2),
     summed over the tables.  It vanishes at u = 0 when every p > 2, and is
-    infinite where a difference or a value is 0 and some p < 2.  Extra
-    tables on the same grid add their Hessians from the same pass."""
-    tables = _same_grid_tables(table, extra)
-    uv = table.grid.interior_vector(u)
+    infinite where a difference or a value is 0 and some p < 2."""
+    tables = op.tables
+    uv = op.grid.interior_vector(u)
     n = uv.size
     hess = np.zeros((n, n))
     cols = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r0, starts, _, du, weights in _pair_chunks(tables, uv):
+        for rows, _, _, du, weights in _pair_chunks(tables, uv):
             adu = np.abs(du)
             off = -2.0 * sum(
                 (t.params.p - 1.0) * w * adu ** (t.params.p - 2.0)
@@ -507,7 +500,6 @@ def operator_hessian(table: PairWeightTable, u, *extra: PairWeightTable) -> np.n
             )
             # the block's pairs i < j in row-major order, written through
             # boolean masks, which store in order rather than by index
-            rows = slice(r0, r0 + starts.size)
             upper = cols > cols[rows, None]
             hess[rows][upper] = off
             hess.T[rows][upper] = off

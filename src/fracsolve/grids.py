@@ -156,8 +156,10 @@ class Grid:
 
     @cached_property
     def pair_index(self):
-        """Interior-node pairs (i, j) with i < j, row-major, built on first use."""
-        return np.triu_indices(self.n_interior, 1)
+        """Column j of each interior-node pair (i, j) with i < j, row-major,
+        built on first use; row i is the n - 1 - i pairs (i, j > i), so i
+        follows from the position."""
+        return np.triu_indices(self.n_interior, 1)[1]
 
     def interior_vector(self, vec):
         """``vec`` as a float array, checked to hold one value per interior

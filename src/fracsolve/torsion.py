@@ -23,8 +23,7 @@ from .frozen import (
     frozen_gradient,
     frozen_hessian,
 )
-from .gagliardo import energy
-from .grids import Grid
+from .gagliardo import Operator
 from .optimize import MinimizerOptions, bisect_root, minimize_energy
 from .reaction import ProblemExponents, SingularReaction, f_eval, liminf_at_zero
 
@@ -84,31 +83,25 @@ class ConstantForcing:
         return self.sigma * np.asarray(t, dtype=float)
 
 
-def torsion_objective(
-    sigma: float, exponents: ProblemExponents, grid: Grid, tables
-) -> FrozenProblem:
+def torsion_objective(sigma: float, operator: Operator) -> FrozenProblem:
     """The shared objective with constant forcing sigma and no load."""
     if sigma <= 0.0:
         raise ValueError(f"forcing sigma must be positive, got {sigma}")
-    tables = check_operator_tables(grid, exponents, tables)
-    return FrozenProblem(tables, ConstantForcing(sigma), np.zeros(grid.n_interior))
+    return FrozenProblem(operator, ConstantForcing(sigma), np.zeros(operator.grid.n_interior))
 
 
 def solve_torsion(
-    sigma: float,
-    exponents: ProblemExponents,
-    grid: Grid,
-    tables,
-    options: MinimizerOptions | None = None,
+    sigma: float, operator: Operator, options: MinimizerOptions | None = None
 ) -> np.ndarray:
-    """Minimize the double-operator energy against constant forcing sigma,
-    starting from the best constant field (the Hessian vanishes at zero);
-    returns the interior vector."""
-    prob = torsion_objective(sigma, exponents, grid, tables)
+    """Minimize the energy of the operator over a ((s1,p)-table,
+    (s2,q)-table) pair against constant forcing sigma, starting from the
+    best constant field (the Hessian vanishes at zero); returns the
+    interior vector."""
+    prob = torsion_objective(sigma, operator)
     if options is None:
         # scale the stationarity target with the forcing so tiny sigma can
         # never accept the zero field, and floor it above fp noise
-        options = MinimizerOptions(tol=max(1e-14, 1e-8 * sigma * grid.cell_volume))
+        options = MinimizerOptions(tol=max(1e-14, 1e-8 * sigma * prob.grid.cell_volume))
     result = minimize_energy(
         lambda u: frozen_energy(prob, u),
         lambda u: frozen_gradient(prob, u),
@@ -132,9 +125,13 @@ def _constant_start(prob: FrozenProblem) -> np.ndarray:
     """t * 1 for the t > 0 that minimizes the objective along the constant
     interior vectors.  The forms are homogeneous, so the objective there is
     a t^p + b t^q - c t with a, b the form energies of 1, and t is the root
-    of its increasing derivative."""
+    of its increasing derivative.  Every pair difference of 1 vanishes, so
+    a form's energy there is its tail term 2 (T . 1) / p, with the bits of
+    a pass (whose tail dot product is one BLAS call for n <= 2^16)."""
     ones = np.ones(prob.grid.n_interior)
-    (a, p), (b, q) = ((energy(t, ones), t.params.p) for t in prob.tables)
+    (a, p), (b, q) = (
+        (2.0 * float(t.tail @ ones) / t.params.p, t.params.p) for t in prob.operator.tables
+    )
     c = prob.trunc.sigma * prob.grid.cell_volume * ones.size
 
     def slope(t):
@@ -178,13 +175,13 @@ def _admissible_delta(reaction: SingularReaction, epsilon: float) -> float:
 def select_sigma(
     reaction: SingularReaction,
     exponents: ProblemExponents,
-    grid: Grid,
-    tables,
+    operator: Operator,
     epsilon: float | None = None,
 ) -> SubsolutionCertificate:
     """Halve sigma from epsilon/2 until the torsion solution is a certified
     floor: small sup norm, strictly positive, forcing above sigma at every
-    node."""
+    node.  The operator is checked against the exponents once."""
+    check_operator_tables(exponents, operator)
     L = liminf_at_zero(reaction)
     if epsilon is None:
         epsilon = 1.0 if np.isinf(L) else L / 2.0
@@ -198,7 +195,7 @@ def select_sigma(
 
     sigma = epsilon / 2.0
     for halvings in range(_MAX_HALVINGS + 1):
-        vals = solve_torsion(sigma, exponents, grid, tables)
+        vals = solve_torsion(sigma, operator)
         sup = float(np.max(np.abs(vals)))
         certified = (
             bool(np.all(vals > 0.0))
@@ -211,7 +208,7 @@ def select_sigma(
             return SubsolutionCertificate(
                 lower=vals,
                 sigma=sigma,
-                eta=hopf_ratio(vals, grid.interior_distance, exponent),
+                eta=hopf_ratio(vals, operator.grid.interior_distance, exponent),
                 exponent=exponent,
                 epsilon=float(epsilon),
                 delta=float(delta),

@@ -58,7 +58,7 @@ def uniqueness_probe(
     cannot masquerade as a uniqueness gap.  Failed solves make the probe
     inconclusive (NaN + warning).
     """
-    if not uniqueness_certified(prob.trunc.base, prob.tables[1].params.p):
+    if not uniqueness_certified(prob.trunc.base, prob.operator.tables[1].params.p):
         warnings.warn(
             "decreasing-ratio condition r < q-1 not certified: uniqueness probe skipped"
         )

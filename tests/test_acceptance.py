@@ -30,6 +30,7 @@ from fracsolve.frozen import (
     solve_frozen,
 )
 from fracsolve.gagliardo import (
+    Operator,
     OperatorParams,
     assemble_weights,
     energy,
@@ -115,7 +116,7 @@ def test_criterion_2_gagliardo_operator():
             assert gap >= -1e-10
         u = rng.standard_normal(grid.n_interior)
         lhs = apply_form(table, u, u)
-        rhs = p * energy(table, u)
+        rhs = p * energy(Operator(table), u)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     combos = list(tables)
     eps = 1e-6
@@ -123,13 +124,13 @@ def test_criterion_2_gagliardo_operator():
         s, p = combos[k % 3]
         table = tables[(s, p)]
         u = rng.standard_normal(grid.n_interior)
-        g = operator_gradient(table, u)
+        g = operator_gradient(Operator(table), u)
         fd = np.empty_like(g)
         for i in range(u.size):
             up, um = u.copy(), u.copy()
             up[i] += eps
             um[i] -= eps
-            fd[i] = (energy(table, up) - energy(table, um)) / (2.0 * eps)
+            fd[i] = (energy(Operator(table), up) - energy(Operator(table), um)) / (2.0 * eps)
         rel = np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(fd)))
         assert rel < 1e-5
     dt = time.perf_counter() - t0
@@ -157,7 +158,7 @@ def test_criterion_3_hidden_convexity():
                 violation = d3 - ((1 - t) * d1 + t * d2)
                 assert violation.max() <= 1e-12
                 # composed energy inherits convexity on the same triple
-                phi = lambda w: seminorm(table, grid.pack(w ** (1 / q))) ** p
+                phi = lambda w: seminorm(Operator(table), grid.pack(w ** (1 / q))) ** p
                 lhs = phi((1 - t) * u1 + t * u2)
                 rhs = (1 - t) * phi(u1) + t * phi(u2)
                 assert lhs <= rhs + 1e-10 * (1.0 + abs(rhs))
@@ -195,8 +196,8 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
         assert np.all(inst.trunc.floor > 0.0)
         # sub-solution inequality against every nodal basis function
         resid = (
-            operator_gradient(inst.tables[0], inst.trunc.floor)
-            + operator_gradient(inst.tables[1], inst.trunc.floor)
+            operator_gradient(Operator(inst.operator.tables[0]), inst.trunc.floor)
+            + operator_gradient(Operator(inst.operator.tables[1]), inst.trunc.floor)
             - inst.grid.cell_volume
             * f_eval(inst.reaction, inst.trunc.floor)
         )
@@ -205,9 +206,7 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
     cfg, inst = shipped_instances["interval_1d"]
     sups = []
     for factor in (1.0, 2.0, 4.0, 8.0, 16.0):
-        u = solve_torsion(
-            inst.certificate.sigma * factor, cfg.exponents, inst.grid, inst.tables
-        )
+        u = solve_torsion(inst.certificate.sigma * factor, inst.operator)
         sups.append(float(np.max(np.abs(u))))
     assert all(b > a for a, b in zip(sups, sups[1:])), sups
 
@@ -222,20 +221,19 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
 def test_criterion_6_frozen_solver(shipped_instances):
     t0 = time.perf_counter()
     # quadratic case against a dense linear solve
-    exps2 = ProblemExponents(s=0.5, s1=0.5, s2=0.5, p=2.0, q=2.0, dim=1)
     grid2 = build_grid(interval(0.0, 1.0), 17)
-    tabs2 = (
+    op2 = Operator(
         assemble_weights(grid2, OperatorParams(s=0.5, p=2.0)),
         assemble_weights(grid2, OperatorParams(s=0.5, p=2.0)),
     )
     sigma = 0.7
-    u_iter = solve_torsion(sigma, exps2, grid2, tabs2)
+    u_iter = solve_torsion(sigma, op2)
 
     def linear_matrix(table):
         W = table.pair
         return 2.0 * (np.diag(W.sum(axis=1) + table.tail) - W)
 
-    A = linear_matrix(tabs2[0]) + linear_matrix(tabs2[1])
+    A = linear_matrix(op2.tables[0]) + linear_matrix(op2.tables[1])
     rhs = sigma * grid2.cell_volume * np.ones(grid2.n_interior)
     want = np.linalg.solve(A, rhs)
     assert np.linalg.norm(u_iter - want) / np.linalg.norm(want) < 1e-8
@@ -245,13 +243,13 @@ def test_criterion_6_frozen_solver(shipped_instances):
     reaction = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
     convective = ConvectiveReaction(c3=0.2, zeta=1.2)
     grid3 = build_grid(interval(0.0, 1.0), 5)
-    tabs3 = (
+    op3 = Operator(
         assemble_weights(grid3, OperatorParams(s=exps.s1, p=exps.p)),
         assemble_weights(grid3, OperatorParams(s=exps.s2, p=exps.q)),
     )
     xi3 = riesz_gradient(plan_riesz_convolution(grid3, 1.0 - exps.s), np.array([0.1, 0.15, 0.1]))
     prob3 = FrozenProblem(
-        tables=tabs3,
+        operator=op3,
         trunc=TruncatedReaction(reaction, np.array([0.045, 0.07, 0.045])),
         load=g_eval(convective, xi3),
     )
@@ -262,7 +260,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
     cand = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     vol = grid3.cell_volume
     total = np.zeros(cand.shape[0])
-    for table, p in ((tabs3[0], exps.p), (tabs3[1], exps.q)):
+    for table, p in zip(op3.tables, (exps.p, exps.q)):
         du = cand[:, :, None] - cand[:, None, :]
         total += (
             np.sum(table.pair * np.abs(du) ** p, axis=(1, 2))

@@ -27,7 +27,7 @@ from fracsolve.driver import (
     verify_solution,
 )
 from fracsolve.frozen import FrozenProblem, frozen_gradient, scaled_norm, weak_residual
-from fracsolve.gagliardo import seminorm
+from fracsolve.gagliardo import Operator, seminorm
 from fracsolve.grids import build_grid, disk, interval
 from fracsolve.optimize import MinimizeResult, MinimizerOptions
 from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction, g_eval
@@ -87,7 +87,7 @@ def random_field(instance, lam, seed):
     """Interior vector with (s1,p)-seminorm exactly lam."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(instance.grid.n_interior)
-    return lam * z / seminorm(instance.tables[0], z)
+    return lam * z / seminorm(instance.operator, z)
 
 
 class TestApplyT:
@@ -132,7 +132,7 @@ class TestApplyT:
             v = random_field(instance_1d, lam, seed)
             tv = apply_T(instance_1d, v)
             assert tv.converged
-            lhs = seminorm(instance_1d.tables[0], tv.x) ** e.p
+            lhs = seminorm(instance_1d.operator, tv.x) ** e.p
             rhs = 2.0 * bound.c_emp * (1.0 + lam**bound.exponent)
             assert lhs <= rhs
 
@@ -204,18 +204,18 @@ class TestApplyT:
         # one energy pass scales each of the 20 samples; the T(v) seminorm
         # is read from the forms its solve kept at its answer
         assert passes.count(False) == 20
-        # measured by a new pass, with nothing kept, the fit is the same
+        # measured by a new pass, with nothing kept, the fit is the same:
+        # the fit and each of its samples run on fresh operators over the
+        # same tables
+        def fresh(inst):
+            return replace(inst, operator=Operator(*inst.operator.tables))
+
         solve = driver.apply_T
-
-        def forgetful_T(inst, v, start=None):
-            result = solve(inst, v, start)
-            for table in inst.tables:
-                table.last = None
-            return result
-
-        monkeypatch.setattr(driver, "apply_T", forgetful_T)
+        monkeypatch.setattr(
+            driver, "apply_T", lambda inst, v, start=None: solve(fresh(inst), v, start)
+        )
         passes.clear()
-        cold = fit_growth_bound(instance_1d_loose, seed=0)
+        cold = fit_growth_bound(fresh(instance_1d_loose), seed=0)
         assert passes.count(False) == 2 * 20
         assert kept == cold
 
@@ -355,7 +355,7 @@ class TestSolveProblem:
     def test_contracting_map_takes_picard_steps(self, instance_1d, monkeypatch):
         monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.1))
         floor = instance_1d.trunc.floor
-        tol = 1e-2 * seminorm(instance_1d.tables[0], floor)
+        tol = 1e-2 * seminorm(instance_1d.operator, floor)
         report = solve_problem(instance_1d, OuterOptions(tol=tol, ball_monitor=False))
         # theta = 0.5 alone would shrink the step by 0.55 a step and need 8
         assert report.converged and report.outer_iterations <= 4
@@ -392,7 +392,7 @@ class TestSolveProblem:
 
         def problem_at(uv):
             xi = riesz_gradient(inst.plan, uv)
-            return FrozenProblem(tables=inst.tables, trunc=inst.trunc, load=g_eval(inst.convective, xi))
+            return FrozenProblem(inst.operator, inst.trunc, g_eval(inst.convective, xi))
 
         u = inst.trunc.floor.copy()
         n = u.size
@@ -483,7 +483,7 @@ class TestSolveProblem:
         # built only when an oracle asks for it, and kept by nobody
         solve_problem(instance_1d, OuterOptions())
         n = instance_1d.grid.n_interior
-        for table in instance_1d.tables:
+        for table in instance_1d.operator.tables:
             sizes = [v.size for v in vars(table).values() if isinstance(v, np.ndarray)]
             assert sizes
             assert n * n not in sizes
@@ -564,7 +564,7 @@ class TestPassCounts:
         assert again.converged and again.iterations == 0
         assert passes == []
         verify_solution(inst, again.x)
-        assert seminorm(inst.tables[0], again.x) == seminorm(inst.tables[0], first.x)
+        assert seminorm(inst.operator, again.x) == seminorm(inst.operator, first.x)
         assert passes == []
 
     def test_outer_loop_spends_no_pass_on_a_kept_point(self, disk_instance, monkeypatch):

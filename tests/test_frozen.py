@@ -33,6 +33,7 @@ from fracsolve.frozen import (
     weak_residual,
 )
 from fracsolve.gagliardo import (
+    Operator,
     OperatorParams,
     assemble_weights,
     energy,
@@ -60,62 +61,67 @@ CONVECTIVE_1D = ConvectiveReaction(c3=0.2, zeta=1.2)
 
 
 def build_problem(grid, exponents, reaction, convective, floor, v):
-    tables = (
+    operator = Operator(
         assemble_weights(grid, OperatorParams(exponents.s1, exponents.p)),
         assemble_weights(grid, OperatorParams(exponents.s2, exponents.q)),
     )
     xi = riesz_gradient(plan_riesz_convolution(grid, 1.0 - exponents.s), v)
     trunc = TruncatedReaction(reaction, floor)
-    return FrozenProblem(tables=tables, trunc=trunc, load=g_eval(convective, xi))
+    return FrozenProblem(operator=operator, trunc=trunc, load=g_eval(convective, xi))
 
 
 @pytest.fixture(scope="module")
 def setup_1d():
     grid = build_grid(interval(0.0, 1.0), 17)
-    tables = (
+    operator = Operator(
         assemble_weights(grid, OperatorParams(0.6, 2.5)),
         assemble_weights(grid, OperatorParams(0.5, 2.2)),
     )
-    cert = select_sigma(REACTION_1D, EXPONENTS_1D, grid, tables)
+    cert = select_sigma(REACTION_1D, EXPONENTS_1D, operator)
     lower = cert.lower
     xi = riesz_gradient(plan_riesz_convolution(grid, 1.0 - EXPONENTS_1D.s), lower)
     trunc = TruncatedReaction(REACTION_1D, lower)
-    prob = FrozenProblem(tables=tables, trunc=trunc, load=g_eval(CONVECTIVE_1D, xi))
+    prob = FrozenProblem(operator=operator, trunc=trunc, load=g_eval(CONVECTIVE_1D, xi))
     return grid, cert, prob
 
 
 class TestObjective:
     def test_tables_checked_against_grid_and_exponents(self, setup_1d):
-        grid, _, prob = setup_1d
-        tp, tq = prob.tables
-        assert check_operator_tables(grid, EXPONENTS_1D, (tp, tq)) == (tp, tq)
+        _, _, prob = setup_1d
+        tp, tq = prob.operator.tables
+        check_operator_tables(EXPONENTS_1D, prob.operator)
         with pytest.raises(ValueError, match="does not match"):
-            check_operator_tables(grid, EXPONENTS_1D, (tq, tp))
+            check_operator_tables(EXPONENTS_1D, Operator(tq, tp))
         other = build_grid(interval(0.0, 1.0), 17)
         with pytest.raises(ValueError, match="different grid"):
-            check_operator_tables(other, EXPONENTS_1D, (tp, tq))
+            Operator(tp, assemble_weights(other, tq.params))
         with pytest.raises(TypeError):
-            check_operator_tables(grid, EXPONENTS_1D, (tp, tp.pair))
+            Operator(tp, tp.pair)
+        for bad in ((tp, tq), Operator(tp), Operator(tp, tq, tq)):
+            with pytest.raises(TypeError):
+                check_operator_tables(EXPONENTS_1D, bad)
+        with pytest.raises(ValueError, match="does not match"):
+            select_sigma(REACTION_1D, EXPONENTS_1D, Operator(tq, tp))
 
     def test_load_and_start_are_interior_vectors(self, setup_1d):
         grid, _, prob = setup_1d
         n = grid.n_interior
         with pytest.raises(ValueError, match=f"expected {n} interior values"):
-            FrozenProblem(tables=prob.tables, trunc=prob.trunc, load=np.zeros(n + 1))
+            FrozenProblem(operator=prob.operator, trunc=prob.trunc, load=np.zeros(n + 1))
         with pytest.raises(ValueError, match=f"expected {n} interior values"):
             solve_frozen(prob, start=np.ones(n - 1))
 
     def test_torsion_objective_off_power_of_two(self, setup_1d):
         grid, _, prob = setup_1d
-        tp, tq = prob.tables
+        tp, tq = prob.operator.tables
         sigma = 0.3
-        torsion = torsion_objective(sigma, EXPONENTS_1D, grid, prob.tables)
+        torsion = torsion_objective(sigma, prob.operator)
         vol = grid.cell_volume
         rng = np.random.default_rng(5)
         u = rng.standard_normal(grid.n_interior)
-        want = energy(tp, u) + energy(tq, u) - sigma * vol * np.sum(u)
+        want = energy(Operator(tp), u) + energy(Operator(tq), u) - sigma * vol * np.sum(u)
         assert frozen_energy(torsion, u) == pytest.approx(want, rel=1e-13)
-        want_grad = operator_gradient(tp, u, tq) - sigma * vol
+        want_grad = operator_gradient(Operator(tp, tq), u) - sigma * vol
         np.testing.assert_allclose(frozen_gradient(torsion, u), want_grad, rtol=1e-13)
 
 
@@ -168,7 +174,7 @@ class TestWeakResidual:
         n = grid.n_interior
         rng = np.random.default_rng(11)
         u = prob.trunc.floor + 0.1 * rng.random(n)
-        tp, tq = prob.tables
+        tp, tq = prob.operator.tables
         vol = grid.cell_volume
         fvals = prob.trunc.f(u)
         want = np.empty(n)
@@ -205,23 +211,23 @@ class TestWeakResidual:
 
 
 class TestKeptForms:
-    """The forms do not depend on the load: at a point the tables kept, any
-    frozen problem on them costs O(n) and gives the bits of a new pass."""
+    """The forms do not depend on the load: at a point the operator kept,
+    any frozen problem on it costs O(n) and gives the bits of a new pass."""
 
     def test_new_load_at_a_kept_point_costs_no_pass(self, setup_1d, monkeypatch):
         grid, _, prob = setup_1d
         u = solve_frozen(prob).x
-        other = FrozenProblem(prob.tables, prob.trunc, prob.load + 0.3)
+        other = FrozenProblem(prob.operator, prob.trunc, prob.load + 0.3)
         passes = count_form_passes(monkeypatch)
         warm = (frozen_energy(other, u), frozen_gradient(other, u), weak_residual(other, u))
         assert passes == []
-        for table in prob.tables:
-            table.last = None
-        cold_energy = frozen_energy(other, u)
+        # the same problem on a fresh operator over the same tables
+        cold = FrozenProblem(Operator(*prob.operator.tables), other.trunc, other.load)
+        cold_energy = frozen_energy(cold, u)
         assert passes == [True]
         assert warm[0] == cold_energy
-        assert np.array_equal(warm[1], frozen_gradient(other, u))
-        assert warm[2] == weak_residual(other, u)
+        assert np.array_equal(warm[1], frozen_gradient(cold, u))
+        assert warm[2] == weak_residual(cold, u)
         assert passes == [True]
 
     def test_trial_gradient_after_its_energy_costs_no_pass(self, setup_1d, monkeypatch):
@@ -336,7 +342,9 @@ class TestSolveFrozen:
         # truncated problem: the descent converges, the bound check fails
         grid, _, prob = setup_1d
         raised = 3.0 * prob.trunc.floor
-        dipped = FrozenProblem(prob.tables, TruncatedReaction(prob.trunc.base, raised), prob.load)
+        dipped = FrozenProblem(
+            prob.operator, TruncatedReaction(prob.trunc.base, raised), prob.load
+        )
         tol = default_frozen_options(grid).tol
         result = solve_frozen(dipped)
         assert result.residual < tol
@@ -360,7 +368,7 @@ class TestSolveFrozen:
         cand = np.stack(
             np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1
         ).reshape(-1, 3)
-        tp, tq = prob.tables
+        tp, tq = prob.operator.tables
         vol = grid.cell_volume
 
         def batch_energy(U):
@@ -388,7 +396,7 @@ class TestSolveFrozen:
     def test_constant_forcing_matches_torsion(self):
         grid = build_grid(interval(0.0, 1.0), 17)
         exps = EXPONENTS_1D
-        tables = (
+        operator = Operator(
             assemble_weights(grid, OperatorParams(exps.s1, exps.p)),
             assemble_weights(grid, OperatorParams(exps.s2, exps.q)),
         )
@@ -411,7 +419,7 @@ class TestSolveFrozen:
 
         v = np.full(grid.n_interior, 0.1)
         prob = FrozenProblem(
-            tables=tables,
+            operator=operator,
             trunc=ConstantForcing(grid.n_interior),
             load=g_eval(
                 ConvectiveReaction(c3=0.0, zeta=1.2),
@@ -420,7 +428,7 @@ class TestSolveFrozen:
         )
         tol = 1e-6
         result = solve_frozen(prob, MinimizerOptions(tol=tol))
-        torsion = solve_torsion(sigma, exps, grid, tables, MinimizerOptions(tol=tol))
+        torsion = solve_torsion(sigma, operator, MinimizerOptions(tol=tol))
         diff = np.max(np.abs(result.x - torsion))
         assert diff <= 2.0 * tol
 
@@ -461,14 +469,14 @@ class TestTwoDimensional:
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
         reaction = SingularReaction(gamma=0.4, c1=0.5, c2=0.5, r=1.3)
         convective = ConvectiveReaction(c3=0.1, zeta=1.4)
-        tables = (
+        operator = Operator(
             assemble_weights(grid, OperatorParams(0.6, 3.0)),
             assemble_weights(grid, OperatorParams(0.5, 2.5)),
         )
-        cert = select_sigma(reaction, exps, grid, tables)
+        cert = select_sigma(reaction, exps, operator)
         lower = cert.lower
         prob = FrozenProblem(
-            tables=tables,
+            operator=operator,
             trunc=TruncatedReaction(reaction, lower),
             load=g_eval(
                 convective, riesz_gradient(plan_riesz_convolution(grid, 1.0 - exps.s), lower)
@@ -491,22 +499,23 @@ CONVECTIVE_2D = ConvectiveReaction(c3=0.1, zeta=1.4)
 def hessian_setup(request):
     """The frozen problem of the shipped config's parameters at a small
     resolution (interval res 17, disk res 11), with a random state well
-    above its floor, and the torsion objective on the same tables."""
+    above its floor, and the torsion objective on an operator over the
+    same tables."""
     if request.param == "interval_1d":
         grid = build_grid(interval(0.0, 1.0), 17)
         exps, reaction, convective = EXPONENTS_1D, REACTION_1D, CONVECTIVE_1D
     else:
         grid = build_grid(disk(0.0, 0.0, 1.0), 11)
         exps, reaction, convective = EXPONENTS_2D, REACTION_2D, CONVECTIVE_2D
-    tables = (
+    operator = Operator(
         assemble_weights(grid, OperatorParams(exps.s1, exps.p)),
         assemble_weights(grid, OperatorParams(exps.s2, exps.q)),
     )
-    lower = select_sigma(reaction, exps, grid, tables).lower
+    lower = select_sigma(reaction, exps, operator).lower
     prob = build_problem(grid, exps, reaction, convective, lower, lower)
     rng = np.random.default_rng(3)
     u = lower + 0.2 + 0.05 * rng.random(grid.n_interior)
-    torsion = torsion_objective(0.3, exps, grid, tables)
+    torsion = torsion_objective(0.3, operator)
     return prob, torsion, u, rng.standard_normal(grid.n_interior)
 
 
@@ -539,19 +548,18 @@ class TestHessian:
 
     def test_forcing_enters_the_diagonal(self, hessian_setup):
         prob, _, u, _ = hessian_setup
-        tp, tq = prob.tables
-        off = frozen_hessian(prob, u) - operator_hessian(tp, u, tq)
+        off = frozen_hessian(prob, u) - operator_hessian(prob.operator, u)
         want = -prob.grid.cell_volume * prob.trunc.df(u)
         np.testing.assert_allclose(np.diag(off), want, rtol=1e-12, atol=1e-15)
         assert np.all(off[~np.eye(u.size, dtype=bool)] == 0.0)
 
     def test_euler_identity_per_table(self, hessian_setup):
         prob, _, u, w = hessian_setup
-        for table in prob.tables:
+        for table in prob.operator.tables:
             p = table.params.p
             for state in (u, w):
-                lhs = operator_hessian(table, state) @ state
-                rhs = (p - 1.0) * operator_gradient(table, state)
+                lhs = operator_hessian(Operator(table), state) @ state
+                rhs = (p - 1.0) * operator_gradient(Operator(table), state)
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.max(np.abs(rhs)))
 
     def test_vanishes_at_zero(self, hessian_setup):
@@ -636,3 +644,15 @@ class TestNewtonSteps:
         for t in (0.99, 1.01):
             assert frozen_energy(torsion, t * start) > e0
         assert frozen_energy(torsion, np.zeros(start.size)) > e0
+
+    def test_torsion_start_walks_no_pairs(self, hessian_setup, monkeypatch):
+        _, torsion, _, _ = hessian_setup
+        passes = count_form_passes(monkeypatch)
+        start = _constant_start(torsion)
+        assert passes == []
+        assert start[0] > 0.0
+        # every pair difference of 1 vanishes: a pass gives the tail term
+        ones = np.ones(start.size)
+        for table in torsion.operator.tables:
+            tail_term = 2.0 * float(table.tail @ ones) / table.params.p
+            assert energy(Operator(table), ones) == tail_term

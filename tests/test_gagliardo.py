@@ -22,6 +22,7 @@ from fracsolve import gagliardo
 from fracsolve.config import load_config
 from fracsolve.gagliardo import (
     MemoryBudgetError,
+    Operator,
     OperatorParams,
     PairWeightTable,
     _cache_path,
@@ -376,30 +377,30 @@ class TestBatchedPairIntegral:
 
 class TestFormIdentities:
     def test_zero_field_zero_seminorm(self, grid_1d, table_1d):
-        assert seminorm(table_1d, np.zeros(grid_1d.n_interior)) == 0.0
+        assert seminorm(Operator(table_1d), np.zeros(grid_1d.n_interior)) == 0.0
 
     def test_nonzero_field_positive(self, grid_1d, table_1d):
         u = _random_field(grid_1d, 3)
-        assert seminorm(table_1d, grid_1d.pack(u)) > 0.0
+        assert seminorm(Operator(table_1d), grid_1d.pack(u)) > 0.0
 
     @given(lam=st.floats(min_value=0.01, max_value=50.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_p_homogeneity(self, lam, grid_1d, table_1d):
         u = _random_field(grid_1d, 7)
-        lhs = seminorm(table_1d, grid_1d.pack(lam * u))
-        rhs = lam * seminorm(table_1d, grid_1d.pack(u))
+        lhs = seminorm(Operator(table_1d), grid_1d.pack(lam * u))
+        rhs = lam * seminorm(Operator(table_1d), grid_1d.pack(u))
         assert np.isclose(lhs, rhs, rtol=1e-11)
 
     def test_apply_form_uu_is_p_energy(self, grid_1d, table_1d):
         for seed in range(5):
             u = grid_1d.pack(_random_field(grid_1d, seed))
             lhs = apply_form(table_1d, u, u)
-            rhs = 2.0 * energy(table_1d, u)  # p = 2
+            rhs = 2.0 * energy(Operator(table_1d), u)  # p = 2
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_gradient_matches_pairing(self, grid_1d, table_1d):
         u = grid_1d.pack(_random_field(grid_1d, 11))
-        g = operator_gradient(table_1d, u)
+        g = operator_gradient(Operator(table_1d), u)
         for seed in range(4):
             phi = grid_1d.pack(_random_field(grid_1d, 100 + seed))
             lhs = float(g @ phi)
@@ -411,7 +412,7 @@ class TestFormIdentities:
         for p in (2.0, 2.5, 3.0):
             table = assemble_weights(grid, OperatorParams(s=0.6, p=p))
             uvec = grid.pack(_random_field(grid, 21))
-            g = operator_gradient(table, uvec)
+            g = operator_gradient(Operator(table), uvec)
             eps = 1e-6
             fd = np.empty_like(g)
             for k in range(uvec.size):
@@ -419,7 +420,7 @@ class TestFormIdentities:
                 up[k] += eps
                 dn[k] -= eps
                 fd[k] = (
-                    energy(table, up) - energy(table, dn)
+                    energy(Operator(table), up) - energy(Operator(table), dn)
                 ) / (2 * eps)
             assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-5
 
@@ -441,7 +442,7 @@ class TestFormIdentities:
             u = grid_1d.pack(rng.normal(size=grid_1d.points.shape[0]))
             phi = grid_1d.pack(rng.normal(size=grid_1d.points.shape[0]))
             lhs = abs(apply_form(table, u, phi))
-            rhs = seminorm(table, u) ** (2.7 - 1.0) * seminorm(table, phi)
+            rhs = seminorm(Operator(table), u) ** (2.7 - 1.0) * seminorm(Operator(table), phi)
             assert lhs <= rhs + 1e-8
 
     def test_energy_convex_along_segments(self, grid_1d):
@@ -452,8 +453,9 @@ class TestFormIdentities:
             w = rng.normal(size=grid_1d.points.shape[0])
             t = rng.uniform()
             mid = (1 - t) * u + t * w
-            lhs = energy(table, grid_1d.pack(mid))
-            rhs = (1 - t) * energy(table, grid_1d.pack(u)) + t * energy(table, grid_1d.pack(w))
+            op = Operator(table)
+            lhs = energy(op, grid_1d.pack(mid))
+            rhs = (1 - t) * energy(op, grid_1d.pack(u)) + t * energy(op, grid_1d.pack(w))
             assert lhs <= rhs + 1e-10
 
 
@@ -485,12 +487,12 @@ class TestOnePassEvaluation:
         tq = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
         for seed in range(3):
             u = _tied_signed_vector(g, seed)
-            both = energy(tp, u, tq)
-            apart = energy(tp, u) + energy(tq, u)
+            both = energy(Operator(tp, tq), u)
+            apart = energy(Operator(tp), u) + energy(Operator(tq), u)
             assert isinstance(both, float)
             assert float(both) == pytest.approx(float(apart), rel=1e-13)
-            grad = operator_gradient(tp, u, tq)
-            want = operator_gradient(tp, u) + operator_gradient(tq, u)
+            grad = operator_gradient(Operator(tp, tq), u)
+            want = operator_gradient(Operator(tp), u) + operator_gradient(Operator(tq), u)
             np.testing.assert_allclose(
                 grad, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want))
             )
@@ -502,14 +504,16 @@ class TestOnePassEvaluation:
         rng = np.random.default_rng(31)
         for seed in range(3):
             u = _tied_signed_vector(g, 40 + seed)
-            grad = operator_gradient(table, u)
+            grad = operator_gradient(Operator(table), u)
             for _ in range(3):
                 phi = rng.normal(size=g.n_interior)
                 assert float(grad @ phi) == pytest.approx(
                     apply_form(table, u, phi), rel=1e-12, abs=1e-13
                 )
             # pairing u with itself is p times the energy
-            assert p * energy(table, u) == pytest.approx(apply_form(table, u, u), rel=1e-12)
+            assert p * energy(Operator(table), u) == pytest.approx(
+                apply_form(table, u, u), rel=1e-12
+            )
 
     def test_row_blocks_agree_with_one_block(self, one_pass_grid, monkeypatch):
         # these grids fit in one block of _ROW_CHUNK rows; force several
@@ -517,38 +521,46 @@ class TestOnePassEvaluation:
         tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(g, OperatorParams(s=0.5, p=1.5))
         u = _tied_signed_vector(g, 5)
-        whole_e = energy(tp, u, tq)
-        whole_g = operator_gradient(tp, u, tq)
+        whole_e = energy(Operator(tp, tq), u)
+        whole_g = operator_gradient(Operator(tp, tq), u)
+        whole_h = operator_hessian(Operator(tp, tq), u)
         monkeypatch.setattr(gagliardo, "_ROW_CHUNK", 4)
-        # forget the kept point, so the calls below walk the blocks again
-        tp.last = tq.last = None
-        assert float(energy(tp, u, tq)) == pytest.approx(float(whole_e), rel=1e-13)
+        # a fresh operator has no kept point, so the calls walk the blocks;
+        # the tables' packed weights are rebuilt by blocks as well
+        tp, tq = (PairWeightTable(t.grid, t.params, t.woff, t.tail) for t in (tp, tq))
+        op = Operator(tp, tq)
+        upper = np.triu_indices(g.n_interior, 1)
+        assert np.array_equal(g.pair_index, upper[1])
+        assert np.array_equal(tp.packed_pair, tp.pair[upper])
+        assert float(energy(op, u)) == pytest.approx(float(whole_e), rel=1e-13)
         np.testing.assert_allclose(
-            operator_gradient(tp, u, tq), whole_g, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole_g))
+            operator_gradient(op, u), whole_g, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole_g))
         )
+        assert np.array_equal(operator_hessian(op, u), whole_h)
 
     def test_tables_on_different_grids_rejected(self, one_pass_grid):
         other = build_grid(interval(0.0, 2.0), 11)
         tp = assemble_weights(one_pass_grid, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(other, OperatorParams(s=0.5, p=2.2))
-        u = np.ones(one_pass_grid.n_interior)
-        with pytest.raises(ValueError):
-            energy(tp, u, tq)
-        with pytest.raises(ValueError):
-            operator_gradient(tp, u, tq)
+        with pytest.raises(ValueError, match="different grids"):
+            Operator(tp, tq)
+        with pytest.raises(TypeError):
+            Operator(tp, tq.woff)
+        with pytest.raises(TypeError):
+            Operator()
 
     def test_only_one_interior_vector_accepted(self, one_pass_grid):
-        table = assemble_weights(one_pass_grid, OperatorParams(s=0.7, p=3.0))
+        op = Operator(assemble_weights(one_pass_grid, OperatorParams(s=0.7, p=3.0)))
         n = one_pass_grid.n_interior
         for bad in (np.ones((n, 1)), np.ones(n - 1), np.ones(one_pass_grid.shape)):
-            for form in (energy, operator_gradient, operator_hessian):
+            for form in (energy, seminorm, forms, operator_gradient, operator_hessian):
                 with pytest.raises(ValueError, match=f"expected {n} interior values"):
-                    form(table, bad)
+                    form(op, bad)
 
 
 class TestFusedPass:
     """One pass gives each table's energy and the summed gradient, and the
-    tables keep the last point it evaluated."""
+    operator keeps the last point it evaluated."""
 
     @pytest.mark.parametrize("p, q", [(1.5, 1.3), (3.0, 2.5), (1.7, 2.6)])
     def test_matches_dense_pairing(self, one_pass_grid, p, q):
@@ -557,7 +569,7 @@ class TestFusedPass:
         tp = assemble_weights(g, OperatorParams(s=0.6, p=p))
         tq = assemble_weights(g, OperatorParams(s=0.4, p=q))
         u = _tied_signed_vector(g, 11)
-        point = forms(tp, u, tq)
+        point = forms(Operator(tp, tq), u)
         for table, e in zip((tp, tq), point.energies):
             assert e == pytest.approx(apply_form(table, u, u) / table.params.p, rel=1e-12)
         basis = np.eye(g.n_interior)
@@ -570,62 +582,88 @@ class TestFusedPass:
         g = one_pass_grid
         tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(g, OperatorParams(s=0.5, p=1.5))
+        op = Operator(tp, tq)
         u = _tied_signed_vector(g, 2)
-        first = forms(tp, u, tq)
-        kept = forms(tp, u.copy(), tq)
+        first = forms(op, u)
+        kept = forms(op, u.copy())
         assert kept is first
         cold_e, cold_g = gagliardo._form_pass((tp, tq), u, gradient=True)
         assert list(kept.energies) == cold_e
         assert np.array_equal(kept.grad, cold_g)
-        assert np.array_equal(operator_gradient(tp, u, tq), cold_g)
-        # a table's energy has the same bits from a one-table energy pass
-        assert energy(tp, u) == gagliardo._form_pass((tp,), u, gradient=False)[0][0]
-        assert energy(tq, u, tp) == cold_e[1] + cold_e[0]
-        assert energy(tp, u, tq) == sum(cold_e)
+        assert np.array_equal(operator_gradient(op, u), cold_g)
+        assert energy(op, u) == sum(cold_e)
+        # the first table's energy has the same bits from a one-table pass
+        cold_p = gagliardo._form_pass((tp,), u, gradient=False)[0][0]
+        assert cold_p == cold_e[0]
+        assert seminorm(op, u) == seminorm(Operator(tp), u) == (3.0 * cold_p) ** (1.0 / 3.0)
+        assert energy(Operator(tq, tp), u) == cold_e[1] + cold_e[0]
 
     def test_recomputes_at_a_new_point_and_for_other_tables(self, one_pass_grid, monkeypatch):
         g = one_pass_grid
         tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
         other = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
+        op = Operator(tp, tq)
         u = _tied_signed_vector(g, 3)
         passes = count_form_passes(monkeypatch)
-        forms(tp, u, tq)
-        forms(tp, u, tq)
-        energy(tq, u)
-        seminorm(tp, u)
+        forms(op, u)
+        forms(op, u)
+        energy(op, u)
+        seminorm(op, u)
         assert passes == [True]
         # the answer is a copy: changing it changes nothing kept
-        grad = operator_gradient(tp, u, tq)
+        grad = operator_gradient(op, u)
         grad[:] = 0.0
-        assert passes == [True] and np.any(forms(tp, u, tq).grad != 0.0)
+        assert passes == [True] and np.any(forms(op, u).grad != 0.0)
         # neither is the input kept by reference
         w = u + 1.0
-        forms(tp, w, tq)
+        forms(op, w)
         w[0] += 1.0
-        forms(tp, w, tq)
+        forms(op, w)
         assert passes == [True] * 3
         # the same tables in another order, another table, one table alone
-        forms(tq, w, tp)
-        forms(tp, w, other)
-        forms(tp, w)
+        forms(Operator(tq, tp), w)
+        forms(Operator(tp, other), w)
+        forms(Operator(tp), w)
         assert passes == [True] * 6
-        energy(tq, u)
-        assert passes == [True] * 6 + [False]
-        forms(tp, np.nextafter(w, np.inf))
-        assert passes == [True] * 6 + [False, True]
+        # away from the kept point an energy or a seminorm keeps nothing
+        energy(op, u)
+        seminorm(op, u)
+        assert passes == [True] * 6 + [False] * 2
+        forms(op, np.nextafter(w, np.inf))
+        assert passes == [True] * 6 + [False] * 2 + [True]
 
-    def test_tables_drop_with_their_run(self, one_pass_grid):
+    def test_two_operators_over_the_same_tables_keep_separate_points(
+        self, one_pass_grid, monkeypatch
+    ):
         g = one_pass_grid
         tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
-        forms(tp, _tied_signed_vector(g, 4), tq)
-        refs = [weakref.ref(tp), weakref.ref(tq)]
+        first, second = Operator(tp, tq), Operator(tp, tq)
+        u = _tied_signed_vector(g, 6)
+        w = u + 0.5
+        passes = count_form_passes(monkeypatch)
+        at_u = forms(first, u)
+        at_w = forms(second, w)
+        assert passes == [True, True]
+        assert forms(first, u) is at_u and forms(second, w) is at_w
+        assert energy(first, u) == sum(at_u.energies)
+        assert energy(second, w) == sum(at_w.energies)
+        assert passes == [True, True]
+
+    def test_tables_drop_with_their_run(self, one_pass_grid):
+        g = one_pass_grid
+        op = Operator(
+            assemble_weights(g, OperatorParams(s=0.7, p=3.0)),
+            assemble_weights(g, OperatorParams(s=0.5, p=2.2)),
+        )
+        forms(op, _tied_signed_vector(g, 4))
+        refs = [weakref.ref(x) for x in (op, *op.tables)]
         gc.disable()
         try:
-            del tp, tq
+            del op
             # freed by reference counting, with no cycle through the kept point
-            assert [r() for r in refs] == [None, None]
+            assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
 
@@ -658,7 +696,7 @@ class TestHiddenConvexity:
 
             def phi(w):
                 root = np.maximum(w, 0.0) ** (1 / q)
-                return seminorm(table, grid_1d.pack(root)) ** p
+                return seminorm(Operator(table), grid_1d.pack(root)) ** p
 
             lhs = phi((1 - t) * u1 + t * u2)
             rhs = (1 - t) * phi(u1) + t * phi(u2)
@@ -672,7 +710,7 @@ class TestStabilityAndBudget:
             g = build_grid(interval(0.0, 1.0), res)
             table = assemble_weights(g, OperatorParams(s=0.6, p=2.6))
             u = np.sin(np.pi * g.points[:, 0])
-            vals.append(seminorm(table, g.pack(u)))
+            vals.append(seminorm(Operator(table), g.pack(u)))
         assert abs(vals[1] - vals[0]) / vals[0] < 0.05
 
     def test_memory_budget_enforced(self, monkeypatch):

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from fracsolve.gagliardo import OperatorParams, assemble_weights, operator_gradient
+from fracsolve.gagliardo import Operator, OperatorParams, assemble_weights, operator_gradient
 from fracsolve.grids import build_grid, disk, interval
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import ProblemExponents, SingularReaction, f_eval
@@ -27,24 +27,25 @@ from fracsolve.torsion import (
 )
 
 
-def _tables(grid, exps):
-    tp = assemble_weights(grid, OperatorParams(exps.s1, exps.p))
-    tq = assemble_weights(grid, OperatorParams(exps.s2, exps.q))
-    return tp, tq
+def _operator(grid, exps):
+    return Operator(
+        assemble_weights(grid, OperatorParams(exps.s1, exps.p)),
+        assemble_weights(grid, OperatorParams(exps.s2, exps.q)),
+    )
 
 
 @pytest.fixture(scope="module")
 def quad_setup():
     exps = ProblemExponents(s=0.5, s1=0.5, s2=0.5, p=2.0, q=2.0, dim=1)
     grid = build_grid(interval(0.0, 1.0), 17)
-    return exps, grid, _tables(grid, exps)
+    return exps, grid, _operator(grid, exps)
 
 
 @pytest.fixture(scope="module")
 def nl_setup():
     exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
     grid = build_grid(interval(0.0, 1.0), 17)
-    return exps, grid, _tables(grid, exps)
+    return exps, grid, _operator(grid, exps)
 
 
 def _linear_matrix(table):
@@ -182,22 +183,22 @@ class TestMinimizer:
 
 class TestTorsionQuadraticOracle:
     def test_matches_dense_linear_solve(self, quad_setup):
-        exps, grid, tables = quad_setup
+        _, grid, op = quad_setup
         sigma = 0.7
-        u = solve_torsion(sigma, exps, grid, tables)
-        A = _linear_matrix(tables[0]) + _linear_matrix(tables[1])
+        u = solve_torsion(sigma, op)
+        A = _linear_matrix(op.tables[0]) + _linear_matrix(op.tables[1])
         rhs = sigma * grid.cell_volume * np.ones(grid.n_interior)
         want = np.linalg.solve(A, rhs)
         got = u
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
 
     def test_gradient_identity_at_solution(self, quad_setup):
-        exps, grid, tables = quad_setup
+        _, grid, op = quad_setup
         sigma = 0.3
-        u = solve_torsion(sigma, exps, grid, tables)
+        u = solve_torsion(sigma, op)
         resid = (
-            operator_gradient(tables[0], u)
-            + operator_gradient(tables[1], u)
+            operator_gradient(Operator(op.tables[0]), u)
+            + operator_gradient(Operator(op.tables[1]), u)
             - sigma * grid.cell_volume
         )
         assert np.linalg.norm(resid) / np.sqrt(grid.n_interior) < 1e-8 * sigma
@@ -205,16 +206,16 @@ class TestTorsionQuadraticOracle:
 
 class TestTorsionNonlinear:
     def test_positive_and_symmetric(self, nl_setup):
-        exps, grid, tables = nl_setup
-        vals = solve_torsion(1.0, exps, grid, tables)
+        _, _, op = nl_setup
+        vals = solve_torsion(1.0, op)
         assert np.all(vals > 0.0)
         np.testing.assert_allclose(vals, vals[::-1], atol=1e-8)
 
     def test_sup_norm_monotone_in_sigma(self, nl_setup):
-        exps, grid, tables = nl_setup
+        _, _, op = nl_setup
         sups = []
         for sigma in np.logspace(-6, -1, 6):
-            u = solve_torsion(sigma, exps, grid, tables)
+            u = solve_torsion(sigma, op)
             sups.append(np.max(np.abs(u)))
         assert np.all(np.diff(sups) > 0.0)
         assert sups[0] < 1e-3  # vanishing limit
@@ -222,17 +223,17 @@ class TestTorsionNonlinear:
     def test_2d_disk_positive_symmetric(self):
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
         grid = build_grid(disk(0.0, 0.0, 1.0), 11)
-        tables = _tables(grid, exps)
-        vals = solve_torsion(1.0, exps, grid, tables)
+        op = _operator(grid, exps)
+        vals = solve_torsion(1.0, op)
         assert np.all(vals > 0.0)
         full = grid.zero_extend(vals)
         np.testing.assert_allclose(full, full[::-1, :], atol=1e-7)
         np.testing.assert_allclose(full, full[:, ::-1], atol=1e-7)
 
     def test_nonconvergence_raises(self, nl_setup):
-        exps, grid, tables = nl_setup
+        _, _, op = nl_setup
         with pytest.raises(RuntimeError):
-            solve_torsion(1.0, exps, grid, tables, MinimizerOptions(max_iter=1, tol=1e-14))
+            solve_torsion(1.0, op, MinimizerOptions(max_iter=1, tol=1e-14))
 
 
 class TestHopf:
@@ -274,9 +275,9 @@ class TestHopf:
 
 class TestSelectSigma:
     def test_singular_family_certificate(self, nl_setup):
-        exps, grid, tables = nl_setup
+        exps, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
-        cert = select_sigma(fam, exps, grid, tables)
+        cert = select_sigma(fam, exps, op)
         assert isinstance(cert, SubsolutionCertificate)
         assert cert.epsilon == 1.0
         assert cert.sigma <= 0.5 + 1e-15
@@ -291,13 +292,13 @@ class TestSelectSigma:
         assert np.all(cert.sigma < fvals)
 
     def test_subsolution_inequality_nodal(self, nl_setup):
-        exps, grid, tables = nl_setup
+        exps, grid, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
-        cert = select_sigma(fam, exps, grid, tables)
+        cert = select_sigma(fam, exps, op)
         floor = cert.lower
         resid = (
-            operator_gradient(tables[0], floor)
-            + operator_gradient(tables[1], floor)
+            operator_gradient(Operator(op.tables[0]), floor)
+            + operator_gradient(Operator(op.tables[1]), floor)
             - f_eval(fam, floor) * grid.cell_volume
         )
         assert np.all(resid <= 1e-8)
@@ -318,11 +319,11 @@ class TestSelectSigma:
         assert _admissible_delta(fam, epsilon) == pytest.approx(want, rel=1e-14)
 
     def test_bounded_family_epsilon_gate(self, nl_setup):
-        exps, grid, tables = nl_setup
+        exps, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.8, c2=0.5, r=1.1, family="bounded")
         with pytest.raises(ValueError):
-            select_sigma(fam, exps, grid, tables, epsilon=0.8)
-        cert = select_sigma(fam, exps, grid, tables)
+            select_sigma(fam, exps, op, epsilon=0.8)
+        cert = select_sigma(fam, exps, op)
         assert cert.epsilon == pytest.approx(0.4)
         assert cert.delta == pytest.approx(min(1.0, 2.0**2.0 - 1.0))
         assert cert.sup_norm < cert.delta
@@ -333,18 +334,18 @@ class TestSelectSigma:
         etas = []
         for res in (17, 33):
             grid = build_grid(interval(0.0, 1.0), res)
-            tables = _tables(grid, exps)
-            cert = select_sigma(fam, exps, grid, tables)
+            op = _operator(grid, exps)
+            cert = select_sigma(fam, exps, op)
             etas.append(cert.eta)
         ratio = etas[1] / etas[0]
         assert 0.5 <= ratio <= 2.0
 
     def test_logs_one_line_per_sigma(self, nl_setup, caplog):
-        exps, grid, tables = nl_setup
+        exps, _, op = nl_setup
         # a small c1 shrinks delta below the first torsion solutions
         fam = SingularReaction(gamma=0.5, c1=0.05, c2=0.5, r=1.1)
         with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
-            cert = select_sigma(fam, exps, grid, tables)
+            cert = select_sigma(fam, exps, op)
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.torsion"]
         assert cert.halvings > 0
         assert len(lines) == cert.halvings + 1
@@ -354,10 +355,10 @@ class TestSelectSigma:
         assert f"sigma {cert.sigma:.6e}, sup norm {cert.sup_norm:.3e}" in lines[-1]
 
     def test_logs_the_counts_of_each_solve(self, nl_setup, caplog):
-        exps, grid, tables = nl_setup
+        exps, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.05, c2=0.5, r=1.1)
         with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
-            cert = select_sigma(fam, exps, grid, tables)
+            cert = select_sigma(fam, exps, op)
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.torsion.solve"]
         assert len(lines) == cert.halvings + 1
         pattern = re.compile(
@@ -370,9 +371,9 @@ class TestSelectSigma:
             assert evals == 1 + iterations + backtracks
 
     def test_certificate_dict_fields(self, nl_setup):
-        exps, grid, tables = nl_setup
+        exps, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
-        cert = select_sigma(fam, exps, grid, tables)
+        cert = select_sigma(fam, exps, op)
         d = cert.as_dict()
         for key in ("sigma", "eta", "exponent", "sup_norm", "epsilon", "delta", "halvings"):
             assert key in d
