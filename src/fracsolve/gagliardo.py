@@ -221,9 +221,10 @@ def _inbox_exterior_tail(grid: Grid, woff: np.ndarray) -> np.ndarray:
     cells of the lattice, via one linear convolution.
 
     The FFT carries an absolute error of about eps times the largest tail
-    (at most 2.8 eps against a math.fsum of the same weights on disk(0, 0,
-    1) at resolutions 25 and 61), so the smallest entries are accurate only
-    to about 1e-13 relative."""
+    (at most 3 eps against a math.fsum of the same weights on disk(0, 0, 1)
+    at resolutions 25 and 61, for (s, p) = (0.6, 3), (0.5, 2.5) and
+    (0.6, 2.2)), so the smallest entries are accurate only to about 1e-13
+    relative."""
     ext = (~grid.interior_mask).astype(float).reshape(grid.shape)
     return grid.convolve(woff, ext).reshape(-1)[grid.interior_idx]
 

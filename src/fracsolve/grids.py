@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 __all__ = [
     "Domain",
@@ -35,6 +34,22 @@ __all__ = [
 # a node on the bounding box of an off-centre disk) can round to a few
 # ulp inside it, and must stay out of the interior all the same.
 _DISK_RTOL = 1e-12
+
+
+def _fast_len(n):
+    """The smallest 5-smooth integer (2^a 3^b 5^c) not below n >= 1: a
+    length numpy's real FFT runs fast at, where a large prime factor would
+    make it several times slower."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -200,9 +215,10 @@ class Grid:
         signed = [np.arange(1 - m, m) for m in self.shape]
         # a circular autocorrelation at least 2m - 1 long per axis holds
         # every signed offset d without wrapping, at index d mod its length
-        fshape = [next_fast_len(2 * m - 1, True) for m in self.shape]
-        spec = rfftn(mask, fshape)
-        auto = irfftn(spec * spec.conj(), fshape)
+        fshape = [_fast_len(2 * m - 1) for m in self.shape]
+        axes = tuple(range(self.dim))
+        spec = np.fft.rfftn(mask, fshape, axes)
+        auto = np.fft.irfftn(spec * spec.conj(), fshape, axes)
         auto = auto[np.ix_(*(d % f for d, f in zip(signed, fshape)))]
         counts = np.zeros(self.shape)
         np.add.at(counts, np.ix_(*(np.abs(d) for d in signed)), auto)
@@ -216,8 +232,10 @@ class Grid:
         # the full linear convolution has 3m - 2 entries per axis; pad each
         # axis to a fast real-FFT length and keep the centered m ("same"),
         # which start at m - 1
-        fshape = [next_fast_len(3 * m - 2, True) for m in self.shape]
-        full = irfftn(rfftn(values, fshape) * rfftn(signed, fshape), fshape)
+        fshape = [_fast_len(3 * m - 2) for m in self.shape]
+        axes = tuple(range(self.dim))
+        spec = np.fft.rfftn(values, fshape, axes) * np.fft.rfftn(signed, fshape, axes)
+        full = np.fft.irfftn(spec, fshape, axes)
         return full[tuple(slice(m - 1, 2 * m - 1) for m in self.shape)]
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "uniform_edges",
@@ -173,7 +172,8 @@ def halfplane_profile_constant(sp):
     Transverse profile factor of the 2D kernel |z|^{-(2+sp)} integrated
     along a line.
     """
-    return math.sqrt(math.pi) * math.exp(gammaln((sp + 1.0) / 2.0) - gammaln((sp + 2.0) / 2.0))
+    log_ratio = math.lgamma((sp + 1.0) / 2.0) - math.lgamma((sp + 2.0) / 2.0)
+    return math.sqrt(math.pi) * math.exp(log_ratio)
 
 
 def quadrant_integral(sp, a, b):

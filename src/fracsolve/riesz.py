@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .grids import Grid
 from .quadrature import _GL_W, _GL_X, cell_average_power
@@ -38,8 +37,8 @@ def riesz_normalization(dim, alpha):
     if not 0.0 < alpha < dim:
         raise ValueError(f"Riesz order needs 0 < alpha < dim, got alpha={alpha}, dim={dim}")
     log_val = (
-        gammaln((dim - alpha) / 2.0)
-        - gammaln(alpha / 2.0)
+        math.lgamma((dim - alpha) / 2.0)
+        - math.lgamma(alpha / 2.0)
         - 0.5 * dim * math.log(math.pi)
         - alpha * math.log(2.0)
     )

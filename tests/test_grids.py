@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 import fracsolve
 from fracsolve.gagliardo import OperatorParams, assemble_weights
-from fracsolve.grids import build_grid, disk, interval, rectangle
+from fracsolve.grids import _fast_len, build_grid, disk, interval, rectangle
 
 
 class TestDomain:
@@ -191,15 +192,18 @@ class TestGrid:
 
 
 class TestConvolve:
-    """``Grid.convolve`` runs on scipy.fft and must reproduce
-    ``scipy.signal.fftconvolve(values, signed, mode="same")`` bit for bit,
-    with ``signed`` the table mirrored to every signed offset."""
+    """``Grid.convolve`` runs on numpy.fft and must agree entrywise with
+    ``scipy.signal.fftconvolve(values, signed, mode="same")``, with
+    ``signed`` the table mirrored to every signed offset, to a few eps of
+    ``fftconvolve(|values|, signed, "same")``: the two FFTs round
+    differently, and the rounding error of each entry scales with the
+    magnitudes summed into it."""
 
     @pytest.mark.parametrize(
         "domain, res",
         [(interval(0.0, 1.0), 129), (disk(0.0, 0.0, 1.0), 25), (rectangle(0.0, 2.0, 0.0, 1.0), 17)],
     )
-    def test_bit_identical_to_fftconvolve(self, domain, res):
+    def test_matches_fftconvolve(self, domain, res):
         g = build_grid(domain, res)
         rng = np.random.default_rng(res)
         table = rng.random(g.shape)
@@ -207,7 +211,16 @@ class TestConvolve:
         signed = table[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in g.shape))]
         out = g.convolve(table, values)
         assert out.shape == g.shape
-        assert np.array_equal(out, fftconvolve(values, signed, mode="same"))
+        scale = fftconvolve(np.abs(values), signed, mode="same")
+        err = np.abs(out - fftconvolve(values, signed, mode="same"))
+        assert np.all(err <= 4.0 * np.finfo(float).eps * scale)
+
+
+class TestFastLen:
+    def test_matches_scipy_next_fast_len(self):
+        # the padded FFT lengths stay the 5-smooth ones scipy.fft picks
+        want = [next_fast_len(n, True) for n in range(1, 12289)]
+        assert [_fast_len(n) for n in range(1, 12289)] == want
 
 
 class TestOffsetCounts:
@@ -235,20 +248,15 @@ class TestExports:
         assert not missing
 
     def test_import_leaves_heavy_scipy_out(self):
-        # scipy.signal and scipy.optimize (with the scipy.linalg and
-        # scipy.stats they pull in) cost more to import than a small solve.
-        # Older scipy.special imports scipy.linalg itself, so scipy.linalg
-        # and scipy.stats only count when scipy.fft and scipy.special
-        # leave them out.
+        # numpy is the only runtime dependency: scipy serves the tests as an
+        # oracle, and importing scipy.special alone costs about 0.3 s
         src = str(Path(fracsolve.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         code = (
-            "import sys, scipy.fft, scipy.special\n"
-            "base = set(sys.modules)\n"
+            "import sys\n"
             "import fracsolve, fracsolve.cli\n"
-            "heavy = ('scipy.signal', 'scipy.optimize', 'scipy.linalg', 'scipy.stats')\n"
-            "print(' '.join(m for m in heavy if m in sys.modules and m not in base))\n"
+            "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
