@@ -32,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gagliardo import Operator, forms, operator_gradient, operator_hessian
+from .gagliardo import Operator, forms, operator_gradient, workspace_hessian
 from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, minimize_energy, scaled_norm
 from .reaction import ProblemExponents
@@ -97,9 +97,11 @@ def frozen_gradient(prob: FrozenProblem, u) -> np.ndarray:
 def frozen_hessian(prob: FrozenProblem, u) -> np.ndarray:
     """Dense Hessian of the objective: the Hessian of the two operator
     forms minus vol * f'(u) on the diagonal.  The truncated forcing is
-    constant at or below the floor, so there its derivative is 0."""
+    constant at or below the floor, so there its derivative is 0.  The
+    array is the operator's Hessian workspace (workspace_hessian), which
+    the next Hessian of any problem on the same operator overwrites."""
     uv = prob.grid.interior_vector(u)
-    hess = operator_hessian(prob.operator, uv)
+    hess = workspace_hessian(prob.operator, uv)
     hess[np.diag_indices(uv.size)] -= prob.grid.cell_volume * prob.trunc.df(uv)
     return hess
 

@@ -30,7 +30,9 @@ seminorm or gradient at that point again costs O(n), with the same bits.
 A solve evaluates each point once: a trial's energy and then its
 gradient, a warm start at the last answer, the verify of an answer and
 its seminorm.  Energy passes (``energy``, ``seminorm``) away from that
-point skip the gradient and keep nothing.  The tables are plain data.
+point skip the gradient and keep nothing.  The operator also holds the
+n x n array that the Newton steps of the run fill with the Hessian
+(``workspace_hessian``).  The tables are plain data.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ _CACHE_VERSION = 3
 
 # Largest interior node count a table is assembled for.  The pair pass of
 # the forms holds the column j of each pair i < j (n^2 / 2 eight-byte
-# words, 67 MB at n = 4096) and n^2 / 2 packed weights per table; a Newton
-# step of the solves adds the dense n x n Hessian (134 MB at n = 4096) and
-# its Cholesky factor, of the same size.
+# words, 67 MB at n = 4096) and n^2 / 2 packed weights per table.  A solve
+# adds the operator's dense n x n Hessian workspace (134 MB at n = 4096),
+# held for the whole run from its first Newton step, and each Newton step
+# the Cholesky factor, of the same size.
 NODE_CAP = 4096
 
 
@@ -208,11 +211,7 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
         rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
     cells, read = np.unique(rows * grid.shape[1] + cols, return_inverse=True)
     a, b = np.divmod(cells, grid.shape[1])
-    corner = np.empty(cells.size)
-    for c0 in range(0, cells.size, _ROW_CHUNK):
-        blk = slice(c0, c0 + _ROW_CHUNK)
-        q = quadrant_integral(sp, dist1[a[blk], :, None], dist2[b[blk], None, :])
-        corner[blk] = _GL_W @ q @ _GL_W
+    corner = _GL_W @ quadrant_integral(sp, dist1[a, :, None], dist2[b, None, :]) @ _GL_W
     return tail - 0.25 * w1 * w2 * corner[read].reshape(4, -1).sum(axis=0)
 
 
@@ -418,8 +417,10 @@ class Operator:
     """The operator of a run: the sum of the forms of its weight tables,
     which share one grid, such as the (s1,p) and the (s2,q) table of the
     fractional (p,q)-Laplacian.  ``last`` is the last point a gradient pass
-    over the tables evaluated (see ``forms``); it refers to no table, so an
-    operator and its tables are freed with the run."""
+    over the tables evaluated (see ``forms``), and ``hessian_workspace``
+    the n x n array that workspace_hessian fills, allocated on first use;
+    neither refers to a table, so an operator and its tables are freed with
+    the run."""
 
     def __init__(self, *tables: PairWeightTable):
         if not tables or not all(isinstance(t, PairWeightTable) for t in tables):
@@ -429,6 +430,7 @@ class Operator:
             raise ValueError("weight tables were assembled on different grids")
         self.tables = tables
         self.last: FormPoint | None = None
+        self.hessian_workspace: np.ndarray | None = None
 
     def kept(self, uv: np.ndarray) -> FormPoint | None:
         """The kept point when it is at ``uv`` exactly, else None."""
@@ -486,11 +488,27 @@ def operator_hessian(op: Operator, u) -> np.ndarray:
     matrix: the weighted graph Laplacian with weight 2 (p-1) W_ij |u_i -
     u_j|^(p-2) per pair plus the tail diagonal 2 (p-1) T_i |u_i|^(p-2),
     summed over the tables.  It vanishes at u = 0 when every p > 2, and is
-    infinite where a difference or a value is 0 and some p < 2."""
-    tables = op.tables
+    infinite where a difference or a value is 0 and some p < 2.  A new
+    array."""
     uv = op.grid.interior_vector(u)
+    return _fill_hessian(op.tables, uv, np.empty((uv.size, uv.size)))
+
+
+def workspace_hessian(op: Operator, u) -> np.ndarray:
+    """The Hessian of operator_hessian, with the same bits, written into
+    the operator's n x n workspace and returned: the next call on the same
+    operator overwrites it.  The Newton steps of a run read it this way, so
+    they reuse one array rather than map a fresh one per step."""
+    uv = op.grid.interior_vector(u)
+    if op.hessian_workspace is None:
+        op.hessian_workspace = np.empty((uv.size, uv.size))
+    return _fill_hessian(op.tables, uv, op.hessian_workspace)
+
+
+def _fill_hessian(tables, uv: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Write the Hessian at uv into the n x n array ``hess``, whatever it
+    held, and return it."""
     n = uv.size
-    hess = np.zeros((n, n))
     cols = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows, _, _, du, weights in _pair_chunks(tables, uv):
@@ -504,7 +522,9 @@ def operator_hessian(op: Operator, u) -> np.ndarray:
             upper = cols > cols[rows, None]
             hess[rows][upper] = off
             hess.T[rows][upper] = off
-        # a Laplacian row sums to zero
+        # a Laplacian row sums to zero; the diagonal is cleared first, as
+        # it holds whatever the array held before
+        hess[np.diag_indices(n)] = 0.0
         diag = -np.sum(hess, axis=1)
         au = np.abs(uv)
         diag += 2.0 * sum((t.params.p - 1.0) * t.tail * au ** (t.params.p - 2.0) for t in tables)

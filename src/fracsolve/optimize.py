@@ -126,7 +126,10 @@ def _newton_direction(hess_fn, x: np.ndarray, g: np.ndarray) -> np.ndarray | Non
         chol = np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
         return None
-    del hess  # the factor alone is needed from here; at n = 4096 each is 134 MB
+    # the factor alone is needed from here (134 MB at n = 4096); a Hessian
+    # the callback made anew is freed, while the solves' Hessian is their
+    # operator's workspace, held for the whole run
+    del hess
     d = _cholesky_solve(chol, -g)
     if not np.all(np.isfinite(d)) or not float(g @ d) < 0.0:
         return None

@@ -27,6 +27,8 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
+# terms of the power series of quadrant_integral's angular rule
+_QUADRANT_TERMS = 24
 # values per temporary of a batched pair integral (8 MB of float64)
 _BLOCK = 1 << 20
 
@@ -176,22 +178,61 @@ def halfplane_profile_constant(sp):
     return math.sqrt(math.pi) * math.exp(log_ratio)
 
 
+def _sinc_power_series(sp, terms):
+    """The first ``terms`` Taylor coefficients of (sin x / x)^sp in x^2, by
+    Miller's recurrence for the power of a series: with f = sin x / x =
+    sum_k f_k x^(2k) (f_0 = 1) and g = f^sp, n g_n = sum_{k=1}^n ((sp + 1) k
+    - n) f_k g_(n-k)."""
+    f = [(-1.0) ** k / math.factorial(2 * k + 1) for k in range(terms)]
+    g = [1.0]
+    for n in range(1, terms):
+        g.append(sum(((sp + 1.0) * k - n) * f[k] * g[n - k] for k in range(1, n + 1)) / n)
+    return np.array(g)
+
+
 def quadrant_integral(sp, a, b):
     """integral over {y1 > a, y2 > b} of (y1^2 + y2^2)^{-(2+sp)/2}, a,b > 0.
 
     Polar form: (1/sp) * [ b^-sp int_0^that sin^sp + a^-sp int_that^(pi/2) cos^sp ]
     with that = arctan(b/a).  Vectorized over a, b.
+
+    Both angular integrals take the 32-point Gauss rule with nodes t_k and
+    weights w_k on [0, 1], in its power series in the angle: for the sin
+    segment on [0, phi],
+
+        F(phi) = phi sum_k w_k sin^sp(phi t_k)
+               = phi^(1+sp) sum_n c_n M_n phi^(2n),
+
+    where c_n are the Taylor coefficients of (sin x / x)^sp in x^2
+    (_sinc_power_series) and M_n = sum_k w_k t_k^(sp+2n) are the rule's
+    moments.  The nodes are symmetric about 1/2, so the cos segment on
+    [that, pi/2] is F(pi/2 - that), and one Horner loop serves both.  The
+    series of (sin x / x)^sp converges for |x| < pi and phi <= pi/2, so a
+    term shrinks about 4-fold per power.  With _QUADRANT_TERMS = 24 terms
+    the series matches the rule summed node by node within 2e-15 relative
+    for sp <= 5.  Above that the coefficients, of alternating sign, grow
+    with sp and cancel: 1.6e-14 at sp = 8, and 1.3e-10 at sp = 12 (4.3e-13
+    with 28 terms).  In 2D the hypothesis p < N / s1 keeps sp below 2.
+    The rule itself is off by up to 2.3e-6 relative at sp = 0.6; the exact
+    integrals follow on replacing M_n by int_0^1 t^(sp+2n) dt =
+    1/(sp + 2n + 1).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     theta_hat = np.arctan2(b, a)
     t = 0.5 * (_GL32_X + 1.0)  # nodes on [0, 1]
     wt = 0.5 * _GL32_W
-    vals = theta_hat[..., None] * t
-    np.power(np.sin(vals, out=vals), sp, out=vals)
-    seg1 = (vals @ wt) * theta_hat * b ** (-sp)
-    span = 0.5 * math.pi - theta_hat
-    vals = theta_hat[..., None] + span[..., None] * t
-    np.power(np.cos(vals, out=vals), sp, out=vals)
-    seg2 = (vals @ wt) * span * a ** (-sp)
-    return (seg1 + seg2) / sp
+    moments = (t ** (sp + 2.0 * np.arange(_QUADRANT_TERMS))[:, None]) @ wt
+    coef = _sinc_power_series(sp, _QUADRANT_TERMS) * moments
+    # each segment's angle phi, and phi^sp times its factor b^-sp or a^-sp
+    phi = np.stack([theta_hat, 0.5 * math.pi - theta_hat])
+    scaled = np.stack([theta_hat / b, phi[1] / a])
+    np.power(scaled, sp, out=scaled)
+    phi2 = phi * phi
+    acc = np.full_like(phi2, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= phi2
+        acc += c
+    acc *= phi
+    acc *= scaled
+    return (acc[0] + acc[1]) / sp

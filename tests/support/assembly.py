@@ -8,10 +8,14 @@ integrals that some interior node reads, each integrated once (cells
 same quadrature rules one offset and one node at a time, with no
 symmetry: ``offset_table`` integrates each offset with its own axis
 nodes, and ``outside_box_tail`` integrates each node's four corners from
-its own Gauss points.
+its own Gauss points.  ``quadrant_integral`` sums the 32-point angular
+rule of a corner quadrant node by node, where ``fracsolve.quadrature``
+sums the same rule as a power series in the angle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,11 +24,27 @@ from fracsolve.quadrature import (
     axis_nodes,
     halfplane_profile_constant,
     power_segment_integral,
-    quadrant_integral,
     tent,
 )
 
 _ROW_CHUNK = 512
+
+
+def quadrant_integral(sp, a, b):
+    """integral over {y1 > a, y2 > b} of (y1^2 + y2^2)^{-(2+sp)/2}, a,b > 0,
+    in the polar form (1/sp) * [ b^-sp int_0^that sin^sp + a^-sp
+    int_that^(pi/2) cos^sp ] with that = arctan(b/a), each angular integral
+    by the 32-point Gauss rule evaluated at its nodes."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    gx, gw = leggauss(32)
+    t = 0.5 * (gx + 1.0)  # nodes on [0, 1]
+    wt = 0.5 * gw
+    theta_hat = np.arctan2(b, a)
+    seg1 = (np.sin(theta_hat[..., None] * t) ** sp @ wt) * theta_hat * b ** (-sp)
+    span = 0.5 * math.pi - theta_hat
+    seg2 = (np.cos(theta_hat[..., None] + span[..., None] * t) ** sp @ wt) * span * a ** (-sp)
+    return (seg1 + seg2) / sp
 
 
 def pair_integral(exponent, delta, widths):

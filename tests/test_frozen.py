@@ -39,6 +39,7 @@ from fracsolve.gagliardo import (
     energy,
     operator_gradient,
     operator_hessian,
+    workspace_hessian,
 )
 from fracsolve.grids import build_grid, disk, interval
 from fracsolve.optimize import MinimizerOptions, _cholesky_solve, minimize_energy
@@ -566,6 +567,46 @@ class TestHessian:
         _, torsion, _, _ = hessian_setup
         n = torsion.grid.n_interior
         assert np.all(frozen_hessian(torsion, np.zeros(n)) == 0.0)
+
+
+def _fresh_frozen_hessian(prob, u):
+    """frozen_hessian's arithmetic on a new operator_hessian array."""
+    hess = operator_hessian(prob.operator, u)
+    hess[np.diag_indices(u.size)] -= prob.grid.cell_volume * prob.trunc.df(u)
+    return hess
+
+
+class TestHessianWorkspace:
+    """The Newton path fills one Hessian array per operator in place, with
+    the bits of a new array at every point; operator_hessian still returns
+    an array its caller owns."""
+
+    def test_hessians_in_a_row_match_new_arrays(self, hessian_setup):
+        prob, torsion, u, w = hessian_setup
+        lift = np.abs(w) + 0.5
+        for objective, states in ((prob, (u, u + 0.1 * lift)), (torsion, (lift, w))):
+            for state in states:
+                hess = frozen_hessian(objective, state)
+                assert hess is objective.operator.hessian_workspace
+                assert np.array_equal(hess, _fresh_frozen_hessian(objective, state))
+
+    def test_operator_hessian_is_owned_by_its_caller(self, hessian_setup):
+        prob, _, u, _ = hessian_setup
+        first = operator_hessian(prob.operator, u)
+        again = operator_hessian(prob.operator, u)
+        assert first is not again and not np.shares_memory(first, again)
+        assert not np.shares_memory(first, workspace_hessian(prob.operator, u))
+        assert np.array_equal(first, prob.operator.hessian_workspace)
+
+    def test_two_operators_keep_separate_workspaces(self, hessian_setup):
+        prob, _, u, w = hessian_setup
+        lift = np.abs(w) + 0.5
+        first, second = (Operator(*prob.operator.tables) for _ in range(2))
+        at_u = workspace_hessian(first, u)
+        at_lift = workspace_hessian(second, lift)
+        assert not np.shares_memory(at_u, at_lift)
+        assert np.array_equal(at_u, operator_hessian(prob.operator, u))
+        assert np.array_equal(at_lift, operator_hessian(prob.operator, lift))
 
 
 class TestNewtonSteps:

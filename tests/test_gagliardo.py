@@ -36,6 +36,7 @@ from fracsolve.gagliardo import (
     operator_gradient,
     operator_hessian,
     seminorm,
+    workspace_hessian,
 )
 from fracsolve.grids import build_grid, disk, interval, rectangle
 from fracsolve.quadrature import pair_integral, quadrant_integral
@@ -331,6 +332,49 @@ class TestAssemblyWork:
         assert g.h[0] == g.h[1]
         woff = _offset_table(g, OperatorParams(s=0.5, p=2.5))
         np.testing.assert_array_equal(woff, woff.T)
+
+
+class TestQuadrantIntegral:
+    """The corner quadrant integral: its power series against the same
+    angular rule summed node by node, and the rule against the exact
+    integral."""
+
+    @pytest.mark.parametrize("sp", [0.05, 0.6, 1.25, 1.8, 3.0, 5.0])
+    def test_series_matches_the_rule_node_by_node(self, sp):
+        theta = np.linspace(0.0, 0.5 * math.pi, 4003)[1:-1]
+        radius = np.array([0.01, 1.0, 7.5])[:, None]
+        a, b = radius * np.cos(theta), radius * np.sin(theta)
+        got = quadrant_integral(sp, a, b)
+        np.testing.assert_allclose(got, assembly.quadrant_integral(sp, a, b), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: the 32-point angular rule is off by up to 2.3e-6 "
+        "relative at sp = 0.6 until its moments are exact",
+    )
+    def test_matches_adaptive_quadrature(self):
+        # the sin segment is (sin t / t)^sp t^sp on [0, that], and the cos
+        # segment the same in pi/2 - t on [that, pi/2]; quad's algebraic
+        # weight takes the t^sp factor exactly
+        sp = 0.6
+
+        def sinc_power(t):
+            return (math.sin(t) / t) ** sp if t > 0.0 else 1.0
+
+        tol = {"epsabs": 0.0, "epsrel": 1e-13}
+        for a, b in [(1.0, 0.05), (1.0, 0.7), (1.0, 1.0), (0.3, 1.0), (0.02, 1.0)]:
+            that = math.atan2(b, a)
+            low = quad(sinc_power, 0.0, that, weight="alg", wvar=(sp, 0.0), **tol)[0]
+            high = quad(
+                lambda t: sinc_power(0.5 * math.pi - t),
+                that,
+                0.5 * math.pi,
+                weight="alg",
+                wvar=(0.0, sp),
+                **tol,
+            )[0]
+            exact = (b**-sp * low + a**-sp * high) / sp
+            assert quadrant_integral(sp, a, b) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestBatchedPairIntegral:
@@ -664,6 +708,26 @@ class TestFusedPass:
             del op
             # freed by reference counting, with no cycle through the kept point
             assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+
+    def test_operator_and_its_hessian_workspace_drop_with_their_run(self, one_pass_grid):
+        g = one_pass_grid
+        op = Operator(
+            assemble_weights(g, OperatorParams(s=0.7, p=3.0)),
+            assemble_weights(g, OperatorParams(s=0.5, p=2.2)),
+        )
+        u = _tied_signed_vector(g, 4) + 3.0
+        forms(op, u)
+        hess = workspace_hessian(op, u)
+        assert hess is op.hessian_workspace
+        refs = [weakref.ref(x) for x in (op, *op.tables, hess)]
+        del hess
+        gc.disable()
+        try:
+            del op
+            assert [r() for r in refs] == [None] * 4
         finally:
             gc.enable()
 
