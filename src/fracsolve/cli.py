@@ -28,8 +28,7 @@ from .gagliardo import (
     Operator,
     OperatorParams,
     assemble_weights,
-    energy,
-    operator_gradient,
+    forms,
 )
 from .grids import build_grid, interval
 from .reaction import ConvectiveReaction, ProblemExponents, SingularReaction
@@ -75,7 +74,7 @@ def _cmd_solve(args) -> int:
         instance = _instance_from(cfg)
         phase = "solve"
         report = solve_problem(instance, cfg.outer, seed=cfg.seed)
-    except RuntimeError as e:
+    except Exception as e:
         # the report of a failed run: where it stopped and why
         payload = {
             "timestamp": _timestamp(),
@@ -224,20 +223,21 @@ def _selftest_checks():
     op = Operator(assemble_weights(grid, OperatorParams(s=0.6, p=2.5)))
     rng = np.random.default_rng(0)
     u = rng.standard_normal(grid.n_interior)
-    lhs = float(operator_gradient(op, u) @ u)
-    rhs = 2.5 * energy(op, u)
+    at_u = forms(op, u)
+    lhs = float(at_u.grad @ u)
+    rhs = 2.5 * at_u.energies[0]
     results.append(
         ("pair-form duality", abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), f"{lhs!r} vs {rhs!r}")
     )
 
-    g = operator_gradient(op, u)
+    g = at_u.grad
     eps = 1e-6
     worst = 0.0
     for i in (0, grid.n_interior // 2, grid.n_interior - 1):
         up, um = u.copy(), u.copy()
         up[i] += eps
         um[i] -= eps
-        fd = (energy(op, up) - energy(op, um)) / (2.0 * eps)
+        fd = (forms(op, up).energies[0] - forms(op, um).energies[0]) / (2.0 * eps)
         worst = max(worst, abs(fd - g[i]) / max(1.0, abs(fd)))
     results.append(("energy gradient vs finite differences", worst < 1e-5, f"rel {worst:.3e}"))
 

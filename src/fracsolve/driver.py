@@ -45,15 +45,9 @@ _GROWTH_SAMPLES = 20
 # outer step is solved once more, this many times tighter, to leave the
 # final coupled residual a margin below that tolerance.
 _FINAL_TOL_DIVISOR = 10.0
-_SAMPLE_LOG = (
-    "growth sample %d: seminorm %.3e, T(v) seminorm %.3e, %d Newton steps, "
-    "%d energy evaluations, %d backtracks, %d inner iterations"
-)
+_SAMPLE_LOG = "growth sample %d: seminorm %.3e, T(v) seminorm %.3e, %s"
 _SKIPPED_LOG = "growth sample %d: seminorm %.3e, skipped"
-_STEP_LOG = (
-    "outer %d: step seminorm %.3e, frozen residual %.3e, %d Newton steps, "
-    "%d energy evaluations, %d backtracks, %d inner iterations, theta %.6g"
-)
+_STEP_LOG = "outer %d: step seminorm %.3e, frozen residual %.3e, %s, theta %.6g"
 
 
 @dataclass(frozen=True)
@@ -221,10 +215,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
             continue
         tnorm = seminorm(op, result.x)
         start = result.x
-        logger.info(
-            _SAMPLE_LOG, k, lam, tnorm, result.newton_steps, result.energy_evals,
-            result.backtracks, result.iterations,
-        )
+        logger.info(_SAMPLE_LOG, k, lam, tnorm, result.counts)
         c_emp = max(c_emp, tnorm**e.p / (1.0 + lam**exponent))
     if c_emp <= 0.0:
         warnings.warn("growth-bound fit produced no usable samples")
@@ -321,10 +312,7 @@ def solve_problem(
         full_residuals.append(verify_solution(instance, result.x))
         v_norms.append(v_norm)
         thetas.append(step_theta)
-        logger.info(
-            _STEP_LOG, k, step, result.residual, result.newton_steps, result.energy_evals,
-            result.backtracks, result.iterations, step_theta,
-        )
+        logger.info(_STEP_LOG, k, step, result.residual, result.counts, step_theta)
         if not result.converged:
             message = f"frozen solve failed at outer iteration {k}: {result.message}"
             break

@@ -29,9 +29,9 @@ the last point such a pass evaluated (``Operator.last``), so the energy,
 seminorm or gradient at that point again costs O(n), with the same bits.
 A solve evaluates each point once: a trial's energy and then its
 gradient, a warm start at the last answer, the verify of an answer and
-its seminorm.  Energy passes (``energy``, ``seminorm``) away from that
-point skip the gradient and keep nothing.  The operator also holds the
-n x n array that the Newton steps of the run fill with the Hessian
+its seminorm.  A ``seminorm`` away from that point makes a one-table
+pass without the gradient and keeps nothing.  The operator also holds
+the n x n array that the Newton steps of the run fill with the Hessian
 (``workspace_hessian``).  The tables are plain data.
 """
 
@@ -416,7 +416,9 @@ class FormPoint:
 class Operator:
     """The operator of a run: the sum of the forms of its weight tables,
     which share one grid, such as the (s1,p) and the (s2,q) table of the
-    fractional (p,q)-Laplacian.  ``last`` is the last point a gradient pass
+    fractional (p,q)-Laplacian.  Its forms are read through ``forms``,
+    ``seminorm``, ``operator_gradient`` and ``workspace_hessian``, one
+    reader per quantity.  ``last`` is the last point a gradient pass
     over the tables evaluated (see ``forms``), and ``hessian_workspace``
     the n x n array that workspace_hessian fills, allocated on first use;
     neither refers to a table, so an operator and its tables are freed with
@@ -465,15 +467,6 @@ def seminorm(op: Operator, u) -> float:
     return (table.params.p * e) ** (1.0 / table.params.p)
 
 
-def energy(op: Operator, u) -> float:
-    """Dirichlet energy (1/p) * seminorm^p summed over the operator's
-    tables, in float64.  At the kept point the energies are read from it;
-    elsewhere a pass computes them and keeps nothing."""
-    uv = op.grid.interior_vector(u)
-    point = op.kept(uv)
-    return sum(point.energies if point else _form_pass(op.tables, uv, gradient=False)[0])
-
-
 def operator_gradient(op: Operator, u) -> np.ndarray:
     """Gradient of the energy over interior nodes: entry i is the weak
     pairing of the monotone operator at u with the nodal basis vector e_i,
@@ -483,32 +476,20 @@ def operator_gradient(op: Operator, u) -> np.ndarray:
     return forms(op, u).grad.copy()
 
 
-def operator_hessian(op: Operator, u) -> np.ndarray:
+def workspace_hessian(op: Operator, u) -> np.ndarray:
     """Hessian of the energy over interior nodes, a dense symmetric n x n
     matrix: the weighted graph Laplacian with weight 2 (p-1) W_ij |u_i -
     u_j|^(p-2) per pair plus the tail diagonal 2 (p-1) T_i |u_i|^(p-2),
     summed over the tables.  It vanishes at u = 0 when every p > 2, and is
-    infinite where a difference or a value is 0 and some p < 2.  A new
-    array."""
+    infinite where a difference or a value is 0 and some p < 2.  It is
+    written into the operator's n x n workspace and returned, so the next
+    call on the same operator overwrites it: the Newton steps of a run
+    reuse one array rather than map a fresh one per step."""
     uv = op.grid.interior_vector(u)
-    return _fill_hessian(op.tables, uv, np.empty((uv.size, uv.size)))
-
-
-def workspace_hessian(op: Operator, u) -> np.ndarray:
-    """The Hessian of operator_hessian, with the same bits, written into
-    the operator's n x n workspace and returned: the next call on the same
-    operator overwrites it.  The Newton steps of a run read it this way, so
-    they reuse one array rather than map a fresh one per step."""
-    uv = op.grid.interior_vector(u)
+    n, tables = uv.size, op.tables
     if op.hessian_workspace is None:
-        op.hessian_workspace = np.empty((uv.size, uv.size))
-    return _fill_hessian(op.tables, uv, op.hessian_workspace)
-
-
-def _fill_hessian(tables, uv: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Write the Hessian at uv into the n x n array ``hess``, whatever it
-    held, and return it."""
-    n = uv.size
+        op.hessian_workspace = np.empty((n, n))
+    hess = op.hessian_workspace
     cols = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows, _, _, du, weights in _pair_chunks(tables, uv):

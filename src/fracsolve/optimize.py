@@ -82,6 +82,14 @@ class MinimizeResult:
     energy_evals: int = 0
     backtracks: int = 0
 
+    @property
+    def counts(self) -> str:
+        """The counts of the solve, as the -v progress lines give them."""
+        return (
+            f"{self.newton_steps} Newton steps, {self.energy_evals} energy evaluations, "
+            f"{self.backtracks} backtracks, {self.iterations} inner iterations"
+        )
+
 
 def scaled_norm(vec) -> float:
     """||r||_2 / sqrt(n): invariant under duplicating the node set."""

@@ -79,8 +79,12 @@ class SingularReaction:
     def __post_init__(self):
         if self.gamma <= 0.0:
             raise ValueError(f"singular exponent gamma must be positive, got {self.gamma}")
-        if self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError(f"coefficients must be nonnegative, got c1={self.c1}, c2={self.c2}")
+        # without a positive head the forcing has no positive liminf at 0,
+        # and no torsion floor exists
+        if self.c1 <= 0.0:
+            raise ValueError(f"coefficient c1 must be positive, got c1={self.c1}")
+        if self.c2 < 0.0:
+            raise ValueError(f"coefficient c2 must be nonnegative, got c2={self.c2}")
         if self.r <= 0.0:
             raise ValueError(f"growth exponent r must be positive, got {self.r}")
         if self.family not in _SHIFT:

@@ -31,10 +31,7 @@ _MAX_HALVINGS = 60
 _RESONANCE_TOL = 1e-12
 _COLLISION_TOL = 1e-9
 _FLOOR_LOG = "floor halving %d: sigma %.6e, sup norm %.3e, %s"
-_SOLVE_LOG = (
-    "torsion solve: sigma %.6e, %d Newton steps, %d energy evaluations, %d backtracks, "
-    "%d inner iterations"
-)
+_SOLVE_LOG = "torsion solve: sigma %.6e, %s"
 
 logger = logging.getLogger("fracsolve.torsion")
 # one line per torsion solve, ahead of the floor line that judges it
@@ -109,10 +106,7 @@ def solve_torsion(
         options,
         hess_fn=lambda u: frozen_hessian(prob, u),
     )
-    logger_solve.info(
-        _SOLVE_LOG, sigma, result.newton_steps, result.energy_evals, result.backtracks,
-        result.iterations,
-    )
+    logger_solve.info(_SOLVE_LOG, sigma, result.counts)
     if not result.converged:
         raise RuntimeError(
             f"torsion solve stalled at scaled residual {result.residual:.3e} "

@@ -1,11 +1,15 @@
-"""Checks that only tests run: the dense weak pairing, the two-start
-uniqueness probe, and the reader of ``write_field_csv`` files.
+"""Checks that only tests run: the dense weak pairing, a Hessian its caller
+owns, the two-start uniqueness probe, and the reader of
+``write_field_csv`` files.
 
 ``apply_form`` pairs the operator with a test vector row by row against
 the dense weight matrix, independently of the packed pair pass that
-``gagliardo.operator_gradient`` walks.  ``uniqueness_probe`` solves one
-frozen problem from two starts.  ``read_field_csv`` reads the field files
-the CLI writes back into interior vectors.
+``gagliardo.operator_gradient`` walks.  ``operator_hessian`` is the
+Hessian that ``gagliardo.workspace_hessian`` fills, in the workspace of a
+fresh operator that is dropped on return, so no later call overwrites it.
+``uniqueness_probe`` solves one frozen problem from two starts.
+``read_field_csv`` reads the field files the CLI writes back into
+interior vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import warnings
 import numpy as np
 
 from fracsolve.frozen import FrozenProblem, frozen_energy, frozen_gradient
-from fracsolve.gagliardo import PairWeightTable
+from fracsolve.gagliardo import Operator, PairWeightTable, workspace_hessian
 from fracsolve.grids import Grid
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import uniqueness_certified
@@ -43,6 +47,11 @@ def apply_form(table: PairWeightTable, u, phi) -> float:
         parts.append(float(np.sum(pair[a0 : a0 + _ROW_CHUNK] * _signed_power(du, p) * dphi)))
     parts.append(2.0 * float(np.sum(table.tail * _signed_power(uv, p) * pv)))
     return math.fsum(parts)
+
+
+def operator_hessian(op: Operator, u) -> np.ndarray:
+    """The Hessian of ``op`` at u in a new array, which its caller owns."""
+    return workspace_hessian(Operator(*op.tables), u)
 
 
 def uniqueness_probe(

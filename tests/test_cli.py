@@ -246,17 +246,27 @@ class TestCliSolve:
         assert err["error"] == "runtime"
         assert (out / "report.json").exists()
 
-    @pytest.mark.parametrize("phase", ["build", "solve"])
+    @pytest.mark.parametrize(
+        "phase, kind",
+        [("build", "MemoryBudgetError"), ("solve", "RuntimeError"), ("solve", "ValueError")],
+        ids=["build", "solve", "solve-ValueError"],
+    )
     def test_failed_solve_writes_report_with_phase_and_error(
-        self, tmp_path, capsys, monkeypatch, phase
+        self, tmp_path, capsys, monkeypatch, phase, kind
     ):
         # build: the pair pass is over budget; solve: the ball monitor trips
-        # at the starting iterate, since the fitted radius is tiny
+        # at the starting iterate, since the fitted radius is tiny, or the
+        # growth fit raises an error that is no RuntimeError
         if phase == "build":
             monkeypatch.setattr(gagliardo, "NODE_CAP", 1)
-        else:
+        elif kind == "RuntimeError":
             tiny = driver.GrowthBound(c_emp=1e-12, rho=1e-9, exponent=1.0)
             monkeypatch.setattr(driver, "fit_growth_bound", lambda instance, seed=0: tiny)
+        else:
+            def fit_fails(instance, seed=0):
+                raise ValueError("growth fit failed")
+
+            monkeypatch.setattr(driver, "fit_growth_bound", fit_fails)
         out = tmp_path / "run"
         path = str(CONFIG_DIR / "interval_1d.json")
         code = cli.main(["solve", "--config", path, "--out", str(out)])
@@ -269,10 +279,9 @@ class TestCliSolve:
         )
         assert report["converged"] is False and report["phase"] == phase
         assert report["config"] == load_config(path).as_dict()
-        kind = "MemoryBudgetError" if phase == "build" else "RuntimeError"
         assert report["error"]["type"] == kind
         assert err["message"] == f"{kind}: {report['error']['message']}"
-        if phase == "solve":
+        if kind == "RuntimeError":
             assert "ball monitor violation" in report["error"]["message"]
         assert [f.name for f in out.iterdir()] == ["report.json"]
 
@@ -295,6 +304,28 @@ class TestCliSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert err["field"] == (f"{section}.{key}" if section else key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,family",
+        [("solve", "singular"), ("solve", "bounded"), ("check-hypotheses", "singular")],
+    )
+    def test_zero_head_coefficient_is_config_error(self, tmp_path, capsys, command, family):
+        # c1 = 0 used to pass check-hypotheses, and a solve failed only after
+        # the torsion floor search: without a head no floor exists
+        payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        payload["reaction"].update(c1=0.0, family=family)
+        out = tmp_path / "run"
+        args = [command, "--config", dump(tmp_path, payload)]
+        if command == "solve":
+            args += ["--out", str(out)]
+        assert cli.main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "config",
+            "field": "reaction",
+            "reason": "coefficient c1 must be positive, got c1=0.0",
+        }
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -36,9 +36,8 @@ from fracsolve.gagliardo import (
     Operator,
     OperatorParams,
     assemble_weights,
-    energy,
+    forms,
     operator_gradient,
-    operator_hessian,
     workspace_hessian,
 )
 from fracsolve.grids import build_grid, disk, interval
@@ -52,7 +51,7 @@ from fracsolve.reaction import (
 )
 from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
 from fracsolve.torsion import _constant_start, select_sigma, solve_torsion, torsion_objective
-from support.oracles import apply_form, uniqueness_probe
+from support.oracles import apply_form, operator_hessian, uniqueness_probe
 from support.passes import count_form_passes
 
 
@@ -120,7 +119,8 @@ class TestObjective:
         vol = grid.cell_volume
         rng = np.random.default_rng(5)
         u = rng.standard_normal(grid.n_interior)
-        want = energy(Operator(tp), u) + energy(Operator(tq), u) - sigma * vol * np.sum(u)
+        apart = sum(forms(Operator(tp), u).energies) + sum(forms(Operator(tq), u).energies)
+        want = apart - sigma * vol * np.sum(u)
         assert frozen_energy(torsion, u) == pytest.approx(want, rel=1e-13)
         want_grad = operator_gradient(Operator(tp, tq), u) - sigma * vol
         np.testing.assert_allclose(frozen_gradient(torsion, u), want_grad, rtol=1e-13)
@@ -578,8 +578,8 @@ def _fresh_frozen_hessian(prob, u):
 
 class TestHessianWorkspace:
     """The Newton path fills one Hessian array per operator in place, with
-    the bits of a new array at every point; operator_hessian still returns
-    an array its caller owns."""
+    the bits of a new array at every point; the operator_hessian oracle
+    returns an array its caller owns."""
 
     def test_hessians_in_a_row_match_new_arrays(self, hessian_setup):
         prob, torsion, u, w = hessian_setup
@@ -696,4 +696,4 @@ class TestNewtonSteps:
         ones = np.ones(start.size)
         for table in torsion.operator.tables:
             tail_term = 2.0 * float(table.tail @ ones) / table.params.p
-            assert energy(Operator(table), ones) == tail_term
+            assert forms(Operator(table), ones).energies == (tail_term,)

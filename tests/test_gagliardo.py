@@ -31,17 +31,15 @@ from fracsolve.gagliardo import (
     _offset_table,
     _outside_box_tail,
     assemble_weights,
-    energy,
     forms,
     operator_gradient,
-    operator_hessian,
     seminorm,
     workspace_hessian,
 )
 from fracsolve.grids import build_grid, disk, interval, rectangle
 from fracsolve.quadrature import pair_integral, quadrant_integral
 from support import assembly
-from support.oracles import apply_form
+from support.oracles import apply_form, operator_hessian
 from support.passes import count_form_passes
 
 
@@ -439,7 +437,7 @@ class TestFormIdentities:
         for seed in range(5):
             u = grid_1d.pack(_random_field(grid_1d, seed))
             lhs = apply_form(table_1d, u, u)
-            rhs = 2.0 * energy(Operator(table_1d), u)  # p = 2
+            rhs = 2.0 * sum(forms(Operator(table_1d), u).energies)  # p = 2
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_gradient_matches_pairing(self, grid_1d, table_1d):
@@ -464,7 +462,8 @@ class TestFormIdentities:
                 up[k] += eps
                 dn[k] -= eps
                 fd[k] = (
-                    energy(Operator(table), up) - energy(Operator(table), dn)
+                    sum(forms(Operator(table), up).energies)
+                    - sum(forms(Operator(table), dn).energies)
                 ) / (2 * eps)
             assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-5
 
@@ -498,8 +497,10 @@ class TestFormIdentities:
             t = rng.uniform()
             mid = (1 - t) * u + t * w
             op = Operator(table)
-            lhs = energy(op, grid_1d.pack(mid))
-            rhs = (1 - t) * energy(op, grid_1d.pack(u)) + t * energy(op, grid_1d.pack(w))
+            lhs = sum(forms(op, grid_1d.pack(mid)).energies)
+            rhs = (1 - t) * sum(forms(op, grid_1d.pack(u)).energies) + t * sum(
+                forms(op, grid_1d.pack(w)).energies
+            )
             assert lhs <= rhs + 1e-10
 
 
@@ -531,8 +532,8 @@ class TestOnePassEvaluation:
         tq = assemble_weights(g, OperatorParams(s=0.5, p=2.2))
         for seed in range(3):
             u = _tied_signed_vector(g, seed)
-            both = energy(Operator(tp, tq), u)
-            apart = energy(Operator(tp), u) + energy(Operator(tq), u)
+            both = sum(forms(Operator(tp, tq), u).energies)
+            apart = sum(forms(Operator(tp), u).energies) + sum(forms(Operator(tq), u).energies)
             assert isinstance(both, float)
             assert float(both) == pytest.approx(float(apart), rel=1e-13)
             grad = operator_gradient(Operator(tp, tq), u)
@@ -555,7 +556,7 @@ class TestOnePassEvaluation:
                     apply_form(table, u, phi), rel=1e-12, abs=1e-13
                 )
             # pairing u with itself is p times the energy
-            assert p * energy(Operator(table), u) == pytest.approx(
+            assert p * sum(forms(Operator(table), u).energies) == pytest.approx(
                 apply_form(table, u, u), rel=1e-12
             )
 
@@ -565,7 +566,7 @@ class TestOnePassEvaluation:
         tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(g, OperatorParams(s=0.5, p=1.5))
         u = _tied_signed_vector(g, 5)
-        whole_e = energy(Operator(tp, tq), u)
+        whole_e = sum(forms(Operator(tp, tq), u).energies)
         whole_g = operator_gradient(Operator(tp, tq), u)
         whole_h = operator_hessian(Operator(tp, tq), u)
         monkeypatch.setattr(gagliardo, "_ROW_CHUNK", 4)
@@ -576,11 +577,11 @@ class TestOnePassEvaluation:
         upper = np.triu_indices(g.n_interior, 1)
         assert np.array_equal(g.pair_index, upper[1])
         assert np.array_equal(tp.packed_pair, tp.pair[upper])
-        assert float(energy(op, u)) == pytest.approx(float(whole_e), rel=1e-13)
+        assert float(sum(forms(op, u).energies)) == pytest.approx(float(whole_e), rel=1e-13)
         np.testing.assert_allclose(
             operator_gradient(op, u), whole_g, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole_g))
         )
-        assert np.array_equal(operator_hessian(op, u), whole_h)
+        assert np.array_equal(workspace_hessian(op, u), whole_h)
 
     def test_tables_on_different_grids_rejected(self, one_pass_grid):
         other = build_grid(interval(0.0, 2.0), 11)
@@ -597,7 +598,7 @@ class TestOnePassEvaluation:
         op = Operator(assemble_weights(one_pass_grid, OperatorParams(s=0.7, p=3.0)))
         n = one_pass_grid.n_interior
         for bad in (np.ones((n, 1)), np.ones(n - 1), np.ones(one_pass_grid.shape)):
-            for form in (energy, seminorm, forms, operator_gradient, operator_hessian):
+            for form in (seminorm, forms, operator_gradient, workspace_hessian):
                 with pytest.raises(ValueError, match=f"expected {n} interior values"):
                     form(op, bad)
 
@@ -635,12 +636,11 @@ class TestFusedPass:
         assert list(kept.energies) == cold_e
         assert np.array_equal(kept.grad, cold_g)
         assert np.array_equal(operator_gradient(op, u), cold_g)
-        assert energy(op, u) == sum(cold_e)
         # the first table's energy has the same bits from a one-table pass
         cold_p = gagliardo._form_pass((tp,), u, gradient=False)[0][0]
         assert cold_p == cold_e[0]
         assert seminorm(op, u) == seminorm(Operator(tp), u) == (3.0 * cold_p) ** (1.0 / 3.0)
-        assert energy(Operator(tq, tp), u) == cold_e[1] + cold_e[0]
+        assert forms(Operator(tq, tp), u).energies == (cold_e[1], cold_e[0])
 
     def test_recomputes_at_a_new_point_and_for_other_tables(self, one_pass_grid, monkeypatch):
         g = one_pass_grid
@@ -652,7 +652,6 @@ class TestFusedPass:
         passes = count_form_passes(monkeypatch)
         forms(op, u)
         forms(op, u)
-        energy(op, u)
         seminorm(op, u)
         assert passes == [True]
         # the answer is a copy: changing it changes nothing kept
@@ -670,12 +669,13 @@ class TestFusedPass:
         forms(Operator(tp, other), w)
         forms(Operator(tp), w)
         assert passes == [True] * 6
-        # away from the kept point an energy or a seminorm keeps nothing
-        energy(op, u)
+        # away from the kept point a seminorm skips the gradient and keeps
+        # nothing: w is still kept
         seminorm(op, u)
-        assert passes == [True] * 6 + [False] * 2
+        forms(op, w)
+        assert passes == [True] * 6 + [False]
         forms(op, np.nextafter(w, np.inf))
-        assert passes == [True] * 6 + [False] * 2 + [True]
+        assert passes == [True] * 6 + [False, True]
 
     def test_two_operators_over_the_same_tables_keep_separate_points(
         self, one_pass_grid, monkeypatch
@@ -691,8 +691,8 @@ class TestFusedPass:
         at_w = forms(second, w)
         assert passes == [True, True]
         assert forms(first, u) is at_u and forms(second, w) is at_w
-        assert energy(first, u) == sum(at_u.energies)
-        assert energy(second, w) == sum(at_w.energies)
+        assert seminorm(first, u) == (3.0 * at_u.energies[0]) ** (1.0 / 3.0)
+        assert seminorm(second, w) == (3.0 * at_w.energies[0]) ** (1.0 / 3.0)
         assert passes == [True, True]
 
     def test_tables_drop_with_their_run(self, one_pass_grid):

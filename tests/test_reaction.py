@@ -359,8 +359,10 @@ class TestStructuralValidation:
         assert e.p == 2.0
 
     def test_negative_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            SingularReaction(gamma=0.5, c1=-1.0, c2=1.0, r=1.5)
+        # c1 = 0 leaves no positive liminf at 0, so no torsion floor exists
+        for c1 in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="c1 must be positive"):
+                SingularReaction(gamma=0.5, c1=c1, c2=1.0, r=1.5)
         with pytest.raises(ValueError):
             SingularReaction(gamma=-0.2, c1=1.0, c2=1.0, r=1.5)
         with pytest.raises(ValueError):
