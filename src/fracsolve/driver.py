@@ -128,13 +128,13 @@ def build_instance(
 ) -> ProblemInstance:
     """Assemble both operator tables into the run's operator, certify a
     floor, and precompute the convolution plan for the convective gradient
-    order.  The floor checks the operator against the exponents; the frozen
-    problems of the solve share it unchecked."""
+    order.  The floor and the frozen problems of the solve share the
+    operator, whose tables carry the orders and exponents."""
     operator = Operator(
         assemble_weights(grid, OperatorParams(s=exponents.s1, p=exponents.p)),
         assemble_weights(grid, OperatorParams(s=exponents.s2, p=exponents.q)),
     )
-    certificate = select_sigma(reaction, exponents, operator)
+    certificate = select_sigma(reaction, operator)
     trunc = TruncatedReaction(reaction, certificate.lower)
     plan = plan_riesz_convolution(grid, 1.0 - exponents.s)
     if frozen_options is None:
@@ -155,7 +155,7 @@ def build_instance(
 def frozen_at(instance: ProblemInstance, v: np.ndarray) -> FrozenProblem:
     """Frozen problem whose load is the convective term g(x, D^s v) for an
     interior vector v; the operator and the truncated forcing are the
-    instance's, checked once when it was built."""
+    instance's."""
     xi = riesz_gradient(instance.plan, v)
     return FrozenProblem(instance.operator, instance.trunc, g_eval(instance.convective, xi))
 

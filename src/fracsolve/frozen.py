@@ -35,26 +35,11 @@ import numpy as np
 from .gagliardo import Operator, forms, operator_gradient, workspace_hessian
 from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, minimize_energy, scaled_norm
-from .reaction import ProblemExponents
-
-
-def check_operator_tables(exponents: ProblemExponents, operator: Operator) -> None:
-    """Validate an operator over a ((s1,p)-table, (s2,q)-table) pair
-    against the exponents."""
-    if not isinstance(operator, Operator) or len(operator.tables) != 2:
-        raise TypeError("expected an operator over a (s1,p)-table, (s2,q)-table pair")
-    wants = ((exponents.s1, exponents.p), (exponents.s2, exponents.q))
-    for table, (s_want, e_want) in zip(operator.tables, wants):
-        if abs(table.params.s - s_want) > 1e-14 or abs(table.params.p - e_want) > 1e-14:
-            raise ValueError(
-                f"table order ({table.params.s},{table.params.p}) does not match "
-                f"exponents ({s_want},{e_want})"
-            )
 
 
 class FrozenProblem:
-    """One instance of the objective: the ``operator`` (one that
-    check_operator_tables accepts), the separable forcing ``trunc`` with
+    """One instance of the objective: the ``operator`` over the run's
+    ((s1,p)-table, (s2,q)-table) pair, the separable forcing ``trunc`` with
     ``f``, its antiderivative ``F`` and its derivative ``df`` at interior
     states (frozen solves also start from its positive ``floor``), and the
     ``load``, one value per interior node."""

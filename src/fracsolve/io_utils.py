@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +44,15 @@ def write_rows_csv(path, header, rows) -> None:
 
 
 def float_list(values) -> list:
-    return [float(v) for v in np.asarray(values, dtype=float).ravel()]
+    """The values as JSON numbers, None where a value is not finite (the
+    NaN step seminorm of a failed outer step): JSON has no NaN."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return [v if math.isfinite(v) else None for v in values]
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a non-finite float raises rather than writing NaN."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

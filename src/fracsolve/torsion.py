@@ -6,7 +6,9 @@ no load; its small-sigma solutions are strictly positive, vanish with
 sigma, and satisfy the nodal inequality  <operator u, e_i>  <=  f(x_i,
 u(x_i)) * cell_volume  whenever sigma stays below the forcing on the
 range of u.  select_sigma halves sigma until that regime is certified and
-records the boundary-distance lower bound eta = min u / d^exponent.
+records the boundary-distance lower bound eta = min u / d^s1, with s1 the
+order of the operator's first table.  The hypotheses exclude the
+resonance q' s2 = s1, so s1 is always the distance power.
 """
 
 from __future__ import annotations
@@ -16,20 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frozen import (
-    FrozenProblem,
-    check_operator_tables,
-    frozen_energy,
-    frozen_gradient,
-    frozen_hessian,
-)
+from .frozen import FrozenProblem, frozen_energy, frozen_gradient, frozen_hessian
 from .gagliardo import Operator
 from .optimize import MinimizerOptions, bisect_root, minimize_energy
-from .reaction import ProblemExponents, SingularReaction, f_eval, liminf_at_zero
+from .reaction import SingularReaction, f_eval, liminf_at_zero
 
 _MAX_HALVINGS = 60
-_RESONANCE_TOL = 1e-12
-_COLLISION_TOL = 1e-9
 _FLOOR_LOG = "floor halving %d: sigma %.6e, sup norm %.3e, %s"
 _SOLVE_LOG = "torsion solve: sigma %.6e, %s"
 
@@ -136,21 +130,6 @@ def _constant_start(prob: FrozenProblem) -> np.ndarray:
     return bisect_root(slope, 0.0, hi) * ones
 
 
-def hopf_exponent(exponents: ProblemExponents) -> float:
-    """Distance-power used in the lower bound: s1, except in the resonant
-    case q' s2 = s1 where a slightly larger power avoids both resonances."""
-    e = exponents
-    if abs(e.q_prime * e.s2 - e.s1) > _RESONANCE_TOL:
-        return e.s1
-    alpha = e.s1 + min(0.05, (1.0 - e.s1) / 2.0)
-    if (
-        abs(alpha - e.q_prime * e.s2) < _COLLISION_TOL
-        or abs(alpha - e.p_prime * e.s1) < _COLLISION_TOL
-    ):
-        alpha += 0.011
-    return alpha
-
-
 def hopf_ratio(u: np.ndarray, d: np.ndarray, exponent: float) -> float:
     """Largest eta with  eta * d^exponent <= u, for the interior vectors u
     and d (the distance to the boundary)."""
@@ -166,25 +145,15 @@ def _admissible_delta(reaction: SingularReaction, epsilon: float) -> float:
     return min(1.0, (reaction.c1 / epsilon) ** (1.0 / reaction.gamma) - reaction.shift)
 
 
-def select_sigma(
-    reaction: SingularReaction,
-    exponents: ProblemExponents,
-    operator: Operator,
-    epsilon: float | None = None,
-) -> SubsolutionCertificate:
+def select_sigma(reaction: SingularReaction, operator: Operator) -> SubsolutionCertificate:
     """Halve sigma from epsilon/2 until the torsion solution is a certified
     floor: small sup norm, strictly positive, forcing above sigma at every
-    node.  The operator is checked against the exponents once."""
-    check_operator_tables(exponents, operator)
+    node.  epsilon is 1 for the singular family, whose forcing blows up at
+    0, and c1 / 2, half its limit at 0, for the bounded family.  The
+    floor's distance power is s1, the order of the operator's first
+    table."""
     L = liminf_at_zero(reaction)
-    if epsilon is None:
-        epsilon = 1.0 if np.isinf(L) else L / 2.0
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if epsilon >= L:
-        raise ValueError(
-            f"epsilon {epsilon} must stay below the small-state forcing level {L}"
-        )
+    epsilon = 1.0 if np.isinf(L) else L / 2.0
     delta = _admissible_delta(reaction, epsilon)
 
     sigma = epsilon / 2.0
@@ -198,7 +167,7 @@ def select_sigma(
         )
         logger.info(_FLOOR_LOG, halvings, sigma, sup, "certified" if certified else "rejected")
         if certified:
-            exponent = hopf_exponent(exponents)
+            exponent = operator.tables[0].params.s
             return SubsolutionCertificate(
                 lower=vals,
                 sigma=sigma,

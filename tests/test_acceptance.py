@@ -361,6 +361,7 @@ def test_criterion_8_hypothesis_gate(capsys):
         "r_too_large.json": "r in (1,p-1)",
         "zeta_too_large.json": "zeta in (1,p-1)",
         "s1_hits_resonance.json": "s1<1/(p'*gamma)",
+        "q_prime_s2_equals_s1.json": "q'*s2 != s1",
     }
     for name, check in expected.items():
         code = cli.main(
@@ -372,4 +373,4 @@ def test_criterion_8_hypothesis_gate(capsys):
         assert [f["name"] for f in err["failures"]] == [check], name
     # whole acceptance run stays within the stated budget
     assert time.perf_counter() - _SUITE_T0 < 300.0
-    _report(8, "all six negative configs rejected by name, exit 2", t0)
+    _report(8, "all seven negative configs rejected by name, exit 2", t0)

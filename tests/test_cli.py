@@ -9,8 +9,10 @@ bit-identical report apart from its timestamp.
 import csv
 import json
 import logging
+import math
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ NEGATIVE_EXPECTATIONS = {
     "r_too_large.json": "r in (1,p-1)",
     "zeta_too_large.json": "zeta in (1,p-1)",
     "s1_hits_resonance.json": "s1<1/(p'*gamma)",
+    "q_prime_s2_equals_s1.json": "q'*s2 != s1",
 }
 
 
@@ -284,6 +287,46 @@ class TestCliSolve:
         if kind == "RuntimeError":
             assert "ball monitor violation" in report["error"]["message"]
         assert [f.name for f in out.iterdir()] == ["report.json"]
+
+    def test_failed_outer_step_report_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        # the second outer step's frozen solve fails, so its step seminorm
+        # is NaN: the report writes it as null, since JSON has no NaN
+        solve = driver.apply_T
+        calls = []
+
+        def failing_T(inst, v, start=None):
+            calls.append(None)
+            result = solve(inst, v, start)
+            return result if len(calls) == 1 else replace(result, converged=False, message="stall")
+
+        monkeypatch.setattr(driver, "apply_T", failing_T)
+        payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        payload["outer"]["ball_monitor"] = False
+        out = tmp_path / "run"
+        assert cli.main(["solve", "--config", dump(tmp_path, payload), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "runtime"
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["converged"] is False
+        assert len(report["step_seminorms"]) == 2
+        assert math.isfinite(report["step_seminorms"][0])
+        assert report["step_seminorms"][-1] is None
+        rows = (out / "convergence.csv").read_text().strip().splitlines()
+        assert rows[-1].split(",")[1] == "nan"
+
+    def test_resonant_config_exits_2_before_assembly(self, tmp_path, capsys, monkeypatch):
+        # q'*s2 = s1 is outside the window, so no floor is built for it
+        monkeypatch.setattr(driver, "assemble_weights", lambda *args: pytest.fail("assembled"))
+        out = tmp_path / "run"
+        path = str(CONFIG_DIR / "negative" / "q_prime_s2_equals_s1.json")
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "hypothesis"
+        assert [f["name"] for f in err["failures"]] == ["q'*s2 != s1"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command,section,key,value",

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracsolve import driver, frozen, torsion
+from fracsolve import driver
 from fracsolve.driver import (
     OuterOptions,
     apply_T,
@@ -464,19 +464,6 @@ class TestSolveProblem:
         )
         assert not report.converged
         assert calls == [tol, tol]
-
-    def test_tables_not_rechecked_per_step(self, instance_1d, monkeypatch):
-        calls = []
-        for module in (frozen, torsion):
-            check = module.check_operator_tables
-            monkeypatch.setattr(
-                module,
-                "check_operator_tables",
-                lambda *args, check=check: calls.append(1) or check(*args),
-            )
-        report = solve_problem(instance_1d, OuterOptions())
-        assert report.converged
-        assert calls == []
 
     def test_tables_hold_no_dense_pair_matrix(self, instance_1d):
         # a table stores its offset weights and tail; the n x n matrix is

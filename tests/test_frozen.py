@@ -23,7 +23,6 @@ import pytest
 
 from fracsolve.frozen import (
     FrozenProblem,
-    check_operator_tables,
     default_frozen_options,
     frozen_energy,
     frozen_gradient,
@@ -77,7 +76,7 @@ def setup_1d():
         assemble_weights(grid, OperatorParams(0.6, 2.5)),
         assemble_weights(grid, OperatorParams(0.5, 2.2)),
     )
-    cert = select_sigma(REACTION_1D, EXPONENTS_1D, operator)
+    cert = select_sigma(REACTION_1D, operator)
     lower = cert.lower
     xi = riesz_gradient(plan_riesz_convolution(grid, 1.0 - EXPONENTS_1D.s), lower)
     trunc = TruncatedReaction(REACTION_1D, lower)
@@ -89,19 +88,11 @@ class TestObjective:
     def test_tables_checked_against_grid_and_exponents(self, setup_1d):
         _, _, prob = setup_1d
         tp, tq = prob.operator.tables
-        check_operator_tables(EXPONENTS_1D, prob.operator)
-        with pytest.raises(ValueError, match="does not match"):
-            check_operator_tables(EXPONENTS_1D, Operator(tq, tp))
         other = build_grid(interval(0.0, 1.0), 17)
         with pytest.raises(ValueError, match="different grid"):
             Operator(tp, assemble_weights(other, tq.params))
         with pytest.raises(TypeError):
             Operator(tp, tp.pair)
-        for bad in ((tp, tq), Operator(tp), Operator(tp, tq, tq)):
-            with pytest.raises(TypeError):
-                check_operator_tables(EXPONENTS_1D, bad)
-        with pytest.raises(ValueError, match="does not match"):
-            select_sigma(REACTION_1D, EXPONENTS_1D, Operator(tq, tp))
 
     def test_load_and_start_are_interior_vectors(self, setup_1d):
         grid, _, prob = setup_1d
@@ -474,7 +465,7 @@ class TestTwoDimensional:
             assemble_weights(grid, OperatorParams(0.6, 3.0)),
             assemble_weights(grid, OperatorParams(0.5, 2.5)),
         )
-        cert = select_sigma(reaction, exps, operator)
+        cert = select_sigma(reaction, operator)
         lower = cert.lower
         prob = FrozenProblem(
             operator=operator,
@@ -512,7 +503,7 @@ def hessian_setup(request):
         assemble_weights(grid, OperatorParams(exps.s1, exps.p)),
         assemble_weights(grid, OperatorParams(exps.s2, exps.q)),
     )
-    lower = select_sigma(reaction, exps, operator).lower
+    lower = select_sigma(reaction, operator).lower
     prob = build_problem(grid, exps, reaction, convective, lower, lower)
     rng = np.random.default_rng(3)
     u = lower + 0.2 + 0.05 * rng.random(grid.n_interior)

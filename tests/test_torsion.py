@@ -20,7 +20,6 @@ from fracsolve.reaction import ProblemExponents, SingularReaction, f_eval
 from fracsolve.torsion import (
     SubsolutionCertificate,
     _admissible_delta,
-    hopf_exponent,
     hopf_ratio,
     select_sigma,
     solve_torsion,
@@ -250,34 +249,12 @@ class TestHopf:
         with pytest.raises(ValueError):
             hopf_ratio(np.zeros(grid.n_interior), d, 0.5)
 
-    def test_exponent_plain_case(self):
-        exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
-        assert hopf_exponent(exps) == 0.6
-
-    def test_exponent_resonant_case(self):
-        # q' s2 = s1: q=2.2 -> q'=11/6; s2=0.54 -> q's2=0.99... pick exact:
-        # q=3 -> q'=1.5, s2=0.4, s1=0.6 -> q's2=0.6 = s1
-        exps = ProblemExponents(s=0.5, s1=0.6, s2=0.4, p=4.0, q=3.0, dim=1)
-        alpha = hopf_exponent(exps)
-        assert alpha > exps.s1
-        assert abs(alpha - exps.q_prime * exps.s2) > 1e-9
-        assert abs(alpha - exps.p_prime * exps.s1) > 1e-9
-        assert alpha == pytest.approx(0.65)
-
-    def test_exponent_resonant_with_collision(self):
-        # q's2 = s1 = 0.5 and p's1 = 0.55 collides with the first alpha try
-        exps = ProblemExponents(s=0.45, s1=0.5, s2=1.0 / 3.0, p=11.0, q=3.0, dim=1)
-        assert exps.q_prime * exps.s2 == pytest.approx(0.5, abs=1e-12)
-        assert exps.p_prime * exps.s1 == pytest.approx(0.55, abs=1e-12)
-        alpha = hopf_exponent(exps)
-        assert alpha == pytest.approx(0.561)
-
 
 class TestSelectSigma:
     def test_singular_family_certificate(self, nl_setup):
         exps, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
-        cert = select_sigma(fam, exps, op)
+        cert = select_sigma(fam, op)
         assert isinstance(cert, SubsolutionCertificate)
         assert cert.epsilon == 1.0
         assert cert.sigma <= 0.5 + 1e-15
@@ -292,9 +269,9 @@ class TestSelectSigma:
         assert np.all(cert.sigma < fvals)
 
     def test_subsolution_inequality_nodal(self, nl_setup):
-        exps, grid, op = nl_setup
+        _, grid, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
-        cert = select_sigma(fam, exps, op)
+        cert = select_sigma(fam, op)
         floor = cert.lower
         resid = (
             operator_gradient(Operator(op.tables[0]), floor)
@@ -319,11 +296,9 @@ class TestSelectSigma:
         assert _admissible_delta(fam, epsilon) == pytest.approx(want, rel=1e-14)
 
     def test_bounded_family_epsilon_gate(self, nl_setup):
-        exps, _, op = nl_setup
+        _, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.8, c2=0.5, r=1.1, family="bounded")
-        with pytest.raises(ValueError):
-            select_sigma(fam, exps, op, epsilon=0.8)
-        cert = select_sigma(fam, exps, op)
+        cert = select_sigma(fam, op)
         assert cert.epsilon == pytest.approx(0.4)
         assert cert.delta == pytest.approx(min(1.0, 2.0**2.0 - 1.0))
         assert cert.sup_norm < cert.delta
@@ -335,17 +310,17 @@ class TestSelectSigma:
         for res in (17, 33):
             grid = build_grid(interval(0.0, 1.0), res)
             op = _operator(grid, exps)
-            cert = select_sigma(fam, exps, op)
+            cert = select_sigma(fam, op)
             etas.append(cert.eta)
         ratio = etas[1] / etas[0]
         assert 0.5 <= ratio <= 2.0
 
     def test_logs_one_line_per_sigma(self, nl_setup, caplog):
-        exps, _, op = nl_setup
+        _, _, op = nl_setup
         # a small c1 shrinks delta below the first torsion solutions
         fam = SingularReaction(gamma=0.5, c1=0.05, c2=0.5, r=1.1)
         with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
-            cert = select_sigma(fam, exps, op)
+            cert = select_sigma(fam, op)
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.torsion"]
         assert cert.halvings > 0
         assert len(lines) == cert.halvings + 1
@@ -355,10 +330,10 @@ class TestSelectSigma:
         assert f"sigma {cert.sigma:.6e}, sup norm {cert.sup_norm:.3e}" in lines[-1]
 
     def test_logs_the_counts_of_each_solve(self, nl_setup, caplog):
-        exps, _, op = nl_setup
+        _, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.05, c2=0.5, r=1.1)
         with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
-            cert = select_sigma(fam, exps, op)
+            cert = select_sigma(fam, op)
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.torsion.solve"]
         assert len(lines) == cert.halvings + 1
         pattern = re.compile(
@@ -371,9 +346,9 @@ class TestSelectSigma:
             assert evals == 1 + iterations + backtracks
 
     def test_certificate_dict_fields(self, nl_setup):
-        exps, _, op = nl_setup
+        _, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
-        cert = select_sigma(fam, exps, op)
+        cert = select_sigma(fam, op)
         d = cert.as_dict()
         for key in ("sigma", "eta", "exponent", "sup_norm", "epsilon", "delta", "halvings"):
             assert key in d
