@@ -225,7 +225,7 @@ def _inbox_exterior_tail(grid: Grid, woff: np.ndarray) -> np.ndarray:
     (0.6, 2.2)), so the smallest entries are accurate only to about 1e-13
     relative."""
     ext = (~grid.interior_mask).astype(float).reshape(grid.shape)
-    return grid.convolve(woff, ext).reshape(-1)[grid.interior_idx]
+    return grid.convolve(grid.offset_spectrum(woff), ext).reshape(-1)[grid.interior_idx]
 
 
 def _cache_descriptor(grid: Grid, params: OperatorParams) -> dict:

@@ -224,18 +224,28 @@ class Grid:
         np.add.at(counts, np.ix_(*(np.abs(d) for d in signed)), auto)
         return np.rint(counts).astype(np.int64)
 
-    def convolve(self, table, values):
-        """Linear convolution of lattice values (shape ``self.shape``) with a
-        table over nonnegative offsets: entry l of the result is the sum over
-        nodes k of ``table[|l - k|] * values[k]``."""
+    @cached_property
+    def _convolution_shape(self):
+        # the full linear convolution has 3m - 2 entries per axis; each axis
+        # is padded to a fast real-FFT length
+        return tuple(_fast_len(3 * m - 2) for m in self.shape)
+
+    def offset_spectrum(self, table):
+        """The spectrum ``convolve`` multiplies by: the real FFT of a table
+        over nonnegative offsets (shape ``self.shape``), mirrored to every
+        signed offset and padded to the linear-convolution length.  A fixed
+        table is transformed once and convolved with many times."""
         signed = table[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in self.shape))]
-        # the full linear convolution has 3m - 2 entries per axis; pad each
-        # axis to a fast real-FFT length and keep the centered m ("same"),
-        # which start at m - 1
-        fshape = [_fast_len(3 * m - 2) for m in self.shape]
+        return np.fft.rfftn(signed, self._convolution_shape, tuple(range(self.dim)))
+
+    def convolve(self, spectrum, values):
+        """Linear convolution of lattice values (shape ``self.shape``) with
+        the table whose ``offset_spectrum`` is given: entry l of the result
+        is the sum over nodes k of ``table[|l - k|] * values[k]``."""
+        fshape = self._convolution_shape
         axes = tuple(range(self.dim))
-        spec = np.fft.rfftn(values, fshape, axes) * np.fft.rfftn(signed, fshape, axes)
-        full = np.fft.irfftn(spec, fshape, axes)
+        full = np.fft.irfftn(np.fft.rfftn(values, fshape, axes) * spectrum, fshape, axes)
+        # keep the centered m entries per axis ("same"), which start at m - 1
         return full[tuple(slice(m - 1, 2 * m - 1) for m in self.shape)]
 
 

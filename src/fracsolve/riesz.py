@@ -8,8 +8,9 @@ keep the interior nodes.
 
 The kernel depends on |z| alone, so it is tabulated as cell integrals over
 the nonnegative lattice offsets, like the weight tables of the forms;
-``Grid.convolve`` mirrors it to every signed offset and runs one linear
-(non-circular) FFT convolution, which reproduces the exact dense sum over
+``Grid.offset_spectrum`` mirrors it to every signed offset and transforms
+it once per plan, and ``Grid.convolve`` runs one linear (non-circular) FFT
+convolution with that spectrum, which reproduces the exact dense sum over
 all support cells with no wraparound.  The origin cell uses the exact
 singular cell average; every other cell uses one 10-point Gauss rule per
 cell axis, the same in every dimension.
@@ -55,11 +56,13 @@ def riesz_cell_average(alpha, widths):
 @dataclass
 class ConvolutionPlan:
     """Cell-integrated Riesz kernel of order alpha on grid, tabulated over
-    nonnegative lattice offsets (shape ``grid.shape``)."""
+    nonnegative lattice offsets (shape ``grid.shape``), and its
+    ``grid.offset_spectrum``, which every convolution reads."""
 
     grid: Grid
     alpha: float
     kernel: np.ndarray
+    spectrum: np.ndarray
 
 
 def _kernel(grid: Grid, alpha: float) -> np.ndarray:
@@ -89,7 +92,8 @@ def plan_riesz_convolution(grid: Grid, alpha: float) -> ConvolutionPlan:
     over every nonnegative offset between lattice nodes."""
     if not 0.0 < alpha < grid.dim:
         raise ValueError(f"Riesz order must lie in (0, {grid.dim}), got {alpha}")
-    return ConvolutionPlan(grid, float(alpha), _kernel(grid, alpha))
+    kernel = _kernel(grid, alpha)
+    return ConvolutionPlan(grid, float(alpha), kernel, grid.offset_spectrum(kernel))
 
 
 def riesz_gradient(plan: ConvolutionPlan, v) -> np.ndarray:
@@ -99,6 +103,6 @@ def riesz_gradient(plan: ConvolutionPlan, v) -> np.ndarray:
     node lies on the lattice edge, so every one of them gets a centered
     difference."""
     grid = plan.grid
-    pot = grid.convolve(plan.kernel, grid.zero_extend(v))
+    pot = grid.convolve(plan.spectrum, grid.zero_extend(v))
     grads = np.reshape(np.gradient(pot, *grid.h), (grid.dim, -1))
     return grads.T[grid.interior_idx]
