@@ -201,6 +201,8 @@ def load_config(path: str, require_hypotheses: bool = True) -> RunConfig:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(str(path), f"cannot read config: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(str(path), f"not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(str(path), f"invalid JSON: {e}") from e
     raw = _require_mapping(raw, "config")

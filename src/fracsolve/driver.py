@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frozen import FrozenProblem, default_frozen_options, solve_frozen, weak_residual
+from .frozen import FrozenProblem, default_tol, solve_frozen, weak_residual
 from .gagliardo import Operator, OperatorParams, assemble_weights, seminorm
 from .grids import Grid
 from .optimize import MinimizeResult, MinimizerOptions, bisect_root as _bisect_root
@@ -63,6 +63,7 @@ _SAMPLE_LOG = "growth sample %d: seminorm %.3e, T(v) seminorm %.3e, %s"
 _SKIPPED_LOG = "growth sample %d: seminorm %.3e, skipped"
 _POLISH_LOG = "growth sample %d polished: T(v) seminorm %.3e, %s"
 _STEP_LOG = "outer %d: step seminorm %.3e, frozen residual %.3e, %s, theta %.6g"
+_FINAL_LOG = "final re-solve: frozen residual %.3e, %s"
 
 
 @dataclass(frozen=True)
@@ -96,19 +97,21 @@ class GrowthBound:
 
 @dataclass
 class ProblemInstance:
-    """Everything a solve needs: grid, exponents, reactions, the operator
-    over the assembled tables (with the run's kept point), floor
-    certificate, and the convolution plan for the fractional gradient."""
+    """Everything a solve needs: the convective reaction, the operator over
+    the assembled tables (their grid and exponents, and the run's kept
+    point), floor certificate, truncated reaction, the convolution plan
+    for the fractional gradient, and the inner solves' options."""
 
-    grid: Grid
-    exponents: ProblemExponents
-    reaction: SingularReaction
     convective: ConvectiveReaction
     operator: Operator
     certificate: SubsolutionCertificate
     trunc: TruncatedReaction
     plan: ConvolutionPlan
     frozen_options: MinimizerOptions
+
+    @property
+    def grid(self) -> Grid:
+        return self.operator.grid
 
 
 @dataclass
@@ -153,11 +156,8 @@ def build_instance(
     trunc = TruncatedReaction(reaction, certificate.lower)
     plan = plan_riesz_convolution(grid, 1.0 - exponents.s)
     if frozen_options is None:
-        frozen_options = default_frozen_options(grid)
+        frozen_options = MinimizerOptions(tol=default_tol(grid.dim))
     return ProblemInstance(
-        grid=grid,
-        exponents=exponents,
-        reaction=reaction,
         convective=convective,
         operator=operator,
         certificate=certificate,
@@ -215,11 +215,11 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
     sample's loose ratio, with a warning.  None, with a warning, where no
     finite radius is found: the exponent is not below p, no sample
     converged, or rho passes 1e12."""
-    e = instance.exponents
-    exponent = instance.convective.zeta * e.p_prime
-    if exponent >= e.p:
+    p = instance.operator.tables[0].params.p
+    exponent = instance.convective.zeta * (p / (p - 1.0))
+    if exponent >= p:
         warnings.warn(
-            f"growth exponent zeta*p' = {exponent:.6g} is not below p = {e.p}; "
+            f"growth exponent zeta*p' = {exponent:.6g} is not below p = {p}; "
             "no finite invariance radius exists"
         )
         return None
@@ -245,7 +245,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
         tnorm = seminorm(op, result.x)
         start = result.x
         logger.info(_SAMPLE_LOG, k, lam, tnorm, result.counts)
-        samples.append((k, lam, v, result, tnorm**e.p / (1.0 + lam**exponent)))
+        samples.append((k, lam, v, result, tnorm**p / (1.0 + lam**exponent)))
     top = max((ratio for *_, ratio in samples), default=0.0)
     c_emp = 0.0
     for k, lam, v, result, ratio in samples:
@@ -254,7 +254,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
             if polished.converged:
                 tnorm = seminorm(op, polished.x)
                 logger.info(_POLISH_LOG, k, tnorm, polished.counts)
-                ratio = tnorm**e.p / (1.0 + lam**exponent)
+                ratio = tnorm**p / (1.0 + lam**exponent)
             else:
                 warnings.warn(
                     f"growth-bound sample at seminorm {lam:.3g} did not converge at the "
@@ -266,7 +266,7 @@ def fit_growth_bound(instance: ProblemInstance, seed: int = 0) -> GrowthBound | 
         return None
 
     def gap(rho):
-        return rho**e.p - c_emp * (1.0 + rho**exponent)
+        return rho**p - c_emp * (1.0 + rho**exponent)
 
     # gap(0) = -c_emp < 0 brackets the root from below
     hi = 1.0
@@ -306,9 +306,9 @@ def solve_problem(
     monitor on, every iterate must stay inside the radius that
     fit_growth_bound returns, when it returns one.  Each frozen solve
     starts from the previous step's answer; once the loop converges, the
-    last step's frozen problem is solved again from its answer with the
-    inner tolerance divided by _FINAL_TOL_DIVISOR, and a converged re-solve
-    replaces that step's answer and residuals."""
+    last step's frozen problem is solved again from its answer, through
+    apply_T with the inner tolerance divided by _FINAL_TOL_DIVISOR, and a
+    converged re-solve replaces that step's answer and residuals."""
     opts = options or OuterOptions()
     grid = instance.grid
     op = instance.operator
@@ -388,7 +388,8 @@ def solve_problem(
         tight = replace(
             instance.frozen_options, tol=instance.frozen_options.tol / _FINAL_TOL_DIVISOR
         )
-        final = solve_frozen(frozen_at(instance, frozen_v), tight, last_result.x)
+        final = apply_T(replace(instance, frozen_options=tight), frozen_v, last_result.x)
+        logger.info(_FINAL_LOG, final.residual, final.counts)
         inner_iterations[-1] += final.iterations
         if final.converged:
             last_result = final

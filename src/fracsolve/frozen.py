@@ -102,13 +102,7 @@ def default_tol(dim: int) -> float:
     return 1e-6 if dim == 1 else 1e-5
 
 
-def default_frozen_options(grid: Grid) -> MinimizerOptions:
-    return MinimizerOptions(tol=default_tol(grid.dim))
-
-
-def solve_frozen(
-    prob: FrozenProblem, options: MinimizerOptions | None = None, start=None
-) -> MinimizeResult:
+def solve_frozen(prob: FrozenProblem, options: MinimizerOptions, start=None) -> MinimizeResult:
     """Minimize the frozen objective from the interior vector ``start``
     clipped to the floor, or from the floor itself when no start is given.
     A start near the minimizer, such as the answer to a nearby frozen
@@ -120,18 +114,17 @@ def solve_frozen(
     Non-convergence returns the best iterate with the failure flagged
     rather than raising.
     """
-    opts = options or default_frozen_options(prob.grid)
     floor = prob.trunc.floor
     x0 = floor if start is None else prob.grid.interior_vector(start)
     result = minimize_energy(
         lambda u: frozen_energy(prob, u),
         lambda u: frozen_gradient(prob, u),
         np.maximum(x0, floor),
-        opts,
-        hess_fn=lambda u: frozen_hessian(prob, u),
+        options,
+        lambda u: frozen_hessian(prob, u),
     )
     bound_gap = float(np.min(result.x - floor))
-    if result.converged and bound_gap < -opts.tol:
+    if result.converged and bound_gap < -options.tol:
         return replace(
             result,
             converged=False,

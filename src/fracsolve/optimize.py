@@ -1,22 +1,22 @@
 """Line-search descent for the coercive discrete energies.
 
-Each iteration tries, when the caller supplies a Hessian, the Newton
-direction ``d = -H^-1 g`` at trial step 1, with ``H`` factored by a dense
-Cholesky decomposition.  Where the Hessian is not finite, the
-factorization fails (``H`` is not positive definite, as where the forms
-are flat) or the direction is not one of descent, the iteration takes
-the gradient direction with the Barzilai-Borwein (BB) trial step instead
-(Barzilai and Borwein 1988; Raydan 1997); without a Hessian every step is
-a BB step.  Both kinds go through the same backtracking, in float64, with
-``g.d`` as the slope.  A trial step is accepted when it passes the Armijo
-test or, when the energy change is at the level of float64 summation
-noise (``|E(trial) - E| <= EPS |E|``), when the gradient at the trial
-point passes the approximate-Armijo test of Hager and Zhang (CG_DESCENT,
-SIAM J. Optim. 2005) instead.  So an accepted step either lowers the
-computed energy by the Armijo margin or raises it by at most ``EPS |E|``.
-A trial point equal to the current one is never accepted.  Any
-non-finite energy or gradient at an accepted point aborts loudly.  The
-stopping test is the same for both kinds: scaled gradient norm < tol.
+Each iteration tries the Newton direction ``d = -H^-1 g`` at trial step
+1, with the caller's Hessian ``H`` factored by a dense Cholesky
+decomposition.  Where the factorization fails (``H`` is not positive
+definite, as where the forms are flat), the factor is not finite or the
+direction is not one of descent, the iteration takes the gradient
+direction with the Barzilai-Borwein (BB) trial step instead (Barzilai
+and Borwein 1988; Raydan 1997).  Both kinds go through the same
+backtracking, in float64, with ``g.d`` as the slope.  A trial step is
+accepted when it passes the Armijo test or, when the energy change is at
+the level of float64 summation noise (``|E(trial) - E| <= EPS |E|``),
+when the gradient at the trial point passes the approximate-Armijo test
+of Hager and Zhang (CG_DESCENT, SIAM J. Optim. 2005) instead.  So an
+accepted step either lowers the computed energy by the Armijo margin or
+raises it by at most ``EPS |E|``.  A trial point equal to the current one
+is never accepted.  Any non-finite energy or gradient at an accepted
+point aborts loudly.  The stopping test is the same for both kinds:
+scaled gradient norm < tol.
 """
 
 from __future__ import annotations
@@ -126,13 +126,16 @@ def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _newton_direction(hess_fn, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     """-H^-1 g for the Hessian H at x when H is finite and positive definite
-    and the result is a finite descent direction; None otherwise."""
+    and the result is a finite descent direction; None otherwise.  A
+    non-finite H either fails to factor or leaves a non-finite entry on the
+    factor's diagonal, which alone is checked: a diagonal +inf factors to
+    L_jj = inf, and the solves then return a finite d with d_j = 0."""
     hess = np.asarray(hess_fn(x), dtype=float)
-    if not np.all(np.isfinite(hess)):
-        return None
     try:
         chol = np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(np.diagonal(chol))):
         return None
     # the factor alone is needed from here (134 MB at n = 4096); a Hessian
     # the callback made anew is freed, while the solves' Hessian is their
@@ -148,13 +151,11 @@ def minimize_energy(
     energy_fn: Callable[[np.ndarray], float],
     grad_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    options: MinimizerOptions | None = None,
-    on_accept: Callable[[float], None] | None = None,
-    hess_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    options: MinimizerOptions,
+    hess_fn: Callable[[np.ndarray], np.ndarray],
 ) -> MinimizeResult:
-    """Minimize from x0; ``hess_fn`` (optional) returns the dense symmetric
-    Hessian at a point, for Newton steps."""
-    opts = options or MinimizerOptions()
+    """Minimize from x0; ``hess_fn`` returns the dense symmetric Hessian at a
+    point, for Newton steps."""
     x = np.array(x0, dtype=float)
     f = float(energy_fn(x))
     energy_evals, backtracks = 1, 0
@@ -171,9 +172,9 @@ def minimize_energy(
             x, converged, iterations, residual, f, message, newton_steps, energy_evals, backtracks
         )
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, options.max_iter + 1):
         residual = scaled_norm(g)
-        if residual < opts.tol:
+        if residual < options.tol:
             return result(True, it - 1, residual)
 
         if prev_g is not None:
@@ -187,7 +188,7 @@ def minimize_energy(
                 # vanishing accepted step cannot reset the scale to 1.0
                 trial = min(max(numer / denom, 1e-14), 1e14)
 
-        d = None if hess_fn is None else _newton_direction(hess_fn, x, g)
+        d = _newton_direction(hess_fn, x, g)
         newton = d is not None
         if not newton:
             d = -g
@@ -224,11 +225,9 @@ def minimize_energy(
         x, f = xn, fn
         g = gn if gn is not None else np.asarray(grad_fn(x), dtype=float)
         _require_finite(g, "gradient")
-        if on_accept is not None:
-            on_accept(f)
 
     residual = scaled_norm(g)
-    return result(residual < opts.tol, opts.max_iter, residual, "iteration budget exhausted")
+    return result(residual < options.tol, options.max_iter, residual, "iteration budget exhausted")
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:

@@ -81,24 +81,20 @@ def torsion_objective(sigma: float, operator: Operator) -> FrozenProblem:
     return FrozenProblem(operator, ConstantForcing(sigma), np.zeros(operator.grid.n_interior))
 
 
-def solve_torsion(
-    sigma: float, operator: Operator, options: MinimizerOptions | None = None
-) -> np.ndarray:
+def solve_torsion(sigma: float, operator: Operator) -> np.ndarray:
     """Minimize the energy of the operator over a ((s1,p)-table,
     (s2,q)-table) pair against constant forcing sigma, starting from the
     best constant field (the Hessian vanishes at zero); returns the
-    interior vector."""
+    interior vector.  The stationarity target scales with the forcing, so
+    a tiny sigma can never accept the zero field, and is floored above fp
+    noise."""
     prob = torsion_objective(sigma, operator)
-    if options is None:
-        # scale the stationarity target with the forcing so tiny sigma can
-        # never accept the zero field, and floor it above fp noise
-        options = MinimizerOptions(tol=max(1e-14, 1e-8 * sigma * prob.grid.cell_volume))
     result = minimize_energy(
         lambda u: frozen_energy(prob, u),
         lambda u: frozen_gradient(prob, u),
         _constant_start(prob),
-        options,
-        hess_fn=lambda u: frozen_hessian(prob, u),
+        MinimizerOptions(tol=max(1e-14, 1e-8 * sigma * prob.grid.cell_volume)),
+        lambda u: frozen_hessian(prob, u),
     )
     logger_solve.info(_SOLVE_LOG, sigma, result.counts)
     if not result.converged:

@@ -20,10 +20,10 @@ import warnings
 
 import numpy as np
 
-from fracsolve.frozen import FrozenProblem, frozen_energy, frozen_gradient
+from fracsolve.frozen import FrozenProblem, solve_frozen
 from fracsolve.gagliardo import Operator, PairWeightTable, workspace_hessian
 from fracsolve.grids import Grid
-from fracsolve.optimize import MinimizerOptions, minimize_energy
+from fracsolve.optimize import MinimizerOptions
 from fracsolve.reaction import uniqueness_certified
 
 _ROW_CHUNK = 512
@@ -59,7 +59,8 @@ def uniqueness_probe(
     options: MinimizerOptions | None = None,
     starts=None,
 ) -> float:
-    """Solve from two distinct starts and report the sup-norm discrepancy.
+    """Solve from two distinct starts with solve_frozen, which clips each to
+    the floor, and report the sup-norm discrepancy.
 
     Requires the decreasing-ratio family condition r < q - 1; otherwise the
     probe is skipped with NaN.  Solves run at scaled residual 1e-8, two
@@ -82,12 +83,7 @@ def uniqueness_probe(
 
     solutions = []
     for start in starts:
-        res = minimize_energy(
-            lambda u: frozen_energy(prob, u),
-            lambda u: frozen_gradient(prob, u),
-            np.asarray(start, dtype=float).copy(),
-            opts,
-        )
+        res = solve_frozen(prob, opts, start)
         if not res.converged:
             warnings.warn(
                 f"frozen solve from a probe start did not converge ({res.message}); "

@@ -201,7 +201,7 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
             operator_gradient(Operator(inst.operator.tables[0]), inst.trunc.floor)
             + operator_gradient(Operator(inst.operator.tables[1]), inst.trunc.floor)
             - inst.grid.cell_volume
-            * f_eval(inst.reaction, inst.trunc.floor)
+            * f_eval(inst.trunc.base, inst.trunc.floor)
         )
         assert np.max(resid) <= 1e-8
 

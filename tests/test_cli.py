@@ -405,6 +405,19 @@ class TestCliSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
 
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark, as a Windows editor may save the file
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(MINIMAL).encode("utf-16-le"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(str(path))
+        code = cli.main(["check-hypotheses", "--config", str(path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == str(path)
+        assert err["reason"].startswith("not UTF-8 text")
+
 
 class TestCliOther:
     def test_check_hypotheses_pass(self, capsys):

@@ -11,6 +11,7 @@ Oracles:
 
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -129,7 +130,7 @@ class TestApplyT:
     def test_growth_bound_on_fresh_fields(self, instance_1d):
         bound = fit_growth_bound(instance_1d, seed=0)
         assert bound.c_emp > 0.0
-        e = instance_1d.exponents
+        e = EXPONENTS_1D
         exponent = CONVECTIVE_1D.zeta * e.p_prime
         assert abs(bound.exponent - exponent) <= 1e-14
         # the fitted radius closes the invariance inequality
@@ -149,7 +150,7 @@ class TestApplyT:
         from scipy.optimize import brentq
 
         bound = fit_growth_bound(instance_1d, seed=0)
-        p = instance_1d.exponents.p
+        p = instance_1d.operator.tables[0].params.p
 
         def gap(rho):
             return rho**p - bound.c_emp * (1.0 + rho**bound.exponent)
@@ -250,14 +251,19 @@ class TestApplyT:
         assert gaps[2] <= 0.1 * gaps[0]
 
 
+def growth_exponents(instance):
+    """p of the operator's first table, and the growth exponent zeta p'."""
+    p = instance.operator.tables[0].params.p
+    return p, instance.convective.zeta * (p / (p - 1.0))
+
+
 def tight_fit(instance, monkeypatch):
     """The growth fit with every sample solved at the inner tolerance, so
     that no sample is left to polish, and each sample's ratio
     seminorm(T v)^p / (1 + seminorm(v)^(zeta p')), in sample order."""
     solve = driver.apply_T
     op = instance.operator
-    p = instance.exponents.p
-    exponent = instance.convective.zeta * instance.exponents.p_prime
+    p, exponent = growth_exponents(instance)
     ratios = []
 
     def tight_T(inst, v, start=None):
@@ -294,7 +300,7 @@ class TestGrowthFitPolish:
         # that its ratio (p-homogeneous in T v) reads 1e-2 low, and claims a
         # residual at the inner tolerance, so that only its polish can
         # restore it
-        scale = (1.0 - 1e-2) ** (1.0 / inst.exponents.p)
+        scale = (1.0 - 1e-2) ** (1.0 / inst.operator.tables[0].params.p)
         solve = driver.apply_T
         loose_calls = []
 
@@ -321,8 +327,7 @@ class TestGrowthFitPolish:
         inst = instance_1d_loose
         tol = inst.frozen_options.tol
         op = inst.operator
-        p = inst.exponents.p
-        exponent = inst.convective.zeta * inst.exponents.p_prime
+        p, exponent = growth_exponents(inst)
         solve = driver.apply_T
         loose_ratios = []
 
@@ -587,23 +592,31 @@ class TestSolveProblem:
             report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
         assert report.converged
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
-        assert len(lines) == report.outer_iterations
-        for k, line in enumerate(lines, start=1):
+        # one line per outer step, then one for the final re-solve
+        assert len(lines) == report.outer_iterations + 1
+        for k, line in enumerate(lines[:-1], start=1):
             assert line.startswith(f"outer {k}: ")
             assert f"step seminorm {report.step_seminorms[k - 1]:.3e}" in line
             assert f"theta {report.thetas[k - 1]:.6g}" in line
-        # the last step's counts are overwritten by the tighter final solve
-        for k, line in enumerate(lines[:-1], start=1):
+        # the last step's residual is the final re-solve's, and its inner
+        # iterations add the re-solve's to the step's own
+        for k, line in enumerate(lines[:-2], start=1):
             assert f"frozen residual {report.frozen_residuals[k - 1]:.3e}" in line
             assert f"{report.inner_iterations[k - 1]} inner iterations" in line
+        assert lines[-1].startswith(
+            f"final re-solve: frozen residual {report.frozen_residuals[-1]:.3e}, "
+        )
+        last, final = (int(re.search(r"(\d+) inner iterations", x)[1]) for x in lines[-2:])
+        assert last + final == report.inner_iterations[-1]
 
     def test_logs_one_line_per_growth_sample(self, instance_1d, caplog):
         with caplog.at_level(logging.INFO, logger="fracsolve.driver"):
             report = solve_problem(instance_1d, OuterOptions(ball_monitor=True))
         assert report.converged and report.ball is not None
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
-        # the fit logs its 20 samples before the first outer step
-        assert len(lines) == 20 + report.outer_iterations
+        # the fit logs its 20 samples before the first outer step, and the
+        # final re-solve its line after the last
+        assert len(lines) == 20 + report.outer_iterations + 1
         for k, line in enumerate(lines[:20], start=1):
             assert line.startswith(f"growth sample {k}: seminorm ")
             assert line.endswith(" inner iterations") or line.endswith("skipped")
@@ -625,11 +638,12 @@ class TestSolveProblem:
             report = solve_problem(disk_instance, OuterOptions(ball_monitor=True))
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
         # the 20 samples, then the polishes of the samples near the maximum
-        # (some on this disk), then the outer steps
+        # (some on this disk), then the outer steps and the final re-solve
         polished = [line for line in lines[20:] if line.startswith("growth sample ")]
         assert polished and all(" polished: " in line for line in polished)
         assert lines[20 + len(polished)].startswith("outer 1: ")
-        assert len(lines) == len(results) == 20 + len(polished) + report.outer_iterations
+        assert lines[-1].startswith("final re-solve: ")
+        assert len(lines) == len(results) == 20 + len(polished) + report.outer_iterations + 1
         for line, result in zip(lines, results):
             assert result.converged
             assert (

@@ -11,19 +11,22 @@ Oracles:
   * central differences of the gradient pin the Hessian, and each form's
     Hessian H satisfies Euler's identity H(u) u = (p - 1) grad E(u) of a
     p-homogeneous energy;
-  * a Hessian that never factors (indefinite, or zero as at u = 0) must
-    leave the minimizer's iterates bit for bit those of no Hessian.
+  * a Hessian that never factors (indefinite), or whose factor has an
+    infinite diagonal entry, must leave the minimizer's iterates bit for
+    bit those of the zero Hessian (as at u = 0), which never factors, and
+    no non-finite Hessian may give a Newton direction.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracsolve.frozen import (
     FrozenProblem,
-    default_frozen_options,
+    default_tol,
     frozen_energy,
     frozen_gradient,
     frozen_hessian,
@@ -40,7 +43,12 @@ from fracsolve.gagliardo import (
     workspace_hessian,
 )
 from fracsolve.grids import build_grid, disk, interval
-from fracsolve.optimize import MinimizerOptions, _cholesky_solve, minimize_energy
+from fracsolve.optimize import (
+    MinimizerOptions,
+    _cholesky_solve,
+    _newton_direction,
+    minimize_energy,
+)
 from fracsolve.reaction import (
     ConvectiveReaction,
     ProblemExponents,
@@ -50,6 +58,7 @@ from fracsolve.reaction import (
 )
 from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
 from fracsolve.torsion import _constant_start, select_sigma, solve_torsion, torsion_objective
+from support.minimizer import accepted_energies, no_newton
 from support.oracles import apply_form, operator_hessian, uniqueness_probe
 from support.passes import count_form_passes
 
@@ -57,6 +66,9 @@ from support.passes import count_form_passes
 EXPONENTS_1D = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
 REACTION_1D = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
 CONVECTIVE_1D = ConvectiveReaction(c3=0.2, zeta=1.2)
+# the inner options a run builds by default, in 1D and in 2D
+OPTIONS_1D = MinimizerOptions(tol=default_tol(1))
+OPTIONS_2D = MinimizerOptions(tol=default_tol(2))
 
 
 def build_problem(grid, exponents, reaction, convective, floor, v):
@@ -100,7 +112,7 @@ class TestObjective:
         with pytest.raises(ValueError, match=f"expected {n} interior values"):
             FrozenProblem(operator=prob.operator, trunc=prob.trunc, load=np.zeros(n + 1))
         with pytest.raises(ValueError, match=f"expected {n} interior values"):
-            solve_frozen(prob, start=np.ones(n - 1))
+            solve_frozen(prob, OPTIONS_1D, start=np.ones(n - 1))
 
     def test_torsion_objective_off_power_of_two(self, setup_1d):
         grid, _, prob = setup_1d
@@ -208,7 +220,7 @@ class TestKeptForms:
 
     def test_new_load_at_a_kept_point_costs_no_pass(self, setup_1d, monkeypatch):
         grid, _, prob = setup_1d
-        u = solve_frozen(prob).x
+        u = solve_frozen(prob, OPTIONS_1D).x
         other = FrozenProblem(prob.operator, prob.trunc, prob.load + 0.3)
         passes = count_form_passes(monkeypatch)
         warm = (frozen_energy(other, u), frozen_gradient(other, u), weak_residual(other, u))
@@ -255,7 +267,7 @@ class TestKeptForms:
 class TestSolveFrozen:
     def test_converges_with_certificate_floor(self, setup_1d):
         grid, cert, prob = setup_1d
-        result = solve_frozen(prob)
+        result = solve_frozen(prob, OPTIONS_1D)
         assert result.converged
         assert result.residual < 1e-6
         floor = prob.trunc.floor
@@ -264,7 +276,6 @@ class TestSolveFrozen:
 
     def test_monotone_energy_trace(self, setup_1d):
         grid, _, prob = setup_1d
-        trace = []
 
         def fun(u):
             return frozen_energy(prob, u)
@@ -272,14 +283,10 @@ class TestSolveFrozen:
         def grad(u):
             return frozen_gradient(prob, u)
 
-        res = minimize_energy(
-            fun,
-            grad,
-            prob.trunc.floor.copy(),
-            MinimizerOptions(tol=1e-8),
-            on_accept=trace.append,
-        )
+        opts = MinimizerOptions(tol=1e-8)
+        res = minimize_energy(fun, grad, prob.trunc.floor, opts, no_newton)
         assert res.converged
+        trace = accepted_energies(fun, grad, prob.trunc.floor, opts, no_newton)
         assert len(trace) >= 2
         assert np.all(np.diff(np.asarray(trace)) <= 0.0)
         assert np.all(np.isfinite(np.asarray(trace)))
@@ -293,13 +300,13 @@ class TestSolveFrozen:
 
     def test_no_start_is_the_floor_start(self, setup_1d):
         grid, _, prob = setup_1d
-        result = solve_frozen(prob, start=None)
+        result = solve_frozen(prob, OPTIONS_1D, start=None)
         ref = minimize_energy(
             lambda u: frozen_energy(prob, u),
             lambda u: frozen_gradient(prob, u),
             prob.trunc.floor.copy(),
-            default_frozen_options(grid),
-            hess_fn=lambda u: frozen_hessian(prob, u),
+            OPTIONS_1D,
+            lambda u: frozen_hessian(prob, u),
         )
         assert np.array_equal(result.x, ref.x)
         assert result.iterations == ref.iterations
@@ -307,9 +314,9 @@ class TestSolveFrozen:
 
     def test_converged_start_returns_at_once(self, setup_1d):
         grid, _, prob = setup_1d
-        first = solve_frozen(prob)
+        first = solve_frozen(prob, OPTIONS_1D)
         assert first.converged
-        again = solve_frozen(prob, start=first.x)
+        again = solve_frozen(prob, OPTIONS_1D, start=first.x)
         assert again.converged
         assert again.iterations == 0
         start = np.maximum(first.x, prob.trunc.floor)
@@ -337,8 +344,8 @@ class TestSolveFrozen:
         dipped = FrozenProblem(
             prob.operator, TruncatedReaction(prob.trunc.base, raised), prob.load
         )
-        tol = default_frozen_options(grid).tol
-        result = solve_frozen(dipped)
+        tol = OPTIONS_1D.tol
+        result = solve_frozen(dipped, OPTIONS_1D)
         assert result.residual < tol
         assert not result.converged
         assert "below the floor" in result.message
@@ -420,7 +427,8 @@ class TestSolveFrozen:
         )
         tol = 1e-6
         result = solve_frozen(prob, MinimizerOptions(tol=tol))
-        torsion = solve_torsion(sigma, operator, MinimizerOptions(tol=tol))
+        # the torsion solve stops at its own, tighter, sigma-scaled tolerance
+        torsion = solve_torsion(sigma, operator)
         diff = np.max(np.abs(result.x - torsion))
         assert diff <= 2.0 * tol
 
@@ -474,7 +482,7 @@ class TestTwoDimensional:
                 convective, riesz_gradient(plan_riesz_convolution(grid, 1.0 - exps.s), lower)
             ),
         )
-        result = solve_frozen(prob)
+        result = solve_frozen(prob, OPTIONS_2D)
         assert result.converged
         assert result.residual < 1e-5
         raw = result.x
@@ -600,8 +608,40 @@ class TestHessianWorkspace:
         assert np.array_equal(at_lift, operator_hessian(prob.operator, lift))
 
 
+def _nonfinite_hessians():
+    """Symmetric positive definite matrices with one non-finite value on
+    the diagonal, or one mirrored pair of them off it."""
+    for n in (1, 2, 7, 33, 200):
+        m = np.random.default_rng(n).standard_normal((n, n))
+        spd = m @ m.T + n * np.eye(n)
+        spots = {(0, 0), (n // 2, n // 2), (n - 1, n - 1), (n - 1, 0), (n // 2, n // 3)}
+        for bad in (np.inf, -np.inf, np.nan):
+            for i, j in sorted(spots):
+                hess = spd.copy()
+                hess[i, j] = hess[j, i] = bad
+                yield f"n{n}-{bad}-{i},{j}", hess
+
+
+def _hessians_at_flat_states():
+    """Form Hessians at p < 2 (|t|^(p-2) blows up at t = 0) at states with
+    a zero value (an infinite diagonal tail term) or two equal values (an
+    infinite pair term) on the shipped shapes at small resolution."""
+    for grid in (build_grid(interval(0.0, 1.0), 17), build_grid(disk(0.0, 0.0, 1.0), 11)):
+        n = grid.n_interior
+        rng = np.random.default_rng(n)
+        for p in (1.5, 1.8):
+            op = Operator(assemble_weights(grid, OperatorParams(0.6, p)))
+            for k in (0, n // 2, n - 1):
+                u = 0.5 + rng.random(n)
+                u[k] = 0.0
+                yield f"{grid.dim}d-p{p}-zero{k}", workspace_hessian(op, u).copy()
+                u = 0.5 + rng.random(n)
+                u[k] = u[(k + 1) % n]
+                yield f"{grid.dim}d-p{p}-equal{k}", workspace_hessian(op, u).copy()
+
+
 class TestNewtonSteps:
-    @pytest.mark.parametrize("kind", ["indefinite", "zero"])
+    @pytest.mark.parametrize("kind", ["indefinite", "infinite-diagonal"])
     def test_fallback_is_the_bb_step(self, setup_1d, kind):
         grid, _, prob = setup_1d
         n = grid.n_interior
@@ -611,24 +651,40 @@ class TestNewtonSteps:
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             bad = (q * eigs) @ q.T
         else:
-            bad = np.zeros((n, n))
-        runs = []
-        for hess_fn in (None, lambda u: bad):
-            trace = []
-            res = minimize_energy(
-                lambda u: frozen_energy(prob, u),
-                lambda u: frozen_gradient(prob, u),
-                prob.trunc.floor.copy(),
-                default_frozen_options(grid),
-                on_accept=trace.append,
-                hess_fn=hess_fn,
-            )
-            runs.append((res, trace))
-        (plain, plain_trace), (fallback, fallback_trace) = runs
+            # factors, to a finite direction whose entry 0 vanishes
+            bad = np.eye(n)
+            bad[0, 0] = np.inf
+        args = (
+            lambda u: frozen_energy(prob, u),
+            lambda u: frozen_gradient(prob, u),
+            prob.trunc.floor.copy(),
+        )
+        plain = minimize_energy(*args, OPTIONS_1D, no_newton)
+        fallback = minimize_energy(*args, OPTIONS_1D, lambda u: bad)
         assert plain.converged and fallback.newton_steps == plain.newton_steps == 0
         assert np.array_equal(fallback.x, plain.x)
         assert fallback.iterations == plain.iterations
+        # the energies after each accepted step, traced to one step past the
+        # plain run's end
+        traced = replace(OPTIONS_1D, max_iter=plain.iterations + 1)
+        plain_trace, fallback_trace = (
+            accepted_energies(*args, traced, hess_fn) for hess_fn in (no_newton, lambda u: bad)
+        )
+        assert len(plain_trace) == plain.iterations
         assert fallback_trace == plain_trace
+
+    @pytest.mark.parametrize(
+        "hess",
+        [
+            pytest.param(hess, id=name)
+            for name, hess in (*_nonfinite_hessians(), *_hessians_at_flat_states())
+        ],
+    )
+    def test_nonfinite_hessian_gives_no_direction(self, hess):
+        n = hess.shape[0]
+        assert not np.all(np.isfinite(hess))
+        g = np.linspace(1.0, 2.0, n)
+        assert _newton_direction(lambda x: hess, np.zeros(n), g) is None
 
     def test_counts_energies_and_backtracks(self):
         calls = []
@@ -639,7 +695,7 @@ class TestNewtonSteps:
 
         # the first trial step 1 overshoots the minimum of a stiff quadratic
         result = minimize_energy(
-            energy_fn, lambda x: 100.0 * x, np.ones(3), MinimizerOptions(tol=1e-10)
+            energy_fn, lambda x: 100.0 * x, np.ones(3), MinimizerOptions(tol=1e-10), no_newton
         )
         assert result.converged and result.backtracks > 0
         assert result.energy_evals == len(calls) == 1 + result.iterations + result.backtracks
@@ -656,12 +712,13 @@ class TestNewtonSteps:
 
     def test_frozen_solve_takes_newton_steps(self, setup_1d):
         grid, _, prob = setup_1d
-        result = solve_frozen(prob)
+        result = solve_frozen(prob, OPTIONS_1D)
         plain = minimize_energy(
             lambda u: frozen_energy(prob, u),
             lambda u: frozen_gradient(prob, u),
             prob.trunc.floor.copy(),
-            default_frozen_options(grid),
+            OPTIONS_1D,
+            no_newton,
         )
         assert result.converged and plain.converged
         assert 0 < result.newton_steps <= result.iterations < plain.iterations

@@ -13,6 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
+from fracsolve import torsion
 from fracsolve.gagliardo import Operator, OperatorParams, assemble_weights, operator_gradient
 from fracsolve.grids import build_grid, disk, interval
 from fracsolve.optimize import MinimizerOptions, minimize_energy
@@ -24,6 +25,7 @@ from fracsolve.torsion import (
     select_sigma,
     solve_torsion,
 )
+from support.minimizer import accepted_energies, no_newton
 
 
 def _operator(grid, exps):
@@ -54,6 +56,8 @@ def _linear_matrix(table):
 
 
 class TestMinimizer:
+    """Barzilai-Borwein steps alone: each run's Hessian never factors."""
+
     def test_quadratic_closed_form(self):
         rng = np.random.default_rng(0)
         M = rng.normal(size=(6, 6))
@@ -66,14 +70,13 @@ class TestMinimizer:
         def grad(x):
             return A @ x - b
 
-        res = minimize_energy(fun, grad, np.zeros(6), MinimizerOptions(tol=1e-12))
+        res = minimize_energy(fun, grad, np.zeros(6), MinimizerOptions(tol=1e-12), no_newton)
         assert res.converged
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=1e-9)
 
     def test_energy_monotone_along_trace(self):
         A = np.diag([1.0, 50.0, 300.0])
         b = np.array([1.0, -2.0, 0.5])
-        energies = []
 
         def fun(x):
             val = 0.5 * x @ A @ x - b @ x
@@ -82,10 +85,11 @@ class TestMinimizer:
         def grad(x):
             return A @ x - b
 
-        res = minimize_energy(
-            fun, grad, np.zeros(3), MinimizerOptions(tol=1e-10), on_accept=lambda e: energies.append(e)
-        )
+        opts = MinimizerOptions(tol=1e-10)
+        res = minimize_energy(fun, grad, np.zeros(3), opts, no_newton)
         assert res.converged
+        energies = accepted_energies(fun, grad, np.zeros(3), opts, no_newton)
+        assert len(energies) == res.iterations
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-12 * (1.0 + np.abs(energies[:-1])))
 
@@ -100,7 +104,7 @@ class TestMinimizer:
             return 2.0 * lam * x
 
         res = minimize_energy(
-            fun, grad, np.ones(2), MinimizerOptions(tol=1e-14, max_iter=2)
+            fun, grad, np.ones(2), MinimizerOptions(tol=1e-14, max_iter=2), no_newton
         )
         assert not res.converged
         assert res.message
@@ -113,7 +117,7 @@ class TestMinimizer:
             return np.zeros_like(x)
 
         with pytest.raises(RuntimeError):
-            minimize_energy(fun, grad, np.zeros(2), MinimizerOptions())
+            minimize_energy(fun, grad, np.zeros(2), MinimizerOptions(), no_newton)
 
     def test_converges_through_rounding_noise(self):
         # a quadratic whose energy carries deterministic noise of 1e-12
@@ -132,7 +136,7 @@ class TestMinimizer:
         def grad(x):
             return A @ x - b
 
-        res = minimize_energy(fun, grad, np.zeros(8), MinimizerOptions(tol=1e-10))
+        res = minimize_energy(fun, grad, np.zeros(8), MinimizerOptions(tol=1e-10), no_newton)
         assert res.converged, res.message
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=0.0, atol=1e-10)
 
@@ -154,7 +158,7 @@ class TestMinimizer:
         def grad(x):
             return A @ x - b
 
-        res = minimize_energy(fun, grad, np.zeros(8), MinimizerOptions(tol=1e-12))
+        res = minimize_energy(fun, grad, np.zeros(8), MinimizerOptions(tol=1e-12), no_newton)
         assert not res.converged
         assert res.message == "line search could not decrease the energy"
         assert len(calls) <= 1000
@@ -163,17 +167,15 @@ class TestMinimizer:
         # from x = 1 the first trial step of 1.0 lands on the mirror point
         # x = -1 of f = 1 + x^2: the energy is unchanged, but the slope there
         # points back, so the step halves to the exact minimizer instead
-        energies = []
-
         def fun(x):
             return 1.0 + float(x @ x)
 
         def grad(x):
             return 2.0 * x
 
-        res = minimize_energy(
-            fun, grad, np.ones(1), MinimizerOptions(tol=1e-12), on_accept=energies.append
-        )
+        opts = MinimizerOptions(tol=1e-12)
+        res = minimize_energy(fun, grad, np.ones(1), opts, no_newton)
+        energies = accepted_energies(fun, grad, np.ones(1), opts, no_newton)
         assert res.converged
         assert res.iterations == 1
         assert energies == [1.0]
@@ -229,10 +231,19 @@ class TestTorsionNonlinear:
         np.testing.assert_allclose(full, full[::-1, :], atol=1e-7)
         np.testing.assert_allclose(full, full[:, ::-1], atol=1e-7)
 
-    def test_nonconvergence_raises(self, nl_setup):
+    def test_nonconvergence_raises(self, nl_setup, monkeypatch):
         _, _, op = nl_setup
-        with pytest.raises(RuntimeError):
-            solve_torsion(1.0, op, MinimizerOptions(max_iter=1, tol=1e-14))
+        # a stand-in minimizer that runs one iteration towards 1e-14
+        minimize = torsion.minimize_energy
+
+        def one_step(energy_fn, grad_fn, x0, options, hess_fn):
+            return minimize(
+                energy_fn, grad_fn, x0, MinimizerOptions(max_iter=1, tol=1e-14), hess_fn
+            )
+
+        monkeypatch.setattr(torsion, "minimize_energy", one_step)
+        with pytest.raises(RuntimeError, match="torsion solve stalled"):
+            solve_torsion(1.0, op)
 
 
 class TestHopf:
