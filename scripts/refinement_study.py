@@ -20,7 +20,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from fracsolve.config import load_config  # noqa: E402
 from fracsolve.driver import build_instance, solve_problem  # noqa: E402
-from fracsolve.grids import build_grid  # noqa: E402
+from fracsolve.grids import Grid  # noqa: E402
 
 
 def main() -> int:
@@ -34,7 +34,7 @@ def main() -> int:
 
     rows = []
     for res in args.resolutions:
-        grid = build_grid(cfg.build_domain(), res)
+        grid = Grid(cfg.build_domain(), res)
         inst = build_instance(
             grid, cfg.exponents, cfg.reaction, cfg.convective,
             frozen_options=cfg.minimizer,

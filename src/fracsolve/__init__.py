@@ -26,7 +26,7 @@ from .driver import (
 )
 from .frozen import FrozenProblem, solve_frozen
 from .gagliardo import Operator, OperatorParams, assemble_weights, seminorm
-from .grids import Grid, build_grid, disk, interval, rectangle
+from .grids import Grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
 from .reaction import (
     ConvectiveReaction,
@@ -60,7 +60,6 @@ __all__ = [
     "SubsolutionCertificate",
     "apply_T",
     "assemble_weights",
-    "build_grid",
     "build_instance",
     "check_hypotheses",
     "disk",

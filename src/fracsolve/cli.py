@@ -30,7 +30,7 @@ from .gagliardo import (
     assemble_weights,
     forms,
 )
-from .grids import build_grid, interval
+from .grids import Grid, interval
 from .reaction import ConvectiveReaction, ProblemExponents, SingularReaction
 from .riesz import plan_riesz_convolution, riesz_gradient, riesz_normalization
 
@@ -219,7 +219,7 @@ def _selftest_checks():
         ("riesz normalization (2, 1)", abs(got - want) <= 1e-12 * want, f"{got!r} vs {want!r}")
     )
 
-    grid = build_grid(interval(0.0, 1.0), 9)
+    grid = Grid(interval(0.0, 1.0), 9)
     op = Operator(assemble_weights(grid, OperatorParams(s=0.6, p=2.5)))
     rng = np.random.default_rng(0)
     u = rng.standard_normal(grid.n_interior)

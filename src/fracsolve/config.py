@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .driver import OuterOptions
 from .frozen import default_tol
 from .gagliardo import NODE_CAP
-from .grids import Domain, Grid, build_grid, disk, interval, rectangle
+from .grids import Domain, Grid, disk, interval, rectangle
 from .optimize import MinimizerOptions
 from .reaction import (
     ConvectiveReaction,
@@ -100,12 +100,6 @@ def _schema(kind: str, dim: int) -> dict:
     }
 
 
-def _build_domain(spec: dict):
-    """The domain of a validated ``domain`` section."""
-    build, keys = _DOMAINS[spec["kind"]]
-    return build(*[spec[k] for k in keys])
-
-
 @dataclass
 class RunConfig:
     """Fully validated and defaulted parameters of one run."""
@@ -123,11 +117,13 @@ class RunConfig:
     hypotheses: HypothesisReport
     normalized: dict
 
-    def build_domain(self):
-        return _build_domain(self.domain_spec)
+    def build_domain(self) -> Domain:
+        """The domain of the validated ``domain`` section."""
+        build, keys = _DOMAINS[self.domain_spec["kind"]]
+        return build(*[self.domain_spec[k] for k in keys])
 
     def build_grid(self) -> Grid:
-        return build_grid(self.build_domain(), self.resolution)
+        return Grid(self.build_domain(), self.resolution)
 
     def as_dict(self) -> dict:
         """Normalized echo of the config, defaults included."""

@@ -80,7 +80,7 @@ class OuterOptions:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"relaxation weight must lie in (0, 1], got {self.theta}")
-        if self.tol <= 0.0:
+        if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_outer < 1:
             raise ValueError(f"iteration budget must be positive, got {self.max_outer}")

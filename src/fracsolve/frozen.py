@@ -75,7 +75,7 @@ def frozen_gradient(prob: FrozenProblem, u) -> np.ndarray:
     uv = prob.grid.interior_vector(u)
     vol = prob.grid.cell_volume
     grad = operator_gradient(prob.operator, uv)
-    grad -= vol * (np.asarray(prob.trunc.f(uv), dtype=float) + prob.load)
+    grad -= vol * (prob.trunc.f(uv) + prob.load)
     return grad
 
 

@@ -94,7 +94,7 @@ class OperatorParams:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"order s must lie in (0, 1), got {self.s}")
-        if self.p <= 1.0:
+        if not 1.0 < self.p < math.inf:
             raise ValueError(f"exponent p must exceed 1, got {self.p}")
 
     @property
@@ -305,7 +305,7 @@ def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
             f"{NODE_CAP}; coarsen the grid"
         )
     path = _cache_path(grid, params)
-    if path is not None and path.exists():
+    if path is not None:
         cached = _cache_load(path, grid, params)
         if cached is not None:
             return cached

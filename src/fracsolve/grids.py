@@ -14,6 +14,7 @@ to mirror them to signed offsets for a linear convolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +26,6 @@ __all__ = [
     "rectangle",
     "disk",
     "Grid",
-    "build_grid",
 ]
 
 
@@ -100,19 +100,21 @@ class Domain:
 
 
 def interval(a, b):
-    if not b > a:
+    if not -math.inf < a < b < math.inf:
         raise ValueError(f"interval needs a < b, got [{a}, {b}]")
     return Domain("interval", (float(a), float(b)))
 
 
 def rectangle(a1, b1, a2, b2):
-    if not (b1 > a1 and b2 > a2):
+    if not (-math.inf < a1 < b1 < math.inf and -math.inf < a2 < b2 < math.inf):
         raise ValueError("rectangle needs positive side lengths")
     return Domain("rectangle", (float(a1), float(b1), float(a2), float(b2)))
 
 
 def disk(cx, cy, radius):
-    if not radius > 0:
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"disk needs a finite centre, got ({cx}, {cy})")
+    if not 0 < radius < math.inf:
         raise ValueError("disk needs a positive radius")
     return Domain("disk", (float(cx), float(cy), float(radius)))
 
@@ -213,9 +215,10 @@ class Grid:
         autocorrelation of the interior mask, folded over the offset signs."""
         mask = self.interior_mask.astype(float).reshape(self.shape)
         signed = [np.arange(1 - m, m) for m in self.shape]
-        # a circular autocorrelation at least 2m - 1 long per axis holds
-        # every signed offset d without wrapping, at index d mod its length
-        fshape = [_fast_len(2 * m - 1) for m in self.shape]
+        # a circular autocorrelation at least 2m - 1 long per axis, as the
+        # convolution length is, holds every signed offset d without
+        # wrapping, at index d mod its length
+        fshape = self._convolution_shape
         axes = tuple(range(self.dim))
         spec = np.fft.rfftn(mask, fshape, axes)
         auto = np.fft.irfftn(spec * spec.conj(), fshape, axes)
@@ -247,7 +250,3 @@ class Grid:
         full = np.fft.irfftn(np.fft.rfftn(values, fshape, axes) * spectrum, fshape, axes)
         # keep the centered m entries per axis ("same"), which start at m - 1
         return full[tuple(slice(m - 1, 2 * m - 1) for m in self.shape)]
-
-
-def build_grid(domain, resolution):
-    return Grid(domain, resolution)

@@ -62,7 +62,7 @@ class MinimizerOptions:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("iteration budget must be positive")

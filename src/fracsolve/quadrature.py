@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "uniform_edges",
     "graded_edges",
     "panel_nodes",
     "axis_nodes",
@@ -31,10 +30,6 @@ _GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
 _QUADRANT_TERMS = 24
 # values per temporary of a batched pair integral (8 MB of float64)
 _BLOCK = 1 << 20
-
-
-def uniform_edges(a, b, panels):
-    return np.linspace(a, b, panels + 1)
 
 
 def graded_edges(a, b, levels):
@@ -65,7 +60,7 @@ def axis_nodes(delta, width):
     lo, hi = abs(delta) - width, abs(delta) + width
     eps = 1e-12 * max(width, abs(delta))
     if lo > eps:
-        return panel_nodes(uniform_edges(lo, hi, 4))
+        return panel_nodes(np.linspace(lo, hi, 5))
     xr, wr = panel_nodes(graded_edges(0.0, hi, 12))
     if abs(lo) <= eps:
         return xr, wr
@@ -130,9 +125,13 @@ def pair_integral(exponent, delta, widths):
 def cell_average_power(exponent, widths):
     """Average of |z|^exponent over the cell prod_a [-w_a/2, w_a/2].
 
-    Needs exponent > -dim.  The singular part is integrated exactly over
-    the inscribed disk; the remainder is smooth and handled by an angular
-    Gauss rule.
+    Needs exponent > -dim.  In 2D, polar coordinates cover a quarter of
+    the cell by 0 < r < r_edge(theta) = min(w1 / (2 cos theta), w2 / (2 sin
+    theta)), and the radial integral is exact: int_0^r_edge r^(e+1) dr =
+    r_edge^(e+2) / (e+2), singular part included.  What is left is the
+    angular integral of r_edge^(e+2), smooth on each side of the corner
+    angle atan2(w2, w1) where r_edge has its kink, and a 32-point Gauss
+    rule on each side gives it to rounding.
     """
     widths = np.atleast_1d(np.asarray(widths, dtype=float))
     dim = widths.size
@@ -142,20 +141,16 @@ def cell_average_power(exponent, widths):
         w = widths[0]
         return 2.0 * (w / 2.0) ** (1.0 + exponent) / ((1.0 + exponent) * w)
     w1, w2 = widths
-    rho = 0.5 * min(w1, w2)
     e2 = exponent + 2.0
-    disk = 2.0 * math.pi * rho**e2 / e2
-    # quadrant angular split where the two cell edges meet
     theta_hat = math.atan2(w2, w1)
-    segs = [(0.0, theta_hat), (theta_hat, 0.5 * math.pi)]
-    remainder = 0.0
-    for lo, hi in segs:
+    total = 0.0
+    for lo, hi in ((0.0, theta_hat), (theta_hat, 0.5 * math.pi)):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         th = mid + half * _GL32_X
         wq = half * _GL32_W
         r_edge = np.minimum(w1 / (2.0 * np.cos(th)), w2 / (2.0 * np.sin(th)))
-        remainder += 4.0 * np.sum(wq * (r_edge**e2 - rho**e2) / e2)
-    return (disk + remainder) / (w1 * w2)
+        total += 4.0 * np.sum(wq * r_edge**e2 / e2)
+    return total / (w1 * w2)
 
 
 def power_segment_integral(exponent, a, b):

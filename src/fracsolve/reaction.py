@@ -51,7 +51,7 @@ class ProblemExponents:
         # the forms and the Riesz plan need orders strictly below 1
         if self.s1 >= 1.0:
             raise ValueError(f"order s1 must lie below 1, got s1={self.s1}")
-        if self.p <= 1.0 or self.q <= 1.0:
+        if not (1.0 < self.p < math.inf and 1.0 < self.q < math.inf):
             raise ValueError(f"exponents must exceed 1, got p={self.p}, q={self.q}")
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
@@ -77,15 +77,15 @@ class SingularReaction:
     family: str = "singular"
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not 0.0 < self.gamma < math.inf:
             raise ValueError(f"singular exponent gamma must be positive, got {self.gamma}")
         # without a positive head the forcing has no positive liminf at 0,
         # and no torsion floor exists
-        if self.c1 <= 0.0:
+        if not 0.0 < self.c1 < math.inf:
             raise ValueError(f"coefficient c1 must be positive, got c1={self.c1}")
-        if self.c2 < 0.0:
+        if not 0.0 <= self.c2 < math.inf:
             raise ValueError(f"coefficient c2 must be nonnegative, got c2={self.c2}")
-        if self.r <= 0.0:
+        if not 0.0 < self.r < math.inf:
             raise ValueError(f"growth exponent r must be positive, got {self.r}")
         if self.family not in _SHIFT:
             raise ValueError(f"unknown family {self.family!r}; choose from {tuple(_SHIFT)}")
@@ -104,9 +104,9 @@ class ConvectiveReaction:
     zeta: float
 
     def __post_init__(self):
-        if self.c3 < 0.0:
+        if not 0.0 <= self.c3 < math.inf:
             raise ValueError(f"convective coefficient c3 must be nonnegative, got {self.c3}")
-        if self.zeta <= 0.0:
+        if not 0.0 < self.zeta < math.inf:
             raise ValueError(f"growth exponent zeta must be positive, got {self.zeta}")
 
 
@@ -143,8 +143,9 @@ def g_eval(conv: ConvectiveReaction, xi: np.ndarray) -> np.ndarray:
 
 class TruncatedReaction:
     """Forcing frozen below a strictly positive floor, one value per
-    interior node.  Evaluation acts on interior-node value vectors aligned
-    with the floor."""
+    interior node.  Evaluation acts on interior vectors aligned with the
+    floor, which the objective's readers have checked through
+    Grid.interior_vector."""
 
     def __init__(self, base: SingularReaction, floor):
         floor = np.array(floor, dtype=float)
@@ -155,38 +156,29 @@ class TruncatedReaction:
         self._f_floor = _base_value(base, floor)
         self._A_floor = _antiderivative(base, floor)
 
-    def _coerce(self, t) -> np.ndarray:
-        """One state per interior node, aligned with the floor."""
-        tv = np.asarray(t, dtype=float)
-        if tv.shape != self.floor.shape:
-            raise ValueError(f"expected {self.floor.size} interior values, got shape {tv.shape}")
-        return tv
-
-    def f(self, t) -> np.ndarray:
+    def f(self, t: np.ndarray) -> np.ndarray:
         """Truncated forcing at an interior vector; finite for every real t."""
-        return _base_value(self.base, np.maximum(self.floor, self._coerce(t)))
+        return _base_value(self.base, np.maximum(self.floor, t))
 
-    def df(self, t) -> np.ndarray:
+    def df(self, t: np.ndarray) -> np.ndarray:
         """Derivative of the truncated forcing: 0 at or below the floor."""
-        tv = self._coerce(t)
-        above = _base_derivative(self.base, np.maximum(self.floor, tv))
-        return np.where(tv > self.floor, above, 0.0)
+        above = _base_derivative(self.base, np.maximum(self.floor, t))
+        return np.where(t > self.floor, above, 0.0)
 
-    def F(self, tau) -> np.ndarray:
+    def F(self, tau: np.ndarray) -> np.ndarray:
         """Antiderivative of the truncated forcing from 0, in closed form.
 
         Linear with slope f(floor) below the floor; above it, the frozen
         segment [0, floor] plus the exact power antiderivative beyond.
         """
-        tv = self._coerce(tau)
         floor = self.floor
-        below = self._f_floor * tv
+        below = self._f_floor * tau
         above = (
             self._f_floor * floor
-            + _antiderivative(self.base, np.maximum(floor, tv))
+            + _antiderivative(self.base, np.maximum(floor, tau))
             - self._A_floor
         )
-        return np.where(tv <= floor, below, above)
+        return np.where(tau <= floor, below, above)
 
 
 def _antiderivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ class ConstantForcing:
         return np.zeros(np.shape(t))
 
     def F(self, t):
-        return self.sigma * np.asarray(t, dtype=float)
+        return self.sigma * t
 
 
 def torsion_objective(sigma: float, operator: Operator) -> FrozenProblem:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import erf, gammaln
 
-from fracsolve.quadrature import panel_nodes, uniform_edges
+from fracsolve.quadrature import panel_nodes
 from fracsolve.riesz import riesz_normalization
 
 
@@ -63,7 +63,7 @@ def riesz_kernel(params, points):
 
 def _bessel_t_rule(params, nodes):
     panels = max(1, int(math.ceil(nodes / 10)))
-    return panel_nodes(uniform_edges(-params.truncation, params.truncation, panels))
+    return panel_nodes(np.linspace(-params.truncation, params.truncation, panels + 1))
 
 
 def _bessel_point_quad(params, r2, nodes):

@@ -37,7 +37,7 @@ from fracsolve.gagliardo import (
     operator_gradient,
     seminorm,
 )
-from fracsolve.grids import build_grid, interval, rectangle
+from fracsolve.grids import Grid, interval, rectangle
 from fracsolve.optimize import MinimizerOptions
 from fracsolve.reaction import (
     ConvectiveReaction,
@@ -101,7 +101,7 @@ def test_criterion_1_kernel_identities():
 
 def test_criterion_2_gagliardo_operator():
     t0 = time.perf_counter()
-    grid = build_grid(interval(0.0, 1.0), 129)
+    grid = Grid(interval(0.0, 1.0), 129)
     tables = {
         (s, p): assemble_weights(grid, OperatorParams(s=s, p=p))
         for s, p in ((0.5, 2.0), (0.7, 2.5), (0.9, 3.0))
@@ -142,7 +142,7 @@ def test_criterion_2_gagliardo_operator():
 
 def test_criterion_3_hidden_convexity():
     t0 = time.perf_counter()
-    grid = build_grid(interval(0.0, 1.0), 33)
+    grid = Grid(interval(0.0, 1.0), 33)
     rng = np.random.default_rng(2024)
     tables = {p: assemble_weights(grid, OperatorParams(s=0.7, p=p)) for p in (3.0, 3.4)}
     for q in (2.5, 3.0):
@@ -170,7 +170,7 @@ def test_criterion_3_hidden_convexity():
 def test_criterion_4_riesz_limit():
     t0 = time.perf_counter()
     sigma = 0.6
-    grid = build_grid(rectangle(-4.0, 4.0, -4.0, 4.0), 129)
+    grid = Grid(rectangle(-4.0, 4.0, -4.0, 4.0), 129)
     pts = grid.interior_points
     r2 = np.sum(pts**2, axis=1)
     u = np.exp(-r2 / (2.0 * sigma**2))
@@ -213,7 +213,7 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
     assert all(b > a for a, b in zip(sups, sups[1:])), sups
 
     fine = build_instance(
-        build_grid(interval(0.0, 1.0), 33), cfg.exponents, cfg.reaction, cfg.convective
+        Grid(interval(0.0, 1.0), 33), cfg.exponents, cfg.reaction, cfg.convective
     )
     ratio = fine.certificate.eta / inst.certificate.eta
     assert 0.5 <= ratio <= 2.0, ratio
@@ -223,7 +223,7 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
 def test_criterion_6_frozen_solver(shipped_instances):
     t0 = time.perf_counter()
     # quadratic case against a dense linear solve
-    grid2 = build_grid(interval(0.0, 1.0), 17)
+    grid2 = Grid(interval(0.0, 1.0), 17)
     op2 = Operator(
         assemble_weights(grid2, OperatorParams(s=0.5, p=2.0)),
         assemble_weights(grid2, OperatorParams(s=0.5, p=2.0)),
@@ -244,7 +244,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
     exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
     reaction = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
     convective = ConvectiveReaction(c3=0.2, zeta=1.2)
-    grid3 = build_grid(interval(0.0, 1.0), 5)
+    grid3 = Grid(interval(0.0, 1.0), 5)
     op3 = Operator(
         assemble_weights(grid3, OperatorParams(s=exps.s1, p=exps.p)),
         assemble_weights(grid3, OperatorParams(s=exps.s2, p=exps.q)),

@@ -21,7 +21,7 @@ import pytest
 from fracsolve import cli, driver, gagliardo
 from fracsolve.config import ConfigError, HypothesisError, load_config
 from fracsolve.gagliardo import OperatorParams, assemble_weights
-from fracsolve.grids import build_grid, disk, interval
+from fracsolve.grids import Grid, disk, interval
 from fracsolve.io_utils import write_field_csv
 from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
 from support.oracles import read_field_csv
@@ -138,7 +138,7 @@ class TestLoadConfig:
 
 class TestFieldCsv:
     def test_round_trip_exact_1d(self, tmp_path):
-        grid = build_grid(interval(0.0, 1.0), 17)
+        grid = Grid(interval(0.0, 1.0), 17)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(grid.n_interior) * 1e-3
         path = tmp_path / "field.csv"
@@ -147,7 +147,7 @@ class TestFieldCsv:
         assert np.array_equal(back, u)
 
     def test_round_trip_exact_2d(self, tmp_path):
-        grid = build_grid(disk(0.0, 0.0, 1.0), 9)
+        grid = Grid(disk(0.0, 0.0, 1.0), 9)
         rng = np.random.default_rng(4)
         u = np.exp(rng.standard_normal(grid.n_interior) * 7.0)
         path = tmp_path / "field.csv"
@@ -156,7 +156,7 @@ class TestFieldCsv:
         assert np.array_equal(back, u)
 
     def test_extra_columns_zero_off_interior(self, tmp_path):
-        grid = build_grid(disk(0.0, 0.0, 1.0), 9)
+        grid = Grid(disk(0.0, 0.0, 1.0), 9)
         rng = np.random.default_rng(5)
         u, w = rng.standard_normal((2, grid.n_interior)) + 2.0
         path = tmp_path / "field.csv"
@@ -170,7 +170,7 @@ class TestFieldCsv:
         assert np.array_equal(data[grid.interior_idx, 3], w)
 
     def test_extra_column_of_wrong_length_rejected(self, tmp_path):
-        grid = build_grid(interval(0.0, 1.0), 17)
+        grid = Grid(interval(0.0, 1.0), 17)
         u = np.ones(grid.n_interior)
         path = tmp_path / "field.csv"
         with pytest.raises(ValueError, match="expected 15 interior values"):

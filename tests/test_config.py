@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 from fracsolve.config import ConfigError, load_config
-from fracsolve.gagliardo import NODE_CAP
-from fracsolve.grids import build_grid, disk, interval, rectangle
+from fracsolve.driver import OuterOptions
+from fracsolve.gagliardo import NODE_CAP, OperatorParams
+from fracsolve.grids import Grid, disk, interval, rectangle
+from fracsolve.optimize import MinimizerOptions
+from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BASE = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
@@ -169,7 +172,7 @@ def test_resolution_cap_rejects_only_grids_above_it(tmp_path, domain, build, res
     exponents = dict(EXPONENTS_2D, p=2.5, q=2.2) if domain["kind"] == "interval" else EXPONENTS_2D
     for resolution in resolutions:
         payload = {"domain": domain, "exponents": exponents, "resolution": resolution}
-        n_interior = build_grid(build(), resolution).n_interior
+        n_interior = Grid(build(), resolution).n_interior
         try:
             load_config(dump(tmp_path, payload), require_hypotheses=False)
         except ConfigError as err:
@@ -177,3 +180,45 @@ def test_resolution_cap_rejects_only_grids_above_it(tmp_path, domain, build, res
             assert n_interior > NODE_CAP, resolution
         else:
             assert n_interior <= NODE_CAP, resolution
+
+
+X = object()  # the parameter that takes the value that is not finite
+EXPONENTS_1D = {"s": 0.55, "s1": 0.6, "s2": 0.5, "p": 2.5, "q": 2.2, "dim": 1}
+REACTION = {"gamma": 0.5, "c1": 0.5, "c2": 0.5, "r": 1.1}
+
+# (parameter type or domain builder, its arguments with X at the parameter
+# under test, the start of the message of its range rule)
+NONFINITE = [
+    (MinimizerOptions, {"tol": X}, "tolerance must be positive"),
+    (OuterOptions, {"tol": X}, "tolerance must be positive"),
+    (OperatorParams, {"s": 0.5, "p": X}, "exponent p must exceed 1"),
+    (ProblemExponents, {**EXPONENTS_1D, "p": X}, "exponents must exceed 1"),
+    (ProblemExponents, {**EXPONENTS_1D, "q": X}, "exponents must exceed 1"),
+    (SingularReaction, {**REACTION, "gamma": X}, "singular exponent gamma must be positive"),
+    (SingularReaction, {**REACTION, "c1": X}, "coefficient c1 must be positive"),
+    (SingularReaction, {**REACTION, "c2": X}, "coefficient c2 must be nonnegative"),
+    (SingularReaction, {**REACTION, "r": X}, "growth exponent r must be positive"),
+    (ConvectiveReaction, {"c3": X, "zeta": 1.2}, "convective coefficient c3 must be nonnegative"),
+    (ConvectiveReaction, {"c3": 0.2, "zeta": X}, "growth exponent zeta must be positive"),
+    (disk, {"cx": X, "cy": 0.0, "radius": 1.0}, "disk needs a finite centre"),
+    (disk, {"cx": 0.0, "cy": X, "radius": 1.0}, "disk needs a finite centre"),
+    (disk, {"cx": 0.0, "cy": 0.0, "radius": X}, "disk needs a positive radius"),
+    (interval, {"a": X, "b": 1.0}, "interval needs a < b"),
+    (interval, {"a": 0.0, "b": X}, "interval needs a < b"),
+    (rectangle, {"a1": 0.0, "b1": X, "a2": 0.0, "b2": 1.0}, "rectangle needs positive side lengths"),
+    (rectangle, {"a1": 0.0, "b1": 1.0, "a2": X, "b2": 1.0}, "rectangle needs positive side lengths"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build,kwargs,reason",
+    NONFINITE,
+    ids=[f"{b.__name__}.{next(k for k, v in kw.items() if v is X)}" for b, kw, _ in NONFINITE],
+)
+def test_parameters_that_are_not_finite_rejected(build, kwargs, reason, value):
+    # a NaN fails every comparison, so a rule written as "reject if x <= 0"
+    # lets it through, and an infinite tolerance or bound passes as well
+    args = {k: value if v is X else v for k, v in kwargs.items()}
+    with pytest.raises(ValueError, match=reason):
+        build(**args)

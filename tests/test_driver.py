@@ -29,7 +29,7 @@ from fracsolve.driver import (
 )
 from fracsolve.frozen import FrozenProblem, frozen_gradient, scaled_norm, weak_residual
 from fracsolve.gagliardo import Operator, seminorm
-from fracsolve.grids import build_grid, disk, interval
+from fracsolve.grids import Grid, disk, interval
 from fracsolve.optimize import MinimizeResult, MinimizerOptions
 from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction, g_eval
 from fracsolve.riesz import riesz_gradient
@@ -43,13 +43,13 @@ CONVECTIVE_1D = ConvectiveReaction(c3=0.2, zeta=1.2)
 
 @pytest.fixture(scope="module")
 def instance_1d():
-    grid = build_grid(interval(0.0, 1.0), 17)
+    grid = Grid(interval(0.0, 1.0), 17)
     return build_instance(grid, EXPONENTS_1D, REACTION_1D, CONVECTIVE_1D)
 
 
 @pytest.fixture(scope="module")
 def instance_1d_tight():
-    grid = build_grid(interval(0.0, 1.0), 17)
+    grid = Grid(interval(0.0, 1.0), 17)
     return build_instance(
         grid,
         EXPONENTS_1D,
@@ -63,7 +63,7 @@ def instance_1d_tight():
 def instance_1d_loose():
     # at inner tol 1e-4 some growth samples already meet the tolerance at
     # the last sample's answer and return it unchanged
-    grid = build_grid(interval(0.0, 1.0), 17)
+    grid = Grid(interval(0.0, 1.0), 17)
     return build_instance(
         grid,
         EXPONENTS_1D,
@@ -75,7 +75,7 @@ def instance_1d_loose():
 
 @pytest.fixture(scope="module")
 def disk_instance():
-    grid = build_grid(disk(0.0, 0.0, 1.0), 11)
+    grid = Grid(disk(0.0, 0.0, 1.0), 11)
     exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
     reaction = SingularReaction(gamma=0.4, c1=0.5, c2=0.5, r=1.3)
     convective = ConvectiveReaction(c3=0.1, zeta=1.4)
@@ -113,7 +113,7 @@ class TestApplyT:
         assert np.min(res.x - floor) >= -1e-6
 
     def test_constant_convection_is_constant_map(self):
-        grid = build_grid(interval(0.0, 1.0), 17)
+        grid = Grid(interval(0.0, 1.0), 17)
         inst = build_instance(
             grid,
             EXPONENTS_1D,
@@ -379,7 +379,7 @@ class TestSolveProblem:
         assert report.final_residual < 5.0 * 1e-6
 
     def test_constant_convection_two_outer_steps(self):
-        grid = build_grid(interval(0.0, 1.0), 17)
+        grid = Grid(interval(0.0, 1.0), 17)
         inst = build_instance(
             grid,
             EXPONENTS_1D,
@@ -532,7 +532,7 @@ class TestSolveProblem:
         assert np.max(np.abs(u_driver - best[1])) <= 1e-5
 
     def test_fixed_point_residual_identity(self):
-        grid = build_grid(interval(0.0, 1.0), 17)
+        grid = Grid(interval(0.0, 1.0), 17)
         inst = build_instance(
             grid,
             EXPONENTS_1D,
@@ -712,7 +712,7 @@ class TestVerifySolution:
 
 class TestTwoDimensional:
     def test_disk_instance_converges(self):
-        grid = build_grid(disk(0.0, 0.0, 1.0), 11)
+        grid = Grid(disk(0.0, 0.0, 1.0), 11)
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
         reaction = SingularReaction(gamma=0.4, c1=0.5, c2=0.5, r=1.3)
         convective = ConvectiveReaction(c3=0.1, zeta=1.4)

@@ -42,7 +42,7 @@ from fracsolve.gagliardo import (
     operator_gradient,
     workspace_hessian,
 )
-from fracsolve.grids import build_grid, disk, interval
+from fracsolve.grids import Grid, disk, interval
 from fracsolve.optimize import (
     MinimizerOptions,
     _cholesky_solve,
@@ -83,7 +83,7 @@ def build_problem(grid, exponents, reaction, convective, floor, v):
 
 @pytest.fixture(scope="module")
 def setup_1d():
-    grid = build_grid(interval(0.0, 1.0), 17)
+    grid = Grid(interval(0.0, 1.0), 17)
     operator = Operator(
         assemble_weights(grid, OperatorParams(0.6, 2.5)),
         assemble_weights(grid, OperatorParams(0.5, 2.2)),
@@ -100,7 +100,7 @@ class TestObjective:
     def test_tables_checked_against_grid_and_exponents(self, setup_1d):
         _, _, prob = setup_1d
         tp, tq = prob.operator.tables
-        other = build_grid(interval(0.0, 1.0), 17)
+        other = Grid(interval(0.0, 1.0), 17)
         with pytest.raises(ValueError, match="different grid"):
             Operator(tp, assemble_weights(other, tq.params))
         with pytest.raises(TypeError):
@@ -113,6 +113,16 @@ class TestObjective:
             FrozenProblem(operator=prob.operator, trunc=prob.trunc, load=np.zeros(n + 1))
         with pytest.raises(ValueError, match=f"expected {n} interior values"):
             solve_frozen(prob, OPTIONS_1D, start=np.ones(n - 1))
+
+    def test_only_one_interior_vector_accepted(self, setup_1d):
+        # a batch of states with the node axis leading is not a state; the
+        # objective checks its argument before the forcing reads it
+        grid, _, prob = setup_1d
+        n = grid.n_interior
+        for bad in (np.ones((n, 2)), np.ones(n + 1), 1.0):
+            for part in (frozen_energy, frozen_gradient, frozen_hessian):
+                with pytest.raises(ValueError, match="interior values"):
+                    part(prob, bad)
 
     def test_torsion_objective_off_power_of_two(self, setup_1d):
         grid, _, prob = setup_1d
@@ -352,7 +362,7 @@ class TestSolveFrozen:
         assert np.min(result.x - raised) < -tol
 
     def test_three_node_brute_force_lattice(self):
-        grid = build_grid(interval(0.0, 1.0), 5)
+        grid = Grid(interval(0.0, 1.0), 5)
         floor = np.array([0.045, 0.07, 0.045])
         v = np.array([0.1, 0.15, 0.1])
         prob = build_problem(
@@ -393,7 +403,7 @@ class TestSolveFrozen:
         assert np.max(np.abs(result.x - best)) <= spacing + 1e-12
 
     def test_constant_forcing_matches_torsion(self):
-        grid = build_grid(interval(0.0, 1.0), 17)
+        grid = Grid(interval(0.0, 1.0), 17)
         exps = EXPONENTS_1D
         operator = Operator(
             assemble_weights(grid, OperatorParams(exps.s1, exps.p)),
@@ -465,7 +475,7 @@ class TestUniquenessProbe:
 
 class TestTwoDimensional:
     def test_disk_solve(self):
-        grid = build_grid(disk(0.0, 0.0, 1.0), 11)
+        grid = Grid(disk(0.0, 0.0, 1.0), 11)
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
         reaction = SingularReaction(gamma=0.4, c1=0.5, c2=0.5, r=1.3)
         convective = ConvectiveReaction(c3=0.1, zeta=1.4)
@@ -502,10 +512,10 @@ def hessian_setup(request):
     above its floor, and the torsion objective on an operator over the
     same tables."""
     if request.param == "interval_1d":
-        grid = build_grid(interval(0.0, 1.0), 17)
+        grid = Grid(interval(0.0, 1.0), 17)
         exps, reaction, convective = EXPONENTS_1D, REACTION_1D, CONVECTIVE_1D
     else:
-        grid = build_grid(disk(0.0, 0.0, 1.0), 11)
+        grid = Grid(disk(0.0, 0.0, 1.0), 11)
         exps, reaction, convective = EXPONENTS_2D, REACTION_2D, CONVECTIVE_2D
     operator = Operator(
         assemble_weights(grid, OperatorParams(exps.s1, exps.p)),
@@ -626,7 +636,7 @@ def _hessians_at_flat_states():
     """Form Hessians at p < 2 (|t|^(p-2) blows up at t = 0) at states with
     a zero value (an infinite diagonal tail term) or two equal values (an
     infinite pair term) on the shipped shapes at small resolution."""
-    for grid in (build_grid(interval(0.0, 1.0), 17), build_grid(disk(0.0, 0.0, 1.0), 11)):
+    for grid in (Grid(interval(0.0, 1.0), 17), Grid(disk(0.0, 0.0, 1.0), 11)):
         n = grid.n_interior
         rng = np.random.default_rng(n)
         for p in (1.5, 1.8):

@@ -36,7 +36,7 @@ from fracsolve.gagliardo import (
     seminorm,
     workspace_hessian,
 )
-from fracsolve.grids import build_grid, disk, interval, rectangle
+from fracsolve.grids import Grid, disk, interval, rectangle
 from fracsolve.quadrature import pair_integral, quadrant_integral
 from support import assembly
 from support.oracles import apply_form, operator_hessian
@@ -45,7 +45,7 @@ from support.passes import count_form_passes
 
 @pytest.fixture(scope="module")
 def grid_1d():
-    return build_grid(interval(0.0, 1.0), 9)
+    return Grid(interval(0.0, 1.0), 9)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ class TestWeights1D:
     def test_tail_against_piecewise_oracle(self):
         s, p = 0.44, 2.5
         sp = s * p
-        grid = build_grid(interval(0.0, 1.0), 7)
+        grid = Grid(interval(0.0, 1.0), 7)
         table = assemble_weights(grid, OperatorParams(s=s, p=p))
         h = grid.h[0]
         x1 = grid.points[grid.interior_idx[0], 0]  # first interior node
@@ -145,7 +145,7 @@ class TestWeights1D:
 
 @pytest.fixture(scope="module")
 def grid_2d():
-    return build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 6)
+    return Grid(rectangle(0.0, 1.0, 0.0, 1.0), 6)
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +226,7 @@ class TestWeights2D:
     def test_tail_outside_box_near_high_corner(self):
         # the last interior node sits next to the high corner, where the
         # corner table is read at the mirrored index m - i; h1 != h2
-        g = build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 9)
+        g = Grid(rectangle(0.0, 2.0, 0.0, 1.0), 9)
         sp = 0.55 * 2.4
         last = g.n_interior - 1
         assert tuple(g.lattice[g.interior_idx[last]]) == (7, 7)
@@ -292,7 +292,7 @@ class TestAssemblyOracles:
     @pytest.mark.parametrize("params", _ORACLE_PARAMS, ids=lambda q: f"sp{q.sp:g}")
     @pytest.mark.parametrize("kind", list(_ORACLE_GRIDS))
     def test_offset_table_matches_per_offset_loop(self, kind, params):
-        g = build_grid(*_ORACLE_GRIDS[kind])
+        g = Grid(*_ORACLE_GRIDS[kind])
         got = _offset_table(g, params)
         want = assembly.offset_table(g, params)
         assert got[(0,) * g.dim] == 0.0
@@ -301,7 +301,7 @@ class TestAssemblyOracles:
     @pytest.mark.parametrize("params", _ORACLE_PARAMS, ids=lambda q: f"sp{q.sp:g}")
     @pytest.mark.parametrize("kind", ["rectangle", "square", "disk", "offcentre_disk"])
     def test_outside_box_tail_matches_per_node_loop(self, kind, params):
-        g = build_grid(*_ORACLE_GRIDS[kind])
+        g = Grid(*_ORACLE_GRIDS[kind])
         got = _outside_box_tail(g, params.sp)
         want = assembly.outside_box_tail(g, params.sp)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -314,7 +314,7 @@ class TestAssemblyWork:
         # the centred disk at res 25 reads 227 distinct corner cells once
         # (i, j) and (j, i) are merged, of the 23 x 25 rows 1..m-1 the
         # whole-table layout integrates; each cell takes 10 x 10 points
-        g = build_grid(disk(0.0, 0.0, 1.0), 25)
+        g = Grid(disk(0.0, 0.0, 1.0), 25)
         points = []
 
         def counting(sp, a, b):
@@ -326,7 +326,7 @@ class TestAssemblyWork:
         assert sum(points) == 100 * 227
 
     def test_offset_table_symmetric_when_axes_swap(self):
-        g = build_grid(disk(0.0, 0.0, 1.0), 25)
+        g = Grid(disk(0.0, 0.0, 1.0), 25)
         assert g.h[0] == g.h[1]
         woff = _offset_table(g, OperatorParams(s=0.5, p=2.5))
         np.testing.assert_array_equal(woff, woff.T)
@@ -450,7 +450,7 @@ class TestFormIdentities:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
     def test_gradient_matches_central_difference(self):
-        grid = build_grid(interval(0.0, 1.0), 17)
+        grid = Grid(interval(0.0, 1.0), 17)
         for p in (2.0, 2.5, 3.0):
             table = assemble_weights(grid, OperatorParams(s=0.6, p=p))
             uvec = grid.pack(_random_field(grid, 21))
@@ -518,8 +518,8 @@ def _tied_signed_vector(grid, seed):
 @pytest.fixture(scope="module", params=["interval", "disk"])
 def one_pass_grid(request):
     if request.param == "interval":
-        return build_grid(interval(0.0, 1.0), 23)
-    return build_grid(disk(0.0, 0.0, 1.0), 13)
+        return Grid(interval(0.0, 1.0), 23)
+    return Grid(disk(0.0, 0.0, 1.0), 13)
 
 
 class TestOnePassEvaluation:
@@ -584,7 +584,7 @@ class TestOnePassEvaluation:
         assert np.array_equal(workspace_hessian(op, u), whole_h)
 
     def test_tables_on_different_grids_rejected(self, one_pass_grid):
-        other = build_grid(interval(0.0, 2.0), 11)
+        other = Grid(interval(0.0, 2.0), 11)
         tp = assemble_weights(one_pass_grid, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(other, OperatorParams(s=0.5, p=2.2))
         with pytest.raises(ValueError, match="different grids"):
@@ -771,7 +771,7 @@ class TestStabilityAndBudget:
     def test_seminorm_stable_under_refinement(self):
         vals = []
         for res in (33, 65):
-            g = build_grid(interval(0.0, 1.0), res)
+            g = Grid(interval(0.0, 1.0), res)
             table = assemble_weights(g, OperatorParams(s=0.6, p=2.6))
             u = np.sin(np.pi * g.points[:, 0])
             vals.append(seminorm(Operator(table), g.pack(u)))
@@ -779,7 +779,7 @@ class TestStabilityAndBudget:
 
     def test_memory_budget_enforced(self, monkeypatch):
         monkeypatch.setattr(gagliardo, "NODE_CAP", 16)
-        g = build_grid(interval(0.0, 1.0), 65)
+        g = Grid(interval(0.0, 1.0), 65)
         with pytest.raises(MemoryBudgetError):
             assemble_weights(g, OperatorParams(s=0.5, p=2.0))
 
@@ -787,7 +787,7 @@ class TestStabilityAndBudget:
         # the convolution shortcut must agree with brute-force summation; its
         # FFT error is absolute, about eps times the largest tail
         for domain, res in ((rectangle(0.0, 1.0, 0.0, 1.0), 5), (disk(0.0, 0.0, 1.0), 25)):
-            g = build_grid(domain, res)
+            g = Grid(domain, res)
             params = OperatorParams(s=0.6, p=2.2)
             table = assemble_weights(g, params)
             woff = _offset_table(g, params)
@@ -829,7 +829,7 @@ class TestCache:
 
     def test_roundtrip_bitwise(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
-        g = build_grid(interval(0.0, 1.0), 17)
+        g = Grid(interval(0.0, 1.0), 17)
         params = OperatorParams(s=0.58, p=2.3)
         t1 = assemble_weights(g, params)
         files = list(tmp_path.glob("*.fwt"))
@@ -840,7 +840,7 @@ class TestCache:
 
     def test_repeated_store_leaves_one_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
-        g = build_grid(interval(0.0, 1.0), 9)
+        g = Grid(interval(0.0, 1.0), 9)
         params = OperatorParams(s=0.55, p=2.4)
         t1 = assemble_weights(g, params)
         path = _cache_path(g, params)
@@ -851,7 +851,7 @@ class TestCache:
 
     def test_new_format_version_overwrites_old_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
-        g = build_grid(interval(0.0, 1.0), 9)
+        g = Grid(interval(0.0, 1.0), 9)
         params = OperatorParams(s=0.55, p=2.4)
         assemble_weights(g, params)
         newer = gagliardo._CACHE_VERSION + 1
@@ -864,7 +864,7 @@ class TestCache:
 
     def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
-        g = build_grid(interval(0.0, 1.0), 9)
+        g = Grid(interval(0.0, 1.0), 9)
         params = OperatorParams(s=0.5, p=2.0)
         t1 = assemble_weights(g, params)
         for f in tmp_path.glob("*.fwt"):
@@ -875,7 +875,7 @@ class TestCache:
     def test_flipped_body_byte_rebuilt(self, tmp_path, monkeypatch):
         # same length, same header: only the body checksum can tell
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
-        g = build_grid(interval(0.0, 1.0), 9)
+        g = Grid(interval(0.0, 1.0), 9)
         params = OperatorParams(s=0.5, p=2.0)
         t1 = assemble_weights(g, params)
         path = _cache_path(g, params)

@@ -17,7 +17,7 @@ from scipy.signal import fftconvolve
 
 import fracsolve
 from fracsolve.gagliardo import OperatorParams, assemble_weights
-from fracsolve.grids import _fast_len, build_grid, disk, interval, rectangle
+from fracsolve.grids import Grid, _fast_len, disk, interval, rectangle
 
 
 class TestDomain:
@@ -58,19 +58,19 @@ class TestDomain:
 
 class TestGrid:
     def test_interval_resolution_five(self):
-        g = build_grid(interval(0.0, 1.0), 5)
+        g = Grid(interval(0.0, 1.0), 5)
         np.testing.assert_allclose(g.axes[0], [0.0, 0.25, 0.5, 0.75, 1.0])
         assert g.h == (0.25,)
         assert g.n_interior == 3
         np.testing.assert_allclose(g.points[g.interior_mask][:, 0], [0.25, 0.5, 0.75])
 
     def test_rectangle_node_count(self):
-        g = build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 7)
+        g = Grid(rectangle(0.0, 1.0, 0.0, 1.0), 7)
         assert g.points.shape == (49, 2)
         assert g.n_interior == 25
 
     def test_disk_excludes_corners(self):
-        g = build_grid(disk(0.0, 0.0, 1.0), 9)
+        g = Grid(disk(0.0, 0.0, 1.0), 9)
         pts = g.points[g.interior_mask]
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) < 1.0)
         # the lattice corner (1,1) is well outside
@@ -78,18 +78,18 @@ class TestGrid:
 
     def test_minimum_resolution(self):
         with pytest.raises(ValueError):
-            build_grid(interval(0.0, 1.0), 2)
+            Grid(interval(0.0, 1.0), 2)
 
     def test_pack_inverts_zero_extend(self):
         rng = np.random.default_rng(0)
-        for g in (build_grid(interval(0.0, 1.0), 9), build_grid(disk(0.0, 0.0, 1.0), 9)):
+        for g in (Grid(interval(0.0, 1.0), 9), Grid(disk(0.0, 0.0, 1.0), 9)):
             vec = rng.normal(size=g.n_interior)
             ext = g.zero_extend(vec)
             np.testing.assert_array_equal(g.pack(ext), vec)
             np.testing.assert_array_equal(g.pack(ext.reshape(-1)), vec)
 
     def test_pack_rejects_wrong_size(self):
-        g = build_grid(disk(0.0, 0.0, 1.0), 9)
+        g = Grid(disk(0.0, 0.0, 1.0), 9)
         lattice = np.ones(g.shape)
         for bad in (lattice[:-1], lattice.reshape(-1)[:-1], lattice.reshape(-1, 1), lattice[None]):
             with pytest.raises(ValueError, match="one value per lattice node"):
@@ -97,13 +97,13 @@ class TestGrid:
 
     def test_interior_distance_positive(self):
         for domain in (interval(0.0, 1.0), rectangle(0.0, 2.0, 0.0, 1.0), disk(0.3, -0.2, 0.7)):
-            g = build_grid(domain, 9)
+            g = Grid(domain, 9)
             d = g.interior_distance
             assert np.all(d > 0.0)
             np.testing.assert_array_equal(d, domain.distance(g.interior_points))
 
     def test_zero_extend_is_lattice_shaped(self):
-        g = build_grid(disk(0.0, 0.0, 1.0), 9)
+        g = Grid(disk(0.0, 0.0, 1.0), 9)
         vec = np.random.default_rng(1).normal(size=g.n_interior)
         ext = g.zero_extend(vec)
         assert ext.shape == g.shape
@@ -116,25 +116,25 @@ class TestGrid:
                 g.interior_vector(bad)
 
     def test_interior_lattice_is_cached(self):
-        g = build_grid(disk(0.0, 0.0, 1.0), 9)
+        g = Grid(disk(0.0, 0.0, 1.0), 9)
         li = g.interior_lattice
         assert li is g.interior_lattice
         np.testing.assert_array_equal(li, g.lattice[g.interior_idx])
 
     def test_axes_swap_needs_equal_spacings_in_2d(self):
-        assert build_grid(disk(0.0, 0.0, 1.0), 9).axes_swap
-        assert build_grid(rectangle(0.0, 1.0, 2.0, 3.0), 9).axes_swap
-        assert not build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 9).axes_swap
-        assert not build_grid(interval(0.0, 1.0), 9).axes_swap
+        assert Grid(disk(0.0, 0.0, 1.0), 9).axes_swap
+        assert Grid(rectangle(0.0, 1.0, 2.0, 3.0), 9).axes_swap
+        assert not Grid(rectangle(0.0, 2.0, 0.0, 1.0), 9).axes_swap
+        assert not Grid(interval(0.0, 1.0), 9).axes_swap
         # the two spacings differ by one ulp
-        g = build_grid(disk(0.3, -0.2, 0.7), 21)
+        g = Grid(disk(0.3, -0.2, 0.7), 21)
         assert g.h[0] != g.h[1] and not g.axes_swap
 
     def test_lattice_edge_nodes_never_interior(self):
         # (-0.9, 0) is on the circle, but rounding puts it 5.6e-17 inside;
         # the disk's relative margin keeps it out all the same
         dom = disk(-1.0, 0.0, 0.1)
-        g = build_grid(dom, 9)
+        g = Grid(dom, 9)
         edge = np.flatnonzero(np.all(np.isclose(g.points, [-0.9, 0.0], atol=1e-12), axis=1))
         assert edge.size == 1 and g.lattice[edge[0], 0] == 8
         assert not dom.contains(g.points[edge])[0]
@@ -152,19 +152,19 @@ class TestGrid:
         for cx in np.linspace(-1.0, 1.0, 11):
             for r in (0.1, 0.3, 0.7, 1.3):
                 for res in (9, 17):
-                    g = build_grid(disk(cx, 0.0, r), res)
+                    g = Grid(disk(cx, 0.0, r), res)
                     li = g.lattice[g.interior_idx]
                     assert np.all((li > 0) & (li < res - 1)), (cx, r, res)
 
     def test_on_circle_nodes_stay_out(self):
         # (8/17, 15/17) is on the unit circle and a node of the res-35 lattice
-        g = build_grid(disk(0.0, 0.0, 1.0), 35)
+        g = Grid(disk(0.0, 0.0, 1.0), 35)
         node = np.flatnonzero(np.all(np.isclose(g.points, [8 / 17, 15 / 17], atol=1e-12), axis=1))
         assert node.size == 1 and not g.interior_mask[node[0]]
         # every centred disk at these odd resolutions has such nodes
         for r in (0.5, 1.0, 2.0, 5.0):
             for res in (35, 69, 79, 103, 111):
-                g = build_grid(disk(0.0, 0.0, r), res)
+                g = Grid(disk(0.0, 0.0, r), res)
                 assert np.min(g.interior_distance) > 1e-12 * r, (r, res)
 
     @pytest.mark.parametrize(
@@ -181,12 +181,12 @@ class TestGrid:
     def test_shipped_interior_masks_unchanged(self, domain, res, n, digest):
         # the domains of configs/interval_1d.json and configs/disk_2d.json,
         # against masks recorded before the disk's boundary margin
-        g = build_grid(domain, res)
+        g = Grid(domain, res)
         assert g.n_interior == n
         assert hashlib.sha256(g.interior_mask.tobytes()).hexdigest()[:16] == digest
 
     def test_rectangle_anisotropic_spacing(self):
-        g = build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 5)
+        g = Grid(rectangle(0.0, 2.0, 0.0, 1.0), 5)
         np.testing.assert_allclose(g.h, (0.5, 0.25))
         assert g.cell_volume == pytest.approx(0.125)
 
@@ -204,7 +204,7 @@ class TestConvolve:
         [(interval(0.0, 1.0), 129), (disk(0.0, 0.0, 1.0), 25), (rectangle(0.0, 2.0, 0.0, 1.0), 17)],
     )
     def test_matches_fftconvolve(self, domain, res):
-        g = build_grid(domain, res)
+        g = Grid(domain, res)
         rng = np.random.default_rng(res)
         table = rng.random(g.shape)
         values = rng.normal(size=g.shape)
@@ -229,7 +229,7 @@ class TestOffsetCounts:
         [(interval(0.0, 1.0), 33), (disk(0.3, -0.2, 0.7), 21), (rectangle(0.0, 2.0, 0.0, 1.0), 9)],
     )
     def test_counts_every_ordered_pair_at_its_offset(self, domain, res):
-        g = build_grid(domain, res)
+        g = Grid(domain, res)
         li = g.lattice[g.interior_idx]
         offsets = np.abs(li[:, None, :] - li[None, :, :]).reshape(-1, g.dim)
         want = np.zeros(g.shape, dtype=np.int64)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 
+from fracsolve.quadrature import cell_average_power
 from fracsolve.riesz import riesz_cell_average, riesz_normalization
 from support.kernels import (
     BesselParams,
@@ -113,6 +114,19 @@ class TestRieszKernel:
         integral = 8.0 * gam * trapezoid(radial, theta)
         want = integral / h**2
         assert riesz_cell_average(params.alpha, (h, h)) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("widths", [(0.25, 0.25), (0.5, 0.25), (0.5, 0.2)])
+    @pytest.mark.parametrize("e", [-1.9, -1.55, -1.2, -0.5, 0.7])
+    def test_cell_average_power_matches_adaptive_polar_quadrature(self, widths, e):
+        # a quarter of the cell is r < w1/(2 cos t) below the corner angle
+        # and r < w2/(2 sin t) above it; the radial integral is closed-form
+        w1, w2 = widths
+        corner = math.atan2(w2, w1)
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        low, _ = quad(lambda t: (w1 / (2.0 * math.cos(t))) ** (e + 2.0), 0.0, corner, **opts)
+        high, _ = quad(lambda t: (w2 / (2.0 * math.sin(t))) ** (e + 2.0), corner, 0.5 * math.pi, **opts)
+        want = 4.0 / (e + 2.0) * (low + high) / (w1 * w2)
+        assert cell_average_power(e, widths) == pytest.approx(want, rel=1e-13)
 
     def test_cell_average_exceeds_far_values_near_origin(self):
         params = RieszParams(dim=2, alpha=0.3)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracsolve.grids import build_grid, interval
+from fracsolve.grids import Grid, interval
 from fracsolve.reaction import (
     ConvectiveReaction,
     ProblemExponents,
@@ -90,7 +90,7 @@ class TestConvectiveReaction:
 
 @pytest.fixture(scope="module")
 def trunc_setup():
-    grid = build_grid(interval(0.0, 1.0), 17)
+    grid = Grid(interval(0.0, 1.0), 17)
     lower = 0.3 * grid.interior_distance**0.6 + 0.05
     fam = SingularReaction(gamma=0.5, c1=1.0, c2=0.8, r=1.4)
     return grid, TruncatedReaction(fam, lower)
@@ -180,7 +180,7 @@ class TestTruncation:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_bounded_family_antiderivative_matches_quad(self):
-        grid = build_grid(interval(0.0, 1.0), 9)
+        grid = Grid(interval(0.0, 1.0), 9)
         lower = 0.2 * np.ones(grid.points.shape[0])
         fam = SingularReaction(gamma=0.4, c1=1.2, c2=0.6, r=1.3, family="bounded")
         trunc = TruncatedReaction(fam, grid.pack(lower))
@@ -208,21 +208,11 @@ class TestTruncation:
             assert np.all(lhs <= rhs * (1 + 1e-12))
 
     def test_nonpositive_floor_rejected(self):
-        grid = build_grid(interval(0.0, 1.0), 9)
+        grid = Grid(interval(0.0, 1.0), 9)
         fam = SingularReaction(gamma=0.5, c1=1.0, c2=1.0, r=1.5)
         bad = np.zeros(grid.points.shape[0])
         with pytest.raises(ValueError):
             TruncatedReaction(fam, grid.pack(bad))
-
-    def test_only_one_interior_vector_accepted(self, trunc_setup):
-        # a batch of states with the node axis leading is not a state
-        _, trunc = trunc_setup
-        n = trunc.floor.size
-        for bad in (np.ones((n, 2)), np.ones(n + 1), 1.0):
-            with pytest.raises(ValueError, match="interior values"):
-                trunc.f(bad)
-            with pytest.raises(ValueError, match="interior values"):
-                trunc.F(bad)
 
 
 def _exponents(**kw):

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import j1
 
-from fracsolve.grids import build_grid, disk, interval, rectangle
+from fracsolve.grids import Grid, disk, interval, rectangle
 from fracsolve.riesz import (
     plan_riesz_convolution,
     riesz_cell_average,
@@ -29,7 +29,7 @@ def fractional_gradient(grid, v, s):
 
 class TestKernelTable1D:
     def test_entries_match_quad(self):
-        grid = build_grid(interval(-1.0, 1.0), 17)
+        grid = Grid(interval(-1.0, 1.0), 17)
         alpha = 0.45
         plan = plan_riesz_convolution(grid, alpha)
         h = grid.h[0]
@@ -49,7 +49,7 @@ class TestKernelTable1D:
     def test_small_orders_match_quad(self, alpha):
         # the Gauss rule of a cell loses the most next to the singularity,
         # at offset 1, and more the smaller alpha is
-        grid = build_grid(interval(-1.0, 1.0), 17)
+        grid = Grid(interval(-1.0, 1.0), 17)
         plan = plan_riesz_convolution(grid, alpha)
         h = grid.h[0]
         gamma = riesz_normalization(1, alpha)
@@ -63,7 +63,7 @@ class TestKernelTable1D:
 
 class TestKernelTable2D:
     def test_entries_match_dblquad(self):
-        grid = build_grid(rectangle(-1.0, 1.0, -1.0, 1.0), 9)
+        grid = Grid(rectangle(-1.0, 1.0, -1.0, 1.0), 9)
         alpha = 0.4
         plan = plan_riesz_convolution(grid, alpha)
         h1, h2 = grid.h
@@ -91,7 +91,7 @@ class TestKernelTable2D:
     def test_symmetry_all_octants(self):
         # the quadrant holds the other octants by its mirror; square cells
         # add the swap of the two axes
-        grid = build_grid(rectangle(0.0, 1.0, 0.0, 1.0), 7)
+        grid = Grid(rectangle(0.0, 1.0, 0.0, 1.0), 7)
         k = plan_riesz_convolution(grid, 0.6).kernel
         np.testing.assert_array_equal(k, k.T)
 
@@ -102,7 +102,7 @@ class TestConvolutionAlignment:
     under the swap of the axes, so a transposed or shifted mirror fails."""
 
     def test_1d_matches_double_loop(self):
-        grid = build_grid(interval(0.0, 1.0), 33)
+        grid = Grid(interval(0.0, 1.0), 33)
         rng = np.random.default_rng(4)
         (m,) = grid.shape
         table = rng.random(m)
@@ -115,7 +115,7 @@ class TestConvolutionAlignment:
         np.testing.assert_allclose(out, direct, rtol=1e-12, atol=1e-13)
 
     def test_2d_matches_double_loop(self):
-        grid = build_grid(rectangle(0.0, 2.0, 0.0, 1.0), 9)
+        grid = Grid(rectangle(0.0, 2.0, 0.0, 1.0), 9)
         assert grid.h[0] != grid.h[1]
         rng = np.random.default_rng(8)
         m1, m2 = grid.shape
@@ -136,7 +136,7 @@ class TestConvolutionAlignment:
 
 class TestStructure:
     def test_linearity(self):
-        grid = build_grid(interval(-1.0, 1.0), 65)
+        grid = Grid(interval(-1.0, 1.0), 65)
         rng = np.random.default_rng(11)
         u = rng.normal(size=grid.n_interior)
         v = rng.normal(size=grid.n_interior)
@@ -149,15 +149,15 @@ class TestStructure:
     def test_scaling_identity_exact(self):
         # rescaling the domain by lam multiplies the gradient by lam^-s
         s, lam = 0.55, 2.5
-        g1 = build_grid(interval(-2.0, 2.0), 33)
-        g2 = build_grid(interval(-2.0 * lam, 2.0 * lam), 33)
+        g1 = Grid(interval(-2.0, 2.0), 33)
+        g2 = Grid(interval(-2.0 * lam, 2.0 * lam), 33)
         vals = np.exp(-g1.interior_points[:, 0] ** 2 / 0.98)
         d1 = fractional_gradient(g1, vals, s)[:, 0]
         d2 = fractional_gradient(g2, vals, s)[:, 0]
         np.testing.assert_allclose(d2, lam**-s * d1, rtol=1e-10, atol=1e-13)
 
     def test_odd_symmetry_for_even_field(self):
-        grid = build_grid(interval(-1.0, 1.0), 41)
+        grid = Grid(interval(-1.0, 1.0), 41)
         u = np.cos(0.5 * np.pi * grid.interior_points[:, 0]) ** 2
         plan = plan_riesz_convolution(grid, 0.35)
         pot = grid.convolve(plan.spectrum, grid.zero_extend(u))
@@ -169,7 +169,7 @@ class TestStructure:
     def test_gradient_field_masked_outside(self):
         # one row per interior node: the centered differences of the
         # potential of the zero extension, read at that node
-        grid = build_grid(disk(0.0, 0.0, 1.0), 17)
+        grid = Grid(disk(0.0, 0.0, 1.0), 17)
         u = np.ones(grid.n_interior)
         plan = plan_riesz_convolution(grid, 0.5)
         g = riesz_gradient(plan, u)
@@ -184,8 +184,8 @@ class TestStructure:
 class TestGridMismatch:
     def test_field_from_another_grid_rejected(self):
         # a vector of another grid's interior nodes has the wrong length
-        grid = build_grid(interval(0.0, 1.0), 33)
-        other = build_grid(interval(0.0, 4.0), 35)
+        grid = Grid(interval(0.0, 1.0), 33)
+        other = Grid(interval(0.0, 4.0), 35)
         u = np.exp(-((other.interior_points[:, 0] - 2.0) ** 2))
         with pytest.raises(ValueError, match="interior values"):
             riesz_gradient(plan_riesz_convolution(grid, 0.5), u)
@@ -232,7 +232,7 @@ def gaussian_gradient_2d_radial(r, s, sigma):
 class TestGaussianOracle:
     def test_1d_pointwise(self):
         s, sigma = 0.55, 0.6
-        grid = build_grid(interval(-4.0, 4.0), 257)
+        grid = Grid(interval(-4.0, 4.0), 257)
         x_in = grid.interior_points[:, 0]
         g = fractional_gradient(grid, np.exp(-(x_in**2) / (2 * sigma**2)), s)[:, 0]
         for x in (0.25, 0.75, 1.5):
@@ -243,7 +243,7 @@ class TestGaussianOracle:
 
     def test_1d_near_one_recovers_classical_derivative(self):
         sigma = 0.6
-        grid = build_grid(interval(-4.0, 4.0), 257)
+        grid = Grid(interval(-4.0, 4.0), 257)
         x = grid.interior_points[:, 0]
         g = fractional_gradient(grid, np.exp(-(x**2) / (2 * sigma**2)), 0.99)[:, 0]
         classical = -x / sigma**2 * np.exp(-(x**2) / (2 * sigma**2))
@@ -255,7 +255,7 @@ class TestGaussianOracle:
 
     def test_2d_pointwise(self):
         s, sigma = 0.5, 0.5
-        grid = build_grid(rectangle(-2.0, 2.0, -2.0, 2.0), 65)
+        grid = Grid(rectangle(-2.0, 2.0, -2.0, 2.0), 65)
         pts = grid.interior_points
         g = fractional_gradient(grid, np.exp(-np.sum(pts**2, axis=1) / (2 * sigma**2)), s)
         # node at (0.5, 0): 8 steps right of center along the x axis

@@ -15,7 +15,7 @@ import pytest
 
 from fracsolve import torsion
 from fracsolve.gagliardo import Operator, OperatorParams, assemble_weights, operator_gradient
-from fracsolve.grids import build_grid, disk, interval
+from fracsolve.grids import Grid, disk, interval
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import ProblemExponents, SingularReaction, f_eval
 from fracsolve.torsion import (
@@ -38,14 +38,14 @@ def _operator(grid, exps):
 @pytest.fixture(scope="module")
 def quad_setup():
     exps = ProblemExponents(s=0.5, s1=0.5, s2=0.5, p=2.0, q=2.0, dim=1)
-    grid = build_grid(interval(0.0, 1.0), 17)
+    grid = Grid(interval(0.0, 1.0), 17)
     return exps, grid, _operator(grid, exps)
 
 
 @pytest.fixture(scope="module")
 def nl_setup():
     exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
-    grid = build_grid(interval(0.0, 1.0), 17)
+    grid = Grid(interval(0.0, 1.0), 17)
     return exps, grid, _operator(grid, exps)
 
 
@@ -223,7 +223,7 @@ class TestTorsionNonlinear:
 
     def test_2d_disk_positive_symmetric(self):
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
-        grid = build_grid(disk(0.0, 0.0, 1.0), 11)
+        grid = Grid(disk(0.0, 0.0, 1.0), 11)
         op = _operator(grid, exps)
         vals = solve_torsion(1.0, op)
         assert np.all(vals > 0.0)
@@ -248,14 +248,14 @@ class TestTorsionNonlinear:
 
 class TestHopf:
     def test_exact_power_of_distance(self):
-        grid = build_grid(interval(0.0, 1.0), 33)
+        grid = Grid(interval(0.0, 1.0), 33)
         d = grid.interior_distance
         s1 = 0.6
         assert hopf_ratio(d**s1, d, s1) == pytest.approx(1.0, rel=1e-12)
         assert hopf_ratio(2.0 * d**s1, d, s1) == pytest.approx(2.0, rel=1e-12)
 
     def test_nonpositive_field_rejected(self):
-        grid = build_grid(interval(0.0, 1.0), 9)
+        grid = Grid(interval(0.0, 1.0), 9)
         d = grid.interior_distance
         with pytest.raises(ValueError):
             hopf_ratio(np.zeros(grid.n_interior), d, 0.5)
@@ -319,7 +319,7 @@ class TestSelectSigma:
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
         etas = []
         for res in (17, 33):
-            grid = build_grid(interval(0.0, 1.0), res)
+            grid = Grid(interval(0.0, 1.0), res)
             op = _operator(grid, exps)
             cert = select_sigma(fam, op)
             etas.append(cert.eta)
