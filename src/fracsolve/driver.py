@@ -18,6 +18,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -82,6 +83,8 @@ class OuterOptions:
             raise ValueError(f"relaxation weight must lie in (0, 1], got {self.theta}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not isinstance(self.max_outer, Integral):
+            raise ValueError(f"max_outer must be an integer, got {self.max_outer!r}")
         if self.max_outer < 1:
             raise ValueError(f"iteration budget must be positive, got {self.max_outer}")
 

@@ -122,6 +122,7 @@ def solve_frozen(prob: FrozenProblem, options: MinimizerOptions, start=None) -> 
         np.maximum(x0, floor),
         options,
         lambda u: frozen_hessian(prob, u),
+        prob.operator,
     )
     bound_gap = float(np.min(result.x - floor))
     if result.converged and bound_gap < -options.tol:

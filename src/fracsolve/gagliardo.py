@@ -32,7 +32,8 @@ gradient, a warm start at the last answer, the verify of an answer and
 its seminorm.  A ``seminorm`` away from that point makes a one-table
 pass without the gradient and keeps nothing.  The operator also holds
 the n x n array that the Newton steps of the run fill with the Hessian
-(``workspace_hessian``).  The tables are plain data.
+(``workspace_hessian``) and the Cholesky factor they keep of it.  The
+tables are plain data.
 """
 
 from __future__ import annotations
@@ -59,7 +60,12 @@ from .quadrature import (
     quadrant_integral,
 )
 
-_ROW_CHUNK = 512
+# A pair pass walks the pairs i < j in blocks of whole rows holding fewer
+# than _PAIR_BLOCK pairs, so each float64 temporary of a pass or a Hessian
+# fill stays below 128 KB, glibc's default mmap threshold.  Such a
+# temporary comes from the heap whatever the process allocated before,
+# rather than being mapped and unmapped, page faults and all, on every call.
+_PAIR_BLOCK = 1 << 14
 # terms per BLAS dot product of an energy sum, which bounds its rounding
 # error (optimize.EPS)
 _DOT_TERMS = 1 << 16
@@ -72,11 +78,14 @@ CACHE_ENV = "FRACSOLVE_CACHE"
 _CACHE_VERSION = 3
 
 # Largest interior node count a table is assembled for.  The pair pass of
-# the forms holds the column j of each pair i < j (n^2 / 2 eight-byte
-# words, 67 MB at n = 4096) and n^2 / 2 packed weights per table.  A solve
-# adds the operator's dense n x n Hessian workspace (134 MB at n = 4096),
-# held for the whole run from its first Newton step, and each Newton step
-# the Cholesky factor, of the same size.
+# the forms reads the column j of each pair i < j (n^2 / 2 eight-byte
+# words, 67 MB at n = 4096) and n^2 / 2 packed weights per table; its
+# temporaries are blocks of fewer than _PAIR_BLOCK pairs.  A solve adds the
+# operator's dense n x n Hessian workspace (134 MB at n = 4096), held for
+# the whole run from its first Newton step, and the Cholesky factor of the
+# same size that the run keeps from its first factorization on
+# (optimize.KEPT_FACTOR_MIN).  A factorization frees the kept factor first
+# and holds the LAPACK copy of the Hessian while it runs.
 NODE_CAP = 4096
 
 
@@ -135,9 +144,10 @@ class PairWeightTable:
         n = self.grid.n_interior
         rows = np.arange(n)
         out = np.empty((n, n))
-        for a0 in range(0, n, _ROW_CHUNK):
-            out[a0 : a0 + _ROW_CHUNK] = self.grid.at_offsets(
-                self.woff, rows[a0 : a0 + _ROW_CHUNK, None], rows
+        chunk = max(1, _PAIR_BLOCK // n)
+        for a0 in range(0, n, chunk):
+            out[a0 : a0 + chunk] = self.grid.at_offsets(
+                self.woff, rows[a0 : a0 + chunk, None], rows
             )
         return out
 
@@ -327,16 +337,20 @@ def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
 
 
 def _row_blocks(n: int):
-    """The pairs i < j of n nodes, row-major, in blocks of at most
-    _ROW_CHUNK rows, so temporaries stay within _ROW_CHUNK * n.  Yields the
-    block's rows i, its slice of the pairs, each row's start within the
-    block and each row's length: row i holds the n - 1 - i pairs (i, j > i)."""
+    """The pairs i < j of n nodes, row-major, in blocks of as many whole
+    rows as hold fewer than _PAIR_BLOCK pairs (one row at least).  Yields
+    the block's rows i, its slice of the pairs, each row's start within the
+    block and each row's length: row i holds the n - 1 - i pairs (i, j > i).
+    At n = 127 this is one block; at n = 437, six."""
     rows = np.arange(n)
     row_start = rows * (2 * n - 1 - rows) // 2
-    for r0 in range(0, n - 1, _ROW_CHUNK):
-        r1 = min(r0 + _ROW_CHUNK, n - 1)
+    r0 = 0
+    while r0 < n - 1:
+        fits = int(np.searchsorted(row_start, row_start[r0] + _PAIR_BLOCK)) - 1
+        r1 = min(max(fits, r0 + 1), n - 1)
         blk = slice(row_start[r0], row_start[r1])
         yield slice(r0, r1), blk, row_start[r0:r1] - row_start[r0], n - 1 - rows[r0:r1]
+        r0 = r1
 
 
 def _pair_chunks(tables, uv: np.ndarray):
@@ -419,10 +433,11 @@ class Operator:
     fractional (p,q)-Laplacian.  Its forms are read through ``forms``,
     ``seminorm``, ``operator_gradient`` and ``workspace_hessian``, one
     reader per quantity.  ``last`` is the last point a gradient pass
-    over the tables evaluated (see ``forms``), and ``hessian_workspace``
-    the n x n array that workspace_hessian fills, allocated on first use;
-    neither refers to a table, so an operator and its tables are freed with
-    the run."""
+    over the tables evaluated (see ``forms``), ``hessian_workspace`` the
+    n x n array that workspace_hessian fills, allocated on first use, and
+    ``factor`` the Cholesky factor of such a Hessian that the Newton steps
+    of the run keep as their preconditioner (see ``optimize``); none refers
+    to a table, so an operator and its tables are freed with the run."""
 
     def __init__(self, *tables: PairWeightTable):
         if not tables or not all(isinstance(t, PairWeightTable) for t in tables):
@@ -433,6 +448,7 @@ class Operator:
         self.tables = tables
         self.last: FormPoint | None = None
         self.hessian_workspace: np.ndarray | None = None
+        self.factor: np.ndarray | None = None
 
     def kept(self, uv: np.ndarray) -> FormPoint | None:
         """The kept point when it is at ``uv`` exactly, else None."""
@@ -499,10 +515,12 @@ def workspace_hessian(op: Operator, u) -> np.ndarray:
                 for t, w in zip(tables, weights)
             )
             # the block's pairs i < j in row-major order, written through
-            # boolean masks, which store in order rather than by index
-            upper = cols > cols[rows, None]
-            hess[rows][upper] = off
-            hess.T[rows][upper] = off
+            # boolean masks, which store in order rather than by index; the
+            # mask spans the columns right of the block's first row only
+            right = slice(rows.start + 1, n)
+            upper = cols[right] > cols[rows, None]
+            hess[rows, right][upper] = off
+            hess[right, rows].T[upper] = off
         # a Laplacian row sums to zero; the diagonal is cleared first, as
         # it holds whatever the array held before
         hess[np.diag_indices(n)] = 0.0

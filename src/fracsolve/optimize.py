@@ -1,28 +1,38 @@
 """Line-search descent for the coercive discrete energies.
 
 Each iteration tries the Newton direction ``d = -H^-1 g`` at trial step
-1, with the caller's Hessian ``H`` factored by a dense Cholesky
-decomposition.  Where the factorization fails (``H`` is not positive
-definite, as where the forms are flat), the factor is not finite or the
-direction is not one of descent, the iteration takes the gradient
-direction with the Barzilai-Borwein (BB) trial step instead (Barzilai
-and Borwein 1988; Raydan 1997).  Both kinds go through the same
-backtracking, in float64, with ``g.d`` as the slope.  A trial step is
-accepted when it passes the Armijo test or, when the energy change is at
-the level of float64 summation noise (``|E(trial) - E| <= EPS |E|``),
-when the gradient at the trial point passes the approximate-Armijo test
-of Hager and Zhang (CG_DESCENT, SIAM J. Optim. 2005) instead.  So an
-accepted step either lowers the computed energy by the Armijo margin or
-raises it by at most ``EPS |E|``.  A trial point equal to the current one
-is never accepted.  Any non-finite energy or gradient at an accepted
-point aborts loudly.  The stopping test is the same for both kinds:
-scaled gradient norm < tol.
+1, for the caller's Hessian ``H``, filled anew at every step.  Small
+systems are solved by a dense Cholesky factorization of ``H`` at every
+step.  From KEPT_FACTOR_MIN unknowns on, the factor is kept on the run's
+``home`` (its ``gagliardo.Operator``) and ``H d = -g`` is solved
+inexactly, by conjugate gradients preconditioned with the kept factor, to
+a relative residual of _CG_RTOL; ``H`` is factored afresh only where CG
+fails.  This is inexact Newton (Kelley, Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995, ch. 6; Eisenstat and Walker, SIAM J.
+Sci. Comput. 17, 1996) with a constant forcing term: the factor of an
+earlier Hessian of the run is a close preconditioner for the next, and
+the run factors a few times where it takes many Newton steps.  Where the
+factorization fails (``H`` is not positive definite, as where the forms
+are flat), the factor is not finite or the direction is not one of
+descent, the iteration takes the gradient direction with the
+Barzilai-Borwein (BB) trial step instead (Barzilai and Borwein 1988;
+Raydan 1997).  Both kinds go through the same backtracking, in float64,
+with ``g.d`` as the slope.  A trial step is accepted when it passes the
+Armijo test or, when the energy change is at the level of float64
+summation noise (``|E(trial) - E| <= EPS |E|``), when the gradient at the
+trial point passes the approximate-Armijo test of Hager and Zhang
+(CG_DESCENT, SIAM J. Optim. 2005) instead.  So an accepted step either
+lowers the computed energy by the Armijo margin or raises it by at most
+``EPS |E|``.  A trial point equal to the current one is never accepted.
+Any non-finite energy or gradient at an accepted point aborts loudly.
+The stopping test is the same for both kinds: scaled gradient norm < tol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -38,19 +48,32 @@ ROOT_TOL = 1e-14
 # Relative energy change below which two float64 energies are not compared.
 # A form energy sums up to n^2/2 nonnegative pair terms (n <=
 # gagliardo.NODE_CAP = 4096), each with a few ulp of pow and product error.
-# gagliardo._dot adds them as BLAS dot products over slices of at most
-# gagliardo._DOT_TERMS = 2^16 terms, then adds the slice sums in order (at
-# most 137 of them per table at the cap).  In whatever order the BLAS sums
-# a slice, its rounding error is at most 2^16 u of the slice's sum (u =
-# 2^-53), so with the in-order additions and the per-term errors a form
-# energy is within (2^16 + 2^8) u ~ 7.3e-12 of the exact sum of its terms,
-# relative to that sum (the terms are nonnegative).
+# The pass adds them as one BLAS dot product per block of fewer than
+# gagliardo._PAIR_BLOCK = 2^14 pairs (gagliardo._dot would split a longer
+# vector into slices of _DOT_TERMS = 2^16 terms), then adds the block sums
+# in order (555 of them per table at the cap).  In whatever order the BLAS
+# sums a block, its rounding error is at most 2^14 u of the block's sum (u
+# = 2^-53), so with the in-order additions and the per-term errors a form
+# energy is within (2^14 + 2^10) u ~ 1.9e-12 of the exact sum of its
+# terms, relative to that sum (the terms are nonnegative).
 # The forms are a small multiple of |E| near a minimizer.  1e-10 clears
 # this worst case by more than an order of magnitude; typical errors, of
 # both signs and split over a kernel's several accumulators, are far
 # smaller.  EPS also bounds how far an accepted step may raise the
 # computed energy.
 EPS = 1e-10
+
+# Newton systems of at least this many unknowns are solved by CG from the
+# kept factor; smaller ones are factored at every step, where a
+# factorization costs less than a preconditioner solve (_cholesky_solve
+# loops over diagonal blocks in Python: at n = 127 one factorization takes
+# 0.075 ms and one solve 0.134 ms, while at n = 437 a factorization costs
+# about 3.4 preconditioned iterations)
+KEPT_FACTOR_MIN = 256
+# relative residual ||H d + g|| / ||g|| at which CG accepts a direction,
+# and the iterations it may take before the Hessian is factored afresh
+_CG_RTOL = 1e-2
+_CG_MAX_ITER = 8
 
 
 @dataclass(frozen=True)
@@ -64,6 +87,8 @@ class MinimizerOptions:
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not isinstance(self.max_iter, Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("iteration budget must be positive")
 
@@ -81,13 +106,18 @@ class MinimizeResult:
     # energies evaluated, the start's among them, and trial steps rejected
     energy_evals: int = 0
     backtracks: int = 0
+    # Cholesky factorizations of the Hessian, failed ones included, and the
+    # iterations of the preconditioned CG solves from a kept factor
+    factorizations: int = 0
+    cg_iterations: int = 0
 
     @property
     def counts(self) -> str:
         """The counts of the solve, as the -v progress lines give them."""
         return (
             f"{self.newton_steps} Newton steps, {self.energy_evals} energy evaluations, "
-            f"{self.backtracks} backtracks, {self.iterations} inner iterations"
+            f"{self.backtracks} backtracks, {self.iterations} inner iterations, "
+            f"{self.factorizations} factorizations, {self.cg_iterations} CG iterations"
         )
 
 
@@ -124,27 +154,75 @@ def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_direction(hess_fn, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """-H^-1 g for the Hessian H at x when H is finite and positive definite
-    and the result is a finite descent direction; None otherwise.  A
-    non-finite H either fails to factor or leaves a non-finite entry on the
-    factor's diagonal, which alone is checked: a diagonal +inf factors to
-    L_jj = inf, and the solves then return a finite d with d_j = 0."""
+def _descends(d: np.ndarray, g: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(d))) and float(g @ d) < 0.0
+
+
+def _preconditioned_cg(hess: np.ndarray, g: np.ndarray, chol: np.ndarray):
+    """d with ||H d + g|| <= _CG_RTOL ||g||, by conjugate gradients on
+    H d = -g from d = 0, preconditioned with L L^T for the lower factor L
+    of an earlier Hessian, and the iterations taken.  d is None when CG
+    meets a search direction p with p^T H p not positive and finite, or
+    takes more than _CG_MAX_ITER iterations."""
+    d = np.zeros(g.size)
+    r = -g
+    z = _cholesky_solve(chol, r)
+    p = z
+    rz = float(r @ z)
+    target = _CG_RTOL * float(np.linalg.norm(g))
+    for it in range(1, _CG_MAX_ITER + 1):
+        hp = hess @ p
+        curvature = float(p @ hp)
+        if not 0.0 < curvature < math.inf:
+            return None, it
+        alpha = rz / curvature
+        d += alpha * p
+        r -= alpha * hp
+        if float(np.linalg.norm(r)) <= target:
+            return d, it
+        z = _cholesky_solve(chol, r)
+        rz, rz_prev = float(r @ z), rz
+        p = z + (rz / rz_prev) * p
+    return None, _CG_MAX_ITER
+
+
+def _newton_direction(hess_fn, x: np.ndarray, g: np.ndarray, home):
+    """An approximation of -H^-1 g for the Hessian H at x, when it is a
+    finite descent direction, else None; with the factorizations (0 or 1)
+    and the CG iterations it took.
+
+    From KEPT_FACTOR_MIN unknowns on, CG preconditioned with the factor
+    kept on ``home.factor`` is tried first.  Where there is none or CG
+    fails, the old factor is freed and H factored, so the peak stays the
+    Hessian, LAPACK's copy of it and one factor; the new factor is kept
+    when it gives a descent direction.  A non-finite H either fails to factor or
+    leaves a non-finite entry on the factor's diagonal, which alone is
+    checked: a diagonal +inf factors to L_jj = inf, and the solves then
+    return a finite d with d_j = 0."""
     hess = np.asarray(hess_fn(x), dtype=float)
+    keep = g.size >= KEPT_FACTOR_MIN
+    cg_iterations = 0
+    if keep and home.factor is not None:
+        d, cg_iterations = _preconditioned_cg(hess, g, home.factor)
+        if d is not None and _descends(d, g):
+            return d, 0, cg_iterations
+    home.factor = None
     try:
         chol = np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
-        return None
+        return None, 1, cg_iterations
     if not np.all(np.isfinite(np.diagonal(chol))):
-        return None
+        return None, 1, cg_iterations
     # the factor alone is needed from here (134 MB at n = 4096); a Hessian
     # the callback made anew is freed, while the solves' Hessian is their
     # operator's workspace, held for the whole run
     del hess
     d = _cholesky_solve(chol, -g)
-    if not np.all(np.isfinite(d)) or not float(g @ d) < 0.0:
-        return None
-    return d
+    if not _descends(d, g):
+        return None, 1, cg_iterations
+    if keep:
+        home.factor = chol
+    return d, 1, cg_iterations
 
 
 def minimize_energy(
@@ -153,9 +231,13 @@ def minimize_energy(
     x0: np.ndarray,
     options: MinimizerOptions,
     hess_fn: Callable[[np.ndarray], np.ndarray],
+    home,
 ) -> MinimizeResult:
     """Minimize from x0; ``hess_fn`` returns the dense symmetric Hessian at a
-    point, for Newton steps."""
+    point, for Newton steps.  ``home`` holds the kept Cholesky factor in its
+    ``factor`` attribute (None when there is none) from one solve to the
+    next: a run passes its ``gagliardo.Operator``, whose Hessian workspace
+    the factor approximates."""
     x = np.array(x0, dtype=float)
     f = float(energy_fn(x))
     energy_evals, backtracks = 1, 0
@@ -165,11 +247,21 @@ def minimize_energy(
     prev_x: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     trial = INITIAL_STEP
-    newton_steps = 0
+    newton_steps = factorizations = cg_iterations = 0
 
     def result(converged, iterations, residual, message=""):
         return MinimizeResult(
-            x, converged, iterations, residual, f, message, newton_steps, energy_evals, backtracks
+            x,
+            converged,
+            iterations,
+            residual,
+            f,
+            message,
+            newton_steps,
+            energy_evals,
+            backtracks,
+            factorizations,
+            cg_iterations,
         )
 
     for it in range(1, options.max_iter + 1):
@@ -188,7 +280,9 @@ def minimize_energy(
                 # vanishing accepted step cannot reset the scale to 1.0
                 trial = min(max(numer / denom, 1e-14), 1e14)
 
-        d = _newton_direction(hess_fn, x, g)
+        d, factored, cg = _newton_direction(hess_fn, x, g, home)
+        factorizations += factored
+        cg_iterations += cg
         newton = d is not None
         if not newton:
             d = -g

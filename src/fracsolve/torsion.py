@@ -95,6 +95,7 @@ def solve_torsion(sigma: float, operator: Operator) -> np.ndarray:
         _constant_start(prob),
         MinimizerOptions(tol=max(1e-14, 1e-8 * sigma * prob.grid.cell_volume)),
         lambda u: frozen_hessian(prob, u),
+        operator,
     )
     logger_solve.info(_SOLVE_LOG, sigma, result.counts)
     if not result.converged:

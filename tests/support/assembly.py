@@ -8,7 +8,10 @@ integrals that some interior node reads, each integrated once (cells
 same quadrature rules one offset and one node at a time, with no
 symmetry: ``offset_table`` integrates each offset with its own axis
 nodes, and ``outside_box_tail`` integrates each node's four corners from
-its own Gauss points.  ``quadrant_integral`` sums the 32-point angular
+its own Gauss points.  They take their axis nodes from ``axis_nodes``,
+so they follow any change of its rules and cannot judge one: the
+far-field rule is checked against an independent 4-panel 24-point rule
+in ``TestFarFieldRule``.  ``quadrant_integral`` sums the 32-point angular
 rule of a corner quadrant node by node, where ``fracsolve.quadrature``
 sums the same rule as a power series in the angle.
 """

@@ -9,6 +9,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fracsolve.config import ConfigError, load_config
@@ -190,7 +191,9 @@ REACTION = {"gamma": 0.5, "c1": 0.5, "c2": 0.5, "r": 1.1}
 # under test, the start of the message of its range rule)
 NONFINITE = [
     (MinimizerOptions, {"tol": X}, "tolerance must be positive"),
+    (MinimizerOptions, {"max_iter": X}, "max_iter must be an integer"),
     (OuterOptions, {"tol": X}, "tolerance must be positive"),
+    (OuterOptions, {"max_outer": X}, "max_outer must be an integer"),
     (OperatorParams, {"s": 0.5, "p": X}, "exponent p must exceed 1"),
     (ProblemExponents, {**EXPONENTS_1D, "p": X}, "exponents must exceed 1"),
     (ProblemExponents, {**EXPONENTS_1D, "q": X}, "exponents must exceed 1"),
@@ -222,3 +225,24 @@ def test_parameters_that_are_not_finite_rejected(build, kwargs, reason, value):
     args = {k: value if v is X else v for k, v in kwargs.items()}
     with pytest.raises(ValueError, match=reason):
         build(**args)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3"], ids=["fractional", "integral-float", "str"])
+@pytest.mark.parametrize(
+    "build,field", [(MinimizerOptions, "max_iter"), (OuterOptions, "max_outer")]
+)
+def test_budgets_that_are_not_integers_rejected(build, field, value):
+    # range() takes integers only, so such a budget used to fail at solve
+    # time with a TypeError
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        build(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0, -3, np.int64(0)])
+@pytest.mark.parametrize(
+    "build,field", [(MinimizerOptions, "max_iter"), (OuterOptions, "max_outer")]
+)
+def test_budgets_below_one_keep_their_message(build, field, value):
+    with pytest.raises(ValueError, match="iteration budget must be positive"):
+        build(**{field: value})
+    assert getattr(build(**{field: np.int64(2)}), field) == 2

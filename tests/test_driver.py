@@ -9,15 +9,21 @@ Oracles:
     input-independent.
 """
 
+import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracsolve import driver
+from fracsolve import driver, frozen, optimize, torsion
+from fracsolve.config import load_config
 from fracsolve.driver import (
     OuterOptions,
     apply_T,
@@ -619,7 +625,7 @@ class TestSolveProblem:
         assert len(lines) == 20 + report.outer_iterations + 1
         for k, line in enumerate(lines[:20], start=1):
             assert line.startswith(f"growth sample {k}: seminorm ")
-            assert line.endswith(" inner iterations") or line.endswith("skipped")
+            assert line.endswith(" CG iterations") or line.endswith("skipped")
         assert lines[20].startswith("outer 1: ")
 
 
@@ -723,3 +729,124 @@ class TestTwoDimensional:
         assert np.all(u > 0.0)
         assert np.min(u - inst.trunc.floor) >= -1e-5
         assert report.final_residual < 5.0 * 1e-5
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _config_at(tmp_path, name, resolution):
+    raw = json.loads((CONFIGS / name).read_text())
+    raw.update(resolution=resolution, cache_dir=None)
+    path = tmp_path / f"{Path(name).stem}-r{resolution}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _counted_run(cfg, monkeypatch):
+    """build_instance and solve_problem of a config, with the result of
+    every minimize_energy call of the run."""
+    results = []
+    for module in (torsion, frozen):
+
+        def recorded(*args, _minimize=module.minimize_energy):
+            results.append(_minimize(*args))
+            return results[-1]
+
+        monkeypatch.setattr(module, "minimize_energy", recorded)
+    grid = cfg.build_grid()
+    inst = build_instance(
+        grid, cfg.exponents, cfg.reaction, cfg.convective, frozen_options=cfg.minimizer
+    )
+    report = solve_problem(inst, cfg.outer, seed=cfg.seed)
+    assert report.converged
+    return grid, report, results
+
+
+class TestKeptFactor:
+    """From optimize.KEPT_FACTOR_MIN unknowns on, the Newton steps of a run
+    solve by CG from a kept factor; below it they factor at every step."""
+
+    def test_disk_run_factors_less_than_it_steps(self, tmp_path, monkeypatch):
+        cfg = load_config(str(_config_at(tmp_path, "disk_2d.json", 25)))
+        grid, report, results = _counted_run(cfg, monkeypatch)
+        assert grid.n_interior >= optimize.KEPT_FACTOR_MIN
+        factorizations = sum(r.factorizations for r in results)
+        newton_steps = sum(r.newton_steps for r in results)
+        assert 0 < factorizations < newton_steps
+        assert sum(r.cg_iterations for r in results) > 0
+        # the same run factoring at every step lands on the same answer, to
+        # well within the inner tolerance
+        monkeypatch.setattr(optimize, "KEPT_FACTOR_MIN", grid.n_interior + 1)
+        _, every_step, dense = _counted_run(cfg, monkeypatch)
+        assert all(r.factorizations == r.iterations and r.cg_iterations == 0 for r in dense)
+        u, u_dense = grid.pack(report.u), grid.pack(every_step.u)
+        assert np.max(np.abs(u - u_dense)) <= 1e-5 * np.max(u_dense)
+        assert report.final_residual < cfg.minimizer.tol
+
+    def test_run_below_the_floor_factors_every_step(self, tmp_path, monkeypatch):
+        cfg = load_config(str(_config_at(tmp_path, "interval_1d.json", 65)))
+        grid, _, results = _counted_run(cfg, monkeypatch)
+        assert grid.n_interior < optimize.KEPT_FACTOR_MIN
+        assert sum(r.newton_steps for r in results) > 0
+        # every iteration takes a direction, and below the floor each
+        # direction is one factorization
+        for r in results:
+            assert r.factorizations == r.iterations and r.cg_iterations == 0
+
+
+# Fills the weight cache (argv[2] == "fill") or solves from it, and prints
+# the minor page faults taken by solve_problem
+_FAULTS_SCRIPT = """
+import json, resource, sys
+from fracsolve import config, driver
+cfg = config.load_config(sys.argv[1])
+inst = driver.build_instance(
+    cfg.build_grid(), cfg.exponents, cfg.reaction, cfg.convective, frozen_options=cfg.minimizer
+)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+report = driver.solve_problem(inst, cfg.outer, seed=cfg.seed)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"converged": report.converged, "faults": faults}))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="counts the page faults of glibc's allocator"
+)
+def test_solve_from_a_warm_cache_maps_no_pass_temporaries(tmp_path):
+    # A solve's pair passes and Hessian fills allocate blocks of fewer than
+    # 2^14 pairs and its Newton steps keep one factor, so its temporaries
+    # come from the heap, however its tables were built.  Temporaries above
+    # glibc's mmap threshold were mapped and unmapped on every call, unless
+    # a cold assembly had raised the threshold first: 20.8k minor faults
+    # from a warm cache against about 160 after a cold build, at this size.
+    path = _config_at(tmp_path, "disk_2d.json", 25)
+    cache = tmp_path / "cache"
+    env = {
+        **os.environ,
+        "FRACSOLVE_CACHE": str(cache),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+
+    def run():
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULTS_SCRIPT, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        return json.loads(out.stdout.splitlines()[-1])
+
+    assert run()["converged"]
+    written = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
+    assert len(written) == 2
+    warm = run()
+    assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == written
+    assert warm["converged"]
+    assert warm["faults"] < 2000, warm

@@ -44,6 +44,7 @@ from fracsolve.gagliardo import (
 )
 from fracsolve.grids import Grid, disk, interval
 from fracsolve.optimize import (
+    KEPT_FACTOR_MIN,
     MinimizerOptions,
     _cholesky_solve,
     _newton_direction,
@@ -58,7 +59,7 @@ from fracsolve.reaction import (
 )
 from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
 from fracsolve.torsion import _constant_start, select_sigma, solve_torsion, torsion_objective
-from support.minimizer import accepted_energies, no_newton
+from support.minimizer import accepted_energies, fresh_home, no_newton
 from support.oracles import apply_form, operator_hessian, uniqueness_probe
 from support.passes import count_form_passes
 
@@ -294,7 +295,7 @@ class TestSolveFrozen:
             return frozen_gradient(prob, u)
 
         opts = MinimizerOptions(tol=1e-8)
-        res = minimize_energy(fun, grad, prob.trunc.floor, opts, no_newton)
+        res = minimize_energy(fun, grad, prob.trunc.floor, opts, no_newton, fresh_home())
         assert res.converged
         trace = accepted_energies(fun, grad, prob.trunc.floor, opts, no_newton)
         assert len(trace) >= 2
@@ -317,6 +318,7 @@ class TestSolveFrozen:
             prob.trunc.floor.copy(),
             OPTIONS_1D,
             lambda u: frozen_hessian(prob, u),
+            fresh_home(),
         )
         assert np.array_equal(result.x, ref.x)
         assert result.iterations == ref.iterations
@@ -669,8 +671,8 @@ class TestNewtonSteps:
             lambda u: frozen_gradient(prob, u),
             prob.trunc.floor.copy(),
         )
-        plain = minimize_energy(*args, OPTIONS_1D, no_newton)
-        fallback = minimize_energy(*args, OPTIONS_1D, lambda u: bad)
+        plain = minimize_energy(*args, OPTIONS_1D, no_newton, fresh_home())
+        fallback = minimize_energy(*args, OPTIONS_1D, lambda u: bad, fresh_home())
         assert plain.converged and fallback.newton_steps == plain.newton_steps == 0
         assert np.array_equal(fallback.x, plain.x)
         assert fallback.iterations == plain.iterations
@@ -694,7 +696,53 @@ class TestNewtonSteps:
         n = hess.shape[0]
         assert not np.all(np.isfinite(hess))
         g = np.linspace(1.0, 2.0, n)
-        assert _newton_direction(lambda x: hess, np.zeros(n), g) is None
+        d, factored, cg = _newton_direction(lambda x: hess, np.zeros(n), g, fresh_home())
+        assert d is None and (factored, cg) == (1, 0)
+
+    def test_kept_factor_preconditions_later_hessians(self):
+        n = KEPT_FACTOR_MIN + 44
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((n, n))
+        spd = m @ m.T + n * np.eye(n)
+        g = rng.standard_normal(n)
+        home = fresh_home()
+        d, factored, cg = _newton_direction(lambda x: spd, np.zeros(n), g, home)
+        assert (factored, cg) == (1, 0) and home.factor is not None
+        np.testing.assert_allclose(spd @ d, -g, rtol=0.0, atol=1e-10 * np.max(np.abs(g)))
+        kept = home.factor
+        # a nearby Hessian takes CG from the kept factor, to a relative
+        # residual of 1e-2, and no new factor
+        near = spd + np.diag(rng.uniform(0.0, 0.1 * n, n))
+        d, factored, cg = _newton_direction(lambda x: near, np.zeros(n), g, home)
+        assert factored == 0 and 1 <= cg <= 8 and home.factor is kept
+        assert np.linalg.norm(near @ d + g) <= 1e-2 * np.linalg.norm(g)
+        assert float(g @ d) < 0.0
+        # one far from it makes CG give up: the Hessian is factored afresh
+        # and its factor kept in place of the old one
+        scale = np.logspace(0.0, 3.0, n)
+        far = scale[:, None] * spd * scale[None, :]
+        d, factored, cg = _newton_direction(lambda x: far, np.zeros(n), g, home)
+        assert factored == 1 and cg == 8
+        assert home.factor is not kept
+        np.testing.assert_allclose(home.factor, np.linalg.cholesky(far))
+        np.testing.assert_allclose(far @ d, -g, rtol=0.0, atol=1e-8 * np.max(np.abs(g)))
+
+    def test_nonfinite_hessian_drops_the_kept_factor(self):
+        n = KEPT_FACTOR_MIN
+        home = fresh_home()
+        home.factor = np.eye(n)
+        hess = 2.0 * np.eye(n)
+        hess[3, 3] = np.nan
+        d, factored, cg = _newton_direction(lambda x: hess, np.zeros(n), np.ones(n), home)
+        assert d is None and (factored, cg) == (1, 1)
+        assert home.factor is None
+
+    def test_small_systems_keep_no_factor(self):
+        n = KEPT_FACTOR_MIN - 1
+        home = fresh_home()
+        d, factored, cg = _newton_direction(lambda x: np.eye(n), np.zeros(n), np.ones(n), home)
+        assert np.array_equal(d, -np.ones(n)) and (factored, cg) == (1, 0)
+        assert home.factor is None
 
     def test_counts_energies_and_backtracks(self):
         calls = []
@@ -705,7 +753,12 @@ class TestNewtonSteps:
 
         # the first trial step 1 overshoots the minimum of a stiff quadratic
         result = minimize_energy(
-            energy_fn, lambda x: 100.0 * x, np.ones(3), MinimizerOptions(tol=1e-10), no_newton
+            energy_fn,
+            lambda x: 100.0 * x,
+            np.ones(3),
+            MinimizerOptions(tol=1e-10),
+            no_newton,
+            fresh_home(),
         )
         assert result.converged and result.backtracks > 0
         assert result.energy_evals == len(calls) == 1 + result.iterations + result.backtracks
@@ -729,6 +782,7 @@ class TestNewtonSteps:
             prob.trunc.floor.copy(),
             OPTIONS_1D,
             no_newton,
+            fresh_home(),
         )
         assert result.converged and plain.converged
         assert 0 < result.newton_steps <= result.iterations < plain.iterations

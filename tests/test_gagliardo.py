@@ -417,6 +417,58 @@ class TestBatchedPairIntegral:
             pair_integral(-2.5, [0.2], [0.1, 0.1])
 
 
+def _four_panel_axis(delta, h):
+    """Nodes and weights times the tent factor of a 4-panel 24-point Gauss
+    rule on the tent's support [delta - h, delta + h], whose kink at delta
+    is a panel edge; accurate wherever |z|^-beta is analytic near the
+    support, as on an axis k >= 2 widths out or on any axis of an offset
+    with another such axis."""
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(delta - h, delta + h, 5)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    z = (mid[:, None] + half[:, None] * gx).ravel()
+    w = (half[:, None] * gw).ravel()
+    return z, w * np.maximum(0.0, h - np.abs(z - delta))
+
+
+# the (s, p) of the shipped tables and two more, from sp = 1.32 to 1.8
+_FAR_FIELD_PARAMS = [(0.6, 3.0), (0.5, 2.5), (0.6, 2.2), (0.9, 1.9)]
+
+
+class TestFarFieldRule:
+    """The two-panel far-field rule of axis offsets k >= 2 widths against a
+    4-panel 24-point reference built here, independent of axis_nodes (the
+    reference loops of tests/support/assembly.py follow axis_nodes)."""
+
+    @pytest.mark.parametrize("s,p", _FAR_FIELD_PARAMS)
+    def test_1d_offsets(self, s, p):
+        h = 1.0 / 64
+        k = np.arange(2, 61)
+        beta = 1.0 + s * p
+        got = pair_integral(-beta, [k * h], [h])
+        want = [float(u @ z**-beta) for z, u in (_four_panel_axis(kk * h, h) for kk in k)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("s,p", _FAR_FIELD_PARAMS)
+    def test_2d_offsets(self, s, p):
+        h = 1.0 / 30
+        k = np.arange(2, 61)
+        others = np.array([0, 1, 2, 3, 5, 9, 16, 31, 60])
+        beta = 2.0 + s * p
+        got = pair_integral(-beta, [k * h, others * h], [h, h])
+        # the axis of offset k keeps |z| >= h, so |z|^-beta is analytic in
+        # the other axis everywhere, the tent's kink aside
+        axis2 = [_four_panel_axis(ll * h, h) for ll in others]
+        for a, kk in enumerate(k):
+            z1, u1 = _four_panel_axis(kk * h, h)
+            for b, (z2, u2) in enumerate(axis2):
+                want = u1 @ np.hypot(z1[:, None], z2[None, :]) ** -beta @ u2
+                assert got[a, b] == pytest.approx(want, rel=1e-12, abs=0.0), (kk, others[b])
+        # the block is symmetric in its axes where the widths agree
+        sym = pair_integral(-beta, [others[2:] * h, others[2:] * h], [h, h])
+        np.testing.assert_allclose(sym, sym.T, rtol=1e-14, atol=0.0)
+
+
 class TestFormIdentities:
     def test_zero_field_zero_seminorm(self, grid_1d, table_1d):
         assert seminorm(Operator(table_1d), np.zeros(grid_1d.n_interior)) == 0.0
@@ -561,7 +613,8 @@ class TestOnePassEvaluation:
             )
 
     def test_row_blocks_agree_with_one_block(self, one_pass_grid, monkeypatch):
-        # these grids fit in one block of _ROW_CHUNK rows; force several
+        # these grids fit in one block of _PAIR_BLOCK pairs; force several,
+        # of whole rows below 40 pairs, or one longer row alone
         g = one_pass_grid
         tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(g, OperatorParams(s=0.5, p=1.5))
@@ -569,7 +622,13 @@ class TestOnePassEvaluation:
         whole_e = sum(forms(Operator(tp, tq), u).energies)
         whole_g = operator_gradient(Operator(tp, tq), u)
         whole_h = operator_hessian(Operator(tp, tq), u)
-        monkeypatch.setattr(gagliardo, "_ROW_CHUNK", 4)
+        assert len(list(gagliardo._row_blocks(g.n_interior))) == 1
+        monkeypatch.setattr(gagliardo, "_PAIR_BLOCK", 40)
+        blocks = list(gagliardo._row_blocks(g.n_interior))
+        sizes = [blk.stop - blk.start for _, blk, _, _ in blocks]
+        assert len(blocks) > 2
+        assert all(k < 40 or r.stop - r.start == 1 for (r, *_), k in zip(blocks, sizes))
+        assert sum(sizes) == g.n_interior * (g.n_interior - 1) // 2
         # a fresh operator has no kept point, so the calls walk the blocks;
         # the tables' packed weights are rebuilt by blocks as well
         tp, tq = (PairWeightTable(t.grid, t.params, t.woff, t.tail) for t in (tp, tq))

@@ -25,7 +25,7 @@ from fracsolve.torsion import (
     select_sigma,
     solve_torsion,
 )
-from support.minimizer import accepted_energies, no_newton
+from support.minimizer import accepted_energies, fresh_home, no_newton
 
 
 def _operator(grid, exps):
@@ -70,7 +70,9 @@ class TestMinimizer:
         def grad(x):
             return A @ x - b
 
-        res = minimize_energy(fun, grad, np.zeros(6), MinimizerOptions(tol=1e-12), no_newton)
+        res = minimize_energy(
+            fun, grad, np.zeros(6), MinimizerOptions(tol=1e-12), no_newton, fresh_home()
+        )
         assert res.converged
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=1e-9)
 
@@ -86,7 +88,7 @@ class TestMinimizer:
             return A @ x - b
 
         opts = MinimizerOptions(tol=1e-10)
-        res = minimize_energy(fun, grad, np.zeros(3), opts, no_newton)
+        res = minimize_energy(fun, grad, np.zeros(3), opts, no_newton, fresh_home())
         assert res.converged
         energies = accepted_energies(fun, grad, np.zeros(3), opts, no_newton)
         assert len(energies) == res.iterations
@@ -104,7 +106,12 @@ class TestMinimizer:
             return 2.0 * lam * x
 
         res = minimize_energy(
-            fun, grad, np.ones(2), MinimizerOptions(tol=1e-14, max_iter=2), no_newton
+            fun,
+            grad,
+            np.ones(2),
+            MinimizerOptions(tol=1e-14, max_iter=2),
+            no_newton,
+            fresh_home(),
         )
         assert not res.converged
         assert res.message
@@ -117,7 +124,7 @@ class TestMinimizer:
             return np.zeros_like(x)
 
         with pytest.raises(RuntimeError):
-            minimize_energy(fun, grad, np.zeros(2), MinimizerOptions(), no_newton)
+            minimize_energy(fun, grad, np.zeros(2), MinimizerOptions(), no_newton, fresh_home())
 
     def test_converges_through_rounding_noise(self):
         # a quadratic whose energy carries deterministic noise of 1e-12
@@ -136,7 +143,9 @@ class TestMinimizer:
         def grad(x):
             return A @ x - b
 
-        res = minimize_energy(fun, grad, np.zeros(8), MinimizerOptions(tol=1e-10), no_newton)
+        res = minimize_energy(
+            fun, grad, np.zeros(8), MinimizerOptions(tol=1e-10), no_newton, fresh_home()
+        )
         assert res.converged, res.message
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=0.0, atol=1e-10)
 
@@ -158,7 +167,9 @@ class TestMinimizer:
         def grad(x):
             return A @ x - b
 
-        res = minimize_energy(fun, grad, np.zeros(8), MinimizerOptions(tol=1e-12), no_newton)
+        res = minimize_energy(
+            fun, grad, np.zeros(8), MinimizerOptions(tol=1e-12), no_newton, fresh_home()
+        )
         assert not res.converged
         assert res.message == "line search could not decrease the energy"
         assert len(calls) <= 1000
@@ -174,7 +185,7 @@ class TestMinimizer:
             return 2.0 * x
 
         opts = MinimizerOptions(tol=1e-12)
-        res = minimize_energy(fun, grad, np.ones(1), opts, no_newton)
+        res = minimize_energy(fun, grad, np.ones(1), opts, no_newton, fresh_home())
         energies = accepted_energies(fun, grad, np.ones(1), opts, no_newton)
         assert res.converged
         assert res.iterations == 1
@@ -236,9 +247,9 @@ class TestTorsionNonlinear:
         # a stand-in minimizer that runs one iteration towards 1e-14
         minimize = torsion.minimize_energy
 
-        def one_step(energy_fn, grad_fn, x0, options, hess_fn):
+        def one_step(energy_fn, grad_fn, x0, options, hess_fn, home):
             return minimize(
-                energy_fn, grad_fn, x0, MinimizerOptions(max_iter=1, tol=1e-14), hess_fn
+                energy_fn, grad_fn, x0, MinimizerOptions(max_iter=1, tol=1e-14), hess_fn, home
             )
 
         monkeypatch.setattr(torsion, "minimize_energy", one_step)
@@ -349,12 +360,17 @@ class TestSelectSigma:
         assert len(lines) == cert.halvings + 1
         pattern = re.compile(
             r"torsion solve: sigma \S+, (\d+) Newton steps, (\d+) energy evaluations, "
-            r"(\d+) backtracks, (\d+) inner iterations"
+            r"(\d+) backtracks, (\d+) inner iterations, (\d+) factorizations, "
+            r"(\d+) CG iterations"
         )
         for line in lines:
-            newton, evals, backtracks, iterations = map(int, pattern.fullmatch(line).groups())
+            newton, evals, backtracks, iterations, factorizations, cg = map(
+                int, pattern.fullmatch(line).groups()
+            )
             assert newton <= iterations
             assert evals == 1 + iterations + backtracks
+            # below KEPT_FACTOR_MIN unknowns every Newton step factors anew
+            assert factorizations == iterations and cg == 0
 
     def test_certificate_dict_fields(self, nl_setup):
         _, _, op = nl_setup
