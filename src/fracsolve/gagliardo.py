@@ -83,9 +83,10 @@ _CACHE_VERSION = 3
 # temporaries are blocks of fewer than _PAIR_BLOCK pairs.  A solve adds the
 # operator's dense n x n Hessian workspace (134 MB at n = 4096), held for
 # the whole run from its first Newton step, and the Cholesky factor of the
-# same size that the run keeps from its first factorization on
-# (optimize.KEPT_FACTOR_MIN).  A factorization frees the kept factor first
-# and holds the LAPACK copy of the Hessian while it runs.
+# same size that the run keeps from its first factorization on, with the
+# inverses of its diagonal blocks (n x 32 doubles, 1 MB at n = 4096; see
+# optimize._factorize).  A factorization frees the kept factor first and
+# holds the LAPACK copy of the Hessian while it runs.
 NODE_CAP = 4096
 
 
@@ -435,9 +436,10 @@ class Operator:
     reader per quantity.  ``last`` is the last point a gradient pass
     over the tables evaluated (see ``forms``), ``hessian_workspace`` the
     n x n array that workspace_hessian fills, allocated on first use, and
-    ``factor`` the Cholesky factor of such a Hessian that the Newton steps
-    of the run keep as their preconditioner (see ``optimize``); none refers
-    to a table, so an operator and its tables are freed with the run."""
+    ``factor`` the Cholesky factor of such a Hessian with the inverses of
+    its diagonal blocks, which the Newton steps of the run keep as their
+    preconditioner (see ``optimize._factorize``); none refers to a table,
+    so an operator and its tables are freed with the run."""
 
     def __init__(self, *tables: PairWeightTable):
         if not tables or not all(isinstance(t, PairWeightTable) for t in tables):
@@ -448,7 +450,7 @@ class Operator:
         self.tables = tables
         self.last: FormPoint | None = None
         self.hessian_workspace: np.ndarray | None = None
-        self.factor: np.ndarray | None = None
+        self.factor: tuple[np.ndarray, np.ndarray] | None = None
 
     def kept(self, uv: np.ndarray) -> FormPoint | None:
         """The kept point when it is at ``uv`` exactly, else None."""

@@ -2,7 +2,9 @@
 
 Fields are written one lattice node per row with 17 significant digits,
 which round-trips IEEE doubles exactly; reports are serialized with
-sorted keys so that identical runs produce identical bytes.
+sorted keys so that identical runs produce identical bytes.  Every file
+is written whole to a temporary file beside it and renamed over it, so a
+write that fails or is killed midway leaves the earlier file as it was.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +36,26 @@ def write_field_csv(path, grid, u, extra=()) -> None:
     write_rows_csv(path, names, zip(*columns))
 
 
+@contextmanager
+def _replacing(path):
+    """A text file to write ``path``'s new content to, renamed over ``path``
+    once the block completes and removed if it raises.  The temporary name
+    is private to the writing process, and the file is created with the
+    mode that ``open`` gives ``path`` itself."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_rows_csv(path, header, rows) -> None:
     """Generic numeric table: header list plus per-row value lists."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -56,4 +77,5 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_json(obj), encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(canonical_json(obj))

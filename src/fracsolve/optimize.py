@@ -1,13 +1,13 @@
 """Line-search descent for the coercive discrete energies.
 
 Each iteration tries the Newton direction ``d = -H^-1 g`` at trial step
-1, for the caller's Hessian ``H``, filled anew at every step.  Small
-systems are solved by a dense Cholesky factorization of ``H`` at every
-step.  From KEPT_FACTOR_MIN unknowns on, the factor is kept on the run's
-``home`` (its ``gagliardo.Operator``) and ``H d = -g`` is solved
-inexactly, by conjugate gradients preconditioned with the kept factor, to
-a relative residual of _CG_RTOL; ``H`` is factored afresh only where CG
-fails.  This is inexact Newton (Kelley, Iterative Methods for Linear and
+1, for the caller's Hessian ``H``, filled anew at every step.  The
+Cholesky factor of the last Hessian factored is kept on the run's
+``home`` (its ``gagliardo.Operator``) with the inverses of its diagonal
+blocks, and ``H d = -g`` is solved inexactly, by conjugate gradients
+preconditioned with the kept factor, to a relative residual of _CG_RTOL;
+``H`` is factored afresh only where there is no kept factor or CG fails.
+This is inexact Newton (Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, ch. 6; Eisenstat and Walker, SIAM J.
 Sci. Comput. 17, 1996) with a constant forcing term: the factor of an
 earlier Hessian of the run is a close preconditioner for the next, and
@@ -63,13 +63,6 @@ ROOT_TOL = 1e-14
 # computed energy.
 EPS = 1e-10
 
-# Newton systems of at least this many unknowns are solved by CG from the
-# kept factor; smaller ones are factored at every step, where a
-# factorization costs less than a preconditioner solve (_cholesky_solve
-# loops over diagonal blocks in Python: at n = 127 one factorization takes
-# 0.075 ms and one solve 0.134 ms, while at n = 437 a factorization costs
-# about 3.4 preconditioned iterations)
-KEPT_FACTOR_MIN = 256
 # relative residual ||H d + g|| / ||g|| at which CG accepts a direction,
 # and the iterations it may take before the Hessian is factored afresh
 _CG_RTOL = 1e-2
@@ -136,21 +129,46 @@ def _require_finite(value, what: str):
 _SOLVE_BLOCK = 32
 
 
-def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with  L L^T x = b  for the lower Cholesky factor L, by forward and
-    back substitution over diagonal blocks: O(n^2) work in n / _SOLVE_BLOCK
-    small dense solves, where one dense solve of L would cost O(n^3)."""
+def _factorize(hess: np.ndarray):
+    """The kept factor of H: its lower Cholesky factor L and the inverses
+    of L's diagonal blocks of _SOLVE_BLOCK rows (n x _SOLVE_BLOCK doubles,
+    the last block padded with the identity to full size), from one
+    batched np.linalg.inv; None where H does not factor.  A non-finite H
+    either fails to factor or leaves a non-finite entry on L's diagonal,
+    which alone is checked: a diagonal +inf factors to L_jj = inf, and the
+    solves then return a finite d with d_j = 0."""
+    try:
+        chol = np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(np.diagonal(chol))):
+        return None
+    n = chol.shape[0]
+    blocks = np.zeros((-(-n // _SOLVE_BLOCK), _SOLVE_BLOCK, _SOLVE_BLOCK))
+    blocks[-1] = np.eye(_SOLVE_BLOCK)
+    for k, k0 in enumerate(range(0, n, _SOLVE_BLOCK)):
+        w = min(_SOLVE_BLOCK, n - k0)
+        blocks[k, :w, :w] = chol[k0 : k0 + w, k0 : k0 + w]
+    return chol, np.linalg.inv(blocks)
+
+
+def _cholesky_solve(factor, b: np.ndarray) -> np.ndarray:
+    """x with  L L^T x = b  for the kept factor (L, inverses of L's
+    diagonal blocks), by forward and back substitution over the diagonal
+    blocks: O(n^2) work in matrix-vector products alone."""
+    chol, inv = factor
     n = b.size
     y = np.empty(n)
-    for k0 in range(0, n, _SOLVE_BLOCK):
+    for k, k0 in enumerate(range(0, n, _SOLVE_BLOCK)):
         k1 = min(k0 + _SOLVE_BLOCK, n)
         rhs = b[k0:k1] - chol[k0:k1, :k0] @ y[:k0]
-        y[k0:k1] = np.linalg.solve(chol[k0:k1, k0:k1], rhs)
+        y[k0:k1] = inv[k, : k1 - k0, : k1 - k0] @ rhs
     x = np.empty(n)
-    for k1 in range(n, 0, -_SOLVE_BLOCK):
-        k0 = max(k1 - _SOLVE_BLOCK, 0)
+    for k in reversed(range(len(inv))):
+        k0 = k * _SOLVE_BLOCK
+        k1 = min(k0 + _SOLVE_BLOCK, n)
         rhs = y[k0:k1] - chol[k1:, k0:k1].T @ x[k1:]
-        x[k0:k1] = np.linalg.solve(chol[k0:k1, k0:k1].T, rhs)
+        x[k0:k1] = inv[k, : k1 - k0, : k1 - k0].T @ rhs
     return x
 
 
@@ -158,15 +176,15 @@ def _descends(d: np.ndarray, g: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(d))) and float(g @ d) < 0.0
 
 
-def _preconditioned_cg(hess: np.ndarray, g: np.ndarray, chol: np.ndarray):
+def _preconditioned_cg(hess: np.ndarray, g: np.ndarray, factor):
     """d with ||H d + g|| <= _CG_RTOL ||g||, by conjugate gradients on
-    H d = -g from d = 0, preconditioned with L L^T for the lower factor L
-    of an earlier Hessian, and the iterations taken.  d is None when CG
-    meets a search direction p with p^T H p not positive and finite, or
-    takes more than _CG_MAX_ITER iterations."""
+    H d = -g from d = 0, preconditioned with L L^T for the kept factor of
+    an earlier Hessian, and the iterations taken.  d is None when CG meets
+    a search direction p with p^T H p not positive and finite, or takes
+    more than _CG_MAX_ITER iterations."""
     d = np.zeros(g.size)
     r = -g
-    z = _cholesky_solve(chol, r)
+    z = _cholesky_solve(factor, r)
     p = z
     rz = float(r @ z)
     target = _CG_RTOL * float(np.linalg.norm(g))
@@ -180,7 +198,7 @@ def _preconditioned_cg(hess: np.ndarray, g: np.ndarray, chol: np.ndarray):
         r -= alpha * hp
         if float(np.linalg.norm(r)) <= target:
             return d, it
-        z = _cholesky_solve(chol, r)
+        z = _cholesky_solve(factor, r)
         rz, rz_prev = float(r @ z), rz
         p = z + (rz / rz_prev) * p
     return None, _CG_MAX_ITER
@@ -191,37 +209,29 @@ def _newton_direction(hess_fn, x: np.ndarray, g: np.ndarray, home):
     finite descent direction, else None; with the factorizations (0 or 1)
     and the CG iterations it took.
 
-    From KEPT_FACTOR_MIN unknowns on, CG preconditioned with the factor
-    kept on ``home.factor`` is tried first.  Where there is none or CG
-    fails, the old factor is freed and H factored, so the peak stays the
-    Hessian, LAPACK's copy of it and one factor; the new factor is kept
-    when it gives a descent direction.  A non-finite H either fails to factor or
-    leaves a non-finite entry on the factor's diagonal, which alone is
-    checked: a diagonal +inf factors to L_jj = inf, and the solves then
-    return a finite d with d_j = 0."""
+    CG preconditioned with the factor kept on ``home.factor`` is tried
+    first.  Where there is none or CG fails, the old factor is freed and H
+    factored (see _factorize), so the peak stays the Hessian, LAPACK's copy
+    of it and one factor; the new factor is kept when it gives a descent
+    direction."""
     hess = np.asarray(hess_fn(x), dtype=float)
-    keep = g.size >= KEPT_FACTOR_MIN
     cg_iterations = 0
-    if keep and home.factor is not None:
+    if home.factor is not None:
         d, cg_iterations = _preconditioned_cg(hess, g, home.factor)
         if d is not None and _descends(d, g):
             return d, 0, cg_iterations
     home.factor = None
-    try:
-        chol = np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:
-        return None, 1, cg_iterations
-    if not np.all(np.isfinite(np.diagonal(chol))):
-        return None, 1, cg_iterations
+    factor = _factorize(hess)
     # the factor alone is needed from here (134 MB at n = 4096); a Hessian
     # the callback made anew is freed, while the solves' Hessian is their
     # operator's workspace, held for the whole run
     del hess
-    d = _cholesky_solve(chol, -g)
+    if factor is None:
+        return None, 1, cg_iterations
+    d = _cholesky_solve(factor, -g)
     if not _descends(d, g):
         return None, 1, cg_iterations
-    if keep:
-        home.factor = chol
+    home.factor = factor
     return d, 1, cg_iterations
 
 
@@ -234,10 +244,10 @@ def minimize_energy(
     home,
 ) -> MinimizeResult:
     """Minimize from x0; ``hess_fn`` returns the dense symmetric Hessian at a
-    point, for Newton steps.  ``home`` holds the kept Cholesky factor in its
-    ``factor`` attribute (None when there is none) from one solve to the
-    next: a run passes its ``gagliardo.Operator``, whose Hessian workspace
-    the factor approximates."""
+    point, for Newton steps.  ``home`` holds the kept factor (see
+    _factorize) in its ``factor`` attribute (None when there is none) from
+    one solve to the next: a run passes its ``gagliardo.Operator``, whose
+    Hessian workspace the factor approximates."""
     x = np.array(x0, dtype=float)
     f = float(energy_fn(x))
     energy_evals, backtracks = 1, 0

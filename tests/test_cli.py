@@ -22,7 +22,7 @@ from fracsolve import cli, driver, gagliardo
 from fracsolve.config import ConfigError, HypothesisError, load_config
 from fracsolve.gagliardo import OperatorParams, assemble_weights
 from fracsolve.grids import Grid, disk, interval
-from fracsolve.io_utils import write_field_csv
+from fracsolve.io_utils import write_field_csv, write_json, write_rows_csv
 from fracsolve.riesz import plan_riesz_convolution, riesz_gradient
 from support.oracles import read_field_csv
 
@@ -176,6 +176,32 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="expected 15 interior values"):
             write_field_csv(path, grid, u, extra=[("w", np.ones(grid.n_interior + 1))])
         assert not path.exists()
+
+    def test_failed_write_leaves_the_earlier_file(self, tmp_path):
+        grid = Grid(interval(0.0, 1.0), 17)
+        path = tmp_path / "solution.csv"
+        write_field_csv(path, grid, np.ones(grid.n_interior))
+        before = path.read_bytes()
+
+        def rows():
+            yield 0.0, 1.0
+            yield 0.5, 2.0
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_rows_csv(path, ["x", "u"], rows())
+        assert path.read_bytes() == before
+        # the temporary file the write went to is gone
+        assert [p.name for p in tmp_path.iterdir()] == ["solution.csv"]
+
+    def test_writes_replace_the_earlier_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(path, {"converged": False})
+        write_json(path, {"converged": True})
+        assert json.loads(path.read_text(encoding="utf-8")) == {"converged": True}
+        write_rows_csv(tmp_path / "rows.csv", ["k", "v"], [(1, 0.5)])
+        assert (tmp_path / "rows.csv").read_bytes() == b"k,v\r\n1,0.5\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "rows.csv"]
 
 
 class TestCliSolve:

@@ -216,27 +216,36 @@ class TestApplyT:
 
     def test_answer_seminorms_read_the_kept_forms(self, instance_1d_loose, monkeypatch):
         passes = count_form_passes(monkeypatch)
+        factor = instance_1d_loose.operator.factor
         kept = fit_growth_bound(instance_1d_loose, seed=0)
         # one energy pass scales each of the 20 samples; the T(v) seminorm
         # of a loose sample or a polish is read from the forms its solve
         # kept at its answer
         assert passes.count(False) == 20
-        # measured by a new pass, with nothing kept, the fit is the same:
+        # measured by a new pass, with no forms kept, the fit is the same:
         # the fit and each of its solves run on fresh operators over the
-        # same tables
+        # same tables, which hand the kept Newton factor on from solve to
+        # solve as the run's operator does
         def fresh(inst):
-            return replace(inst, operator=Operator(*inst.operator.tables))
+            op = Operator(*inst.operator.tables)
+            op.factor = inst.operator.factor
+            return replace(inst, operator=op)
 
         solve = driver.apply_T
         tols = []
 
         def fresh_T(inst, v, start=None):
             tols.append(inst.frozen_options.tol)
-            return solve(fresh(inst), v, start)
+            own = fresh(inst)
+            result = solve(own, v, start)
+            inst.operator.factor = own.operator.factor
+            return result
 
         monkeypatch.setattr(driver, "apply_T", fresh_T)
         passes.clear()
-        cold = fit_growth_bound(fresh(instance_1d_loose), seed=0)
+        cold_instance = fresh(instance_1d_loose)
+        cold_instance.operator.factor = factor
+        cold = fit_growth_bound(cold_instance, seed=0)
         # some samples of this fit are polished at the inner tolerance
         polishes = tols.count(instance_1d_loose.frozen_options.tol)
         assert polishes > 0 and len(tols) == 20 + polishes
@@ -763,35 +772,32 @@ def _counted_run(cfg, monkeypatch):
 
 
 class TestKeptFactor:
-    """From optimize.KEPT_FACTOR_MIN unknowns on, the Newton steps of a run
-    solve by CG from a kept factor; below it they factor at every step."""
+    """The Newton steps of a run solve by CG from a kept factor, and factor
+    afresh only where CG fails."""
 
     def test_disk_run_factors_less_than_it_steps(self, tmp_path, monkeypatch):
         cfg = load_config(str(_config_at(tmp_path, "disk_2d.json", 25)))
         grid, report, results = _counted_run(cfg, monkeypatch)
-        assert grid.n_interior >= optimize.KEPT_FACTOR_MIN
         factorizations = sum(r.factorizations for r in results)
         newton_steps = sum(r.newton_steps for r in results)
         assert 0 < factorizations < newton_steps
         assert sum(r.cg_iterations for r in results) > 0
-        # the same run factoring at every step lands on the same answer, to
-        # well within the inner tolerance
-        monkeypatch.setattr(optimize, "KEPT_FACTOR_MIN", grid.n_interior + 1)
+        # the same run factoring at every step, as CG that may take no
+        # iteration gives up at once, lands on the same answer, to well
+        # within the inner tolerance
+        monkeypatch.setattr(optimize, "_CG_MAX_ITER", 0)
         _, every_step, dense = _counted_run(cfg, monkeypatch)
         assert all(r.factorizations == r.iterations and r.cg_iterations == 0 for r in dense)
         u, u_dense = grid.pack(report.u), grid.pack(every_step.u)
         assert np.max(np.abs(u - u_dense)) <= 1e-5 * np.max(u_dense)
         assert report.final_residual < cfg.minimizer.tol
 
-    def test_run_below_the_floor_factors_every_step(self, tmp_path, monkeypatch):
+    def test_1d_run_factors_less_than_it_steps(self, tmp_path, monkeypatch):
         cfg = load_config(str(_config_at(tmp_path, "interval_1d.json", 65)))
-        grid, _, results = _counted_run(cfg, monkeypatch)
-        assert grid.n_interior < optimize.KEPT_FACTOR_MIN
-        assert sum(r.newton_steps for r in results) > 0
-        # every iteration takes a direction, and below the floor each
-        # direction is one factorization
-        for r in results:
-            assert r.factorizations == r.iterations and r.cg_iterations == 0
+        _, _, results = _counted_run(cfg, monkeypatch)
+        factorizations = sum(r.factorizations for r in results)
+        assert 0 < factorizations < sum(r.newton_steps for r in results)
+        assert sum(r.cg_iterations for r in results) > 0
 
 
 # Fills the weight cache (argv[2] == "fill") or solves from it, and prints

@@ -44,9 +44,9 @@ from fracsolve.gagliardo import (
 )
 from fracsolve.grids import Grid, disk, interval
 from fracsolve.optimize import (
-    KEPT_FACTOR_MIN,
     MinimizerOptions,
     _cholesky_solve,
+    _factorize,
     _newton_direction,
     minimize_energy,
 )
@@ -311,14 +311,19 @@ class TestSolveFrozen:
 
     def test_no_start_is_the_floor_start(self, setup_1d):
         grid, _, prob = setup_1d
-        result = solve_frozen(prob, OPTIONS_1D, start=None)
+        # each solve on an operator of its own, so neither starts from a
+        # factor that an earlier solve kept
+        solved, own = (
+            FrozenProblem(Operator(*prob.operator.tables), prob.trunc, prob.load) for _ in range(2)
+        )
+        result = solve_frozen(solved, OPTIONS_1D, start=None)
         ref = minimize_energy(
-            lambda u: frozen_energy(prob, u),
-            lambda u: frozen_gradient(prob, u),
+            lambda u: frozen_energy(own, u),
+            lambda u: frozen_gradient(own, u),
             prob.trunc.floor.copy(),
             OPTIONS_1D,
-            lambda u: frozen_hessian(prob, u),
-            fresh_home(),
+            lambda u: frozen_hessian(own, u),
+            own.operator,
         )
         assert np.array_equal(result.x, ref.x)
         assert result.iterations == ref.iterations
@@ -652,6 +657,16 @@ def _hessians_at_flat_states():
                 yield f"{grid.dim}d-p{p}-equal{k}", workspace_hessian(op, u).copy()
 
 
+def _spd(n, rng):
+    m = rng.standard_normal((n, n))
+    return m @ m.T + n * np.eye(n)
+
+
+def _badly_scaled(spd):
+    scale = np.logspace(0.0, 3.0, spd.shape[0])
+    return scale[:, None] * spd * scale[None, :]
+
+
 class TestNewtonSteps:
     @pytest.mark.parametrize("kind", ["indefinite", "infinite-diagonal"])
     def test_fallback_is_the_bb_step(self, setup_1d, kind):
@@ -700,10 +715,9 @@ class TestNewtonSteps:
         assert d is None and (factored, cg) == (1, 0)
 
     def test_kept_factor_preconditions_later_hessians(self):
-        n = KEPT_FACTOR_MIN + 44
+        n = 300
         rng = np.random.default_rng(3)
-        m = rng.standard_normal((n, n))
-        spd = m @ m.T + n * np.eye(n)
+        spd = _spd(n, rng)
         g = rng.standard_normal(n)
         home = fresh_home()
         d, factored, cg = _newton_direction(lambda x: spd, np.zeros(n), g, home)
@@ -719,30 +733,34 @@ class TestNewtonSteps:
         assert float(g @ d) < 0.0
         # one far from it makes CG give up: the Hessian is factored afresh
         # and its factor kept in place of the old one
-        scale = np.logspace(0.0, 3.0, n)
-        far = scale[:, None] * spd * scale[None, :]
+        far = _badly_scaled(spd)
         d, factored, cg = _newton_direction(lambda x: far, np.zeros(n), g, home)
         assert factored == 1 and cg == 8
         assert home.factor is not kept
-        np.testing.assert_allclose(home.factor, np.linalg.cholesky(far))
+        np.testing.assert_allclose(home.factor[0], np.linalg.cholesky(far))
         np.testing.assert_allclose(far @ d, -g, rtol=0.0, atol=1e-8 * np.max(np.abs(g)))
 
     def test_nonfinite_hessian_drops_the_kept_factor(self):
-        n = KEPT_FACTOR_MIN
+        n = 256
         home = fresh_home()
-        home.factor = np.eye(n)
+        home.factor = _factorize(np.eye(n))
         hess = 2.0 * np.eye(n)
         hess[3, 3] = np.nan
         d, factored, cg = _newton_direction(lambda x: hess, np.zeros(n), np.ones(n), home)
         assert d is None and (factored, cg) == (1, 1)
         assert home.factor is None
 
-    def test_small_systems_keep_no_factor(self):
-        n = KEPT_FACTOR_MIN - 1
+    @pytest.mark.parametrize("n", [1, 127])
+    def test_small_systems_keep_their_factor(self, n):
         home = fresh_home()
         d, factored, cg = _newton_direction(lambda x: np.eye(n), np.zeros(n), np.ones(n), home)
         assert np.array_equal(d, -np.ones(n)) and (factored, cg) == (1, 0)
-        assert home.factor is None
+        chol, inverses = home.factor
+        assert np.array_equal(chol, np.eye(n))
+        # one inverse per diagonal block of 32 rows, the last padded
+        assert inverses.shape == (-(-n // 32), 32, 32)
+        d, factored, cg = _newton_direction(lambda x: np.eye(n), np.zeros(n), np.ones(n), home)
+        assert np.array_equal(d, -np.ones(n)) and (factored, cg) == (0, 1)
 
     def test_counts_energies_and_backtracks(self):
         calls = []
@@ -763,15 +781,35 @@ class TestNewtonSteps:
         assert result.converged and result.backtracks > 0
         assert result.energy_evals == len(calls) == 1 + result.iterations + result.backtracks
 
-    @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
-    def test_cholesky_solve_matches_a_dense_solve(self, n):
-        # sizes on both sides of the substitution's block of 32 rows
-        rng = np.random.default_rng(n)
-        m = rng.standard_normal((n, n))
-        spd = m @ m.T + n * np.eye(n)
+    @pytest.mark.parametrize(
+        "n, scaled",
+        [pytest.param(n, False, id=str(n)) for n in (1, 31, 32, 33, 100, 300)]
+        + [pytest.param(300, True, id="far")],
+    )
+    def test_cholesky_solve_matches_a_dense_solve(self, n, scaled):
+        # sizes on both sides of the substitution's block of 32 rows, and
+        # the badly scaled Hessian of test_kept_factor_preconditions_later_hessians
+        rng = np.random.default_rng(3 if scaled else n)
+        spd = _spd(n, rng)
+        hess = _badly_scaled(spd) if scaled else spd
         b = rng.standard_normal(n)
-        x = _cholesky_solve(np.linalg.cholesky(spd), b)
-        np.testing.assert_allclose(x, np.linalg.solve(spd, b), rtol=1e-12, atol=1e-14)
+        x = _cholesky_solve(_factorize(hess), b)
+        np.testing.assert_allclose(x, np.linalg.solve(hess, b), rtol=1e-12, atol=1e-14)
+
+    def test_cholesky_solve_makes_no_lapack_call(self, monkeypatch):
+        n = 100
+        rng = np.random.default_rng(n)
+        spd = _spd(n, rng)
+        b = rng.standard_normal(n)
+        factor, expected = _factorize(spd), np.linalg.solve(spd, b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a triangular solve called LAPACK")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        x = _cholesky_solve(factor, b)
+        np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-14)
 
     def test_frozen_solve_takes_newton_steps(self, setup_1d):
         grid, _, prob = setup_1d
