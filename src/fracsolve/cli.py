@@ -2,8 +2,9 @@
 check-hypotheses, selftest.
 
 Exit codes: 0 success, 1 runtime failure (e.g. non-convergence), 2
-config or hypothesis failure.  Every failure writes one machine-readable
-JSON object to stderr; a solve that raises also leaves its report.json.
+config or hypothesis failure, 130 interrupted.  Every failure writes one
+machine-readable JSON object to stderr; a solve that raises or is
+interrupted also leaves its report.json.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def _cmd_solve(args) -> int:
         instance = _instance_from(cfg)
         phase = "solve"
         report = solve_problem(instance, cfg.outer, seed=cfg.seed)
-    except Exception as e:
-        # the report of a failed run: where it stopped and why
+    except (Exception, KeyboardInterrupt) as e:
+        # the report of a failed or interrupted run: where it stopped and
+        # why, in place of an earlier run's report
         payload = {
             "timestamp": _timestamp(),
             "config": cfg.as_dict(),
@@ -331,6 +333,9 @@ def main(argv=None) -> int:
     except Exception as e:  # noqa: BLE001 - runtime failures map to exit 1
         _stderr_json({"error": "runtime", "message": f"{type(e).__name__}: {e}"})
         return 1
+    except KeyboardInterrupt:
+        _stderr_json({"error": "interrupted", "message": "KeyboardInterrupt"})
+        return 130
     finally:
         if saved_cache is None:
             os.environ.pop(CACHE_ENV, None)

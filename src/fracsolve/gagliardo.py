@@ -42,7 +42,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import Grid
+from .io_utils import write_file
 from .quadrature import (
     _GL_W,
     _GL_X,
@@ -66,9 +66,6 @@ from .quadrature import (
 # temporary comes from the heap whatever the process allocated before,
 # rather than being mapped and unmapped, page faults and all, on every call.
 _PAIR_BLOCK = 1 << 14
-# terms per BLAS dot product of an energy sum, which bounds its rounding
-# error (optimize.EPS)
-_DOT_TERMS = 1 << 16
 # offset rows per block of a table whose axes swap: a block integrates the
 # columns up to its last row, so a short block wastes little above the
 # diagonal, and a long one shares the set-up of its axis nodes (8 rows was
@@ -294,15 +291,7 @@ def _cache_store(path: Path, table: PairWeightTable) -> None:
         sort_keys=True,
     ).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
-    # a private temp name per writer, so concurrent stores never interleave
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header + b"\n" + body)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_file(path, header + b"\n" + body)
 
 
 def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
@@ -366,14 +355,6 @@ def _pair_chunks(tables, uv: np.ndarray):
         yield rows, starts, j, np.repeat(uv[rows], lens) - np.take(uv, j), [w[blk] for w in packed]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b as BLAS dot products over slices of at most _DOT_TERMS terms,
-    added in order (see optimize.EPS for the error bound)."""
-    return sum(
-        float(a[k : k + _DOT_TERMS] @ b[k : k + _DOT_TERMS]) for k in range(0, a.size, _DOT_TERMS)
-    )
-
-
 def _form_pass(tables, uv: np.ndarray, gradient: bool):
     """Each table's energy (1/p) [sum_{i != j} W_ij |u_i - u_j|^p + 2 sum_i
     T_i |u_i|^p] and, when ``gradient`` is set, the gradient summed over
@@ -392,7 +373,7 @@ def _form_pass(tables, uv: np.ndarray, gradient: bool):
         for k, (t, w) in enumerate(zip(tables, weights)):
             table_flux = adu ** (t.params.p - 1.0)
             table_flux *= w
-            half[k] += _dot(table_flux, adu)
+            half[k] += float(table_flux @ adu)
             if gradient:
                 if flux is None:
                     flux = table_flux
@@ -408,7 +389,7 @@ def _form_pass(tables, uv: np.ndarray, gradient: bool):
     tail_flux = 0.0
     for k, t in enumerate(tables):
         tpow = t.tail * au ** (t.params.p - 1.0)
-        energies.append(2.0 * (half[k] + _dot(tpow, au)) / t.params.p)
+        energies.append(2.0 * (half[k] + float(tpow @ au)) / t.params.p)
         if gradient:
             tail_flux = tail_flux + np.copysign(tpow, uv)
     if gradient:

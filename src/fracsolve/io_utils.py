@@ -3,17 +3,20 @@
 Fields are written one lattice node per row with 17 significant digits,
 which round-trips IEEE doubles exactly; reports are serialized with
 sorted keys so that identical runs produce identical bytes.  Every file
-is written whole to a temporary file beside it and renamed over it, so a
-write that fails or is killed midway leaves the earlier file as it was.
+the package writes, these and the weight cache's tables, goes through
+``write_file``: it is written whole to a temporary file beside it and
+renamed over it, so a write that fails or is killed midway leaves the
+earlier file as it was.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
-from contextlib import contextmanager
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +39,17 @@ def write_field_csv(path, grid, u, extra=()) -> None:
     write_rows_csv(path, names, zip(*columns))
 
 
-@contextmanager
-def _replacing(path):
-    """A text file to write ``path``'s new content to, renamed over ``path``
-    once the block completes and removed if it raises.  The temporary name
-    is private to the writing process, and the file is created with the
-    mode that ``open`` gives ``path`` itself."""
+def write_file(path, data) -> None:
+    """Replace ``path`` with ``data``, bytes or text (written as UTF-8), once
+    the whole of it is written to a temporary file beside ``path``; the
+    temporary is removed if the write raises.  Its name is private to the
+    writing process and thread, so concurrent writers never share one, and
+    it is created with the mode that ``open`` gives ``path`` itself."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -55,13 +58,12 @@ def _replacing(path):
 
 def write_rows_csv(path, header, rows) -> None:
     """Generic numeric table: header list plus per-row value lists."""
-    with _replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [str(v) if isinstance(v, int) else fmt17(v) for v in row]
-            )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([str(v) if isinstance(v, int) else fmt17(v) for v in row])
+    write_file(path, text.getvalue())
 
 
 def float_list(values) -> list:
@@ -77,5 +79,4 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    with _replacing(path) as fh:
-        fh.write(canonical_json(obj))
+    write_file(path, canonical_json(obj))

@@ -49,13 +49,13 @@ ROOT_TOL = 1e-14
 # A form energy sums up to n^2/2 nonnegative pair terms (n <=
 # gagliardo.NODE_CAP = 4096), each with a few ulp of pow and product error.
 # The pass adds them as one BLAS dot product per block of fewer than
-# gagliardo._PAIR_BLOCK = 2^14 pairs (gagliardo._dot would split a longer
-# vector into slices of _DOT_TERMS = 2^16 terms), then adds the block sums
-# in order (555 of them per table at the cap).  In whatever order the BLAS
-# sums a block, its rounding error is at most 2^14 u of the block's sum (u
-# = 2^-53), so with the in-order additions and the per-term errors a form
-# energy is within (2^14 + 2^10) u ~ 1.9e-12 of the exact sum of its
-# terms, relative to that sum (the terms are nonnegative).
+# gagliardo._PAIR_BLOCK = 2^14 pairs, then adds the block sums in order
+# (555 of them per table at the cap) and the tail's n terms as one more
+# dot product.  In whatever order the BLAS sums a block, its rounding
+# error is at most 2^14 u of the block's sum (u = 2^-53), so with the
+# in-order additions and the per-term errors a form energy is within
+# (2^14 + 2^10) u ~ 1.9e-12 of the exact sum of its terms, relative to
+# that sum (the terms are nonnegative).
 # The forms are a small multiple of |E| near a minimizer.  1e-10 clears
 # this worst case by more than an order of magnitude; typical errors, of
 # both signs and split over a kernel's several accumulators, are far

@@ -343,6 +343,33 @@ class TestCliSolve:
         rows = (out / "convergence.csv").read_text().strip().splitlines()
         assert rows[-1].split(",")[1] == "nan"
 
+    @pytest.mark.parametrize("phase, name", [("build", "_instance_from"), ("solve", "solve_problem")])
+    def test_interrupted_solve_replaces_the_earlier_report(
+        self, tmp_path, capsys, monkeypatch, phase, name
+    ):
+        # a Ctrl-C must not leave the last run's converged report in place
+        out = tmp_path / "run"
+        args = ["solve", "--config", str(CONFIG_DIR / "interval_1d.json"), "--out", str(out)]
+        assert cli.main(args) == 0
+        assert json.loads((out / "report.json").read_text())["converged"] is True
+        capsys.readouterr()
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, name, interrupt)
+        try:
+            code = cli.main(args)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        assert code == 130
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "interrupted"
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False and report["phase"] == phase
+        assert report["error"]["type"] == "KeyboardInterrupt"
+        assert not list(out.glob("*.tmp"))
+
     def test_resonant_config_exits_2_before_assembly(self, tmp_path, capsys, monkeypatch):
         # q'*s2 = s1 is outside the window, so no floor is built for it
         monkeypatch.setattr(driver, "assemble_weights", lambda *args: pytest.fail("assembled"))

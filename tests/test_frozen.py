@@ -82,7 +82,9 @@ def build_problem(grid, exponents, reaction, convective, floor, v):
     return FrozenProblem(operator=operator, trunc=trunc, load=g_eval(convective, xi))
 
 
-@pytest.fixture(scope="module")
+# built for each test, so that no kept point or Newton factor carries
+# from one test to the next
+@pytest.fixture
 def setup_1d():
     grid = Grid(interval(0.0, 1.0), 17)
     operator = Operator(

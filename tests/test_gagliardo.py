@@ -7,8 +7,13 @@ kernel |x_i-x_j|^(-p) |x-y|^(p-(N+sp)) for touching pairs.
 """
 
 import gc
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -946,3 +951,151 @@ class TestCache:
         np.testing.assert_array_equal(t1.woff, t2.woff)
         t3 = assemble_weights(g, params)
         np.testing.assert_array_equal(t1.tail, t3.tail)
+
+    def test_concurrent_stores_leave_one_whole_file(self, tmp_path, monkeypatch):
+        # two processes miss the same table in one empty cache and store it
+        # at once; whichever rename lands last, one whole file is left and
+        # a third process reads it without writing it again
+        cache, sync = tmp_path / "cache", tmp_path / "sync"
+        cache.mkdir()
+        sync.mkdir()
+        env = {**_subprocess_env(), "FRACSOLVE_CACHE": str(cache)}
+
+        def start(role):
+            return subprocess.Popen(
+                [sys.executable, "-c", _STORE_SCRIPT, str(sync), role],
+                env=env,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+
+        writers = [start("a"), start("b")]
+        try:
+            deadline = time.monotonic() + 120
+            while not all((sync / f"ready-{role}").exists() for role in "ab"):
+                assert all(w.poll() is None for w in writers) and time.monotonic() < deadline
+                time.sleep(0.005)
+            (sync / "go").touch()
+            digests = [w.communicate(timeout=300)[0].strip() for w in writers]
+        finally:
+            for w in writers:
+                w.kill()
+                w.wait()
+        assert [w.returncode for w in writers] == [0, 0]
+        monkeypatch.delenv("FRACSOLVE_CACHE", raising=False)
+        table = assemble_weights(*_STORE_TABLE)
+        want = hashlib.sha256(table.woff.tobytes() + table.tail.tobytes()).hexdigest()
+        assert digests == [want, want]
+        files = list(cache.iterdir())
+        assert len(files) == 1 and files[0].suffix == ".fwt"
+        stored = files[0].stat()
+
+        reader = subprocess.run(
+            [sys.executable, "-c", _STORE_SCRIPT, str(sync), "read"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        assert reader.stdout.strip() == want
+        assert list(cache.iterdir()) == files
+        assert (files[0].stat().st_ino, files[0].stat().st_mtime_ns) == (
+            stored.st_ino,
+            stored.st_mtime_ns,
+        )
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="limits the file size by setrlimit")
+    def test_store_failing_midway_leaves_the_earlier_file(self, tmp_path, monkeypatch):
+        # a process whose file size limit stops the store's write partway
+        # (EFBIG, as a full disk would stop it) keeps its table uncached
+        monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
+        table = assemble_weights(*_STORE_TABLE)
+        path = _cache_path(table.grid, table.params)
+        before = path.read_bytes()
+        out = subprocess.run(
+            [sys.executable, "-c", _FAILED_STORE_SCRIPT, str(len(before) // 2)],
+            env={**_subprocess_env(), "FRACSOLVE_CACHE": str(tmp_path)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        assert "could not be written (File too large)" in out.stdout
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+    def test_interrupted_store_leaves_the_earlier_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
+        g = Grid(interval(0.0, 1.0), 9)
+        params = OperatorParams(s=0.55, p=2.4)
+        t1 = assemble_weights(g, params)
+        path = _cache_path(g, params)
+        before = path.read_bytes()
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _cache_store(path, PairWeightTable(g, params, 2.0 * t1.woff, t1.tail))
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
+# the table of the cache-store tests: about 60 ms to assemble, long enough
+# for two processes that start it together to overlap
+_STORE_TABLE = (Grid(disk(0.0, 0.0, 1.0), 25), OperatorParams(s=0.6, p=3.0))
+
+# Assembles _STORE_TABLE in the FRACSOLVE_CACHE directory and prints the
+# digest of its weights and tail.  A writer (role "a" or "b") signals that
+# it is ready in the directory argv[1] and starts on its "go" file; the
+# reader ("read") fails if it stores the table.
+_STORE_SCRIPT = """
+import hashlib, sys, time
+from pathlib import Path
+from fracsolve import gagliardo
+from fracsolve.grids import Grid, disk
+sync, role = Path(sys.argv[1]), sys.argv[2]
+if role == "read":
+    def refuse(path, table):
+        raise AssertionError("the cached table was stored again")
+    gagliardo._cache_store = refuse
+else:
+    (sync / f"ready-{role}").touch()
+    deadline = time.monotonic() + 120
+    while not (sync / "go").exists():
+        if time.monotonic() > deadline:
+            sys.exit("no go signal")
+        time.sleep(0.001)
+t = gagliardo.assemble_weights(Grid(disk(0.0, 0.0, 1.0), 25), gagliardo.OperatorParams(0.6, 3.0))
+print(hashlib.sha256(t.woff.tobytes() + t.tail.tobytes()).hexdigest())
+"""
+
+# Rebuilds _STORE_TABLE under a newer cache format version, so that its
+# store replaces the cached file, with the process's file size limited to
+# argv[1] bytes; prints the warnings the run gave
+_FAILED_STORE_SCRIPT = """
+import resource, signal, sys, warnings
+from fracsolve import gagliardo
+from fracsolve.grids import Grid, disk
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+gagliardo._CACHE_VERSION += 1
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    gagliardo.assemble_weights(Grid(disk(0.0, 0.0, 1.0), 25), gagliardo.OperatorParams(0.6, 3.0))
+print([str(w.message) for w in caught])
+"""
+
+
+def _subprocess_env():
+    return {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
