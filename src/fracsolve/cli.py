@@ -3,8 +3,12 @@ check-hypotheses, selftest.
 
 Exit codes: 0 success, 1 runtime failure (e.g. non-convergence), 2
 config or hypothesis failure, 130 interrupted.  Every failure writes one
-machine-readable JSON object to stderr; a solve that raises or is
-interrupted also leaves its report.json.
+machine-readable JSON object to stderr.  solve and torsion first replace
+their record (report.json, certificate.json) with a start record and
+remove the previous run's other outputs, and write the record last, so a
+run that raises, is interrupted or is killed never leaves an earlier
+run's record behind; one that raises or is interrupted records where it
+stopped and why.
 """
 
 from __future__ import annotations
@@ -66,30 +70,63 @@ def _instance_from(cfg: RunConfig):
     )
 
 
+def _start_record(cfg: RunConfig, out: Path, record: str, outputs: tuple) -> dict:
+    """Remove the previous run's ``record`` and ``outputs`` from ``out``,
+    with any temporary a killed write of them left, then write a start
+    record in the record's place: the config, the seed, ``converged``
+    false and ``phase`` "build".  The record goes first, so a run killed
+    at any point leaves no earlier run's record beside files it does not
+    describe, and once the start record is on disk no earlier output is
+    left.  Returns the start record."""
+    for name in (record, *outputs):
+        io_utils.remove_file(out / name)
+    payload = {
+        "timestamp": _timestamp(),
+        "config": cfg.as_dict(),
+        "seed": cfg.seed,
+        "converged": False,
+        "phase": "build",
+    }
+    io_utils.write_json(out / record, payload)
+    return payload
+
+
+def _write_failure(path: Path, start: dict, phase: str, error: BaseException) -> None:
+    """The record of a failed or interrupted run: where it stopped and
+    why, in place of its start record."""
+    payload = dict(
+        start,
+        timestamp=_timestamp(),
+        phase=phase,
+        error={"type": type(error).__name__, "message": str(error)},
+    )
+    io_utils.write_json(path, payload)
+
+
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     _apply_cache(cfg)
     out = _out_dir(args, cfg)
+    start = _start_record(cfg, out, "report.json", ("solution.csv", "convergence.csv"))
     phase = "build"
     try:
         instance = _instance_from(cfg)
         phase = "solve"
         report = solve_problem(instance, cfg.outer, seed=cfg.seed)
+        phase = "write"
+        _write_solve_outputs(cfg, out, instance, report)
     except (Exception, KeyboardInterrupt) as e:
-        # the report of a failed or interrupted run: where it stopped and
-        # why, in place of an earlier run's report
-        payload = {
-            "timestamp": _timestamp(),
-            "config": cfg.as_dict(),
-            "seed": cfg.seed,
-            "converged": False,
-            "phase": phase,
-            "error": {"type": type(e).__name__, "message": str(e)},
-        }
-        io_utils.write_json(out / "report.json", payload)
+        _write_failure(out / "report.json", start, phase, e)
         raise
-    grid = instance.grid
+    if not report.converged:
+        _stderr_json({"error": "runtime", "message": report.message})
+        return 1
+    return 0
 
+
+def _write_solve_outputs(cfg: RunConfig, out: Path, instance, report) -> None:
+    """solution.csv, convergence.csv and, last, report.json."""
+    grid = instance.grid
     u = grid.pack(report.u)
     io_utils.write_field_csv(out / "solution.csv", grid, u)
     io_utils.write_rows_csv(
@@ -126,20 +163,23 @@ def _cmd_solve(args) -> int:
         "raw": io_utils.float_list(grid.pack(report.raw)),
     }
     io_utils.write_json(out / "report.json", payload)
-    if not report.converged:
-        _stderr_json({"error": "runtime", "message": report.message})
-        return 1
-    return 0
 
 
 def _cmd_torsion(args) -> int:
     cfg = load_config(args.config)
     _apply_cache(cfg)
     out = _out_dir(args, cfg)
-    instance = _instance_from(cfg)
-    io_utils.write_field_csv(out / "torsion.csv", instance.grid, instance.certificate.lower)
-    payload = dict(instance.certificate.as_dict(), timestamp=_timestamp())
-    io_utils.write_json(out / "certificate.json", payload)
+    start = _start_record(cfg, out, "certificate.json", ("torsion.csv",))
+    phase = "build"
+    try:
+        instance = _instance_from(cfg)
+        phase = "write"
+        io_utils.write_field_csv(out / "torsion.csv", instance.grid, instance.certificate.lower)
+        payload = dict(instance.certificate.as_dict(), timestamp=_timestamp(), converged=True)
+        io_utils.write_json(out / "certificate.json", payload)
+    except (Exception, KeyboardInterrupt) as e:
+        _write_failure(out / "certificate.json", start, phase, e)
+        raise
     return 0
 
 

@@ -6,7 +6,8 @@ sorted keys so that identical runs produce identical bytes.  Every file
 the package writes, these and the weight cache's tables, goes through
 ``write_file``: it is written whole to a temporary file beside it and
 renamed over it, so a write that fails or is killed midway leaves the
-earlier file as it was.
+earlier file as it was; ``remove_file`` removes a file with the
+temporaries such a killed write left of it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ def write_file(path, data) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_file(path) -> None:
+    """Remove ``path`` and every temporary of it that a write_file killed
+    midway left beside it, whatever process wrote it."""
+    path = Path(path)
+    for tmp in path.parent.glob(f".{path.name}.*.tmp"):
+        tmp.unlink(missing_ok=True)
+    path.unlink(missing_ok=True)
 
 
 def write_rows_csv(path, header, rows) -> None:

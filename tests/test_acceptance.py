@@ -208,7 +208,7 @@ def test_criterion_5_torsion_subsolution(shipped_instances):
     cfg, inst = shipped_instances["interval_1d"]
     sups = []
     for factor in (1.0, 2.0, 4.0, 8.0, 16.0):
-        u = solve_torsion(inst.certificate.sigma * factor, inst.operator)
+        u = solve_torsion(inst.certificate.sigma * factor, inst.operator, 1e-8)
         sups.append(float(np.max(np.abs(u))))
     assert all(b > a for a, b in zip(sups, sups[1:])), sups
 
@@ -229,7 +229,7 @@ def test_criterion_6_frozen_solver(shipped_instances):
         assemble_weights(grid2, OperatorParams(s=0.5, p=2.0)),
     )
     sigma = 0.7
-    u_iter = solve_torsion(sigma, op2)
+    u_iter = solve_torsion(sigma, op2, 1e-8)
 
     def linear_matrix(table):
         W = table.pair

@@ -11,6 +11,10 @@ import json
 import logging
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracsolve import cli, driver, gagliardo
+from fracsolve import cli, driver, gagliardo, io_utils
 from fracsolve.config import ConfigError, HypothesisError, load_config
 from fracsolve.gagliardo import OperatorParams, assemble_weights
 from fracsolve.grids import Grid, disk, interval
@@ -42,6 +46,44 @@ NEGATIVE_EXPECTATIONS = {
     "s1_hits_resonance.json": "s1<1/(p'*gamma)",
     "q_prime_s2_equals_s1.json": "q'*s2 != s1",
 }
+
+
+# the record and the other outputs of each command that writes a record
+RECORDS = [
+    ("solve", "report.json", ("solution.csv", "convergence.csv")),
+    ("torsion", "certificate.json", ("torsion.csv",)),
+]
+
+
+def earlier_run(out, record, outputs):
+    """An earlier converged run's files in ``out``, with the temporary a
+    write killed midway leaves beside each."""
+    out.mkdir(parents=True)
+    write_json(out / record, {"converged": True})
+    for name in outputs:
+        (out / name).write_text("earlier run\n")
+    for name in (record, *outputs):
+        (out / f".{name}.12345.67890.tmp").write_text("")
+
+
+def config_at(tmp_path, name, resolution):
+    """A shipped config at another resolution, with no weight cache."""
+    payload = json.loads((CONFIG_DIR / name).read_text())
+    payload.update(resolution=resolution, cache_dir=None)
+    return dump(tmp_path, payload, f"{Path(name).stem}-r{resolution}.json")
+
+
+def subprocess_env():
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    env.pop(gagliardo.CACHE_ENV, None)
+    return env
 
 
 def dump(tmp_path, payload, name="cfg.json"):
@@ -370,6 +412,81 @@ class TestCliSolve:
         assert report["error"]["type"] == "KeyboardInterrupt"
         assert not list(out.glob("*.tmp"))
 
+    @pytest.mark.parametrize("command, record, outputs", RECORDS, ids=["solve", "torsion"])
+    def test_start_record_is_on_disk_when_the_build_begins(
+        self, tmp_path, capsys, monkeypatch, command, record, outputs
+    ):
+        out = tmp_path / "run"
+        earlier_run(out, record, outputs)
+        seen = {}
+
+        def build(cfg):
+            seen["files"] = sorted(p.name for p in out.iterdir())
+            seen["record"] = json.loads((out / record).read_text())
+            raise RuntimeError("stopped at the build")
+
+        monkeypatch.setattr(cli, "_instance_from", build)
+        path = str(CONFIG_DIR / "interval_1d.json")
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+        assert seen["files"] == [record]
+        assert sorted(seen["record"]) == ["config", "converged", "phase", "seed", "timestamp"]
+        assert seen["record"]["converged"] is False and seen["record"]["phase"] == "build"
+        assert seen["record"]["config"] == load_config(path).as_dict()
+        # the failure replaces the start record with where and why it stopped
+        failed = json.loads((out / record).read_text())
+        assert failed["phase"] == "build" and failed["error"]["type"] == "RuntimeError"
+        assert sorted(p.name for p in out.iterdir()) == [record]
+
+    @pytest.mark.parametrize("command, record, outputs", RECORDS, ids=["solve", "torsion"])
+    def test_failed_write_records_the_write_phase(
+        self, tmp_path, capsys, monkeypatch, command, record, outputs
+    ):
+        # a run that finished but could not write its outputs says so, rather
+        # than leaving the start record of a build that never finished
+        def disk_full(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(io_utils, "write_field_csv", disk_full)
+        out = tmp_path / "run"
+        path = str(CONFIG_DIR / "interval_1d.json")
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+        failed = json.loads((out / record).read_text())
+        assert failed["converged"] is False and failed["phase"] == "write"
+        assert failed["error"] == {"type": "OSError", "message": "no space left on device"}
+        assert sorted(p.name for p in out.iterdir()) == [record]
+
+    @pytest.mark.parametrize("command, record, outputs", RECORDS, ids=["solve", "torsion"])
+    def test_killed_build_leaves_its_start_record(self, tmp_path, command, record, outputs):
+        # SIGKILL cannot be caught: only what the run put on disk before the
+        # build shows that it started; an earlier run's converged record,
+        # its outputs and a temporary of a killed write must all be gone
+        out = tmp_path / "run"
+        earlier_run(out, record, outputs)
+        path = config_at(tmp_path, "disk_2d.json", 61)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fracsolve", command, "--config", path, "--out", str(out)],
+            env=subprocess_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            while proc.poll() is None and time.monotonic() < deadline:
+                try:
+                    if json.loads((out / record).read_text()).get("phase") == "build":
+                        break
+                except FileNotFoundError:
+                    pass  # the run removes the earlier record before it writes its own
+                time.sleep(0.005)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30.0)
+        assert proc.returncode == -signal.SIGKILL
+        recorded = json.loads((out / record).read_text())
+        assert recorded["converged"] is False and recorded["phase"] == "build"
+        assert "error" not in recorded
+        assert sorted(p.name for p in out.iterdir()) == [record]
+
     def test_resonant_config_exits_2_before_assembly(self, tmp_path, capsys, monkeypatch):
         # q'*s2 = s1 is outside the window, so no floor is built for it
         monkeypatch.setattr(driver, "assemble_weights", lambda *args: pytest.fail("assembled"))
@@ -518,8 +635,10 @@ class TestCliOther:
         )
         assert code == 0
         cert = json.loads((out / "certificate.json").read_text())
+        assert cert["converged"] is True
         assert cert["sigma"] > 0.0
         assert cert["eta"] > 0.0
+        assert cert["slack"] >= 0.0
         grid = load_config(str(CONFIG_DIR / "interval_1d.json")).build_grid()
         floor = read_field_csv(grid, out / "torsion.csv")
         assert np.all(floor > 0.0)

@@ -83,8 +83,15 @@ def instance_1d_loose():
 
 
 @pytest.fixture(scope="module")
-def disk_instance():
+def disk_built():
     return build_disk()
+
+
+# each disk test takes a fresh operator over the module's tables, so that
+# no kept point or Newton factor carries from one test to the next
+@pytest.fixture
+def disk_instance(disk_built):
+    return replace(disk_built, operator=Operator(*disk_built.operator.tables))
 
 
 def affine_T(instance, kappa, iterations=1):
@@ -96,6 +103,30 @@ def affine_T(instance, kappa, iterations=1):
         return MinimizeResult(a + kappa * (v - a), True, iterations, 0.0, 0.0)
 
     return T
+
+
+def check_growth_log(instance, caplog) -> int:
+    """Solve with the growth monitor and check its -v lines: the fit's 20
+    samples before the first outer step, then a line per sample it
+    polishes, one per outer step and the final re-solve's; returns the
+    number of polished samples."""
+    with caplog.at_level(logging.INFO, logger="fracsolve.driver"):
+        report = solve_problem(instance, OuterOptions(ball_monitor=True))
+    assert report.converged and report.ball is not None
+    lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
+    for k, line in enumerate(lines[:20], start=1):
+        assert line.startswith(f"growth sample {k}: seminorm ")
+        assert line.endswith(" CG iterations") or line.endswith("skipped")
+    polished = 0
+    while lines[20 + polished].startswith("growth sample "):
+        assert re.match(r"growth sample \d+ polished: ", lines[20 + polished])
+        polished += 1
+    outer = lines[20 + polished :]
+    assert len(outer) == report.outer_iterations + 1
+    for k, line in enumerate(outer[:-1], start=1):
+        assert line.startswith(f"outer {k}: ")
+    assert outer[-1].startswith("final re-solve: ")
+    return polished
 
 
 def random_field(instance, lam, seed):
@@ -629,18 +660,12 @@ class TestSolveProblem:
         assert last + final == report.inner_iterations[-1]
 
     def test_logs_one_line_per_growth_sample(self, instance_1d, caplog):
-        with caplog.at_level(logging.INFO, logger="fracsolve.driver"):
-            report = solve_problem(instance_1d, OuterOptions(ball_monitor=True))
-        assert report.converged and report.ball is not None
-        lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
-        # the fit logs its 20 samples before the first outer step, and the
-        # final re-solve its line after the last
-        assert len(lines) == 20 + report.outer_iterations + 1
-        for k, line in enumerate(lines[:20], start=1):
-            assert line.startswith(f"growth sample {k}: seminorm ")
-            assert line.endswith(" CG iterations") or line.endswith("skipped")
-        assert lines[20].startswith("outer 1: ")
+        check_growth_log(instance_1d, caplog)
 
+    def test_logs_a_polished_growth_sample(self, instance_1d, caplog):
+        # from an operator with no kept Newton factor the fit polishes a sample
+        fresh = replace(instance_1d, operator=Operator(*instance_1d.operator.tables))
+        assert check_growth_log(fresh, caplog) > 0
 
     def test_logs_count_energy_evaluations_and_backtracks(
         self, disk_instance, monkeypatch, caplog

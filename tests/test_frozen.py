@@ -447,7 +447,7 @@ class TestSolveFrozen:
         tol = 1e-6
         result = solve_frozen(prob, MinimizerOptions(tol=tol))
         # the torsion solve stops at its own, tighter, sigma-scaled tolerance
-        torsion = solve_torsion(sigma, operator)
+        torsion = solve_torsion(sigma, operator, 1e-8)
         diff = np.max(np.abs(result.x - torsion))
         assert diff <= 2.0 * tol
 

@@ -26,6 +26,7 @@ from fracsolve.torsion import (
     solve_torsion,
 )
 from support.minimizer import accepted_energies, fresh_home, no_newton
+from support.oracles import apply_form
 
 
 def _operator(grid, exps):
@@ -40,6 +41,26 @@ def quad_setup():
     exps = ProblemExponents(s=0.5, s1=0.5, s2=0.5, p=2.0, q=2.0, dim=1)
     grid = Grid(interval(0.0, 1.0), 17)
     return exps, grid, _operator(grid, exps)
+
+
+@pytest.fixture(scope="module")
+def tables_129():
+    # the interval_1d configs' exponents at resolution 129, where one Newton
+    # step from the constant start leaves the nodal inequality failing
+    exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
+    return _operator(Grid(interval(0.0, 1.0), 129), exps).tables
+
+
+SINGULAR = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
+
+
+def _oracle_gaps(reaction, op, floor):
+    """f(u_i) vol - <A u, e_i> at every node, with the pairing taken
+    against the dense weights row by row, apart from the pair pass."""
+    grid = op.grid
+    basis = np.eye(grid.n_interior)
+    pairing = np.array([sum(apply_form(t, floor, e) for t in op.tables) for e in basis])
+    return f_eval(reaction, floor) * grid.cell_volume - pairing
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +218,7 @@ class TestTorsionQuadraticOracle:
     def test_matches_dense_linear_solve(self, quad_setup):
         _, grid, op = quad_setup
         sigma = 0.7
-        u = solve_torsion(sigma, op)
+        u = solve_torsion(sigma, op, 1e-8)
         A = _linear_matrix(op.tables[0]) + _linear_matrix(op.tables[1])
         rhs = sigma * grid.cell_volume * np.ones(grid.n_interior)
         want = np.linalg.solve(A, rhs)
@@ -207,7 +228,7 @@ class TestTorsionQuadraticOracle:
     def test_gradient_identity_at_solution(self, quad_setup):
         _, grid, op = quad_setup
         sigma = 0.3
-        u = solve_torsion(sigma, op)
+        u = solve_torsion(sigma, op, 1e-8)
         resid = (
             operator_gradient(Operator(op.tables[0]), u)
             + operator_gradient(Operator(op.tables[1]), u)
@@ -219,7 +240,7 @@ class TestTorsionQuadraticOracle:
 class TestTorsionNonlinear:
     def test_positive_and_symmetric(self, nl_setup):
         _, _, op = nl_setup
-        vals = solve_torsion(1.0, op)
+        vals = solve_torsion(1.0, op, 1e-8)
         assert np.all(vals > 0.0)
         np.testing.assert_allclose(vals, vals[::-1], atol=1e-8)
 
@@ -227,7 +248,7 @@ class TestTorsionNonlinear:
         _, _, op = nl_setup
         sups = []
         for sigma in np.logspace(-6, -1, 6):
-            u = solve_torsion(sigma, op)
+            u = solve_torsion(sigma, op, 1e-8)
             sups.append(np.max(np.abs(u)))
         assert np.all(np.diff(sups) > 0.0)
         assert sups[0] < 1e-3  # vanishing limit
@@ -236,7 +257,7 @@ class TestTorsionNonlinear:
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=3.0, q=2.5, dim=2)
         grid = Grid(disk(0.0, 0.0, 1.0), 11)
         op = _operator(grid, exps)
-        vals = solve_torsion(1.0, op)
+        vals = solve_torsion(1.0, op, 1e-8)
         assert np.all(vals > 0.0)
         full = grid.zero_extend(vals)
         np.testing.assert_allclose(full, full[::-1, :], atol=1e-7)
@@ -254,7 +275,7 @@ class TestTorsionNonlinear:
 
         monkeypatch.setattr(torsion, "minimize_energy", one_step)
         with pytest.raises(RuntimeError, match="torsion solve stalled"):
-            solve_torsion(1.0, op)
+            solve_torsion(1.0, op, 1e-8)
 
 
 class TestHopf:
@@ -376,5 +397,65 @@ class TestSelectSigma:
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
         cert = select_sigma(fam, op)
         d = cert.as_dict()
-        for key in ("sigma", "eta", "exponent", "sup_norm", "epsilon", "delta", "halvings"):
+        for key in (
+            "sigma",
+            "eta",
+            "exponent",
+            "sup_norm",
+            "epsilon",
+            "delta",
+            "halvings",
+            "slack",
+        ):
             assert key in d
+
+
+class TestNodalCheck:
+    """The floor is certified by the nodal subsolution inequality itself,
+    checked at the loose solve of each sigma."""
+
+    def test_slack_matches_the_dense_pairing(self, nl_setup):
+        _, grid, op = nl_setup
+        cert = select_sigma(SINGULAR, op)
+        gaps = _oracle_gaps(SINGULAR, op, cert.lower)
+        want = float(np.min(gaps)) / (cert.sigma * grid.cell_volume)
+        assert cert.slack >= 0.0
+        assert cert.slack == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_loose_floor_certifies_with_one_solve(self, tables_129, caplog):
+        op = Operator(*tables_129)
+        with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
+            cert = select_sigma(SINGULAR, op)
+        solves = [r for r in caplog.records if r.name == "fracsolve.torsion.solve"]
+        assert len(solves) == 1
+        assert cert.halvings == 0
+        # the bound of select_sigma's docstring, and the value it leaves room for
+        assert cert.slack > 1.0 - np.sqrt(op.grid.n_interior) * torsion._FLOOR_RTOL
+        assert cert.slack == pytest.approx(3.489, abs=1e-3)
+        assert np.all(_oracle_gaps(SINGULAR, op, cert.lower) >= 0.0)
+
+    def test_failing_nodal_check_halves_sigma(self, tables_129, monkeypatch, caplog):
+        # the first sigma solved to rtol 3 stops after one Newton step, whose
+        # floor passes the three other checks but not the nodal inequality
+        op = Operator(*tables_129)
+        loose = solve_torsion(0.5, Operator(*tables_129), 3.0)
+        delta = _admissible_delta(SINGULAR, 1.0)
+        assert np.all(loose > 0.0) and np.max(loose) < delta
+        assert np.all(0.5 < f_eval(SINGULAR, loose))
+        assert np.min(_oracle_gaps(SINGULAR, op, loose)) < 0.0
+
+        solve = torsion.solve_torsion
+
+        def loose_first_sigma(sigma, operator, rtol):
+            return solve(sigma, operator, 3.0 if sigma == 0.5 else rtol)
+
+        monkeypatch.setattr(torsion, "solve_torsion", loose_first_sigma)
+        with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
+            cert = select_sigma(SINGULAR, op)
+        solves = [r.args[0] for r in caplog.records if r.name == "fracsolve.torsion.solve"]
+        floors = [r.getMessage() for r in caplog.records if r.name == "fracsolve.torsion"]
+        assert solves == [0.5, 0.25]
+        assert [f.rsplit(", ", 1)[1] for f in floors] == ["rejected", "certified"]
+        assert cert.halvings == 1 and cert.sigma == 0.25
+        assert cert.slack >= 0.0
+        assert np.all(_oracle_gaps(SINGULAR, op, cert.lower) >= 0.0)
