@@ -32,8 +32,8 @@ gradient, a warm start at the last answer, the verify of an answer and
 its seminorm.  A ``seminorm`` away from that point makes a one-table
 pass without the gradient and keeps nothing.  The operator also holds
 the n x n array that the Newton steps of the run fill with the Hessian
-(``workspace_hessian``) and the Cholesky factor they keep of it.  The
-tables are plain data.
+(``workspace_hessian``) and the Cholesky factor they keep of it once CG
+preconditioned with its diagonal fails.  The tables are plain data.
 """
 
 from __future__ import annotations
@@ -79,11 +79,13 @@ _CACHE_VERSION = 3
 # words, 67 MB at n = 4096) and n^2 / 2 packed weights per table; its
 # temporaries are blocks of fewer than _PAIR_BLOCK pairs.  A solve adds the
 # operator's dense n x n Hessian workspace (134 MB at n = 4096), held for
-# the whole run from its first Newton step, and the Cholesky factor of the
-# same size that the run keeps from its first factorization on, with the
-# inverses of its diagonal blocks (n x 32 doubles, 1 MB at n = 4096; see
-# optimize._factorize).  A factorization frees the kept factor first and
-# holds the LAPACK copy of the Hessian while it runs.
+# the whole run from its first Newton step.  A run whose Newton steps all
+# solve by CG preconditioned with the Hessian's diagonal holds nothing
+# more; from the first step where that CG fails, it keeps a Cholesky
+# factor of the same size, with the inverses of its diagonal blocks (n x
+# optimize._SOLVE_BLOCK doubles; see optimize._factorize).  A
+# factorization frees the kept factor first and holds the LAPACK copy of
+# the Hessian while it runs.
 NODE_CAP = 4096
 
 
@@ -419,8 +421,10 @@ class Operator:
     n x n array that workspace_hessian fills, allocated on first use, and
     ``factor`` the Cholesky factor of such a Hessian with the inverses of
     its diagonal blocks, which the Newton steps of the run keep as their
-    preconditioner (see ``optimize._factorize``); none refers to a table,
-    so an operator and its tables are freed with the run."""
+    preconditioner from the first step where CG preconditioned with the
+    Hessian's diagonal fails (see ``optimize._newton_direction``), None
+    until then; none refers to a table, so an operator and its tables are
+    freed with the run."""
 
     def __init__(self, *tables: PairWeightTable):
         if not tables or not all(isinstance(t, PairWeightTable) for t in tables):

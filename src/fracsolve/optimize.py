@@ -1,31 +1,35 @@
 """Line-search descent for the coercive discrete energies.
 
 Each iteration tries the Newton direction ``d = -H^-1 g`` at trial step
-1, for the caller's Hessian ``H``, filled anew at every step.  The
-Cholesky factor of the last Hessian factored is kept on the run's
-``home`` (its ``gagliardo.Operator``) with the inverses of its diagonal
-blocks, and ``H d = -g`` is solved inexactly, by conjugate gradients
-preconditioned with the kept factor, to a relative residual of _CG_RTOL;
-``H`` is factored afresh only where there is no kept factor or CG fails.
-This is inexact Newton (Kelley, Iterative Methods for Linear and
-Nonlinear Equations, SIAM 1995, ch. 6; Eisenstat and Walker, SIAM J.
-Sci. Comput. 17, 1996) with a constant forcing term: the factor of an
-earlier Hessian of the run is a close preconditioner for the next, and
-the run factors a few times where it takes many Newton steps.  Where the
-factorization fails (``H`` is not positive definite, as where the forms
-are flat), the factor is not finite or the direction is not one of
-descent, the iteration takes the gradient direction with the
-Barzilai-Borwein (BB) trial step instead (Barzilai and Borwein 1988;
-Raydan 1997).  Both kinds go through the same backtracking, in float64,
-with ``g.d`` as the slope.  A trial step is accepted when it passes the
-Armijo test or, when the energy change is at the level of float64
-summation noise (``|E(trial) - E| <= EPS |E|``), when the gradient at the
-trial point passes the approximate-Armijo test of Hager and Zhang
-(CG_DESCENT, SIAM J. Optim. 2005) instead.  So an accepted step either
-lowers the computed energy by the Armijo margin or raises it by at most
-``EPS |E|``.  A trial point equal to the current one is never accepted.
-Any non-finite energy or gradient at an accepted point aborts loudly.
-The stopping test is the same for both kinds: scaled gradient norm < tol.
+1, for the caller's Hessian ``H``, filled anew at every step.  ``H d =
+-g`` is solved inexactly, by conjugate gradients to a relative residual
+of _CG_RTOL, preconditioned with H's own diagonal (Jacobi) until the run
+keeps a factor, and with that factor from then on: the Cholesky factor
+of the last Hessian factored, kept on the run's ``home`` (its
+``gagliardo.Operator``) with the inverses of its diagonal blocks.  ``H``
+is factored, and its factor kept, only where that CG fails.  This is
+inexact Newton (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, ch. 6; Eisenstat and Walker, SIAM J. Sci. Comput.
+17, 1996) with a constant forcing term.  At the constant start of a
+torsion solve with p, q > 2 every interior pair term of H vanishes, so H
+is diagonal and Jacobi CG solves it in one iteration; later, the factor
+of an earlier Hessian of the run is a close preconditioner for the next.
+So a run factors a few times where it takes many Newton steps, and not at
+all while Jacobi CG keeps succeeding.  Where the factorization fails
+(``H`` is not positive definite, as where the forms are flat), the factor
+is not finite or the direction is not one of descent, the iteration
+takes the gradient direction with the Barzilai-Borwein (BB) trial step
+instead (Barzilai and Borwein 1988; Raydan 1997).  Both kinds go through
+the same backtracking, in float64, with ``g.d`` as the slope.  A trial
+step is accepted when it passes the Armijo test or, when the energy
+change is at the level of float64 summation noise (``|E(trial) - E| <=
+EPS |E|``), when the gradient at the trial point passes the
+approximate-Armijo test of Hager and Zhang (CG_DESCENT, SIAM J. Optim.
+2005) instead.  So an accepted step either lowers the computed energy by
+the Armijo margin or raises it by at most ``EPS |E|``.  A trial point
+equal to the current one is never accepted.  Any non-finite energy or
+gradient at an accepted point aborts loudly.  The stopping test is the
+same for both kinds: scaled gradient norm < tol.
 """
 
 from __future__ import annotations
@@ -100,7 +104,8 @@ class MinimizeResult:
     energy_evals: int = 0
     backtracks: int = 0
     # Cholesky factorizations of the Hessian, failed ones included, and the
-    # iterations of the preconditioned CG solves from a kept factor
+    # iterations of the preconditioned CG solves, from the Hessian's
+    # diagonal or a kept factor
     factorizations: int = 0
     cg_iterations: int = 0
 
@@ -125,8 +130,11 @@ def _require_finite(value, what: str):
         raise RuntimeError(f"non-finite {what} entered the optimizer")
 
 
-# rows per diagonal block of the triangular solves
-_SOLVE_BLOCK = 32
+# rows per diagonal block of the triangular solves.  Against 32, 64 halves
+# the Python steps of a solve (0.053 -> 0.030 ms at n = 127, 0.21 -> 0.12
+# ms at n = 437, one CPU) for a factorization that costs 0.17 ms more at
+# n = 127 and less from n = 437 on
+_SOLVE_BLOCK = 64
 
 
 def _factorize(hess: np.ndarray):
@@ -178,13 +186,28 @@ def _descends(d: np.ndarray, g: np.ndarray) -> bool:
 
 def _preconditioned_cg(hess: np.ndarray, g: np.ndarray, factor):
     """d with ||H d + g|| <= _CG_RTOL ||g||, by conjugate gradients on
-    H d = -g from d = 0, preconditioned with L L^T for the kept factor of
-    an earlier Hessian, and the iterations taken.  d is None when CG meets
-    a search direction p with p^T H p not positive and finite, or takes
-    more than _CG_MAX_ITER iterations."""
+    H d = -g from d = 0, and the iterations taken.  CG is preconditioned
+    with L L^T for the kept factor of an earlier Hessian or, where factor
+    is None, with H's diagonal (Jacobi); it takes no iteration where that
+    diagonal is not positive and finite.  d is None when CG takes none,
+    meets a search direction p with p^T H p not positive and finite, or
+    takes more than _CG_MAX_ITER iterations."""
+    if factor is None:
+        diag = np.diagonal(hess).copy()
+        if not np.all((diag > 0.0) & (diag < math.inf)):
+            return None, 0
+
+        def precondition(r):
+            return r / diag
+
+    else:
+
+        def precondition(r):
+            return _cholesky_solve(factor, r)
+
     d = np.zeros(g.size)
     r = -g
-    z = _cholesky_solve(factor, r)
+    z = precondition(r)
     p = z
     rz = float(r @ z)
     target = _CG_RTOL * float(np.linalg.norm(g))
@@ -198,7 +221,7 @@ def _preconditioned_cg(hess: np.ndarray, g: np.ndarray, factor):
         r -= alpha * hp
         if float(np.linalg.norm(r)) <= target:
             return d, it
-        z = _cholesky_solve(factor, r)
+        z = precondition(r)
         rz, rz_prev = float(r @ z), rz
         p = z + (rz / rz_prev) * p
     return None, _CG_MAX_ITER
@@ -209,17 +232,15 @@ def _newton_direction(hess_fn, x: np.ndarray, g: np.ndarray, home):
     finite descent direction, else None; with the factorizations (0 or 1)
     and the CG iterations it took.
 
-    CG preconditioned with the factor kept on ``home.factor`` is tried
-    first.  Where there is none or CG fails, the old factor is freed and H
-    factored (see _factorize), so the peak stays the Hessian, LAPACK's copy
-    of it and one factor; the new factor is kept when it gives a descent
-    direction."""
+    CG preconditioned with the factor kept on ``home.factor`` or, where
+    the run keeps none, with H's diagonal is tried first.  Where it fails,
+    the old factor is freed and H factored (see _factorize), so the peak
+    stays the Hessian, LAPACK's copy of it and one factor; the new factor
+    is kept when it gives a descent direction."""
     hess = np.asarray(hess_fn(x), dtype=float)
-    cg_iterations = 0
-    if home.factor is not None:
-        d, cg_iterations = _preconditioned_cg(hess, g, home.factor)
-        if d is not None and _descends(d, g):
-            return d, 0, cg_iterations
+    d, cg_iterations = _preconditioned_cg(hess, g, home.factor)
+    if d is not None and _descends(d, g):
+        return d, 0, cg_iterations
     home.factor = None
     factor = _factorize(hess)
     # the factor alone is needed from here (134 MB at n = 4096); a Hessian

@@ -4,7 +4,8 @@ Everything here works on |z|^e integrands over boxes, their overlap
 (tent) weights, and the closed-form pieces used for exterior tails.
 Singular endpoints are handled by geometric panel grading, never by a
 regularization parameter; away from them, two Gauss panels split at the
-tent's kink take an order sized to the offset.
+tent's kink take an order sized to the offset, and so does a near axis
+whose pair's other axis is far.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ def axis_nodes(delta, width):
     (lattice offsets of k >= 2 widths) the integrand is analytic near the
     support, and two Gauss panels split at the tent's kink, nodes |delta| +
     width * xi, take from 10 points each at k = 2 down to 4 from k = 30.5
-    on (_FAR_ORDERS); pair_integral reads the same rules, batched.
+    on (_FAR_ORDERS); pair_integral reads the same rules, batched, and
+    gives a near axis the split rule too where the other axis of its pair
+    is far enough (_mixed_groups).
     """
     lo, hi = abs(delta) - width, abs(delta) + width
     if _is_far(delta, width):
@@ -110,12 +113,21 @@ def tent(t, width):
     return np.maximum(0.0, width - np.abs(t))
 
 
+def _split_nodes(ad, width, rule):
+    """Nodes |delta| + width * xi of the far-field rule _FAR_RULES[rule],
+    one row per entry of ad = |delta|, with weights times the tent factor."""
+    xi, w = _FAR_RULES[rule]
+    z = ad[:, None] + width * xi
+    return z, (width * w) * tent(z - ad[:, None], width)
+
+
 def _layout_groups(offsets, width):
     """Axis nodes of each offset, stacked by panel layout.  Each group is
-    (positions in `offsets`, nodes z, weights times the tent factor), one
-    row per offset.  The near offsets (split or graded) take axis_nodes one
-    at a time; the far ones share one reference rule per order, so their
-    nodes are one outer sum per group."""
+    (positions in `offsets`, nodes z, weights times the tent factor,
+    whether the offsets are far), one row per offset.  The near offsets
+    (split or graded) take axis_nodes one at a time; the far ones share
+    one reference rule per order, so their nodes are one outer sum per
+    group."""
     far = _is_far(offsets, width)
     groups = {}
     for pos in np.flatnonzero(~far):
@@ -124,17 +136,53 @@ def _layout_groups(offsets, width):
     out = []
     for grp in groups.values():
         pos, z, u = zip(*grp)
-        out.append((np.array(pos), np.stack(z), np.stack(u)))
+        out.append((np.array(pos), np.stack(z), np.stack(u), False))
     far_pos = np.flatnonzero(far)
     rule = _far_rule(offsets[far_pos], width)
-    for r, (xi, w) in enumerate(_FAR_RULES):
+    for r in range(len(_FAR_RULES)):
         pos = far_pos[rule == r]
-        if not pos.size:
-            continue
-        ad = np.abs(offsets[pos])[:, None]
-        z = ad + width * xi
-        out.append((pos, z, (width * w) * tent(z - ad, width)))
+        if pos.size:
+            out.append((pos, *_split_nodes(np.abs(offsets[pos]), width, r), True))
     return out
+
+
+def _mixed_groups(near, far, near_offsets, far_offsets, near_width, far_width):
+    """(near group, part of the far group) pairs that integrate a near
+    group of one axis against a far group of the other.  Where the far
+    axis keeps |z_far| >= |delta_far| - far_width >= near_width, |z|^e is
+    analytic along the near axis, its tent's kink aside, with branch
+    points at z_near = +-i |z_far|: that far offset takes the near axis on
+    the far-field split rule, sized by the distance in near widths k_eff =
+    1 + (|delta_far| - far_width) / near_width as a far axis offset of
+    k_eff widths is.  Offsets of k_eff < 2 keep the graded rule.  Each far
+    offset's rule depends on its own k_eff alone, so a block integrates
+    every offset pair as its scalar call does."""
+    k_eff = 1.0 + (np.abs(far_offsets[far[0]]) - far_width) / near_width
+    # beyond rounding, as in _is_far: lattice offsets two widths out give
+    # k_eff = 2 up to an ulp or so; -1 marks the graded rule
+    rule = np.where(
+        k_eff < 2.0 * (1.0 - 1e-12), -1, np.searchsorted(_FAR_BOUNDS, k_eff, side="right")
+    )
+    ad = np.abs(near_offsets[near[0]])
+    for r in np.unique(rule):
+        sel = rule == r
+        part = far[:3] if sel.all() else tuple(x[sel] for x in far[:3])
+        yield (near[:3] if r < 0 else (near[0], *_split_nodes(ad, near_width, r))), part
+
+
+def _group_pairs(groups, offsets, widths):
+    """Every (axis-0 group, axis-1 group) pair of nodes, as (positions,
+    nodes, weights) each, a near group against a far one split by
+    _mixed_groups."""
+    for g1 in groups[0]:
+        for g2 in groups[1]:
+            if g1[3] == g2[3]:
+                yield g1[:3], g2[:3]
+            elif g2[3]:
+                yield from _mixed_groups(g1, g2, *offsets, *widths)
+            else:
+                for a2, a1 in _mixed_groups(g2, g1, *offsets[::-1], *widths[::-1]):
+                    yield a1, a2
 
 
 def pair_integral(exponent, delta, widths):
@@ -145,31 +193,33 @@ def pair_integral(exponent, delta, widths):
     them, for two axis-aligned cells with per-axis widths `widths`; the
     tent product is the overlap volume in the z = x - y substitution.  The
     result has one axis per vector offset, and is a float when every offset
-    is a scalar.  Each axis takes the nodes of axis_nodes.  Offsets that
-    share a panel layout are integrated together, in blocks of at most
-    _BLOCK values per temporary: the far offsets of one order (k >= 2
-    widths) as one group whose nodes are |delta| + width * xi for the
+    is a scalar.  Each axis takes the nodes of axis_nodes, except a near
+    axis offset (k = 0 or 1) paired with a far one in 2D, which takes the
+    far-field split rule sized by the far axis's distance (_mixed_groups).
+    Offsets that share a panel layout are integrated together, in blocks of
+    at most _BLOCK values per temporary: the far offsets of one order (k >=
+    2 widths) as one group whose nodes are |delta| + width * xi for the
     order's reference rule xi, the near ones (k = 0 or 1) one layout each.
     """
     widths = np.atleast_1d(np.asarray(widths, dtype=float))
     offsets = [np.asarray(d, dtype=float) for d in delta]
     if len(offsets) != widths.size or any(d.ndim > 1 for d in offsets):
         raise ValueError("pair_integral needs one scalar or vector offset per axis")
-    groups = [_layout_groups(d.reshape(-1), w) for d, w in zip(offsets, widths)]
+    flat = [d.reshape(-1) for d in offsets]
+    groups = [_layout_groups(d, w) for d, w in zip(flat, widths)]
     out = np.empty(tuple(d.size for d in offsets))
     if widths.size == 1:
-        for pos, z, u in groups[0]:
+        for pos, z, u, _ in groups[0]:
             out[pos] = np.sum(u * np.abs(z) ** exponent, axis=1)
     else:
-        for pos1, z1, u1 in groups[0]:
-            for pos2, z2, u2 in groups[1]:
-                step = max(1, _BLOCK // z2.size // z1.shape[1])
-                for a0 in range(0, pos1.size, step):
-                    rows = slice(a0, a0 + step)
-                    vals = np.hypot(z1[rows, None, :, None], z2[None, :, None, :])
-                    np.power(vals, exponent, out=vals)
-                    inner = (vals @ u2[:, :, None])[..., 0]
-                    out[np.ix_(pos1[rows], pos2)] = np.einsum("an,abn->ab", u1[rows], inner)
+        for (pos1, z1, u1), (pos2, z2, u2) in _group_pairs(groups, flat, widths):
+            step = max(1, _BLOCK // z2.size // z1.shape[1])
+            for a0 in range(0, pos1.size, step):
+                rows = slice(a0, a0 + step)
+                vals = np.hypot(z1[rows, None, :, None], z2[None, :, None, :])
+                np.power(vals, exponent, out=vals)
+                inner = (vals @ u2[:, :, None])[..., 0]
+                out[np.ix_(pos1[rows], pos2)] = np.einsum("an,abn->ab", u1[rows], inner)
     shape = sum((d.shape for d in offsets), ())
     return float(out.reshape(())) if not shape else out.reshape(shape)
 

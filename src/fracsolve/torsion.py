@@ -37,10 +37,12 @@ from .reaction import SingularReaction, f_eval, liminf_at_zero
 
 _MAX_HALVINGS = 60
 # residual of the floor's torsion solves, relative to sigma *
-# cell_volume.  At 1e-1 the solve stops after one Newton step, at the
-# constant start, where the Hessian is nearly diagonal, and the run
-# inherits that step's factor as its Newton preconditioner, which costs
-# the later solves more than the floor saves
+# cell_volume.  Chosen while the first Newton step, at the constant start,
+# where the Hessian is diagonal for p, q > 2, still factored that Hessian:
+# at 1e-1 the solve stopped after that step, and the run inherited its
+# factor as a poor Newton preconditioner.  That step now solves by CG
+# preconditioned with the diagonal and leaves no factor; the tolerance has
+# not been tuned again since.
 _FLOOR_RTOL = 1e-2
 _FLOOR_LOG = "floor halving %d: sigma %.6e, sup norm %.3e, %s"
 _SOLVE_LOG = "torsion solve: sigma %.6e, %s"

@@ -11,7 +11,10 @@ nodes, and ``outside_box_tail`` integrates each node's four corners from
 its own Gauss points.  They take their axis nodes from ``axis_nodes``,
 so they follow any change of its rules and cannot judge one: the
 far-field rule is checked against an independent 4-panel 24-point rule
-in ``TestFarFieldRule``.  ``quadrant_integral`` sums the 32-point angular
+in ``TestFarFieldRule``.  The near axis of an offset whose other axis is
+far, which ``pair_integral`` puts on the far-field split rule, is judged
+here against ``axis_nodes``' graded rule, and there against the 4-panel
+rule.  ``quadrant_integral`` sums the 32-point angular
 rule of a corner quadrant node by node, where ``fracsolve.quadrature``
 sums the same rule as a power series in the angle.
 """

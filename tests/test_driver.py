@@ -801,16 +801,20 @@ def _counted_run(cfg, monkeypatch):
 
 
 class TestKeptFactor:
-    """The Newton steps of a run solve by CG from a kept factor, and factor
-    afresh only where CG fails."""
+    """The Newton steps of a run solve by CG, preconditioned with the
+    Hessian's diagonal until the run keeps a factor and with that factor
+    from then on, and factor afresh only where CG fails."""
 
     def test_disk_run_factors_less_than_it_steps(self, tmp_path, monkeypatch):
         cfg = load_config(str(_config_at(tmp_path, "disk_2d.json", 25)))
         grid, report, results = _counted_run(cfg, monkeypatch)
-        factorizations = sum(r.factorizations for r in results)
         newton_steps = sum(r.newton_steps for r in results)
-        assert 0 < factorizations < newton_steps
-        assert sum(r.cg_iterations for r in results) > 0
+        # diagonal CG solves every Newton step, from the torsion floor's
+        # diagonal Hessian at the constant start on, so the run factors
+        # nothing and takes no gradient step
+        assert sum(r.factorizations for r in results) == 0 < newton_steps
+        assert all(r.newton_steps == r.iterations for r in results)
+        assert sum(r.cg_iterations for r in results) >= newton_steps
         # the same run factoring at every step, as CG that may take no
         # iteration gives up at once, lands on the same answer, to well
         # within the inner tolerance
@@ -850,7 +854,7 @@ print(json.dumps({"converged": report.converged, "faults": faults}))
 )
 def test_solve_from_a_warm_cache_maps_no_pass_temporaries(tmp_path):
     # A solve's pair passes and Hessian fills allocate blocks of fewer than
-    # 2^14 pairs and its Newton steps keep one factor, so its temporaries
+    # 2^14 pairs and its Newton steps keep at most one factor, so its temporaries
     # come from the heap, however its tables were built.  Temporaries above
     # glibc's mmap threshold were mapped and unmapped on every call, unless
     # a cold assembly had raised the threshold first: 20.8k minor faults

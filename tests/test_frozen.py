@@ -24,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracsolve import optimize
 from fracsolve.frozen import (
     FrozenProblem,
     default_tol,
@@ -659,6 +660,19 @@ def _hessians_at_flat_states():
                 yield f"{grid.dim}d-p{p}-equal{k}", workspace_hessian(op, u).copy()
 
 
+@pytest.fixture
+def factored_hessians(monkeypatch):
+    """The Hessians optimize._factorize is called with, in order."""
+    calls = []
+
+    def recorded(h, _factorize=optimize._factorize):
+        calls.append(h)
+        return _factorize(h)
+
+    monkeypatch.setattr(optimize, "_factorize", recorded)
+    return calls
+
+
 def _spd(n, rng):
     m = rng.standard_normal((n, n))
     return m @ m.T + n * np.eye(n)
@@ -714,7 +728,11 @@ class TestNewtonSteps:
         assert not np.all(np.isfinite(hess))
         g = np.linspace(1.0, 2.0, n)
         d, factored, cg = _newton_direction(lambda x: hess, np.zeros(n), g, fresh_home())
-        assert d is None and (factored, cg) == (1, 0)
+        # diagonal CG runs where the diagonal is positive and finite, and
+        # meets the non-finite entry off it at its first product
+        diag = np.diagonal(hess)
+        jacobi = bool(np.all((diag > 0.0) & (diag < np.inf)))
+        assert d is None and (factored, cg) == (1, int(jacobi))
 
     def test_kept_factor_preconditions_later_hessians(self):
         n = 300
@@ -722,25 +740,62 @@ class TestNewtonSteps:
         spd = _spd(n, rng)
         g = rng.standard_normal(n)
         home = fresh_home()
-        d, factored, cg = _newton_direction(lambda x: spd, np.zeros(n), g, home)
-        assert (factored, cg) == (1, 0) and home.factor is not None
-        np.testing.assert_allclose(spd @ d, -g, rtol=0.0, atol=1e-10 * np.max(np.abs(g)))
+        # diagonal CG gives up on the badly scaled Hessian: it is factored
+        # and its factor kept
+        scaled = _badly_scaled(spd)
+        d, factored, cg = _newton_direction(lambda x: scaled, np.zeros(n), g, home)
+        assert (factored, cg) == (1, 8) and home.factor is not None
+        np.testing.assert_allclose(scaled @ d, -g, rtol=0.0, atol=1e-8 * np.max(np.abs(g)))
         kept = home.factor
         # a nearby Hessian takes CG from the kept factor, to a relative
         # residual of 1e-2, and no new factor
-        near = spd + np.diag(rng.uniform(0.0, 0.1 * n, n))
+        near = _badly_scaled(spd + np.diag(rng.uniform(0.0, 0.1 * n, n)))
         d, factored, cg = _newton_direction(lambda x: near, np.zeros(n), g, home)
         assert factored == 0 and 1 <= cg <= 8 and home.factor is kept
         assert np.linalg.norm(near @ d + g) <= 1e-2 * np.linalg.norm(g)
         assert float(g @ d) < 0.0
-        # one far from it makes CG give up: the Hessian is factored afresh
-        # and its factor kept in place of the old one
-        far = _badly_scaled(spd)
-        d, factored, cg = _newton_direction(lambda x: far, np.zeros(n), g, home)
+        # one far from it makes CG from the kept factor give up, though
+        # diagonal CG would solve it: the Hessian is factored afresh and its
+        # factor kept in place of the old one
+        d, factored, cg = _newton_direction(lambda x: spd, np.zeros(n), g, home)
         assert factored == 1 and cg == 8
         assert home.factor is not kept
-        np.testing.assert_allclose(home.factor[0], np.linalg.cholesky(far))
-        np.testing.assert_allclose(far @ d, -g, rtol=0.0, atol=1e-8 * np.max(np.abs(g)))
+        np.testing.assert_allclose(home.factor[0], np.linalg.cholesky(spd))
+        np.testing.assert_allclose(spd @ d, -g, rtol=0.0, atol=1e-10 * np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("n", [1, 127, 437])
+    def test_diagonal_hessian_takes_one_cg_iteration(self, n):
+        hess = np.diag(np.linspace(0.5, 4.0, n))
+        g = np.linspace(1.0, 2.0, n)
+        home = fresh_home()
+        d, factored, cg = _newton_direction(lambda x: hess, np.zeros(n), g, home)
+        assert (factored, cg) == (0, 1) and home.factor is None
+        np.testing.assert_allclose(hess @ d, -g, rtol=1e-14, atol=0.0)
+
+    def test_failed_diagonal_cg_keeps_the_factor(self, factored_hessians):
+        n = 200
+        rng = np.random.default_rng(5)
+        hess = _badly_scaled(_spd(n, rng))
+        g = rng.standard_normal(n)
+        home = fresh_home()
+        d, factored, cg = _newton_direction(lambda x: hess, np.zeros(n), g, home)
+        assert (factored, cg) == (1, 8) and len(factored_hessians) == 1
+        assert factored_hessians[0] is hess
+        np.testing.assert_allclose(home.factor[0], np.linalg.cholesky(hess))
+        np.testing.assert_allclose(hess @ d, -g, rtol=0.0, atol=1e-8 * np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_unusable_diagonal_goes_straight_to_the_factor(self, bad, factored_hessians):
+        n = 50
+        hess = np.diag(np.linspace(1.0, 2.0, n)) + 0.01
+        g = np.ones(n)
+        # the positive finite diagonal takes CG and no factor
+        d, factored, cg = _newton_direction(lambda x: hess, np.zeros(n), g, fresh_home())
+        assert factored == 0 and 1 <= cg <= 8 and not factored_hessians
+        hess[7, 7] = bad
+        d, factored, cg = _newton_direction(lambda x: hess, np.zeros(n), g, fresh_home())
+        assert d is None and (factored, cg) == (1, 0)
+        assert len(factored_hessians) == 1 and factored_hessians[0] is hess
 
     def test_nonfinite_hessian_drops_the_kept_factor(self):
         n = 256
@@ -753,16 +808,25 @@ class TestNewtonSteps:
         assert home.factor is None
 
     @pytest.mark.parametrize("n", [1, 127])
-    def test_small_systems_keep_their_factor(self, n):
+    def test_small_systems_keep_their_factor(self, n, monkeypatch):
         home = fresh_home()
+        d, factored, cg = _newton_direction(lambda x: np.eye(n), np.zeros(n), np.ones(n), home)
+        assert np.array_equal(d, -np.ones(n)) and (factored, cg) == (0, 1)
+        assert home.factor is None
+        # CG that may take no iteration gives up at once, so the Hessian is
+        # factored, and its factor kept
+        monkeypatch.setattr(optimize, "_CG_MAX_ITER", 0)
         d, factored, cg = _newton_direction(lambda x: np.eye(n), np.zeros(n), np.ones(n), home)
         assert np.array_equal(d, -np.ones(n)) and (factored, cg) == (1, 0)
         chol, inverses = home.factor
         assert np.array_equal(chol, np.eye(n))
-        # one inverse per diagonal block of 32 rows, the last padded
-        assert inverses.shape == (-(-n // 32), 32, 32)
+        # one inverse per diagonal block of _SOLVE_BLOCK rows, the last padded
+        block = optimize._SOLVE_BLOCK
+        assert inverses.shape == (-(-n // block), block, block)
+        monkeypatch.undo()
         d, factored, cg = _newton_direction(lambda x: np.eye(n), np.zeros(n), np.ones(n), home)
         assert np.array_equal(d, -np.ones(n)) and (factored, cg) == (0, 1)
+        assert home.factor[0] is chol
 
     def test_counts_energies_and_backtracks(self):
         calls = []
@@ -785,11 +849,11 @@ class TestNewtonSteps:
 
     @pytest.mark.parametrize(
         "n, scaled",
-        [pytest.param(n, False, id=str(n)) for n in (1, 31, 32, 33, 100, 300)]
+        [pytest.param(n, False, id=str(n)) for n in (1, 31, 32, 33, 63, 64, 65, 100, 300)]
         + [pytest.param(300, True, id="far")],
     )
     def test_cholesky_solve_matches_a_dense_solve(self, n, scaled):
-        # sizes on both sides of the substitution's block of 32 rows, and
+        # sizes on both sides of the substitution's block of 64 rows, and
         # the badly scaled Hessian of test_kept_factor_preconditions_later_hessians
         rng = np.random.default_rng(3 if scaled else n)
         spd = _spd(n, rng)

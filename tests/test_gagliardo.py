@@ -42,7 +42,14 @@ from fracsolve.gagliardo import (
     workspace_hessian,
 )
 from fracsolve.grids import Grid, disk, interval, rectangle
-from fracsolve.quadrature import pair_integral, quadrant_integral
+from fracsolve.quadrature import (
+    _group_pairs,
+    _layout_groups,
+    axis_nodes,
+    pair_integral,
+    quadrant_integral,
+    tent,
+)
 from support import assembly
 from support.oracles import apply_form, operator_hessian
 from support.passes import count_form_passes
@@ -472,6 +479,54 @@ class TestFarFieldRule:
         # the block is symmetric in its axes where the widths agree
         sym = pair_integral(-beta, [others[2:] * h, others[2:] * h], [h, h])
         np.testing.assert_allclose(sym, sym.T, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("s,p", _FAR_FIELD_PARAMS)
+    def test_near_axis_of_mixed_offsets(self, s, p, ratio):
+        # a near axis offset (k = 0 or 1) against a far one on the other
+        # axis: the near axis's split rule, sized by the far axis's distance
+        # in near widths, against the 4-panel reference on the near axis,
+        # with the far axis on its own rule
+        h = np.array([1.0, ratio]) / 30
+        beta = 2.0 + s * p
+        near, far = np.arange(2), np.arange(2, 41)
+        for axis in (0, 1):
+            ks = (near, far) if axis == 0 else (far, near)
+            got = pair_integral(-beta, [k * w for k, w in zip(ks, h)], h)
+            for idx in np.ndindex(got.shape):
+                rules = []
+                for a, i in enumerate(idx):
+                    d = ks[a][i] * h[a]
+                    if a == axis:
+                        rules.append(_four_panel_axis(d, h[a]))
+                    else:
+                        z, w = axis_nodes(d, h[a])
+                        rules.append((z, w * tent(z - d, h[a])))
+                (z1, u1), (z2, u2) = rules
+                want = u1 @ np.hypot(z1[:, None], z2[None, :]) ** -beta @ u2
+                assert got[idx] == pytest.approx(want, rel=1e-12, abs=0.0), (axis, idx)
+
+    @pytest.mark.parametrize(
+        "widths, far, nodes",
+        [
+            # k_eff = 2 and 5: the 10- and 8-point split rules
+            ((0.1, 0.1), [2, 5], [(20, 20), (16, 16)]),
+            # k_eff = 1.25 keeps the graded rule (260 nodes at k = 0, 130 at
+            # k = 1), and k_eff = 3 takes the 9-point split rule
+            ((0.1, 0.025), [2, 9], [(260, 130), (18, 18)]),
+        ],
+    )
+    def test_near_axis_rule_is_sized_by_the_far_axis(self, widths, far, nodes):
+        h = np.array(widths)
+        offsets = [np.array([0.0, h[0]]), np.array(far) * h[1]]
+        groups = [_layout_groups(d, w) for d, w in zip(offsets, h)]
+        got = {}
+        for (pos1, z1, _), (pos2, _, _) in _group_pairs(groups, offsets, h):
+            for a in pos1:
+                for b in pos2:
+                    got[a, b] = z1.shape[1]
+        # the near axis's nodes at offsets k = 0 and 1, per far offset
+        assert [(got[0, b], got[1, b]) for b in range(len(far))] == nodes
 
 
 class TestFormIdentities:
