@@ -8,12 +8,14 @@ Every solve minimizes
 a separable forcing F plus a per-node load against the two operator
 forms.  The frozen-convection problem takes F~, the antiderivative of the
 floor-truncated forcing, and the load g(x, xi) for the fractional
-gradient xi of an outer iterate; the torsion problem takes F(t) = sigma t
-and no load.  The truncation shields the singular forcing, so E and its
-gradient are finite for every real state and the minimization runs
-unconstrained; the lower bound u >= floor is certified on the outcome,
-never enforced.  The solves pass the dense Hessian to the minimizer,
-which takes Newton steps wherever it is positive definite.
+gradient xi of an outer iterate; the torsion problem takes F(t) = sigma t,
+whose floor is -inf, and no load.  The truncation shields the singular
+forcing, so E and its gradient are finite for every real state and the
+minimization runs unconstrained; the lower bound u >= floor is certified
+on the outcome, never enforced.  Every minimization of a run (the torsion
+floor, the growth fit, the outer steps, the final re-solve) goes through
+solve_frozen, which passes the dense Hessian to the minimizer, which
+takes Newton steps wherever it is positive definite.
 
 The forms do not depend on the forcing or the load, so the objective is
 the two form energies at u minus O(n) terms, and its gradient the summed
@@ -41,8 +43,8 @@ class FrozenProblem:
     """One instance of the objective: the ``operator`` over the run's
     ((s1,p)-table, (s2,q)-table) pair, the separable forcing ``trunc`` with
     ``f``, its antiderivative ``F`` and its derivative ``df`` at interior
-    states (frozen solves also start from its positive ``floor``), and the
-    ``load``, one value per interior node."""
+    states and its ``floor`` (positive for a truncated forcing, -inf for the
+    torsion's constant one), and the ``load``, one value per interior node."""
 
     def __init__(self, operator: Operator, trunc, load):
         self.operator = operator
@@ -107,12 +109,13 @@ def solve_frozen(prob: FrozenProblem, options: MinimizerOptions, start=None) -> 
     clipped to the floor, or from the floor itself when no start is given.
     A start near the minimizer, such as the answer to a nearby frozen
     problem, cuts the descent iterations; the stopping test is the same
-    from every start.
+    from every start.  A floor of -inf, as the torsion forcing has, clips
+    nothing, and a start must then be given.
 
     The result's ``x`` is the accepted iterate, unclipped.  An iterate
-    more than the tolerance below the floor is reported as not converged.
-    Non-convergence returns the best iterate with the failure flagged
-    rather than raising.
+    more than the tolerance below the floor is reported as not converged;
+    under a floor of -inf none is.  Non-convergence returns the best
+    iterate with the failure flagged rather than raising.
     """
     floor = prob.trunc.floor
     x0 = floor if start is None else prob.grid.interior_vector(start)

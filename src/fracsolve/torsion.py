@@ -1,9 +1,10 @@
 """Constant-forcing solves and the positive floor field they certify.
 
-solve_torsion minimizes  energy_{s1,p}(u) + energy_{s2,q}(u) - sigma *
-integral(u), the objective of frozen.py with constant forcing sigma and
-no load, to a scaled residual of rtol * sigma * cell_volume; its
-small-sigma solutions are strictly positive and vanish with sigma.
+The torsion problem is a frozen problem: solve_torsion builds the shared
+objective of frozen.py with the constant forcing sigma, whose floor is
+-inf, and no load, and minimizes it through frozen.solve_frozen from the
+best constant field, to a scaled residual of rtol * sigma * cell_volume.
+Its small-sigma solutions are strictly positive and vanish with sigma.
 
 The floor is the subsolution of the sub-/supersolution scheme: at every
 interior node it must satisfy the nodal inequality
@@ -30,19 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frozen import FrozenProblem, frozen_energy, frozen_gradient, frozen_hessian
+from .frozen import FrozenProblem, solve_frozen
 from .gagliardo import Operator, operator_gradient
-from .optimize import MinimizerOptions, bisect_root, minimize_energy
+from .optimize import MinimizerOptions, bisect_root
 from .reaction import SingularReaction, f_eval, liminf_at_zero
 
 _MAX_HALVINGS = 60
 # residual of the floor's torsion solves, relative to sigma *
-# cell_volume.  Chosen while the first Newton step, at the constant start,
-# where the Hessian is diagonal for p, q > 2, still factored that Hessian:
-# at 1e-1 the solve stopped after that step, and the run inherited its
-# factor as a poor Newton preconditioner.  That step now solves by CG
-# preconditioned with the diagonal and leaves no factor; the tolerance has
-# not been tuned again since.
+# cell_volume: the loosest power of ten with sqrt(NODE_CAP) * rtol < 1, so
+# that a solve's residual alone never fails the nodal check (select_sigma)
 _FLOOR_RTOL = 1e-2
 _FLOOR_LOG = "floor halving %d: sigma %.6e, sup norm %.3e, %s"
 _SOLVE_LOG = "torsion solve: sigma %.6e, %s"
@@ -82,9 +79,12 @@ class SubsolutionCertificate:
 
 @dataclass(frozen=True)
 class ConstantForcing:
-    """The torsion forcing: f = sigma at every node, F(t) = sigma * t."""
+    """The torsion forcing: f = sigma at every node, F(t) = sigma * t.  It
+    is not truncated, so its floor is -inf: solve_frozen neither clips a
+    start to it nor reports a dip below it."""
 
     sigma: float
+    floor = -np.inf
 
     def f(self, t):
         return np.full(np.shape(t), self.sigma)
@@ -105,20 +105,15 @@ def torsion_objective(sigma: float, operator: Operator) -> FrozenProblem:
 
 def solve_torsion(sigma: float, operator: Operator, rtol: float) -> np.ndarray:
     """Minimize the energy of the operator over a ((s1,p)-table,
-    (s2,q)-table) pair against constant forcing sigma, starting from the
-    best constant field (the Hessian vanishes at zero), to a scaled
-    residual of rtol * sigma * cell_volume; returns the interior vector.
+    (s2,q)-table) pair against constant forcing sigma with solve_frozen,
+    starting from the best constant field (the Hessian vanishes at zero),
+    to a scaled residual of rtol * sigma * cell_volume; returns the
+    interior vector.
     The stationarity target scales with the forcing, so a tiny sigma can
     never accept the zero field, and is floored above fp noise."""
     prob = torsion_objective(sigma, operator)
-    result = minimize_energy(
-        lambda u: frozen_energy(prob, u),
-        lambda u: frozen_gradient(prob, u),
-        _constant_start(prob),
-        MinimizerOptions(tol=max(1e-14, rtol * sigma * prob.grid.cell_volume)),
-        lambda u: frozen_hessian(prob, u),
-        operator,
-    )
+    options = MinimizerOptions(tol=max(1e-14, rtol * sigma * prob.grid.cell_volume))
+    result = solve_frozen(prob, options, _constant_start(prob))
     logger_solve.info(_SOLVE_LOG, sigma, result.counts)
     if not result.converged:
         raise RuntimeError(
@@ -178,11 +173,13 @@ def _nodal_slack(reaction: SingularReaction, operator: Operator, sigma: float, v
 def select_sigma(reaction: SingularReaction, operator: Operator) -> SubsolutionCertificate:
     """Halve sigma from epsilon/2 until the torsion solution, solved to
     _FLOOR_RTOL, is a certified floor: strictly positive, sup norm below
-    delta, forcing above sigma at every node, and the nodal subsolution
-    inequality checked directly at every node (_nodal_slack >= 0).
-    epsilon is 1 for the singular family, whose forcing blows up at 0, and
-    c1 / 2, half its limit at 0, for the bounded family.  The floor's
-    distance power is s1, the order of the operator's first table.
+    delta, and the nodal subsolution inequality checked directly at every
+    node (_nodal_slack >= 0).  epsilon is 1 for the singular family, whose
+    forcing blows up at 0, and c1 / 2, half its limit at 0, for the
+    bounded family.  The floor's distance power is s1, the order of the
+    operator's first table.  A positive floor below delta has forcing
+    above sigma at every node, as _admissible_delta makes f > epsilon >=
+    2 sigma on (0, delta), so that needs no check of its own.
 
     The loose solve is enough: f > epsilon >= 2 sigma below delta, and the
     solve's residual r = A u - sigma vol has RMS norm below rtol sigma vol,
@@ -199,11 +196,7 @@ def select_sigma(reaction: SingularReaction, operator: Operator) -> SubsolutionC
     for halvings in range(_MAX_HALVINGS + 1):
         vals = solve_torsion(sigma, operator, _FLOOR_RTOL)
         sup = float(np.max(np.abs(vals)))
-        admissible = (
-            bool(np.all(vals > 0.0))
-            and sup < delta
-            and bool(np.all(sigma < f_eval(reaction, vals)))
-        )
+        admissible = bool(np.all(vals > 0.0)) and sup < delta
         slack = _nodal_slack(reaction, operator, sigma, vals) if admissible else -np.inf
         certified = slack >= 0.0
         logger.info(_FLOOR_LOG, halvings, sigma, sup, "certified" if certified else "rejected")

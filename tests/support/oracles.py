@@ -1,6 +1,6 @@
 """Checks that only tests run: the dense weak pairing, a Hessian its caller
-owns, the two-start uniqueness probe, and the reader of
-``write_field_csv`` files.
+owns, the two-start uniqueness probe, the reader of ``write_field_csv``
+files, and Getoor's closed-form torsion function of the unit ball.
 
 ``apply_form`` pairs the operator with a test vector row by row against
 the dense weight matrix, independently of the packed pair pass that
@@ -9,7 +9,8 @@ Hessian that ``gagliardo.workspace_hessian`` fills, in the workspace of a
 fresh operator that is dropped on return, so no later call overwrites it.
 ``uniqueness_probe`` solves one frozen problem from two starts.
 ``read_field_csv`` reads the field files the CLI writes back into
-interior vectors.
+interior vectors.  ``getoor_torsion`` is the continuum answer that the
+discrete p = 2 torsion solves approach.
 """
 
 from __future__ import annotations
@@ -109,3 +110,20 @@ def read_field_csv(grid: Grid, path) -> np.ndarray:
     if np.any(values[~grid.interior_mask] != 0.0):
         raise ValueError("csv holds a nonzero value off the interior")
     return values[grid.interior_idx]
+
+
+def getoor_torsion(points, s: float, sigma: float = 1.0) -> np.ndarray:
+    """The solution u of the continuum p = 2 torsion problem on the unit
+    ball, at ``points`` (shape (n, N)): the minimizer of the Gagliardo
+    energy (1/2) int int |u(x) - u(y)|^2 / |x - y|^(N + 2s) less sigma int
+    u, whose gradient density is (2 / C_{N,s}) (-Delta)^s u.  Getoor's
+    formula (Trans. AMS 101, 1961) with that constant folded in:
+
+        u(x) = (sigma / 2) Gamma(N/2) / (pi^(N/2) Gamma(s) Gamma(1 - s))
+               (1 - |x|^2)_+^s.
+    """
+    x = np.asarray(points, dtype=float)
+    dim = x.shape[1]
+    scale = 0.5 * sigma * math.gamma(0.5 * dim)
+    scale /= math.pi ** (0.5 * dim) * math.gamma(s) * math.gamma(1.0 - s)
+    return scale * np.maximum(0.0, 1.0 - np.sum(x**2, axis=1)) ** s

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracsolve import driver, frozen, optimize, torsion
+from fracsolve import driver, frozen, optimize
 from fracsolve.config import load_config
 from fracsolve.driver import (
     OuterOptions,
@@ -782,15 +782,15 @@ def _config_at(tmp_path, name, resolution):
 
 def _counted_run(cfg, monkeypatch):
     """build_instance and solve_problem of a config, with the result of
-    every minimize_energy call of the run."""
+    every minimize_energy call of the run: the one in solve_frozen, which
+    every solve of a run, the torsion floor's included, goes through."""
     results = []
-    for module in (torsion, frozen):
 
-        def recorded(*args, _minimize=module.minimize_energy):
-            results.append(_minimize(*args))
-            return results[-1]
+    def recorded(*args, _minimize=frozen.minimize_energy):
+        results.append(_minimize(*args))
+        return results[-1]
 
-        monkeypatch.setattr(module, "minimize_energy", recorded)
+    monkeypatch.setattr(frozen, "minimize_energy", recorded)
     grid = cfg.build_grid()
     inst = build_instance(
         grid, cfg.exponents, cfg.reaction, cfg.convective, frozen_options=cfg.minimizer

@@ -506,6 +506,22 @@ class TestFarFieldRule:
                 want = u1 @ np.hypot(z1[:, None], z2[None, :]) ** -beta @ u2
                 assert got[idx] == pytest.approx(want, rel=1e-12, abs=0.0), (axis, idx)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: the 10-point rule at k = 2 misses 1e-12 relative "
+        "where the far axis is 3 and 4 times wider than the near one, by 1.19e-12 "
+        "and 1.37e-12 at sp = 1.8; mending it moves the tables",
+    )
+    def test_anisotropic_cells_at_offset_0_2(self):
+        # the near axis narrower than the far one, which is 2 widths out
+        beta = 2.0 + 0.9 * 2.0
+        for ratio in (2.0, 3.0, 4.0):
+            h = np.array([1.0, ratio]) / 30
+            got = pair_integral(-beta, [np.zeros(1), np.array([2.0 * h[1]])], h)[0, 0]
+            (z1, u1), (z2, u2) = _four_panel_axis(0.0, h[0]), _four_panel_axis(2.0 * h[1], h[1])
+            want = u1 @ np.hypot(z1[:, None], z2[None, :]) ** -beta @ u2
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), ratio
+
     @pytest.mark.parametrize(
         "widths, far, nodes",
         [

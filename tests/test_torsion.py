@@ -13,7 +13,8 @@ import zlib
 import numpy as np
 import pytest
 
-from fracsolve import torsion
+from fracsolve import frozen, torsion
+from fracsolve.frozen import FrozenProblem, solve_frozen
 from fracsolve.gagliardo import Operator, OperatorParams, assemble_weights, operator_gradient
 from fracsolve.grids import Grid, disk, interval
 from fracsolve.optimize import MinimizerOptions, minimize_energy
@@ -21,9 +22,11 @@ from fracsolve.reaction import ProblemExponents, SingularReaction, f_eval
 from fracsolve.torsion import (
     SubsolutionCertificate,
     _admissible_delta,
+    _constant_start,
     hopf_ratio,
     select_sigma,
     solve_torsion,
+    torsion_objective,
 )
 from support.minimizer import accepted_energies, fresh_home, no_newton
 from support.oracles import apply_form
@@ -265,17 +268,51 @@ class TestTorsionNonlinear:
 
     def test_nonconvergence_raises(self, nl_setup, monkeypatch):
         _, _, op = nl_setup
-        # a stand-in minimizer that runs one iteration towards 1e-14
-        minimize = torsion.minimize_energy
+        # a stand-in minimizer that runs one iteration towards 1e-14, at
+        # the one call site, in frozen.solve_frozen
+        minimize = frozen.minimize_energy
 
         def one_step(energy_fn, grad_fn, x0, options, hess_fn, home):
             return minimize(
                 energy_fn, grad_fn, x0, MinimizerOptions(max_iter=1, tol=1e-14), hess_fn, home
             )
 
-        monkeypatch.setattr(torsion, "minimize_energy", one_step)
+        monkeypatch.setattr(frozen, "minimize_energy", one_step)
         with pytest.raises(RuntimeError, match="torsion solve stalled"):
             solve_torsion(1.0, op, 1e-8)
+
+
+class TestOneSolvePath:
+    """The torsion problem is a frozen problem with the constant forcing,
+    whose floor is -inf, and solve_torsion solves it through solve_frozen."""
+
+    @pytest.mark.parametrize("sigma, rtol", [(1.0, 1e-8), (0.125, 1e-2)])
+    def test_solve_torsion_is_solve_frozen(self, tables_129, sigma, rtol):
+        got = solve_torsion(sigma, Operator(*tables_129), rtol)
+        prob = torsion_objective(sigma, Operator(*tables_129))
+        options = MinimizerOptions(tol=rtol * sigma * prob.grid.cell_volume)
+        want = solve_frozen(prob, options, _constant_start(prob))
+        assert want.converged
+        assert got.tobytes() == want.x.tobytes()
+
+    def test_floor_of_minus_inf_clips_nothing_and_reports_no_dip(self, nl_setup, monkeypatch):
+        # negative forcing: the minimizer is negative at every node
+        _, grid, op = nl_setup
+        prob = FrozenProblem(op, torsion.ConstantForcing(-1.0), np.zeros(grid.n_interior))
+        assert prob.trunc.floor == -np.inf
+        starts = []
+        minimize = frozen.minimize_energy
+
+        def recorded(energy_fn, grad_fn, x0, *rest):
+            starts.append(x0)
+            return minimize(energy_fn, grad_fn, x0, *rest)
+
+        monkeypatch.setattr(frozen, "minimize_energy", recorded)
+        start = -0.5 * _constant_start(torsion_objective(1.0, op))
+        result = solve_frozen(prob, MinimizerOptions(tol=1e-10), start)
+        np.testing.assert_array_equal(starts[0], start)
+        assert result.converged and result.message == ""
+        assert np.all(result.x < 0.0)
 
 
 class TestHopf:
@@ -436,7 +473,8 @@ class TestNodalCheck:
 
     def test_failing_nodal_check_halves_sigma(self, tables_129, monkeypatch, caplog):
         # the first sigma solved to rtol 3 stops after one Newton step, whose
-        # floor passes the three other checks but not the nodal inequality
+        # floor is positive with sup norm below delta, so that it reaches
+        # the nodal inequality, and fails it
         op = Operator(*tables_129)
         loose = solve_torsion(0.5, Operator(*tables_129), 3.0)
         delta = _admissible_delta(SINGULAR, 1.0)
