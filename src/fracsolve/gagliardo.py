@@ -24,9 +24,11 @@ One pass over the pairs i < j serves every table of an ``Operator``: per
 table it raises |u_i - u_j|^(p-1) once, times W_ij the pair's flux, whose
 dot product with |u_i - u_j| is the energy term and whose signed sum over
 the tables is the gradient (``forms``).  The operator of a run, the
-fractional (p,q)-operator of the paper, holds its tables, their grid and
-the last point such a pass evaluated (``Operator.last``), so the energy,
-seminorm or gradient at that point again costs O(n), with the same bits.
+fractional (p,q)-operator of the paper, holds its tables, their grid, the
+pair blocks every pass walks (planned on the first, with each pair's
+weight in every table) and the last point such a pass evaluated
+(``Operator.last``), so the energy, seminorm or gradient at that point
+again costs O(n), with the same bits.
 A solve evaluates each point once: a trial's energy and then its
 gradient, a warm start at the last answer, the verify of an answer and
 its seminorm.  A ``seminorm`` away from that point makes a one-table
@@ -44,7 +46,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +75,9 @@ _SWAP_ROWS = 8
 CACHE_ENV = "FRACSOLVE_CACHE"
 _CACHE_VERSION = 3
 
-# Largest interior node count a table is assembled for.  The pair pass of
-# the forms reads the column j of each pair i < j (n^2 / 2 eight-byte
-# words, 67 MB at n = 4096) and n^2 / 2 packed weights per table; its
+# Largest interior node count a table is assembled for.  An operator's
+# pair blocks hold the column j of each pair i < j and its weight in each
+# table (n^2 / 2 eight-byte words apiece, 67 MB at n = 4096); a pass's
 # temporaries are blocks of fewer than _PAIR_BLOCK pairs.  A solve adds the
 # operator's dense n x n Hessian workspace (134 MB at n = 4096), held for
 # the whole run from its first Newton step.  A run whose Newton steps all
@@ -127,16 +128,6 @@ class PairWeightTable:
     woff: np.ndarray
     tail: np.ndarray
 
-    @cached_property
-    def packed_pair(self) -> np.ndarray:
-        """W_ij over the grid's pairs i < j, built on first evaluation."""
-        jj = self.grid.pair_index
-        out = np.empty(jj.size)
-        rows = np.arange(self.grid.n_interior)
-        for block_rows, blk, _, lens in _row_blocks(rows.size):
-            out[blk] = self.grid.at_offsets(self.woff, np.repeat(rows[block_rows], lens), jj[blk])
-        return out
-
     @property
     def pair(self) -> np.ndarray:
         """The symmetric n x n matrix W_ij with a zero diagonal, built anew
@@ -146,8 +137,8 @@ class PairWeightTable:
         out = np.empty((n, n))
         chunk = max(1, _PAIR_BLOCK // n)
         for a0 in range(0, n, chunk):
-            out[a0 : a0 + chunk] = self.grid.at_offsets(
-                self.woff, rows[a0 : a0 + chunk, None], rows
+            out[a0 : a0 + chunk] = np.take(
+                self.woff, self.grid.offset_index(rows[a0 : a0 + chunk, None], rows)
             )
         return out
 
@@ -155,20 +146,22 @@ class PairWeightTable:
 def _offset_table(grid: Grid, params: OperatorParams) -> np.ndarray:
     """Weights indexed by nonnegative lattice offset, shape = grid.shape.
 
-    Offsets with Chebyshev length 1 take the model weight; the others split
-    into Cartesian blocks by the first axis whose offset is at least 2.
-    When the axes swap, only the offsets (k, l) with l <= k are integrated,
-    in row blocks, and the table is mirrored."""
+    Offset 0 is the self-pair, which never contributes to differences, so
+    its weight is 0 and it is not integrated.  Offsets with Chebyshev length
+    1 take the model weight and the others the kernel, each split into
+    Cartesian blocks by the first axis whose offset is 1 (near) or at least
+    2 (far).  When the axes swap, only the offsets (k, l) with l <= k are
+    integrated, the far ones in row blocks, and the table is mirrored."""
     h = np.asarray(grid.h, dtype=float)
     beta = grid.dim + params.sp
     deltas = [np.arange(m) * h_a for m, h_a in zip(grid.shape, h)]
     table = np.empty(grid.shape)
-    near = [d[:2] for d in deltas]
-    dist = np.sqrt(sum(d**2 for d in np.meshgrid(*near, indexing="ij")))
-    origin = (0,) * grid.dim
-    dist[origin] = 1.0  # any finite value: the origin is zeroed below
-    table[(slice(0, 2),) * grid.dim] = dist ** -params.p * pair_integral(params.p - beta, near, h)
-    table[origin] = 0.0  # the self-pair never contributes to differences
+    table[(0,) * grid.dim] = 0.0
+    for a in range(1 if grid.axes_swap else grid.dim):
+        block = (slice(0, 1),) * a + (slice(1, 2),) + (slice(0, 2),) * (grid.dim - a - 1)
+        near = [d[b] for d, b in zip(deltas, block)]
+        dist = np.sqrt(sum(d**2 for d in np.meshgrid(*near, indexing="ij")))
+        table[block] = dist ** -params.p * pair_integral(params.p - beta, near, h)
     if grid.axes_swap:
         m = grid.shape[0]
         for r0 in range(2, m, _SWAP_ROWS):
@@ -328,48 +321,56 @@ def assemble_weights(grid: Grid, params: OperatorParams) -> PairWeightTable:
     return table
 
 
-def _row_blocks(n: int):
-    """The pairs i < j of n nodes, row-major, in blocks of as many whole
-    rows as hold fewer than _PAIR_BLOCK pairs (one row at least).  Yields
-    the block's rows i, its slice of the pairs, each row's start within the
-    block and each row's length: row i holds the n - 1 - i pairs (i, j > i).
-    At n = 127 this is one block; at n = 437, six."""
+def _block_plan(grid: Grid, tables) -> tuple:
+    """The pairs i < j, row-major, in blocks of whole rows (row i holds the
+    pairs (i, j > i)) that hold fewer than _PAIR_BLOCK pairs, or one row:
+    per block its rows, each row's start and length, the columns j and
+    every table's weights, each pair's offset looked up once.  At n = 127
+    this is one block; at n = 437, six."""
+    n = grid.n_interior
     rows = np.arange(n)
     row_start = rows * (2 * n - 1 - rows) // 2
+    blocks = []
     r0 = 0
     while r0 < n - 1:
         fits = int(np.searchsorted(row_start, row_start[r0] + _PAIR_BLOCK)) - 1
         r1 = min(max(fits, r0 + 1), n - 1)
-        blk = slice(row_start[r0], row_start[r1])
-        yield slice(r0, r1), blk, row_start[r0:r1] - row_start[r0], n - 1 - rows[r0:r1]
+        starts, lens = row_start[r0:r1] - row_start[r0], n - 1 - rows[r0:r1]
+        i = np.repeat(rows[r0:r1], lens)
+        # row i's columns run from i + 1
+        j = np.arange(i.size) + np.repeat(rows[r0:r1] + 1 - starts, lens)
+        at = grid.offset_index(i, j)
+        blocks.append((slice(r0, r1), starts, lens, j, [np.take(t.woff, at) for t in tables]))
         r0 = r1
+    return tuple(blocks)
 
 
-def _pair_chunks(tables, uv: np.ndarray):
-    """Walk the pairs i < j by the blocks of _row_blocks.  Yields the
-    block's rows, each row's start within the block, the columns j,
-    u_i - u_j and every table's packed weights; u_i is u repeated by row
-    rather than gathered."""
-    jj = tables[0].grid.pair_index
-    packed = [t.packed_pair for t in tables]
-    for rows, blk, starts, lens in _row_blocks(uv.size):
-        j = jj[blk]
-        yield rows, starts, j, np.repeat(uv[rows], lens) - np.take(uv, j), [w[blk] for w in packed]
+def _pair_chunks(op: Operator, uv: np.ndarray):
+    """Walk the pairs i < j by the operator's blocks, planned on its first
+    walk.  Yields the block's rows, each row's start within the block, the
+    columns j, u_i - u_j and every table's weights; u_i is u repeated by
+    row rather than gathered."""
+    if op.blocks is None:
+        op.blocks = _block_plan(op.grid, op.tables)
+    for rows, starts, lens, j, weights in op.blocks:
+        yield rows, starts, j, np.repeat(uv[rows], lens) - np.take(uv, j), weights
 
 
-def _form_pass(tables, uv: np.ndarray, gradient: bool):
+def _form_pass(op: Operator, uv: np.ndarray, gradient: bool):
     """Each table's energy (1/p) [sum_{i != j} W_ij |u_i - u_j|^p + 2 sum_i
     T_i |u_i|^p] and, when ``gradient`` is set, the gradient summed over
-    the tables (else None), from one walk over the pairs i < j.
+    the tables (else None), from one walk over the operator's pair blocks.
+    Without the gradient the pass takes the first table alone.
 
     Per table, |u_i - u_j|^(p-1) is raised once: times W it is the pair's
     flux, and the energy term is that flux times |u_i - u_j|.  A table's
     energy does not depend on the other tables or on ``gradient``, so every
     pass gives it the same bits."""
+    tables = op.tables if gradient else op.tables[:1]
     n = uv.size
     half = [0.0] * len(tables)
     grad = np.zeros(n) if gradient else None
-    for rows, starts, j, du, weights in _pair_chunks(tables, uv):
+    for rows, starts, j, du, weights in _pair_chunks(op, uv):
         adu = np.abs(du)
         flux = None
         for k, (t, w) in enumerate(zip(tables, weights)):
@@ -416,15 +417,16 @@ class Operator:
     which share one grid, such as the (s1,p) and the (s2,q) table of the
     fractional (p,q)-Laplacian.  Its forms are read through ``forms``,
     ``seminorm``, ``operator_gradient`` and ``workspace_hessian``, one
-    reader per quantity.  ``last`` is the last point a gradient pass
-    over the tables evaluated (see ``forms``), ``hessian_workspace`` the
-    n x n array that workspace_hessian fills, allocated on first use, and
-    ``factor`` the Cholesky factor of such a Hessian with the inverses of
-    its diagonal blocks, which the Newton steps of the run keep as their
-    preconditioner from the first step where CG preconditioned with the
-    Hessian's diagonal fails (see ``optimize._newton_direction``), None
-    until then; none refers to a table, so an operator and its tables are
-    freed with the run."""
+    reader per quantity.  ``blocks`` are the pair blocks every pass walks
+    (``_block_plan``), planned on the first; ``last`` is the last point a
+    gradient pass over the tables evaluated (see ``forms``),
+    ``hessian_workspace`` the n x n array that workspace_hessian fills,
+    allocated on first use, and ``factor`` the Cholesky factor of such a
+    Hessian with the inverses of its diagonal blocks, which the Newton
+    steps of the run keep as their preconditioner from the first step
+    where CG preconditioned with the Hessian's diagonal fails (see
+    ``optimize._newton_direction``), None until then; none refers to a
+    table, so an operator and its tables are freed with the run."""
 
     def __init__(self, *tables: PairWeightTable):
         if not tables or not all(isinstance(t, PairWeightTable) for t in tables):
@@ -433,6 +435,7 @@ class Operator:
         if any(t.grid is not self.grid for t in tables):
             raise ValueError("weight tables were assembled on different grids")
         self.tables = tables
+        self.blocks: tuple | None = None
         self.last: FormPoint | None = None
         self.hessian_workspace: np.ndarray | None = None
         self.factor: tuple[np.ndarray, np.ndarray] | None = None
@@ -452,7 +455,7 @@ def forms(op: Operator, u) -> FormPoint:
     uv = op.grid.interior_vector(u)
     point = op.kept(uv)
     if point is None:
-        energies, grad = _form_pass(op.tables, uv, gradient=True)
+        energies, grad = _form_pass(op, uv, gradient=True)
         x = uv.copy()
         x.flags.writeable = grad.flags.writeable = False
         point = op.last = FormPoint(x, tuple(energies), grad)
@@ -466,7 +469,7 @@ def seminorm(op: Operator, u) -> float:
     uv = op.grid.interior_vector(u)
     table = op.tables[0]
     point = op.kept(uv)
-    e = point.energies[0] if point else _form_pass((table,), uv, gradient=False)[0][0]
+    e = point.energies[0] if point else _form_pass(op, uv, gradient=False)[0][0]
     return (table.params.p * e) ** (1.0 / table.params.p)
 
 
@@ -495,7 +498,7 @@ def workspace_hessian(op: Operator, u) -> np.ndarray:
     hess = op.hessian_workspace
     cols = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, _, _, du, weights in _pair_chunks(tables, uv):
+        for rows, _, _, du, weights in _pair_chunks(op, uv):
             adu = np.abs(du)
             off = -2.0 * sum(
                 (t.params.p - 1.0) * w * adu ** (t.params.p - 2.0)

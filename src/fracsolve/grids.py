@@ -8,8 +8,8 @@ exterior condition at the discrete level.
 
 Tables over lattice offsets (the weight tables of the forms and the Riesz
 kernel) are stored over nonnegative offsets, one entry per node of the
-lattice; the grid alone knows how to read them at a pair of nodes and how
-to mirror them to signed offsets for a linear convolution.
+lattice; the grid alone knows the flat index of a node pair's offset into
+them and how to mirror them to signed offsets for a linear convolution.
 """
 
 from __future__ import annotations
@@ -171,13 +171,6 @@ class Grid:
         """Integer lattice coordinates of the interior nodes, shape (n, dim)."""
         return self.lattice[self.interior_idx]
 
-    @cached_property
-    def pair_index(self):
-        """Column j of each interior-node pair (i, j) with i < j, row-major,
-        built on first use; row i is the n - 1 - i pairs (i, j > i), so i
-        follows from the position."""
-        return np.triu_indices(self.n_interior, 1)[1]
-
     def interior_vector(self, vec):
         """``vec`` as a float array, checked to hold one value per interior
         node (shape ``(n_interior,)``)."""
@@ -203,11 +196,15 @@ class Grid:
         values[self.interior_idx] = self.interior_vector(vec)
         return values.reshape(self.shape)
 
-    def at_offsets(self, table, i, j):
-        """``table[|l_i - l_j|]`` for broadcastable interior-node indices i, j,
-        where l is the lattice coordinate and table has shape ``self.shape``."""
+    def offset_index(self, i, j):
+        """Flat index of ``|l_i - l_j|`` into a table of shape ``self.shape``,
+        for broadcastable interior-node indices i, j and lattice coordinates
+        l, built axis by axis: each temporary has the broadcast shape."""
         li = self.interior_lattice
-        return table[tuple(np.abs(li[i, a] - li[j, a]) for a in range(self.dim))]
+        flat = 0
+        for a, m in enumerate(self.shape):
+            flat = flat * m + np.abs(li[i, a] - li[j, a])
+        return flat
 
     def offset_counts(self):
         """Ordered interior pairs (i, j) at each nonnegative offset

@@ -126,21 +126,20 @@ def solve_torsion(sigma: float, operator: Operator, rtol: float) -> np.ndarray:
 def _constant_start(prob: FrozenProblem) -> np.ndarray:
     """t * 1 for the t > 0 that minimizes the objective along the constant
     interior vectors.  The forms are homogeneous, so the objective there is
-    a t^p + b t^q - c t with a, b the form energies of 1, and t is the root
-    of its increasing derivative.  Every pair difference of 1 vanishes, so
-    a form's energy there is its tail term 2 (T . 1) / p, with the bits of
-    a pass (whose tail dot product is one BLAS call for n <= 2^16)."""
+    sum_k a_k t^p_k - c t over the operator's tables, a_k the form energies
+    of 1, and t is the root of its increasing derivative.  Every pair
+    difference of 1 vanishes, so a form's energy there is its tail term
+    2 (T . 1) / p, with the bits of a pass (whose tail dot product is one
+    BLAS call for n <= 2^16)."""
     ones = np.ones(prob.grid.n_interior)
-    (a, p), (b, q) = (
-        (2.0 * float(t.tail @ ones) / t.params.p, t.params.p) for t in prob.operator.tables
-    )
+    terms = [(2.0 * float(t.tail @ ones) / t.params.p, t.params.p) for t in prob.operator.tables]
     c = prob.trunc.sigma * prob.grid.cell_volume * ones.size
 
     def slope(t):
-        return p * a * t ** (p - 1.0) + q * b * t ** (q - 1.0) - c
+        return sum(p * a * t ** (p - 1.0) for a, p in terms) - c
 
-    # each term alone reaches c at its own t, so the larger t has slope >= 0
-    hi = max((c / (p * a)) ** (1.0 / (p - 1.0)), (c / (q * b)) ** (1.0 / (q - 1.0)))
+    # each term alone reaches c at its own t, so the largest t has slope >= 0
+    hi = max((c / (p * a)) ** (1.0 / (p - 1.0)) for a, p in terms)
     return bisect_root(slope, 0.0, hi) * ones
 
 

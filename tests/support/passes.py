@@ -13,9 +13,9 @@ def count_form_passes(monkeypatch) -> list:
     passes = []
     form_pass = gagliardo._form_pass
 
-    def counted(tables, uv, gradient):
+    def counted(op, uv, gradient):
         passes.append(gradient)
-        return form_pass(tables, uv, gradient)
+        return form_pass(op, uv, gradient)
 
     monkeypatch.setattr(gagliardo, "_form_pass", counted)
     return passes

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracsolve import driver, frozen, optimize
+from fracsolve import driver, frozen, gagliardo, optimize
 from fracsolve.config import load_config
 from fracsolve.driver import (
     OuterOptions,
@@ -700,6 +700,24 @@ class TestSolveProblem:
 
 class TestPassCounts:
     """A solve evaluates the operator forms at most once per point."""
+
+    def test_a_run_plans_its_pair_blocks_once(self, monkeypatch):
+        # the floor's first pass plans the operator's pair blocks; every
+        # later pass and Hessian fill of the build and the solve walks them
+        plans = []
+        block_plan = gagliardo._block_plan
+
+        def counted(grid, tables):
+            plans.append(len(tables))
+            return block_plan(grid, tables)
+
+        monkeypatch.setattr(gagliardo, "_block_plan", counted)
+        inst = build_disk()
+        blocks = inst.operator.blocks
+        report = solve_problem(inst, OuterOptions(ball_monitor=True))
+        assert report.converged
+        assert plans == [2]
+        assert inst.operator.blocks is blocks
 
     def test_returned_start_and_its_verify_cost_no_pass(self, disk_instance, monkeypatch):
         inst = disk_instance

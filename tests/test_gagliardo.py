@@ -337,6 +337,32 @@ class TestAssemblyWork:
         _outside_box_tail(g, 1.25)
         assert sum(points) == 100 * 227
 
+    @pytest.mark.parametrize("kind", list(_ORACLE_GRIDS))
+    def test_offset_table_integrates_each_offset_once(self, kind, monkeypatch):
+        # offset 0 is the self-pair, whose weight is 0; when the axes swap,
+        # the mirror fills every offset (k, l > k), (0, 1) among them
+        g = Grid(*_ORACLE_GRIDS[kind])
+        blocks = []
+
+        def recording(exponent, delta, widths):
+            blocks.append([np.rint(np.atleast_1d(d) / w).astype(int) for d, w in zip(delta, g.h)])
+            return pair_integral(exponent, delta, widths)
+
+        monkeypatch.setattr(gagliardo, "pair_integral", recording)
+        _offset_table(g, OperatorParams(s=0.5, p=2.5))
+        counts = np.zeros(g.shape, dtype=int)
+        for axes in blocks:
+            assert not all(np.any(k == 0) for k in axes)
+            if g.axes_swap:
+                assert not (np.any(axes[0] == 0) and np.any(axes[1] >= 1))
+            counts[np.ix_(*axes)] += 1
+        assert counts.max() == 1
+        want = np.ones(g.shape, dtype=bool)
+        if g.axes_swap:
+            want = np.tril(want)
+        want[(0,) * g.dim] = False
+        assert np.all(counts[want] == 1)
+
     def test_offset_table_symmetric_when_axes_swap(self):
         g = Grid(disk(0.0, 0.0, 1.0), 25)
         assert g.h[0] == g.h[1]
@@ -692,31 +718,39 @@ class TestOnePassEvaluation:
         # these grids fit in one block of _PAIR_BLOCK pairs; force several,
         # of whole rows below 40 pairs, or one longer row alone
         g = one_pass_grid
+        n = g.n_interior
         tp = assemble_weights(g, OperatorParams(s=0.7, p=3.0))
         tq = assemble_weights(g, OperatorParams(s=0.5, p=1.5))
         u = _tied_signed_vector(g, 5)
-        whole_e = sum(forms(Operator(tp, tq), u).energies)
+        whole = Operator(tp, tq)
+        whole_e = sum(forms(whole, u).energies)
         whole_g = operator_gradient(Operator(tp, tq), u)
         whole_h = operator_hessian(Operator(tp, tq), u)
-        assert len(list(gagliardo._row_blocks(g.n_interior))) == 1
+        assert len(whole.blocks) == 1
         monkeypatch.setattr(gagliardo, "_PAIR_BLOCK", 40)
-        blocks = list(gagliardo._row_blocks(g.n_interior))
-        sizes = [blk.stop - blk.start for _, blk, _, _ in blocks]
-        assert len(blocks) > 2
-        assert all(k < 40 or r.stop - r.start == 1 for (r, *_), k in zip(blocks, sizes))
-        assert sum(sizes) == g.n_interior * (g.n_interior - 1) // 2
-        # a fresh operator has no kept point, so the calls walk the blocks;
-        # the tables' packed weights are rebuilt by blocks as well
-        tp, tq = (PairWeightTable(t.grid, t.params, t.woff, t.tail) for t in (tp, tq))
+        # a fresh operator has no kept point and no block plan, so its
+        # first walk plans the small blocks and the calls walk them
         op = Operator(tp, tq)
-        upper = np.triu_indices(g.n_interior, 1)
-        assert np.array_equal(g.pair_index, upper[1])
-        assert np.array_equal(tp.packed_pair, tp.pair[upper])
         assert float(sum(forms(op, u).energies)) == pytest.approx(float(whole_e), rel=1e-13)
+        blocks = op.blocks
+        rows, starts, lens, cols, weights = zip(*blocks)
+        sizes = [c.size for c in cols]
+        assert len(blocks) > 2
+        assert all(k < 40 or r.stop - r.start == 1 for r, k in zip(rows, sizes))
+        upper = np.triu_indices(n, 1)
+        nodes = np.arange(n)
+        assert np.array_equal(
+            np.concatenate([np.repeat(nodes[r], k) for r, k in zip(rows, lens)]), upper[0]
+        )
+        assert all(np.array_equal(s, np.cumsum(k) - k) for s, k in zip(starts, lens))
+        assert np.array_equal(np.concatenate(cols), upper[1])
+        for k, t in enumerate((tp, tq)):
+            assert np.array_equal(np.concatenate([w[k] for w in weights]), t.pair[upper])
         np.testing.assert_allclose(
             operator_gradient(op, u), whole_g, rtol=1e-13, atol=1e-13 * np.max(np.abs(whole_g))
         )
         assert np.array_equal(workspace_hessian(op, u), whole_h)
+        assert op.blocks is blocks
 
     def test_tables_on_different_grids_rejected(self, one_pass_grid):
         other = Grid(interval(0.0, 2.0), 11)
@@ -767,12 +801,13 @@ class TestFusedPass:
         first = forms(op, u)
         kept = forms(op, u.copy())
         assert kept is first
-        cold_e, cold_g = gagliardo._form_pass((tp, tq), u, gradient=True)
+        cold_e, cold_g = gagliardo._form_pass(Operator(tp, tq), u, gradient=True)
         assert list(kept.energies) == cold_e
         assert np.array_equal(kept.grad, cold_g)
         assert np.array_equal(operator_gradient(op, u), cold_g)
-        # the first table's energy has the same bits from a one-table pass
-        cold_p = gagliardo._form_pass((tp,), u, gradient=False)[0][0]
+        # the first table's energy has the same bits from the one-table pass
+        # a seminorm makes away from the kept point
+        cold_p = gagliardo._form_pass(op, u, gradient=False)[0][0]
         assert cold_p == cold_e[0]
         assert seminorm(op, u) == seminorm(Operator(tp), u) == (3.0 * cold_p) ** (1.0 / 3.0)
         assert forms(Operator(tq, tp), u).energies == (cold_e[1], cold_e[0])

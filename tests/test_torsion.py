@@ -15,7 +15,13 @@ import pytest
 
 from fracsolve import frozen, torsion
 from fracsolve.frozen import FrozenProblem, solve_frozen
-from fracsolve.gagliardo import Operator, OperatorParams, assemble_weights, operator_gradient
+from fracsolve.gagliardo import (
+    Operator,
+    OperatorParams,
+    assemble_weights,
+    operator_gradient,
+    workspace_hessian,
+)
 from fracsolve.grids import Grid, disk, interval
 from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import ProblemExponents, SingularReaction, f_eval
@@ -227,6 +233,20 @@ class TestTorsionQuadraticOracle:
         want = np.linalg.solve(A, rhs)
         got = u
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
+
+    @pytest.mark.parametrize(
+        "domain, resolution", [(interval(-1.0, 1.0), 65), (disk(0.0, 0.0, 1.0), 17)]
+    )
+    def test_one_table_operator(self, domain, resolution):
+        # the constant start and the floor read every table of the
+        # operator, however many it holds
+        grid = Grid(domain, resolution)
+        table = assemble_weights(grid, OperatorParams(s=0.6, p=2.0))
+        u = solve_torsion(1.0, Operator(table), 1e-10)
+        hess = workspace_hessian(Operator(table), u)
+        want = np.linalg.solve(hess, grid.cell_volume * np.ones(grid.n_interior))
+        assert np.max(np.abs(u - want)) <= 1e-10 * np.max(want)
+        assert select_sigma(SINGULAR, Operator(table)).slack >= 0.0
 
     def test_gradient_identity_at_solution(self, quad_setup):
         _, grid, op = quad_setup
