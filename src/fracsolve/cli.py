@@ -3,17 +3,22 @@ check-hypotheses, selftest.
 
 Exit codes: 0 success, 1 runtime failure (e.g. non-convergence), 2
 config or hypothesis failure, 130 interrupted.  Every failure writes one
-machine-readable JSON object to stderr.  solve and torsion first replace
-their record (report.json, certificate.json) with a start record and
-remove the previous run's other outputs, and write the record last, so a
-run that raises, is interrupted or is killed never leaves an earlier
-run's record behind; one that raises or is interrupted records where it
-stopped and why.
+machine-readable JSON object to stderr.  A config's cache_dir is the
+weight cache of its own command alone (``_config``).
+
+solve and torsion run inside one record path, ``_Record``: it replaces
+the run's record (report.json, certificate.json) with a start record and
+removes the previous run's other outputs, and writes the result record
+last, so a run that raises, is interrupted or is killed never leaves an
+earlier run's record behind; one that raises or is interrupted records
+where it stopped and why.  Every record it writes holds the timestamp,
+the config and the seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -54,9 +59,21 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
-def _apply_cache(cfg: RunConfig) -> None:
+@contextlib.contextmanager
+def _config(args, require_hypotheses=True):
+    """The command's config; its cache_dir is the weight cache while the
+    command runs, and the caller's cache is restored after."""
+    cfg = load_config(args.config, require_hypotheses=require_hypotheses)
+    saved = os.environ.get(CACHE_ENV)
     if cfg.cache_dir:
         os.environ[CACHE_ENV] = cfg.cache_dir
+    try:
+        yield cfg
+    finally:
+        if saved is None:
+            os.environ.pop(CACHE_ENV, None)
+        else:
+            os.environ[CACHE_ENV] = saved
 
 
 def _instance_from(cfg: RunConfig):
@@ -70,67 +87,61 @@ def _instance_from(cfg: RunConfig):
     )
 
 
-def _start_record(cfg: RunConfig, out: Path, record: str, outputs: tuple) -> dict:
-    """Remove the previous run's ``record`` and ``outputs`` from ``out``,
-    with any temporary a killed write of them left, then write a start
-    record in the record's place: the config, the seed, ``converged``
-    false and ``phase`` "build".  The record goes first, so a run killed
-    at any point leaves no earlier run's record beside files it does not
-    describe, and once the start record is on disk no earlier output is
-    left.  Returns the start record."""
-    for name in (record, *outputs):
-        io_utils.remove_file(out / name)
-    payload = {
-        "timestamp": _timestamp(),
-        "config": cfg.as_dict(),
-        "seed": cfg.seed,
-        "converged": False,
-        "phase": "build",
-    }
-    io_utils.write_json(out / record, payload)
-    return payload
+class _Record:
+    """The record of a run, ``name`` in its output directory, around the run.
 
+    Entering removes the previous run's record and ``outputs``, with any
+    temporary a killed write of them left, then writes a start record in
+    the record's place: ``converged`` false and ``phase`` "build".  The
+    record goes first, so a run killed at any point leaves no earlier
+    run's record beside files it does not describe, and once the start
+    record is on disk no earlier output is left.  A run that raises or is
+    interrupted leaves the ``phase`` it reached and its ``error`` in the
+    start record's place; ``write`` writes the result, last.  Every record
+    holds the timestamp, the config and the seed."""
 
-def _write_failure(path: Path, start: dict, phase: str, error: BaseException) -> None:
-    """The record of a failed or interrupted run: where it stopped and
-    why, in place of its start record."""
-    payload = dict(
-        start,
-        timestamp=_timestamp(),
-        phase=phase,
-        error={"type": type(error).__name__, "message": str(error)},
-    )
-    io_utils.write_json(path, payload)
+    def __init__(self, args, cfg: RunConfig, name: str, outputs: tuple):
+        self.out, self.name, self.outputs = _out_dir(args, cfg), name, outputs
+        self.header = {"config": cfg.as_dict(), "seed": cfg.seed}
+        self.phase = "build"
+
+    def write(self, **fields) -> None:
+        payload = {"timestamp": _timestamp(), **self.header, **fields}
+        io_utils.write_json(self.out / self.name, payload)
+
+    def __enter__(self) -> _Record:
+        for name in (self.name, *self.outputs):
+            io_utils.remove_file(self.out / name)
+        self.write(converged=False, phase=self.phase)
+        return self
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if isinstance(error, (Exception, KeyboardInterrupt)):
+            failure = {"type": type(error).__name__, "message": str(error)}
+            self.write(converged=False, phase=self.phase, error=failure)
 
 
 def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    _apply_cache(cfg)
-    out = _out_dir(args, cfg)
-    start = _start_record(cfg, out, "report.json", ("solution.csv", "convergence.csv"))
-    phase = "build"
-    try:
+    outputs = ("solution.csv", "convergence.csv")
+    with _config(args) as cfg, _Record(args, cfg, "report.json", outputs) as run:
         instance = _instance_from(cfg)
-        phase = "solve"
+        run.phase = "solve"
         report = solve_problem(instance, cfg.outer, seed=cfg.seed)
-        phase = "write"
-        _write_solve_outputs(cfg, out, instance, report)
-    except (Exception, KeyboardInterrupt) as e:
-        _write_failure(out / "report.json", start, phase, e)
-        raise
+        run.phase = "write"
+        _write_solve_outputs(cfg, run, instance, report)
     if not report.converged:
         _stderr_json({"error": "runtime", "message": report.message})
         return 1
     return 0
 
 
-def _write_solve_outputs(cfg: RunConfig, out: Path, instance, report) -> None:
+def _write_solve_outputs(cfg: RunConfig, run: _Record, instance, report) -> None:
     """solution.csv, convergence.csv and, last, report.json."""
     grid = instance.grid
     u = grid.pack(report.u)
-    io_utils.write_field_csv(out / "solution.csv", grid, u)
+    io_utils.write_field_csv(run.out / "solution.csv", grid, u)
     io_utils.write_rows_csv(
-        out / "convergence.csv",
+        run.out / "convergence.csv",
         ["k", "step_seminorm", "frozen_residual", "full_residual", "v_norm"],
         zip(
             range(1, len(report.step_seminorms) + 1),
@@ -140,46 +151,34 @@ def _write_solve_outputs(cfg: RunConfig, out: Path, instance, report) -> None:
             report.v_norms[1:],
         ),
     )
-    payload = {
-        "timestamp": _timestamp(),
-        "config": cfg.as_dict(),
-        "seed": cfg.seed,
-        "converged": report.converged,
-        "outer_iterations": report.outer_iterations,
-        "step_seminorms": io_utils.float_list(report.step_seminorms),
-        "frozen_residuals": io_utils.float_list(report.frozen_residuals),
-        "inner_iterations": list(report.inner_iterations),
-        "full_residuals": io_utils.float_list(report.full_residuals),
-        "v_norms": io_utils.float_list(report.v_norms),
-        "thetas": io_utils.float_list(report.thetas),
-        "final_residual": report.final_residual,
-        "hopf_ratio": report.hopf_ratio,
-        "ball": None if report.ball is None else dataclasses.asdict(report.ball),
-        "log": list(report.log),
-        "message": report.message,
-        "certificate": instance.certificate.as_dict(),
-        "hypotheses": cfg.hypotheses.as_dict(),
-        "u": io_utils.float_list(u),
-        "raw": io_utils.float_list(grid.pack(report.raw)),
-    }
-    io_utils.write_json(out / "report.json", payload)
+    run.write(
+        converged=report.converged,
+        outer_iterations=report.outer_iterations,
+        step_seminorms=io_utils.float_list(report.step_seminorms),
+        frozen_residuals=io_utils.float_list(report.frozen_residuals),
+        inner_iterations=list(report.inner_iterations),
+        full_residuals=io_utils.float_list(report.full_residuals),
+        v_norms=io_utils.float_list(report.v_norms),
+        thetas=io_utils.float_list(report.thetas),
+        final_residual=report.final_residual,
+        hopf_ratio=report.hopf_ratio,
+        ball=None if report.ball is None else dataclasses.asdict(report.ball),
+        log=list(report.log),
+        message=report.message,
+        certificate=instance.certificate.as_dict(),
+        hypotheses=cfg.hypotheses.as_dict(),
+        u=io_utils.float_list(u),
+        raw=io_utils.float_list(grid.pack(report.raw)),
+    )
 
 
 def _cmd_torsion(args) -> int:
-    cfg = load_config(args.config)
-    _apply_cache(cfg)
-    out = _out_dir(args, cfg)
-    start = _start_record(cfg, out, "certificate.json", ("torsion.csv",))
-    phase = "build"
-    try:
+    with _config(args) as cfg, _Record(args, cfg, "certificate.json", ("torsion.csv",)) as run:
         instance = _instance_from(cfg)
-        phase = "write"
-        io_utils.write_field_csv(out / "torsion.csv", instance.grid, instance.certificate.lower)
-        payload = dict(instance.certificate.as_dict(), timestamp=_timestamp(), converged=True)
-        io_utils.write_json(out / "certificate.json", payload)
-    except (Exception, KeyboardInterrupt) as e:
-        _write_failure(out / "certificate.json", start, phase, e)
-        raise
+        run.phase = "write"
+        certificate = instance.certificate
+        io_utils.write_field_csv(run.out / "torsion.csv", instance.grid, certificate.lower)
+        run.write(**certificate.as_dict(), converged=True)
     return 0
 
 
@@ -191,15 +190,14 @@ def _bump(grid):
 
 
 def _cmd_gradient(args) -> int:
-    cfg = load_config(args.config, require_hypotheses=False)
-    _apply_cache(cfg)
-    out = _out_dir(args, cfg)
-    grid = cfg.build_grid()
-    bump = _bump(grid)
-    plan = plan_riesz_convolution(grid, 1.0 - cfg.exponents.s)
-    dsu = riesz_gradient(plan, bump)
-    extra = [(f"dsu_{axis}", dsu[:, a]) for a, axis in zip(range(grid.dim), "xy")]
-    io_utils.write_field_csv(out / "gradient.csv", grid, bump, extra=extra)
+    with _config(args, require_hypotheses=False) as cfg:
+        out = _out_dir(args, cfg)
+        grid = cfg.build_grid()
+        bump = _bump(grid)
+        plan = plan_riesz_convolution(grid, 1.0 - cfg.exponents.s)
+        dsu = riesz_gradient(plan, bump)
+        extra = [(f"dsu_{axis}", dsu[:, a]) for a, axis in zip(range(grid.dim), "xy")]
+        io_utils.write_field_csv(out / "gradient.csv", grid, bump, extra=extra)
     return 0
 
 
@@ -218,31 +216,30 @@ def _table_summary(table) -> dict:
 
 
 def _cmd_kernel_table(args) -> int:
-    cfg = load_config(args.config, require_hypotheses=False)
-    _apply_cache(cfg)
-    out = _out_dir(args, cfg)
-    grid = cfg.build_grid()
-    e = cfg.exponents
-    tables = (
-        assemble_weights(grid, OperatorParams(s=e.s1, p=e.p)),
-        assemble_weights(grid, OperatorParams(s=e.s2, p=e.q)),
-    )
-    payload = {
-        "timestamp": _timestamp(),
-        "grid": {"domain": cfg.domain_spec, "resolution": cfg.resolution},
-        "n_interior": grid.n_interior,
-        "tables": [_table_summary(t) for t in tables],
-    }
-    io_utils.write_json(out / "kernel_table.json", payload)
+    with _config(args, require_hypotheses=False) as cfg:
+        out = _out_dir(args, cfg)
+        grid = cfg.build_grid()
+        e = cfg.exponents
+        tables = (
+            assemble_weights(grid, OperatorParams(s=e.s1, p=e.p)),
+            assemble_weights(grid, OperatorParams(s=e.s2, p=e.q)),
+        )
+        payload = {
+            "timestamp": _timestamp(),
+            "grid": {"domain": cfg.domain_spec, "resolution": cfg.resolution},
+            "n_interior": grid.n_interior,
+            "tables": [_table_summary(t) for t in tables],
+        }
+        io_utils.write_json(out / "kernel_table.json", payload)
     return 0
 
 
 def _cmd_check(args) -> int:
-    cfg = load_config(args.config, require_hypotheses=False)
-    report = cfg.hypotheses
-    print(io_utils.canonical_json(report.as_dict()), end="")
-    if not report.passed:
-        raise HypothesisError(report.failures)
+    with _config(args, require_hypotheses=False) as cfg:
+        report = cfg.hypotheses
+        print(io_utils.canonical_json(report.as_dict()), end="")
+        if not report.passed:
+            raise HypothesisError(report.failures)
     return 0
 
 
@@ -355,8 +352,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO)
-    # a config's cache_dir applies to this command only
-    saved_cache = os.environ.get(CACHE_ENV)
     try:
         return args.func(args)
     except ConfigError as e:
@@ -376,11 +371,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         _stderr_json({"error": "interrupted", "message": "KeyboardInterrupt"})
         return 130
-    finally:
-        if saved_cache is None:
-            os.environ.pop(CACHE_ENV, None)
-        else:
-            os.environ[CACHE_ENV] = saved_cache
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ a function of |xi| alone.
 
 The truncation replaces f(t) by f(max(floor_i, t)) at interior node i
 for a strictly positive floor vector, removing the singularity from the
-optimizer's path while leaving values above the floor untouched.
+optimizer's path while leaving values above the floor untouched.  Its
+antiderivative integrates the forcing from the floor, never across the
+singularity, in a form that stays exact as gamma -> 1 and at gamma = 1.
 """
 
 from __future__ import annotations
@@ -154,7 +156,6 @@ class TruncatedReaction:
         self.base = base
         self.floor = floor
         self._f_floor = _base_value(base, floor)
-        self._A_floor = _antiderivative(base, floor)
 
     def f(self, t: np.ndarray) -> np.ndarray:
         """Truncated forcing at an interior vector; finite for every real t."""
@@ -166,29 +167,25 @@ class TruncatedReaction:
         return np.where(t > self.floor, above, 0.0)
 
     def F(self, tau: np.ndarray) -> np.ndarray:
-        """Antiderivative of the truncated forcing from 0, in closed form.
-
-        Linear with slope f(floor) below the floor; above it, the frozen
-        segment [0, floor] plus the exact power antiderivative beyond.
-        """
+        """Antiderivative of the truncated forcing from 0, in closed form:
+        f(floor) min(tau, floor) for the frozen part, plus the integral of
+        the forcing from the floor to max(tau, floor)."""
         floor = self.floor
-        below = self._f_floor * tau
-        above = (
-            self._f_floor * floor
-            + _antiderivative(self.base, np.maximum(floor, tau))
-            - self._A_floor
+        return self._f_floor * np.minimum(tau, floor) + _integral(
+            self.base, floor, np.maximum(tau, floor)
         )
-        return np.where(tau <= floor, below, above)
 
 
-def _antiderivative(reaction: SingularReaction, t: np.ndarray) -> np.ndarray:
-    """Integral of the family from 0 to t >= 0.  The head's value at 0 is
-    shift^(1-gamma) = shift for either shift, written so because
-    0.0 ** (1-gamma) raises for gamma > 1."""
-    shift, gamma = reaction.shift, reaction.gamma
-    power = reaction.c2 * t ** (reaction.r + 1.0) / (reaction.r + 1.0)
-    head = reaction.c1 * ((shift + t) ** (1.0 - gamma) - shift) / (1.0 - gamma)
-    return head + power
+def _integral(reaction: SingularReaction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integral of the family from a > 0 to b >= a.  The head's part is
+    (shift + a)^(1-gamma) expm1((1-gamma) L) / (1-gamma), with
+    L = log((shift + b) / (shift + a)), which is L at gamma = 1: free of
+    the cancellation of a difference of powers over 1 - gamma as
+    gamma -> 1."""
+    shift, r, e = reaction.shift, reaction.r, 1.0 - reaction.gamma
+    log_ratio = np.log1p((b - a) / (shift + a))
+    head = (shift + a) ** e * (np.expm1(e * log_ratio) / e if e else log_ratio)
+    return reaction.c1 * head + reaction.c2 * (b ** (r + 1.0) - a ** (r + 1.0)) / (r + 1.0)
 
 
 @dataclass(frozen=True)

@@ -55,19 +55,18 @@ def riesz_cell_average(alpha, widths):
 
 @dataclass
 class ConvolutionPlan:
-    """Cell-integrated Riesz kernel of order alpha on grid, tabulated over
-    nonnegative lattice offsets (shape ``grid.shape``), and its
-    ``grid.offset_spectrum``, which every convolution reads."""
+    """The ``grid.offset_spectrum`` of the cell-integrated Riesz kernel on
+    grid, which every convolution reads."""
 
     grid: Grid
-    alpha: float
-    kernel: np.ndarray
     spectrum: np.ndarray
 
 
 def _kernel(grid: Grid, alpha: float) -> np.ndarray:
-    """The offsets (0 .. m_1 - 1) x ... x (0 .. m_N - 1): a Gauss rule of
-    each cell on every axis, and the exact average over the origin cell."""
+    """The cell-integrated kernel of order alpha over the nonnegative
+    offsets (0 .. m_1 - 1) x ... x (0 .. m_N - 1), shape ``grid.shape``: a
+    Gauss rule of each cell on every axis, and the exact average over the
+    origin cell."""
     dim = grid.dim
     rsq = 0.0
     for a, (m, h) in enumerate(zip(grid.shape, grid.h)):
@@ -92,16 +91,15 @@ def plan_riesz_convolution(grid: Grid, alpha: float) -> ConvolutionPlan:
     over every nonnegative offset between lattice nodes."""
     if not 0.0 < alpha < grid.dim:
         raise ValueError(f"Riesz order must lie in (0, {grid.dim}), got {alpha}")
-    kernel = _kernel(grid, alpha)
-    return ConvolutionPlan(grid, float(alpha), kernel, grid.offset_spectrum(kernel))
+    return ConvolutionPlan(grid, grid.offset_spectrum(_kernel(grid, alpha)))
 
 
 def riesz_gradient(plan: ConvolutionPlan, v) -> np.ndarray:
-    """Fractional gradient of order s = 1 - plan.alpha of the zero extension
-    of the interior vector v of plan.grid, at the interior nodes: shape
-    (n_interior, dim): centered differences of the potential.  No interior
-    node lies on the lattice edge, so every one of them gets a centered
-    difference."""
+    """Fractional gradient of order s = 1 - alpha, for a plan of order
+    alpha, of the zero extension of the interior vector v of plan.grid, at
+    the interior nodes: shape (n_interior, dim): centered differences of
+    the potential.  No interior node lies on the lattice edge, so every
+    one of them gets a centered difference."""
     grid = plan.grid
     pot = grid.convolve(plan.spectrum, grid.zero_extend(v))
     grads = np.reshape(np.gradient(pot, *grid.h), (grid.dim, -1))

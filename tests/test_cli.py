@@ -487,6 +487,16 @@ class TestCliSolve:
         assert "error" not in recorded
         assert sorted(p.name for p in out.iterdir()) == [record]
 
+    def test_bounded_family_near_gamma_one_solves(self, tmp_path):
+        # inside the window; the forcing's antiderivative once cancelled as
+        # gamma -> 1, and the outer loop's line search stalled
+        payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        payload["reaction"].update(family="bounded", gamma=0.999999)
+        out = tmp_path / "run"
+        assert cli.main(["solve", "--config", dump(tmp_path, payload), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is True and report["final_residual"] < 1e-6
+
     def test_resonant_config_exits_2_before_assembly(self, tmp_path, capsys, monkeypatch):
         # q'*s2 = s1 is outside the window, so no floor is built for it
         monkeypatch.setattr(driver, "assemble_weights", lambda *args: pytest.fail("assembled"))
@@ -753,6 +763,76 @@ class TestCliOther:
             f"weight cache {blocker / 'cache'} could not be written (Not a directory); "
             "the table is used uncached"
         ]
+
+    def test_certificate_holds_the_config_and_seed_of_its_start_record(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "t"
+        build = cli._instance_from
+        seen = {}
+
+        def read_start(cfg):
+            seen["start"] = json.loads((out / "certificate.json").read_text())
+            return build(cfg)
+
+        monkeypatch.setattr(cli, "_instance_from", read_start)
+        path = str(CONFIG_DIR / "interval_1d.json")
+        assert cli.main(["torsion", "--config", path, "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert sorted(cert) == sorted(
+            ["timestamp", "config", "seed", "converged", "sigma", "eta", "exponent",
+             "sup_norm", "epsilon", "delta", "halvings", "slack"]
+        )
+        assert cert["config"] == seen["start"]["config"] == load_config(path).as_dict()
+        assert cert["seed"] == seen["start"]["seed"] == load_config(path).seed
+
+    @pytest.mark.parametrize("outer_cache", [None, "preset"])
+    @pytest.mark.parametrize(
+        "command,step",
+        [
+            ("solve", "_instance_from"),
+            ("torsion", "_instance_from"),
+            ("gradient", "plan_riesz_convolution"),
+            ("kernel-table", "assemble_weights"),
+            ("check-hypotheses", None),
+        ],
+    )
+    def test_cache_dir_applies_to_every_config_command(
+        self, tmp_path, capsys, monkeypatch, command, step, outer_cache
+    ):
+        # a run that passes and one that fails midway both see the config's
+        # cache_dir while they run, and leave the caller's as it was
+        if outer_cache is None:
+            monkeypatch.delenv("FRACSOLVE_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path / outer_cache))
+        before = os.environ.get("FRACSOLVE_CACHE")
+        cache = tmp_path / "A"
+        payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        payload["cache_dir"] = str(cache)
+        args = [command, "--config", dump(tmp_path, payload)]
+        if command != "check-hypotheses":
+            args += ["--out", str(tmp_path / "run")]
+        assert cli.main(args) == 0
+        assert os.environ.get("FRACSOLVE_CACHE") == before
+        tables = 2 if command in ("solve", "torsion", "kernel-table") else 0
+        assert len(list(cache.glob("*.fwt"))) == tables
+
+        seen = []
+
+        def fails(*args, **kwargs):
+            seen.append(os.environ.get("FRACSOLVE_CACHE"))
+            raise RuntimeError("stopped")
+
+        if step is None:
+            monkeypatch.setattr(io_utils, "canonical_json", fails)
+        else:
+            monkeypatch.setattr(cli, step, fails)
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "RuntimeError: stopped"
+        assert seen == [str(cache)]
+        assert os.environ.get("FRACSOLVE_CACHE") == before
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -194,6 +194,25 @@ class TestTruncation:
             got = trunc.F(np.full(trunc.floor.size, tau))[0]
             assert got == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("family", ["singular", "bounded"])
+    @pytest.mark.parametrize("gamma", [0.4, 0.5, 1.0 - 1e-6, 1.0 - 1e-8, 1.0, 1.5])
+    def test_antiderivative_matches_quad_as_gamma_nears_one(self, family, gamma):
+        # a difference of head powers over 1 - gamma cancels as gamma -> 1
+        # and is 0/0 at gamma = 1, which the family accepts
+        floor = np.array([0.05, 0.3, 0.7])
+        base = SingularReaction(gamma=gamma, c1=1.0, c2=0.8, r=1.4, family=family)
+        trunc = TruncatedReaction(base, floor)
+        for tau in (-1.0, 0.02, 0.5, 2.0, 5.0):
+            got = trunc.F(np.full(floor.size, tau))
+            for k, lo in enumerate(floor):
+                def integrand(t):
+                    return float(f_eval(base, max(lo, t)))
+
+                want, _ = quad(integrand, 0.0, min(tau, lo))
+                if tau > lo:
+                    want += quad(integrand, lo, tau, epsabs=0.0, epsrel=1e-13)[0]
+                assert got[k] == pytest.approx(want, rel=1e-12)
+
     def test_singularity_shield_bound(self, trunc_setup):
         # truncation is bounded by the floor singularity plus the power tail
         grid, trunc = trunc_setup

@@ -15,6 +15,7 @@ from scipy.special import j1
 
 from fracsolve.grids import Grid, disk, interval, rectangle
 from fracsolve.riesz import (
+    _kernel,
     plan_riesz_convolution,
     riesz_cell_average,
     riesz_gradient,
@@ -31,26 +32,26 @@ class TestKernelTable1D:
     def test_entries_match_quad(self):
         grid = Grid(interval(-1.0, 1.0), 17)
         alpha = 0.45
-        plan = plan_riesz_convolution(grid, alpha)
+        kernel = _kernel(grid, alpha)
         h = grid.h[0]
-        assert plan.kernel.shape == grid.shape
+        assert kernel.shape == grid.shape
         gamma = riesz_normalization(1, alpha)
         # origin cell: split the endpoint singularity at zero
         half, _ = quad(lambda z: z ** (alpha - 1.0), 0.0, h / 2)
-        assert plan.kernel[0] == pytest.approx(2.0 * gamma * half, rel=1e-12)
+        assert kernel[0] == pytest.approx(2.0 * gamma * half, rel=1e-12)
         for d in (1, 2, 7):
             want, err = quad(
                 lambda z: z ** (alpha - 1.0), d * h - h / 2, d * h + h / 2
             )
             assert err < 1e-12
-            assert plan.kernel[d] == pytest.approx(gamma * want, rel=1e-12)
+            assert kernel[d] == pytest.approx(gamma * want, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.2])
     def test_small_orders_match_quad(self, alpha):
         # the Gauss rule of a cell loses the most next to the singularity,
         # at offset 1, and more the smaller alpha is
         grid = Grid(interval(-1.0, 1.0), 17)
-        plan = plan_riesz_convolution(grid, alpha)
+        kernel = _kernel(grid, alpha)
         h = grid.h[0]
         gamma = riesz_normalization(1, alpha)
         for d in (1, 2, 7):
@@ -58,16 +59,16 @@ class TestKernelTable1D:
                 lambda z: z ** (alpha - 1.0), d * h - h / 2, d * h + h / 2
             )
             assert err < 1e-12
-            assert plan.kernel[d] == pytest.approx(gamma * want, rel=1e-11)
+            assert kernel[d] == pytest.approx(gamma * want, rel=1e-11)
 
 
 class TestKernelTable2D:
     def test_entries_match_dblquad(self):
         grid = Grid(rectangle(-1.0, 1.0, -1.0, 1.0), 9)
         alpha = 0.4
-        plan = plan_riesz_convolution(grid, alpha)
+        kernel = _kernel(grid, alpha)
         h1, h2 = grid.h
-        assert plan.kernel.shape == grid.shape
+        assert kernel.shape == grid.shape
         gamma = riesz_normalization(2, alpha)
 
         def cell_integral(d1, d2):
@@ -81,18 +82,18 @@ class TestKernelTable2D:
             return gamma * val
 
         far = cell_integral(3, 2)
-        assert plan.kernel[3, 2] == pytest.approx(far, rel=1e-8)
+        assert kernel[3, 2] == pytest.approx(far, rel=1e-8)
         adj = cell_integral(1, 0)
-        assert plan.kernel[1, 0] == pytest.approx(adj, rel=1e-4)
+        assert kernel[1, 0] == pytest.approx(adj, rel=1e-4)
         # origin cell uses the exact singular average
         want = riesz_cell_average(alpha, grid.h) * grid.cell_volume
-        assert plan.kernel[0, 0] == pytest.approx(want, rel=1e-10)
+        assert kernel[0, 0] == pytest.approx(want, rel=1e-10)
 
     def test_symmetry_all_octants(self):
         # the quadrant holds the other octants by its mirror; square cells
         # add the swap of the two axes
         grid = Grid(rectangle(0.0, 1.0, 0.0, 1.0), 7)
-        k = plan_riesz_convolution(grid, 0.6).kernel
+        k = _kernel(grid, 0.6)
         np.testing.assert_array_equal(k, k.T)
 
 
