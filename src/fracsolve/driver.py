@@ -18,14 +18,13 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
 from .frozen import FrozenProblem, default_tol, solve_frozen, weak_residual
 from .gagliardo import Operator, OperatorParams, assemble_weights, seminorm
 from .grids import Grid
-from .optimize import MinimizeResult, MinimizerOptions, bisect_root as _bisect_root
+from .optimize import MinimizeResult, MinimizerOptions, bisect_root as _bisect_root, check_budget
 from .reaction import (
     ConvectiveReaction,
     ProblemExponents,
@@ -81,12 +80,7 @@ class OuterOptions:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"relaxation weight must lie in (0, 1], got {self.theta}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if not isinstance(self.max_outer, Integral):
-            raise ValueError(f"max_outer must be an integer, got {self.max_outer!r}")
-        if self.max_outer < 1:
-            raise ValueError(f"iteration budget must be positive, got {self.max_outer}")
+        check_budget("max_outer", self.max_outer, self.tol)
 
 
 @dataclass(frozen=True)

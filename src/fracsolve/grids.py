@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -123,6 +124,8 @@ class Grid:
     """Uniform node lattice on the domain bounding box."""
 
     def __init__(self, domain, resolution):
+        if isinstance(resolution, bool) or not isinstance(resolution, Integral):
+            raise ValueError(f"resolution must be an integer, got {resolution!r}")
         if resolution < 3:
             raise ValueError(f"resolution must be at least 3, got {resolution}")
         self.domain = domain

@@ -73,6 +73,17 @@ _CG_RTOL = 1e-2
 _CG_MAX_ITER = 8
 
 
+def check_budget(name: str, budget, tol: float) -> None:
+    """Reject a tolerance outside (0, inf) and an iteration budget that is
+    not a positive integer; a bool is an Integral, but no budget."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if isinstance(budget, bool) or not isinstance(budget, Integral):
+        raise ValueError(f"{name} must be an integer, got {budget!r}")
+    if budget < 1:
+        raise ValueError(f"iteration budget must be positive, got {budget}")
+
+
 @dataclass(frozen=True)
 class MinimizerOptions:
     """Budget of the descent loop; tol bounds the scaled gradient norm
@@ -82,12 +93,7 @@ class MinimizerOptions:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if not isinstance(self.max_iter, Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError("iteration budget must be positive")
+        check_budget("max_iter", self.max_iter, self.tol)
 
 
 @dataclass

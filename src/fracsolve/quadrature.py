@@ -1,7 +1,9 @@
 """Panel-based Gauss-Legendre quadrature for power-law kernels.
 
 Everything here works on |z|^e integrands over boxes, their overlap
-(tent) weights, and the closed-form pieces used for exterior tails.
+(tent) weights, and the closed-form pieces used for exterior tails,
+among them power_segment_integral, the one integral of t^e over a
+segment, which the truncated forcing's antiderivative shares.
 Singular endpoints are handled by geometric panel grading, never by a
 regularization parameter; away from them, two Gauss panels split at the
 tent's kink take an order sized to the offset, and so does a near axis
@@ -256,13 +258,16 @@ def cell_average_power(exponent, widths):
 
 
 def power_segment_integral(exponent, a, b):
-    """integral_a^b t^exponent dt for 0 < a < b, vectorized and log-aware."""
+    """integral_a^b t^exponent dt for 0 < a <= b, vectorized over a and b.
+
+    Computed as a^(e+1) expm1((e+1) L) / (e+1) with L = log1p((b - a) / a),
+    which is free of the cancellation of a difference of powers over e + 1
+    and is exact at e = -1, where the quotient's limit L is taken.
+    """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if abs(exponent + 1.0) < 1e-13:
-        return np.log(b / a)
+    log_ratio = np.log1p((np.asarray(b, dtype=float) - a) / a)
     e1 = exponent + 1.0
-    return (b**e1 - a**e1) / e1
+    return a**e1 * (np.expm1(e1 * log_ratio) / e1 if e1 else log_ratio)
 
 
 def halfplane_profile_constant(sp):

@@ -12,7 +12,8 @@ The truncation replaces f(t) by f(max(floor_i, t)) at interior node i
 for a strictly positive floor vector, removing the singularity from the
 optimizer's path while leaving values above the floor untouched.  Its
 antiderivative integrates the forcing from the floor, never across the
-singularity, in a form that stays exact as gamma -> 1 and at gamma = 1.
+singularity, through quadrature.power_segment_integral, which stays
+exact as gamma -> 1 and at gamma = 1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .quadrature import power_segment_integral
 
 # forcing family -> shift of its head c1 (shift + t)^-gamma
 _SHIFT = {"singular": 0.0, "bounded": 1.0}
@@ -169,23 +172,14 @@ class TruncatedReaction:
     def F(self, tau: np.ndarray) -> np.ndarray:
         """Antiderivative of the truncated forcing from 0, in closed form:
         f(floor) min(tau, floor) for the frozen part, plus the integral of
-        the forcing from the floor to max(tau, floor)."""
-        floor = self.floor
-        return self._f_floor * np.minimum(tau, floor) + _integral(
-            self.base, floor, np.maximum(tau, floor)
-        )
-
-
-def _integral(reaction: SingularReaction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integral of the family from a > 0 to b >= a.  The head's part is
-    (shift + a)^(1-gamma) expm1((1-gamma) L) / (1-gamma), with
-    L = log((shift + b) / (shift + a)), which is L at gamma = 1: free of
-    the cancellation of a difference of powers over 1 - gamma as
-    gamma -> 1."""
-    shift, r, e = reaction.shift, reaction.r, 1.0 - reaction.gamma
-    log_ratio = np.log1p((b - a) / (shift + a))
-    head = (shift + a) ** e * (np.expm1(e * log_ratio) / e if e else log_ratio)
-    return reaction.c1 * head + reaction.c2 * (b ** (r + 1.0) - a ** (r + 1.0)) / (r + 1.0)
+        the forcing from the floor to max(tau, floor), each of its terms by
+        quadrature.power_segment_integral (the head's bounds shifted by the
+        family's shift), which is exact as gamma -> 1 and at gamma = 1."""
+        base, floor = self.base, self.floor
+        top = np.maximum(tau, floor)
+        head = power_segment_integral(-base.gamma, base.shift + floor, base.shift + top)
+        power = power_segment_integral(base.r, floor, top)
+        return self._f_floor * np.minimum(tau, floor) + base.c1 * head + base.c2 * power
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ the distance power.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,16 +65,8 @@ class SubsolutionCertificate:
     slack: float
 
     def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "eta": self.eta,
-            "exponent": self.exponent,
-            "sup_norm": self.sup_norm,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "halvings": self.halvings,
-            "slack": self.slack,
-        }
+        """Every constant, that is every field but the floor itself."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "lower"}
 
 
 @dataclass(frozen=True)

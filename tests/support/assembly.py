@@ -16,7 +16,10 @@ far, which ``pair_integral`` puts on the far-field split rule, is judged
 here against ``axis_nodes``' graded rule, and there against the 4-panel
 rule.  ``quadrant_integral`` sums the 32-point angular
 rule of a corner quadrant node by node, where ``fracsolve.quadrature``
-sums the same rule as a power series in the angle.
+sums the same rule as a power series in the angle.  The half-plane parts
+of ``outside_box_tail`` integrate t^(-sp) across each face by adaptive
+``scipy.integrate.quad``, node by node, so they judge the closed form
+``fracsolve.quadrature.power_segment_integral`` rather than follow it.
 """
 
 from __future__ import annotations
@@ -25,13 +28,9 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
-from fracsolve.quadrature import (
-    axis_nodes,
-    halfplane_profile_constant,
-    power_segment_integral,
-    tent,
-)
+from fracsolve.quadrature import axis_nodes, halfplane_profile_constant, tent
 
 _ROW_CHUNK = 512
 
@@ -90,6 +89,15 @@ def offset_table(grid, params):
     return table
 
 
+def _across_face(sp, near, far):
+    """integral of t^(-sp) from near to far, per node, by adaptive quad;
+    on these smooth integrands it is within a few ulps of the exact
+    value, well inside its requested 1e-13."""
+    return np.array(
+        [quad(lambda t: t**-sp, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(near, far)]
+    )
+
+
 def outside_box_tail(grid, sp):
     """Per interior node: integral over its cell of the kernel mass beyond
     the lattice bounding box, each node's corners from its own points."""
@@ -100,8 +108,8 @@ def outside_box_tail(grid, sp):
     if grid.dim == 1:
         lo = pts[:, 0] - h[0] / 2.0
         hi = pts[:, 0] + h[0] / 2.0
-        left = power_segment_integral(-sp, lo - lo_box[0], hi - lo_box[0])
-        right = power_segment_integral(-sp, hi_box[0] - hi, hi_box[0] - lo)
+        left = _across_face(sp, lo - lo_box[0], hi - lo_box[0])
+        right = _across_face(sp, hi_box[0] - hi, hi_box[0] - lo)
         return (left + right) / sp
 
     w1, w2 = h
@@ -109,10 +117,10 @@ def outside_box_tail(grid, sp):
     x1lo, x1hi = pts[:, 0] - w1 / 2.0, pts[:, 0] + w1 / 2.0
     x2lo, x2hi = pts[:, 1] - w2 / 2.0, pts[:, 1] + w2 / 2.0
     halves = (
-        w2 * power_segment_integral(-sp, x1lo - lo_box[0], x1hi - lo_box[0])
-        + w2 * power_segment_integral(-sp, hi_box[0] - x1hi, hi_box[0] - x1lo)
-        + w1 * power_segment_integral(-sp, x2lo - lo_box[1], x2hi - lo_box[1])
-        + w1 * power_segment_integral(-sp, hi_box[1] - x2hi, hi_box[1] - x2lo)
+        w2 * _across_face(sp, x1lo - lo_box[0], x1hi - lo_box[0])
+        + w2 * _across_face(sp, hi_box[0] - x1hi, hi_box[0] - x1lo)
+        + w1 * _across_face(sp, x2lo - lo_box[1], x2hi - lo_box[1])
+        + w1 * _across_face(sp, hi_box[1] - x2hi, hi_box[1] - x2lo)
     )
     tail = halves * c1 / sp
 

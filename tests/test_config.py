@@ -227,7 +227,11 @@ def test_parameters_that_are_not_finite_rejected(build, kwargs, reason, value):
         build(**args)
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, "3"], ids=["fractional", "integral-float", "str"])
+@pytest.mark.parametrize(
+    "value",
+    [2.5, 2.0, "3", True, False],
+    ids=["fractional", "integral-float", "str", "True", "False"],
+)
 @pytest.mark.parametrize(
     "build,field", [(MinimizerOptions, "max_iter"), (OuterOptions, "max_outer")]
 )

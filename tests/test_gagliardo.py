@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import weakref
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from fracsolve.quadrature import (
     _layout_groups,
     axis_nodes,
     pair_integral,
+    power_segment_integral,
     quadrant_integral,
     tent,
 )
@@ -368,6 +370,49 @@ class TestAssemblyWork:
         assert g.h[0] == g.h[1]
         woff = _offset_table(g, OperatorParams(s=0.5, p=2.5))
         np.testing.assert_array_equal(woff, woff.T)
+
+
+def _power_integral_50_digits(exponent, a, b):
+    """integral_a^b t^exponent dt as a difference of powers over e + 1 in
+    50-digit decimals (the log ratio at e = -1): the float exponent, a and
+    b are taken exactly, and the cancellation costs at most 13 digits for
+    the |e + 1| >= 2e-13 tested here and 10 more for b - a >= 1e-9 a,
+    leaving over 25 of the 50."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e1 = Decimal(exponent) + 1
+        log_a, log_b = Decimal(a).ln(), Decimal(b).ln()
+        if e1 == 0:
+            return float(log_b - log_a)
+        return float(((e1 * log_b).exp() - (e1 * log_a).exp()) / e1)
+
+
+class TestPowerSegmentIntegral:
+    """The one integral of t^e over a segment, shared by the exterior tails
+    and the truncated forcing, is exact as e -> -1 and at e = -1."""
+
+    @pytest.mark.parametrize("e1", [1e-6, -1e-6, 1e-9, -1e-9, 1e-11, -1e-11, 2e-13, -2e-13, 0.0])
+    def test_matches_50_digits_near_minus_one(self, e1):
+        exponent = -1.0 + e1
+        a = np.array([0.3, 0.05, 1.0, 2e-3])
+        b = np.array([2.7, 0.15, 1.0 + 2.0**-30, 40.0])
+        got = power_segment_integral(exponent, a, b)
+        want = [_power_integral_50_digits(exponent, x, y) for x, y in zip(a, b)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("delta", [-1e-12, 1e-12])
+    @pytest.mark.parametrize(
+        "domain,res",
+        [(interval(0.0, 1.0), 129), (disk(0.0, 0.0, 1.0), 25)],
+        ids=["interval", "disk"],
+    )
+    def test_tail_is_continuous_across_sp_one(self, domain, res, delta):
+        # a tail's rate of change in sp is O(1) relative, so 1e-12 away
+        # from sp = 1 it may move by about 1e-11 of itself, and no more
+        g = Grid(domain, res)
+        np.testing.assert_allclose(
+            _outside_box_tail(g, 1.0 + delta), _outside_box_tail(g, 1.0), rtol=1e-10, atol=0.0
+        )
 
 
 class TestQuadrantIntegral:

@@ -80,6 +80,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(interval(0.0, 1.0), 2)
 
+    @pytest.mark.parametrize(
+        "value", [5.5, 5.0, True, "9"], ids=["fractional", "integral-float", "bool", "str"]
+    )
+    def test_resolution_that_is_not_an_integer_rejected(self, value):
+        # numpy's linspace raised a TypeError for a float, and a bool
+        # passed as the integer 1
+        with pytest.raises(ValueError, match=f"resolution must be an integer, got {value!r}"):
+            Grid(interval(0.0, 1.0), value)
+        assert Grid(interval(0.0, 1.0), np.int64(5)).resolution == 5
+
     def test_pack_inverts_zero_extend(self):
         rng = np.random.default_rng(0)
         for g in (Grid(interval(0.0, 1.0), 9), Grid(disk(0.0, 0.0, 1.0), 9)):
