@@ -53,8 +53,8 @@ import numpy as np
 from .grids import Grid
 from .io_utils import write_file
 from .quadrature import (
-    _GL_W,
-    _GL_X,
+    _FAR_RULES,
+    _far_rule,
     halfplane_profile_constant,
     pair_integral,
     power_segment_integral,
@@ -73,7 +73,9 @@ _PAIR_BLOCK = 1 << 14
 # the fastest of 1 to 64 at resolutions 25 and 61)
 _SWAP_ROWS = 8
 CACHE_ENV = "FRACSOLVE_CACHE"
-_CACHE_VERSION = 3
+# the cache's format version, raised whenever assembly changes a table's
+# bits, so that a file written by older rules is a miss and is rebuilt
+_CACHE_VERSION = 4
 
 # Largest interior node count a table is assembled for.  An operator's
 # pair blocks hold the column j of each pair i < j and its weight in each
@@ -178,7 +180,10 @@ def _offset_table(grid: Grid, params: OperatorParams) -> np.ndarray:
 
 def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
     """Per interior node: integral over its cell of the kernel mass beyond
-    the lattice bounding box, evaluated from closed forms."""
+    the lattice bounding box: closed forms for the half-planes beyond the
+    faces, less the four corner quadrants they count twice, whose cells
+    take a Gauss rule sized by their distance to the corner
+    (_corner_cells)."""
     h = np.asarray(grid.h, dtype=float)
     lo_box = np.array([ax[0] for ax in grid.axes]) - h / 2.0
     hi_box = np.array([ax[-1] for ax in grid.axes]) + h / 2.0
@@ -194,18 +199,14 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
     if grid.dim == 1:
         return halves / sp
     tail = halves * halfplane_profile_constant(sp) / sp
-    w1, w2 = h
 
-    # Half-planes double-count the four corner quadrants.  The Gauss rule
-    # is symmetric, so the distances from lattice row i to the high face are
-    # those from row m - i to the low face: one set of low-corner cell
-    # integrals serves all four corners, read at (i, j), (i, m - j),
-    # (m - i, j) and (m - i, m - j).  Only the cells some interior node
-    # reads are integrated, each once; when the axes swap, cell (a, b)
-    # equals cell (b, a) and is read as (min, max).
-    dist1, dist2 = (
-        w * (np.arange(m)[:, None] + 0.5 + 0.5 * _GL_X[None, :]) for m, w in zip(grid.shape, h)
-    )
+    # Half-planes double-count the four corner quadrants.  Each cell's
+    # rule is symmetric, so the distances from lattice row i to the high
+    # face are those from row m - i to the low face: one set of low-corner
+    # cell integrals (_corner_cells) serves all four corners, read at (i,
+    # j), (i, m - j), (m - i, j) and (m - i, m - j).  Only the cells some
+    # interior node reads are integrated, each once; when the axes swap,
+    # cell (a, b) equals cell (b, a) and is read as (min, max).
     m1, m2 = grid.shape[0] - 1, grid.shape[1] - 1
     i, j = grid.interior_lattice.T
     rows = np.concatenate([i, i, m1 - i, m1 - i])
@@ -214,8 +215,29 @@ def _outside_box_tail(grid: Grid, sp: float) -> np.ndarray:
         rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
     cells, read = np.unique(rows * grid.shape[1] + cols, return_inverse=True)
     a, b = np.divmod(cells, grid.shape[1])
-    corner = _GL_W @ quadrant_integral(sp, dist1[a, :, None], dist2[b, None, :]) @ _GL_W
-    return tail - 0.25 * w1 * w2 * corner[read].reshape(4, -1).sum(axis=0)
+    return tail - _corner_cells(sp, a, b, h)[read].reshape(4, -1).sum(axis=0)
+
+
+def _corner_cells(sp: float, a: np.ndarray, b: np.ndarray, widths) -> np.ndarray:
+    """Per lattice cell (a, b) of a box corner: the integral over [a w1,
+    (a + 1) w1] x [b w2, (b + 1) w2] of quadrant_integral(sp, y1, y2).
+
+    The quadrant integral is singular at the corner alone and analytic
+    elsewhere, so a cell takes the far-field order of its distance to the
+    corner in widths, k = hypot(a w1, b w2) / max(w1, w2), as an axis
+    offset of k widths would (quadrature._far_rule): 10 points per axis
+    below 2.5 widths, down to 4 from 30.5 on.  Its tensor rule is the upper
+    panel of that order's split rule, nodes xi and weights on [0, 1], and
+    the cells of one order are integrated together."""
+    w1, w2 = widths
+    order = _far_rule(np.hypot(a * w1, b * w2), max(w1, w2))
+    out = np.empty(a.shape)
+    for r in np.unique(order):
+        xi, wt = (x[x.size // 2 :] for x in _FAR_RULES[r])
+        sel = order == r
+        y1, y2 = w1 * (a[sel, None, None] + xi[:, None]), w2 * (b[sel, None, None] + xi)
+        out[sel] = quadrant_integral(sp, y1, y2) @ wt @ wt
+    return w1 * w2 * out
 
 
 def _inbox_exterior_tail(grid: Grid, woff: np.ndarray) -> np.ndarray:

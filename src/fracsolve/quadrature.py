@@ -46,7 +46,9 @@ def _split_rule(order):
 # like rho^(-2 order) for the Bernstein ellipse of rho = (2k - 1) +
 # sqrt((2k - 1)^2 - 1), about 4k.  Against a 4-panel 24-point rule, for
 # sp from 1.25 to 1.8, a pair integral moves by at most 5.4e-13 relative
-# at k = 2 and 2.3e-14 from k = 3 on.
+# at k = 2 and 2.3e-14 from k = 3 on.  The corner cells of the exterior
+# tails take the same orders by their distance to the box corner
+# (gagliardo._corner_cells).
 _FAR_BOUNDS = (2.5, 3.5, 5.5, 8.5, 14.5, 30.5)
 _FAR_ORDERS = (10, 9, 8, 7, 6, 5, 4)
 _FAR_RULES = tuple(_split_rule(order) for order in _FAR_ORDERS)

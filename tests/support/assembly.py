@@ -16,7 +16,10 @@ far, which ``pair_integral`` puts on the far-field split rule, is judged
 here against ``axis_nodes``' graded rule, and there against the 4-panel
 rule.  ``quadrant_integral`` sums the 32-point angular
 rule of a corner quadrant node by node, where ``fracsolve.quadrature``
-sums the same rule as a power series in the angle.  The half-plane parts
+sums the same rule as a power series in the angle.  Every corner cell
+here takes one 10 x 10 Gauss rule, where ``gagliardo._corner_cells``
+sizes each cell's order by its distance to the box corner, so
+``outside_box_tail`` judges those orders rather than follows them.  The half-plane parts
 of ``outside_box_tail`` integrate t^(-sp) across each face by adaptive
 ``scipy.integrate.quad``, node by node, so they judge the closed form
 ``fracsolve.quadrature.power_segment_integral`` rather than follow it.

@@ -33,6 +33,7 @@ from fracsolve.gagliardo import (
     PairWeightTable,
     _cache_path,
     _cache_store,
+    _corner_cells,
     _inbox_exterior_tail,
     _offset_table,
     _outside_box_tail,
@@ -44,6 +45,8 @@ from fracsolve.gagliardo import (
 )
 from fracsolve.grids import Grid, disk, interval, rectangle
 from fracsolve.quadrature import (
+    _FAR_ORDERS,
+    _far_rule,
     _group_pairs,
     _layout_groups,
     axis_nodes,
@@ -321,23 +324,47 @@ class TestAssemblyOracles:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def _corner_points(g, monkeypatch):
+    """Per corner cell (a, b) that _outside_box_tail integrates: the
+    points it takes, recovered from the nodes quadrant_integral sees, and
+    the square of its far-field order."""
+    seen = []
+
+    def counting(sp, a, b):
+        seen.append(np.broadcast_arrays(a, b))
+        return quadrant_integral(sp, a, b)
+
+    monkeypatch.setattr(gagliardo, "quadrant_integral", counting)
+    _outside_box_tail(g, 1.25)
+    w1, w2 = g.h
+    y1, y2 = (np.concatenate([y[k].ravel() for y in seen]) for k in (0, 1))
+    cells, counts = np.unique(
+        np.stack([np.floor(y1 / w1), np.floor(y2 / w2)], axis=1).astype(int),
+        axis=0,
+        return_counts=True,
+    )
+    dist = np.hypot(cells[:, 0] * w1, cells[:, 1] * w2)
+    order = np.take(_FAR_ORDERS, _far_rule(dist, max(w1, w2)))
+    return {tuple(c): (int(n), int(o) ** 2) for c, n, o in zip(cells, counts, order)}
+
+
 class TestAssemblyWork:
     """Assembly integrates each distinct quantity once."""
 
     def test_corner_integrates_only_read_cells_once(self, monkeypatch):
         # the centred disk at res 25 reads 227 distinct corner cells once
         # (i, j) and (j, i) are merged, of the 23 x 25 rows 1..m-1 the
-        # whole-table layout integrates; each cell takes 10 x 10 points
-        g = Grid(disk(0.0, 0.0, 1.0), 25)
-        points = []
-
-        def counting(sp, a, b):
-            points.append(np.broadcast(a, b).size)
-            return quadrant_integral(sp, a, b)
-
-        monkeypatch.setattr(gagliardo, "quadrant_integral", counting)
-        _outside_box_tail(g, 1.25)
-        assert sum(points) == 100 * 227
+        # whole-table layout integrates; each cell takes order x order
+        # points for the far-field order of its distance to the corner
+        points = _corner_points(Grid(disk(0.0, 0.0, 1.0), 25), monkeypatch)
+        assert len(points) == 227
+        assert all(got == want for got, want in points.values())
+        assert sum(want for _, want in points.values()) == 6605
+        # at res 61 the sized rule takes over 3 times fewer points than
+        # the 10 x 10 rule per cell
+        points = _corner_points(Grid(disk(0.0, 0.0, 1.0), 61), monkeypatch)
+        assert all(got == want for got, want in points.values())
+        assert 3 * sum(want for _, want in points.values()) <= 100 * len(points)
 
     @pytest.mark.parametrize("kind", list(_ORACLE_GRIDS))
     def test_offset_table_integrates_each_offset_once(self, kind, monkeypatch):
@@ -456,6 +483,64 @@ class TestQuadrantIntegral:
             )[0]
             exact = (b**-sp * low + a**-sp * high) / sp
             assert quadrant_integral(sp, a, b) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def _corner_cells_24(sp, a, b, widths):
+    """_corner_cells by a 24-point tensor Gauss rule per cell, over the
+    same quadrant_integral."""
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    xi, wt = 0.5 * (gx + 1.0), 0.5 * gw
+    w1, w2 = widths
+    q = quadrant_integral(sp, w1 * (a[:, None, None] + xi[:, None]), w2 * (b[:, None, None] + xi))
+    return w1 * w2 * (q @ wt @ wt)
+
+
+# the grids of the corner-rule tail tests, with one sp each at res 61: a
+# near-corner rectangle, rectangles 1:3 and 4:1, and centred and
+# off-centre disks
+_CORNER_GRIDS = {
+    "rectangle-9": (rectangle(0.0, 2.0, 0.0, 1.0), 9, (0.6, 1.25, 1.8)),
+    "tall-17": (rectangle(0.0, 1.0, 0.0, 3.0), 17, (0.6, 1.25, 1.8)),
+    "wide-17": (rectangle(0.0, 4.0, 0.0, 1.0), 17, (0.6, 1.25, 1.8)),
+    "disk-25": (disk(0.0, 0.0, 1.0), 25, (0.6, 1.25, 1.8)),
+    "offcentre_disk-25": (disk(0.3, -0.2, 0.7), 25, (0.6, 1.25, 1.8)),
+    "disk-61": (disk(0.0, 0.0, 1.0), 61, (0.6,)),
+    "offcentre_disk-61": (disk(0.3, -0.2, 0.7), 61, (1.8,)),
+}
+
+
+class TestCornerRule:
+    """Corner cells take the far-field order of their distance to the box
+    corner: each order against a 24-point tensor rule, and the tails
+    against the 10 x 10 rule per cell of tests/support/assembly.py."""
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("sp", [0.6, 1.25, 1.8])
+    def test_each_order_matches_a_24_point_rule(self, sp, ratio):
+        # cells at and just beyond each order's lower bound, from 1.4 to 45
+        # widths out, along five directions from the corner
+        widths = (1.0 / 30, ratio / 30)
+        wmax = max(widths)
+        k = np.array([1.4, 2.5, 3.5, 5.5, 8.5, 14.5, 30.5, 43.0])[:, None]
+        angle = np.linspace(0.0, 0.5 * math.pi, 5)
+        a = np.ceil(k * wmax * np.cos(angle) / widths[0] - 1e-9).ravel()
+        b = np.ceil(k * wmax * np.sin(angle) / widths[1] - 1e-9).ravel()
+        dist = np.hypot(a * widths[0], b * widths[1]) / wmax
+        assert dist.min() >= 1.4 and dist.max() <= 45.0
+        assert set(_far_rule(dist, 1.0)) == set(range(len(_FAR_ORDERS)))
+        got = _corner_cells(sp, a, b, widths)
+        np.testing.assert_allclose(got, _corner_cells_24(sp, a, b, widths), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "kind,sp",
+        [(kind, sp) for kind, (*_, sps) in _CORNER_GRIDS.items() for sp in sps],
+        ids=lambda v: v if isinstance(v, str) else f"sp{v:g}",
+    )
+    def test_tail_matches_the_10_point_rule_per_cell(self, kind, sp):
+        domain, res, _ = _CORNER_GRIDS[kind]
+        g = Grid(domain, res)
+        got = _outside_box_tail(g, sp)
+        np.testing.assert_allclose(got, assembly.outside_box_tail(g, sp), rtol=1e-14, atol=0.0)
 
 
 class TestBatchedPairIntegral:
@@ -1076,6 +1161,26 @@ class TestCache:
         assert len(files) == 1
         head = files[0].read_bytes().partition(b"\n")[0]
         assert json.loads(head)["descriptor"]["version"] == newer
+
+    def test_version_3_file_is_rebuilt_and_overwritten(self, tmp_path, monkeypatch):
+        # version 3 tables were assembled by older rules; a whole, checksummed
+        # file of that version, whose body differs from today's table, is a
+        # miss: the table is rebuilt and the file overwritten
+        monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
+        g = Grid(disk(0.0, 0.0, 1.0), 11)
+        params = OperatorParams(s=0.5, p=2.5)
+        cold = assemble_weights(g, params)
+        path = _cache_path(g, params)
+        stale = PairWeightTable(g, params, cold.woff, cold.tail * (1.0 + 1e-9))
+        current = gagliardo._CACHE_VERSION
+        assert current > 3
+        monkeypatch.setattr(gagliardo, "_CACHE_VERSION", 3)
+        _cache_store(path, stale)
+        monkeypatch.setattr(gagliardo, "_CACHE_VERSION", current)
+        np.testing.assert_array_equal(assemble_weights(g, params).tail, cold.tail)
+        head = path.read_bytes().partition(b"\n")[0]
+        assert json.loads(head)["descriptor"]["version"] == current
+        np.testing.assert_array_equal(assemble_weights(g, params).tail, cold.tail)
 
     def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSOLVE_CACHE", str(tmp_path))
