@@ -303,7 +303,7 @@ def check_hypotheses(
     if not uniqueness_ready:
         warnings.append(
             "f(t)/t^(q-1) is not certified strictly decreasing (needs r < q-1): "
-            "uniqueness checks are disabled"
+            "uniqueness is not certified"
         )
     if g.c3 == 0.0:
         warnings.append("c3=0: the convective term is absent and the map is constant")

@@ -39,7 +39,8 @@ from .reaction import SingularReaction, f_eval, liminf_at_zero
 _MAX_HALVINGS = 60
 # residual of the floor's torsion solves, relative to sigma *
 # cell_volume: the loosest power of ten with sqrt(NODE_CAP) * rtol < 1, so
-# that a solve's residual alone never fails the nodal check (select_sigma)
+# that the residual's share of the nodal check stays below one sigma vol
+# while the forcing's share grows as sigma halves (select_sigma)
 _FLOOR_RTOL = 1e-2
 _FLOOR_LOG = "floor halving %d: sigma %.6e, sup norm %.3e, %s"
 _SOLVE_LOG = "torsion solve: sigma %.6e, %s"
@@ -58,8 +59,6 @@ class SubsolutionCertificate:
     sigma: float
     eta: float
     exponent: float
-    epsilon: float
-    delta: float
     sup_norm: float
     halvings: int
     slack: float
@@ -144,12 +143,6 @@ def hopf_ratio(u: np.ndarray, d: np.ndarray, exponent: float) -> float:
     return float(np.min(u / np.asarray(d, dtype=float) ** exponent))
 
 
-def _admissible_delta(reaction: SingularReaction, epsilon: float) -> float:
-    """Largest state below which the forcing certainly exceeds epsilon,
-    capped at 1."""
-    return min(1.0, (reaction.c1 / epsilon) ** (1.0 / reaction.gamma) - reaction.shift)
-
-
 def _nodal_slack(reaction: SingularReaction, operator: Operator, sigma: float, vals) -> float:
     """min_i (f(u_i) vol - <operator u, e_i>) / (sigma vol) at the strictly
     positive interior vector u = vals: nonnegative exactly where u
@@ -163,32 +156,34 @@ def _nodal_slack(reaction: SingularReaction, operator: Operator, sigma: float, v
 
 def select_sigma(reaction: SingularReaction, operator: Operator) -> SubsolutionCertificate:
     """Halve sigma from epsilon/2 until the torsion solution, solved to
-    _FLOOR_RTOL, is a certified floor: strictly positive, sup norm below
-    delta, and the nodal subsolution inequality checked directly at every
-    node (_nodal_slack >= 0).  epsilon is 1 for the singular family, whose
-    forcing blows up at 0, and c1 / 2, half its limit at 0, for the
-    bounded family.  The floor's distance power is s1, the order of the
-    operator's first table.  A positive floor below delta has forcing
-    above sigma at every node, as _admissible_delta makes f > epsilon >=
-    2 sigma on (0, delta), so that needs no check of its own.
+    _FLOOR_RTOL, is a certified floor: strictly positive, with the nodal
+    subsolution inequality checked directly at every node (_nodal_slack
+    >= 0).  epsilon is 1 for the singular family, whose forcing blows up
+    at 0, and c1 / 2, half its limit at 0, for the bounded family.  The
+    floor's distance power is s1, the order of the operator's first
+    table.
 
-    The loose solve is enough: f > epsilon >= 2 sigma below delta, and the
-    solve's residual r = A u - sigma vol has RMS norm below rtol sigma vol,
-    so |r_i| < sqrt(n) rtol sigma vol and the slack exceeds 1 - sqrt(n)
-    _FLOOR_RTOL >= 0.36 for n <= gagliardo.NODE_CAP = 4096.  Only where
-    sigma vol falls below 1e-12, and the solve's tolerance hits its fp
-    floor, can the check fail; a tighter solve would stop at the same
-    floor, so the candidate is rejected."""
+    Halving ends: the solve's residual r = A u - sigma vol has RMS norm
+    below rtol sigma vol, so the slack is at least min_i f(u_i) / sigma - 1
+    - sqrt(n) _FLOOR_RTOL.  As sigma -> 0 the floor's sup norm -> 0, so
+    f(u_i) / sigma grows without bound, like 1 / sigma or faster in the
+    singular family and like c1 / sigma in the bounded one, while the
+    residual's share stays at most sqrt(n) _FLOOR_RTOL < 1 for n <=
+    gagliardo.NODE_CAP = 4096.  Once sigma vol < 1e-12 the solve's
+    tolerance stops at its fp floor of 1e-14, and the residual's share
+    grows like sqrt(n) 1e-14 / (sigma vol), which the forcing's outgrows
+    where f > sqrt(n) 1e-14 / vol, about 3e-9 at 4096 nodes of a unit
+    domain.  A loose solve that misses the check costs one halving, never
+    a wrong certificate."""
     L = liminf_at_zero(reaction)
     epsilon = 1.0 if np.isinf(L) else L / 2.0
-    delta = _admissible_delta(reaction, epsilon)
 
-    sigma = epsilon / 2.0
     for halvings in range(_MAX_HALVINGS + 1):
+        sigma = epsilon / 2.0 ** (halvings + 1)
         vals = solve_torsion(sigma, operator, _FLOOR_RTOL)
         sup = float(np.max(np.abs(vals)))
-        admissible = bool(np.all(vals > 0.0)) and sup < delta
-        slack = _nodal_slack(reaction, operator, sigma, vals) if admissible else -np.inf
+        positive = bool(np.all(vals > 0.0))
+        slack = _nodal_slack(reaction, operator, sigma, vals) if positive else -np.inf
         certified = slack >= 0.0
         logger.info(_FLOOR_LOG, halvings, sigma, sup, "certified" if certified else "rejected")
         if certified:
@@ -198,14 +193,11 @@ def select_sigma(reaction: SingularReaction, operator: Operator) -> SubsolutionC
                 sigma=sigma,
                 eta=hopf_ratio(vals, operator.grid.interior_distance, exponent),
                 exponent=exponent,
-                epsilon=float(epsilon),
-                delta=float(delta),
                 sup_norm=sup,
                 halvings=halvings,
                 slack=slack,
             )
-        sigma /= 2.0
     raise RuntimeError(
-        f"no admissible sigma found after {_MAX_HALVINGS} halvings "
-        f"(epsilon={epsilon}, delta={delta})"
+        f"no certified floor after {_MAX_HALVINGS} halvings: last candidate "
+        f"sigma {sigma:.6e}, sup norm {sup:.3e}, slack {slack:.3e}"
     )

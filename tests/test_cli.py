@@ -653,6 +653,20 @@ class TestCliOther:
         floor = read_field_csv(grid, out / "torsion.csv")
         assert np.all(floor > 0.0)
 
+    def test_torsion_of_a_tiny_gamma_bounded_config(self, tmp_path, capsys):
+        # admitted at gamma = 5e-4, far below 1/1024, where 2^(1 / gamma)
+        # overflows a float
+        payload = json.loads((CONFIG_DIR / "interval_1d.json").read_text())
+        payload["reaction"].update(gamma=5e-4, family="bounded")
+        config = dump(tmp_path, payload)
+        assert cli.main(["check-hypotheses", "--config", config]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        out = tmp_path / "t"
+        assert cli.main(["torsion", "--config", config, "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["sigma"] == 0.125 and cert["halvings"] == 0
+        assert cert["slack"] >= 0.0
+
     def test_gradient_outputs(self, tmp_path):
         out = tmp_path / "g"
         code = cli.main(
@@ -781,7 +795,7 @@ class TestCliOther:
         cert = json.loads((out / "certificate.json").read_text())
         assert sorted(cert) == sorted(
             ["timestamp", "config", "seed", "converged", "sigma", "eta", "exponent",
-             "sup_norm", "epsilon", "delta", "halvings", "slack"]
+             "sup_norm", "halvings", "slack"]
         )
         assert cert["config"] == seen["start"]["config"] == load_config(path).as_dict()
         assert cert["seed"] == seen["start"]["seed"] == load_config(path).seed

@@ -334,7 +334,7 @@ class TestHypotheses:
         conv = ConvectiveReaction(c3=0.1, zeta=2.0)
         report = check_hypotheses(exps, fam, conv)
         assert report.passed
-        assert any("uniqueness" in w for w in report.warnings)
+        assert any(w.endswith("uniqueness is not certified") for w in report.warnings)
         assert not report.uniqueness_ready
 
     def test_ratio_strictly_decreasing_when_r_small(self):

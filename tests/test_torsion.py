@@ -27,7 +27,6 @@ from fracsolve.optimize import MinimizerOptions, minimize_energy
 from fracsolve.reaction import ProblemExponents, SingularReaction, f_eval
 from fracsolve.torsion import (
     SubsolutionCertificate,
-    _admissible_delta,
     _constant_start,
     hopf_ratio,
     select_sigma,
@@ -36,6 +35,7 @@ from fracsolve.torsion import (
 )
 from support.minimizer import accepted_energies, fresh_home, no_newton
 from support.oracles import apply_form
+from support.window import window_draw
 
 
 def _operator(grid, exps):
@@ -77,6 +77,13 @@ def nl_setup():
     exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
     grid = Grid(interval(0.0, 1.0), 17)
     return exps, grid, _operator(grid, exps)
+
+
+@pytest.fixture(scope="module")
+def op_33():
+    # the interval_1d configs' exponents at resolution 33
+    exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
+    return _operator(Grid(interval(0.0, 1.0), 33), exps)
 
 
 def _linear_matrix(table):
@@ -356,10 +363,7 @@ class TestSelectSigma:
         fam = SingularReaction(gamma=0.5, c1=0.5, c2=0.5, r=1.1)
         cert = select_sigma(fam, op)
         assert isinstance(cert, SubsolutionCertificate)
-        assert cert.epsilon == 1.0
         assert cert.sigma <= 0.5 + 1e-15
-        assert cert.delta == pytest.approx(min(1.0, (0.5 / 1.0) ** 2.0))
-        assert cert.sup_norm < cert.delta
         floor = cert.lower
         assert np.all(floor > 0.0)
         assert cert.eta > 0.0
@@ -380,28 +384,13 @@ class TestSelectSigma:
         )
         assert np.all(resid <= 1e-8)
 
-    @pytest.mark.parametrize(
-        "family, c1, epsilon, want",
-        [
-            ("singular", 0.6, 1.0, 0.6**2),
-            ("singular", 0.8, 0.4, 1.0),
-            ("bounded", 0.6, 0.5, 1.2**2 - 1.0),
-            ("bounded", 0.8, 0.4, 1.0),
-        ],
-    )
-    def test_admissible_delta(self, family, c1, epsilon, want):
-        # the largest state where the forcing head c1 (shift + t)^-gamma
-        # still exceeds epsilon, capped at 1
-        fam = SingularReaction(gamma=0.5, c1=c1, c2=0.5, r=1.1, family=family)
-        assert _admissible_delta(fam, epsilon) == pytest.approx(want, rel=1e-14)
-
     def test_bounded_family_epsilon_gate(self, nl_setup):
         _, _, op = nl_setup
         fam = SingularReaction(gamma=0.5, c1=0.8, c2=0.5, r=1.1, family="bounded")
         cert = select_sigma(fam, op)
-        assert cert.epsilon == pytest.approx(0.4)
-        assert cert.delta == pytest.approx(min(1.0, 2.0**2.0 - 1.0))
-        assert cert.sup_norm < cert.delta
+        # epsilon is c1 / 2 = 0.4, so sigma starts at 0.2
+        assert cert.sigma == 0.2 / 2.0**cert.halvings
+        assert np.all(cert.lower > 0.0) and cert.slack >= 0.0
 
     def test_eta_stable_under_refinement(self):
         exps = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
@@ -417,7 +406,7 @@ class TestSelectSigma:
 
     def test_logs_one_line_per_sigma(self, nl_setup, caplog):
         _, _, op = nl_setup
-        # a small c1 shrinks delta below the first torsion solutions
+        # a small c1 puts the forcing below the first sigma at its floor
         fam = SingularReaction(gamma=0.5, c1=0.05, c2=0.5, r=1.1)
         with caplog.at_level(logging.INFO, logger="fracsolve.torsion"):
             cert = select_sigma(fam, op)
@@ -459,8 +448,6 @@ class TestSelectSigma:
             "eta",
             "exponent",
             "sup_norm",
-            "epsilon",
-            "delta",
             "halvings",
             "slack",
         ):
@@ -486,19 +473,19 @@ class TestNodalCheck:
         solves = [r for r in caplog.records if r.name == "fracsolve.torsion.solve"]
         assert len(solves) == 1
         assert cert.halvings == 0
-        # the bound of select_sigma's docstring, and the value it leaves room for
+        # above 1 - sqrt(n) rtol, the least slack that a forcing of at least
+        # 2 sigma leaves the loose solve, and the value measured
         assert cert.slack > 1.0 - np.sqrt(op.grid.n_interior) * torsion._FLOOR_RTOL
         assert cert.slack == pytest.approx(3.489, abs=1e-3)
         assert np.all(_oracle_gaps(SINGULAR, op, cert.lower) >= 0.0)
 
     def test_failing_nodal_check_halves_sigma(self, tables_129, monkeypatch, caplog):
         # the first sigma solved to rtol 3 stops after one Newton step, whose
-        # floor is positive with sup norm below delta, so that it reaches
-        # the nodal inequality, and fails it
+        # floor is positive, so that it reaches the nodal inequality, and
+        # fails it
         op = Operator(*tables_129)
         loose = solve_torsion(0.5, Operator(*tables_129), 3.0)
-        delta = _admissible_delta(SINGULAR, 1.0)
-        assert np.all(loose > 0.0) and np.max(loose) < delta
+        assert np.all(loose > 0.0)
         assert np.all(0.5 < f_eval(SINGULAR, loose))
         assert np.min(_oracle_gaps(SINGULAR, op, loose)) < 0.0
 
@@ -517,3 +504,70 @@ class TestNodalCheck:
         assert cert.halvings == 1 and cert.sigma == 0.25
         assert cert.slack >= 0.0
         assert np.all(_oracle_gaps(SINGULAR, op, cert.lower) >= 0.0)
+
+    def test_exhausted_halvings_name_the_last_candidate(self, tables_129, monkeypatch):
+        # every sigma solved to rtol 3 and no halving allowed: the one
+        # candidate is the loose floor that fails the nodal inequality
+        op = Operator(*tables_129)
+        loose = solve_torsion(0.5, Operator(*tables_129), 3.0)
+        slack = np.min(_oracle_gaps(SINGULAR, op, loose)) / (0.5 * op.grid.cell_volume)
+        assert slack < 0.0
+
+        solve = torsion.solve_torsion
+
+        def loose_every_sigma(sigma, operator, rtol):
+            return solve(sigma, operator, 3.0)
+
+        monkeypatch.setattr(torsion, "solve_torsion", loose_every_sigma)
+        monkeypatch.setattr(torsion, "_MAX_HALVINGS", 0)
+        with pytest.raises(RuntimeError) as info:
+            select_sigma(SINGULAR, op)
+        pattern = (
+            r"no certified floor after 0 halvings: last candidate sigma 5\.000000e-01, "
+            r"sup norm (\S+), slack (\S+)"
+        )
+        sup, got = map(float, re.fullmatch(pattern, str(info.value)).groups())
+        assert sup == pytest.approx(np.max(loose), rel=1e-3)
+        assert got == pytest.approx(slack, rel=1e-3)
+
+
+class TestWindowFloors:
+    """Every config that check_hypotheses admits has a certified floor."""
+
+    def test_tiny_gamma_bounded_family(self, op_33):
+        # c1 / epsilon = 2, and 2^(1 / gamma) = 2^2000 overflows a float: the
+        # floor's search must form no such power
+        fam = SingularReaction(gamma=5e-4, c1=0.5, c2=0.5, r=1.1, family="bounded")
+        cert = select_sigma(fam, op_33)
+        assert cert.halvings == 0 and cert.sigma == 0.125
+        assert np.all(cert.lower > 0.0)
+        assert cert.slack == pytest.approx(3.011, abs=1e-3)
+
+    def test_small_c1_singular_family(self, op_33):
+        # the forcing exceeds 1 only below c1^(1 / gamma) = 1e-20, which no
+        # floor within sixty halvings reaches; the nodal inequality holds
+        # well above it
+        fam = SingularReaction(gamma=0.1, c1=0.01, c2=0.5, r=1.1)
+        cert = select_sigma(fam, op_33)
+        assert cert.halvings == 5 and cert.sigma == 1.0 / 64.0
+        assert np.all(cert.lower > 0.0) and cert.slack >= 0.0
+
+    @pytest.mark.parametrize(
+        "domain, resolution, dim",
+        [(interval(0.0, 1.0), 17, 1), (disk(0.0, 0.0, 1.0), 11, 2)],
+        ids=["interval", "disk"],
+    )
+    def test_seeded_window_sweep(self, domain, resolution, dim):
+        grid = Grid(domain, resolution)
+        rng = np.random.default_rng(3)
+        failures = []
+        for k in range(40):
+            exps, reaction, _ = window_draw(rng, dim)
+            try:
+                cert = select_sigma(reaction, _operator(grid, exps))
+            except (RuntimeError, OverflowError) as exc:
+                failures.append((k, exps, reaction, repr(exc)))
+                continue
+            if not (np.all(cert.lower > 0.0) and cert.slack >= 0.0):
+                failures.append((k, exps, reaction, cert.slack))
+        assert not failures, failures
