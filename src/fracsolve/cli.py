@@ -163,7 +163,6 @@ def _write_solve_outputs(cfg: RunConfig, run: _Record, instance, report) -> None
         final_residual=report.final_residual,
         hopf_ratio=report.hopf_ratio,
         ball=None if report.ball is None else dataclasses.asdict(report.ball),
-        log=list(report.log),
         message=report.message,
         certificate=instance.certificate.as_dict(),
         hypotheses=cfg.hypotheses.as_dict(),

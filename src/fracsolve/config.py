@@ -89,7 +89,6 @@ def _schema(kind: str, dim: int) -> dict:
         "convective": {"c3": (NUMBER, 0.0), "zeta": (NUMBER, 1.2)},
         "minimizer": {"tol": (NUMBER, tol), "max_iter": (INTEGER, MinimizerOptions.max_iter)},
         "outer": {
-            "theta": (NUMBER, OuterOptions.theta),
             "tol": (NUMBER, tol),
             "max_outer": (INTEGER, OuterOptions.max_outer),
             "ball_monitor": (BOOLEAN, OuterOptions.ball_monitor),

@@ -1,7 +1,8 @@
 """Outer fixed-point loop coupling the convective field to the frozen solver.
 
 One outer step freezes the fractional gradient at the current iterate,
-solves the resulting unconstrained problem, and relaxes toward the output.
+solves the resulting unconstrained problem, and moves to its answer, or
+halfway there once the map has been seen not to contract.
 The iteration is monitored by an empirical growth bound on the map: a fit
 of  seminorm(T v)^p <= C (1 + seminorm(v)^(zeta p'))  over random inputs
 yields an invariance radius that every iterate must respect.  The bound
@@ -17,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,12 +38,11 @@ from .torsion import SubsolutionCertificate, hopf_ratio, select_sigma
 
 logger = logging.getLogger("fracsolve.driver")
 
-_MIN_THETA = 1.0 / 16.0
-_INCREASE_STREAK = 3
-# An outer step whose frozen answer moved at most this fraction of the
-# distance its frozen iterate moved has seen T contract, and takes the
-# Picard step theta = 1 in place of the configured relaxation.
+# An outer step whose frozen answer moved more than this fraction of the
+# distance its frozen iterate moved has seen T fail to contract, and takes
+# the weight _RELAXED_THETA; every other step is a Picard step, theta = 1.
 _PICARD_CONTRACTION = 0.5
+_RELAXED_THETA = 0.5
 _BALL_SLACK = 1.0 + 1e-9
 # random fields the growth-bound fit samples, spread over two decades
 _GROWTH_SAMPLES = 20
@@ -68,18 +68,15 @@ _FINAL_LOG = "final re-solve: frozen residual %.3e, %s"
 
 @dataclass(frozen=True)
 class OuterOptions:
-    """Relaxation weight of the outer steps where T has not been seen to
-    contract (the others take theta = 1), stopping tolerance on the (s1,p)
-    step seminorm, iteration budget, and the growth-bound monitor switch."""
+    """Stopping tolerance on the (s1,p) seminorm of the fixed-point
+    residual T(v) - v, iteration budget, and the growth-bound monitor
+    switch."""
 
-    theta: float = 0.5
     tol: float = 1e-6
     max_outer: int = 40
     ball_monitor: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"relaxation weight must lie in (0, 1], got {self.theta}")
         check_budget("max_outer", self.max_outer, self.tol)
 
 
@@ -130,7 +127,6 @@ class SolveReport:
     final_residual: float
     hopf_ratio: float
     ball: GrowthBound | None
-    log: list = field(default_factory=list)
     message: str = ""
 
 
@@ -292,14 +288,15 @@ def solve_problem(
     options: OuterOptions | None = None,
     seed: int = 0,
 ) -> SolveReport:
-    """Relaxed fixed-point iteration  v <- (1-theta) v + theta T(v)  from the
-    certified floor, stopping when the (s1,p) seminorm of the update falls
-    below the outer tolerance.  A step after the first whose frozen answer
-    moved at most _PICARD_CONTRACTION times as far as its frozen iterate,
-    |T(v_k) - T(v_k-1)| <= 0.5 |v_k - v_k-1|  in the Euclidean norm, takes
-    theta = 1; the others take the configured theta, halved after
-    _INCREASE_STREAK growing steps in a row down to _MIN_THETA.  The
-    report's ``thetas`` holds the weight each step used.  With the ball
+    """Fixed-point iteration  v <- (1-theta) v + theta T(v)  from the
+    certified floor, stopping when the (s1,p) seminorm of the fixed-point
+    residual T(v) - v falls below the outer tolerance.  A step is a Picard
+    step, theta = 1, unless its frozen answer moved more than
+    _PICARD_CONTRACTION times as far as its frozen iterate,
+    |T(v_k) - T(v_k-1)| > 0.5 |v_k - v_k-1|  in the Euclidean norm; such a
+    step has seen T fail to contract and takes theta = _RELAXED_THETA.  The
+    first step, with nothing to compare, is a Picard step from the floor.
+    The report's ``thetas`` holds the weight each step used.  With the ball
     monitor on, every iterate must stay inside the radius that
     fit_growth_bound returns, when it returns one.  Each frozen solve
     starts from the previous step's answer; once the loop converges, the
@@ -313,7 +310,6 @@ def solve_problem(
     ball = fit_growth_bound(instance, seed=seed) if opts.ball_monitor else None
 
     v = floor.copy()
-    log: list = []
     step_seminorms: list = []
     frozen_residuals: list = []
     inner_iterations: list = []
@@ -322,9 +318,6 @@ def solve_problem(
     v_norms = [seminorm(op, v)]
     _ball_check(v_norms[0], ball, "the starting iterate")
 
-    theta = opts.theta
-    streak = 0
-    prev_step = math.inf
     converged = False
     message = ""
     last_result: MinimizeResult | None = None
@@ -335,15 +328,15 @@ def solve_problem(
         result = apply_T(instance, v, None if last_result is None else last_result.x)
         # kappa = |T(v_k) - T(v_k-1)| / |v_k - v_k-1|, compared without
         # dividing so that an empty step (x_k = x_k-1) counts as kappa = 0
-        contracted = last_result is not None and np.linalg.norm(
+        expanded = last_result is not None and np.linalg.norm(
             result.x - last_result.x
-        ) <= _PICARD_CONTRACTION * np.linalg.norm(frozen_v - prev_v)
-        step_theta = 1.0 if contracted else theta
+        ) > _PICARD_CONTRACTION * np.linalg.norm(frozen_v - prev_v)
+        theta = _RELAXED_THETA if expanded else 1.0
         last_result = result
         # a failed frozen solve records a NaN step and the unmoved iterate
         if result.converged:
-            v_new = relaxed_update(v, result.x, step_theta)
-            step = seminorm(op, v_new - v)
+            v_new = relaxed_update(v, result.x, theta)
+            step = seminorm(op, result.x - v)
             v_norm = seminorm(op, v_new)
         else:
             step, v_norm = math.nan, v_norms[-1]
@@ -352,25 +345,12 @@ def solve_problem(
         inner_iterations.append(result.iterations)
         full_residuals.append(verify_solution(instance, result.x))
         v_norms.append(v_norm)
-        thetas.append(step_theta)
-        logger.info(_STEP_LOG, k, step, result.residual, result.counts, step_theta)
+        thetas.append(theta)
+        logger.info(_STEP_LOG, k, step, result.residual, result.counts, theta)
         if not result.converged:
             message = f"frozen solve failed at outer iteration {k}: {result.message}"
             break
         _ball_check(v_norm, ball, f"outer iteration {k}")
-
-        if step > prev_step:
-            streak += 1
-        else:
-            streak = 0
-        if streak >= _INCREASE_STREAK and theta > _MIN_THETA:
-            theta = max(theta / 2.0, _MIN_THETA)
-            streak = 0
-            log.append(
-                f"outer {k}: step seminorm grew {_INCREASE_STREAK} times in a row; "
-                f"relaxation damped to theta = {theta:.6g}"
-            )
-        prev_step = step
         v = v_new
         if step < opts.tol:
             converged = True
@@ -378,7 +358,7 @@ def solve_problem(
     else:
         message = (
             f"outer iteration budget {opts.max_outer} exhausted; "
-            f"last step seminorm {prev_step:.3e} above tolerance {opts.tol:.3e}"
+            f"last step seminorm {step:.3e} above tolerance {opts.tol:.3e}"
         )
 
     if converged:
@@ -411,6 +391,5 @@ def solve_problem(
         final_residual=final_residual,
         hopf_ratio=hopf,
         ball=ball,
-        log=log,
         message=message,
     )

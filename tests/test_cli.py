@@ -101,7 +101,6 @@ class TestLoadConfig:
         assert cfg.reaction.r == 1.1
         assert cfg.convective.c3 == 0.0
         assert cfg.minimizer.tol == 1e-6
-        assert cfg.outer.theta == 0.5
         assert cfg.output_dir == "out"
         assert cfg.seed == 0
         for name in ("resolution", "reaction", "convective", "minimizer", "outer", "seed"):

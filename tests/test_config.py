@@ -75,7 +75,8 @@ MALFORMED = [
         "convective coefficient c3 must be nonnegative, got -0.1",
     ),
     ("minimizer.tol", 0.0, "minimizer", "tolerance must be positive, got 0.0"),
-    ("outer.theta", 1.5, "outer", "relaxation weight must lie in (0, 1], got 1.5"),
+    # the outer step weight is not a config field
+    ("outer.theta", 0.5, "outer", "unknown field(s) ['theta']"),
     # domain kind and geometry, resolution
     (
         "domain.kind",

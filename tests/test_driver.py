@@ -40,6 +40,7 @@ from fracsolve.optimize import MinimizeResult, MinimizerOptions
 from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction, g_eval
 from fracsolve.riesz import riesz_gradient
 from support.passes import count_form_passes
+from support.window import window_draw
 
 
 EXPONENTS_1D = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
@@ -436,7 +437,7 @@ class TestSolveProblem:
             REACTION_1D,
             ConvectiveReaction(c3=0.0, zeta=1.2),
         )
-        report = solve_problem(inst, OuterOptions(theta=1.0, tol=1e-6))
+        report = solve_problem(inst, OuterOptions(tol=1e-6))
         assert report.converged
         assert report.outer_iterations <= 2
 
@@ -493,8 +494,8 @@ class TestSolveProblem:
         assert report.message
 
     def test_growing_steps_damp_the_relaxation(self, instance_1d, monkeypatch):
-        # a map whose answers grow tenfold per call: every step seminorm
-        # grows, so theta halves after each third growing step, down to 1/16
+        # a map whose answers grow tenfold per call: after the first step
+        # every step sees T fail to contract and takes theta = 1/2
         floor = instance_1d.trunc.floor
         calls = []
 
@@ -504,23 +505,22 @@ class TestSolveProblem:
 
         monkeypatch.setattr(driver, "apply_T", growing_T)
         report = solve_problem(
-            instance_1d, OuterOptions(theta=0.5, tol=1e-6, max_outer=13, ball_monitor=False)
+            instance_1d, OuterOptions(tol=1e-6, max_outer=13, ball_monitor=False)
         )
         assert not report.converged and report.outer_iterations == 13
+        assert report.message.startswith("outer iteration budget 13 exhausted")
         assert all(b > a for a, b in zip(report.step_seminorms, report.step_seminorms[1:]))
-        assert report.thetas == [0.5] * 4 + [0.25] * 3 + [0.125] * 3 + [1.0 / 16.0] * 3
-        damped = [line for line in report.log if "relaxation damped" in line]
-        assert [line.split("theta = ")[1] for line in damped] == ["0.25", "0.125", "0.0625"]
-        assert damped[0].startswith("outer 4:")
+        assert report.thetas == [1.0] + [0.5] * 12
+        assert not hasattr(report, "log")
 
     def test_contracting_map_takes_picard_steps(self, instance_1d, monkeypatch):
         monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.1))
         floor = instance_1d.trunc.floor
         tol = 1e-2 * seminorm(instance_1d.operator, floor)
         report = solve_problem(instance_1d, OuterOptions(tol=tol, ball_monitor=False))
-        # theta = 0.5 alone would shrink the step by 0.55 a step and need 8
+        # theta = 0.5 would shrink the residual by 0.55 a step and need 8
         assert report.converged and report.outer_iterations <= 4
-        assert report.thetas == [0.5] + [1.0] * (report.outer_iterations - 1)
+        assert report.thetas == [1.0] * report.outer_iterations
 
     def test_weakly_contracting_map_keeps_the_relaxation(self, instance_1d, monkeypatch):
         monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.9))
@@ -528,15 +528,35 @@ class TestSolveProblem:
             instance_1d, OuterOptions(tol=1e-12, max_outer=10, ball_monitor=False)
         )
         assert not report.converged
-        assert report.thetas == [0.5] * 10
+        assert report.thetas == [1.0] + [0.5] * 9
+
+    def test_relaxed_run_stops_on_the_fixed_point_residual(self, instance_1d, monkeypatch):
+        # T(v) = a + kappa (v - a): the last frozen iterate v is a + (raw -
+        # a) / kappa, so its fixed-point residual T(v) - v is (raw - a)(1 -
+        # 1 / kappa); a stop on the relaxed step theta |T(v) - v| would
+        # leave it up to tol / theta
+        kappa = 0.9
+        monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, kappa))
+        op = instance_1d.operator
+        a = 2.0 * instance_1d.trunc.floor
+        tol = 1e-2 * seminorm(op, instance_1d.trunc.floor)
+        report = solve_problem(
+            instance_1d, OuterOptions(tol=tol, max_outer=100, ball_monitor=False)
+        )
+        assert report.converged and 0.5 in report.thetas
+        raw = instance_1d.grid.pack(report.raw)
+        residual = seminorm(op, (raw - a) * (1.0 - 1.0 / kappa))
+        assert residual < tol
+        assert report.step_seminorms[-1] == pytest.approx(residual, rel=1e-9)
 
     def test_empty_step_ends_the_loop(self, instance_1d, monkeypatch):
-        # a constant map whose solves take no inner iteration: the second
-        # step sees x_2 = x_1, moves to the answer, and the third confirms it
+        # a constant map whose solves take no inner iteration: the first
+        # step moves to the answer, and the second sees x_2 = x_1 and
+        # confirms it
         monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.0, iterations=0))
         report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
-        assert report.converged and report.outer_iterations <= 3
-        assert report.thetas == [0.5, 1.0, 1.0]
+        assert report.converged and report.outer_iterations <= 2
+        assert report.thetas == [1.0, 1.0]
         assert report.step_seminorms[-1] == 0.0
 
     def test_matches_coupled_brute_force(self, instance_1d_tight):
@@ -590,7 +610,7 @@ class TestSolveProblem:
             ConvectiveReaction(c3=0.0, zeta=1.2),
             frozen_options=MinimizerOptions(tol=1e-8),
         )
-        report = solve_problem(inst, OuterOptions(theta=1.0, tol=1e-6))
+        report = solve_problem(inst, OuterOptions(tol=1e-6))
         assert report.converged
         # with the convective pairing constant, freezing at the outer
         # iterate or at the solution itself is the same functional
@@ -770,6 +790,35 @@ class TestVerifySolution:
         assert report.converged
         u = instance_1d_tight.grid.pack(report.u)
         assert verify_solution(instance_1d_tight, u) < 5.0 * 1e-7
+
+
+class TestWindowSolves:
+    @pytest.mark.parametrize(
+        "domain, resolution, dim",
+        [(interval(0.0, 1.0), 17, 1), (disk(0.0, 0.0, 1.0), 11, 2)],
+        ids=["interval", "disk"],
+    )
+    def test_seeded_window_sweep(self, domain, resolution, dim):
+        # every draw of the check_hypotheses window solves as the CLI
+        # solves it, with the ball monitor off
+        grid = Grid(domain, resolution)
+        tol = frozen.default_tol(dim)
+        rng = np.random.default_rng(5)
+        failures = []
+        for k in range(24):
+            exps, reaction, convective = window_draw(rng, dim)
+            inst = build_instance(
+                grid, exps, reaction, convective, frozen_options=MinimizerOptions(tol=tol)
+            )
+            report = solve_problem(inst, OuterOptions(tol=tol, ball_monitor=False))
+            if not (
+                report.converged
+                and report.final_residual < tol
+                and report.hopf_ratio > 0.0
+                and report.thetas[0] == 1.0
+            ):
+                failures.append((k, exps, reaction, convective, report.message))
+        assert not failures, failures
 
 
 class TestTwoDimensional:
