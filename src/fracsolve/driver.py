@@ -55,22 +55,21 @@ _FIT_LOOSE_FACTOR = 10.0
 # holds the maximum and the one that holds the loose maximum may each be
 # off by that much, in opposite directions, so the window exceeds twice it.
 _FIT_POLISH_WINDOW = 2.5e-2
-# A warm-started solve stops just inside the inner tolerance, so the last
-# outer step is solved once more, this many times tighter, to leave the
-# final coupled residual a margin below that tolerance.
+# A warm-started solve stops just inside the inner tolerance, so the step
+# that may end the loop is solved this many times tighter, to leave its
+# coupled residual a margin below that tolerance.
 _FINAL_TOL_DIVISOR = 10.0
 _SAMPLE_LOG = "growth sample %d: seminorm %.3e, T(v) seminorm %.3e, %s"
 _SKIPPED_LOG = "growth sample %d: seminorm %.3e, skipped"
 _POLISH_LOG = "growth sample %d polished: T(v) seminorm %.3e, %s"
 _STEP_LOG = "outer %d: step seminorm %.3e, frozen residual %.3e, %s, theta %.6g"
-_FINAL_LOG = "final re-solve: frozen residual %.3e, %s"
 
 
 @dataclass(frozen=True)
 class OuterOptions:
-    """Stopping tolerance on the (s1,p) seminorm of the fixed-point
-    residual T(v) - v, iteration budget, and the growth-bound monitor
-    switch."""
+    """Tolerance on the (s1,p) seminorm of the fixed-point residual
+    T(v) - v below which the next outer step is the tight one that may end
+    the loop, iteration budget, and the growth-bound monitor switch."""
 
     tol: float = 1e-6
     max_outer: int = 40
@@ -289,24 +288,27 @@ def solve_problem(
     seed: int = 0,
 ) -> SolveReport:
     """Fixed-point iteration  v <- (1-theta) v + theta T(v)  from the
-    certified floor, stopping when the (s1,p) seminorm of the fixed-point
-    residual T(v) - v falls below the outer tolerance.  A step is a Picard
-    step, theta = 1, unless its frozen answer moved more than
-    _PICARD_CONTRACTION times as far as its frozen iterate,
-    |T(v_k) - T(v_k-1)| > 0.5 |v_k - v_k-1|  in the Euclidean norm; such a
-    step has seen T fail to contract and takes theta = _RELAXED_THETA.  The
-    first step, with nothing to compare, is a Picard step from the floor.
-    The report's ``thetas`` holds the weight each step used.  With the ball
-    monitor on, every iterate must stay inside the radius that
-    fit_growth_bound returns, when it returns one.  Each frozen solve
-    starts from the previous step's answer; once the loop converges, the
-    last step's frozen problem is solved again from its answer, through
-    apply_T with the inner tolerance divided by _FINAL_TOL_DIVISOR, and a
-    converged re-solve replaces that step's answer and residuals."""
+    certified floor.  A step is a Picard step, theta = 1, unless its frozen
+    answer moved more than _PICARD_CONTRACTION times as far as its frozen
+    iterate,  |T(v_k) - T(v_k-1)| > 0.5 |v_k - v_k-1|  in the Euclidean
+    norm; such a step has seen T fail to contract and takes theta =
+    _RELAXED_THETA.  The first step, with nothing to compare, is a Picard
+    step from the floor.  The report's ``thetas`` holds the weight each
+    step used.  With the ball monitor on, every iterate must stay inside
+    the radius that fit_growth_bound returns, when it returns one.
+
+    Each frozen solve starts from the previous step's answer.  Once a
+    step's coupled residual (verify_solution at its answer) is below the
+    inner tolerance, or the (s1,p) seminorm of its fixed-point residual
+    T(v) - v below the outer tolerance, the next step is tight: solved
+    through apply_T with the inner tolerance divided by
+    _FINAL_TOL_DIVISOR.  The run has converged at the first tight step
+    whose coupled residual is below the inner tolerance."""
     opts = options or OuterOptions()
     grid = instance.grid
     op = instance.operator
     floor = instance.trunc.floor
+    inner_tol = instance.frozen_options.tol
     ball = fit_growth_bound(instance, seed=seed) if opts.ball_monitor else None
 
     v = floor.copy()
@@ -319,13 +321,17 @@ def solve_problem(
     _ball_check(v_norms[0], ball, "the starting iterate")
 
     converged = False
+    tight = False
     message = ""
     last_result: MinimizeResult | None = None
     frozen_v = v
+    tight_options = replace(instance.frozen_options, tol=inner_tol / _FINAL_TOL_DIVISOR)
+    tight_instance = replace(instance, frozen_options=tight_options)
 
     for k in range(1, opts.max_outer + 1):
         prev_v, frozen_v = frozen_v, v
-        result = apply_T(instance, v, None if last_result is None else last_result.x)
+        start = None if last_result is None else last_result.x
+        result = apply_T(tight_instance if tight else instance, v, start)
         # kappa = |T(v_k) - T(v_k-1)| / |v_k - v_k-1|, compared without
         # dividing so that an empty step (x_k = x_k-1) counts as kappa = 0
         expanded = last_result is not None and np.linalg.norm(
@@ -340,10 +346,11 @@ def solve_problem(
             v_norm = seminorm(op, v_new)
         else:
             step, v_norm = math.nan, v_norms[-1]
+        full = verify_solution(instance, result.x)
         step_seminorms.append(step)
         frozen_residuals.append(result.residual)
         inner_iterations.append(result.iterations)
-        full_residuals.append(verify_solution(instance, result.x))
+        full_residuals.append(full)
         v_norms.append(v_norm)
         thetas.append(theta)
         logger.info(_STEP_LOG, k, step, result.residual, result.counts, theta)
@@ -352,26 +359,16 @@ def solve_problem(
             break
         _ball_check(v_norm, ball, f"outer iteration {k}")
         v = v_new
-        if step < opts.tol:
+        if tight and full < inner_tol:
             converged = True
             break
+        tight = full < inner_tol or step < opts.tol
     else:
         message = (
             f"outer iteration budget {opts.max_outer} exhausted; "
-            f"last step seminorm {step:.3e} above tolerance {opts.tol:.3e}"
+            f"last step seminorm {step:.3e} against tolerance {opts.tol:.3e}, "
+            f"last coupled residual {full:.3e} against inner tolerance {inner_tol:.3e}"
         )
-
-    if converged:
-        tight = replace(
-            instance.frozen_options, tol=instance.frozen_options.tol / _FINAL_TOL_DIVISOR
-        )
-        final = apply_T(replace(instance, frozen_options=tight), frozen_v, last_result.x)
-        logger.info(_FINAL_LOG, final.residual, final.counts)
-        inner_iterations[-1] += final.iterations
-        if final.converged:
-            last_result = final
-            frozen_residuals[-1] = final.residual
-            full_residuals[-1] = verify_solution(instance, final.x)
 
     clipped = np.maximum(last_result.x, floor)
     final_residual = verify_solution(instance, clipped)

@@ -13,9 +13,9 @@ whose floor is -inf, and no load.  The truncation shields the singular
 forcing, so E and its gradient are finite for every real state and the
 minimization runs unconstrained; the lower bound u >= floor is certified
 on the outcome, never enforced.  Every minimization of a run (the torsion
-floor, the growth fit, the outer steps, the final re-solve) goes through
-solve_frozen, which passes the dense Hessian to the minimizer, which
-takes Newton steps wherever it is positive definite.
+floor, the growth fit, the outer steps, the tight last one among them)
+goes through solve_frozen, which passes the dense Hessian to the
+minimizer, which takes Newton steps wherever it is positive definite.
 
 The forms do not depend on the forcing or the load, so the objective is
 the two form energies at u minus O(n) terms, and its gradient the summed

@@ -5,7 +5,9 @@ that passes every check, so its draws are uniform over the window inside
 the box.  The box bounds what the window leaves open: p and q lie in
 (2, P_MAX), r and zeta in (1, p - 1), and c1, c2 and a nonzero c3 are
 log-uniform over [1e-2, 10], [1e-2, 10] and [1e-3, 10]; c3 is 0 in half
-the draws, and either forcing family is equally likely.
+the draws, and either forcing family is equally likely.  ``stress_draw``
+samples the same box with a strong convection: c3 log-uniform over [10,
+1000].
 """
 
 from __future__ import annotations
@@ -33,6 +35,23 @@ def window_draw(
 ) -> tuple[ProblemExponents, SingularReaction, ConvectiveReaction]:
     """The first draw of the box that passes check_hypotheses in dimension
     dim: its exponents, forcing and convective bound."""
+    return _first_passing(
+        rng, dim, lambda: _log_uniform(rng, 1e-3, 10.0) if rng.uniform() < 0.5 else 0.0
+    )
+
+
+def stress_draw(
+    rng: np.random.Generator, dim: int
+) -> tuple[ProblemExponents, SingularReaction, ConvectiveReaction]:
+    """As window_draw, with c3 log-uniform over [10, 1000]."""
+    return _first_passing(rng, dim, lambda: _log_uniform(rng, 10.0, 1000.0))
+
+
+def _first_passing(
+    rng: np.random.Generator, dim: int, draw_c3
+) -> tuple[ProblemExponents, SingularReaction, ConvectiveReaction]:
+    """The first draw of the box, with c3 from draw_c3(), that passes
+    check_hypotheses in dimension dim."""
     while True:
         s2, s, s1 = np.sort(rng.uniform(0.0, 1.0, 3))
         q, p = np.sort(rng.uniform(2.0, P_MAX, 2))
@@ -44,7 +63,6 @@ def window_draw(
             r=rng.uniform(1.0, p - 1.0),
             family=str(rng.choice(["singular", "bounded"])),
         )
-        c3 = _log_uniform(rng, 1e-3, 10.0) if rng.uniform() < 0.5 else 0.0
-        convective = ConvectiveReaction(c3=c3, zeta=rng.uniform(1.0, p - 1.0))
+        convective = ConvectiveReaction(c3=draw_c3(), zeta=rng.uniform(1.0, p - 1.0))
         if check_hypotheses(exponents, reaction, convective).passed:
             return exponents, reaction, convective

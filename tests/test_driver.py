@@ -40,7 +40,7 @@ from fracsolve.optimize import MinimizeResult, MinimizerOptions
 from fracsolve.reaction import ConvectiveReaction, ProblemExponents, SingularReaction, g_eval
 from fracsolve.riesz import riesz_gradient
 from support.passes import count_form_passes
-from support.window import window_draw
+from support.window import stress_draw, window_draw
 
 
 EXPONENTS_1D = ProblemExponents(s=0.55, s1=0.6, s2=0.5, p=2.5, q=2.2, dim=1)
@@ -95,22 +95,33 @@ def disk_instance(disk_built):
     return replace(disk_built, operator=Operator(*disk_built.operator.tables))
 
 
-def affine_T(instance, kappa, iterations=1):
-    """Stand-in for apply_T: v -> a + kappa (v - a), contracting by exactly
-    kappa toward its fixed point a = 2 * floor."""
+def affine_T(monkeypatch, instance, kappa, tol, iterations=1):
+    """Stand in for apply_T with v -> a + kappa (v - a), contracting by
+    exactly kappa toward its fixed point a = 2 * floor, and for
+    verify_solution with that map's fixed-point residual seminorm(T(u) -
+    u).  Returns the instance at inner tolerance ``tol``, the bound the loop
+    holds that residual to."""
     a = 2.0 * instance.trunc.floor
 
-    def T(inst, v, start=None):
-        return MinimizeResult(a + kappa * (v - a), True, iterations, 0.0, 0.0)
+    def T(v):
+        return a + kappa * (v - a)
 
-    return T
+    monkeypatch.setattr(
+        driver,
+        "apply_T",
+        lambda inst, v, start=None: MinimizeResult(T(v), True, iterations, 0.0, 0.0),
+    )
+    monkeypatch.setattr(
+        driver, "verify_solution", lambda inst, u: seminorm(inst.operator, T(u) - u)
+    )
+    return replace(instance, frozen_options=MinimizerOptions(tol=tol))
 
 
 def check_growth_log(instance, caplog) -> int:
     """Solve with the growth monitor and check its -v lines: the fit's 20
     samples before the first outer step, then a line per sample it
-    polishes, one per outer step and the final re-solve's; returns the
-    number of polished samples."""
+    polishes and one per outer step; returns the number of polished
+    samples."""
     with caplog.at_level(logging.INFO, logger="fracsolve.driver"):
         report = solve_problem(instance, OuterOptions(ball_monitor=True))
     assert report.converged and report.ball is not None
@@ -123,10 +134,9 @@ def check_growth_log(instance, caplog) -> int:
         assert re.match(r"growth sample \d+ polished: ", lines[20 + polished])
         polished += 1
     outer = lines[20 + polished :]
-    assert len(outer) == report.outer_iterations + 1
-    for k, line in enumerate(outer[:-1], start=1):
+    assert len(outer) == report.outer_iterations
+    for k, line in enumerate(outer, start=1):
         assert line.startswith(f"outer {k}: ")
-    assert outer[-1].startswith("final re-solve: ")
     return polished
 
 
@@ -491,11 +501,19 @@ class TestSolveProblem:
             instance_1d, OuterOptions(tol=1e-13, max_outer=2, ball_monitor=False)
         )
         assert not report.converged
-        assert report.message
+        # the message names both stopping quantities against their tolerances
+        assert report.message == (
+            "outer iteration budget 2 exhausted; "
+            f"last step seminorm {report.step_seminorms[-1]:.3e} against tolerance 1.000e-13, "
+            f"last coupled residual {report.full_residuals[-1]:.3e} "
+            "against inner tolerance 1.000e-06"
+        )
 
     def test_growing_steps_damp_the_relaxation(self, instance_1d, monkeypatch):
         # a map whose answers grow tenfold per call: after the first step
-        # every step sees T fail to contract and takes theta = 1/2
+        # every step sees T fail to contract and takes theta = 1/2; the
+        # next answer to an answer u is 10 u, so its fixed-point residual
+        # is 9 u
         floor = instance_1d.trunc.floor
         calls = []
 
@@ -504,6 +522,9 @@ class TestSolveProblem:
             return MinimizeResult(floor * 10.0 ** len(calls), True, 1, 0.0, 0.0)
 
         monkeypatch.setattr(driver, "apply_T", growing_T)
+        monkeypatch.setattr(
+            driver, "verify_solution", lambda inst, u: seminorm(inst.operator, 9.0 * u)
+        )
         report = solve_problem(
             instance_1d, OuterOptions(tol=1e-6, max_outer=13, ball_monitor=False)
         )
@@ -514,47 +535,48 @@ class TestSolveProblem:
         assert not hasattr(report, "log")
 
     def test_contracting_map_takes_picard_steps(self, instance_1d, monkeypatch):
-        monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.1))
         floor = instance_1d.trunc.floor
         tol = 1e-2 * seminorm(instance_1d.operator, floor)
-        report = solve_problem(instance_1d, OuterOptions(tol=tol, ball_monitor=False))
+        inst = affine_T(monkeypatch, instance_1d, 0.1, tol)
+        report = solve_problem(inst, OuterOptions(tol=tol, ball_monitor=False))
         # theta = 0.5 would shrink the residual by 0.55 a step and need 8
         assert report.converged and report.outer_iterations <= 4
         assert report.thetas == [1.0] * report.outer_iterations
 
     def test_weakly_contracting_map_keeps_the_relaxation(self, instance_1d, monkeypatch):
-        monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.9))
-        report = solve_problem(
-            instance_1d, OuterOptions(tol=1e-12, max_outer=10, ball_monitor=False)
-        )
+        inst = affine_T(monkeypatch, instance_1d, 0.9, 1e-12)
+        report = solve_problem(inst, OuterOptions(tol=1e-12, max_outer=10, ball_monitor=False))
         assert not report.converged
         assert report.thetas == [1.0] + [0.5] * 9
 
     def test_relaxed_run_stops_on_the_fixed_point_residual(self, instance_1d, monkeypatch):
-        # T(v) = a + kappa (v - a): the last frozen iterate v is a + (raw -
-        # a) / kappa, so its fixed-point residual T(v) - v is (raw - a)(1 -
-        # 1 / kappa); a stop on the relaxed step theta |T(v) - v| would
-        # leave it up to tol / theta
+        # T(v) = a + kappa (v - a), whose coupled residual is its
+        # fixed-point residual T(u) - u = (kappa - 1)(u - a): the run stops
+        # on it at the answer raw, whatever weight the steps took; a stop
+        # on the relaxed step theta |T(v) - v| would leave it up to tol /
+        # theta
         kappa = 0.9
-        monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, kappa))
         op = instance_1d.operator
         a = 2.0 * instance_1d.trunc.floor
         tol = 1e-2 * seminorm(op, instance_1d.trunc.floor)
-        report = solve_problem(
-            instance_1d, OuterOptions(tol=tol, max_outer=100, ball_monitor=False)
-        )
+        inst = affine_T(monkeypatch, instance_1d, kappa, tol)
+        report = solve_problem(inst, OuterOptions(tol=tol, max_outer=100, ball_monitor=False))
         assert report.converged and 0.5 in report.thetas
         raw = instance_1d.grid.pack(report.raw)
-        residual = seminorm(op, (raw - a) * (1.0 - 1.0 / kappa))
+        residual = seminorm(op, (kappa - 1.0) * (raw - a))
         assert residual < tol
-        assert report.step_seminorms[-1] == pytest.approx(residual, rel=1e-9)
+        assert report.full_residuals[-1] == pytest.approx(residual, rel=1e-9)
+        # the step seminorm is that of T(v) - v = (raw - a)(1 - 1 / kappa)
+        # at the last frozen iterate v = a + (raw - a) / kappa, unweighted
+        step = seminorm(op, (raw - a) * (1.0 - 1.0 / kappa))
+        assert report.step_seminorms[-1] == pytest.approx(step, rel=1e-9)
 
     def test_empty_step_ends_the_loop(self, instance_1d, monkeypatch):
         # a constant map whose solves take no inner iteration: the first
-        # step moves to the answer, and the second sees x_2 = x_1 and
-        # confirms it
-        monkeypatch.setattr(driver, "apply_T", affine_T(instance_1d, 0.0, iterations=0))
-        report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
+        # step moves to the answer, whose fixed-point residual is 0, and
+        # the second, tight, step sees x_2 = x_1 and confirms it
+        inst = affine_T(monkeypatch, instance_1d, 0.0, 1e-6, iterations=0)
+        report = solve_problem(inst, OuterOptions(ball_monitor=False))
         assert report.converged and report.outer_iterations <= 2
         assert report.thetas == [1.0, 1.0]
         assert report.step_seminorms[-1] == 0.0
@@ -636,7 +658,10 @@ class TestSolveProblem:
         tol = instance_1d.frozen_options.tol
         report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
         assert report.converged
-        assert calls == [tol] * report.outer_iterations + [tol / 10.0]
+        # the tight solve is the last outer step, after the step whose
+        # coupled residual met the inner tolerance
+        assert calls == [tol] * (report.outer_iterations - 1) + [tol / 10.0]
+        assert report.full_residuals[-2] < tol <= report.full_residuals[-3]
         assert report.frozen_residuals[-1] < tol / 10.0
         assert report.final_residual < 0.5 * tol
         calls.clear()
@@ -662,22 +687,14 @@ class TestSolveProblem:
             report = solve_problem(instance_1d, OuterOptions(ball_monitor=False))
         assert report.converged
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
-        # one line per outer step, then one for the final re-solve
-        assert len(lines) == report.outer_iterations + 1
-        for k, line in enumerate(lines[:-1], start=1):
+        # one line per outer step, the tight last one among them
+        assert len(lines) == report.outer_iterations
+        for k, line in enumerate(lines, start=1):
             assert line.startswith(f"outer {k}: ")
             assert f"step seminorm {report.step_seminorms[k - 1]:.3e}" in line
-            assert f"theta {report.thetas[k - 1]:.6g}" in line
-        # the last step's residual is the final re-solve's, and its inner
-        # iterations add the re-solve's to the step's own
-        for k, line in enumerate(lines[:-2], start=1):
             assert f"frozen residual {report.frozen_residuals[k - 1]:.3e}" in line
             assert f"{report.inner_iterations[k - 1]} inner iterations" in line
-        assert lines[-1].startswith(
-            f"final re-solve: frozen residual {report.frozen_residuals[-1]:.3e}, "
-        )
-        last, final = (int(re.search(r"(\d+) inner iterations", x)[1]) for x in lines[-2:])
-        assert last + final == report.inner_iterations[-1]
+            assert f"theta {report.thetas[k - 1]:.6g}" in line
 
     def test_logs_one_line_per_growth_sample(self, instance_1d, caplog):
         check_growth_log(instance_1d, caplog)
@@ -702,12 +719,12 @@ class TestSolveProblem:
             report = solve_problem(disk_instance, OuterOptions(ball_monitor=True))
         lines = [r.getMessage() for r in caplog.records if r.name == "fracsolve.driver"]
         # the 20 samples, then the polishes of the samples near the maximum
-        # (some on this disk), then the outer steps and the final re-solve
+        # (some on this disk), then the outer steps
         polished = [line for line in lines[20:] if line.startswith("growth sample ")]
         assert polished and all(" polished: " in line for line in polished)
         assert lines[20 + len(polished)].startswith("outer 1: ")
-        assert lines[-1].startswith("final re-solve: ")
-        assert len(lines) == len(results) == 20 + len(polished) + report.outer_iterations + 1
+        assert lines[-1].startswith(f"outer {report.outer_iterations}: ")
+        assert len(lines) == len(results) == 20 + len(polished) + report.outer_iterations
         for line, result in zip(lines, results):
             assert result.converged
             assert (
@@ -769,11 +786,14 @@ class TestPassCounts:
             monkeypatch.setattr(driver, name, counted)
         report = solve_problem(disk_instance, OuterOptions(ball_monitor=False))
         assert report.converged
-        # each verify follows the solve that ended at its point
-        assert [d for _, d in spent["verify_solution"]] == [0] * (report.outer_iterations + 2)
-        # a warm-started solve that returns its start is free
-        returned = [d for r, d in spent["apply_T"] if r.iterations == 0]
-        assert returned and returned == [0] * len(returned)
+        # each verify follows the solve that ended at its point: one per
+        # outer step, and the final one at the clipped answer
+        assert [d for _, d in spent["verify_solution"]] == [0] * (report.outer_iterations + 1)
+        # a warm-started solve spends no pass on its start, the answer of
+        # the step before: one pass per trial point, none when it returns
+        # its start
+        warm = spent["apply_T"][1:]
+        assert warm and all(d == r.energy_evals - 1 for r, d in warm)
 
 
 class TestVerifySolution:
@@ -819,6 +839,30 @@ class TestWindowSolves:
             ):
                 failures.append((k, exps, reaction, convective, report.message))
         assert not failures, failures
+
+    @pytest.mark.parametrize(
+        "domain, resolution, dim",
+        [(interval(0.0, 1.0), 17, 1), (disk(0.0, 0.0, 1.0), 11, 2)],
+        ids=["interval", "disk"],
+    )
+    def test_stress_draws_claim_convergence_only_below_tolerance(self, domain, resolution, dim):
+        # with c3 in [10, 1000] a step seminorm below the outer tolerance
+        # leaves the coupled residual far above the inner one; a draw may
+        # fail to converge, but a run that reports converged must have met
+        # the inner tolerance
+        grid = Grid(domain, resolution)
+        tol = frozen.default_tol(dim)
+        rng = np.random.default_rng(0)
+        false_claims = []
+        for k in range(12):
+            exps, reaction, convective = stress_draw(rng, dim)
+            inst = build_instance(
+                grid, exps, reaction, convective, frozen_options=MinimizerOptions(tol=tol)
+            )
+            report = solve_problem(inst, OuterOptions(tol=tol, ball_monitor=False))
+            if report.converged and not report.final_residual < tol:
+                false_claims.append((k, convective, report.final_residual))
+        assert not false_claims, false_claims
 
 
 class TestTwoDimensional:

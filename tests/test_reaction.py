@@ -341,6 +341,26 @@ class TestHypotheses:
         report = check_hypotheses(*_passing_triple())
         assert report.uniqueness_ready
 
+    @pytest.mark.parametrize("family", ["singular", "bounded"])
+    @pytest.mark.parametrize("r", [1.3, 1.5, 1.7], ids=["below", "at", "above"])
+    def test_uniqueness_is_r_below_q_minus_one(self, family, r):
+        # q - 1 = 1.5: below it f(t)/t^(q-1) is a sum of two strictly
+        # decreasing terms, as a dense sample confirms; at or above it
+        # uniqueness is not certified, with the one warning
+        exps, _, conv = _passing_triple()
+        fam = SingularReaction(gamma=0.3, c1=1.0, c2=1.0, r=r, family=family)
+        report = check_hypotheses(exps, fam, conv)
+        assert report.passed
+        assert report.uniqueness_ready == (r < exps.q - 1.0)
+        warned = [w for w in report.warnings if w.endswith("uniqueness is not certified")]
+        assert warned == ([] if report.uniqueness_ready else [
+            "f(t)/t^(q-1) is not certified strictly decreasing (needs r < q-1): "
+            "uniqueness is not certified"
+        ])
+        if report.uniqueness_ready:
+            t = np.logspace(-3.0, 2.0, 200)
+            assert np.all(np.diff(f_eval(fam, t) / t ** (exps.q - 1.0)) < 0.0)
+
     def test_zero_c3_warns(self):
         exps = _exponents()
         fam = SingularReaction(gamma=0.3, c1=1.0, c2=1.0, r=1.4)
